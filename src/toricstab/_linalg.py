@@ -34,10 +34,6 @@ def dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
-def mat_vec(m, v):
-    return tuple(dot(row, v) for row in m)
-
-
 def det(m):
     """Exact determinant by fraction-free Gaussian elimination."""
     n = len(m)
@@ -61,39 +57,61 @@ def det(m):
     return result
 
 
-def solve(m, rhs):
-    """Solve the square system ``m x = rhs`` exactly.
-
-    Returns a tuple of Fractions, or None if the matrix is singular.
-    """
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+def row_reduce(rows, ncols):
+    """Gauss-Jordan over the rationals, pivoting in the first ``ncols``
+    columns only: ``(reduced nonzero rows, pivot columns)``."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        if r == len(work):
+            break
+        piv = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
         if piv is None:
-            return None
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(a[i][n] for i in range(n))
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        inv = 1 / work[r][col]
+        work[r] = [x * inv for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][col]:
+                f = work[i][col]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(col)
+    return work[:len(pivots)], pivots
+
+
+def rank(rows, ncols):
+    return len(row_reduce(rows, ncols)[1])
+
+
+def solve(m, rhs):
+    """Exact solution of the square system ``m x = rhs``; None if singular."""
+    n = len(m)
+    red, pivots = row_reduce([list(row) + [rhs[i]] for i, row in enumerate(m)], n)
+    return tuple(row[n] for row in red) if len(pivots) == n else None
+
+
+def kernel_direction(rows, n):
+    """A nonzero rational vector orthogonal to all rows, or None."""
+    red, pivots = row_reduce(rows, n)
+    if len(pivots) >= n:
+        return None
+    free = next(c for c in range(n) if c not in pivots)
+    vec = [Fraction(0)] * n
+    vec[free] = Fraction(1)
+    for row, col in zip(red, pivots):
+        vec[col] = -row[free]
+    return tuple(vec)
 
 
 def invert_integer_matrix(m):
     """Inverse of an integer matrix with determinant +-1, as integer rows."""
     n = len(m)
-    d = det(m)
-    if abs(d) != 1:
-        raise ValueError(f"matrix is not unimodular (det={d})")
-    cols = []
-    for j in range(n):
-        rhs = [1 if i == j else 0 for i in range(n)]
-        cols.append(solve(m, rhs))
-    return tuple(tuple(int(cols[j][i]) for j in range(n)) for i in range(n))
+    red, pivots = row_reduce([list(row) + [int(i == j) for j in range(n)]
+                              for i, row in enumerate(m)], n)
+    if len(pivots) < n or any(x.denominator != 1 for row in red for x in row):
+        raise ValueError(f"matrix is not unimodular (det={det(m)})")
+    return tuple(tuple(int(x) for x in row[n:]) for row in red)
 
 
 def unimodular_complement(v):
@@ -132,23 +150,5 @@ def affine_rank(points):
     if len(points) <= 1:
         return 0
     base = points[0]
-    rows = [[Fraction(p[k]) - Fraction(base[k]) for k in range(len(base))]
-            for p in points[1:]]
-    # Row-reduce, counting pivots.
-    rank = 0
-    ncols = len(base)
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col] / rows[r][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        rank += 1
-        r += 1
-        if r == len(rows):
-            break
-    return rank
+    return rank([[p[k] - base[k] for k in range(len(base))] for p in points[1:]],
+                len(base))

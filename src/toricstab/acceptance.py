@@ -61,16 +61,6 @@ def _safe_a(P, xi):
     return Fraction(1) + Fraction(math.ceil(4 * max(pairings)), 2)
 
 
-def _random_pl(rng, dim, pieces=3):
-    out = []
-    for _ in range(pieces):
-        grad = tuple(Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 4)))
-                     for _ in range(dim))
-        const = Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 5)))
-        out.append((grad, const))
-    return testconfig.PLConvex.make(out)
-
-
 def criterion_1_backend_agreement(rule=DEFAULT_RULE):
     """Quadrature and vertex localisation agree on both class types."""
     rng = np.random.default_rng(101)
@@ -196,7 +186,7 @@ def criterion_6_twist_identities(rule=DEFAULT_RULE):
         P = catalog.load(names[trial % len(names)])
         W = builtin("cscK", 2) if trial % 2 == 0 else \
             builtin("soliton", 2, xi=rng.uniform(-0.5, 0.5, 2))
-        tc = testconfig.ToricTC(P, W, _random_pl(rng, 2))
+        tc = testconfig.ToricTC(P, W, testconfig.random_pl(rng, 2))
         beta = rng.uniform(-1, 1, 2)
         f = invariants.futaki(P, W, beta, rule)
         tw = testconfig.twist(tc, beta)
@@ -260,7 +250,7 @@ def criterion_8_destabilizing_vertex(rule=DEFAULT_RULE, trials=100):
         W = builtin("cscK", P.dim)
         done = 0
         while done < trials:
-            tc = testconfig.ToricTC(P, W, _random_pl(rng, P.dim))
+            tc = testconfig.ToricTC(P, W, testconfig.random_pl(rng, P.dim))
             dv = testconfig.destabilizing_vertex(tc, rule)
             if dv.product or dv.norm_perp <= 1e-6:
                 continue
@@ -283,12 +273,12 @@ def criterion_9_semistability(rule=DEFAULT_RULE, trials=100):
     W = builtin("cscK", 2)
     min_df = math.inf
     for _ in range(trials):
-        tc = testconfig.ToricTC(P, W, _random_pl(rng, 2))
+        tc = testconfig.ToricTC(P, W, testconfig.random_pl(rng, 2))
         min_df = min(min_df, testconfig.df(tc, rule))
     P2 = catalog.load("bl1cp2")
     min_dft = math.inf
     for _ in range(trials):
-        tc = testconfig.ToricTC(P2, W, _random_pl(rng, 2))
+        tc = testconfig.ToricTC(P2, W, testconfig.random_pl(rng, 2))
         min_dft = min(min_dft, testconfig.df_T(tc, rule))
     passed = min_df >= -1e-10 and min_dft >= -1e-10
     return AcceptanceResult(

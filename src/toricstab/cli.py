@@ -258,9 +258,8 @@ def _cmd_report(args):
             tcs.append(testconfig.ToricTC.from_json(json.load(fh), P, W))
     if args.sample:
         rng = np.random.default_rng(args.seed)
-        from .acceptance import _random_pl
         for _ in range(args.sample):
-            tcs.append(testconfig.ToricTC(P, W, _random_pl(rng, P.dim)))
+            tcs.append(testconfig.ToricTC(P, W, testconfig.random_pl(rng, P.dim)))
     expansions = []
     if args.expand_vertex is not None:
         v = args.expand_vertex

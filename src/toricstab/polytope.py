@@ -7,6 +7,10 @@ from the facet data; combinatorial questions (simplicity, unimodularity,
 redundancy) are decided exactly over the rationals.  Floats appear only in
 the cached arrays handed to the numerical integration layer.
 
+Only raw facet data (catalog, JSON, user input, ``translate``,
+``unimodular_image``) runs the C(m, n) vertex enumeration; corner chops, PL
+cells and facet charts inherit their vertices from the parent polytope.
+
 All objects are immutable after construction and safe to share.
 """
 
@@ -171,7 +175,8 @@ class DelzantPolytope:
     # -- core enumeration --------------------------------------------------
 
     def _enumerate(self):
-        """Vertices and facet incidence, tolerating non-simple corners."""
+        """Vertices and facet incidence, tolerating non-simple corners; tries
+        every n-subset of facets unless inherited (:func:`_clip`, charts)."""
         if "enum" in self._cache:
             return self._cache["enum"]
         n = self.dim
@@ -181,8 +186,6 @@ class DelzantPolytope:
             if la.det(m) == 0:
                 continue
             x = la.solve(m, [-self.facets[i].offset for i in comb])
-            if x is None:
-                continue
             if all(f.value(x) >= 0 for f in self.facets):
                 points[x] = True
         vertices = sorted(points)
@@ -234,20 +237,21 @@ class DelzantPolytope:
         return len(self.vertices) == 0
 
     def is_full_dimensional(self):
-        return la.affine_rank(list(self.vertices)) == self.dim
+        if "full" not in self._cache:
+            self._cache["full"] = la.affine_rank(list(self.vertices)) == self.dim
+        return self._cache["full"]
 
     def is_bounded(self):
         """Exact recession-cone test: bounded iff no feasible ray exists."""
-        normals = [f.normal for f in self.facets]
-        n = self.dim
-        for comb in combinations(range(len(normals)), n - 1):
-            ray = _kernel_direction([normals[i] for i in comb], n)
-            if ray is None:
-                continue
-            for cand in (ray, tuple(-x for x in ray)):
-                if all(la.dot(nf, cand) >= 0 for nf in normals):
-                    return False
-        return True
+        if "bounded" not in self._cache:
+            normals = [f.normal for f in self.facets]
+            rays = (la.kernel_direction([normals[i] for i in comb], self.dim)
+                    for comb in combinations(range(len(normals)), self.dim - 1))
+            self._cache["bounded"] = not any(
+                all(la.dot(nf, cand) >= 0 for nf in normals)
+                for ray in rays if ray is not None
+                for cand in (ray, tuple(-x for x in ray)))
+        return self._cache["bounded"]
 
     # -- validation ---------------------------------------------------------
 
@@ -304,7 +308,7 @@ class DelzantPolytope:
         if self.dim == 1:
             chart = FacetChart(facet_index, origin, (), None)
         else:
-            rows = []
+            rows = {}
             for j, g in enumerate(self.facets):
                 if j == facet_index:
                     continue
@@ -312,13 +316,21 @@ class DelzantPolytope:
                 off = g.offset + la.dot(g.normal, origin)
                 if all(c == 0 for c in ny):
                     if off < 0:
-                        rows = None
-                        break
+                        raise PolytopeError(f"facet {facet_index} is infeasible")
                     continue
-                rows.append((ny, off))
-            if rows is None:
-                raise PolytopeError(f"facet {facet_index} is infeasible")
-            sub = DelzantPolytope(self.dim - 1, rows)
+                rows[j] = Facet.make(ny, off)
+            sub = DelzantPolytope(self.dim - 1, rows.values())
+            # Chart vertices: ours on the facet, solving x - origin = s z + y.basis.
+            slot = {j: sub.facets.index(g) for j, g in rows.items()}
+            inv = la.invert_integer_matrix((z,) + basis)
+            enum = sorted(
+                (tuple(sum(inv[k][r] * (v[k] - origin[k]) for k in range(self.dim))
+                       for r in range(1, self.dim)),
+                 tuple(sorted({slot[j] for j in act if j in slot})))
+                for v, act in zip(self.vertices, self.vertex_facets)
+                if facet_index in act)
+            sub._cache["enum"] = (tuple(v for v, _ in enum),
+                                  tuple(a for _, a in enum))
             chart = FacetChart(facet_index, origin, basis, sub)
         self._cache[key] = chart
         return chart
@@ -460,7 +472,7 @@ class DelzantPolytope:
             raise ChopDepthError(eps, bound)
         new = (m, -la.dot(m, v.coords) - eps)
         name = f"{self.name}-chopped" if self.name else None
-        return DelzantPolytope(self.dim, list(self.facets) + [new], name=name)
+        return _clip(self, [new], name=name)
 
     # -- serialisation ----------------------------------------------------------
 
@@ -483,38 +495,47 @@ class DelzantPolytope:
         return DelzantPolytope(doc["dim"], facets, name=doc.get("name"))
 
 
-def _kernel_direction(rows, n):
-    """A nonzero rational vector orthogonal to all rows, or None."""
-    mat = [list(r) for r in rows]
-    rank = 0
-    pivots = []
-    work = [row[:] for row in mat]
-    work = [[Fraction(x) for x in row] for row in work]
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
-        if piv is None:
+def _clip(parent, rows, name=None):
+    """``parent`` cut by the halfspaces ``rows``; None if empty or not
+    full-dimensional.  A bounded full-dimensional parent passes its vertices
+    through one double-description update per new facet h (Fukuda-Prodon,
+    1996): keep those with h >= 0, add the h = 0 point of each edge from
+    h > 0 to h < 0.  Two vertices span an edge iff the facets through both
+    have rank n-1 and no third vertex is on all of them."""
+    out = DelzantPolytope(parent.dim, list(parent.facets) + list(rows), name=name)
+    if not (parent.is_full_dimensional() and parent.is_bounded()):
+        return None if out.is_empty() or not out.is_full_dimensional() else out
+    n = parent.dim
+    index = {f: i for i, f in enumerate(out.facets)}
+    verts = [(v, frozenset(index[parent.facets[i]] for i in act))
+             for v, act in zip(parent.vertices, parent.vertex_facets)]
+    old = {index[f] for f in parent.facets}
+    for j, f in enumerate(out.facets):
+        if j in old:
             continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = 1 / work[r][col]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col]:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(col)
-        rank += 1
-        r += 1
-    if rank >= n:
-        return None
-    free = next(c for c in range(n) if c not in pivots)
-    vec = [Fraction(0)] * n
-    vec[free] = Fraction(1)
-    for i, col in enumerate(pivots):
-        vec[col] = -work[i][free]
-    # Clear denominators for exact sign tests downstream.
-    denom = 1
-    for x in vec:
-        denom = denom * x.denominator // la.gcd(denom, x.denominator)
-    ints = tuple(int(x * denom) for x in vec)
-    return ints
+        vals = [f.value(v) for v, _ in verts]
+        if not any(h > 0 for h in vals):
+            return None
+        kept = [(v, act | {j} if h == 0 else act)
+                for (v, act), h in zip(verts, vals) if h >= 0]
+        for a, (u, au) in enumerate(verts):
+            if vals[a] <= 0:
+                continue
+            for b, (w, aw) in enumerate(verts):
+                if vals[b] >= 0:
+                    continue
+                common = au & aw
+                if (len(common) < n - 1
+                        or any(common <= az for c, (_, az) in enumerate(verts)
+                               if c != a and c != b)
+                        or la.rank([out.facets[i].normal for i in common], n) != n - 1):
+                    continue
+                t = vals[a] / (vals[a] - vals[b])
+                kept.append((tuple(x + t * (y - x) for x, y in zip(u, w)),
+                             common | {j}))
+        verts = kept
+    verts.sort(key=lambda va: va[0])
+    out._cache.update(enum=(tuple(v for v, _ in verts),
+                            tuple(tuple(sorted(act)) for _, act in verts)),
+                      full=True, bounded=True)
+    return out

@@ -57,12 +57,6 @@ class Profile:
         """Profile of t -> self(t - s)."""
         raise NotImplementedError
 
-    def check_domain(self, lo, hi):
-        if lo < self.domain[0] or hi > self.domain[1]:
-            raise ProfileDomainError(
-                f"interval [{lo}, {hi}] leaves analyticity domain {self.domain}"
-            )
-
     def __call__(self, t):
         return self.value(t)
 

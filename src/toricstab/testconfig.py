@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import invariants, quadrature
-from .polytope import DelzantPolytope, _as_fraction
+from .polytope import _as_fraction, _clip
 from .quadrature import DEFAULT_RULE, integrate_simplices
 
 
@@ -72,7 +72,20 @@ def trivial_phi(dim):
     return PLConvex.make([(tuple([0] * dim), 0)])
 
 
-@lru_cache(maxsize=None)
+def random_pl(rng, dim, pieces=3):
+    """PL convex function with random small rational pieces from ``rng``."""
+    out = []
+    for _ in range(pieces):
+        grad = tuple(Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 4)))
+                     for _ in range(dim))
+        const = Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 5)))
+        out.append((grad, const))
+    return PLConvex.make(out)
+
+
+# Each entry holds its cells with their charts and triangulations.  A blowup
+# ladder cycle re-reads about 60 (polytope, phi) pairs; twice that is kept.
+@lru_cache(maxsize=128)
 def _cells(P, phi):
     """Nonempty full-dimensional regions where one piece is the maximum.
 
@@ -82,7 +95,7 @@ def _cells(P, phi):
     """
     out = []
     for k, (gk, ck) in enumerate(phi.pieces):
-        rows = list(P.facets)
+        rows = []
         for j, (gj, cj) in enumerate(phi.pieces):
             if j == k:
                 continue
@@ -95,8 +108,8 @@ def _cells(P, phi):
             rows.append((normal, ck - cj))
         if rows is None:
             continue
-        cell = DelzantPolytope(P.dim, rows)
-        if not cell.is_empty() and cell.is_full_dimensional():
+        cell = _clip(P, rows)
+        if cell is not None:
             out.append((k, cell))
     return tuple(out)
 
@@ -199,38 +212,21 @@ def integrate_pl_boundary(tc, weight_fn=None, rule=DEFAULT_RULE):
         pts = P.vertices_floats()
         vals = tc.value(pts) * np.asarray(weight(pts), dtype=float)
         return float(np.sum(vals))
+    # Each piece is the cell's own facet on P.facets[i]; its chart shares
+    # P's chart coordinates, since both depend on that facet alone.
     total = 0.0
     for i in P.genuine_facet_indices():
         chart = P.facet_chart(i)
-        for k, _ in tc.cells():
-            gk, ck = tc.phi.pieces[k]
-            rows = list(chart.polytope.facets)
-            ok = True
-            for j, (gj, cj) in enumerate(tc.phi.pieces):
-                if j == k:
-                    continue
-                diff = tuple(a - b for a, b in zip(gk, gj))
-                ny = tuple(sum(d * bv for d, bv in zip(diff, b))
-                           for b in chart.basis)
-                off = (ck - cj) + sum(d * o for d, o in zip(diff, chart.origin))
-                if all(c == 0 for c in ny):
-                    if off < 0:
-                        ok = False
-                        break
-                    continue
-                rows.append((ny, off))
-            if not ok:
-                continue
-            piece = DelzantPolytope(P.dim - 1, rows)
-            if piece.is_empty() or not piece.is_full_dimensional():
+        for k, cell in tc.cells():
+            j = cell.facets.index(P.facets[i])
+            if j not in cell.genuine_facet_indices():
                 continue
             g, c = tc.cell_affine(k)
-            res = quadrature.integrate(
-                piece,
+            total += quadrature.integrate(
+                cell.facet_chart(j).polytope,
                 lambda y, g=g, c=c: ((chart.map_floats(y) @ g) + c)
                 * np.asarray(weight(chart.map_floats(y)), dtype=float),
-                rule)
-            total += res.value
+                rule).value
     return total
 
 
