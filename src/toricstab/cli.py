@@ -180,7 +180,6 @@ def _cmd_soliton(args):
     P = _load_polytope(args)
     rule = _rule(args)
     res = invariants.soliton_field(P, rule)
-    from .profiles import builtin
     W = builtin("soliton", P.dim, xi=res.xi)
     rep = invariants.invariant_report(P, W, rule, backend=args.backend)
     doc = report.invariant_doc(rep, name=P.name)

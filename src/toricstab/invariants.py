@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import localize, quadrature
-from .profiles import require_positive
+from .profiles import builtin, require_positive
 from .quadrature import DEFAULT_RULE
 
 
@@ -254,8 +254,6 @@ def soliton_field(P, rule=DEFAULT_RULE, tol=1e-10, max_iter=50,
     direct minimisation of the closed-form volume, serves as an independent
     oracle; disagreement is flagged as a normalisation inconsistency.
     """
-    from .profiles import builtin
-
     n = P.dim
     if any(f.offset != 1 for f in P.facets):
         raise ValueError(

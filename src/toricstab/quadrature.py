@@ -122,9 +122,9 @@ def _bisect(verts):
 
 def integrate_simplices(f, simplices, rule=DEFAULT_RULE):
     """Adaptive integration of a vectorised integrand over float simplices."""
-    bary, wts = gm_table(simplices.shape[2], rule.gm_order) if len(simplices) else (None, None)
     if len(simplices) == 0:
         return IntegrationResult(0.0, 0.0, True)
+    bary, wts = gm_table(simplices.shape[2], rule.gm_order)
 
     counter = count()
     entries = {}
@@ -153,15 +153,12 @@ def integrate_simplices(f, simplices, rule=DEFAULT_RULE):
         if err <= tol:
             break
         _, key, verts, depth, kids = heapq.heappop(heap)
-        if key not in entries:
-            continue
         if depth >= rule.max_depth:
             continue  # leaf stays counted but cannot be refined further
         del entries[key]
         push(kids[0], depth + 1)
         push(kids[1], depth + 1)
         value, err = totals()
-    value, err = totals()
     return IntegrationResult(value, err, err <= max(rule.tol_abs, rule.tol_rel * abs(value)))
 
 

@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import invariants, testconfig
+from .quadrature import DEFAULT_RULE
 
 FLOAT_FORMAT = "%.12e"
 
@@ -147,20 +148,17 @@ def verdict_line(inv_doc, tc_docs, tol=1e-9):
 def dossier(P, W, tcs=(), expansions=(), rule=None, backend="quadrature",
             name=None):
     """Full stability dossier for one polytope, weight pair and TC batch."""
-    from .quadrature import DEFAULT_RULE
-
     rule = rule or DEFAULT_RULE
     rep = invariants.invariant_report(P, W, rule, backend=backend)
     tc_docs = [tc_doc(t, rule) for t in tcs]
-    exp_docs = [expansion_doc(r) for r in expansions]
-    doc = {
-        "invariants": invariant_doc(rep, name=name),
+    inv_doc = invariant_doc(rep, name=name)
+    return {
+        "invariants": inv_doc,
         "test_configurations": tc_docs,
-        "expansions": exp_docs,
+        "expansions": [expansion_doc(r) for r in expansions],
         "sign_convention": SIGN_CONVENTION,
-        "verdict": verdict_line(invariant_doc(rep), tc_docs),
+        "verdict": verdict_line(inv_doc, tc_docs),
     }
-    return doc
 
 
 def emit_plot_data(doc, kind):

@@ -13,9 +13,11 @@ expansion cross-checks in :mod:`toricstab.blowup`:
     chow(TC, p)                  = phi(p) - mean_w(phi)
     lambda-pairing               = int (-phi - mean_w(-phi))(<x,beta> - mean) w
 
-With these, chow_T(TC, p) coincides with the value at p of the component of
-phi orthogonal to the affine functions, which is why a non-product
-configuration always has a vertex with positive chow_T.
+The relative invariants come from one torus projection, the part tc_perp
+of phi w-L2-orthogonal to the affine functions: chow_T(TC, p) = tc_perp(p),
+which is why a non-product configuration always has a vertex with positive
+chow_T, df_T = df(tc_perp), and the orthogonal L1 norm is that of tc_perp.
+L1 integrands are clipped along their zero set in any dimension.
 """
 
 from __future__ import annotations
@@ -234,79 +236,61 @@ def integrate_pl_boundary(tc, weight_fn=None, rule=DEFAULT_RULE):
 
 
 def clip_simplex(verts, grad, const, tol=1e-13):
-    """Sub-simplices of one simplex where <grad, x> + const >= 0.
+    """Sub-simplices of one simplex where h(x) = <grad, x> + const >= 0.
 
-    Case analysis over the sign pattern of the vertices; handles dimensions
-    one to three (vertices on the cutting hyperplane are treated as kept,
-    which only ever affects zero-measure overlaps).
+    Pulling recursion, in any dimension: the kept part of S is the cone from
+    its vertex p of largest h over the kept part of the facet opposite p and
+    over the section S & {h = 0}; a section is the cone from the cut point c
+    of the edge from p to the vertex q of smallest h over the sections of
+    the facets opposite p and q (only p's if c = p).  |h| <= tol counts as
+    zero, and zero as kept, so each piece of the cut comes out once.
     """
     verts = np.asarray(verts, dtype=float)
-    vals = verts @ np.asarray(grad, dtype=float) + const
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    pos = [i for i, v in enumerate(vals) if v > tol * scale]
-    neg = [i for i, v in enumerate(vals) if v < -tol * scale]
-    zero = [i for i in range(len(vals)) if i not in pos and i not in neg]
-    if not neg:
-        return [verts]
-    if not pos:
-        return []
+    h = (verts @ np.asarray(grad, dtype=float) + const).tolist()
+    zero = tol * max(1.0, max(map(abs, h)))
+    h = [0.0 if abs(x) <= zero else x for x in h]
 
-    def cut(i, j):
-        t = vals[i] / (vals[i] - vals[j])
-        return verts[i] + t * (verts[j] - verts[i])
+    def cone(apex, faces):
+        return [[apex, *f] for f in faces]
 
-    if len(pos) == 1:
-        p = pos[0]
-        pts = [verts[p]] + [verts[z] for z in zero] + [cut(p, m) for m in neg]
-        return [np.array(pts)]
-    if len(neg) == 1:
-        m = neg[0]
-        a = [verts[i] for i in pos]
-        c = [cut(i, m) for i in pos]
-        z = [verts[i] for i in zero]
-        out = []
-        for i in range(len(a)):
-            pts = a[: i + 1] + c[i:] + z
-            out.append(np.array(pts))
-        return out
-    # Remaining case: dimension 3 with a 2/2 split.
-    if len(pos) == 2 and len(neg) == 2 and not zero:
-        a, b = pos
-        c, d = neg
-        tri1 = [verts[a], cut(a, c), cut(a, d)]
-        tri2 = [verts[b], cut(b, c), cut(b, d)]
-        return [
-            np.array([tri1[0], tri1[1], tri1[2], tri2[0]]),
-            np.array([tri1[1], tri1[2], tri2[0], tri2[1]]),
-            np.array([tri1[2], tri2[0], tri2[1], tri2[2]]),
-        ]
-    raise NotImplementedError(
-        f"simplex clipping with sign split ({len(pos)}, {len(neg)}, {len(zero)})")
+    def keep(idx):
+        if min(h[i] for i in idx) >= 0:
+            return [[verts[i] for i in idx]]
+        if max(h[i] for i in idx) <= 0:
+            return []
+        p = max(idx, key=h.__getitem__)
+        return cone(verts[p], keep([i for i in idx if i != p]) + section(idx))
+
+    def section(idx):
+        if min(h[i] for i in idx) >= 0 or max(h[i] for i in idx) < 0:
+            return []
+        p = max(idx, key=h.__getitem__)
+        q = min(idx, key=h.__getitem__)
+        c = verts[p] + h[p] / (h[p] - h[q]) * (verts[q] - verts[p])
+        if len(idx) == 2:
+            return [[c]]
+        opposite = (p, q) if h[p] > 0 else (p,)
+        return cone(c, [s for o in opposite
+                        for s in section([i for i in idx if i != o])])
+
+    return [np.array(s) for s in keep(list(range(len(verts))))]
 
 
 def integrate_abs_affine(region, grad, const, weight, rule=DEFAULT_RULE):
     """int over region of |<grad, x> + const| * weight(x) dx.
 
-    The region is cut along the zero set of the affine form; each side is a
-    smooth integrand.  The cut positions only need float accuracy since the
+    The region is cut along the zero set of the affine form, so the
+    integrand is smooth on every piece; all pieces of both signs go to one
+    integration.  The cut positions only need float accuracy since the
     integrand vanishes there.
     """
-    total = 0.0
-    for sign in (1.0, -1.0):
-        pieces = []
-        for s in region.triangulation_floats():
-            pieces.extend(clip_simplex(s, sign * np.asarray(grad, float),
-                                       sign * const))
-        if not pieces:
-            continue
-
-        def f(x, sign=sign):
-            return sign * (x @ np.asarray(grad, float) + const) \
-                * np.asarray(weight(x), dtype=float)
-
-        for s in pieces:
-            total += integrate_simplices(f, np.array([s]), rule).value
-    return total
+    grad = np.asarray(grad, dtype=float)
+    pieces = [s for sign in (1.0, -1.0)
+              for tri in region.triangulation_floats()
+              for s in clip_simplex(tri, sign * grad, sign * const)]
+    return integrate_simplices(
+        lambda x: np.abs(x @ grad + const) * np.asarray(weight(x), dtype=float),
+        np.array(pieces), rule).value
 
 
 # -- invariants of configurations ---------------------------------------------
@@ -349,24 +333,28 @@ def lambda_pairing(tc, beta, rule=DEFAULT_RULE):
     return -val
 
 
-def gram_orthonormal_basis(P, W, rule=DEFAULT_RULE):
-    """Basis vectors (columns) orthonormal for the weighted Gram product."""
-    g = invariants.gram(P, W, rule=rule)
-    chol = np.linalg.cholesky(g)
-    return np.linalg.inv(chol).T
+def _projection(tc, rule):
+    """(tc_perp, mean_w(phi)): tc_perp is phi minus its w-weighted L2
+    projection onto the affine functions, a twist by coeff = G^-1 m with
+    m_i = -lambda_pairing(e_i) and an offset that zeroes the w-mean.
+    """
+    P, W = tc.polytope, tc.weights
+    mean = mean_w(tc, rule)
+    m = np.array([-lambda_pairing(tc, e, rule) for e in np.eye(P.dim)])
+    coeff = np.linalg.solve(invariants.gram(P, W, rule=rule), m)
+    bary = invariants.barycenter_w(P, W, rule)
+    perp = ToricTC(P, W, tc.phi, tc.twist_vector + coeff,
+                   tc.c0 - mean + float(coeff @ bary))
+    return perp, mean
 
 
 def df_T(tc, rule=DEFAULT_RULE, shat=None):
-    """Torus-orthogonal Donaldson-Futaki invariant (twist invariant)."""
-    P, W = tc.polytope, tc.weights
-    basis = gram_orthonormal_basis(P, W, rule)
-    sh = shat if shat is not None else invariants.s_hat(P, W, rule)
-    total = df(tc, rule, shat=sh)
-    for j in range(basis.shape[1]):
-        bj = basis[:, j]
-        total -= lambda_pairing(tc, bj, rule) * invariants.futaki(
-            P, W, bj, rule, shat=sh)
-    return total
+    """Torus-orthogonal Donaldson-Futaki invariant (twist invariant).
+
+    df of the orthogonal part: df ignores constants and a twist by beta adds
+    futaki(beta), so this is df minus futaki of phi's torus component.
+    """
+    return df(_projection(tc, rule)[0], rule, shat=shat)
 
 
 def l1_norm(tc, rule=DEFAULT_RULE):
@@ -387,15 +375,8 @@ def orthogonal_part(tc, rule=DEFAULT_RULE):
     phi - (w-weighted L2 projection of phi onto affine functions) and norm is
     its weighted L1 norm.  Affine phi projects to the zero configuration.
     """
-    P, W = tc.polytope, tc.weights
-    g = invariants.gram(P, W, rule=rule)
-    bary = invariants.barycenter_w(P, W, rule)
-    mean = mean_w(tc, rule)
-    m = np.array([-lambda_pairing(tc, e, rule) for e in np.eye(P.dim)])
-    coeff = np.linalg.solve(g, m)
-    const = mean - float(coeff @ bary)
-    tc_perp = ToricTC(P, W, tc.phi, tc.twist_vector + coeff, tc.c0 - const)
-    return tc_perp, l1_norm(tc_perp, rule)
+    perp = _projection(tc, rule)[0]
+    return perp, l1_norm(perp, rule)
 
 
 def _vertex_coords(tc, p):
@@ -414,49 +395,27 @@ def chow(tc, p, rule=DEFAULT_RULE):
     Invariant under phi -> phi + const; under a twist by beta it changes by
     -(<p, beta> - mean_w(<x, beta>)).
     """
-    coords = _vertex_coords(tc, p)
-    pt = np.array([[float(c) for c in coords]])
-    return float(tc.value(pt)[0]) - mean_w(tc, rule)
+    return _value_at(tc, _vertex_coords(tc, p)) - mean_w(tc, rule)
 
 
 def chow_T(tc, p, rule=DEFAULT_RULE):
     """Torus-orthogonal weighted Chow weight (twist invariant).
 
-    chow plus the Gram-orthonormal correction; identical to evaluating the
-    affine-orthogonal part of phi at the vertex, hence zero for products.
+    The orthogonal part of phi evaluated at the vertex, hence zero for
+    products.
     """
-    coords = _vertex_coords(tc, p)
-    mean, corr = _chow_data(tc, rule)
-    pt = np.array([[float(c) for c in coords]])
-    return float(tc.value(pt)[0]) - mean + float(pt[0] @ corr[0] + corr[1])
-
-
-def _chow_data(tc, rule):
-    """Shared pieces of the chow_T computation: the w-mean of phi and the
-    affine correction x -> <x, g> + c from the Gram-orthonormal pairings."""
-    P, W = tc.polytope, tc.weights
-    mean = mean_w(tc, rule)
-    basis = gram_orthonormal_basis(P, W, rule)
-    bary = invariants.barycenter_w(P, W, rule)
-    grad = np.zeros(P.dim)
-    const = 0.0
-    for j in range(basis.shape[1]):
-        bj = basis[:, j]
-        lam = lambda_pairing(tc, bj, rule)
-        grad += lam * bj
-        const -= lam * float(bary @ bj)
-    return mean, (grad, const)
+    return _value_at(_projection(tc, rule)[0], _vertex_coords(tc, p))
 
 
 def chow_T_table(tc, rule=DEFAULT_RULE):
-    """chow and chow_T at every vertex, sharing the projection data."""
-    mean, (grad, const) = _chow_data(tc, rule)
-    rows = []
-    for v in tc.polytope.vertices:
-        pt = np.array([[float(c) for c in v]])
-        ch = float(tc.value(pt)[0]) - mean
-        rows.append((v, ch, ch + float(pt[0] @ grad) + const))
-    return tuple(rows)
+    """chow and chow_T at every vertex, sharing the projection."""
+    perp, mean = _projection(tc, rule)
+    return tuple((v, _value_at(tc, v) - mean, _value_at(perp, v))
+                 for v in tc.polytope.vertices)
+
+
+def _value_at(tc, coords):
+    return float(tc.value(np.array([[float(c) for c in coords]]))[0])
 
 
 @dataclass(frozen=True)
@@ -479,11 +438,11 @@ def destabilizing_vertex(tc, rule=DEFAULT_RULE, product_tol=1e-9):
     lexicographically smallest designated.
     """
     P, W = tc.polytope, tc.weights
-    _, norm_perp = orthogonal_part(tc, rule)
+    perp, norm_perp = orthogonal_part(tc, rule)
     if norm_perp <= product_tol:
         table = tuple((v, 0.0) for v in P.vertices)
         return DestabilizingVertex(True, None, 0.0, 0.0, (), table, norm_perp)
-    vals = [(v, cht) for v, _, cht in chow_T_table(tc, rule)]
+    vals = [(v, _value_at(perp, v)) for v in P.vertices]
     best = max(val for _, val in vals)
     tie_tol = 1e-9 * (1.0 + abs(best))
     ties = tuple(v for v, val in vals if best - val <= tie_tol)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricstab import catalog, invariants as inv, testconfig as tcg
+from toricstab.polytope import DelzantPolytope
 from toricstab.profiles import builtin
 from toricstab.testconfig import PLConvex, ToricTC, clip_simplex
 
@@ -157,7 +158,7 @@ class TestDFT:
                 base, abs=1e-10)
 
     def test_equals_df_of_antiprojected_twist(self, kinked, simplex, csck2):
-        basis = tcg.gram_orthonormal_basis(simplex, csck2)
+        basis = np.linalg.inv(np.linalg.cholesky(inv.gram(simplex, csck2))).T
         proj = np.zeros(2)
         for j in range(2):
             bj = basis[:, j]
@@ -294,7 +295,7 @@ class TestDestabilizingVertex:
 
 
 class TestClipSimplex:
-    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
     def test_volume_partition(self, dim):
         rng = np.random.default_rng(dim)
         for _ in range(25):
@@ -314,6 +315,41 @@ class TestClipSimplex:
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         kept = clip_simplex(verts, np.array([1.0, 1.0]), 1.0)
         assert len(kept) == 1 and np.allclose(kept[0], verts)
+
+
+class TestDimensionFour:
+    """Random configurations on the 4-simplex and the 4-cube; their L1
+    integrands cut simplices in every sign pattern of dimension four."""
+
+    SIMPLEX4 = DelzantPolytope(4, [((1, 0, 0, 0), 0), ((0, 1, 0, 0), 0),
+                                   ((0, 0, 1, 0), 0), ((0, 0, 0, 1), 0),
+                                   ((-1, -1, -1, -1), 2)], name="simplex4")
+    CUBE4 = DelzantPolytope(4, [(tuple(s * (i == k) for i in range(4)), 1)
+                                for k in range(4) for s in (1, -1)], name="cube4")
+
+    @pytest.mark.parametrize("P", [SIMPLEX4, CUBE4], ids=lambda P: P.name)
+    def test_destabilizing_vertex(self, P):
+        rng = np.random.default_rng(5)
+        W = builtin("cscK", 4)
+        nonproduct = 0
+        for _ in range(5):
+            dv = tcg.destabilizing_vertex(ToricTC(P, W, tcg.random_pl(rng, 4)))
+            if dv.product:
+                continue
+            nonproduct += 1
+            assert dv.chow_t > 0
+            assert dv.ratio > 0.01
+        assert nonproduct >= 3
+
+    def test_twist_invariance(self):
+        rng = np.random.default_rng(5)
+        W = builtin("cscK", 4)
+        tc = ToricTC(self.SIMPLEX4, W, tcg.random_pl(rng, 4))
+        tw = tcg.twist(tc, rng.uniform(-1, 1, 4))
+        assert tcg.df_T(tw) == pytest.approx(tcg.df_T(tc), abs=1e-10)
+        assert tcg.orthogonal_part(tw)[1] == pytest.approx(
+            tcg.orthogonal_part(tc)[1], rel=1e-10)
+        assert tcg.l1_norm(tc) > 0
 
 
 class TestSerialization:
