@@ -4,7 +4,9 @@ Commands: validate, invariants, futaki, extremal-field, soliton,
 testconfig {df,dft,norm,chow,destabilize}, blowup-expand, report, selftest.
 Output is deterministic JSON (fixed field order, %.12e floats) unless --csv
 or --text is selected.  Exit codes: 0 success, 2 argument/parse errors,
-3 precondition violations, 4 tolerance failures under --strict.
+3 precondition violations, 4 tolerance failures: under --strict, and
+always when the two backends disagree or a localisation limit at a
+degenerate direction does not settle.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import acceptance, blowup, catalog, invariants, report, testconfig
+from . import (acceptance, blowup, catalog, invariants, localize, report,
+               testconfig)
 from .polytope import DelzantPolytope, PolytopeError
 from .profiles import PositivityError, builtin, weights_from_json
 from .quadrature import QuadratureRule
@@ -363,6 +366,9 @@ def main(argv=None):
     except (PolytopeError, PositivityError, ValueError) as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_PRECONDITION
+    except (invariants.BackendError, localize.ExtrapolationError) as e:
+        sys.stderr.write(f"error: {e}\n")
+        return EXIT_TOLERANCE
 
 
 if __name__ == "__main__":

@@ -3,7 +3,10 @@
 Interior integrals run Grundmann-Moller simplex cubature (exact to a
 configurable polynomial degree) over an exact triangulation, with adaptive
 longest-edge bisection driven by a coarse/fine error estimate for analytic
-non-polynomial integrands.  Boundary integrals recurse through the
+non-polynomial integrands.  Each pass (all input simplices, then each
+refinement) evaluates its simplices and their halves in one integrand call;
+the results are bit-identical to evaluating one simplex at a time.
+Boundary integrals recurse through the
 unimodular facet charts, so the lattice boundary measure is built in and
 never reconstructed from Euclidean area.
 
@@ -90,76 +93,72 @@ def gm_table(dim, s):
     return bary, wts
 
 
-def _simplex_volume(verts):
-    n = verts.shape[1]
-    return abs(np.linalg.det(verts[1:] - verts[0])) / math.factorial(n)
+@lru_cache(maxsize=None)
+def _edges(n1):
+    return np.triu_indices(n1, 1)  # (i, j) pairs, i < j, in loop order
 
 
-def _gm_apply(f, verts, bary, wts):
-    nodes = bary @ verts
-    vals = np.asarray(f(nodes), dtype=float)
-    return _simplex_volume(verts) * float(wts @ vals)
+def _estimate(f, verts, bary, wts):
+    """Fine values, errors and halves of each simplex of a (k, n+1, n) stack.
 
-
-def _bisect(verts):
-    n1 = verts.shape[0]
-    best = (0, 1)
-    best_d = -1.0
-    for i in range(n1):
-        for j in range(i + 1, n1):
-            d = float(np.sum((verts[i] - verts[j]) ** 2))
-            if d > best_d:
-                best_d = d
-                best = (i, j)
-    i, j = best
-    mid = (verts[i] + verts[j]) / 2
-    a = verts.copy()
-    a[i] = mid
-    b = verts.copy()
-    b[j] = mid
-    return a, b
+    Each simplex is bisected across its first longest edge; the k simplices
+    and their 2k halves go to one integrand call.  Each rule sum is a 1-D
+    dot per simplex, which keeps the bits of a per-simplex evaluation.
+    """
+    k, n1, n = verts.shape
+    iu, ju = _edges(n1)
+    longest = np.argmax(np.sum((verts[:, iu] - verts[:, ju]) ** 2, axis=2), axis=1)
+    rows, i, j = np.arange(k), iu[longest], ju[longest]
+    mid = (verts[rows, i] + verts[rows, j]) / 2
+    kids = np.repeat(verts[:, None], 2, axis=1)
+    kids[rows, 0, i] = mid
+    kids[rows, 1, j] = mid
+    allv = np.concatenate([verts, kids.reshape(2 * k, n1, n)])
+    vols = np.abs(np.linalg.det(allv[:, 1:] - allv[:, :1])) / math.factorial(n)
+    vals = np.asarray(f((bary @ allv).reshape(-1, n)), dtype=float).reshape(3 * k, -1)
+    est = [v * float(wts @ r) for v, r in zip(vols, vals)]
+    fine = [est[k + 2 * r] + est[k + 2 * r + 1] for r in range(k)]
+    return fine, [abs(c - x) for c, x in zip(est[:k], fine)], kids
 
 
 def integrate_simplices(f, simplices, rule=DEFAULT_RULE):
-    """Adaptive integration of a vectorised integrand over float simplices."""
+    """Adaptive integration of a vectorised integrand over float simplices.
+
+    The worst leaf (largest |coarse - fine|) is bisected until the summed
+    error meets the tolerance or every such leaf is at ``max_depth``.
+    """
     if len(simplices) == 0:
         return IntegrationResult(0.0, 0.0, True)
     bary, wts = gm_table(simplices.shape[2], rule.gm_order)
+
+    def tol(value):
+        return max(rule.tol_abs, rule.tol_rel * abs(value))
+
+    fine, errs, kids = _estimate(f, np.asarray(simplices, dtype=float), bary, wts)
+    value, err = math.fsum(fine), math.fsum(errs)
+    if err <= tol(value):
+        return IntegrationResult(value, err, True)
 
     counter = count()
     entries = {}
     heap = []
 
-    def push(verts, depth):
-        coarse = _gm_apply(f, verts, bary, wts)
-        kids = _bisect(verts)
-        fine = _gm_apply(f, kids[0], bary, wts) + _gm_apply(f, kids[1], bary, wts)
-        err = abs(coarse - fine)
-        key = next(counter)
-        entries[key] = (fine, err)
-        heapq.heappush(heap, (-err, key, verts, depth, kids))
+    def push(fine, errs, kids, depth):
+        for v, e, halves in zip(fine, errs, kids):
+            key = next(counter)
+            entries[key] = (v, e)
+            heapq.heappush(heap, (-e, key, depth, halves))
 
-    for s in simplices:
-        push(np.asarray(s, dtype=float), 0)
-
-    def totals():
-        vals = [v for v, _ in entries.values()]
-        errs = [e for _, e in entries.values()]
-        return math.fsum(vals), math.fsum(errs)
-
-    value, err = totals()
-    while heap:
-        tol = max(rule.tol_abs, rule.tol_rel * abs(value))
-        if err <= tol:
-            break
-        _, key, verts, depth, kids = heapq.heappop(heap)
+    push(fine, errs, kids, 0)
+    while heap and err > tol(value):
+        _, key, depth, halves = heapq.heappop(heap)
         if depth >= rule.max_depth:
             continue  # leaf stays counted but cannot be refined further
         del entries[key]
-        push(kids[0], depth + 1)
-        push(kids[1], depth + 1)
-        value, err = totals()
-    return IntegrationResult(value, err, err <= max(rule.tol_abs, rule.tol_rel * abs(value)))
+        push(*_estimate(f, halves, bary, wts), depth + 1)
+        value = math.fsum(v for v, _ in entries.values())
+        err = math.fsum(e for _, e in entries.values())
+    return IntegrationResult(value, err, err <= tol(value))
 
 
 def integrate(polytope, f, rule=DEFAULT_RULE):

@@ -117,7 +117,12 @@ def _cells(P, phi):
 
 
 class ToricTC:
-    """A toric test configuration over a fixed polytope and weight pair."""
+    """A toric test configuration over a fixed polytope and weight pair.
+
+    A configuration is not mutated after construction (``twist`` and
+    ``with_offset`` return new ones), so results derived from it can be
+    cached by identity.
+    """
 
     def __init__(self, polytope, weights, phi=None, twist=None, c0=0.0):
         self.polytope = polytope
@@ -249,6 +254,10 @@ def clip_simplex(verts, grad, const, tol=1e-13):
     h = (verts @ np.asarray(grad, dtype=float) + const).tolist()
     zero = tol * max(1.0, max(map(abs, h)))
     h = [0.0 if abs(x) <= zero else x for x in h]
+    if min(h) >= 0:
+        return [verts]
+    if max(h) <= 0:
+        return []
 
     def cone(apex, faces):
         return [[apex, *f] for f in faces]
@@ -333,6 +342,9 @@ def lambda_pairing(tc, beta, rule=DEFAULT_RULE):
     return -val
 
 
+# One projection per configuration serves chow_T, df_T and the orthogonal
+# norm; configurations hash by identity.
+@lru_cache(maxsize=128)
 def _projection(tc, rule):
     """(tc_perp, mean_w(phi)): tc_perp is phi minus its w-weighted L2
     projection onto the affine functions, a twist by coeff = G^-1 m with

@@ -166,3 +166,21 @@ def test_invariants_gram_csv(capsys):
     rows = [r.split(",") for r in out.strip().splitlines()]
     assert len(rows) == 2 and len(rows[0]) == 2
     assert float(rows[0][0]) == pytest.approx(1 / 12)
+
+
+def test_backend_disagreement_exits_4(capsys):
+    # Sasaki weights at a = 1: the localisation Futaki misses by 1.6e-6.
+    code = main(["futaki", "--catalog", "cp2", "--family", "sasaki", "--a", "1",
+                 "--beta", "1,0", "--backend", "both"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_unsettled_localisation_limit_exits_4(capsys):
+    # ckem weights at xi = 0 send localisation to the extrapolated limit.
+    code = main(["invariants", "--catalog", "cp2", "--family", "ckem", "--a",
+                 "1/2", "--backend", "both"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("error: ") and "Traceback" not in err

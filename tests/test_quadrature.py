@@ -1,14 +1,16 @@
+import heapq
 import math
 from fractions import Fraction as F
-from itertools import product
+from itertools import count, product
 
 import numpy as np
 import pytest
 
 from toricstab.polytope import DelzantPolytope
-from toricstab.quadrature import (DEFAULT_RULE, QuadratureRule,
-                                  divided_difference_exp, gm_table, integrate,
-                                  integrate_boundary, moments)
+from toricstab.quadrature import (DEFAULT_RULE, IntegrationResult,
+                                  QuadratureRule, divided_difference_exp,
+                                  gm_table, integrate, integrate_boundary,
+                                  integrate_simplices, moments)
 
 
 class TestRuleExactness:
@@ -70,6 +72,146 @@ class TestIntegrate:
                               max_depth=2)
         res = integrate(unit_interval, lambda x: np.exp(5 * x[:, 0]), rule)
         assert not res.converged
+
+
+# -- per-simplex reference: the adaptive scheme one simplex at a time --------
+
+
+def _simplex_volume(verts):
+    n = verts.shape[1]
+    return abs(np.linalg.det(verts[1:] - verts[0])) / math.factorial(n)
+
+
+def _gm_apply(f, verts, bary, wts):
+    nodes = bary @ verts
+    vals = np.asarray(f(nodes), dtype=float)
+    return _simplex_volume(verts) * float(wts @ vals)
+
+
+def _bisect(verts):
+    n1 = verts.shape[0]
+    best = (0, 1)
+    best_d = -1.0
+    for i in range(n1):
+        for j in range(i + 1, n1):
+            d = float(np.sum((verts[i] - verts[j]) ** 2))
+            if d > best_d:
+                best_d = d
+                best = (i, j)
+    i, j = best
+    mid = (verts[i] + verts[j]) / 2
+    a = verts.copy()
+    a[i] = mid
+    b = verts.copy()
+    b[j] = mid
+    return a, b
+
+
+def reference_integrate_simplices(f, simplices, rule=DEFAULT_RULE):
+    if len(simplices) == 0:
+        return IntegrationResult(0.0, 0.0, True)
+    bary, wts = gm_table(simplices.shape[2], rule.gm_order)
+
+    counter = count()
+    entries = {}
+    heap = []
+
+    def push(verts, depth):
+        coarse = _gm_apply(f, verts, bary, wts)
+        kids = _bisect(verts)
+        fine = _gm_apply(f, kids[0], bary, wts) + _gm_apply(f, kids[1], bary, wts)
+        err = abs(coarse - fine)
+        key = next(counter)
+        entries[key] = (fine, err)
+        heapq.heappush(heap, (-err, key, verts, depth, kids))
+
+    for s in simplices:
+        push(np.asarray(s, dtype=float), 0)
+
+    def totals():
+        vals = [v for v, _ in entries.values()]
+        errs = [e for _, e in entries.values()]
+        return math.fsum(vals), math.fsum(errs)
+
+    value, err = totals()
+    while heap:
+        tol = max(rule.tol_abs, rule.tol_rel * abs(value))
+        if err <= tol:
+            break
+        _, key, verts, depth, kids = heapq.heappop(heap)
+        if depth >= rule.max_depth:
+            continue  # leaf stays counted but cannot be refined further
+        del entries[key]
+        push(kids[0], depth + 1)
+        push(kids[1], depth + 1)
+        value, err = totals()
+    return IntegrationResult(value, err, err <= max(rule.tol_abs, rule.tol_rel * abs(value)))
+
+
+def _counted(f):
+    calls = [0]
+
+    def wrapped(x):
+        calls[0] += 1
+        return f(x)
+    return wrapped, calls
+
+
+INTEGRANDS = {
+    "polynomial": lambda x: 1.0 + np.sum(x ** 3, axis=1) - 2.0 * x[:, 0] * x[:, -1],
+    "exponential": lambda x: np.exp(x @ np.linspace(0.7, -1.3, x.shape[1])),
+    "near_pole": lambda x: (np.sum(x, axis=1) + 0.02) ** -1.5,
+}
+
+
+class TestBatchedMatchesPerSimplex:
+    """The batched engine returns the per-simplex scheme's bits exactly,
+    with one integrand call per pass (1 + the number of refinements)."""
+
+    @staticmethod
+    def check(f, simplices, rule=DEFAULT_RULE):
+        ref_f, ref_calls = _counted(f)
+        new_f, new_calls = _counted(f)
+        want = reference_integrate_simplices(ref_f, simplices, rule)
+        got = integrate_simplices(new_f, simplices, rule)
+        assert got.value == want.value
+        assert got.error == want.error
+        assert got.converged == want.converged
+        # The reference makes 3 rule applications per leaf it creates:
+        # one per input simplex and two per refinement.
+        refinements = (ref_calls[0] // 3 - len(simplices)) // 2
+        assert new_calls[0] == (1 + refinements if len(simplices) else 0)
+        return want, refinements
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", sorted(INTEGRANDS))
+    def test_random_stacks(self, dim, kind):
+        rng = np.random.default_rng(100 + dim)
+        simplices = rng.random((int(rng.integers(1, 6)), dim + 1, dim))
+        rule = QuadratureRule(degree=6, tol_rel=1e-9)
+        _, refinements = self.check(INTEGRANDS[kind], simplices, rule)
+        if kind == "near_pole":
+            assert refinements > 0
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_standard_simplex_ties(self, dim):
+        # The edges e_i - e_j (i, j >= 1) tie for longest: the tie-break
+        # decides the bisection, and refinement makes it matter.
+        simplices = np.vstack([np.zeros(dim), np.eye(dim)])[None]
+        _, refinements = self.check(lambda x: np.exp(3 * x[:, 0] - 2 * x[:, -1]),
+                                    simplices, QuadratureRule(degree=4, tol_rel=1e-7))
+        assert refinements > 1
+
+    def test_depth_cap(self):
+        simplices = np.array([[[0.0], [1.0]], [[1.0], [3.0]]])
+        want, refinements = self.check(
+            lambda x: np.exp(5 * x[:, 0]), simplices,
+            QuadratureRule(degree=2, tol_abs=1e-30, tol_rel=1e-30, max_depth=2))
+        assert not want.converged and refinements == 6
+
+    def test_empty_stack(self):
+        want, _ = self.check(INTEGRANDS["polynomial"], np.zeros((0, 3, 2)))
+        assert want == IntegrationResult(0.0, 0.0, True)
 
 
 class TestBoundary:
