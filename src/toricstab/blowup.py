@@ -58,15 +58,9 @@ def default_eps_grid(P, vertex, points=8):
     return tuple(start / 2 ** k for k in range(points))
 
 
-def _vertex(P, vertex):
-    if hasattr(vertex, "coords"):
-        return vertex
-    return P.vertex_data()[vertex]
-
-
 def predict_volume_expansion(P, W, vertex, rule=DEFAULT_RULE):
     """Orders {0: Vol_w, n: -w(p)/n!}; remainder O(eps^{n+1})."""
-    v = _vertex(P, vertex)
+    v = P.vertex_data_at(vertex)
     if P.dim < 2:
         raise ValueError("expansions need dimension >= 2")
     p = np.array([float(c) for c in v.coords])
@@ -78,7 +72,7 @@ def predict_volume_expansion(P, W, vertex, rule=DEFAULT_RULE):
 
 def predict_futaki_expansion(P, W, vertex, beta, rule=DEFAULT_RULE):
     """Orders {0: F(beta), n-1: v(p)(<p,beta> - mean)/(n-2)!}; O(eps^n) rest."""
-    v = _vertex(P, vertex)
+    v = P.vertex_data_at(vertex)
     n = P.dim
     if n < 2:
         raise ValueError("expansions need dimension >= 2")
@@ -96,7 +90,7 @@ def predict_df_expansions(tc, vertex, rule=DEFAULT_RULE):
     using the plain and the torus-orthogonal Chow weight respectively.
     """
     P, W = tc.polytope, tc.weights
-    v = _vertex(P, vertex)
+    v = P.vertex_data_at(vertex)
     n = P.dim
     if n < 2:
         raise ValueError("expansions need dimension >= 2")
@@ -113,7 +107,7 @@ def predict_df_expansions(tc, vertex, rule=DEFAULT_RULE):
 
 def _exact_values(quantity, P, W, vertex, grid, beta=None, tc=None,
                   rule=DEFAULT_RULE, basis=None):
-    v = _vertex(P, vertex)
+    v = P.vertex_data_at(vertex)
     out = []
     for eps in grid:
         Pe = P.corner_chop(v, eps)
@@ -199,7 +193,7 @@ def verify_expansion(quantity, P, W, vertex, eps_grid=None, beta=None,
     expected order minus ``exponent_slack``.
     """
     n = P.dim
-    v = _vertex(P, vertex)
+    v = P.vertex_data_at(vertex)
     if eps_grid is None:
         eps_grid = default_eps_grid(P, v)
     if len(set(eps_grid)) < 4:
@@ -255,7 +249,7 @@ def gram_convergence(P, W, vertex, basis=None, eps_grid=None,
     n - 1/2.
     """
     n = P.dim
-    v = _vertex(P, vertex)
+    v = P.vertex_data_at(vertex)
     if eps_grid is None:
         eps_grid = default_eps_grid(P, v)
     if exponent_threshold is None:

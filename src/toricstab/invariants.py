@@ -20,6 +20,7 @@ can be run together to cross-check each other.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,14 +73,24 @@ def _weight_key(W):
     return (W.n, tuple(float(x) for x in W.xi), W.f, W.g)
 
 
-_scalar_cache = {}
+# Quadrature-backend scalars by (tag, polytope, weights, rule), least
+# recently used first.  Its keys hold whole polytopes, chopped ones with
+# their triangulations, so it is bounded.  Replaying the key streams of whole
+# benchmark runs through an LRU, none needed more than 2048 entries to miss
+# only where an unbounded cache misses.
+_SCALAR_CACHE_SIZE = 4096
+_scalar_cache = OrderedDict()
 
 
 def _cached(tag, P, W, rule, compute):
     key = (tag, P, _weight_key(W), rule)
-    if key not in _scalar_cache:
-        _scalar_cache[key] = compute()
-    return _scalar_cache[key]
+    if key in _scalar_cache:
+        _scalar_cache.move_to_end(key)
+        return _scalar_cache[key]
+    value = _scalar_cache[key] = compute()
+    if len(_scalar_cache) > _SCALAR_CACHE_SIZE:
+        _scalar_cache.popitem(last=False)
+    return value
 
 
 def vol_w(P, W, rule=DEFAULT_RULE, backend="quadrature"):
@@ -188,10 +199,7 @@ def gram(P, W, basis=None, rule=DEFAULT_RULE):
                 g[i, j] = g[j, i] = quadrature.integrate(P, f, rule).value
         return tuple(tuple(row) for row in g)
 
-    key = ("gram", P, _weight_key(W), rule, basis.tobytes())
-    if key not in _scalar_cache:
-        _scalar_cache[key] = compute()
-    return np.array(_scalar_cache[key])
+    return np.array(_cached(("gram", basis.tobytes()), P, W, rule, compute))
 
 
 def extremal_field(P, W, rule=DEFAULT_RULE):

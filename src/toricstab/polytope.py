@@ -10,6 +10,10 @@ the cached arrays handed to the numerical integration layer.
 Only raw facet data (catalog, JSON, user input, ``translate``,
 ``unimodular_image``) runs the C(m, n) vertex enumeration; corner chops, PL
 cells and facet charts inherit their vertices from the parent polytope.
+Corner chops are shared: a bounded module-level LRU returns the same chopped
+polytope, with its cached triangulation and charts, for every chop of an
+equal parent (same name) at the same vertex and depth, so the expansion
+ladders at one vertex build each chopped polytope once.
 
 All objects are immutable after construction and safe to share.
 """
@@ -19,6 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -219,6 +224,17 @@ class DelzantPolytope:
             out.append(VertexData(v, edges, act))
         self._cache["vertex_data"] = tuple(out)
         return self._cache["vertex_data"]
+
+    def vertex_data_at(self, vertex):
+        """Vertex data of one vertex, given by its index in :attr:`vertices`
+        or as :class:`VertexData` (returned as is)."""
+        if isinstance(vertex, VertexData):
+            return vertex
+        count = len(self.vertices)
+        if not 0 <= vertex < count:
+            raise PolytopeError(f"vertex index {vertex} is out of range: "
+                                f"valid indices are 0..{count - 1}")
+        return self.vertex_data()[vertex]
 
     def genuine_facet_indices(self):
         """Indices of facets supporting an (n-1)-dimensional face."""
@@ -434,10 +450,7 @@ class DelzantPolytope:
     # -- corner chop -----------------------------------------------------------
 
     def _chop_data(self, vertex):
-        if isinstance(vertex, VertexData):
-            v = vertex
-        else:
-            v = self.vertex_data()[vertex]
+        v = self.vertex_data_at(vertex)
         m = tuple(sum(self.facets[i].normal[k] for i in v.adjacent_facets)
                   for k in range(self.dim))
         prim, factor = la.primitivize(m)
@@ -466,13 +479,7 @@ class DelzantPolytope:
         eps = _as_fraction(eps)
         if eps <= 0:
             raise PolytopeError("chop depth must be positive")
-        v, m = self._chop_data(vertex)
-        bound = self.admissible_chop(vertex)
-        if eps >= bound:
-            raise ChopDepthError(eps, bound)
-        new = (m, -la.dot(m, v.coords) - eps)
-        name = f"{self.name}-chopped" if self.name else None
-        return _clip(self, [new], name=name)
+        return _chop(self, self.name, self.vertex_data_at(vertex).coords, eps)
 
     # -- serialisation ----------------------------------------------------------
 
@@ -493,6 +500,24 @@ class DelzantPolytope:
         facets = [(f["normal"], Fraction(str(f["offset"])))
                   for f in doc["facets"]]
         return DelzantPolytope(doc["dim"], facets, name=doc.get("name"))
+
+
+# An expansion ladder chops one vertex at 8 depths, and every ladder at that
+# vertex re-reads those chops.  Replaying the chop keys of whole benchmark
+# runs (216-240 distinct chops each) through an LRU, 256 is the smallest
+# power of two that rebuilds no chop.
+@lru_cache(maxsize=256)
+def _chop(parent, name, coords, eps):
+    """The corner chop of ``parent`` at the vertex ``coords`` to depth
+    ``eps``.  Polytope equality ignores names, so the parent's name, from
+    which the chop's is built, is part of the key.  ``lru_cache`` stores no
+    exception: a depth past the admissible bound raises on every call."""
+    v, m = parent._chop_data(parent.vertices.index(coords))
+    bound = parent.admissible_chop(v)
+    if eps >= bound:
+        raise ChopDepthError(eps, bound)
+    new = (m, -la.dot(m, v.coords) - eps)
+    return _clip(parent, [new], name=f"{name}-chopped" if name else None)
 
 
 def _clip(parent, rows, name=None):

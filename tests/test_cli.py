@@ -1,8 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from toricstab.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -184,3 +187,34 @@ def test_unsettled_localisation_limit_exits_4(capsys):
     err = capsys.readouterr().err
     assert code == 4
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_blowup_expand_vertex_out_of_range_exits_3(capsys):
+    for vertex in ("99", "-1"):
+        code = main(["blowup-expand", "--catalog", "cp2", "--quantity",
+                     "volume", "--vertex", vertex])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: ") and "0..2" in err
+        assert "Traceback" not in err
+
+
+def test_report_expand_vertex_out_of_range_exits_3(capsys):
+    code = main(["report", "--catalog", "cp2", "--expand-vertex", "7"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("error: ") and "0..2" in captured.err
+
+
+# Catalog JSON stays byte-identical across refactors; the goldens were
+# written by the command in each row.
+@pytest.mark.parametrize("golden, argv", [
+    ("report_cp2_sample5_seed1_v1.json",
+     ["report", "--catalog", "cp2", "--sample", "5", "--seed", "1",
+      "--expand-vertex", "1"]),
+    ("invariants_cube.json", ["invariants", "--catalog", "cube"]),
+])
+def test_catalog_output_matches_golden(capsys, golden, argv):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out.encode() == (DATA / golden).read_bytes()

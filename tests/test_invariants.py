@@ -1,3 +1,4 @@
+from collections import OrderedDict
 from fractions import Fraction as F
 
 import numpy as np
@@ -264,3 +265,27 @@ class TestExactRationalOracle:
         assert ext.chi[0] == pytest.approx(128 / 33, rel=1e-10)
         assert ext.chi[1] == pytest.approx(128 / 33, rel=1e-10)
         assert ext.a == pytest.approx(104 / 33, rel=1e-10)
+
+
+class TestScalarCache:
+    def test_distinct_weights_cannot_grow_it_past_its_bound(self, monkeypatch,
+                                                            simplex):
+        monkeypatch.setattr(inv, "_scalar_cache", OrderedDict())
+        monkeypatch.setattr(inv, "_SCALAR_CACHE_SIZE", 8)
+        integrals = []
+        integrate = inv.quadrature.integrate
+        monkeypatch.setattr(inv.quadrature, "integrate",
+                            lambda *a, **k: integrals.append(1) or integrate(*a, **k))
+        kept = builtin("soliton", 2, xi=[0.1, 0.1])
+        first = inv.gram(simplex, kept)
+        for k in range(12):
+            W = builtin("soliton", 2, xi=[0.2 + k / 50, -0.1])
+            inv.vol_w(simplex, W)
+            inv.per_v(simplex, W)
+            inv.gram(simplex, W)
+            assert len(inv._scalar_cache) <= 8
+            # A re-read entry is the most recently used one, so it stays.
+            before = len(integrals)
+            assert np.array_equal(inv.gram(simplex, kept), first)
+            assert len(integrals) == before
+        assert len(inv._scalar_cache) == 8

@@ -2,8 +2,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from toricstab import blowup, invariants, polytope, testconfig
 from toricstab.polytope import (ChopDepthError, DelzantPolytope, Facet,
                                 NonSimpleVertexError, PolytopeError)
+from toricstab.profiles import builtin
 
 from conftest import vertex_index
 
@@ -167,6 +169,71 @@ class TestCornerChop:
         assert moved.validate_delzant() == []
         chopped = moved.corner_chop(0, moved.admissible_chop(0) / 3)
         assert chopped.validate_delzant() == []
+
+
+class TestChopCache:
+    def test_repeat_returns_the_same_polytope(self, trapezoid):
+        eps = trapezoid.admissible_chop(1) / 3
+        first = trapezoid.corner_chop(1, eps)
+        assert trapezoid.corner_chop(1, eps) is first
+        assert trapezoid.corner_chop(trapezoid.vertex_data()[1], eps) is first
+        assert trapezoid.corner_chop(1, str(eps)) is first
+        twin = DelzantPolytope(2, trapezoid.facets, name=trapezoid.name)
+        assert twin.corner_chop(1, eps) is first
+        assert trapezoid.corner_chop(1, eps / 2) is not first
+
+    def test_errors_raise_on_every_repeat(self, square):
+        bound = square.admissible_chop(0)
+        for _ in range(3):
+            with pytest.raises(ChopDepthError):
+                square.corner_chop(0, bound)
+            with pytest.raises(PolytopeError, match="positive"):
+                square.corner_chop(0, 0)
+            with pytest.raises(PolytopeError, match="positive"):
+                square.corner_chop(0, F(-1, 8))
+
+    def test_vertex_index_out_of_range(self, simplex):
+        for vertex in (3, 99, -1):
+            with pytest.raises(PolytopeError, match=r"0\.\.2"):
+                simplex.corner_chop(vertex, F(1, 8))
+            with pytest.raises(PolytopeError, match=r"0\.\.2"):
+                simplex.admissible_chop(vertex)
+
+    def test_equal_parents_with_other_names(self, square):
+        twin = DelzantPolytope(2, square.facets, name="twin")
+        unnamed = DelzantPolytope(2, square.facets)
+        assert twin == square == unnamed
+        chops = [Q.corner_chop(0, F(1, 8)) for Q in (square, twin, unnamed)]
+        assert [c.name for c in chops] == [
+            "cp1xcp1-chopped", "twin-chopped", None]
+        assert chops[0] == chops[1] == chops[2]
+
+    def test_bounded(self, simplex):
+        polytope._chop.cache_clear()
+        size = polytope._chop.cache_info().maxsize
+        bound = simplex.admissible_chop(0)
+        for k in range(size + 8):
+            simplex.corner_chop(0, bound / (k + 2))
+        info = polytope._chop.cache_info()
+        assert info.maxsize == size and info.currsize == size
+
+    def test_shared_chops_leave_reports_unchanged(self, trapezoid):
+        W = builtin("soliton", 2, xi=[0.3, -0.2])
+        tc = testconfig.ToricTC(trapezoid, W, testconfig.PLConvex.make(
+            [((0, 0), 0), ((1, 1), F(-1, 2))]))
+        order = ("volume", "futaki", "df", "dft")
+
+        def reports(quantities):
+            return {q: blowup.verify_expansion(q, trapezoid, W, 2, tc=tc,
+                                               beta=[0.7, -0.4])
+                    for q in quantities}
+
+        shared = reports(order)
+        polytope._chop.cache_clear()
+        invariants._scalar_cache.clear()
+        testconfig._cells.cache_clear()
+        testconfig._projection.cache_clear()
+        assert reports(reversed(order)) == shared
 
 
 class TestTranslation:
