@@ -58,19 +58,25 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=0)
 
 
-def _load_polytope(args):
+def _load_polytope(args, solid=True):
+    """The polytope of --catalog or --polytope; unless ``solid`` is false
+    (validate), an empty, unbounded or lower-dimensional one is refused."""
     if args.catalog:
         try:
             return catalog.load(args.catalog)
         except KeyError as e:
             raise CliError(str(e), EXIT_PARSE) from e
-    if args.polytope:
-        try:
-            with open(args.polytope) as fh:
-                return DelzantPolytope.from_json(json.load(fh))
-        except (OSError, ValueError, KeyError) as e:
-            raise CliError(f"cannot read polytope file: {e}", EXIT_PARSE) from e
-    raise CliError("need --catalog or --polytope", EXIT_PARSE)
+    if not args.polytope:
+        raise CliError("need --catalog or --polytope", EXIT_PARSE)
+    try:
+        with open(args.polytope) as fh:
+            P = DelzantPolytope.from_json(json.load(fh))
+    except (OSError, ValueError, KeyError) as e:
+        raise CliError(f"cannot read polytope file: {e}", EXIT_PARSE) from e
+    if solid and (diags := [d for d in P.validate_delzant()
+                            if d.startswith("polytope is ")]):
+        raise PolytopeError("; ".join(diags))
+    return P
 
 
 def _load_weights(args, P):
@@ -137,7 +143,7 @@ def _emit(args, doc):
 
 
 def _cmd_validate(args):
-    P = _load_polytope(args)
+    P = _load_polytope(args, solid=False)
     diags = P.validate_delzant()
     doc = {"polytope": P.name or "unnamed", "valid": not diags,
            "diagnostics": list(diags),

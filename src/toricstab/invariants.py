@@ -73,17 +73,17 @@ def _weight_key(W):
     return (W.n, tuple(float(x) for x in W.xi), W.f, W.g)
 
 
-# Quadrature-backend scalars by (tag, polytope, weights, rule), least
-# recently used first.  Its keys hold whole polytopes, chopped ones with
-# their triangulations, so it is bounded.  Replaying the key streams of whole
-# benchmark runs through an LRU, none needed more than 2048 entries to miss
-# only where an unbounded cache misses.
+# Quadrature-backend scalars by (tag, (dim, facets), weights, rule), least
+# recently used first.  Polytope equality is (dim, facets), so a key holds
+# the facets alone and no entry keeps a polytope or its caches alive.
+# Replaying the key streams of whole benchmark runs through an LRU, none
+# needed more than 2048 entries to miss only where an unbounded cache misses.
 _SCALAR_CACHE_SIZE = 4096
 _scalar_cache = OrderedDict()
 
 
 def _cached(tag, P, W, rule, compute):
-    key = (tag, P, _weight_key(W), rule)
+    key = (tag, (P.dim, P.facets), _weight_key(W), rule)
     if key in _scalar_cache:
         _scalar_cache.move_to_end(key)
         return _scalar_cache[key]

@@ -8,12 +8,20 @@ redundancy) are decided exactly over the rationals.  Floats appear only in
 the cached arrays handed to the numerical integration layer.
 
 Only raw facet data (catalog, JSON, user input, ``translate``,
-``unimodular_image``) runs the C(m, n) vertex enumeration; corner chops, PL
-cells and facet charts inherit their vertices from the parent polytope.
-Corner chops are shared: a bounded module-level LRU returns the same chopped
-polytope, with its cached triangulation and charts, for every chop of an
-equal parent (same name) at the same vertex and depth, so the expansion
-ladders at one vertex build each chopped polytope once.
+``unimodular_image``) runs the C(m, n) vertex enumeration; corner chops and
+PL cells inherit their vertices from the parent polytope.  Corner chops are
+shared: a bounded module-level LRU returns the same chopped polytope, with
+its cached triangulation, for every chop of an equal parent (same name) at
+the same vertex and depth, so the expansion ladders at one vertex build
+each chopped polytope once.
+
+Triangulation is by pulling (De Loera-Rambau-Santos, *Triangulations*,
+2010, Section 4.3) on the polytope's own vertex-facet incidences: a face is
+a set of vertex indices with chart coordinates, its facets are its
+intersections with the facets of the polytope, and no polytope is built for
+a face.  The apex of every face is its smallest vertex in lexicographic
+order of that face's chart coordinates, and its facets are visited in the
+sorted order of their primitive chart ``(normal, offset)``.
 
 All objects are immutable after construction and safe to share.
 """
@@ -21,9 +29,9 @@ All objects are immutable after construction and safe to share.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -92,6 +100,13 @@ class Facet:
         return la.dot(self.normal, point) + self.offset
 
 
+def _is_normal(f):
+    """Whether ``f`` is already in the form :meth:`Facet.make` gives."""
+    return (type(f.offset) is Fraction and type(f.normal) is tuple
+            and all(type(c) is int for c in f.normal)
+            and la.vec_gcd(f.normal) == 1)
+
+
 @dataclass(frozen=True)
 class VertexData:
     """A simple unimodular vertex: coordinates, inward primitive edge
@@ -117,7 +132,33 @@ class FacetChart:
     facet_index: int
     origin: tuple
     basis: tuple
-    polytope: "DelzantPolytope"
+    # Chart coordinates of the parent's vertices on the facet, by vertex
+    # index, and the parent's (facets, vertex_facets), for ``polytope``; the
+    # parent itself would make a reference cycle through its cache.
+    coords: dict = field(repr=False, compare=False)
+    parent: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def polytope(self):
+        """The facet as an (n-1)-dimensional polytope in chart coordinates
+        (None in dimension one), built on first use.  Triangulations and
+        boundary integrals read :meth:`DelzantPolytope.facet_triangulation`
+        instead."""
+        if not self.basis:
+            return None
+        facets, vertex_facets = self.parent
+        rows = {}
+        for j, g in enumerate(facets):
+            ny = tuple(la.dot(g.normal, b) for b in self.basis)
+            if j != self.facet_index and any(ny):
+                rows[j] = Facet.make(ny, g.value(self.origin))
+        sub = DelzantPolytope(len(self.basis), rows.values())
+        slot = {j: sub.facets.index(g) for j, g in rows.items()}
+        enum = sorted((y, tuple(sorted({slot[j] for j in vertex_facets[k] if j in slot})))
+                      for k, y in self.coords.items())
+        sub._cache["enum"] = (tuple(v for v, _ in enum),
+                              tuple(a for _, a in enum))
+        return sub
 
     def map_exact(self, y):
         return tuple(
@@ -151,10 +192,10 @@ class DelzantPolytope:
         self.dim = int(dim)
         normalized = []
         for f in facets:
-            if isinstance(f, Facet):
-                f = Facet.make(f.normal, f.offset)
-            else:
+            if not isinstance(f, Facet):
                 f = Facet.make(*f)
+            elif not _is_normal(f):
+                f = Facet.make(f.normal, f.offset)
             if len(f.normal) != self.dim:
                 raise PolytopeError("facet normal has wrong length")
             normalized.append(f)
@@ -237,16 +278,13 @@ class DelzantPolytope:
         return self.vertex_data()[vertex]
 
     def genuine_facet_indices(self):
-        """Indices of facets supporting an (n-1)-dimensional face."""
-        if "genuine" in self._cache:
-            return self._cache["genuine"]
-        out = []
-        for i in range(len(self.facets)):
-            on_facet = [v for v, act in zip(self.vertices, self.vertex_facets)
-                        if i in act]
-            if len(on_facet) >= self.dim and la.affine_rank(on_facet) == self.dim - 1:
-                out.append(i)
-        self._cache["genuine"] = tuple(out)
+        """Indices of facets supporting an (n-1)-dimensional face
+        (:func:`_is_facet`)."""
+        if "genuine" not in self._cache:
+            self._cache["genuine"] = tuple(
+                i for i in range(len(self.facets))
+                if _is_facet(self, [k for k, act in enumerate(self.vertex_facets)
+                                    if i in act], self.vertices, self.dim))
         return self._cache["genuine"]
 
     def is_empty(self):
@@ -316,67 +354,67 @@ class DelzantPolytope:
         if isinstance(facet_index, Facet):
             facet_index = self.facets.index(facet_index)
         key = ("chart", facet_index)
-        if key in self._cache:
-            return self._cache[key]
-        f = self.facets[facet_index]
-        z, basis = la.unimodular_complement(f.normal)
-        origin = tuple(-f.offset * zi for zi in z)
-        if self.dim == 1:
-            chart = FacetChart(facet_index, origin, (), None)
-        else:
-            rows = {}
-            for j, g in enumerate(self.facets):
-                if j == facet_index:
-                    continue
-                ny = tuple(la.dot(g.normal, b) for b in basis)
-                off = g.offset + la.dot(g.normal, origin)
-                if all(c == 0 for c in ny):
-                    if off < 0:
-                        raise PolytopeError(f"facet {facet_index} is infeasible")
-                    continue
-                rows[j] = Facet.make(ny, off)
-            sub = DelzantPolytope(self.dim - 1, rows.values())
-            # Chart vertices: ours on the facet, solving x - origin = s z + y.basis.
-            slot = {j: sub.facets.index(g) for j, g in rows.items()}
-            inv = la.invert_integer_matrix((z,) + basis)
-            enum = sorted(
-                (tuple(sum(inv[k][r] * (v[k] - origin[k]) for k in range(self.dim))
-                       for r in range(1, self.dim)),
-                 tuple(sorted({slot[j] for j in act if j in slot})))
-                for v, act in zip(self.vertices, self.vertex_facets)
-                if facet_index in act)
-            sub._cache["enum"] = (tuple(v for v, _ in enum),
-                                  tuple(a for _, a in enum))
-            chart = FacetChart(facet_index, origin, basis, sub)
-        self._cache[key] = chart
-        return chart
+        if key not in self._cache:
+            f = self.facets[facet_index]
+            z, basis, proj = _frame(f.normal)
+            origin = tuple(-f.offset * zi for zi in z)
+            # Only a parallel facet is constant on the facet's hyperplane.
+            back = tuple(-c for c in f.normal)
+            if self.dim > 1 and any(g.normal == f.normal and g.offset < f.offset
+                                    or g.normal == back and g.offset < -f.offset
+                                    for g in self.facets):
+                raise PolytopeError(f"facet {facet_index} is infeasible")
+            coords = {k: _chart_coords(v, origin, proj)
+                      for k, (v, act) in enumerate(zip(self.vertices, self.vertex_facets))
+                      if facet_index in act}
+            self._cache[key] = FacetChart(facet_index, origin, basis, coords,
+                                          (self.facets, self.vertex_facets))
+        return self._cache[key]
+
+    def facet_triangulation(self, i):
+        """Triangulation of facet ``i`` (dimension >= 2) as tuples of n
+        vertex indices; empty if the facet is not genuine.  The same
+        simplices, in the same order, as triangulating the chart polytope
+        ``facet_chart(i).polytope``, which is not built."""
+        key = ("facet_tri", i)
+        if key not in self._cache:
+            chart = self.facet_chart(i)
+            self._cache[key] = (_pull(self, chart.coords, chart.origin, chart.basis)
+                                if i in self.genuine_facet_indices() else ())
+        return self._cache[key]
+
+    def facet_triangulation_floats(self, i):
+        """Triangulation of facet ``i`` as a float array of shape (k, n, n-1)
+        in its chart coordinates, for integrals with the lattice measure."""
+        key = ("facet_tri_float", i)
+        if key not in self._cache:
+            coords = self.facet_chart(i).coords
+            self._cache[key] = np.array(
+                [[[float(c) for c in coords[k]] for k in s]
+                 for s in self.facet_triangulation(i)], dtype=float)
+        return self._cache[key]
 
     def triangulate(self):
         """Partition into simplices (tuples of n+1 rational vertex tuples).
 
-        Recursive pyramid construction: cone the lexicographically smallest
-        vertex over triangulations of the facets it does not lie on.  The
+        Pulling triangulation: cone the lexicographically smallest vertex
+        over the triangulations of the genuine facets it does not lie on,
+        in facet order (:meth:`facet_triangulation`, which recurses the same
+        way through the faces, choosing apexes in chart coordinates).  The
         simplices cover the polytope up to measure zero.
         """
-        if "triangulation" in self._cache:
-            return self._cache["triangulation"]
-        if self.is_empty() or not self.is_full_dimensional():
-            self._cache["triangulation"] = ()
-            return ()
-        if self.dim == 1:
-            sims = ((self.vertices[0], self.vertices[-1]),)
+        if "triangulation" not in self._cache:
+            if self.is_empty() or not self.is_full_dimensional():
+                sims = ()
+            elif self.dim == 1:
+                sims = ((self.vertices[0], self.vertices[-1]),)
+            else:
+                apex_facets = self.vertex_facets[0]
+                sims = tuple((self.vertices[0],) + tuple(self.vertices[k] for k in s)
+                             for i in self.genuine_facet_indices()
+                             if i not in apex_facets
+                             for s in self.facet_triangulation(i))
             self._cache["triangulation"] = sims
-            return sims
-        apex = self.vertices[0]
-        apex_facets = set(self.vertex_facets[0])
-        sims = []
-        for i in self.genuine_facet_indices():
-            if i in apex_facets:
-                continue
-            chart = self.facet_chart(i)
-            for sub in chart.polytope.triangulate():
-                sims.append((apex,) + tuple(chart.map_exact(y) for y in sub))
-        self._cache["triangulation"] = tuple(sims)
         return self._cache["triangulation"]
 
     def triangulation_floats(self):
@@ -525,9 +563,12 @@ def _clip(parent, rows, name=None):
     full-dimensional.  A bounded full-dimensional parent passes its vertices
     through one double-description update per new facet h (Fukuda-Prodon,
     1996): keep those with h >= 0, add the h = 0 point of each edge from
-    h > 0 to h < 0.  Two vertices span an edge iff the facets through both
-    have rank n-1 and no third vertex is on all of them."""
-    out = DelzantPolytope(parent.dim, list(parent.facets) + list(rows), name=name)
+    h > 0 to h < 0.  Two vertices span an edge iff they share n-1 facets
+    and one of them is simple (its n facets have independent normals, so
+    any n-1 of them cut out an edge from it); between two non-simple
+    vertices, iff the shared facets have rank n-1 and no third vertex is on
+    all of them.  The parent's facets are passed on already normalised."""
+    out = DelzantPolytope(parent.dim, parent.facets + tuple(rows), name=name)
     if not (parent.is_full_dimensional() and parent.is_bounded()):
         return None if out.is_empty() or not out.is_full_dimensional() else out
     n = parent.dim
@@ -550,10 +591,13 @@ def _clip(parent, rows, name=None):
                 if vals[b] >= 0:
                     continue
                 common = au & aw
-                if (len(common) < n - 1
-                        or any(common <= az for c, (_, az) in enumerate(verts)
-                               if c != a and c != b)
-                        or la.rank([out.facets[i].normal for i in common], n) != n - 1):
+                if len(common) < n - 1:
+                    continue
+                if (len(au) != n and len(aw) != n
+                        and (any(common <= az for c, (_, az) in enumerate(verts)
+                                 if c != a and c != b)
+                             or la.rank([out.facets[i].normal for i in common],
+                                        n) != n - 1)):
                     continue
                 t = vals[a] / (vals[a] - vals[b])
                 kept.append((tuple(x + t * (y - x) for x, y in zip(u, w)),
@@ -564,3 +608,74 @@ def _clip(parent, rows, name=None):
                             tuple(tuple(sorted(act)) for _, act in verts)),
                       full=True, bounded=True)
     return out
+
+
+# Frames depend on the primitive normal alone, and faces at every level
+# share few normals: a whole pl_sweep benchmark run (50 cycles of random PL
+# cells) meets 415, eight blowup_ladder cycles 56, so 1024 evicts none.
+@lru_cache(maxsize=1024)
+def _frame(normal):
+    """``(z, basis, proj)`` for a primitive normal: ``<normal, z> = 1``,
+    ``basis`` spans the lattice orthogonal to it, and the rows of ``proj``
+    take ``x`` to its ``y`` in ``x = s z + y . basis`` (the last n-1 columns
+    of the integer inverse of the matrix with rows ``z, *basis``)."""
+    z, basis = la.unimodular_complement(normal)
+    inv = la.invert_integer_matrix((z,) + basis)
+    return z, basis, tuple(zip(*inv))[1:]
+
+
+def _chart_coords(point, origin, proj):
+    """The ``y`` of ``point = origin + s z + y . basis`` (see :func:`_frame`)."""
+    return tuple(sum(c * (p - o) for c, p, o in zip(row, point, origin) if c)
+                 for row in proj)
+
+
+def _is_facet(P, T, coords, d):
+    """Whether the vertices ``T`` (indices into P's vertices, at ``coords``)
+    of a d-face of ``P`` span a facet of that face.  In a bounded polytope
+    they do when one of them is simple in P: the facets through a simple
+    vertex cut out a boolean lattice of faces.  Otherwise their affine rank
+    decides."""
+    if P.is_bounded() and any(len(P.vertex_facets[k]) == P.dim for k in T):
+        return True
+    return len(T) >= d and la.affine_rank([coords[k] for k in T]) == d - 1
+
+
+def _pull(P, coords, origin, basis):
+    """Pulling triangulation of a face of ``P`` of dimension >= 1, as tuples
+    of vertex indices of ``P``.
+
+    ``coords`` maps the face's vertex indices to their chart coordinates,
+    and ``x = origin + y . basis`` maps the chart into P's coordinates.  The
+    facets of the face are its intersections T with the facets of P that
+    meet it without containing it that :func:`_is_facet` accepts.  The apex
+    is the smallest vertex in chart coordinates, and the facets not through
+    it come in the sorted order of their primitive chart (normal, offset):
+    the choices triangulating the face's chart polytope would make.
+    """
+    order = sorted(coords, key=coords.__getitem__)
+    d = len(basis)
+    if d == 1:
+        return ((order[0], order[-1]),)
+    members = {}
+    for k in order:
+        for j in P.vertex_facets[k]:
+            members.setdefault(j, []).append(k)
+    facets = {}
+    for j, T in members.items():
+        T = tuple(T)
+        if (T[0] != order[0] and len(T) < len(order) and T not in facets
+                and _is_facet(P, T, coords, d)):
+            g = P.facets[j]
+            prim, factor = la.primitivize([la.dot(g.normal, b) for b in basis])
+            facets[T] = (prim, g.value(origin) / factor)
+    sims = []
+    columns = tuple(zip(*basis))
+    for T, (normal, offset) in sorted(facets.items(), key=lambda tf: tf[1]):
+        z, frame, proj = _frame(normal)
+        o = tuple(-offset * zi for zi in z)
+        sub_origin = tuple(x + la.dot(o, col) for x, col in zip(origin, columns))
+        sub_basis = tuple(tuple(la.dot(b, col) for col in columns) for b in frame)
+        sub = {k: _chart_coords(coords[k], o, proj) for k in T}
+        sims.extend((order[0],) + s for s in _pull(P, sub, sub_origin, sub_basis))
+    return tuple(sims)

@@ -185,7 +185,8 @@ def integrate_boundary(polytope, f, rule=DEFAULT_RULE):
     ok = True
     for i in polytope.genuine_facet_indices():
         chart = polytope.facet_chart(i)
-        res = integrate(chart.polytope, lambda y: f(chart.map_floats(y)), rule)
+        res = integrate_simplices(lambda y: f(chart.map_floats(y)),
+                                  polytope.facet_triangulation_floats(i), rule)
         total += res.value
         err += res.error
         ok = ok and res.converged

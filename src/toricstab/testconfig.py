@@ -85,8 +85,9 @@ def random_pl(rng, dim, pieces=3):
     return PLConvex.make(out)
 
 
-# Each entry holds its cells with their charts and triangulations.  A blowup
-# ladder cycle re-reads about 60 (polytope, phi) pairs; twice that is kept.
+# Each entry holds its cells with their triangulations and the triangulations
+# of their facets.  A blowup ladder cycle re-reads about 60 (polytope, phi)
+# pairs; twice that is kept.
 @lru_cache(maxsize=128)
 def _cells(P, phi):
     """Nonempty full-dimensional regions where one piece is the maximum.
@@ -229,11 +230,10 @@ def integrate_pl_boundary(tc, weight_fn=None, rule=DEFAULT_RULE):
             if j not in cell.genuine_facet_indices():
                 continue
             g, c = tc.cell_affine(k)
-            total += quadrature.integrate(
-                cell.facet_chart(j).polytope,
+            total += quadrature.integrate_simplices(
                 lambda y, g=g, c=c: ((chart.map_floats(y) @ g) + c)
                 * np.asarray(weight(chart.map_floats(y)), dtype=float),
-                rule).value
+                cell.facet_triangulation_floats(j), rule).value
     return total
 
 

@@ -206,6 +206,30 @@ def test_report_expand_vertex_out_of_range_exits_3(capsys):
     assert captured.err.startswith("error: ") and "0..2" in captured.err
 
 
+# Polytope files that bound no solid: every command but validate refuses them.
+@pytest.mark.parametrize("facets, diagnostic", [
+    ([((1, 0), 0), ((0, 1), 0), ((0, -1), 1)], "unbounded"),       # strip
+    ([((1, 0), 0), ((0, 1), 0)], "unbounded"),                     # quadrant
+    ([((1, 0), 0), ((-1, 0), 0), ((0, 1), 0), ((0, -1), 1)],
+     "not full-dimensional"),                                      # segment
+    ([((1, 0), 0), ((-1, 0), -1), ((0, 1), 0), ((0, -1), 1)], "empty"),
+], ids=["strip", "quadrant", "segment", "empty"])
+def test_polytope_file_without_interior_exits_3(tmp_path, capsys, facets,
+                                                diagnostic):
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps({"dim": 2, "facets": [
+        {"normal": list(n), "offset": str(c)} for n, c in facets]}))
+    for argv in (["invariants"], ["futaki", "--beta", "1,0"],
+                 ["testconfig", "df", "--beta", "1,0"]):
+        code = main([*argv, "--polytope", str(path)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: polytope is ") and diagnostic in err
+    code, out = run(capsys, "validate", "--polytope", str(path))
+    assert code == 0
+    assert any(diagnostic in d for d in json.loads(out)["diagnostics"])
+
+
 # Catalog JSON stays byte-identical across refactors; the goldens were
 # written by the command in each row.
 @pytest.mark.parametrize("golden, argv", [

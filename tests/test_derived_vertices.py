@@ -4,6 +4,9 @@ PL cells, corner chops and facet charts inherit their vertices and
 incidences from the polytope they are cut from.  Each case here rebuilds the
 same facet list as a fresh ``DelzantPolytope``, which enumerates every
 n-subset of facets, and asks for identical answers.
+
+Triangulations pull on the parent's incidences instead of recursing through
+chart sub-polytopes; the chart recursion is kept below as their oracle.
 """
 
 from fractions import Fraction as F
@@ -13,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toricstab import _linalg as la, catalog, testconfig
-from toricstab.polytope import DelzantPolytope, _clip
+from toricstab.polytope import DelzantPolytope, Facet, PolytopeError, _clip
 
 SIMPLEX4 = DelzantPolytope(4, [((1, 0, 0, 0), 0), ((0, 1, 0, 0), 0),
                                ((0, 0, 1, 0), 0), ((0, 0, 0, 1), 0),
@@ -134,6 +137,8 @@ def test_cells_match_enumeration_and_partition(P, data):
         assert_matches_enumeration(cell)
     if P.dim <= 3:  # exact volumes of 4-D cells take seconds
         assert sum(cell.volume() for _, cell in cells) == P.volume()
+        for _, cell in cells:
+            assert_triangulations_match(cell)
 
 
 @pytest.mark.parametrize("P", SOLIDS, ids=_ids)
@@ -187,3 +192,134 @@ def test_derived_polytopes_never_enumerate(monkeypatch):
     assert runs == [P]
     P.translate((1, 0)).vertices
     assert len(runs) == 2
+
+
+# -- triangulation against the chart recursion --------------------------------
+
+
+def _oracle_chart(Q, facet_index):
+    """The facet chart as the library built it before triangulations pulled
+    on incidences (verbatim): ``(origin, basis, chart polytope)``."""
+    f = Q.facets[facet_index]
+    z, basis = la.unimodular_complement(f.normal)
+    origin = tuple(-f.offset * zi for zi in z)
+    rows = {}
+    for j, g in enumerate(Q.facets):
+        if j == facet_index:
+            continue
+        ny = tuple(la.dot(g.normal, b) for b in basis)
+        off = g.offset + la.dot(g.normal, origin)
+        if all(c == 0 for c in ny):
+            if off < 0:
+                raise PolytopeError(f"facet {facet_index} is infeasible")
+            continue
+        rows[j] = Facet.make(ny, off)
+    sub = DelzantPolytope(Q.dim - 1, rows.values())
+    # Chart vertices: ours on the facet, solving x - origin = s z + y.basis.
+    slot = {j: sub.facets.index(g) for j, g in rows.items()}
+    inv = la.invert_integer_matrix((z,) + basis)
+    enum = sorted(
+        (tuple(sum(inv[k][r] * (v[k] - origin[k]) for k in range(Q.dim))
+               for r in range(1, Q.dim)),
+         tuple(sorted({slot[j] for j in act if j in slot})))
+        for v, act in zip(Q.vertices, Q.vertex_facets)
+        if facet_index in act)
+    sub._cache["enum"] = (tuple(v for v, _ in enum),
+                          tuple(a for _, a in enum))
+    return origin, basis, sub
+
+
+def _oracle_genuine(Q):
+    """Facets supporting an (n-1)-face, by the affine rank of their vertices
+    alone (verbatim but for the cache)."""
+    out = []
+    for i in range(len(Q.facets)):
+        on_facet = [v for v, act in zip(Q.vertices, Q.vertex_facets)
+                    if i in act]
+        if len(on_facet) >= Q.dim and la.affine_rank(on_facet) == Q.dim - 1:
+            out.append(i)
+    return tuple(out)
+
+
+def _oracle_triangulate(Q):
+    """The chart recursion (verbatim but for the cache): cone the
+    lexicographically smallest vertex over triangulations of the facets it
+    does not lie on, each triangulated as its chart polytope."""
+    if Q.is_empty() or not Q.is_full_dimensional():
+        return ()
+    if Q.dim == 1:
+        return ((Q.vertices[0], Q.vertices[-1]),)
+    apex = Q.vertices[0]
+    apex_facets = set(Q.vertex_facets[0])
+    sims = []
+    for i in _oracle_genuine(Q):
+        if i in apex_facets:
+            continue
+        origin, basis, sub = _oracle_chart(Q, i)
+        for s in _oracle_triangulate(sub):
+            sims.append((apex,) + tuple(
+                tuple(origin[k] + sum(F(y[r]) * basis[r][k]
+                                      for r in range(len(basis)))
+                      for k in range(len(origin)))
+                for y in s))
+    return tuple(sims)
+
+
+def assert_triangulations_match(Q):
+    assert Q.genuine_facet_indices() == _oracle_genuine(Q)
+    assert Q.triangulate() == _oracle_triangulate(Q)
+    if Q.dim == 1:
+        return
+    for i in _oracle_genuine(Q):
+        sims = _oracle_triangulate(_oracle_chart(Q, i)[2])
+        ref = np.array([[[float(c) for c in v] for v in s] for s in sims],
+                       dtype=float)
+        got = Q.facet_triangulation_floats(i)
+        assert got.shape == ref.shape and np.array_equal(got, ref)
+
+
+def _through_vertex_cells(P):
+    """Cells of max(0, <g, x - v>) for cuts through vertices of P, which
+    leave the cells vertices where more than n facets meet."""
+    out = []
+    for vi in (0, len(P.vertices) // 2):
+        v = P.vertices[vi]
+        for g in ((1, -1) + (0,) * (P.dim - 2), (1,) * P.dim):
+            phi = testconfig.PLConvex.make(
+                [((0,) * P.dim, 0), (g, -la.dot(g, v))])
+            out.extend(cell for _, cell in testconfig._cells(P, phi))
+    return out
+
+
+@pytest.mark.parametrize("P", POLYTOPES, ids=_ids)
+def test_triangulation_matches_chart_recursion(P):
+    assert_triangulations_match(P)
+    if P.dim == 1:
+        return
+    bound = P.admissible_chop(0)
+    for depth in (bound * F(9, 10), bound / 7):
+        assert_triangulations_match(P.corner_chop(0, depth))
+    Q = P.corner_chop(len(P.vertices) - 1, P.admissible_chop(len(P.vertices) - 1) / 3)
+    assert_triangulations_match(Q)
+    assert_triangulations_match(Q.corner_chop(0, Q.admissible_chop(0) / 2))
+    cells = _through_vertex_cells(P)
+    assert any(len(act) > P.dim for cell in cells for act in cell.vertex_facets)
+    for cell in cells:
+        assert_triangulations_match(cell)
+
+
+def test_triangulating_a_chop_builds_no_polytope(monkeypatch):
+    P = catalog.load("cube")
+    Q = P.corner_chop(3, P.admissible_chop(3) * F(5, 11))
+    built = []
+    init = DelzantPolytope.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DelzantPolytope, "__init__", counted)
+    Q.triangulate()
+    for i in Q.genuine_facet_indices():
+        Q.facet_triangulation_floats(i)
+    assert built == []

@@ -1,10 +1,12 @@
+import gc
+import weakref
 from collections import OrderedDict
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from toricstab import catalog, invariants as inv
+from toricstab import catalog, invariants as inv, polytope
 from toricstab.invariants import BackendError
 from toricstab.profiles import PositivityError, builtin
 
@@ -289,3 +291,18 @@ class TestScalarCache:
             assert np.array_equal(inv.gram(simplex, kept), first)
             assert len(integrals) == before
         assert len(inv._scalar_cache) == 8
+
+    def test_entries_do_not_keep_polytopes_alive(self, monkeypatch, cube):
+        monkeypatch.setattr(inv, "_scalar_cache", OrderedDict())
+        W = builtin("cscK", 3)
+        depth = cube.admissible_chop(2) * F(3, 7)
+        chopped = cube.corner_chop(2, depth)
+        value = inv.vol_w(chopped, W)
+        ref = weakref.ref(chopped)
+        del chopped
+        polytope._chop.cache_clear()
+        gc.collect()
+        assert ref() is None
+        # An equal polytope built afresh reads the entry without integrating.
+        monkeypatch.setattr(inv.quadrature, "integrate", None)
+        assert inv.vol_w(cube.corner_chop(2, depth), W) == value

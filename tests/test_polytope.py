@@ -293,6 +293,22 @@ def test_facet_make_clears_denominators():
     assert f.offset == F(1)
 
 
+def test_facet_objects_not_in_normal_form_are_normalised():
+    P = DelzantPolytope(1, [Facet((2,), 0), Facet((-1,), 1), Facet.make((-3,), 3)])
+    assert P.facets == (Facet.make((-1,), 1), Facet.make((1,), 0))
+    assert all(type(f.offset) is F for f in P.facets)
+
+
+def test_facet_chart_of_infeasible_facet_raises():
+    # x >= 0 is redundant behind x >= 1, and its line misses the polytope.
+    P = DelzantPolytope(2, [((1, 0), 0), ((1, 0), -1), ((-1, 0), 3),
+                            ((0, 1), 0), ((0, -1), 1)])
+    i = next(i for i, f in enumerate(P.facets) if f == Facet.make((1, 0), 0))
+    with pytest.raises(PolytopeError, match="infeasible"):
+        P.facet_chart(i)
+    assert P.volume() == 2
+
+
 def test_facet_chart_accepts_facet_object(simplex):
     f = simplex.facets[0]
     assert simplex.facet_chart(f) is simplex.facet_chart(0)
