@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import localize, quadrature
-from .profiles import builtin, require_positive
+from .profiles import builtin, positivity_check, raise_unless_positive
 from .quadrature import DEFAULT_RULE
 
 
@@ -73,11 +73,14 @@ def _weight_key(W):
     return (W.n, tuple(float(x) for x in W.xi), W.f, W.g)
 
 
-# Quadrature-backend scalars by (tag, (dim, facets), weights, rule), least
-# recently used first.  Polytope equality is (dim, facets), so a key holds
-# the facets alone and no entry keeps a polytope or its caches alive.
-# Replaying the key streams of whole benchmark runs through an LRU, none
-# needed more than 2048 entries to miss only where an unbounded cache misses.
+# Quadrature-backend scalars, beta-moments and positivity verdicts by (tag,
+# (dim, facets), weights, rule), least recently used first.  Polytope
+# equality is (dim, facets), so a key holds the facets alone and no entry
+# keeps a polytope or its caches alive.  Replaying the key streams of whole
+# benchmark runs (seeds 301-302) through an LRU, none needed more than 3,411
+# entries (blowup_ladder; weight_sweep 1,528) to miss only where an unbounded
+# cache misses.  A blowup_ladder run of twice that length needs 5,896 and
+# misses 1.3% more at this bound.
 _SCALAR_CACHE_SIZE = 4096
 _scalar_cache = OrderedDict()
 
@@ -109,9 +112,14 @@ def per_v(P, W, rule=DEFAULT_RULE, backend="quadrature"):
                    lambda: quadrature.integrate_boundary(P, W.v, rule).value)
 
 
+def _require_positive(P, W):
+    """profiles.require_positive with the verdicts computed once per (P, W)."""
+    raise_unless_positive(_cached("pos", P, W, None, lambda: positivity_check(W, P)))
+
+
 def s_hat(P, W, rule=DEFAULT_RULE, backend="quadrature", agree_tol=1e-8):
     """Average weighted scalar curvature Per_v / Vol_w."""
-    require_positive(W, P)
+    _require_positive(P, W)
     if backend == "both":
         q = per_v(P, W, rule) / vol_w(P, W, rule)
         l = (per_v(P, W, rule, "localization")
@@ -124,12 +132,16 @@ def s_hat(P, W, rule=DEFAULT_RULE, backend="quadrature", agree_tol=1e-8):
 
 def _moment_w(P, W, beta, rule):
     beta = np.asarray(beta, dtype=float)
-    return quadrature.integrate(P, lambda x: (x @ beta) * W.w(x), rule).value
+    return _cached(("mom", beta.tobytes()), P, W, rule,
+                   lambda: quadrature.integrate(
+                       P, lambda x: (x @ beta) * W.w(x), rule).value)
 
 
 def _moment_boundary_v(P, W, beta, rule):
     beta = np.asarray(beta, dtype=float)
-    return quadrature.integrate_boundary(P, lambda x: (x @ beta) * W.v(x), rule).value
+    return _cached(("bmom", beta.tobytes()), P, W, rule,
+                   lambda: quadrature.integrate_boundary(
+                       P, lambda x: (x @ beta) * W.v(x), rule).value)
 
 
 def futaki(P, W, beta, rule=DEFAULT_RULE, backend="quadrature",
@@ -187,16 +199,17 @@ def gram(P, W, basis=None, rule=DEFAULT_RULE):
         vw = vol_w(P, W, rule)
         means = np.array([_moment_w(P, W, b, rule) for b in basis]) / vw
         r = len(basis)
+        pairs = [(i, j) for i in range(r) for j in range(i, r)]
+        tri = P.triangulation_floats()
+        parts = []
+        for i, j in pairs:
+            def f(x, bi=basis[i], bj=basis[j], mi=means[i], mj=means[j]):
+                return (x @ bi - mi) * (x @ bj - mj) * W.w(x)
+
+            parts.append((f, tri))
         g = np.zeros((r, r))
-        for i in range(r):
-            for j in range(i, r):
-                bi, bj = basis[i], basis[j]
-                mi, mj = means[i], means[j]
-
-                def f(x, bi=bi, bj=bj, mi=mi, mj=mj):
-                    return (x @ bi - mi) * (x @ bj - mj) * W.w(x)
-
-                g[i, j] = g[j, i] = quadrature.integrate(P, f, rule).value
+        for (i, j), res in zip(pairs, quadrature.integrate_parts(parts, rule)):
+            g[i, j] = g[j, i] = res.value
         return tuple(tuple(row) for row in g)
 
     return np.array(_cached(("gram", basis.tobytes()), P, W, rule, compute))
@@ -331,7 +344,7 @@ def soliton_oracle(P):
 def invariant_report(P, W, rule=DEFAULT_RULE, backend="quadrature",
                      agree_tol=1e-8):
     """Assemble the headline invariants, optionally cross-checking backends."""
-    require_positive(W, P)
+    _require_positive(P, W)
     vw_q = vol_w(P, W, rule)
     pv_q = per_v(P, W, rule)
     discrepancy = 0.0

@@ -167,12 +167,16 @@ class FacetChart:
             for k in range(len(self.origin))
         )
 
+    @cached_property
+    def _float_frame(self):
+        return (np.array([float(c) for c in self.origin]),
+                np.array(self.basis, dtype=float))
+
     def map_floats(self, pts):
         """Map an (N, n-1) float array of chart coordinates into ambient space."""
-        origin = np.array([float(c) for c in self.origin])
+        origin, B = self._float_frame
         if len(self.basis) == 0:
             return np.broadcast_to(origin, (len(pts), len(origin))).copy()
-        B = np.array(self.basis, dtype=float)
         return origin + np.asarray(pts, dtype=float) @ B
 
 

@@ -480,10 +480,14 @@ def positivity_check(weights, polytope):
     return out
 
 
-def require_positive(weights, polytope):
-    verdicts = positivity_check(weights, polytope)
+def raise_unless_positive(verdicts):
+    """Raise PositivityError naming every failed verdict; return the verdicts."""
     bad = [w for w, v in verdicts.items() if not v.positive]
     if bad:
         msgs = "; ".join(f"{w}: {verdicts[w].detail}" for w in bad)
         raise PositivityError(f"weight positivity fails ({msgs})")
     return verdicts
+
+
+def require_positive(weights, polytope):
+    return raise_unless_positive(positivity_check(weights, polytope))

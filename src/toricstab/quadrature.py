@@ -3,12 +3,16 @@
 Interior integrals run Grundmann-Moller simplex cubature (exact to a
 configurable polynomial degree) over an exact triangulation, with adaptive
 longest-edge bisection driven by a coarse/fine error estimate for analytic
-non-polynomial integrands.  Each pass (all input simplices, then each
-refinement) evaluates its simplices and their halves in one integrand call;
-the results are bit-identical to evaluating one simplex at a time.
-Boundary integrals recurse through the
-unimodular facet charts, so the lattice boundary measure is built in and
-never reconstructed from Euclidean area.
+non-polynomial integrands.  One engine, :func:`integrate_parts`, takes a
+list of (integrand, simplices) parts, such as the facets of a boundary or
+the cells of a PL function.  The first pass of all parts shares one
+bisection, one batched determinant and one node product, and calls each
+part's integrand once on that part's own nodes; each part then refines on
+its own, evaluating the two halves of its worst leaf in one call and keeping
+its running sums as exact Shewchuk partials.  Every result is bit-identical
+to evaluating one simplex at a time.  Boundary integrals pull each facet
+back through its unimodular chart, so the lattice boundary measure is built
+in and never reconstructed from Euclidean area.
 
 ``moments`` provides an independent closed-form path (rational arithmetic
 for monomials, confluent divided differences for exponentials) used as an
@@ -22,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
+from itertools import accumulate, count
 
 import numpy as np
 from scipy.linalg import expm
@@ -98,13 +102,19 @@ def _edges(n1):
     return np.triu_indices(n1, 1)  # (i, j) pairs, i < j, in loop order
 
 
-def _estimate(f, verts, bary, wts):
-    """Fine values, errors and halves of each simplex of a (k, n+1, n) stack.
+def _estimate(parts, bary, wts):
+    """Fine values, errors and halves of each simplex of each part.
 
-    Each simplex is bisected across its first longest edge; the k simplices
-    and their 2k halves go to one integrand call.  Each rule sum is a 1-D
-    dot per simplex, which keeps the bits of a per-simplex evaluation.
+    ``parts`` holds ``(f, verts)`` pairs, each ``verts`` a (k, n+1, n)
+    stack.  Every simplex of every part is bisected across its first longest
+    edge, and the volumes and rule nodes of all simplices and halves come
+    from one batched ``det`` and one product.  Each part's integrand is then
+    called once, on that part's own contiguous block of nodes (its k
+    simplices, then their 2k halves), exactly the array a one-part call
+    would pass it; each rule sum is a 1-D dot per simplex.  Both keep the
+    bits of a per-simplex evaluation.
     """
+    verts = np.concatenate([v for _, v in parts])
     k, n1, n = verts.shape
     iu, ju = _edges(n1)
     longest = np.argmax(np.sum((verts[:, iu] - verts[:, ju]) ** 2, axis=2), axis=1)
@@ -113,52 +123,129 @@ def _estimate(f, verts, bary, wts):
     kids = np.repeat(verts[:, None], 2, axis=1)
     kids[rows, 0, i] = mid
     kids[rows, 1, j] = mid
-    allv = np.concatenate([verts, kids.reshape(2 * k, n1, n)])
+    bounds = [0, *accumulate(len(v) for _, v in parts)]
+    allv = np.concatenate([block for a, b in zip(bounds, bounds[1:])
+                           for block in (verts[a:b], kids[a:b].reshape(-1, n1, n))])
     vols = np.abs(np.linalg.det(allv[:, 1:] - allv[:, :1])) / math.factorial(n)
-    vals = np.asarray(f((bary @ allv).reshape(-1, n)), dtype=float).reshape(3 * k, -1)
-    est = [v * float(wts @ r) for v, r in zip(vols, vals)]
-    fine = [est[k + 2 * r] + est[k + 2 * r + 1] for r in range(k)]
-    return fine, [abs(c - x) for c, x in zip(est[:k], fine)], kids
+    nodes = bary @ allv
+    out = []
+    for (f, _), a, b in zip(parts, bounds, bounds[1:]):
+        m, lo, hi = b - a, 3 * a, 3 * b
+        vals = np.asarray(f(nodes[lo:hi].reshape(-1, n)), dtype=float)
+        vals = vals.reshape(3 * m, -1)
+        est = [v * float(wts @ r) for v, r in zip(vols[lo:hi], vals)]
+        fine = [est[m + 2 * r] + est[m + 2 * r + 1] for r in range(m)]
+        out.append((fine, [abs(c - x) for c, x in zip(est[:m], fine)], kids[a:b]))
+    return out
 
 
-def integrate_simplices(f, simplices, rule=DEFAULT_RULE):
-    """Adaptive integration of a vectorised integrand over float simplices.
+class _RunningSum:
+    """Exact sum of a changing multiset of floats, equal to ``math.fsum`` of
+    its members.
 
-    The worst leaf (largest |coarse - fine|) is bisected until the summed
-    error meets the tolerance or every such leaf is at ``max_depth``.
+    Finite members are kept as Shewchuk partials (non-overlapping, by
+    increasing magnitude; Shewchuk, DCG 18, 1997), the way ``math.fsum``
+    keeps them, so adding or removing a member is exact and costs a pass
+    over a few partials instead of a new sum over every member.  Non-finite
+    members are counted apart and then decide the total, as in ``fsum``.
     """
-    if len(simplices) == 0:
-        return IntegrationResult(0.0, 0.0, True)
-    bary, wts = gm_table(simplices.shape[2], rule.gm_order)
 
+    def __init__(self, members):
+        self.partials = []
+        self.special = {}
+        for x in members:
+            self.add(x)
+
+    def add(self, x):
+        if not math.isfinite(x):
+            self.special[repr(x)] = self.special.get(repr(x), 0) + 1
+            return
+        i = 0
+        for y in self.partials:
+            if abs(x) < abs(y):
+                x, y = y, x
+            hi = x + y
+            lo = y - (hi - x)
+            if lo:
+                self.partials[i] = lo
+                i += 1
+            x = hi
+        del self.partials[i:]
+        if x:
+            if not math.isfinite(x):
+                raise OverflowError("intermediate overflow in fsum")
+            self.partials.append(x)
+
+    def remove(self, x):
+        if math.isfinite(x):
+            self.add(-x)
+        else:
+            self.special[repr(x)] -= 1
+
+    def total(self):
+        special = [float(k) for k, c in self.special.items() if c]
+        return math.fsum(special or self.partials)
+
+
+def _refine(f, fine, errs, kids, bary, wts, rule):
+    """Finish one part from its first pass: bisect its worst leaf (largest
+    |coarse - fine|) until the summed error meets the tolerance or every
+    such leaf is at ``max_depth``."""
     def tol(value):
         return max(rule.tol_abs, rule.tol_rel * abs(value))
 
-    fine, errs, kids = _estimate(f, np.asarray(simplices, dtype=float), bary, wts)
     value, err = math.fsum(fine), math.fsum(errs)
     if err <= tol(value):
         return IntegrationResult(value, err, True)
 
+    values, errors = _RunningSum(fine), _RunningSum(errs)
     counter = count()
-    entries = {}
     heap = []
 
     def push(fine, errs, kids, depth):
         for v, e, halves in zip(fine, errs, kids):
-            key = next(counter)
-            entries[key] = (v, e)
-            heapq.heappush(heap, (-e, key, depth, halves))
+            heapq.heappush(heap, (-e, next(counter), depth, halves, v))
 
     push(fine, errs, kids, 0)
     while heap and err > tol(value):
-        _, key, depth, halves = heapq.heappop(heap)
+        neg_e, _, depth, halves, v = heapq.heappop(heap)
         if depth >= rule.max_depth:
             continue  # leaf stays counted but cannot be refined further
-        del entries[key]
-        push(*_estimate(f, halves, bary, wts), depth + 1)
-        value = math.fsum(v for v, _ in entries.values())
-        err = math.fsum(e for _, e in entries.values())
+        values.remove(v)
+        errors.remove(-neg_e)
+        [(fine, errs, kids)] = _estimate([(f, halves)], bary, wts)
+        for v, e in zip(fine, errs):
+            values.add(v)
+            errors.add(e)
+        push(fine, errs, kids, depth + 1)
+        value, err = values.total(), errors.total()
     return IntegrationResult(value, err, err <= tol(value))
+
+
+def integrate_parts(parts, rule=DEFAULT_RULE):
+    """Adaptive integration of several ``(f, simplices)`` parts at once.
+
+    ``f`` is a vectorised integrand and ``simplices`` a float stack of shape
+    (k, n+1, n), with one n for every nonempty part.  Returns one
+    :class:`IntegrationResult` per part, each bit-identical to integrating
+    that part alone: the first pass of all parts is one batched
+    :func:`_estimate`, after which each part has its own sum, tolerance test
+    and refinement.
+    """
+    parts = [(f, np.asarray(s, dtype=float)) for f, s in parts]
+    live = [(f, s) for f, s in parts if len(s)]
+    if not live:
+        return [IntegrationResult(0.0, 0.0, True) for _ in parts]
+    bary, wts = gm_table(live[0][1].shape[2], rule.gm_order)
+    first = iter(_estimate(live, bary, wts))
+    return [_refine(f, *next(first), bary, wts, rule) if len(s)
+            else IntegrationResult(0.0, 0.0, True) for f, s in parts]
+
+
+def integrate_simplices(f, simplices, rule=DEFAULT_RULE):
+    """Adaptive integration of a vectorised integrand over float simplices:
+    the one-part call of :func:`integrate_parts`."""
+    return integrate_parts([(f, simplices)], rule)[0]
 
 
 def integrate(polytope, f, rule=DEFAULT_RULE):
@@ -180,13 +267,13 @@ def integrate_boundary(polytope, f, rule=DEFAULT_RULE):
         pts = polytope.vertices_floats()
         vals = np.asarray(f(pts), dtype=float)
         return IntegrationResult(float(np.sum(vals)), 0.0, True)
+    parts = [(lambda y, chart=polytope.facet_chart(i): f(chart.map_floats(y)),
+              polytope.facet_triangulation_floats(i))
+             for i in polytope.genuine_facet_indices()]
     total = 0.0
     err = 0.0
     ok = True
-    for i in polytope.genuine_facet_indices():
-        chart = polytope.facet_chart(i)
-        res = integrate_simplices(lambda y: f(chart.map_floats(y)),
-                                  polytope.facet_triangulation_floats(i), rule)
+    for res in integrate_parts(parts, rule):
         total += res.value
         err += res.error
         ok = ok and res.converged

@@ -29,9 +29,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import invariants, quadrature
+from . import invariants
 from .polytope import _as_fraction, _clip
-from .quadrature import DEFAULT_RULE, integrate_simplices
+from .quadrature import DEFAULT_RULE, integrate_parts
 
 
 @dataclass(frozen=True)
@@ -200,16 +200,23 @@ def twist(tc, beta):
 # -- PL integrals -----------------------------------------------------------
 
 
+def _sum_parts(parts, rule):
+    """Sum of the values of one engine call, added in part order."""
+    total = 0.0
+    for res in integrate_parts(parts, rule):
+        total += res.value
+    return total
+
+
 def integrate_pl(tc, weight_fn=None, rule=DEFAULT_RULE):
     """int_P phi * weight dx, cell by cell (integrands smooth per cell)."""
-    W = tc.weights
-    weight = weight_fn if weight_fn is not None else W.w
-    total = 0.0
+    weight = weight_fn if weight_fn is not None else tc.weights.w
+    parts = []
     for k, cell in tc.cells():
         g, c = tc.cell_affine(k)
-        total += quadrature.integrate(
-            cell, lambda x, g=g, c=c: (x @ g + c) * weight(x), rule).value
-    return total
+        parts.append((lambda x, g=g, c=c: (x @ g + c) * weight(x),
+                      cell.triangulation_floats()))
+    return _sum_parts(parts, rule)
 
 
 def integrate_pl_boundary(tc, weight_fn=None, rule=DEFAULT_RULE):
@@ -222,7 +229,7 @@ def integrate_pl_boundary(tc, weight_fn=None, rule=DEFAULT_RULE):
         return float(np.sum(vals))
     # Each piece is the cell's own facet on P.facets[i]; its chart shares
     # P's chart coordinates, since both depend on that facet alone.
-    total = 0.0
+    parts = []
     for i in P.genuine_facet_indices():
         chart = P.facet_chart(i)
         for k, cell in tc.cells():
@@ -230,11 +237,13 @@ def integrate_pl_boundary(tc, weight_fn=None, rule=DEFAULT_RULE):
             if j not in cell.genuine_facet_indices():
                 continue
             g, c = tc.cell_affine(k)
-            total += quadrature.integrate_simplices(
-                lambda y, g=g, c=c: ((chart.map_floats(y) @ g) + c)
-                * np.asarray(weight(chart.map_floats(y)), dtype=float),
-                cell.facet_triangulation_floats(j), rule).value
-    return total
+
+            def f(y, chart=chart, g=g, c=c):
+                x = chart.map_floats(y)
+                return ((x @ g) + c) * np.asarray(weight(x), dtype=float)
+
+            parts.append((f, cell.facet_triangulation_floats(j)))
+    return _sum_parts(parts, rule)
 
 
 # -- simplex clipping for absolute-value integrands ---------------------------
@@ -285,21 +294,20 @@ def clip_simplex(verts, grad, const, tol=1e-13):
     return [np.array(s) for s in keep(list(range(len(verts))))]
 
 
-def integrate_abs_affine(region, grad, const, weight, rule=DEFAULT_RULE):
-    """int over region of |<grad, x> + const| * weight(x) dx.
+def _abs_affine_part(region, grad, const, weight):
+    """Integration part for int over region of |<grad, x> + const| * weight(x) dx.
 
     The region is cut along the zero set of the affine form, so the
-    integrand is smooth on every piece; all pieces of both signs go to one
-    integration.  The cut positions only need float accuracy since the
-    integrand vanishes there.
+    integrand is smooth on every piece; the pieces of both signs make one
+    part.  The cut positions only need float accuracy since the integrand
+    vanishes there.
     """
     grad = np.asarray(grad, dtype=float)
     pieces = [s for sign in (1.0, -1.0)
               for tri in region.triangulation_floats()
               for s in clip_simplex(tri, sign * grad, sign * const)]
-    return integrate_simplices(
-        lambda x: np.abs(x @ grad + const) * np.asarray(weight(x), dtype=float),
-        np.array(pieces), rule).value
+    return (lambda x: np.abs(x @ grad + const) * np.asarray(weight(x), dtype=float),
+            np.array(pieces))
 
 
 # -- invariants of configurations ---------------------------------------------
@@ -371,13 +379,12 @@ def df_T(tc, rule=DEFAULT_RULE, shat=None):
 
 def l1_norm(tc, rule=DEFAULT_RULE):
     """Weighted L1 norm: int_P |phi - mean_w(phi)| w dx."""
-    P, W = tc.polytope, tc.weights
     mean = mean_w(tc, rule)
-    total = 0.0
+    parts = []
     for k, cell in tc.cells():
         g, c = tc.cell_affine(k)
-        total += integrate_abs_affine(cell, g, c - mean, W.w, rule)
-    return total
+        parts.append(_abs_affine_part(cell, g, c - mean, tc.weights.w))
+    return _sum_parts(parts, rule)
 
 
 def orthogonal_part(tc, rule=DEFAULT_RULE):

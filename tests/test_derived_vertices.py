@@ -166,6 +166,23 @@ def test_unbounded_parent_falls_back_to_enumeration():
     assert cut.volume() == F(9, 2)
 
 
+def test_clip_does_not_join_diagonal_non_simple_vertices():
+    # The supporting cut x3 + x4 <= 2 makes the four vertices of the 2-face
+    # x3 = x4 = 1 of the 4-cube non-simple.  The next cut separates both
+    # diagonals of that face; a diagonal's ends share n-1 = 3 facets but
+    # span no edge, so no cut point may be added on it.
+    face = _clip(CUBE4, [((0, 0, -1, -1), 2)])
+    on_face = [v for v, act in zip(face.vertices, face.vertex_facets)
+               if v[2:] == (1, 1)]
+    assert len(on_face) == 4 and all(
+        len(act) == 5 for v, act in zip(face.vertices, face.vertex_facets)
+        if v in on_face)
+    cut = _clip(face, [((1, 2, 0, 0), F(1, 2))])
+    assert_matches_enumeration(cut)
+    for diagonal_cut in ((F(-1, 6), F(-1, 6), 1, 1), (F(1, 2), F(-1, 2), 1, 1)):
+        assert diagonal_cut not in cut.vertices
+
+
 def test_derived_polytopes_never_enumerate(monkeypatch):
     runs = []
     enumerate_facets = DelzantPolytope._enumerate

@@ -8,7 +8,7 @@ import pytest
 
 from toricstab import catalog, invariants as inv, polytope
 from toricstab.invariants import BackendError
-from toricstab.profiles import PositivityError, builtin
+from toricstab.profiles import PositivityError, builtin, require_positive
 
 
 class TestSHat:
@@ -291,6 +291,41 @@ class TestScalarCache:
             assert np.array_equal(inv.gram(simplex, kept), first)
             assert len(integrals) == before
         assert len(inv._scalar_cache) == 8
+
+    def test_positivity_checked_once_per_polytope_and_weights(self, monkeypatch,
+                                                              simplex):
+        monkeypatch.setattr(inv, "_scalar_cache", OrderedDict())
+        checks = []
+        check = inv.positivity_check
+        monkeypatch.setattr(inv, "positivity_check",
+                            lambda W, P: checks.append(1) or check(W, P))
+        W = builtin("cscK", 2)
+        first = inv.s_hat(simplex, W)
+        inv.invariant_report(simplex, W)
+        assert inv.s_hat(simplex, W) == first and len(checks) == 1
+        # A failing verdict is cached too, and raises on every call.
+        bad = builtin("sasaki", 2, xi=[1.0, 0.0], a=F(0))
+        with pytest.raises(PositivityError) as uncached:
+            require_positive(bad, simplex)
+        for call in (inv.s_hat, inv.invariant_report, inv.s_hat):
+            with pytest.raises(PositivityError) as e:
+                call(simplex, bad)
+            assert str(e.value) == str(uncached.value)
+        assert len(checks) == 2
+
+    def test_report_integrates_each_moment_once(self, monkeypatch, trapezoid):
+        monkeypatch.setattr(inv, "_scalar_cache", OrderedDict())
+        calls = []
+        for name in ("integrate", "integrate_boundary"):
+            fn = getattr(inv.quadrature, name)
+            monkeypatch.setattr(inv.quadrature, name,
+                                lambda *a, fn=fn, name=name, **k:
+                                calls.append(name) or fn(*a, **k))
+        inv.invariant_report(trapezoid, builtin("soliton", 2, xi=[0.3, -0.2]))
+        # Vol_w and Per_v, then one interior and one boundary moment per
+        # basis direction, shared by the Futaki vector, the extremal field,
+        # the Gram means and the barycenter.
+        assert sorted(calls) == ["integrate"] * 3 + ["integrate_boundary"] * 3
 
     def test_entries_do_not_keep_polytopes_alive(self, monkeypatch, cube):
         monkeypatch.setattr(inv, "_scalar_cache", OrderedDict())

@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from toricstab import blowup, invariants, polytope, testconfig
@@ -123,6 +124,19 @@ class TestFacetChart:
         assert chart.polytope.volume() == 1
         for y in chart.polytope.vertices:
             assert chart.map_exact(y)[0] == 0
+
+    def test_map_floats_bits(self, cube):
+        # The float frame is built once per chart and maps with the bits of
+        # converting origin and basis on every call.
+        rng = np.random.default_rng(2)
+        P = cube.corner_chop(0, cube.admissible_chop(0) / 3)
+        for i in P.genuine_facet_indices():
+            chart = P.facet_chart(i)
+            y = rng.random((7, 2)) * 3 - 1
+            want = (np.array([float(c) for c in chart.origin])
+                    + y @ np.array(chart.basis, dtype=float))
+            assert np.array_equal(chart.map_floats(y), want)
+            assert chart._float_frame is chart._float_frame
 
     def test_interval_endpoint_chart(self, interval):
         chart = interval.facet_chart(0)

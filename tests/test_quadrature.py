@@ -8,8 +8,9 @@ import pytest
 
 from toricstab.polytope import DelzantPolytope
 from toricstab.quadrature import (DEFAULT_RULE, IntegrationResult,
-                                  QuadratureRule, divided_difference_exp,
-                                  gm_table, integrate, integrate_boundary,
+                                  QuadratureRule, _RunningSum,
+                                  divided_difference_exp, gm_table, integrate,
+                                  integrate_boundary, integrate_parts,
                                   integrate_simplices, moments)
 
 
@@ -212,6 +213,100 @@ class TestBatchedMatchesPerSimplex:
     def test_empty_stack(self):
         want, _ = self.check(INTEGRANDS["polynomial"], np.zeros((0, 3, 2)))
         assert want == IntegrationResult(0.0, 0.0, True)
+
+
+    @pytest.mark.parametrize("f, rule, converged", [
+        (lambda x: (x[:, 0] + 0.3 * x[:, 1] + 0.01) ** -1.5,
+         QuadratureRule(degree=2, tol_rel=1e-12, max_depth=9), False),
+        (lambda x: np.exp(4 * x[:, 0] - 3 * x[:, 1]),
+         QuadratureRule(degree=4, tol_rel=1e-12), True)], ids=["depth_cap", "converges"])
+    def test_many_leaves(self, f, rule, converged):
+        # About 1,000 and 2,000 refinements: the running exact sums must
+        # still give the bits of a full fsum over every leaf.
+        square = np.array([[[0, 0], [1, 0], [0, 1]], [[1, 0], [1, 1], [0, 1]]], float)
+        want, refinements = self.check(f, square, rule)
+        assert refinements > 500 and want.converged == converged
+
+
+class TestIntegrateParts:
+    """One engine call over several parts returns, part by part, what a
+    one-part call returns, with one integrand call per part in the shared
+    first pass."""
+
+    RULE = QuadratureRule(degree=6, tol_rel=1e-9, max_depth=3)
+
+    def parts(self):
+        rng = np.random.default_rng(11)
+        tri = np.array([[[0, 0], [1, 0], [0, 1]], [[1, 0], [1, 1], [0, 1]]], float)
+        return {
+            "empty": (INTEGRANDS["polynomial"], np.zeros((0, 3, 2))),
+            "first_pass": (INTEGRANDS["polynomial"], rng.random((3, 3, 2))),
+            "refines": (INTEGRANDS["exponential"], 2 * rng.random((2, 3, 2))),
+            "depth_cap": (lambda x: (x[:, 0] + 0.3 * x[:, 1] + 0.01) ** -1.5, tri),
+        }
+
+    def test_equals_one_part_calls(self):
+        parts = self.parts()
+        counted = {name: _counted(f) for name, (f, _) in parts.items()}
+        got = integrate_parts([(counted[name][0], s) for name, (_, s) in parts.items()],
+                              self.RULE)
+        for (name, (f, s)), res in zip(parts.items(), got):
+            alone_f, alone_calls = _counted(f)
+            alone = integrate_simplices(alone_f, s, self.RULE)
+            assert (res.value, res.error, res.converged) == (
+                alone.value, alone.error, alone.converged), name
+            assert res == reference_integrate_simplices(f, s, self.RULE), name
+            assert counted[name][1][0] == alone_calls[0], name
+        calls = {name: c[0] for name, (_, c) in counted.items()}
+        assert calls["empty"] == 0 and calls["first_pass"] == 1
+        assert calls["refines"] > 1 and calls["depth_cap"] > 1
+        assert got[1].converged and got[2].converged and not got[3].converged
+
+    def test_no_parts_and_only_empty_parts(self):
+        assert integrate_parts([]) == []
+        empty = (INTEGRANDS["polynomial"], np.zeros((0, 3, 2)))
+        assert integrate_parts([empty, empty]) == [IntegrationResult(0.0, 0.0, True)] * 2
+
+
+class TestRunningSum:
+    """The running partials equal math.fsum of the current members."""
+
+    def test_cancellation_with_adds_and_removes(self):
+        rng = np.random.default_rng(5)
+        acc, members = _RunningSum([]), []
+        for _ in range(3000):
+            if members and rng.random() < 0.45:
+                x = members.pop(int(rng.integers(len(members))))
+                acc.remove(x)
+            else:
+                big = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.integers(-30, 30))
+                # A value and a near-negation of it, so the sum cancels hard.
+                for x in (big * rng.random(), -big * rng.random(), 1e-3 * rng.random()):
+                    members.append(x)
+                    acc.add(x)
+            assert acc.total() == math.fsum(members)
+
+    def test_exact_cancellation(self):
+        members = [1e16, 1.0, -1e16, 1e-16, 3.0, -1.0]
+        acc = _RunningSum(members)
+        assert acc.total() == math.fsum(members) == 3.0
+        for x in (1e16, -1e16, 3.0):
+            acc.remove(x)
+        assert acc.total() == math.fsum([1.0, 1e-16, -1.0]) == 1e-16
+
+    def test_non_finite_members(self):
+        inf = float("inf")
+        acc = _RunningSum([1.0, inf, 2.0])
+        assert acc.total() == inf
+        acc.add(float("nan"))
+        assert math.isnan(acc.total())
+        acc.remove(float("nan"))
+        acc.remove(inf)
+        assert acc.total() == 3.0
+        acc.add(inf)
+        acc.add(-inf)
+        with pytest.raises(ValueError):
+            acc.total()
 
 
 class TestBoundary:
