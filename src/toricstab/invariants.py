@@ -83,13 +83,15 @@ def _weight_key(W):
 # misses 1.3% more at this bound.
 _SCALAR_CACHE_SIZE = 4096
 _scalar_cache = OrderedDict()
+_MISSING = object()
 
 
 def _cached(tag, P, W, rule, compute):
     key = (tag, (P.dim, P.facets), _weight_key(W), rule)
-    if key in _scalar_cache:
+    value = _scalar_cache.get(key, _MISSING)
+    if value is not _MISSING:
         _scalar_cache.move_to_end(key)
-        return _scalar_cache[key]
+        return value
     value = _scalar_cache[key] = compute()
     if len(_scalar_cache) > _SCALAR_CACHE_SIZE:
         _scalar_cache.popitem(last=False)

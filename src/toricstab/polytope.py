@@ -99,6 +99,15 @@ class Facet:
     def value(self, point):
         return la.dot(self.normal, point) + self.offset
 
+    @cached_property
+    def _hash(self):
+        return hash((self.normal, self.offset))
+
+    def __hash__(self):
+        # Set, dict and cache keys hash a facet many times; each hash of
+        # its Fractions is a Python-level call.
+        return self._hash
+
 
 def _is_normal(f):
     """Whether ``f`` is already in the form :meth:`Facet.make` gives."""
@@ -205,6 +214,7 @@ class DelzantPolytope:
             normalized.append(f)
         self.facets = tuple(sorted(set(normalized),
                                    key=lambda f: (f.normal, f.offset)))
+        self._hash = hash((self.dim, self.facets))
         self.name = name
         self._cache = {}
 
@@ -215,7 +225,7 @@ class DelzantPolytope:
                 and self.dim == other.dim and self.facets == other.facets)
 
     def __hash__(self):
-        return hash((self.dim, self.facets))
+        return self._hash
 
     def __repr__(self):
         label = f" {self.name!r}" if self.name else ""

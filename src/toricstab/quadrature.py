@@ -5,14 +5,23 @@ configurable polynomial degree) over an exact triangulation, with adaptive
 longest-edge bisection driven by a coarse/fine error estimate for analytic
 non-polynomial integrands.  One engine, :func:`integrate_parts`, takes a
 list of (integrand, simplices) parts, such as the facets of a boundary or
-the cells of a PL function.  The first pass of all parts shares one
-bisection, one batched determinant and one node product, and calls each
-part's integrand once on that part's own nodes; each part then refines on
-its own, evaluating the two halves of its worst leaf in one call and keeping
-its running sums as exact Shewchuk partials.  Every result is bit-identical
-to evaluating one simplex at a time.  Boundary integrals pull each facet
-back through its unimodular chart, so the lattice boundary measure is built
-in and never reconstructed from Euclidean area.
+the cells of a PL function.  Each pass calls each part's integrand once on
+that part's own nodes and sums its rule in one stacked product; each part
+then refines on its own, evaluating the two halves of its worst leaf in one
+call and keeping its running sums as exact Shewchuk partials.  Boundary
+integrals pull each facet back through its unimodular chart, so the lattice
+boundary measure is built in and never reconstructed from Euclidean area.
+
+The geometry of a simplex stack (its bisection into halves and the volumes
+of simplices and halves) depends on neither the rule nor the integrand, and
+the same few triangulations and refinement trees recur across the
+invariants.  So it is computed once per stack, all new stacks of a call in
+one bisection and one batched determinant, and kept in a bounded LRU of
+read-only arrays keyed by the stack's shape and bytes
+(``_GEOMETRY_CACHE_SIZE`` entries).  Every result is bit-identical to
+evaluating one simplex at a time, cache or no cache: bisection and
+determinant act simplex by simplex, and numpy computes each row of the
+stacked rule sum as the same 1-D dot.
 
 ``moments`` provides an independent closed-form path (rational arithmetic
 for monomials, confluent divided differences for exponentials) used as an
@@ -23,6 +32,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -102,19 +112,38 @@ def _edges(n1):
     return np.triu_indices(n1, 1)  # (i, j) pairs, i < j, in loop order
 
 
-def _estimate(parts, bary, wts):
-    """Fine values, errors and halves of each simplex of each part.
+# Halves and volumes of simplex stacks by (shape, bytes), least recently
+# used first; see :func:`_geometry`.  Replaying the stack streams of whole
+# benchmark runs (seeds 301-302) through an LRU, none needed more than 2,732
+# entries (pl_sweep; blowup_ladder 913, weight_sweep 817) to miss only where
+# an unbounded cache misses.  A pl_sweep run of twice that length needs
+# 5,067 and misses 0.5% more at this bound.  A full cache holds about 7 MB
+# (1.7 KB per pl_sweep entry).
+_GEOMETRY_CACHE_SIZE = 4096
+_geometry_cache = OrderedDict()
 
-    ``parts`` holds ``(f, verts)`` pairs, each ``verts`` a (k, n+1, n)
-    stack.  Every simplex of every part is bisected across its first longest
-    edge, and the volumes and rule nodes of all simplices and halves come
-    from one batched ``det`` and one product.  Each part's integrand is then
-    called once, on that part's own contiguous block of nodes (its k
-    simplices, then their 2k halves), exactly the array a one-part call
-    would pass it; each rule sum is a 1-D dot per simplex.  Both keep the
-    bits of a per-simplex evaluation.
+
+def _geometry(stacks):
+    """``(kids, allv, vols)`` of each (k, n+1, n) stack, all of one n.
+
+    Each simplex is bisected across its first longest edge into the two
+    halves ``kids`` (k, 2, n+1, n); ``allv`` holds the k simplices, then
+    their 2k halves, and ``vols`` their 3k volumes.  None of it depends on
+    the rule or the integrand, so it is kept per stack under its shape and
+    bytes (the shape tells apart stacks of equal bytes), with read-only
+    arrays.  The misses of one call share one bisection and one batched
+    ``det``; both act simplex by simplex, so a stored entry has the bits a
+    fresh one would.
     """
-    verts = np.concatenate([v for _, v in parts])
+    keys = [(s.shape, s.tobytes()) for s in stacks]
+    out = [_geometry_cache.get(key) for key in keys]
+    for key, geo in zip(keys, out):
+        if geo is not None:
+            _geometry_cache.move_to_end(key)
+    miss = [i for i, geo in enumerate(out) if geo is None]
+    if not miss:
+        return out
+    verts = np.concatenate([stacks[i] for i in miss])
     k, n1, n = verts.shape
     iu, ju = _edges(n1)
     longest = np.argmax(np.sum((verts[:, iu] - verts[:, ju]) ** 2, axis=2), axis=1)
@@ -123,19 +152,39 @@ def _estimate(parts, bary, wts):
     kids = np.repeat(verts[:, None], 2, axis=1)
     kids[rows, 0, i] = mid
     kids[rows, 1, j] = mid
-    bounds = [0, *accumulate(len(v) for _, v in parts)]
+    bounds = [0, *accumulate(len(stacks[i]) for i in miss)]
     allv = np.concatenate([block for a, b in zip(bounds, bounds[1:])
                            for block in (verts[a:b], kids[a:b].reshape(-1, n1, n))])
     vols = np.abs(np.linalg.det(allv[:, 1:] - allv[:, :1])) / math.factorial(n)
-    nodes = bary @ allv
+    for i, a, b in zip(miss, bounds, bounds[1:]):
+        part_v, part_vols = allv[3 * a:3 * b].copy(), vols[3 * a:3 * b].copy()
+        part_v.flags.writeable = part_vols.flags.writeable = False
+        out[i] = _geometry_cache[keys[i]] = (
+            part_v[b - a:].reshape(-1, 2, n1, n), part_v, part_vols)
+    while len(_geometry_cache) > _GEOMETRY_CACHE_SIZE:
+        _geometry_cache.popitem(last=False)
+    return out
+
+
+def _estimate(parts, bary, wts):
+    """Fine values, errors and halves of each simplex of each part.
+
+    ``parts`` holds ``(f, verts)`` pairs, each ``verts`` a (k, n+1, n)
+    stack.  The halves and volumes come from :func:`_geometry`.  Each
+    part's integrand is called once, on that part's own block of nodes (its
+    k simplices, then their 2k halves), exactly the array a one-part call
+    would pass it.  The rule sums are one stacked ``matmul`` of (1, L) rows
+    by the (L, 1) weights, which numpy computes as the same 1-D dot per row
+    as ``float(wts @ r)``: both keep the bits of a per-simplex evaluation.
+    """
     out = []
-    for (f, _), a, b in zip(parts, bounds, bounds[1:]):
-        m, lo, hi = b - a, 3 * a, 3 * b
-        vals = np.asarray(f(nodes[lo:hi].reshape(-1, n)), dtype=float)
+    for (f, _), (kids, allv, vols) in zip(parts, _geometry([v for _, v in parts])):
+        m, n = len(kids), allv.shape[2]
+        vals = np.asarray(f((bary @ allv).reshape(-1, n)), dtype=float)
         vals = vals.reshape(3 * m, -1)
-        est = [v * float(wts @ r) for v, r in zip(vols[lo:hi], vals)]
-        fine = [est[m + 2 * r] + est[m + 2 * r + 1] for r in range(m)]
-        out.append((fine, [abs(c - x) for c, x in zip(est[:m], fine)], kids[a:b]))
+        est = vols * np.matmul(vals[:, None, :], wts[:, None])[:, 0, 0]
+        fine = est[m::2] + est[m + 1::2]
+        out.append((fine.tolist(), np.abs(est[:m] - fine).tolist(), kids))
     return out
 
 
@@ -190,13 +239,17 @@ class _RunningSum:
 def _refine(f, fine, errs, kids, bary, wts, rule):
     """Finish one part from its first pass: bisect its worst leaf (largest
     |coarse - fine|) until the summed error meets the tolerance or every
-    such leaf is at ``max_depth``."""
+    such leaf is at ``max_depth``.  An infinite or NaN error never counts
+    as converged."""
     def tol(value):
         return max(rule.tol_abs, rule.tol_rel * abs(value))
 
+    def converged(value, err):
+        return err <= tol(value) and math.isfinite(err)  # inf <= tol(inf)
+
     value, err = math.fsum(fine), math.fsum(errs)
     if err <= tol(value):
-        return IntegrationResult(value, err, True)
+        return IntegrationResult(value, err, converged(value, err))
 
     values, errors = _RunningSum(fine), _RunningSum(errs)
     counter = count()
@@ -219,7 +272,7 @@ def _refine(f, fine, errs, kids, bary, wts, rule):
             errors.add(e)
         push(fine, errs, kids, depth + 1)
         value, err = values.total(), errors.total()
-    return IntegrationResult(value, err, err <= tol(value))
+    return IntegrationResult(value, err, converged(value, err))
 
 
 def integrate_parts(parts, rule=DEFAULT_RULE):

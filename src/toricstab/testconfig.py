@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -53,6 +53,13 @@ class PLConvex:
     @property
     def dim(self):
         return len(self.pieces[0][0])
+
+    @cached_property
+    def _hash(self):
+        return hash(self.pieces)
+
+    def __hash__(self):
+        return self._hash  # cell caches key on it; see Facet.__hash__
 
     def grads_floats(self):
         return np.array([[float(g) for g in grad] for grad, _ in self.pieces])

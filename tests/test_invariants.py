@@ -327,6 +327,19 @@ class TestScalarCache:
         # the Gram means and the barycenter.
         assert sorted(calls) == ["integrate"] * 3 + ["integrate_boundary"] * 3
 
+    def test_repeated_lookup_hashes_no_fraction(self, monkeypatch, cube):
+        monkeypatch.setattr(inv, "_scalar_cache", OrderedDict())
+        W = builtin("cscK", 3)
+        chopped = cube.corner_chop(2, cube.admissible_chop(2) * F(3, 7))
+        value = inv.vol_w(chopped, W)
+        hashes = []
+        fraction_hash = F.__hash__
+        monkeypatch.setattr(F, "__hash__",
+                            lambda q: hashes.append(1) or fraction_hash(q))
+        for _ in range(3):
+            assert inv.vol_w(chopped, W) == value
+        assert hashes == []
+
     def test_entries_do_not_keep_polytopes_alive(self, monkeypatch, cube):
         monkeypatch.setattr(inv, "_scalar_cache", OrderedDict())
         W = builtin("cscK", 3)

@@ -1,14 +1,16 @@
 import heapq
 import math
+from collections import OrderedDict
 from fractions import Fraction as F
 from itertools import count, product
 
 import numpy as np
 import pytest
 
+from toricstab import quadrature
 from toricstab.polytope import DelzantPolytope
 from toricstab.quadrature import (DEFAULT_RULE, IntegrationResult,
-                                  QuadratureRule, _RunningSum,
+                                  QuadratureRule, _estimate, _RunningSum,
                                   divided_difference_exp, gm_table, integrate,
                                   integrate_boundary, integrate_parts,
                                   integrate_simplices, moments)
@@ -165,23 +167,51 @@ INTEGRANDS = {
 }
 
 
+@pytest.fixture
+def geometry_cache(monkeypatch):
+    """An empty stack-geometry cache for one test."""
+    cache = OrderedDict()
+    monkeypatch.setattr(quadrature, "_geometry_cache", cache)
+    return cache
+
+
+def cold_then_warm(cache, run):
+    """``run()`` on an empty geometry cache, then again on the cache it
+    filled; the second pass must find every stack there."""
+    cache.clear()
+    cold = run()
+    size = len(cache)
+    warm = run()
+    assert len(cache) == size
+    return cold, warm
+
+
 class TestBatchedMatchesPerSimplex:
     """The batched engine returns the per-simplex scheme's bits exactly,
-    with one integrand call per pass (1 + the number of refinements)."""
+    with one integrand call per pass (1 + the number of refinements), from
+    an empty geometry cache and from a filled one."""
 
-    @staticmethod
-    def check(f, simplices, rule=DEFAULT_RULE):
+    @pytest.fixture(autouse=True)
+    def _cache(self, geometry_cache):
+        self.cache = geometry_cache
+
+    def check(self, f, simplices, rule=DEFAULT_RULE):
         ref_f, ref_calls = _counted(f)
-        new_f, new_calls = _counted(f)
         want = reference_integrate_simplices(ref_f, simplices, rule)
-        got = integrate_simplices(new_f, simplices, rule)
-        assert got.value == want.value
-        assert got.error == want.error
-        assert got.converged == want.converged
         # The reference makes 3 rule applications per leaf it creates:
         # one per input simplex and two per refinement.
         refinements = (ref_calls[0] // 3 - len(simplices)) // 2
-        assert new_calls[0] == (1 + refinements if len(simplices) else 0)
+
+        def run():
+            new_f, new_calls = _counted(f)
+            got = integrate_simplices(new_f, simplices, rule)
+            assert new_calls[0] == (1 + refinements if len(simplices) else 0)
+            return got
+
+        for got in cold_then_warm(self.cache, run):
+            assert got.value == want.value
+            assert got.error == want.error
+            assert got.converged == want.converged
         return want, refinements
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
@@ -245,27 +275,115 @@ class TestIntegrateParts:
             "depth_cap": (lambda x: (x[:, 0] + 0.3 * x[:, 1] + 0.01) ** -1.5, tri),
         }
 
-    def test_equals_one_part_calls(self):
+    def test_equals_one_part_calls(self, geometry_cache):
         parts = self.parts()
-        counted = {name: _counted(f) for name, (f, _) in parts.items()}
-        got = integrate_parts([(counted[name][0], s) for name, (_, s) in parts.items()],
-                              self.RULE)
-        for (name, (f, s)), res in zip(parts.items(), got):
+        alone = {}
+        for name, (f, s) in parts.items():
             alone_f, alone_calls = _counted(f)
-            alone = integrate_simplices(alone_f, s, self.RULE)
-            assert (res.value, res.error, res.converged) == (
-                alone.value, alone.error, alone.converged), name
-            assert res == reference_integrate_simplices(f, s, self.RULE), name
-            assert counted[name][1][0] == alone_calls[0], name
-        calls = {name: c[0] for name, (_, c) in counted.items()}
-        assert calls["empty"] == 0 and calls["first_pass"] == 1
-        assert calls["refines"] > 1 and calls["depth_cap"] > 1
-        assert got[1].converged and got[2].converged and not got[3].converged
+            alone[name] = (integrate_simplices(alone_f, s, self.RULE), alone_calls[0])
 
-    def test_no_parts_and_only_empty_parts(self):
-        assert integrate_parts([]) == []
+        def run():
+            counted = {name: _counted(f) for name, (f, _) in parts.items()}
+            got = integrate_parts([(counted[name][0], s)
+                                   for name, (_, s) in parts.items()], self.RULE)
+            return got, {name: c[0] for name, (_, c) in counted.items()}
+
+        for got, calls in cold_then_warm(geometry_cache, run):
+            for (name, (f, s)), res in zip(parts.items(), got):
+                one, one_calls = alone[name]
+                assert (res.value, res.error, res.converged) == (
+                    one.value, one.error, one.converged), name
+                assert res == reference_integrate_simplices(f, s, self.RULE), name
+                assert calls[name] == one_calls, name
+            assert calls["empty"] == 0 and calls["first_pass"] == 1
+            assert calls["refines"] > 1 and calls["depth_cap"] > 1
+            assert got[1].converged and got[2].converged and not got[3].converged
+
+    def test_no_parts_and_only_empty_parts(self, geometry_cache):
         empty = (INTEGRANDS["polynomial"], np.zeros((0, 3, 2)))
-        assert integrate_parts([empty, empty]) == [IntegrationResult(0.0, 0.0, True)] * 2
+        for _ in range(2):
+            assert integrate_parts([]) == []
+            assert integrate_parts([empty, empty]) == [IntegrationResult(0.0, 0.0, True)] * 2
+        assert not geometry_cache
+
+
+class TestGeometryCache:
+    """Stack geometry is kept per (shape, bytes), bounded, read-only, and
+    changes no bit of any result."""
+
+    def test_equal_bytes_of_other_shape_are_another_stack(self, geometry_cache):
+        flat = np.random.default_rng(5).random(12)
+        f = INTEGRANDS["exponential"]
+        rule = QuadratureRule(degree=4, tol_rel=1e-9, max_depth=3)
+        for shape in [(1, 4, 3), (2, 3, 2), (1, 4, 3)]:
+            simplices = flat.reshape(shape)
+            assert (integrate_simplices(f, simplices, rule)
+                    == reference_integrate_simplices(f, simplices, rule)), shape
+        assert {shape for shape, _ in geometry_cache} >= {(1, 4, 3), (2, 3, 2)}
+
+    def test_size_stays_within_the_bound(self, geometry_cache, monkeypatch):
+        monkeypatch.setattr(quadrature, "_GEOMETRY_CACHE_SIZE", 3)
+        sizes = []
+
+        def f(x):
+            sizes.append(len(geometry_cache))
+            return INTEGRANDS["near_pole"](x)
+
+        rng = np.random.default_rng(8)
+        for dim in (1, 2, 3):
+            simplices = rng.random((3, dim + 1, dim))
+            rule = QuadratureRule(degree=4, tol_rel=1e-10, max_depth=4)
+            assert (integrate_simplices(f, simplices, rule)
+                    == reference_integrate_simplices(INTEGRANDS["near_pole"],
+                                                     simplices, rule))
+            sizes.append(len(geometry_cache))
+        assert len(sizes) > 20 and max(sizes) == 3
+
+    def test_cached_arrays_are_read_only(self, geometry_cache):
+        integrate_simplices(INTEGRANDS["exponential"],
+                            np.random.default_rng(9).random((2, 3, 2)))
+        [(kids, allv, vols)] = geometry_cache.values()
+        for array in (kids, allv, vols):
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = 0.0
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_stacked_rule_sums_equal_per_row_dots(self, dim, geometry_cache):
+        # A matrix-vector product (``vals @ wts``) sums in another order
+        # and changes some of these bits.
+        rng = np.random.default_rng(40 + dim)
+        stacks = [rng.random((int(rng.integers(1, 8)), dim + 1, dim)) for _ in range(40)]
+        for degree in (2, 6, 12):
+            bary, wts = gm_table(dim, degree // 2)
+            for verts in stacks:
+                f = lambda x: np.exp(x @ rng.standard_normal(dim)) + 1 / (x[:, 0] + 0.01)
+                vals = []
+                [(fine, errs, kids)] = _estimate(
+                    [(lambda x: vals.append(f(x)) or vals[-1], verts)], bary, wts)
+                _, allv, vols = quadrature._geometry([verts])[0]
+                rows = vals[0].reshape(len(allv), -1)
+                est = [v * float(wts @ r) for v, r in zip(vols, rows)]
+                m = len(verts)
+                want = [est[m + 2 * r] + est[m + 2 * r + 1] for r in range(m)]
+                assert fine == want
+                assert errs == [abs(c - x) for c, x in zip(est[:m], want)]
+
+
+def test_infinite_integral_is_not_converged():
+    res = integrate_simplices(lambda x: np.where(x[:, 0] > 0.89, np.inf, 1.0),
+                              [[[0, 0], [1, 0], [0, 1]]], QuadratureRule(max_depth=3))
+    assert res.value == math.inf and res.error == math.inf
+    assert not res.converged
+
+
+def test_infinite_leaf_found_by_refinement():
+    # x = 1/16 is a node only of simplices two bisections down, so the
+    # running sums first meet the infinity while refining.
+    res = integrate_simplices(
+        lambda x: np.where(x[:, 0] == 0.0625, np.inf, np.exp(5 * x[:, 0])),
+        [[[0.0], [1.0]]], QuadratureRule(degree=2, tol_rel=1e-12, max_depth=4))
+    assert res.value == math.inf and res.error == math.inf
+    assert not res.converged
 
 
 class TestRunningSum:
