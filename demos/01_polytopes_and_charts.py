@@ -43,8 +43,9 @@ print("  admissible depth at the opposite corner:",
 simplex = catalog.load("cp2")
 i = next(i for i, f in enumerate(simplex.facets) if f.normal == (-1, -1))
 chart = simplex.facet_chart(i)
+ends = sorted(chart.coords.values())
 print("\nhypotenuse chart: origin", chart.origin, "basis", chart.basis,
-      "lattice length", chart.polytope.volume())
+      "lattice length", ends[-1][0] - ends[0][0])
 
 # Exact triangulations back both the quadrature layer and exact volumes.
 print("\npentagon triangulation:")

@@ -58,6 +58,27 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=0)
 
 
+def _read_json(path, what, parse):
+    """``parse`` of the JSON document in the file ``path``; a file that
+    cannot be opened or parsed exits 2 as "cannot read <what>"."""
+    try:
+        with open(path) as fh:
+            return parse(json.load(fh))
+    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError) as e:
+        raise CliError(f"cannot read {what}: {e}", EXIT_PARSE) from e
+
+
+def _vector(text, flag, dim):
+    """The ``dim`` comma-separated floats given to the option ``flag``."""
+    try:
+        vec = [float(s) for s in text.split(",")]
+        if len(vec) != dim:
+            raise ValueError(f"{len(vec)} components, need {dim}")
+    except ValueError as e:
+        raise CliError(f"bad {flag}: {e}", EXIT_PARSE) from e
+    return vec
+
+
 def _load_polytope(args, solid=True):
     """The polytope of --catalog or --polytope; unless ``solid`` is false
     (validate), an empty, unbounded or lower-dimensional one is refused."""
@@ -68,11 +89,7 @@ def _load_polytope(args, solid=True):
             raise CliError(str(e), EXIT_PARSE) from e
     if not args.polytope:
         raise CliError("need --catalog or --polytope", EXIT_PARSE)
-    try:
-        with open(args.polytope) as fh:
-            P = DelzantPolytope.from_json(json.load(fh))
-    except (OSError, ValueError, KeyError) as e:
-        raise CliError(f"cannot read polytope file: {e}", EXIT_PARSE) from e
+    P = _read_json(args.polytope, "polytope file", DelzantPolytope.from_json)
     if solid and (diags := [d for d in P.validate_delzant()
                             if d.startswith("polytope is ")]):
         raise PolytopeError("; ".join(diags))
@@ -81,17 +98,9 @@ def _load_polytope(args, solid=True):
 
 def _load_weights(args, P):
     if args.weights:
-        try:
-            with open(args.weights) as fh:
-                return weights_from_json(json.load(fh), P.dim)
-        except (OSError, ValueError, KeyError) as e:
-            raise CliError(f"cannot read weight config: {e}", EXIT_PARSE) from e
-    xi = None
-    if args.xi:
-        try:
-            xi = [float(s) for s in args.xi.split(",")]
-        except ValueError as e:
-            raise CliError(f"bad --xi: {e}", EXIT_PARSE) from e
+        return _read_json(args.weights, "weight config",
+                          lambda doc: weights_from_json(doc, P.dim))
+    xi = _vector(args.xi, "--xi", P.dim) if args.xi else None
     a = Fraction(args.a) if args.a else None
     try:
         return builtin(args.family, P.dim, xi=xi, a=a)
@@ -101,14 +110,10 @@ def _load_weights(args, P):
 
 def _load_tc(args, P, W):
     if getattr(args, "tc", None):
-        try:
-            with open(args.tc) as fh:
-                return testconfig.ToricTC.from_json(json.load(fh), P, W)
-        except (OSError, ValueError, KeyError) as e:
-            raise CliError(f"cannot read test configuration: {e}", EXIT_PARSE) from e
+        return _read_json(args.tc, "test configuration",
+                          lambda doc: testconfig.ToricTC.from_json(doc, P, W))
     if getattr(args, "beta", None):
-        beta = [float(s) for s in args.beta.split(",")]
-        return testconfig.associated_product(P, W, beta)
+        return testconfig.associated_product(P, W, _vector(args.beta, "--beta", P.dim))
     raise CliError("need --tc or --beta", EXIT_PARSE)
 
 
@@ -164,7 +169,7 @@ def _cmd_futaki(args):
     P = _load_polytope(args)
     W = _load_weights(args, P)
     rule = _rule(args)
-    beta = [float(s) for s in args.beta.split(",")]
+    beta = _vector(args.beta, "--beta", P.dim)
     val = invariants.futaki(P, W, beta, rule, backend=args.backend)
     rep = invariants.invariant_report(P, W, rule, backend=args.backend)
     doc = report.invariant_doc(rep, name=P.name)
@@ -238,13 +243,16 @@ def _cmd_blowup(args):
     W = _load_weights(args, P)
     rule = _rule(args)
     vertex = args.vertex
-    beta = [float(s) for s in args.beta.split(",")] if args.beta else None
+    beta = _vector(args.beta, "--beta", P.dim) if args.beta else None
     tc = None
     if args.quantity in ("df", "dft"):
         tc = _load_tc(args, P, W)
     grid = None
     if args.eps_max:
-        start = Fraction(args.eps_max) / 4
+        try:
+            start = Fraction(args.eps_max) / 4
+        except (ValueError, ZeroDivisionError) as e:
+            raise CliError(f"bad --eps-max: {e}", EXIT_PARSE) from e
         grid = tuple(start / 2 ** k for k in range(args.eps_points))
     try:
         rep = blowup.verify_expansion(args.quantity, P, W, vertex,
@@ -262,8 +270,7 @@ def _cmd_report(args):
     rule = _rule(args)
     tcs = []
     if args.tc:
-        with open(args.tc) as fh:
-            tcs.append(testconfig.ToricTC.from_json(json.load(fh), P, W))
+        tcs.append(_load_tc(args, P, W))
     if args.sample:
         rng = np.random.default_rng(args.seed)
         for _ in range(args.sample):

@@ -19,9 +19,10 @@ Triangulation is by pulling (De Loera-Rambau-Santos, *Triangulations*,
 2010, Section 4.3) on the polytope's own vertex-facet incidences: a face is
 a set of vertex indices with chart coordinates, its facets are its
 intersections with the facets of the polytope, and no polytope is built for
-a face.  The apex of every face is its smallest vertex in lexicographic
-order of that face's chart coordinates, and its facets are visited in the
-sorted order of their primitive chart ``(normal, offset)``.
+a face, a facet chart included.  The apex of every face is its smallest
+vertex in lexicographic order of that face's chart coordinates, and its
+facets are visited in the sorted order of their primitive chart
+``(normal, offset)``.
 
 All objects are immutable after construction and safe to share.
 """
@@ -131,43 +132,19 @@ class VertexData:
 class FacetChart:
     """Unimodular affine parametrisation of a facet.
 
-    ``x = origin + sum_i y_i basis[i]`` maps the (n-1)-dimensional chart
-    polytope onto the facet, and Lebesgue measure in ``y`` pushes forward to
-    the lattice boundary measure on the facet (primitive normal together
-    with the basis spans the integer lattice with determinant +-1).
-    For 1-dimensional polytopes the chart is a single point of measure one.
+    ``x = origin + sum_i y_i basis[i]`` maps chart coordinates ``y`` onto the
+    facet's hyperplane, and Lebesgue measure in ``y`` pushes forward to the
+    lattice boundary measure on the facet (primitive normal together with
+    the basis spans the integer lattice with determinant +-1).  ``coords``
+    holds the chart coordinates of the polytope's vertices on the facet, by
+    vertex index.  For 1-dimensional polytopes the chart is a single point
+    of measure one.
     """
 
     facet_index: int
     origin: tuple
     basis: tuple
-    # Chart coordinates of the parent's vertices on the facet, by vertex
-    # index, and the parent's (facets, vertex_facets), for ``polytope``; the
-    # parent itself would make a reference cycle through its cache.
     coords: dict = field(repr=False, compare=False)
-    parent: tuple = field(repr=False, compare=False)
-
-    @cached_property
-    def polytope(self):
-        """The facet as an (n-1)-dimensional polytope in chart coordinates
-        (None in dimension one), built on first use.  Triangulations and
-        boundary integrals read :meth:`DelzantPolytope.facet_triangulation`
-        instead."""
-        if not self.basis:
-            return None
-        facets, vertex_facets = self.parent
-        rows = {}
-        for j, g in enumerate(facets):
-            ny = tuple(la.dot(g.normal, b) for b in self.basis)
-            if j != self.facet_index and any(ny):
-                rows[j] = Facet.make(ny, g.value(self.origin))
-        sub = DelzantPolytope(len(self.basis), rows.values())
-        slot = {j: sub.facets.index(g) for j, g in rows.items()}
-        enum = sorted((y, tuple(sorted({slot[j] for j in vertex_facets[k] if j in slot})))
-                      for k, y in self.coords.items())
-        sub._cache["enum"] = (tuple(v for v, _ in enum),
-                              tuple(a for _, a in enum))
-        return sub
 
     def map_exact(self, y):
         return tuple(
@@ -236,7 +213,7 @@ class DelzantPolytope:
 
     def _enumerate(self):
         """Vertices and facet incidence, tolerating non-simple corners; tries
-        every n-subset of facets unless inherited (:func:`_clip`, charts)."""
+        every n-subset of facets unless inherited (:func:`_clip`)."""
         if "enum" in self._cache:
             return self._cache["enum"]
         n = self.dim
@@ -381,15 +358,14 @@ class DelzantPolytope:
             coords = {k: _chart_coords(v, origin, proj)
                       for k, (v, act) in enumerate(zip(self.vertices, self.vertex_facets))
                       if facet_index in act}
-            self._cache[key] = FacetChart(facet_index, origin, basis, coords,
-                                          (self.facets, self.vertex_facets))
+            self._cache[key] = FacetChart(facet_index, origin, basis, coords)
         return self._cache[key]
 
     def facet_triangulation(self, i):
         """Triangulation of facet ``i`` (dimension >= 2) as tuples of n
         vertex indices; empty if the facet is not genuine.  The same
-        simplices, in the same order, as triangulating the chart polytope
-        ``facet_chart(i).polytope``, which is not built."""
+        simplices, in the same order, as triangulating the facet as a
+        polytope in its chart coordinates."""
         key = ("facet_tri", i)
         if key not in self._cache:
             chart = self.facet_chart(i)

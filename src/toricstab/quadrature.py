@@ -5,12 +5,12 @@ configurable polynomial degree) over an exact triangulation, with adaptive
 longest-edge bisection driven by a coarse/fine error estimate for analytic
 non-polynomial integrands.  One engine, :func:`integrate_parts`, takes a
 list of (integrand, simplices) parts, such as the facets of a boundary or
-the cells of a PL function.  Each pass calls each part's integrand once on
-that part's own nodes and sums its rule in one stacked product; each part
-then refines on its own, evaluating the two halves of its worst leaf in one
-call and keeping its running sums as exact Shewchuk partials.  Boundary
-integrals pull each facet back through its unimodular chart, so the lattice
-boundary measure is built in and never reconstructed from Euclidean area.
+the cells of a PL function; :func:`integrate_sum` adds their results.  Each
+pass calls each part's integrand once on its own nodes and sums its rule in
+one stacked product; each part then refines on its own, evaluating the two
+halves of its worst leaf in one call and keeping exact running sums (integer
+counts of 2**-1074).  Boundary integrals pull each facet back through its
+unimodular chart, so the lattice boundary measure is built in.
 
 The geometry of a simplex stack (its bisection into halves and the volumes
 of simplices and halves) depends on neither the rule nor the integrand, and
@@ -192,38 +192,26 @@ class _RunningSum:
     """Exact sum of a changing multiset of floats, equal to ``math.fsum`` of
     its members.
 
-    Finite members are kept as Shewchuk partials (non-overlapping, by
-    increasing magnitude; Shewchuk, DCG 18, 1997), the way ``math.fsum``
-    keeps them, so adding or removing a member is exact and costs a pass
-    over a few partials instead of a new sum over every member.  Non-finite
-    members are counted apart and then decide the total, as in ``fsum``.
+    Every finite double is a whole number of 2**-1074 units, so the finite
+    members are one integer count of units: adding or removing one is exact,
+    and ``total`` rounds once (int/int division is correctly rounded).  Only
+    a total that itself overflows raises ``OverflowError``, where ``fsum``
+    also raises on an overflow along the way.  Non-finite members are
+    counted apart and then decide the total, as in ``fsum``.
     """
 
     def __init__(self, members):
-        self.partials = []
+        self.units = 0
         self.special = {}
         for x in members:
             self.add(x)
 
     def add(self, x):
-        if not math.isfinite(x):
+        if math.isfinite(x):
+            num, den = x.as_integer_ratio()  # den = 2**k, k <= 1074
+            self.units += num << (1075 - den.bit_length())
+        else:
             self.special[repr(x)] = self.special.get(repr(x), 0) + 1
-            return
-        i = 0
-        for y in self.partials:
-            if abs(x) < abs(y):
-                x, y = y, x
-            hi = x + y
-            lo = y - (hi - x)
-            if lo:
-                self.partials[i] = lo
-                i += 1
-            x = hi
-        del self.partials[i:]
-        if x:
-            if not math.isfinite(x):
-                raise OverflowError("intermediate overflow in fsum")
-            self.partials.append(x)
 
     def remove(self, x):
         if math.isfinite(x):
@@ -233,7 +221,7 @@ class _RunningSum:
 
     def total(self):
         special = [float(k) for k, c in self.special.items() if c]
-        return math.fsum(special or self.partials)
+        return math.fsum(special) if special else self.units / (1 << 1074)
 
 
 def _refine(f, fine, errs, kids, bary, wts, rule):
@@ -301,12 +289,21 @@ def integrate_simplices(f, simplices, rule=DEFAULT_RULE):
     return integrate_parts([(f, simplices)], rule)[0]
 
 
+def integrate_sum(parts, rule):
+    """The sum of the :func:`integrate_parts` results, values and errors
+    added in part order from 0.0; converged only if every part is."""
+    value = error = 0.0
+    converged = True
+    for res in integrate_parts(parts, rule):
+        value += res.value
+        error += res.error
+        converged = converged and res.converged
+    return IntegrationResult(value, error, converged)
+
+
 def integrate(polytope, f, rule=DEFAULT_RULE):
     """Integrate a vectorised scalar function over the polytope."""
-    tri = polytope.triangulation_floats()
-    if tri.size == 0:
-        return IntegrationResult(0.0, 0.0, True)
-    return integrate_simplices(f, tri, rule)
+    return integrate_simplices(f, polytope.triangulation_floats(), rule)
 
 
 def integrate_boundary(polytope, f, rule=DEFAULT_RULE):
@@ -323,14 +320,7 @@ def integrate_boundary(polytope, f, rule=DEFAULT_RULE):
     parts = [(lambda y, chart=polytope.facet_chart(i): f(chart.map_floats(y)),
               polytope.facet_triangulation_floats(i))
              for i in polytope.genuine_facet_indices()]
-    total = 0.0
-    err = 0.0
-    ok = True
-    for res in integrate_parts(parts, rule):
-        total += res.value
-        err += res.error
-        ok = ok and res.converged
-    return IntegrationResult(total, err, ok)
+    return integrate_sum(parts, rule)
 
 
 # -- closed-form oracles -------------------------------------------------------

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import invariants
 from .polytope import _as_fraction, _clip
-from .quadrature import DEFAULT_RULE, integrate_parts
+from .quadrature import DEFAULT_RULE, integrate_sum
 
 
 @dataclass(frozen=True)
@@ -61,15 +61,16 @@ class PLConvex:
     def __hash__(self):
         return self._hash  # cell caches key on it; see Facet.__hash__
 
-    def grads_floats(self):
-        return np.array([[float(g) for g in grad] for grad, _ in self.pieces])
-
-    def consts_floats(self):
-        return np.array([float(c) for _, c in self.pieces])
+    @cached_property
+    def _floats(self):
+        """The gradients (one row per piece) and constants as float arrays."""
+        return (np.array([[float(g) for g in grad] for grad, _ in self.pieces]),
+                np.array([float(c) for _, c in self.pieces]))
 
     def value_floats(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return np.max(pts @ self.grads_floats().T + self.consts_floats(), axis=1)
+        grads, consts = self._floats
+        return np.max(pts @ grads.T + consts, axis=1)
 
     def value_exact(self, point):
         point = [_as_fraction(c) for c in point]
@@ -155,9 +156,8 @@ class ToricTC:
 
     def cell_affine(self, k):
         """Gradient and constant of phi (twist and c0 included) on cell k."""
-        grad, const = self.phi.pieces[k]
-        g = np.array([float(x) for x in grad]) - self.twist_vector
-        return g, float(const) + self.c0
+        grads, consts = self.phi._floats
+        return grads[k] - self.twist_vector, float(consts[k]) + self.c0
 
     def is_product(self):
         return len(self.cells()) == 1
@@ -207,14 +207,6 @@ def twist(tc, beta):
 # -- PL integrals -----------------------------------------------------------
 
 
-def _sum_parts(parts, rule):
-    """Sum of the values of one engine call, added in part order."""
-    total = 0.0
-    for res in integrate_parts(parts, rule):
-        total += res.value
-    return total
-
-
 def integrate_pl(tc, weight_fn=None, rule=DEFAULT_RULE):
     """int_P phi * weight dx, cell by cell (integrands smooth per cell)."""
     weight = weight_fn if weight_fn is not None else tc.weights.w
@@ -223,7 +215,7 @@ def integrate_pl(tc, weight_fn=None, rule=DEFAULT_RULE):
         g, c = tc.cell_affine(k)
         parts.append((lambda x, g=g, c=c: (x @ g + c) * weight(x),
                       cell.triangulation_floats()))
-    return _sum_parts(parts, rule)
+    return integrate_sum(parts, rule).value
 
 
 def integrate_pl_boundary(tc, weight_fn=None, rule=DEFAULT_RULE):
@@ -250,7 +242,7 @@ def integrate_pl_boundary(tc, weight_fn=None, rule=DEFAULT_RULE):
                 return ((x @ g) + c) * np.asarray(weight(x), dtype=float)
 
             parts.append((f, cell.facet_triangulation_floats(j)))
-    return _sum_parts(parts, rule)
+    return integrate_sum(parts, rule).value
 
 
 # -- simplex clipping for absolute-value integrands ---------------------------
@@ -391,7 +383,7 @@ def l1_norm(tc, rule=DEFAULT_RULE):
     for k, cell in tc.cells():
         g, c = tc.cell_affine(k)
         parts.append(_abs_affine_part(cell, g, c - mean, tc.weights.w))
-    return _sum_parts(parts, rule)
+    return integrate_sum(parts, rule).value
 
 
 def orthogonal_part(tc, rule=DEFAULT_RULE):

@@ -246,3 +246,54 @@ def test_catalog_output_matches_golden(capsys, golden, argv):
     code, out = run(capsys, *argv)
     assert code == 0
     assert out.encode() == (DATA / golden).read_bytes()
+
+
+# Malformed files and option values: exit 2 with one "error:" line, before
+# any computation.
+BLOWUP_CP2 = ["blowup-expand", "--catalog", "cp2", "--vertex", "0"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["report", "--catalog", "cp2", "--tc", "{missing}"],
+     "cannot read test configuration: [Errno 2]"),
+    (["report", "--catalog", "cp2", "--tc", "{no_constant}"],
+     "cannot read test configuration: 'constant'"),
+    (["report", "--catalog", "cp2", "--tc", "{zero_denominator}"],
+     "cannot read test configuration: Fraction(1, 0)"),
+    (["report", "--catalog", "cp2", "--tc", "{not_a_list}"],
+     "cannot read test configuration: "),
+    (["testconfig", "df", "--catalog", "cp2", "--tc", "{missing}"],
+     "cannot read test configuration: [Errno 2]"),
+    (["testconfig", "df", "--catalog", "cp2", "--tc", "{no_constant}"],
+     "cannot read test configuration: 'constant'"),
+    (["testconfig", "df", "--catalog", "cp2", "--beta", "1,x"], "bad --beta: "),
+    (["futaki", "--catalog", "cp2", "--beta", "1,x"], "bad --beta: "),
+    (["futaki", "--catalog", "cp2", "--beta", "1"],
+     "bad --beta: 1 components, need 2"),
+    ([*BLOWUP_CP2, "--quantity", "futaki", "--beta", "1,x"], "bad --beta: "),
+    (["invariants", "--catalog", "cp2", "--xi", "1,0,0"],
+     "bad --xi: 3 components, need 2"),
+    ([*BLOWUP_CP2, "--quantity", "volume", "--eps-max", "x"], "bad --eps-max: "),
+    ([*BLOWUP_CP2, "--quantity", "volume", "--eps-max", "1/0"],
+     "bad --eps-max: "),
+], ids=["report-tc-missing", "report-tc-no-constant",
+        "report-tc-zero-denominator", "report-tc-not-a-list", "tc-df-missing",
+        "tc-df-no-constant", "tc-df-beta-not-a-number", "futaki-beta-not-a-number",
+        "futaki-beta-too-short", "blowup-beta-not-a-number", "xi-too-long",
+        "eps-max-not-a-number", "eps-max-zero-denominator"])
+def test_bad_input_exits_2(tmp_path, capsys, argv, message):
+    files = {"missing": None,
+             "no_constant": {"pieces": [{"gradient": ["0", "0"]}]},
+             "zero_denominator": {"pieces": [{"gradient": ["0", "0"],
+                                              "constant": "1/0"}]},
+             "not_a_list": {"pieces": 5}}
+    for name, doc in files.items():
+        if doc is not None:
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    argv = [a.format(**{name: tmp_path / f"{name}.json" for name in files})
+            for a in argv]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1

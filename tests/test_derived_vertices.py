@@ -1,9 +1,9 @@
 """Vertices derived from a parent polytope against brute-force enumeration.
 
-PL cells, corner chops and facet charts inherit their vertices and
-incidences from the polytope they are cut from.  Each case here rebuilds the
-same facet list as a fresh ``DelzantPolytope``, which enumerates every
-n-subset of facets, and asks for identical answers.
+PL cells and corner chops inherit their vertices and incidences from the
+polytope they are cut from, and facet charts their vertex coordinates.  Each
+case here rebuilds the same facet list as a fresh ``DelzantPolytope``, which
+enumerates every n-subset of facets, and asks for identical answers.
 
 Triangulations pull on the parent's incidences instead of recursing through
 chart sub-polytopes; the chart recursion is kept below as their oracle.
@@ -39,10 +39,16 @@ def assert_matches_enumeration(Q):
 
 
 def assert_charts_match(Q):
+    """Each chart's frame and vertex coordinates against a fresh enumeration
+    of the chart polytope that :func:`_oracle_chart` builds."""
     if Q.dim == 1:
         return
     for i in Q.genuine_facet_indices():
-        assert_matches_enumeration(Q.facet_chart(i).polytope)
+        chart = Q.facet_chart(i)
+        origin, basis, sub = _oracle_chart(Q, i)
+        assert (chart.origin, chart.basis) == (origin, basis)
+        ref = DelzantPolytope(sub.dim, sub.facets)
+        assert sorted(chart.coords.values()) == list(ref.vertices)
 
 
 small = st.integers(-3, 3)
@@ -203,7 +209,7 @@ def test_derived_polytopes_never_enumerate(monkeypatch):
         for _, cell in testconfig._cells(P, testconfig.random_pl(rng, 2)):
             cell.triangulate()
             for i in cell.genuine_facet_indices():
-                cell.facet_chart(i).polytope.triangulate()
+                cell.facet_triangulation(i)
     Q = P.corner_chop(1, P.admissible_chop(1) / 2)
     Q.corner_chop(0, Q.admissible_chop(0) / 2).triangulate()
     assert runs == [P]

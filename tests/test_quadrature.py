@@ -13,7 +13,7 @@ from toricstab.quadrature import (DEFAULT_RULE, IntegrationResult,
                                   QuadratureRule, _estimate, _RunningSum,
                                   divided_difference_exp, gm_table, integrate,
                                   integrate_boundary, integrate_parts,
-                                  integrate_simplices, moments)
+                                  integrate_simplices, integrate_sum, moments)
 
 
 class TestRuleExactness:
@@ -386,8 +386,41 @@ def test_infinite_leaf_found_by_refinement():
     assert not res.converged
 
 
+class TestIntegrateSum:
+    """``integrate_sum`` adds the ``integrate_parts`` results in part order,
+    from 0.0."""
+
+    def test_equals_sequential_sum_of_parts(self, geometry_cache):
+        rule = QuadratureRule(degree=6, tol_rel=1e-9, max_depth=2)
+        tri = np.array([[[0, 0], [1, 0], [0, 1]], [[1, 0], [1, 1], [0, 1]]], float)
+        parts = [
+            (lambda x: np.full(len(x), 1e17), tri),
+            (INTEGRANDS["exponential"], 2 * np.random.default_rng(3).random((2, 3, 2))),
+            (lambda x: (x[:, 0] + 0.3 * x[:, 1] + 0.01) ** -1.5, tri),  # depth cap
+            (lambda x: np.full(len(x), -0.0), tri),
+            (lambda x: np.full(len(x), -1e17), tri),
+        ]
+        results = integrate_parts(parts, rule)
+        assert [r.converged for r in results] == [True, True, False, True, True]
+        value = error = 0.0
+        for r in results:
+            value += r.value
+            error += r.error
+        got = integrate_sum(parts, rule)
+        assert (repr(got.value), repr(got.error), got.converged) == (
+            repr(value), repr(error), False)
+        # The values are far apart in size, so the order of additions shows.
+        assert math.fsum(r.value for r in results) != value
+
+    def test_negative_zero_part_sums_to_positive_zero(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "integrate_parts",
+                            lambda parts, rule: [IntegrationResult(-0.0, 0.0, True)])
+        got = integrate_sum([None], DEFAULT_RULE)
+        assert repr(got.value) == "0.0" and got.converged
+
+
 class TestRunningSum:
-    """The running partials equal math.fsum of the current members."""
+    """The running sum equals math.fsum of the current members."""
 
     def test_cancellation_with_adds_and_removes(self):
         rng = np.random.default_rng(5)
@@ -425,6 +458,49 @@ class TestRunningSum:
         acc.add(-inf)
         with pytest.raises(ValueError):
             acc.total()
+
+    def test_whole_exponent_range(self):
+        # Members from subnormal to 2**1000, signs mixed, added and removed.
+        rng = np.random.default_rng(8)
+        acc, members = _RunningSum([]), []
+        for _ in range(2000):
+            if members and rng.random() < 0.4:
+                x = members.pop(int(rng.integers(len(members))))
+                acc.remove(x)
+            else:
+                x = math.ldexp(float(rng.choice([-1.0, 1.0]) * rng.random()),
+                               int(rng.integers(-1074, 1001)))
+                members.append(x)
+                acc.add(x)
+            assert repr(acc.total()) == repr(math.fsum(members))
+
+    @pytest.mark.parametrize("members", [
+        [5e-324], [5e-324, 5e-324, -5e-324], [2.2250738585072014e-308, -5e-324],
+        [1e-310, 3e-320, -1e-310], [-0.0], [-0.0, -0.0], [0.0, -0.0],
+        [-5e-324, 5e-324, -0.0], [],
+        [1.7976931348623157e308, -1.7976931348623157e308, 1.0],
+        [1e308, -1e308, 1e292, -1e-300], [-1e308, 5e307, 4e307],
+        [-1.7976931348623157e308, 9e307, 9e307],
+    ])
+    def test_edges_of_the_range(self, members):
+        acc = _RunningSum(members)
+        assert repr(acc.total()) == repr(math.fsum(members))
+        for x in members:
+            acc.remove(x)
+        assert repr(acc.total()) == repr(math.fsum([]))
+
+    def test_overflow(self):
+        # fsum raises on an overflow along the way, though the exact total
+        # is finite; the integer sum returns that total.
+        members = [1e308, 1e308, -1e308]
+        with pytest.raises(OverflowError):
+            math.fsum(members)
+        assert _RunningSum(members).total() == 1e308
+        # A total that overflows raises in both.
+        with pytest.raises(OverflowError):
+            _RunningSum([1e308, 1e308]).total()
+        with pytest.raises(OverflowError):
+            math.fsum([1e308, 1e308])
 
 
 class TestBoundary:
