@@ -79,6 +79,14 @@ def _vector(text, flag, dim):
     return vec
 
 
+def _fraction(text, flag):
+    """The rational number given to the option ``flag``."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as e:
+        raise CliError(f"bad {flag}: {e}", EXIT_PARSE) from e
+
+
 def _load_polytope(args, solid=True):
     """The polytope of --catalog or --polytope; unless ``solid`` is false
     (validate), an empty, unbounded or lower-dimensional one is refused."""
@@ -101,7 +109,7 @@ def _load_weights(args, P):
         return _read_json(args.weights, "weight config",
                           lambda doc: weights_from_json(doc, P.dim))
     xi = _vector(args.xi, "--xi", P.dim) if args.xi else None
-    a = Fraction(args.a) if args.a else None
+    a = _fraction(args.a, "--a") if args.a else None
     try:
         return builtin(args.family, P.dim, xi=xi, a=a)
     except ValueError as e:
@@ -249,10 +257,7 @@ def _cmd_blowup(args):
         tc = _load_tc(args, P, W)
     grid = None
     if args.eps_max:
-        try:
-            start = Fraction(args.eps_max) / 4
-        except (ValueError, ZeroDivisionError) as e:
-            raise CliError(f"bad --eps-max: {e}", EXIT_PARSE) from e
+        start = _fraction(args.eps_max, "--eps-max") / 4
         grid = tuple(start / 2 ** k for k in range(args.eps_points))
     try:
         rep = blowup.verify_expansion(args.quantity, P, W, vertex,

@@ -69,25 +69,24 @@ class InvariantReport:
     backend_discrepancy: float
 
 
-def _weight_key(W):
-    return (W.n, tuple(float(x) for x in W.xi), W.f, W.g)
-
-
-# Quadrature-backend scalars, beta-moments and positivity verdicts by (tag,
-# (dim, facets), weights, rule), least recently used first.  Polytope
-# equality is (dim, facets), so a key holds the facets alone and no entry
-# keeps a polytope or its caches alive.  Replaying the key streams of whole
-# benchmark runs (seeds 301-302) through an LRU, none needed more than 3,411
-# entries (blowup_ladder; weight_sweep 1,528) to miss only where an unbounded
-# cache misses.  A blowup_ladder run of twice that length needs 5,896 and
-# misses 1.3% more at this bound.
+# Quadrature-backend scalars, beta-moments, localisation sums and positivity
+# verdicts by (tag, (dim, facets), weight key, rule), least recently used
+# first.  Polytope equality is (dim, facets), so a key holds the facets alone
+# and no entry keeps a polytope or its caches alive; the weight key is
+# WeightPair.key.  The localisation sums ("lvol", "lper") are keyed with rule
+# None and never share an entry with a cubature value.  Replaying the key
+# streams of whole benchmark runs (seeds 301-302) through an LRU, none needed
+# more than 3,409 entries (blowup_ladder; weight_sweep 1,780 with the
+# localisation sums, 1,528 without) to miss only where an unbounded cache
+# misses.  A blowup_ladder run of twice that length needs 5,896 and misses
+# 1.3% more at this bound.
 _SCALAR_CACHE_SIZE = 4096
 _scalar_cache = OrderedDict()
 _MISSING = object()
 
 
 def _cached(tag, P, W, rule, compute):
-    key = (tag, (P.dim, P.facets), _weight_key(W), rule)
+    key = (tag, (P.dim, P.facets), W.key, rule)
     value = _scalar_cache.get(key, _MISSING)
     if value is not _MISSING:
         _scalar_cache.move_to_end(key)
@@ -101,7 +100,8 @@ def _cached(tag, P, W, rule, compute):
 def vol_w(P, W, rule=DEFAULT_RULE, backend="quadrature"):
     """int_P w dx."""
     if backend == "localization":
-        return localize.eval_class(P, W.g.derivative(1), W.xi)
+        return _cached("lvol", P, W, None,
+                       lambda: localize.eval_class(P, W.g.derivative(1), W.xi))
     return _cached("vol", P, W, rule,
                    lambda: quadrature.integrate(P, W.w, rule).value)
 
@@ -109,7 +109,8 @@ def vol_w(P, W, rule=DEFAULT_RULE, backend="quadrature"):
 def per_v(P, W, rule=DEFAULT_RULE, backend="quadrature"):
     """int_dP v dsigma (lattice boundary measure)."""
     if backend == "localization":
-        return localize.eval_c1_class(P, W.f.derivative(1), W.xi)
+        return _cached("lper", P, W, None,
+                       lambda: localize.eval_c1_class(P, W.f.derivative(1), W.xi))
     return _cached("per", P, W, rule,
                    lambda: quadrature.integrate_boundary(P, W.v, rule).value)
 

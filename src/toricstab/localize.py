@@ -15,6 +15,12 @@ and serve as the second, independent evaluation backend.  Individual terms
 blow up at non-generic xi while the sum stays analytic; the degenerate path
 takes the limit along a generic auxiliary direction with symmetric Richardson
 extrapolation.
+
+Every sum reads the same per-polytope float data: the vertices, the inward
+edge generators and their lengths, converted from the exact vertex data
+once per polytope and kept, read-only, in its cache.  A degenerate limit
+makes 16 genericity checks and vertex sums on one polytope, none of which
+converts a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -45,20 +51,26 @@ class VertexWeights:
     c1: float             # sum_i(-<u_i, xi>)
 
 
-def _edge_matrix(polytope):
-    data = polytope.vertex_data()
-    verts = polytope.vertices_floats()
-    edges = np.array([[[float(c) for c in u] for u in v.inward_edges]
-                      for v in data])
-    return verts, edges
+def _edge_arrays(polytope):
+    """``(verts, edges, norms)`` of the polytope as read-only float arrays:
+    the vertices (nv, n), the inward edge generators at each vertex
+    (nv, n, n) and their Euclidean lengths (nv, n).  Built from the exact
+    vertex data once per polytope and kept in its cache."""
+    if "localize" not in polytope._cache:
+        edges = np.array([[[float(c) for c in u] for u in v.inward_edges]
+                          for v in polytope.vertex_data()])
+        norms = np.linalg.norm(edges, axis=2)
+        edges.flags.writeable = norms.flags.writeable = False
+        polytope._cache["localize"] = polytope.vertices_floats(), edges, norms
+    return polytope._cache["localize"]
 
 
 def vertex_weights(polytope, xi):
     """Per-vertex localisation data; raises on degenerate directions."""
     xi = np.asarray(xi, dtype=float)
-    verts, edges = _edge_matrix(polytope)
+    verts, edges, norms = _edge_arrays(polytope)
     pair_edges = edges @ xi  # (nv, n)
-    if not _generic(edges, pair_edges, xi):
+    if not _generic(norms, pair_edges, xi):
         raise DegenerateDirectionError(
             f"direction {tuple(xi)} pairs to zero against a vertex edge")
     out = []
@@ -68,23 +80,22 @@ def vertex_weights(polytope, xi):
     return out
 
 
-def _generic(edges, pair_edges, xi):
+def _generic(norms, pair_edges, xi):
     nxi = float(np.linalg.norm(xi))
     if nxi == 0.0:
         return False
-    norms = np.linalg.norm(edges, axis=2)
     return bool(np.min(np.abs(pair_edges) / (norms * nxi)) > GENERICITY_TOL)
 
 
 def is_generic(polytope, xi):
     xi = np.asarray(xi, dtype=float)
-    _, edges = _edge_matrix(polytope)
-    return _generic(edges, edges @ xi, xi)
+    _, edges, norms = _edge_arrays(polytope)
+    return _generic(norms, edges @ xi, xi)
 
 
 def _raw_sum(polytope, h, xi, kind):
     xi = np.asarray(xi, dtype=float)
-    verts, edges = _edge_matrix(polytope)
+    verts, edges, _ = _edge_arrays(polytope)
     pair_edges = edges @ xi
     pairs = verts @ xi
     hvals = np.asarray(h.value(pairs), dtype=float)
@@ -184,7 +195,7 @@ def directional_derivative(kind, polytope, h, xi, beta, on_degenerate="perturb")
     beta = np.asarray(beta, dtype=float)
     if is_generic(polytope, xi):
         hp = h.derivative(1)
-        verts, edges = _edge_matrix(polytope)
+        verts, edges, _ = _edge_arrays(polytope)
         pe_xi = edges @ xi
         pe_b = edges @ beta
         pairs = verts @ xi

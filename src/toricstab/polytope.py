@@ -110,6 +110,13 @@ class Facet:
         return self._hash
 
 
+def _read_only(arr):
+    """``arr``, flagged read-only: cached float arrays are shared by every
+    caller."""
+    arr.flags.writeable = False
+    return arr
+
+
 def _is_normal(f):
     """Whether ``f`` is already in the form :meth:`Facet.make` gives."""
     return (type(f.offset) is Fraction and type(f.normal) is tuple
@@ -379,9 +386,9 @@ class DelzantPolytope:
         key = ("facet_tri_float", i)
         if key not in self._cache:
             coords = self.facet_chart(i).coords
-            self._cache[key] = np.array(
+            self._cache[key] = _read_only(np.array(
                 [[[float(c) for c in coords[k]] for k in s]
-                 for s in self.facet_triangulation(i)], dtype=float)
+                 for s in self.facet_triangulation(i)], dtype=float))
         return self._cache[key]
 
     def triangulate(self):
@@ -411,9 +418,8 @@ class DelzantPolytope:
         """Triangulation as a float array of shape (k, n+1, n)."""
         if "tri_float" not in self._cache:
             tri = self.triangulate()
-            arr = np.array([[[float(c) for c in v] for v in s] for s in tri],
-                           dtype=float)
-            self._cache["tri_float"] = arr
+            self._cache["tri_float"] = _read_only(np.array(
+                [[[float(c) for c in v] for v in s] for s in tri], dtype=float))
         return self._cache["tri_float"]
 
     def volume(self):
@@ -432,8 +438,8 @@ class DelzantPolytope:
 
     def vertices_floats(self):
         if "vert_float" not in self._cache:
-            self._cache["vert_float"] = np.array(
-                [[float(c) for c in v] for v in self.vertices], dtype=float)
+            self._cache["vert_float"] = _read_only(np.array(
+                [[float(c) for c in v] for v in self.vertices], dtype=float))
         return self._cache["vert_float"]
 
     # -- transformations -----------------------------------------------------

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -119,18 +120,32 @@ class PowerLaw(Profile):
     b: Fraction
     p: Fraction
 
+    @cached_property
+    def _floats(self):
+        return float(self.a), float(self.b), float(self.p)
+
+    @cached_property
+    def _hash(self):
+        return hash((self.a, self.b, self.p))
+
+    def __hash__(self):
+        # Weight cache keys hash their profiles; each hash of a Fraction
+        # is a Python-level call.
+        return self._hash
+
     @property
     def domain(self):
         return (-float(self.b), math.inf)
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
-        base = float(self.b) + t
+        a, b, p = self._floats
+        base = b + t
         if np.any(base <= 0):
             raise ProfileDomainError(
                 f"power-law pole: b + t <= 0 at b={self.b}"
             )
-        out = float(self.a) * base ** float(self.p)
+        out = a * base ** p
         return out if out.ndim else float(out)
 
     def derivative(self, k=1):
@@ -160,16 +175,28 @@ class Log(Profile):
     a: Fraction
     b: Fraction
 
+    @cached_property
+    def _floats(self):
+        return float(self.a), float(self.b)
+
+    @cached_property
+    def _hash(self):
+        return hash((self.a, self.b))
+
+    def __hash__(self):
+        return self._hash
+
     @property
     def domain(self):
         return (-float(self.b), math.inf)
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
-        base = float(self.b) + t
+        a, b = self._floats
+        base = b + t
         if np.any(base <= 0):
             raise ProfileDomainError(f"log singularity: b + t <= 0 at b={self.b}")
-        out = float(self.a) * np.log(base)
+        out = a * np.log(base)
         return out if out.ndim else float(out)
 
     def derivative(self, k=1):
@@ -298,10 +325,16 @@ def profile_to_json(p):
 
 
 class WeightPair:
-    """Direction xi plus profiles f, g inducing v = f^(n), w = g^(n+1)."""
+    """Direction xi plus profiles f, g inducing v = f^(n), w = g^(n+1).
+
+    ``xi`` is a read-only copy of the direction given, so ``key``, the
+    ``(n, xi, f, g)`` tuple that caches of weight-dependent values are keyed
+    by, is built once here and stays true to the pair.
+    """
 
     def __init__(self, xi, f, g, n, family=None):
-        self.xi = np.asarray(xi, dtype=float)
+        self.xi = np.array(xi, dtype=float)
+        self.xi.flags.writeable = False
         self.n = int(n)
         if self.xi.shape != (self.n,):
             raise ValueError(
@@ -309,6 +342,7 @@ class WeightPair:
         self.f = f
         self.g = g
         self.family = family
+        self.key = (self.n, tuple(self.xi.tolist()), f, g)
         self._v = f.derivative(self.n)
         self._w = g.derivative(self.n + 1)
 

@@ -273,6 +273,10 @@ BLOWUP_CP2 = ["blowup-expand", "--catalog", "cp2", "--vertex", "0"]
     ([*BLOWUP_CP2, "--quantity", "futaki", "--beta", "1,x"], "bad --beta: "),
     (["invariants", "--catalog", "cp2", "--xi", "1,0,0"],
      "bad --xi: 3 components, need 2"),
+    (["invariants", "--catalog", "cp2", "--family", "sasaki", "--a", "1/0"],
+     "bad --a: Fraction(1, 0)"),
+    (["invariants", "--catalog", "cp2", "--family", "sasaki", "--a", "x"],
+     "bad --a: "),
     ([*BLOWUP_CP2, "--quantity", "volume", "--eps-max", "x"], "bad --eps-max: "),
     ([*BLOWUP_CP2, "--quantity", "volume", "--eps-max", "1/0"],
      "bad --eps-max: "),
@@ -280,6 +284,7 @@ BLOWUP_CP2 = ["blowup-expand", "--catalog", "cp2", "--vertex", "0"]
         "report-tc-zero-denominator", "report-tc-not-a-list", "tc-df-missing",
         "tc-df-no-constant", "tc-df-beta-not-a-number", "futaki-beta-not-a-number",
         "futaki-beta-too-short", "blowup-beta-not-a-number", "xi-too-long",
+        "a-zero-denominator", "a-not-a-number",
         "eps-max-not-a-number", "eps-max-zero-denominator"])
 def test_bad_input_exits_2(tmp_path, capsys, argv, message):
     files = {"missing": None,

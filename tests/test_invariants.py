@@ -354,3 +354,37 @@ class TestScalarCache:
         # An equal polytope built afresh reads the entry without integrating.
         monkeypatch.setattr(inv.quadrature, "integrate", None)
         assert inv.vol_w(cube.corner_chop(2, depth), W) == value
+
+    def test_localisation_sums_computed_once(self, monkeypatch, trapezoid):
+        monkeypatch.setattr(inv, "_scalar_cache", OrderedDict())
+        calls = []
+        for name in ("eval_class", "eval_c1_class"):
+            fn = getattr(inv.localize, name)
+            monkeypatch.setattr(inv.localize, name,
+                                lambda *a, fn=fn, name=name, **k:
+                                calls.append(name) or fn(*a, **k))
+        W = builtin("soliton", 2, xi=[0.3, -0.2])
+        vol = inv.vol_w(trapezoid, W, backend="localization")
+        assert inv.vol_w(trapezoid, W, backend="localization") == vol
+        assert calls == ["eval_class"]
+        # The report and the Futaki check that follows it share both sums,
+        # and neither backend reads the other's entries.
+        inv.invariant_report(trapezoid, W, backend="both")
+        inv.futaki(trapezoid, W, [1.0, 0.0], backend="both")
+        assert calls == ["eval_class", "eval_c1_class"]
+        assert inv.vol_w(trapezoid, W) != vol
+        assert inv.vol_w(trapezoid, W) == inv.quadrature.integrate(
+            trapezoid, W.w).value
+
+    def test_unsettled_limit_raises_on_every_call(self, monkeypatch, simplex):
+        monkeypatch.setattr(inv, "_scalar_cache", OrderedDict())
+        limits = []
+        fn = inv.localize.eval_at_degenerate
+        monkeypatch.setattr(inv.localize, "eval_at_degenerate",
+                            lambda *a, **k: limits.append(1) or fn(*a, **k))
+        # ckem weights at xi = 0: the extrapolated volume does not settle.
+        W = builtin("ckem", 2, a=F(1, 2))
+        for attempt in (1, 2):
+            with pytest.raises(inv.localize.ExtrapolationError):
+                inv.vol_w(simplex, W, backend="localization")
+            assert len(limits) == attempt

@@ -157,3 +157,23 @@ def test_unimodular_invariance(trapezoid):
     shift = float(xi_img @ np.array([1.0, 3.0]))
     b = eval_class(image, Exponential(), xi_img)
     assert b == pytest.approx(a * math.exp(shift), rel=1e-10)
+
+
+class TestEdgeArrays:
+    def test_equal_a_fresh_build_from_the_vertex_data(self, cube):
+        from toricstab import catalog
+        chop = cube.corner_chop(5, cube.admissible_chop(5) / 3)
+        for P in [catalog.load(name) for name in catalog.names()] + [chop]:
+            verts, edges, norms = localize._edge_arrays(P)
+            fresh = np.array([[[float(c) for c in u] for u in v.inward_edges]
+                              for v in P.vertex_data()])
+            assert np.array_equal(verts, [[float(c) for c in v]
+                                          for v in P.vertices]), P
+            assert np.array_equal(edges, fresh), P
+            assert np.array_equal(norms, np.linalg.norm(fresh, axis=2)), P
+            assert localize._edge_arrays(P) is localize._edge_arrays(P)
+
+    def test_are_read_only(self, trapezoid):
+        for arr in localize._edge_arrays(trapezoid):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0

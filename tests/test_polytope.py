@@ -106,6 +106,17 @@ def _simplex_moment(s, m):
     return _monomial_moment_simplex(s, m)
 
 
+def test_cached_float_arrays_are_read_only(cube):
+    P = cube.corner_chop(0, cube.admissible_chop(0) / 3)
+    arrays = [P.vertices_floats(), P.triangulation_floats(),
+              *(P.facet_triangulation_floats(i) for i in P.genuine_facet_indices())]
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+        with pytest.raises(ValueError):
+            arr += 1.0
+
+
 class TestFacetChart:
     def test_hypotenuse_lattice_length_one(self, simplex):
         i = next(i for i, f in enumerate(simplex.facets)

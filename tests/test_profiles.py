@@ -197,3 +197,42 @@ class TestSerialization:
         W = weights_from_json(doc, 2)
         assert W.family == "soliton"
         assert isinstance(W.f, Exponential)
+
+
+class TestHashing:
+    @pytest.mark.parametrize("make", [
+        lambda: PowerLaw(F(1), F(3, 2), F(-5)),
+        lambda: Log(F(-2, 3), F(1, 4)),
+        lambda: builtin("sasaki", 2, a=F(1, 3)).f,
+        lambda: builtin("ckem", 2, a=F(1, 3)).g,
+    ], ids=["powerlaw", "log", "sasaki-f", "ckem-g"])
+    def test_equal_profiles_hash_equal(self, make):
+        p, q = make(), make()
+        assert p is not q
+        assert p == q and hash(p) == hash(q)
+        assert hash(p) == hash(tuple(getattr(p, f) for f in p.__dataclass_fields__))
+
+    def test_values_keep_their_bits(self):
+        t = np.linspace(-0.4, 2.0, 7)
+        p = PowerLaw(F(3, 7), F(1, 2), F(-7, 3))
+        assert np.array_equal(p.value(t), 3 / 7 * (0.5 + t) ** (-7 / 3))
+        q = Log(F(3, 7), F(1, 2))
+        assert np.array_equal(q.value(t), 3 / 7 * np.log(0.5 + t))
+
+
+class TestWeightPairKey:
+    def test_mutating_the_callers_xi_changes_neither_xi_nor_key(self):
+        xi = np.array([0.3, -0.2])
+        W = builtin("sasaki", 2, xi=xi, a=F(1))
+        key = W.key
+        xi[0] = 5.0
+        assert W.xi.tolist() == [0.3, -0.2] and W.key == key
+        assert key == (2, (0.3, -0.2), W.f, W.g)
+        with pytest.raises(ValueError):
+            W.xi[0] = 5.0
+
+    def test_equal_pairs_share_a_key(self):
+        W = builtin("ckem", 3, xi=[0.1, 0.2, 0.3], a=F(2))
+        V = builtin("ckem", 3, xi=(0.1, 0.2, 0.3), a=F(2))
+        assert W.key == V.key and hash(W.key) == hash(V.key)
+        assert W.key != builtin("ckem", 3, xi=[0.1, 0.2, 0.3], a=F(3)).key
