@@ -1,21 +1,15 @@
-"""Exact linear algebra over the rationals and the integer lattice.
+"""Exact linear algebra over the integers.
 
-Everything here works with ``fractions.Fraction`` / ``int`` and is used by the
-polytope layer, where determinant and feasibility questions must be decided
-exactly.  Floats never enter.
+Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968): entries stay
+integers, every division is exact, and each entry below the pivots is a
+minor of the input.  Rows of ``Fraction``s are first scaled to integers by
+the lcm of their denominators.  Floats never enter.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-
-
-def vec_gcd(v):
-    g = 0
-    for x in v:
-        g = gcd(g, abs(int(x)))
-    return g
+from math import gcd, lcm
 
 
 def primitivize(v):
@@ -24,94 +18,99 @@ def primitivize(v):
     Returns ``(primitive_vector, factor)`` with ``factor > 0``; raises on the
     zero vector.
     """
-    g = vec_gcd(v)
+    v = [int(x) for x in v]
+    g = gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
-    return tuple(int(x) // g for x in v), g
+    return tuple(x // g for x in v), g
 
 
 def dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
-def det(m):
-    """Exact determinant by fraction-free Gaussian elimination."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    sign = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            sign = -sign
-        for r in range(col + 1, n):
-            f = a[r][col] / a[col][col]
-            if f:
-                for c in range(col, n):
-                    a[r][c] -= f * a[col][c]
-    result = Fraction(sign)
-    for i in range(n):
-        result *= a[i][i]
-    return result
-
-
-def row_reduce(rows, ncols):
-    """Gauss-Jordan over the rationals, pivoting in the first ``ncols``
-    columns only: ``(reduced nonzero rows, pivot columns)``."""
-    work = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    for col in range(ncols):
-        r = len(pivots)
-        if r == len(work):
-            break
-        piv = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
-        if piv is None:
+def _integer_rows(rows):
+    """``(rows scaled to integer lists, product of the row scales)``."""
+    out, scale = [], 1
+    for row in rows:
+        if all(type(x) is int for x in row):
+            out.append(list(row))
             continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = 1 / work[r][col]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col]:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(col)
-    return work[:len(pivots)], pivots
+        row = [Fraction(x) for x in row]
+        s = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (s // x.denominator) for x in row])
+        scale *= s
+    return out, scale
+
+
+def _echelon(a, ncols):
+    """Bareiss elimination of the integer rows ``a`` in place, pivoting in
+    the first ``ncols`` columns: ``(pivot columns, sign of the row swaps)``;
+    the last pivot of a square nonsingular input is sign * det."""
+    pivots, sign, prev = [], 1, 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(a):
+            break
+        p = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            a[r], a[p], sign = a[p], a[r], -sign
+        top, piv = a[r], a[r][c]
+        for i in range(r + 1, len(a)):
+            f = a[i][c]
+            a[i] = [(piv * x - f * y) // prev for x, y in zip(a[i], top)]
+        prev = piv
+        pivots.append(c)
+    return pivots, sign
+
+
+def _back(a, pivots, rhs):
+    """``(X, d)``: X / d solves the echelon rows ``a`` on their pivot columns
+    for the right side ``rhs``, d the last pivot.  d times the solution is a
+    vector of Cramer numerators, so each division is exact."""
+    d = a[len(pivots) - 1][pivots[-1]]
+    x = [0] * len(pivots)
+    for k in reversed(range(len(pivots))):
+        s = d * rhs[k] - sum(a[k][pivots[j]] * x[j] for j in range(k + 1, len(x)))
+        x[k] = s // a[k][pivots[k]]
+    return x, d
+
+
+def det(m):
+    """Exact determinant, as a Fraction."""
+    a, scale = _integer_rows(m)
+    pivots, sign = _echelon(a, len(a))
+    if len(pivots) < len(a):
+        return Fraction(0)
+    return Fraction(sign * a[-1][-1] if a else 1, scale)
 
 
 def rank(rows, ncols):
-    return len(row_reduce(rows, ncols)[1])
+    return len(_echelon(_integer_rows(rows)[0], ncols)[0])
 
 
 def solve(m, rhs):
-    """Exact solution of the square system ``m x = rhs``; None if singular."""
+    """The square system ``m x = rhs`` as ``(X, d)`` with x = X / d in
+    lowest terms, d > 0; None if singular."""
     n = len(m)
-    red, pivots = row_reduce([list(row) + [rhs[i]] for i, row in enumerate(m)], n)
-    return tuple(row[n] for row in red) if len(pivots) == n else None
-
-
-def kernel_direction(rows, n):
-    """A nonzero rational vector orthogonal to all rows, or None."""
-    red, pivots = row_reduce(rows, n)
-    if len(pivots) >= n:
+    a = _integer_rows([list(row) + [b] for row, b in zip(m, rhs)])[0]
+    pivots, _ = _echelon(a, n)
+    if len(pivots) < n:
         return None
-    free = next(c for c in range(n) if c not in pivots)
-    vec = [Fraction(0)] * n
-    vec[free] = Fraction(1)
-    for row, col in zip(red, pivots):
-        vec[col] = -row[free]
-    return tuple(vec)
+    x, d = _back(a, pivots, [row[n] for row in a])
+    g = gcd(d, *x) if d > 0 else -gcd(d, *x)
+    return tuple(c // g for c in x), d // g
 
 
 def invert_integer_matrix(m):
     """Inverse of an integer matrix with determinant +-1, as integer rows."""
     n = len(m)
-    red, pivots = row_reduce([list(row) + [int(i == j) for j in range(n)]
-                              for i, row in enumerate(m)], n)
-    if len(pivots) < n or any(x.denominator != 1 for row in red for x in row):
+    cols = [solve(m, [int(i == j) for i in range(n)]) for j in range(n)]
+    if any(col is None or col[1] != 1 for col in cols):
         raise ValueError(f"matrix is not unimodular (det={det(m)})")
-    return tuple(tuple(int(x) for x in row[n:]) for row in red)
+    return tuple(tuple(col[0][r] for col in cols) for r in range(n))
 
 
 def unimodular_complement(v):
@@ -135,18 +134,15 @@ def unimodular_complement(v):
             w[i] -= q * w[0]
             u[i] = [a - q * b for a, b in zip(u[i], u[0])]
     if w[0] == -1:
-        w[0] = 1
-        u[0] = [-a for a in u[0]]
+        w[0], u[0] = 1, [-a for a in u[0]]
     if w[0] != 1:
         raise ValueError(f"vector {tuple(v)} is not primitive (content {abs(w[0])})")
     # Now sum_j u[i][j] v[j] = delta_{i0}.
-    kernel = tuple(tuple(row) for row in u[1:])
-    z = tuple(u[0])
-    return z, kernel
+    return tuple(u[0]), tuple(tuple(row) for row in u[1:])
 
 
 def affine_rank(points):
-    """Dimension of the affine span of a list of rational points."""
+    """Dimension of the affine span of a list of integer or rational points."""
     if len(points) <= 1:
         return 0
     base = points[0]

@@ -72,8 +72,8 @@ class InvariantReport:
 # Quadrature-backend scalars, beta-moments, localisation sums and positivity
 # verdicts by (tag, (dim, facets), weight key, rule), least recently used
 # first.  Polytope equality is (dim, facets), so a key holds the facets alone
-# and no entry keeps a polytope or its caches alive; the weight key is
-# WeightPair.key.  The localisation sums ("lvol", "lper") are keyed with rule
+# (DelzantPolytope.key, hashed once) and no entry keeps a polytope or its
+# caches alive; the weight key is WeightPair.key.  The localisation sums ("lvol", "lper") are keyed with rule
 # None and never share an entry with a cubature value.  Replaying the key
 # streams of whole benchmark runs (seeds 301-302) through an LRU, none needed
 # more than 3,409 entries (blowup_ladder; weight_sweep 1,780 with the
@@ -86,7 +86,7 @@ _MISSING = object()
 
 
 def _cached(tag, P, W, rule, compute):
-    key = (tag, (P.dim, P.facets), W.key, rule)
+    key = (tag, P.key, W.key, rule)
     value = _scalar_cache.get(key, _MISSING)
     if value is not _MISSING:
         _scalar_cache.move_to_end(key)

@@ -1,30 +1,27 @@
-"""Delzant polytopes as facet-inequality data with exact rational arithmetic.
+"""Delzant polytopes as facet-inequality data with exact integer arithmetic.
 
 A polytope is stored as ``P = {x : <n_F, x> + c_F >= 0 for all facets F}``
-with primitive integer inward normals ``n_F`` and rational offsets ``c_F``.
-Vertices, charts, triangulations and validity diagnostics are all derived
-from the facet data; combinatorial questions (simplicity, unimodularity,
-redundancy) are decided exactly over the rationals.  Floats appear only in
-the cached arrays handed to the numerical integration layer.
+with primitive integer inward normals ``n_F`` and rational offsets ``c_F``;
+everything else is derived from the facets and decided exactly, in Python
+ints.  The vertices are integer tuples over one common denominator D > 0 (a
+Delzant polytope's lie in (1/D)Z^n, a PL cell's cut points need not), and so
+are chart coordinates, chart bases being unimodular.  A positive scale keeps
+lexicographic order, so each choice made on the ints is the rationals' one.
+``Fraction``s are built on first use at the public edges (``vertices``,
+``vertex_data``, ``facet_chart``, ``triangulate``, ``volume``); the floats
+handed to the integrators are the correctly rounded ``n / D``.
 
 Only raw facet data (catalog, JSON, user input, ``translate``,
 ``unimodular_image``) runs the C(m, n) vertex enumeration; corner chops and
-PL cells inherit their vertices from the parent polytope.  Corner chops are
-shared: a bounded module-level LRU returns the same chopped polytope, with
-its cached triangulation, for every chop of an equal parent (same name) at
-the same vertex and depth, so the expansion ladders at one vertex build
-each chopped polytope once.
+PL cells inherit their vertices from the parent polytope.  All objects are
+immutable after construction and safe to share.
 
 Triangulation is by pulling (De Loera-Rambau-Santos, *Triangulations*,
-2010, Section 4.3) on the polytope's own vertex-facet incidences: a face is
-a set of vertex indices with chart coordinates, its facets are its
-intersections with the facets of the polytope, and no polytope is built for
-a face, a facet chart included.  The apex of every face is its smallest
+2010, Section 4.3) on the polytope's own vertex-facet incidences; no
+polytope is built for a face.  The apex of every face is its smallest
 vertex in lexicographic order of that face's chart coordinates, and its
 facets are visited in the sorted order of their primitive chart
 ``(normal, offset)``.
-
-All objects are immutable after construction and safe to share.
 """
 
 from __future__ import annotations
@@ -32,8 +29,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from itertools import combinations
+from math import factorial, gcd, lcm
 
 import numpy as np
 
@@ -70,12 +68,8 @@ class ChopDepthError(PolytopeError):
 def _as_fraction(x):
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, np.integer)):
-        return Fraction(int(x))
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)
+    if isinstance(x, (int, np.integer, str, float)):
+        return Fraction(int(x) if isinstance(x, np.integer) else x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
@@ -88,17 +82,20 @@ class Facet:
 
     @staticmethod
     def make(normal, offset):
-        normal = tuple(_as_fraction(x) for x in normal)
-        offset = _as_fraction(offset)
-        scale = 1
-        for x in normal:
-            scale = scale * x.denominator // la.gcd(scale, x.denominator)
-        ints = tuple(int(x * scale) for x in normal)
-        prim, factor = la.primitivize(ints)
-        return Facet(prim, offset * scale / factor)
+        normal = [x if type(x) is int else _as_fraction(x) for x in normal]
+        scale = lcm(*(x.denominator for x in normal))
+        prim, factor = la.primitivize([x.numerator * (scale // x.denominator)
+                                       for x in normal])
+        return Facet(prim, _as_fraction(offset) * scale / factor)
 
     def value(self, point):
         return la.dot(self.normal, point) + self.offset
+
+    def scaled_value(self, x, d):
+        """The value at ``x / d`` (d > 0) times d and the offset's
+        denominator: an integer with the value's sign."""
+        return (self.offset.denominator * la.dot(self.normal, x)
+                + self.offset.numerator * d)
 
     @cached_property
     def _hash(self):
@@ -110,6 +107,13 @@ class Facet:
         return self._hash
 
 
+class _HashedTuple(tuple):
+    """A tuple that hashes its items once (each facet hash is a call)."""
+
+    def __hash__(self):
+        return self._hash
+
+
 def _read_only(arr):
     """``arr``, flagged read-only: cached float arrays are shared by every
     caller."""
@@ -117,11 +121,24 @@ def _read_only(arr):
     return arr
 
 
+def _memo(method):
+    """Cache ``method`` per polytope in ``_cache``, keyed by its name and
+    arguments."""
+    name = method.__name__
+
+    @wraps(method)
+    def cached(self, *args):
+        key = (name, *args) if args else name
+        if key not in self._cache:
+            self._cache[key] = method(self, *args)
+        return self._cache[key]
+    return cached
+
+
 def _is_normal(f):
     """Whether ``f`` is already in the form :meth:`Facet.make` gives."""
     return (type(f.offset) is Fraction and type(f.normal) is tuple
-            and all(type(c) is int for c in f.normal)
-            and la.vec_gcd(f.normal) == 1)
+            and all(type(c) is int for c in f.normal) and gcd(*f.normal) == 1)
 
 
 @dataclass(frozen=True)
@@ -181,6 +198,8 @@ class DelzantPolytope:
     Construction never validates the Delzant conditions -- use
     :meth:`validate_delzant` for diagnostics -- so the same class also serves
     for the auxiliary regions produced by halfspace intersections.
+    ``key`` is ``(dim, facets)``, hashed once, for caches that must not keep
+    the polytope alive.
     """
 
     def __init__(self, dim, facets, name=None):
@@ -198,11 +217,10 @@ class DelzantPolytope:
             normalized.append(f)
         self.facets = tuple(sorted(set(normalized),
                                    key=lambda f: (f.normal, f.offset)))
-        self._hash = hash((self.dim, self.facets))
+        self.key = _HashedTuple((self.dim, self.facets))
+        self.key._hash = self._hash = tuple.__hash__(self.key)
         self.name = name
         self._cache = {}
-
-    # -- identity ---------------------------------------------------------
 
     def __eq__(self, other):
         return (isinstance(other, DelzantPolytope)
@@ -214,98 +232,89 @@ class DelzantPolytope:
     def __repr__(self):
         label = f" {self.name!r}" if self.name else ""
         return (f"<DelzantPolytope{label} dim={self.dim} "
-                f"facets={len(self.facets)} vertices={len(self.vertices)}>")
-
-    # -- core enumeration --------------------------------------------------
+                f"facets={len(self.facets)} vertices={len(self._enumerate()[1])}>")
 
     def _enumerate(self):
-        """Vertices and facet incidence, tolerating non-simple corners; tries
-        every n-subset of facets unless inherited (:func:`_clip`)."""
-        if "enum" in self._cache:
-            return self._cache["enum"]
-        n = self.dim
-        points = {}
-        for comb in combinations(range(len(self.facets)), n):
-            m = [self.facets[i].normal for i in comb]
-            if la.det(m) == 0:
-                continue
-            x = la.solve(m, [-self.facets[i].offset for i in comb])
-            if all(f.value(x) >= 0 for f in self.facets):
-                points[x] = True
-        vertices = sorted(points)
-        active = [tuple(i for i, f in enumerate(self.facets) if f.value(v) == 0)
-                  for v in vertices]
-        self._cache["enum"] = (tuple(vertices), tuple(active))
-        return self._cache["enum"]
+        """``(D, X, active)``: the sorted vertices ``X[k] / D`` and the
+        indices ``active[k]`` of all facets through each, tolerating
+        non-simple corners.  Tries every n-subset of facets unless inherited
+        (:func:`_clip`)."""
+        if "enum" not in self._cache:
+            points = set()
+            for comb in combinations(self.facets, self.dim):
+                x = la.solve([f.normal for f in comb], [-f.offset for f in comb])
+                if x is not None and all(f.scaled_value(*x) >= 0 for f in self.facets):
+                    points.add(x)
+            scale = lcm(*(d for _, d in points))
+            X = sorted(tuple(c * (scale // d) for c in x) for x, d in points)
+            active = tuple(tuple(i for i, f in enumerate(self.facets)
+                                 if f.scaled_value(x, scale) == 0) for x in X)
+            self._cache.update(enum=(tuple(X), active), scale=scale)
+        X, active = self._cache["enum"]
+        return self._cache.get("scale", 1), X, active
 
     @property
+    @_memo
     def vertices(self):
         """Sorted vertex coordinates as tuples of Fractions."""
-        return self._enumerate()[0]
+        scale, X, _ = self._enumerate()
+        return tuple(tuple(Fraction(c, scale) for c in x) for x in X)
 
     @property
     def vertex_facets(self):
         """For each vertex, the indices of all facets through it."""
-        return self._enumerate()[1]
+        return self._enumerate()[2]
 
+    @_memo
     def vertex_data(self):
         """Full vertex data; requires every vertex simple and unimodular."""
-        if "vertex_data" in self._cache:
-            return self._cache["vertex_data"]
         out = []
         for v, act in zip(self.vertices, self.vertex_facets):
             if len(act) != self.dim:
                 raise NonSimpleVertexError(v, act)
             m = [self.facets[i].normal for i in act]
-            inv = la.invert_integer_matrix(m)  # raises if not unimodular
-            edges = tuple(tuple(inv[r][c] for r in range(self.dim))
-                          for c in range(self.dim))
+            edges = tuple(zip(*la.invert_integer_matrix(m)))  # raises if not unimodular
             out.append(VertexData(v, edges, act))
-        self._cache["vertex_data"] = tuple(out)
-        return self._cache["vertex_data"]
+        return tuple(out)
 
     def vertex_data_at(self, vertex):
         """Vertex data of one vertex, given by its index in :attr:`vertices`
         or as :class:`VertexData` (returned as is)."""
         if isinstance(vertex, VertexData):
             return vertex
-        count = len(self.vertices)
+        count = len(self._enumerate()[1])
         if not 0 <= vertex < count:
             raise PolytopeError(f"vertex index {vertex} is out of range: "
                                 f"valid indices are 0..{count - 1}")
         return self.vertex_data()[vertex]
 
+    @_memo
     def genuine_facet_indices(self):
         """Indices of facets supporting an (n-1)-dimensional face
         (:func:`_is_facet`)."""
-        if "genuine" not in self._cache:
-            self._cache["genuine"] = tuple(
-                i for i in range(len(self.facets))
-                if _is_facet(self, [k for k, act in enumerate(self.vertex_facets)
-                                    if i in act], self.vertices, self.dim))
-        return self._cache["genuine"]
+        _, X, active = self._enumerate()
+        return tuple(i for i in range(len(self.facets)) if _is_facet(
+            self, [k for k, act in enumerate(active) if i in act], X, self.dim))
 
     def is_empty(self):
-        return len(self.vertices) == 0
+        return len(self._enumerate()[1]) == 0
 
+    @_memo
     def is_full_dimensional(self):
-        if "full" not in self._cache:
-            self._cache["full"] = la.affine_rank(list(self.vertices)) == self.dim
-        return self._cache["full"]
+        return la.affine_rank(self._enumerate()[1]) == self.dim
 
+    @_memo
     def is_bounded(self):
-        """Exact recession-cone test: bounded iff no feasible ray exists."""
-        if "bounded" not in self._cache:
-            normals = [f.normal for f in self.facets]
-            rays = (la.kernel_direction([normals[i] for i in comb], self.dim)
-                    for comb in combinations(range(len(normals)), self.dim - 1))
-            self._cache["bounded"] = not any(
-                all(la.dot(nf, cand) >= 0 for nf in normals)
-                for ray in rays if ray is not None
-                for cand in (ray, tuple(-x for x in ray)))
-        return self._cache["bounded"]
-
-    # -- validation ---------------------------------------------------------
+        """Exact recession-cone test: bounded iff no ray y has <n_F, y> >= 0
+        for every F.  Normals of rank < n leave a line; else a ray lies on an
+        edge, orthogonal to n-1 independent normals (their cross product)."""
+        normals = [f.normal for f in self.facets]
+        n = self.dim
+        rays = ([(-1) ** j * la.det([r[:j] + r[j + 1:] for r in comb])
+                 for j in range(n)] for comb in combinations(normals, n - 1))
+        return la.rank(normals, n) == n and not any(
+            all(la.dot(nf, ray) >= 0 for nf in normals)
+            or all(la.dot(nf, ray) <= 0 for nf in normals) for ray in rays if any(ray))
 
     def validate_delzant(self):
         """Diagnostics list; empty iff this is a valid Delzant polytope."""
@@ -318,25 +327,16 @@ class DelzantPolytope:
             diags.append("polytope is not full-dimensional")
         for v, act in zip(self.vertices, self.vertex_facets):
             if len(act) != self.dim:
-                diags.append(
-                    f"non-simple vertex {tuple(map(str, v))}: facets {act} meet"
-                )
+                diags.append(f"non-simple vertex {tuple(map(str, v))}: "
+                             f"facets {act} meet")
                 continue
             d = la.det([self.facets[i].normal for i in act])
             if abs(d) != 1:
-                diags.append(
-                    f"vertex {tuple(map(str, v))} is not unimodular: "
-                    f"normal determinant {d}"
-                )
+                diags.append(f"vertex {tuple(map(str, v))} is not unimodular: "
+                             f"normal determinant {d}")
         genuine = set(self.genuine_facet_indices())
-        for i, f in enumerate(self.facets):
-            if i not in genuine:
-                diags.append(
-                    f"facet {i} (normal {f.normal}, offset {f.offset}) is redundant"
-                )
-        return diags
-
-    # -- geometry ------------------------------------------------------------
+        return diags + [f"facet {i} (normal {f.normal}, offset {f.offset}) is redundant"
+                        for i, f in enumerate(self.facets) if i not in genuine]
 
     def contains(self, point):
         return all(f.value([_as_fraction(c) for c in point]) >= 0
@@ -345,52 +345,69 @@ class DelzantPolytope:
     def interval(self, xi):
         """Exact range of <xi, x> over the polytope (min, max over vertices)."""
         xi = [_as_fraction(c) for c in xi]
-        vals = [la.dot(xi, v) for v in self.vertices]
-        return min(vals), max(vals)
+        s = lcm(*(c.denominator for c in xi))
+        xi = [c.numerator * (s // c.denominator) for c in xi]
+        scale, X, _ = self._enumerate()
+        vals = [la.dot(xi, x) for x in X]
+        return Fraction(min(vals), s * scale), Fraction(max(vals), s * scale)
 
-    def facet_chart(self, facet_index):
-        if isinstance(facet_index, Facet):
-            facet_index = self.facets.index(facet_index)
-        key = ("chart", facet_index)
-        if key not in self._cache:
-            f = self.facets[facet_index]
-            z, basis, proj = _frame(f.normal)
-            origin = tuple(-f.offset * zi for zi in z)
-            # Only a parallel facet is constant on the facet's hyperplane.
-            back = tuple(-c for c in f.normal)
-            if self.dim > 1 and any(g.normal == f.normal and g.offset < f.offset
-                                    or g.normal == back and g.offset < -f.offset
-                                    for g in self.facets):
-                raise PolytopeError(f"facet {facet_index} is infeasible")
-            coords = {k: _chart_coords(v, origin, proj)
-                      for k, (v, act) in enumerate(zip(self.vertices, self.vertex_facets))
-                      if facet_index in act}
-            self._cache[key] = FacetChart(facet_index, origin, basis, coords)
-        return self._cache[key]
+    @_memo
+    def _chart(self, i):
+        """``(basis, coords)`` of facet ``i``: the chart basis, and the chart
+        coordinates over the vertex scale of the vertices on the facet."""
+        f = self.facets[i]
+        _, basis, proj = _frame(f.normal)
+        _, X, active = self._enumerate()
+        # The frame's origin -offset * z has chart coordinates zero.
+        coords = {k: tuple(la.dot(row, X[k]) for row in proj)
+                  for k, act in enumerate(active) if i in act}
+        # A facet through a vertex meets the polytope.  Otherwise only a
+        # parallel facet, constant on its hyperplane, can cut that off.
+        back = tuple(-c for c in f.normal)
+        if not coords and self.dim > 1 and any(
+                g.normal == f.normal and g.offset < f.offset
+                or g.normal == back and g.offset < -f.offset for g in self.facets):
+            raise PolytopeError(f"facet {i} is infeasible")
+        return basis, coords
 
+    @_memo
+    def facet_chart(self, i):
+        if isinstance(i, Facet):
+            return self.facet_chart(self.facets.index(i))
+        f, (basis, coords), scale = self.facets[i], self._chart(i), self._enumerate()[0]
+        return FacetChart(i, tuple(-f.offset * zi for zi in _frame(f.normal)[0]), basis,
+                          {k: tuple(Fraction(y, scale) for y in ys)
+                           for k, ys in coords.items()})
+
+    @_memo
     def facet_triangulation(self, i):
         """Triangulation of facet ``i`` (dimension >= 2) as tuples of n
         vertex indices; empty if the facet is not genuine.  The same
         simplices, in the same order, as triangulating the facet as a
         polytope in its chart coordinates."""
-        key = ("facet_tri", i)
-        if key not in self._cache:
-            chart = self.facet_chart(i)
-            self._cache[key] = (_pull(self, chart.coords, chart.origin, chart.basis)
-                                if i in self.genuine_facet_indices() else ())
-        return self._cache[key]
+        basis, coords = self._chart(i)
+        return _pull(self, coords, basis) if i in self.genuine_facet_indices() else ()
 
+    @_memo
     def facet_triangulation_floats(self, i):
         """Triangulation of facet ``i`` as a float array of shape (k, n, n-1)
         in its chart coordinates, for integrals with the lattice measure."""
-        key = ("facet_tri_float", i)
-        if key not in self._cache:
-            coords = self.facet_chart(i).coords
-            self._cache[key] = _read_only(np.array(
-                [[[float(c) for c in coords[k]] for k in s]
-                 for s in self.facet_triangulation(i)], dtype=float))
-        return self._cache[key]
+        scale, coords = self._enumerate()[0], self._chart(i)[1]
+        return _read_only(np.array([[[y / scale for y in coords[k]] for k in s]
+                                    for s in self.facet_triangulation(i)], dtype=float))
 
+    @_memo
+    def _simplices(self):
+        """:meth:`triangulate` as tuples of vertex indices."""
+        _, X, active = self._enumerate()
+        if not X or not self.is_full_dimensional():
+            return ()
+        if self.dim == 1:
+            return ((0, len(X) - 1),)
+        return tuple((0,) + s for i in self.genuine_facet_indices()
+                     if i not in active[0] for s in self.facet_triangulation(i))
+
+    @_memo
     def triangulate(self):
         """Partition into simplices (tuples of n+1 rational vertex tuples).
 
@@ -400,49 +417,29 @@ class DelzantPolytope:
         way through the faces, choosing apexes in chart coordinates).  The
         simplices cover the polytope up to measure zero.
         """
-        if "triangulation" not in self._cache:
-            if self.is_empty() or not self.is_full_dimensional():
-                sims = ()
-            elif self.dim == 1:
-                sims = ((self.vertices[0], self.vertices[-1]),)
-            else:
-                apex_facets = self.vertex_facets[0]
-                sims = tuple((self.vertices[0],) + tuple(self.vertices[k] for k in s)
-                             for i in self.genuine_facet_indices()
-                             if i not in apex_facets
-                             for s in self.facet_triangulation(i))
-            self._cache["triangulation"] = sims
-        return self._cache["triangulation"]
+        V = self.vertices
+        return tuple(tuple(V[k] for k in s) for s in self._simplices())
 
+    @_memo
     def triangulation_floats(self):
         """Triangulation as a float array of shape (k, n+1, n)."""
-        if "tri_float" not in self._cache:
-            tri = self.triangulate()
-            self._cache["tri_float"] = _read_only(np.array(
-                [[[float(c) for c in v] for v in s] for s in tri], dtype=float))
-        return self._cache["tri_float"]
+        sims = self._simplices()
+        return _read_only(self.vertices_floats()[np.array(sims)] if sims
+                          else np.array([], dtype=float))
 
+    @_memo
     def volume(self):
         """Exact Euclidean volume as a Fraction."""
-        if "volume" not in self._cache:
-            total = Fraction(0)
-            nfact = 1
-            for k in range(2, self.dim + 1):
-                nfact *= k
-            for s in self.triangulate():
-                rows = [[s[i + 1][k] - s[0][k] for k in range(self.dim)]
-                        for i in range(self.dim)]
-                total += abs(la.det(rows)) / nfact
-            self._cache["volume"] = total
-        return self._cache["volume"]
+        scale, X, _ = self._enumerate()
+        n = self.dim
+        total = sum(abs(la.det([[X[s[i + 1]][k] - X[s[0]][k] for k in range(n)]
+                                for i in range(n)])) for s in self._simplices())
+        return Fraction(total, scale ** n * factorial(n))
 
+    @_memo
     def vertices_floats(self):
-        if "vert_float" not in self._cache:
-            self._cache["vert_float"] = _read_only(np.array(
-                [[float(c) for c in v] for v in self.vertices], dtype=float))
-        return self._cache["vert_float"]
-
-    # -- transformations -----------------------------------------------------
+        scale, X, _ = self._enumerate()
+        return _read_only(np.array([[c / scale for c in x] for x in X], dtype=float))
 
     def translate(self, eta):
         """Translate by a rational vector: x -> x + eta."""
@@ -481,24 +478,25 @@ class DelzantPolytope:
             facets.append((normal, f.offset - la.dot(normal, tau)))
         return DelzantPolytope(self.dim, facets, name=self.name)
 
-    # -- corner chop -----------------------------------------------------------
-
     def _chop_data(self, vertex):
+        """``(k, m)``: the vertex index and the primitive normal of the chop
+        there, the sum of the normals of the facets through it."""
         v = self.vertex_data_at(vertex)
-        m = tuple(sum(self.facets[i].normal[k] for i in v.adjacent_facets)
-                  for k in range(self.dim))
+        m = tuple(sum(self.facets[i].normal[c] for i in v.adjacent_facets)
+                  for c in range(self.dim))
         prim, factor = la.primitivize(m)
         if factor != 1:
             raise PolytopeError("chop normal is not primitive; vertex not unimodular")
-        return v, m
+        return self.vertices.index(v.coords), m
 
     def admissible_chop(self, vertex):
         """Largest safe chop depth: half the smallest lattice-affine distance
         from the chop hyperplane at the vertex to any other vertex."""
-        v, m = self._chop_data(vertex)
-        dists = [la.dot(m, q) - la.dot(m, v.coords)
-                 for q in self.vertices if q != v.coords]
-        return min(dists) / 2
+        k, m = self._chop_data(vertex)
+        scale, X, _ = self._enumerate()
+        at = la.dot(m, X[k])
+        return Fraction(min(la.dot(m, x) - at for j, x in enumerate(X) if j != k),
+                        2 * scale)
 
     def corner_chop(self, vertex, eps):
         """Truncate the corner at ``vertex`` to lattice depth ``eps``.
@@ -513,9 +511,7 @@ class DelzantPolytope:
         eps = _as_fraction(eps)
         if eps <= 0:
             raise PolytopeError("chop depth must be positive")
-        return _chop(self, self.name, self.vertex_data_at(vertex).coords, eps)
-
-    # -- serialisation ----------------------------------------------------------
+        return _chop(self, self.name, self._chop_data(vertex)[0], eps)
 
     def to_json(self):
         doc = {
@@ -541,16 +537,17 @@ class DelzantPolytope:
 # runs (216-240 distinct chops each) through an LRU, 256 is the smallest
 # power of two that rebuilds no chop.
 @lru_cache(maxsize=256)
-def _chop(parent, name, coords, eps):
-    """The corner chop of ``parent`` at the vertex ``coords`` to depth
-    ``eps``.  Polytope equality ignores names, so the parent's name, from
-    which the chop's is built, is part of the key.  ``lru_cache`` stores no
-    exception: a depth past the admissible bound raises on every call."""
-    v, m = parent._chop_data(parent.vertices.index(coords))
-    bound = parent.admissible_chop(v)
+def _chop(parent, name, k, eps):
+    """The corner chop of ``parent`` at vertex ``k`` to depth ``eps``.
+    Polytope equality ignores names, so the parent's name, from which the
+    chop's is built, is part of the key.  ``lru_cache`` stores no exception:
+    a depth past the admissible bound raises on every call."""
+    _, m = parent._chop_data(k)
+    bound = parent.admissible_chop(k)
     if eps >= bound:
         raise ChopDepthError(eps, bound)
-    new = (m, -la.dot(m, v.coords) - eps)
+    scale, X, _ = parent._enumerate()
+    new = (m, Fraction(-la.dot(m, X[k]), scale) - eps)
     return _clip(parent, [new], name=f"{name}-chopped" if name else None)
 
 
@@ -563,46 +560,55 @@ def _clip(parent, rows, name=None):
     and one of them is simple (its n facets have independent normals, so
     any n-1 of them cut out an edge from it); between two non-simple
     vertices, iff the shared facets have rank n-1 and no third vertex is on
-    all of them.  The parent's facets are passed on already normalised."""
+    all of them.  The parent's facets are passed on already normalised.
+    A vertex is x / d in lowest terms and h its :meth:`Facet.scaled_value`,
+    so a cut point is (h_a x_b - h_b x_a) / (h_a d_b - h_b d_a)."""
     out = DelzantPolytope(parent.dim, parent.facets + tuple(rows), name=name)
     if not (parent.is_full_dimensional() and parent.is_bounded()):
         return None if out.is_empty() or not out.is_full_dimensional() else out
     n = parent.dim
     index = {f: i for i, f in enumerate(out.facets)}
-    verts = [(v, frozenset(index[parent.facets[i]] for i in act))
-             for v, act in zip(parent.vertices, parent.vertex_facets)]
+    scale, X, active = parent._enumerate()
+    verts = [(scale, x, frozenset(index[parent.facets[i]] for i in act))
+             for x, act in zip(X, active)]
     old = {index[f] for f in parent.facets}
     for j, f in enumerate(out.facets):
         if j in old:
             continue
-        vals = [f.value(v) for v, _ in verts]
+        vals = [f.scaled_value(x, d) for d, x, _ in verts]
         if not any(h > 0 for h in vals):
             return None
-        kept = [(v, act | {j} if h == 0 else act)
-                for (v, act), h in zip(verts, vals) if h >= 0]
-        for a, (u, au) in enumerate(verts):
-            if vals[a] <= 0:
+        kept = [(d, x, act | {j} if h == 0 else act)
+                for (d, x, act), h in zip(verts, vals) if h >= 0]
+        for a, (da, u, au) in enumerate(verts):
+            ha = vals[a]
+            if ha <= 0:
                 continue
-            for b, (w, aw) in enumerate(verts):
-                if vals[b] >= 0:
+            for b, (db, w, aw) in enumerate(verts):
+                hb = vals[b]
+                if hb >= 0:
                     continue
                 common = au & aw
                 if len(common) < n - 1:
                     continue
                 if (len(au) != n and len(aw) != n
-                        and (any(common <= az for c, (_, az) in enumerate(verts)
+                        and (any(common <= az for c, (_, _, az) in enumerate(verts)
                                  if c != a and c != b)
                              or la.rank([out.facets[i].normal for i in common],
                                         n) != n - 1)):
                     continue
-                t = vals[a] / (vals[a] - vals[b])
-                kept.append((tuple(x + t * (y - x) for x, y in zip(u, w)),
-                             common | {j}))
+                x = [ha * y - hb * c for c, y in zip(u, w)]
+                d = ha * db - hb * da
+                g = gcd(d, *x)
+                kept.append((d // g, tuple(c // g for c in x), common | {j}))
         verts = kept
-    verts.sort(key=lambda va: va[0])
-    out._cache.update(enum=(tuple(v for v, _ in verts),
-                            tuple(tuple(sorted(act)) for _, act in verts)),
-                      full=True, bounded=True)
+    scale = lcm(*(d for d, _, _ in verts))
+    X = [tuple(c * (scale // d) for c in x) for d, x, _ in verts]
+    g = gcd(scale, *(c for x in X for c in x))
+    order = sorted(range(len(X)), key=X.__getitem__)
+    out._cache.update(enum=(tuple(tuple(c // g for c in X[k]) for k in order),
+                            tuple(tuple(sorted(verts[k][2])) for k in order)),
+                      scale=scale // g, is_full_dimensional=True, is_bounded=True)
     return out
 
 
@@ -620,58 +626,52 @@ def _frame(normal):
     return z, basis, tuple(zip(*inv))[1:]
 
 
-def _chart_coords(point, origin, proj):
-    """The ``y`` of ``point = origin + s z + y . basis`` (see :func:`_frame`)."""
-    return tuple(sum(c * (p - o) for c, p, o in zip(row, point, origin) if c)
-                 for row in proj)
-
-
 def _is_facet(P, T, coords, d):
     """Whether the vertices ``T`` (indices into P's vertices, at ``coords``)
     of a d-face of ``P`` span a facet of that face.  In a bounded polytope
     they do when one of them is simple in P: the facets through a simple
     vertex cut out a boolean lattice of faces.  Otherwise their affine rank
     decides."""
-    if P.is_bounded() and any(len(P.vertex_facets[k]) == P.dim for k in T):
+    active = P._enumerate()[2]
+    if P.is_bounded() and any(len(active[k]) == P.dim for k in T):
         return True
     return len(T) >= d and la.affine_rank([coords[k] for k in T]) == d - 1
 
 
-def _pull(P, coords, origin, basis):
+def _pull(P, coords, basis):
     """Pulling triangulation of a face of ``P`` of dimension >= 1, as tuples
     of vertex indices of ``P``.
 
-    ``coords`` maps the face's vertex indices to their chart coordinates,
-    and ``x = origin + y . basis`` maps the chart into P's coordinates.  The
-    facets of the face are its intersections T with the facets of P that
-    meet it without containing it that :func:`_is_facet` accepts.  The apex
-    is the smallest vertex in chart coordinates, and the facets not through
-    it come in the sorted order of their primitive chart (normal, offset):
-    the choices triangulating the face's chart polytope would make.
+    ``coords`` maps the face's vertex indices to their chart coordinates
+    over P's vertex scale, and ``basis`` maps the chart into P's lattice.
+    The facets of the face are its intersections T with the facets of P
+    that meet it without containing it that :func:`_is_facet` accepts.  The
+    apex is the smallest vertex in chart coordinates, and the facets not
+    through it come in the sorted order of their primitive chart (normal,
+    offset), -<normal, y> at any y of T: the choices triangulating the
+    face's chart polytope would make.
     """
     order = sorted(coords, key=coords.__getitem__)
     d = len(basis)
     if d == 1:
         return ((order[0], order[-1]),)
+    active = P._enumerate()[2]
     members = {}
     for k in order:
-        for j in P.vertex_facets[k]:
+        for j in active[k]:
             members.setdefault(j, []).append(k)
     facets = {}
     for j, T in members.items():
         T = tuple(T)
         if (T[0] != order[0] and len(T) < len(order) and T not in facets
                 and _is_facet(P, T, coords, d)):
-            g = P.facets[j]
-            prim, factor = la.primitivize([la.dot(g.normal, b) for b in basis])
-            facets[T] = (prim, g.value(origin) / factor)
+            prim, _ = la.primitivize([la.dot(P.facets[j].normal, b) for b in basis])
+            facets[T] = (prim, -la.dot(prim, coords[T[0]]))
     sims = []
     columns = tuple(zip(*basis))
-    for T, (normal, offset) in sorted(facets.items(), key=lambda tf: tf[1]):
-        z, frame, proj = _frame(normal)
-        o = tuple(-offset * zi for zi in z)
-        sub_origin = tuple(x + la.dot(o, col) for x, col in zip(origin, columns))
+    for T, (normal, _) in sorted(facets.items(), key=lambda tf: tf[1]):
+        _, frame, proj = _frame(normal)
         sub_basis = tuple(tuple(la.dot(b, col) for col in columns) for b in frame)
-        sub = {k: _chart_coords(coords[k], o, proj) for k in T}
-        sims.extend((order[0],) + s for s in _pull(P, sub, sub_origin, sub_basis))
+        sub = {k: tuple(la.dot(row, coords[k]) for row in proj) for k in T}
+        sims.extend((order[0],) + s for s in _pull(P, sub, sub_basis))
     return tuple(sims)

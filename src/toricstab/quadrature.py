@@ -39,7 +39,6 @@ from functools import lru_cache
 from itertools import accumulate, count
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import _linalg as la
 
@@ -369,6 +368,7 @@ def divided_difference_exp(nodes):
     Computed as the corner entry of exp of the upper bidiagonal matrix with
     the nodes on the diagonal (Opitz); exact node repetitions are allowed.
     """
+    from scipy.linalg import expm  # 0.3 s to import: only commands that need it
     m = len(nodes)
     z = np.zeros((m, m))
     for i, t in enumerate(nodes):

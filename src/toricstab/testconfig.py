@@ -26,11 +26,12 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
 
 import numpy as np
 
-from . import invariants
-from .polytope import _as_fraction, _clip
+from . import _linalg as la, invariants
+from .polytope import Facet, _as_fraction, _clip
 from .quadrature import DEFAULT_RULE, integrate_sum
 
 
@@ -60,6 +61,18 @@ class PLConvex:
 
     def __hash__(self):
         return self._hash  # cell caches key on it; see Facet.__hash__
+
+    @cached_property
+    def _scaled(self):
+        """The pieces times their common denominator, as integers: the
+        halfspace where one piece exceeds another is the same at any
+        positive scale."""
+        scale = lcm(*(x.denominator for grad, const in self.pieces
+                      for x in (*grad, const)))
+        return tuple(
+            (tuple(x.numerator * (scale // x.denominator) for x in grad),
+             const.numerator * (scale // const.denominator))
+            for grad, const in self.pieces)
 
     @cached_property
     def _floats(self):
@@ -105,18 +118,20 @@ def _cells(P, phi):
     exactly the redundant pieces.
     """
     out = []
-    for k, (gk, ck) in enumerate(phi.pieces):
+    pieces = phi._scaled
+    for k, (gk, ck) in enumerate(pieces):
         rows = []
-        for j, (gj, cj) in enumerate(phi.pieces):
+        for j, (gj, cj) in enumerate(pieces):
             if j == k:
                 continue
             normal = tuple(a - b for a, b in zip(gk, gj))
-            if all(c == 0 for c in normal):
+            if not any(normal):
                 if ck < cj or (ck == cj and k > j):
                     rows = None
                     break
                 continue
-            rows.append((normal, ck - cj))
+            prim, factor = la.primitivize(normal)
+            rows.append(Facet(prim, Fraction(ck - cj, factor)))
         if rows is None:
             continue
         cell = _clip(P, rows)

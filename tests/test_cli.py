@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -302,3 +305,21 @@ def test_bad_input_exits_2(tmp_path, capsys, argv, message):
     assert code == 2 and captured.out == ""
     assert captured.err.startswith(f"error: {message}")
     assert captured.err.count("\n") == 1
+
+
+def test_cli_imports_scipy_only_for_commands_that_need_it():
+    # scipy.linalg alone takes about half of the CLI's start-up time.
+    script = (
+        "import contextlib, io, sys\n"
+        "import toricstab.cli\n"
+        "print('scipy' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = toricstab.cli.main(['invariants', '--catalog', 'cp2'])\n"
+        "print(code, 'scipy' in sys.modules)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "0", "False"]

@@ -340,6 +340,22 @@ class TestScalarCache:
             assert inv.vol_w(chopped, W) == value
         assert hashes == []
 
+    def test_repeated_lookup_hashes_no_facet(self, monkeypatch, cube):
+        monkeypatch.setattr(inv, "_scalar_cache", OrderedDict())
+        W = builtin("cscK", 3)
+        chopped = cube.corner_chop(2, cube.admissible_chop(2) * F(3, 7))
+        value = inv.vol_w(chopped, W)
+        hashes = []
+        facet_hash = polytope.Facet.__hash__
+        monkeypatch.setattr(polytope.Facet, "__hash__",
+                            lambda f: hashes.append(1) or facet_hash(f))
+        for _ in range(3):
+            assert inv.vol_w(chopped, W) == value
+        assert hashes == []
+        # The key hashes its facets once, and holds no polytope.
+        assert not any(isinstance(part, polytope.DelzantPolytope)
+                       for key in inv._scalar_cache for part in (*key, *key[1]))
+
     def test_entries_do_not_keep_polytopes_alive(self, monkeypatch, cube):
         monkeypatch.setattr(inv, "_scalar_cache", OrderedDict())
         W = builtin("cscK", 3)
