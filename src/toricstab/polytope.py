@@ -235,10 +235,10 @@ class DelzantPolytope:
                 f"facets={len(self.facets)} vertices={len(self._enumerate()[1])}>")
 
     def _enumerate(self):
-        """``(D, X, active)``: the sorted vertices ``X[k] / D`` and the
-        indices ``active[k]`` of all facets through each, tolerating
-        non-simple corners.  Tries every n-subset of facets unless inherited
-        (:func:`_clip`)."""
+        """``(D, X, active)``: the sorted vertices ``X[k] / D`` (D is 1 for
+        vertices cached without a scale) and the indices ``active[k]`` of all
+        facets through each, tolerating non-simple corners.  Tries every
+        n-subset of facets unless inherited (:func:`_clip`)."""
         if "enum" not in self._cache:
             points = set()
             for comb in combinations(self.facets, self.dim):

@@ -10,13 +10,14 @@ chart sub-polytopes; the chart recursion is kept below as their oracle.
 """
 
 from fractions import Fraction as F
+from math import factorial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from toricstab import _linalg as la, catalog, testconfig
-from toricstab.polytope import DelzantPolytope, Facet, PolytopeError, _clip
+from toricstab.polytope import DelzantPolytope, Facet, PolytopeError, _clip, _frame
 
 SIMPLEX4 = DelzantPolytope(4, [((1, 0, 0, 0), 0), ((0, 1, 0, 0), 0),
                                ((0, 0, 1, 0), 0), ((0, 0, 0, 1), 0),
@@ -346,3 +347,197 @@ def test_triangulating_a_chop_builds_no_polytope(monkeypatch):
     for i in Q.genuine_facet_indices():
         Q.facet_triangulation_floats(i)
     assert built == []
+
+
+# -- the integer L0 against its Fraction form ----------------------------------
+#
+# Vertices, chart coordinates and cut points are integers over one common
+# denominator.  The functions below are the Fraction versions the library
+# had before (verbatim but for returning their results instead of filling a
+# polytope's cache); every exact value, every choice and every float must
+# come out the same.
+
+
+def _oracle_clip(parent, rows):
+    """``(facets, vertices, vertex_facets)`` of a bounded full-dimensional
+    ``parent`` cut by ``rows``, or None, by Fraction double description."""
+    out = DelzantPolytope(parent.dim, parent.facets + tuple(rows))
+    n = parent.dim
+    index = {f: i for i, f in enumerate(out.facets)}
+    verts = [(v, frozenset(index[parent.facets[i]] for i in act))
+             for v, act in zip(parent.vertices, parent.vertex_facets)]
+    old = {index[f] for f in parent.facets}
+    for j, f in enumerate(out.facets):
+        if j in old:
+            continue
+        vals = [f.value(v) for v, _ in verts]
+        if not any(h > 0 for h in vals):
+            return None
+        kept = [(v, act | {j} if h == 0 else act)
+                for (v, act), h in zip(verts, vals) if h >= 0]
+        for a, (u, au) in enumerate(verts):
+            if vals[a] <= 0:
+                continue
+            for b, (w, aw) in enumerate(verts):
+                if vals[b] >= 0:
+                    continue
+                common = au & aw
+                if len(common) < n - 1:
+                    continue
+                if (len(au) != n and len(aw) != n
+                        and (any(common <= az for c, (_, az) in enumerate(verts)
+                                 if c != a and c != b)
+                             or la.rank([out.facets[i].normal for i in common],
+                                        n) != n - 1)):
+                    continue
+                t = vals[a] / (vals[a] - vals[b])
+                kept.append((tuple(x + t * (y - x) for x, y in zip(u, w)),
+                             common | {j}))
+        verts = kept
+    verts.sort(key=lambda va: va[0])
+    return (out.facets, tuple(v for v, _ in verts),
+            tuple(tuple(sorted(act)) for _, act in verts))
+
+
+def _oracle_chart_coords(point, origin, proj):
+    return tuple(sum(c * (p - o) for c, p, o in zip(row, point, origin) if c)
+                 for row in proj)
+
+
+def _oracle_facet_chart(P, facet_index):
+    """``(origin, basis, coords)`` of a facet chart, in Fractions."""
+    f = P.facets[facet_index]
+    z, basis, proj = _frame(f.normal)
+    origin = tuple(-f.offset * zi for zi in z)
+    coords = {k: _oracle_chart_coords(v, origin, proj)
+              for k, (v, act) in enumerate(zip(P.vertices, P.vertex_facets))
+              if facet_index in act}
+    return origin, basis, coords
+
+
+def _oracle_is_facet(P, T, coords, d):
+    if P.is_bounded() and any(len(P.vertex_facets[k]) == P.dim for k in T):
+        return True
+    return len(T) >= d and la.affine_rank([coords[k] for k in T]) == d - 1
+
+
+def _oracle_pull(P, coords, origin, basis):
+    order = sorted(coords, key=coords.__getitem__)
+    d = len(basis)
+    if d == 1:
+        return ((order[0], order[-1]),)
+    members = {}
+    for k in order:
+        for j in P.vertex_facets[k]:
+            members.setdefault(j, []).append(k)
+    facets = {}
+    for j, T in members.items():
+        T = tuple(T)
+        if (T[0] != order[0] and len(T) < len(order) and T not in facets
+                and _oracle_is_facet(P, T, coords, d)):
+            g = P.facets[j]
+            prim, factor = la.primitivize([la.dot(g.normal, b) for b in basis])
+            facets[T] = (prim, g.value(origin) / factor)
+    sims = []
+    columns = tuple(zip(*basis))
+    for T, (normal, offset) in sorted(facets.items(), key=lambda tf: tf[1]):
+        z, frame, proj = _frame(normal)
+        o = tuple(-offset * zi for zi in z)
+        sub_origin = tuple(x + la.dot(o, col) for x, col in zip(origin, columns))
+        sub_basis = tuple(tuple(la.dot(b, col) for col in columns) for b in frame)
+        sub = {k: _oracle_chart_coords(coords[k], o, proj) for k in T}
+        sims.extend((order[0],) + s for s in _oracle_pull(P, sub, sub_origin, sub_basis))
+    return tuple(sims)
+
+
+def _floats(rows):
+    return np.array([[[float(c) for c in v] for v in s] for s in rows], dtype=float)
+
+
+def assert_matches_fraction_l0(Q):
+    """Exact data, choices and float bits of ``Q`` against the oracles."""
+    V = Q.vertices
+    assert Q.vertices_floats().tobytes() == np.array(
+        [[float(c) for c in v] for v in V], dtype=float).tobytes()
+    genuine = tuple(i for i in range(len(Q.facets)) if _oracle_is_facet(
+        Q, [k for k, act in enumerate(Q.vertex_facets) if i in act], V, Q.dim))
+    assert Q.genuine_facet_indices() == genuine
+    if Q.dim == 1:
+        return
+    facet_sims = {}
+    for i in genuine:
+        origin, basis, coords = _oracle_facet_chart(Q, i)
+        chart = Q.facet_chart(i)
+        assert (chart.origin, chart.basis, chart.coords) == (origin, basis, coords)
+        facet_sims[i] = _oracle_pull(Q, coords, origin, basis)
+        assert Q.facet_triangulation(i) == facet_sims[i]
+        got = Q.facet_triangulation_floats(i)
+        want = _floats([[coords[k] for k in s] for s in facet_sims[i]])
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    sims = tuple((0,) + s for i in genuine if i not in Q.vertex_facets[0]
+                 for s in facet_sims[i])
+    assert Q.triangulate() == tuple(tuple(V[k] for k in s) for s in sims)
+    got, want = Q.triangulation_floats(), _floats(Q.triangulate())
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("P", POLYTOPES, ids=_ids)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_integer_clip_matches_fraction_clip(P, data):
+    rows = data.draw(cut_rows(P))
+    cell, ref = _clip(P, rows), _oracle_clip(P, rows)
+    assert (cell is None) == (ref is None)
+    if cell is not None:
+        assert (cell.facets, cell.vertices, cell.vertex_facets) == ref
+        assert_matches_fraction_l0(cell)
+
+
+@pytest.mark.parametrize("P", SOLIDS, ids=_ids)
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_integer_chops_match_fraction_chops(P, data):
+    Q = P
+    for _ in range(data.draw(st.integers(1, 2))):
+        k = data.draw(st.integers(0, len(Q.vertices) - 1))
+        eps = Q.admissible_chop(k) * F(data.draw(st.integers(1, 19)), 20)
+        v = Q.vertex_data()[k]
+        m = tuple(sum(Q.facets[i].normal[c] for i in v.adjacent_facets)
+                  for c in range(Q.dim))
+        assert Q.admissible_chop(k) == min(
+            la.dot(m, q) - la.dot(m, v.coords) for q in Q.vertices if q != v.coords) / 2
+        ref = _oracle_clip(Q, [(m, -la.dot(m, v.coords) - eps)])
+        Q = Q.corner_chop(k, eps)
+        assert (Q.facets, Q.vertices, Q.vertex_facets) == ref
+    assert_matches_fraction_l0(Q)
+
+
+@pytest.mark.parametrize("P", POLYTOPES, ids=_ids)
+def test_catalog_l0_matches_fraction_l0(P):
+    assert_matches_fraction_l0(P)
+    assert P.volume() == sum(
+        abs(la.det([[s[i + 1][k] - s[0][k] for k in range(P.dim)]
+                    for i in range(P.dim)])) for s in P.triangulate()) / factorial(P.dim)
+
+
+# A float of n / D with |n| or D past 2**53 is correctly rounded only by
+# integer true division: converting each to float first rounds twice.
+past_53 = st.builds(lambda a, b: F(a, 2 ** 53 + b), st.integers(-5, 5), st.integers(1, 99))
+
+
+@pytest.mark.parametrize("P", SOLIDS, ids=_ids)
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_floats_of_denominators_past_2_53(P, data):
+    normal = data.draw(st.tuples(*[small] * P.dim).filter(any))
+    v = data.draw(st.sampled_from(P.vertices))
+    cell = _clip(P, [(normal, data.draw(past_53) - la.dot(normal, v))])
+    if cell is not None:
+        assert_matches_fraction_l0(cell)
+
+
+def test_float_of_one_over_2_53_plus_1():
+    square = catalog.load("cp1xcp1")
+    cell = _clip(square, [((1, 0), -F(1, 2 ** 53 + 1))])
+    assert cell.vertices_floats()[0, 0] == 1 / (2 ** 53 + 1) != 2.0 ** -53
+    assert_matches_fraction_l0(cell)
