@@ -92,8 +92,7 @@ class Facet:
         return la.dot(self.normal, point) + self.offset
 
     def scaled_value(self, x, d):
-        """The value at ``x / d`` (d > 0) times d and the offset's
-        denominator: an integer with the value's sign."""
+        """The value at ``x / d`` (d > 0) times d and the offset's denominator."""
         return (self.offset.denominator * la.dot(self.normal, x)
                 + self.offset.numerator * d)
 
@@ -115,15 +114,13 @@ class _HashedTuple(tuple):
 
 
 def _read_only(arr):
-    """``arr``, flagged read-only: cached float arrays are shared by every
-    caller."""
+    """``arr``, flagged read-only: cached arrays are shared by every caller."""
     arr.flags.writeable = False
     return arr
 
 
 def _memo(method):
-    """Cache ``method`` per polytope in ``_cache``, keyed by its name and
-    arguments."""
+    """Cache ``method`` per polytope in ``_cache``, by name and arguments."""
     name = method.__name__
 
     @wraps(method)
@@ -162,13 +159,22 @@ class FacetChart:
     the basis spans the integer lattice with determinant +-1).  ``coords``
     holds the chart coordinates of the polytope's vertices on the facet, by
     vertex index.  For 1-dimensional polytopes the chart is a single point
-    of measure one.
+    of measure one.  ``origin`` and ``coords`` are built on first use from
+    ``_exact``: the offset, z and the integer coordinates over their scale.
     """
 
     facet_index: int
-    origin: tuple
     basis: tuple
-    coords: dict = field(repr=False, compare=False)
+    _exact: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def origin(self):
+        return tuple(-self._exact[0] * zi for zi in self._exact[1])
+
+    @cached_property
+    def coords(self):
+        _, _, scale, ints = self._exact
+        return {k: tuple(Fraction(y, scale) for y in ys) for k, ys in ints.items()}
 
     def map_exact(self, y):
         return tuple(
@@ -179,7 +185,8 @@ class FacetChart:
 
     @cached_property
     def _float_frame(self):
-        return (np.array([float(c) for c in self.origin]),
+        p, q = self._exact[0].numerator, self._exact[0].denominator
+        return (np.array([-p * zi / q for zi in self._exact[1]]),
                 np.array(self.basis, dtype=float))
 
     def map_floats(self, pts):
@@ -235,10 +242,9 @@ class DelzantPolytope:
                 f"facets={len(self.facets)} vertices={len(self._enumerate()[1])}>")
 
     def _enumerate(self):
-        """``(D, X, active)``: the sorted vertices ``X[k] / D`` (D is 1 for
-        vertices cached without a scale) and the indices ``active[k]`` of all
-        facets through each, tolerating non-simple corners.  Tries every
-        n-subset of facets unless inherited (:func:`_clip`)."""
+        """``(D, X, active)``: the sorted vertices ``X[k] / D`` (D = 1 if none
+        is cached) and the indices ``active[k]`` of all facets through each,
+        tolerating non-simple corners; enumerated unless inherited (_clip)."""
         if "enum" not in self._cache:
             points = set()
             for comb in combinations(self.facets, self.dim):
@@ -374,10 +380,9 @@ class DelzantPolytope:
     def facet_chart(self, i):
         if isinstance(i, Facet):
             return self.facet_chart(self.facets.index(i))
-        f, (basis, coords), scale = self.facets[i], self._chart(i), self._enumerate()[0]
-        return FacetChart(i, tuple(-f.offset * zi for zi in _frame(f.normal)[0]), basis,
-                          {k: tuple(Fraction(y, scale) for y in ys)
-                           for k, ys in coords.items()})
+        f, (basis, coords) = self.facets[i], self._chart(i)
+        return FacetChart(i, basis, (f.offset, _frame(f.normal)[0],
+                                     self._enumerate()[0], coords))
 
     @_memo
     def facet_triangulation(self, i):
@@ -630,8 +635,7 @@ def _is_facet(P, T, coords, d):
     """Whether the vertices ``T`` (indices into P's vertices, at ``coords``)
     of a d-face of ``P`` span a facet of that face.  In a bounded polytope
     they do when one of them is simple in P: the facets through a simple
-    vertex cut out a boolean lattice of faces.  Otherwise their affine rank
-    decides."""
+    vertex cut out a boolean lattice of faces.  Else their affine rank does."""
     active = P._enumerate()[2]
     if P.is_bounded() and any(len(active[k]) == P.dim for k in T):
         return True
@@ -648,8 +652,7 @@ def _pull(P, coords, basis):
     that meet it without containing it that :func:`_is_facet` accepts.  The
     apex is the smallest vertex in chart coordinates, and the facets not
     through it come in the sorted order of their primitive chart (normal,
-    offset), -<normal, y> at any y of T: the choices triangulating the
-    face's chart polytope would make.
+    offset = -<normal, y> at any y of T), as in the face's chart polytope.
     """
     order = sorted(coords, key=coords.__getitem__)
     d = len(basis)

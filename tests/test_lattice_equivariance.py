@@ -11,7 +11,6 @@ the exact layer and the integrators together.
 from fractions import Fraction as F
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from toricstab import _linalg as la, invariants as inv, testconfig as tcg
