@@ -4,7 +4,8 @@ On a reflexive polytope (all facet offsets one, origin interior) the soliton
 direction is the unique xi where the extremal field of the exponential
 weights equals xi itself; equivalently, the exponential-weighted barycenter
 vanishes.  A damped Newton iteration on the Futaki/Gram residual finds it,
-and an independent convex-minimisation oracle cross-checks it.
+and an independent oracle cross-checks it: damped Newton on the convex
+log-volume, from closed-form exponential moments.
 """
 
 import numpy as np

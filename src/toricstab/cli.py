@@ -3,9 +3,10 @@
 Commands: validate, invariants, futaki, extremal-field, soliton,
 testconfig {df,dft,norm,chow,destabilize}, blowup-expand, report, selftest.
 Output is deterministic JSON (fixed field order, %.12e floats) unless --csv
-or --text is selected.  Exit codes: 0 success, 2 argument/parse errors,
-3 precondition violations, 4 tolerance failures: under --strict, and
-always when the two backends disagree or a localisation limit at a
+or --text is selected.  Exit codes: 0 success, 2 argument/parse errors
+(also bad cubature flags, a --csv kind the document lacks, an unwritable
+--out), 3 precondition violations, 4 tolerance failures: under --strict,
+and always when the two backends disagree or a localisation limit at a
 degenerate direction does not settle.
 """
 
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -50,7 +52,8 @@ def _add_common(p):
     p.add_argument("--tol-rel", type=float, default=1e-10)
     p.add_argument("--max-depth", type=int, default=12)
     p.add_argument("--json", action="store_true", help="JSON output (default)")
-    p.add_argument("--csv", help="emit CSV plot data (expansion|chow|gram)")
+    p.add_argument("--csv", choices=("expansion", "chow", "gram"),
+                   help="emit CSV plot data")
     p.add_argument("--text", action="store_true", help="plain text summary")
     p.add_argument("--out", help="write output to a file instead of stdout")
     p.add_argument("--strict", action="store_true",
@@ -126,13 +129,23 @@ def _load_tc(args, P, W):
 
 
 def _rule(args):
+    for flag, value in (("--quad-degree", args.quad_degree),
+                        ("--max-depth", args.max_depth),
+                        ("--tol-abs", args.tol_abs), ("--tol-rel", args.tol_rel)):
+        if not 0 <= value < math.inf:
+            raise CliError(f"bad {flag}: {value} (need a finite value >= 0)",
+                           EXIT_PARSE)
     return QuadratureRule(degree=args.quad_degree, tol_abs=args.tol_abs,
                           tol_rel=args.tol_rel, max_depth=args.max_depth)
 
 
 def _emit(args, doc):
     if args.csv:
-        text = report.emit_plot_data(doc, args.csv)
+        try:
+            text = report.emit_plot_data(doc, args.csv)
+        except KeyError as e:
+            raise CliError(f"cannot emit --csv {args.csv}: {e.args[0]}",
+                           EXIT_PARSE) from e
     elif args.text:
         lines = []
 
@@ -149,8 +162,11 @@ def _emit(args, doc):
     else:
         text = report.dumps(doc)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise CliError(f"cannot write {args.out}: {e}", EXIT_PARSE) from e
     else:
         sys.stdout.write(text)
 
@@ -255,11 +271,11 @@ def _cmd_blowup(args):
     tc = None
     if args.quantity in ("df", "dft"):
         tc = _load_tc(args, P, W)
-    grid = None
-    if args.eps_max:
-        start = _fraction(args.eps_max, "--eps-max") / 4
-        grid = tuple(start / 2 ** k for k in range(args.eps_points))
+    eps_max = _fraction(args.eps_max, "--eps-max") if args.eps_max else None
     try:
+        grid = (tuple(eps_max / 4 / 2 ** k for k in range(args.eps_points))
+                if eps_max is not None
+                else blowup.default_eps_grid(P, vertex, args.eps_points))
         rep = blowup.verify_expansion(args.quantity, P, W, vertex,
                                       eps_grid=grid, beta=beta, tc=tc,
                                       rule=rule)

@@ -19,7 +19,6 @@ can be run together to cross-check each other.
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -321,27 +320,31 @@ def soliton_field(P, rule=DEFAULT_RULE, tol=1e-10, max_iter=50,
 def soliton_oracle(P):
     """Critical point of xi -> int_P exp(<xi, x>) dx.
 
-    Solved through the barycenter condition int_P x exp(<xi, x>) dx = 0
-    using the closed-form exponential moments (divided differences), entirely
-    independent of the Futaki/Newton machinery.  A coarse convex line
-    search seeds the root finder.
+    Damped Newton on the strictly convex log-volume, entirely from the
+    closed-form exponential moments (divided differences) and so independent
+    of the cubature and Futaki/Gram machinery: the gradient is the
+    exponential barycenter, the Hessian its covariance, and a step is halved
+    while the volume rises (beyond 1e-12 relative, its rounding noise).
     """
-    from scipy.optimize import minimize, root
+    basis = np.eye(P.dim, dtype=int)
 
-    n = P.dim
+    def moment(m, xi):
+        return quadrature.moments(P, m, xi, "exponential")
 
-    def logvol(xi):
-        return math.log(quadrature.moments(P, None, xi, "exponential"))
-
-    seed = minimize(logvol, np.zeros(n), method="Nelder-Mead",
-                    options={"xatol": 1e-8, "fatol": 1e-12, "maxiter": 2000}).x
-
-    def grad(xi):
-        return np.array([quadrature.moments(P, e, xi, "exponential")
-                         for e in np.eye(n, dtype=int)])
-
-    res = root(grad, seed, method="hybr", options={"xtol": 1e-13})
-    return tuple(float(c) for c in res.x)
+    xi = np.zeros(P.dim)
+    for _ in range(100):
+        vol = moment(None, xi)
+        bary = np.array([moment(a, xi) for a in basis]) / vol
+        second = np.array([[moment(a + b, xi) for b in basis]
+                           for a in basis]) / vol
+        step = np.linalg.solve(second - np.outer(bary, bary), -bary)
+        while (np.max(np.abs(step)) > 1e-12
+               and moment(None, xi + step) > vol * (1 + 1e-12)):
+            step /= 2
+        xi = xi + step
+        if np.max(np.abs(step)) <= 1e-12:
+            break
+    return tuple(float(c) for c in xi)
 
 
 def invariant_report(P, W, rule=DEFAULT_RULE, backend="quadrature",

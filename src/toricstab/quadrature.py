@@ -23,9 +23,11 @@ evaluating one simplex at a time, cache or no cache: bisection and
 determinant act simplex by simplex, and numpy computes each row of the
 stacked rule sum as the same 1-D dot.
 
-``moments`` provides an independent closed-form path (rational arithmetic
-for monomials, confluent divided differences for exponentials) used as an
-oracle against the cubature backend.
+``moments`` provides an independent closed-form path used as an oracle
+against the cubature backend: x^m is expanded once in the barycentric
+coordinates of each simplex, and each barycentric monomial integrates to a
+divided difference, exactly (a rational) for monomial moments and through
+confluent divided differences of exp, in numpy, for exponential ones.
 """
 
 from __future__ import annotations
@@ -325,95 +327,75 @@ def integrate_boundary(polytope, f, rule=DEFAULT_RULE):
 # -- closed-form oracles -------------------------------------------------------
 
 
-def _poly_mul(p, q):
-    out = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            out[e] = out.get(e, Fraction(0)) + c1 * c2
-    return out
+def _barycentric_expansion(simplex, m):
+    """x^m on a simplex as {e: c}, the Fraction coefficients of the
+    monomials prod_i lambda_i^e_i in its barycentric coordinates lambda."""
+    poly = {(0,) * len(simplex): Fraction(1)}
+    for k, power in enumerate(m):
+        lin = [(i, Fraction(v[k])) for i, v in enumerate(simplex) if v[k]]
+        for _ in range(power):
+            out = {}
+            for e, c in poly.items():
+                for i, a in lin:
+                    e2 = e[:i] + (e[i] + 1,) + e[i + 1:]
+                    out[e2] = out.get(e2, 0) + c * a
+            poly = out
+    return poly
+
+
+def _simplex_moment(simplex, m, nodes, dd):
+    """int_S x^m h(<xi, x>) dx over one rational simplex S.
+
+    ``nodes`` are the values <xi, v_i> at its vertices, and ``dd`` maps
+    N + 1 nodes to the divided difference over them of an N-fold
+    antiderivative of h.  By Hermite-Genocchi, int_S lambda^e h(<xi, x>) dx
+    = |det| e! dd(node i repeated e_i + 1 times), with |det| = n! vol(S).
+    """
+    det = la.det([[a - b for a, b in zip(v, simplex[0])] for v in simplex[1:]])
+    return abs(det) * sum(
+        c * math.prod(map(math.factorial, e))
+        * dd([t for t, k in zip(nodes, e) for _ in range(k + 1)])
+        for e, c in _barycentric_expansion(simplex, m).items())
 
 
 def _monomial_moment_simplex(simplex, m):
-    """Exact integral of x^m over one rational simplex."""
-    n = len(m)
-    v0 = simplex[0]
-    edges = [[simplex[i + 1][k] - v0[k] for i in range(n)] for k in range(n)]
-    detA = la.det([[simplex[i + 1][k] - v0[k] for k in range(n)]
-                   for i in range(n)])
-    if detA == 0:
-        return Fraction(0)
-    zero = tuple([0] * n)
-    poly = {zero: Fraction(1)}
-    for k in range(n):
-        lin = {zero: Fraction(v0[k])}
-        for i in range(n):
-            if edges[k][i]:
-                e = tuple(1 if j == i else 0 for j in range(n))
-                lin[e] = Fraction(edges[k][i])
-        for _ in range(m[k]):
-            poly = _poly_mul(poly, lin)
-    total = Fraction(0)
-    for e, c in poly.items():
-        num = Fraction(1)
-        for a in e:
-            num *= math.factorial(a)
-        total += c * num / math.factorial(n + sum(e))
-    return abs(detA) * total
+    """Exact integral of x^m over one rational simplex: h = 1, whose
+    divided difference over N + 1 nodes is 1/N!."""
+    return _simplex_moment(simplex, m, [0] * len(simplex),
+                           lambda nodes: Fraction(1, math.factorial(len(nodes) - 1)))
 
 
 def divided_difference_exp(nodes):
     """Confluent divided difference of exp over the node list.
 
-    Computed as the corner entry of exp of the upper bidiagonal matrix with
-    the nodes on the diagonal (Opitz); exact node repetitions are allowed.
+    It is the corner entry of exp(Z), Z upper bidiagonal with the nodes on
+    the diagonal and ones above it (Opitz); exact node repetitions are
+    allowed.  exp(Z) is a Taylor sum of Z / 2**s, ||Z / 2**s||_1 <= 1/2,
+    squared s times (McCurdy, Ng and Parlett, Math. Comp. 43, 1984).  Each
+    entry of exp(Z / 2**k) is a positive multiple of a divided difference of
+    exp and so positive: the squarings add positive terms and cancel nothing.
     """
-    from scipy.linalg import expm  # 0.3 s to import: only commands that need it
     m = len(nodes)
-    z = np.zeros((m, m))
-    for i, t in enumerate(nodes):
-        z[i, i] = t
-        if i + 1 < m:
-            z[i, i + 1] = 1.0
-    return float(expm(z)[0, -1])
+    z = np.diag(np.asarray(nodes, dtype=float)) + np.eye(m, k=1)
+    s = max(0, math.frexp(np.abs(z).sum(axis=0).max())[1] + 1)
+    a = z / 2 ** s
+    eye = np.eye(m)
+    # The j-th Taylor term past an entry's first is at most (1/2)**j / j! of
+    # it, so 16 more than the corner's m - 1 leave under 1e-18.
+    terms = m + 16
+    e = eye + a / terms
+    for k in range(terms - 1, 0, -1):
+        e = eye + a @ e / k
+    for _ in range(s):
+        e = e @ e
+    return float(e[0, -1])
 
 
 def _exp_moment_simplex(simplex, m, xi):
     """Integral of x^m e^{<xi,x>} over one rational simplex (float)."""
-    n = len(m)
-    verts = simplex
-    detA = la.det([[verts[i + 1][k] - verts[0][k] for k in range(n)]
-                   for i in range(n)])
-    if detA == 0:
-        return 0.0
-    xi_f = np.asarray(xi, dtype=float)
-    svals = [float(xi_f @ np.array([float(c) for c in v])) for v in verts]
-    # Expand x^m into barycentric monomials over the n+1 vertices.
-    zero = tuple([0] * (n + 1))
-    poly = {zero: Fraction(1)}
-    for k in range(n):
-        lin = {}
-        for i in range(n + 1):
-            if verts[i][k]:
-                e = tuple(1 if j == i else 0 for j in range(n + 1))
-                lin[e] = Fraction(verts[i][k])
-        if not lin:
-            if m[k] > 0:
-                return 0.0
-            continue
-        for _ in range(m[k]):
-            poly = _poly_mul(poly, lin)
-    scale = float(abs(detA))
-    total = 0.0
-    for e, c in poly.items():
-        nodes = []
-        for i, mult in enumerate(e):
-            nodes.extend([svals[i]] * (mult + 1))
-        fact = 1
-        for a in e:
-            fact *= math.factorial(a)
-        total += float(c) * fact * divided_difference_exp(nodes)
-    return scale * total
+    xi = np.asarray(xi, dtype=float)
+    nodes = [float(xi @ np.array([float(c) for c in v])) for v in simplex]
+    return float(_simplex_moment(simplex, m, nodes, divided_difference_exp))
 
 
 def moments(polytope, m=None, xi=None, mode="monomial"):
@@ -428,10 +410,8 @@ def moments(polytope, m=None, xi=None, mode="monomial"):
         m = tuple([0] * polytope.dim)
     m = tuple(int(k) for k in m)
     if mode == "monomial":
-        total = Fraction(0)
-        for s in polytope.triangulate():
-            total += _monomial_moment_simplex(s, m)
-        return total
+        return sum((_monomial_moment_simplex(s, m) for s in polytope.triangulate()),
+                   Fraction(0))
     if mode == "exponential":
         if xi is None:
             raise ValueError("exponential moments need xi")

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -88,6 +89,38 @@ def test_blowup_expand_eps_flags(capsys):
     doc = json.loads(out)
     assert len(doc["eps"]) == 6
     assert doc["eps"][0] == pytest.approx(1 / 16)
+
+
+def test_blowup_expand_eps_points_alone(capsys):
+    code, out = run(capsys, "blowup-expand", "--catalog", "cp1xcp1",
+                    "--vertex", "0", "--quantity", "volume", "--eps-points", "5")
+    assert code == 0
+    doc = json.loads(out)
+    assert len(doc["eps"]) == 5
+    assert doc["eps"][0] == pytest.approx(1 / 8)  # admissible 1/2, over 4
+
+
+# A CSV kind the command's document lacks, and one that does not exist.
+@pytest.mark.parametrize("argv", [
+    ["report", "--csv", "expansion"], ["report", "--csv", "chow"],
+    ["report", "--csv", "gram"], ["invariants", "--csv", "chow"],
+    ["validate", "--csv", "gram"], ["testconfig", "df", "--beta", "1,0",
+                                    "--csv", "chow"],
+], ids=["report-expansion", "report-chow", "report-gram", "invariants-chow",
+        "validate-gram", "tc-df-chow"])
+def test_csv_kind_missing_from_document_exits_2(capsys, argv):
+    code = main([*argv, "--catalog", "cp2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: cannot emit --csv {argv[-1]}: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_unknown_csv_kind_is_a_parse_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["invariants", "--catalog", "cp2", "--csv", "bogus"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 def test_report_determinism(capsys):
@@ -251,8 +284,8 @@ def test_catalog_output_matches_golden(capsys, golden, argv):
     assert out.encode() == (DATA / golden).read_bytes()
 
 
-# Malformed files and option values: exit 2 with one "error:" line, before
-# any computation.
+# Malformed files, option values and output paths: exit 2 with one "error:"
+# line and nothing on stdout.
 BLOWUP_CP2 = ["blowup-expand", "--catalog", "cp2", "--vertex", "0"]
 
 
@@ -283,12 +316,26 @@ BLOWUP_CP2 = ["blowup-expand", "--catalog", "cp2", "--vertex", "0"]
     ([*BLOWUP_CP2, "--quantity", "volume", "--eps-max", "x"], "bad --eps-max: "),
     ([*BLOWUP_CP2, "--quantity", "volume", "--eps-max", "1/0"],
      "bad --eps-max: "),
+    (["invariants", "--catalog", "cp2", "--quad-degree", "-3"],
+     "bad --quad-degree: "),
+    (["soliton", "--catalog", "cp2-reflexive", "--max-depth", "-1"],
+     "bad --max-depth: "),
+    (["futaki", "--catalog", "cp2", "--beta", "1,0", "--tol-abs", "-0.5"],
+     "bad --tol-abs: "),
+    (["invariants", "--catalog", "cp2", "--tol-abs", "inf"], "bad --tol-abs: "),
+    (["invariants", "--catalog", "cp2", "--tol-rel", "nan"], "bad --tol-rel: "),
+    (["selftest", "--tol-rel=-inf"], "bad --tol-rel: "),
+    (["invariants", "--catalog", "cp2", "--out", "{missing}/x.json"],
+     "cannot write "),
 ], ids=["report-tc-missing", "report-tc-no-constant",
         "report-tc-zero-denominator", "report-tc-not-a-list", "tc-df-missing",
         "tc-df-no-constant", "tc-df-beta-not-a-number", "futaki-beta-not-a-number",
         "futaki-beta-too-short", "blowup-beta-not-a-number", "xi-too-long",
         "a-zero-denominator", "a-not-a-number",
-        "eps-max-not-a-number", "eps-max-zero-denominator"])
+        "eps-max-not-a-number", "eps-max-zero-denominator",
+        "quad-degree-negative", "max-depth-negative", "tol-abs-negative",
+        "tol-abs-infinite", "tol-rel-nan", "tol-rel-minus-infinity",
+        "out-unwritable"])
 def test_bad_input_exits_2(tmp_path, capsys, argv, message):
     files = {"missing": None,
              "no_constant": {"pieces": [{"gradient": ["0", "0"]}]},
@@ -307,19 +354,38 @@ def test_bad_input_exits_2(tmp_path, capsys, argv, message):
     assert captured.err.count("\n") == 1
 
 
-def test_cli_imports_scipy_only_for_commands_that_need_it():
-    # scipy.linalg alone takes about half of the CLI's start-up time.
+def test_no_command_imports_scipy():
+    # numpy is the only runtime dependency: no module imports scipy, and the
+    # commands run with every import of it refused.
+    src = Path(__file__).resolve().parent.parent / "src"
+    for path in sorted((src / "toricstab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "scipy" for n in names), path.name
     script = (
         "import contextlib, io, sys\n"
+        "sys.modules['scipy'] = None\n"
         "import toricstab.cli\n"
-        "print('scipy' in sys.modules)\n"
+        "codes = []\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = toricstab.cli.main(['invariants', '--catalog', 'cp2'])\n"
-        "print(code, 'scipy' in sys.modules)\n")
-    src = str(Path(__file__).resolve().parent.parent / "src")
+        "    for argv in (['invariants', '--catalog', 'cp2'],\n"
+        "                 ['soliton', '--catalog', 'bl1cp2-reflexive'],\n"
+        "                 ['testconfig', 'destabilize', '--catalog', 'cp2',\n"
+        "                  '--beta', '1,0'],\n"
+        "                 ['blowup-expand', '--catalog', 'cp2', '--vertex', '0',\n"
+        "                  '--quantity', 'volume'],\n"
+        "                 ['report', '--catalog', 'cp2', '--sample', '1']):\n"
+        "        codes.append(toricstab.cli.main(argv))\n"
+        "print(*codes, sys.modules['scipy'])\n")
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    env = dict(os.environ,
+               PYTHONPATH=str(src) + (os.pathsep + path if path else ""))
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "0", "False"]
+    assert proc.stdout.split() == ["0", "0", "0", "0", "0", "None"]

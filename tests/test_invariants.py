@@ -6,7 +6,8 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from toricstab import catalog, invariants as inv, polytope
+from toricstab import catalog, invariants as inv, polytope, quadrature
+from toricstab.acceptance import BL1CP2_SOLITON_T
 from toricstab.invariants import BackendError
 from toricstab.profiles import PositivityError, builtin, require_positive
 
@@ -188,6 +189,14 @@ class TestSoliton:
     def test_requires_reflexive(self, simplex):
         with pytest.raises(ValueError):
             inv.soliton_field(simplex)
+
+    def test_oracle_uses_no_cubature(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the soliton oracle integrated by cubature")
+
+        monkeypatch.setattr(quadrature, "integrate_parts", refuse)
+        xi = inv.soliton_oracle(catalog.load("bl1cp2-reflexive"))
+        assert max(abs(c - BL1CP2_SOLITON_T) for c in xi) <= 1e-13
 
 
 class TestUnimodularInvariance:

@@ -1,13 +1,15 @@
+import decimal
 import heapq
 import math
 from collections import OrderedDict
+from decimal import Decimal
 from fractions import Fraction as F
 from itertools import count, product
 
 import numpy as np
 import pytest
 
-from toricstab import quadrature
+from toricstab import catalog, quadrature
 from toricstab.polytope import DelzantPolytope
 from toricstab.quadrature import (DEFAULT_RULE, IntegrationResult,
                                   QuadratureRule, _estimate, _RunningSum,
@@ -564,6 +566,40 @@ def test_divided_difference_exp_repeated_nodes():
     a, b = 0.3, -1.2
     assert divided_difference_exp([a, b]) == pytest.approx(
         (math.exp(a) - math.exp(b)) / (a - b), rel=1e-13)
+
+
+def _decimal_divided_difference_exp(nodes, terms=200):
+    """exp[t_0, ..., t_N] as the series sum_k h_k(t) / (N + k)!, h_k the
+    complete homogeneous symmetric polynomial of degree k, in 60 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        h = [Decimal(1)] + [Decimal(0)] * terms
+        for t in nodes:
+            for k in range(1, terms + 1):
+                h[k] += Decimal(t) * h[k - 1]
+        n = len(nodes) - 1
+        return sum(h[k] / math.factorial(n + k) for k in range(terms + 1))
+
+
+@pytest.mark.parametrize("repeats", [False, True], ids=["distinct", "repeated"])
+def test_divided_difference_exp_against_decimal_series(repeats):
+    rng = np.random.default_rng(2024 + repeats)
+    for _ in range(100):
+        nodes = rng.uniform(-10, 10, rng.integers(1, 7))
+        if repeats:
+            nodes = rng.choice(nodes, rng.integers(2, 9))
+        nodes = [float(t) for t in nodes]
+        ref = _decimal_divided_difference_exp(nodes)
+        got = Decimal(divided_difference_exp(nodes))
+        assert abs(got - ref) <= Decimal("1e-13") * ref, nodes
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_moments_volume_is_exact(name):
+    P = catalog.load(name)
+    chops = [P.corner_chop(0, P.admissible_chop(0) / 3)] if P.dim > 1 else []
+    for Q in [P, *chops]:
+        assert moments(Q) == Q.volume()
 
 
 class TestLatticeMeasureIdentity:
