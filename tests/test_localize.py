@@ -1,4 +1,7 @@
+import json
 import math
+from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +10,11 @@ from toricstab import localize
 from toricstab.localize import (DegenerateDirectionError, directional_derivative,
                                 eval_at_degenerate, eval_c1_class, eval_class,
                                 vertex_weights)
-from toricstab.profiles import Exponential, Monomial
+from toricstab.profiles import (Exponential, Monomial, PowerLaw,
+                                ProfileDomainError, builtin)
 from toricstab.quadrature import integrate, integrate_boundary
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestVertexWeightIdentities:
@@ -177,3 +183,61 @@ class TestEdgeArrays:
         for arr in localize._edge_arrays(trapezoid):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
+
+
+# The bits of every localisation value, recorded by ``_localisation_bits()``
+# into tests/data/localize_bits.json.  Refactors of the vertex sums must
+# keep each float exactly, and each failure's exception type.
+BITS_DIRECTIONS = {"generic": (0.37, -0.21, 0.13), "zero": (0.0, 0.0, 0.0),
+                   "axis": (0.8, 0.0, 0.0)}
+BITS_PROFILES = {"Exponential": lambda n: Exponential(),
+                 "PowerLaw": lambda n: PowerLaw(F(1), F(3), F(-3)),
+                 "Monomial": lambda n: Monomial(n + 1),
+                 # Limits that do not settle, and steps that cross a pole.
+                 "ckem": lambda n: builtin("ckem", n, a=F(1, 2)).g,
+                 "PowerLaw-pole": lambda n: PowerLaw(F(1), F(1, 20), F(-3))}
+
+
+def _bits_of(fn):
+    try:
+        out = fn()
+    except (DegenerateDirectionError, localize.ExtrapolationError,
+            ProfileDomainError) as e:
+        return type(e).__name__
+    if isinstance(out, list):
+        return [[float(w.pairing).hex(), float(w.euler).hex(),
+                 float(w.c1).hex()] for w in out]
+    return float(out).hex()
+
+
+def _localisation_bits():
+    from toricstab import catalog
+    bits = {}
+    # bl3cp2 has vertices whose pairings a matrix product rounds otherwise.
+    for name in ("cp2", "bl1cp2", "bl3cp2", "cube"):
+        P = catalog.load(name)
+        n = P.dim
+        beta = [0.5, 1.0, -0.7][:n]
+        for xi_name, xi in BITS_DIRECTIONS.items():
+            xi = list(xi[:n])
+            bits[f"{name} {xi_name} vertex_weights"] = _bits_of(
+                lambda: vertex_weights(P, xi))
+            for prof_name, make in BITS_PROFILES.items():
+                h = make(n)
+                key = f"{name} {xi_name} {prof_name}"
+                bits[f"{key} eval_class"] = _bits_of(
+                    lambda: eval_class(P, h, xi))
+                bits[f"{key} eval_c1_class"] = _bits_of(
+                    lambda: eval_c1_class(P, h, xi))
+                for kind in ("volume", "c1"):
+                    bits[f"{key} directional_derivative {kind}"] = _bits_of(
+                        lambda: directional_derivative(kind, P, h, xi, beta))
+    return bits
+
+
+def test_localisation_bits_are_pinned():
+    want = json.loads((DATA / "localize_bits.json").read_text())
+    got = _localisation_bits()
+    assert got.keys() == want.keys()
+    for key in want:
+        assert got[key] == want[key], key
