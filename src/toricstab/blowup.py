@@ -105,29 +105,6 @@ def predict_df_expansions(tc, vertex, rule=DEFAULT_RULE):
     }
 
 
-def _exact_values(quantity, P, W, vertex, grid, beta=None, tc=None,
-                  rule=DEFAULT_RULE, basis=None):
-    v = P.vertex_data_at(vertex)
-    out = []
-    for eps in grid:
-        Pe = P.corner_chop(v, eps)
-        if quantity == "volume":
-            out.append(invariants.vol_w(Pe, W, rule))
-        elif quantity == "futaki":
-            out.append(invariants.futaki(Pe, W, beta, rule))
-        elif quantity in ("df", "dft"):
-            tce = testconfig.ToricTC(Pe, W, tc.phi, tc.twist_vector, tc.c0)
-            out.append(testconfig.df(tce, rule) if quantity == "df"
-                       else testconfig.df_T(tce, rule))
-        elif quantity == "gram":
-            g0 = invariants.gram(P, W, basis=basis, rule=rule)
-            ge = invariants.gram(Pe, W, basis=basis, rule=rule)
-            out.append(float(np.linalg.norm(ge - g0)))
-        else:
-            raise ValueError(f"unknown quantity {quantity!r}")
-    return tuple(out)
-
-
 def _lstsq_ladder(eps, y, orders):
     cols = np.stack([eps ** k for k in orders], axis=1)
     scale = np.max(np.abs(cols), axis=0)
@@ -199,26 +176,29 @@ def verify_expansion(quantity, P, W, vertex, eps_grid=None, beta=None,
     if len(set(eps_grid)) < 4:
         raise ValueError("eps grid too narrow to fit the expansion "
                          f"(got {len(set(eps_grid))} distinct depths, need >= 4)")
+    chops = (P.corner_chop(v, eps) for eps in eps_grid)
     if quantity == "volume":
         predicted = predict_volume_expansion(P, W, v, rule)
         next_order = n + 1
+        exact = tuple(invariants.vol_w(Pe, W, rule) for Pe in chops)
     elif quantity == "futaki":
         if beta is None:
             raise ValueError("futaki expansion needs beta")
         predicted = predict_futaki_expansion(P, W, v, beta, rule)
         next_order = n
+        exact = tuple(invariants.futaki(Pe, W, beta, rule) for Pe in chops)
     elif quantity in ("df", "dft"):
         if tc is None:
             raise ValueError("df expansions need a test configuration")
         predicted = predict_df_expansions(tc, v, rule)[quantity]
         next_order = n
+        df = testconfig.df if quantity == "df" else testconfig.df_T
+        exact = tuple(df(testconfig.ToricTC(Pe, W, tc.phi, tc.twist_vector,
+                                            tc.c0), rule) for Pe in chops)
     elif quantity == "gram":
         return gram_convergence(P, W, v, eps_grid=eps_grid, rule=rule)
     else:
         raise ValueError(f"unknown quantity {quantity!r}")
-
-    exact = _exact_values(quantity, P, W, v, eps_grid, beta=beta, tc=tc,
-                          rule=rule)
     orders = sorted(predicted)
     fitted = _fit(eps_grid, exact, predicted)
     # The remainder is measured against the model built from the *predicted*
@@ -254,7 +234,10 @@ def gram_convergence(P, W, vertex, basis=None, eps_grid=None,
         eps_grid = default_eps_grid(P, v)
     if exponent_threshold is None:
         exponent_threshold = n - 0.5
-    exact = _exact_values("gram", P, W, v, eps_grid, rule=rule, basis=basis)
+    g0 = invariants.gram(P, W, basis=basis, rule=rule)
+    grams = (invariants.gram(P.corner_chop(v, eps), W, basis=basis, rule=rule)
+             for eps in eps_grid)
+    exact = tuple(float(np.linalg.norm(g - g0)) for g in grams)
     scale = max(float(np.max(np.abs(exact))), 1e-300)
     mask = [x > 1e-14 * max(1.0, scale) for x in exact]
     if sum(mask) < 3:

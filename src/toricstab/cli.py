@@ -2,12 +2,15 @@
 
 Commands: validate, invariants, futaki, extremal-field, soliton,
 testconfig {df,dft,norm,chow,destabilize}, blowup-expand, report, selftest.
+Each command but selftest returns its document and whether it fails
+--strict; ``main`` emits the document and applies --strict in one place.
 Output is deterministic JSON (fixed field order, %.12e floats) unless --csv
 or --text is selected.  Exit codes: 0 success, 2 argument/parse errors
-(also bad cubature flags, a --csv kind the document lacks, an unwritable
---out), 3 precondition violations, 4 tolerance failures: under --strict,
-and always when the two backends disagree or a localisation limit at a
-degenerate direction does not settle.
+(also bad cubature flags, non-finite or out-of-float-range numbers, a --csv
+kind the command's document lacks, checked before any work, and an
+unwritable --out), 3 precondition violations, 4 tolerance failures: under
+--strict, and always when the two backends disagree or a localisation
+limit at a degenerate direction does not settle.
 """
 
 from __future__ import annotations
@@ -29,6 +32,12 @@ from .quadrature import QuadratureRule
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_TOLERANCE = 4
+
+#: The --csv kind of each command's document (testconfig by subcommand);
+#: ``main`` refuses any other before the command does any work.
+CSV_KIND = {"invariants": "gram", "futaki": "gram", "extremal-field": "gram",
+            "soliton": "gram", "testconfig chow": "chow",
+            "blowup-expand": "expansion"}
 
 
 class CliError(Exception):
@@ -77,6 +86,8 @@ def _vector(text, flag, dim):
         vec = [float(s) for s in text.split(",")]
         if len(vec) != dim:
             raise ValueError(f"{len(vec)} components, need {dim}")
+        if not all(map(math.isfinite, vec)):
+            raise ValueError(f"{text} has a non-finite component")
     except ValueError as e:
         raise CliError(f"bad {flag}: {e}", EXIT_PARSE) from e
     return vec
@@ -139,26 +150,20 @@ def _rule(args):
                           tol_rel=args.tol_rel, max_depth=args.max_depth)
 
 
+def _text_lines(doc, prefix=""):
+    """``key = value`` lines of a document, nested keys joined by dots."""
+    for k, v in doc.items():
+        if isinstance(v, dict):
+            yield from _text_lines(v, f"{prefix}{k}.")
+        else:
+            yield f"{prefix}{k} = {v}"
+
+
 def _emit(args, doc):
     if args.csv:
-        try:
-            text = report.emit_plot_data(doc, args.csv)
-        except KeyError as e:
-            raise CliError(f"cannot emit --csv {args.csv}: {e.args[0]}",
-                           EXIT_PARSE) from e
+        text = report.emit_plot_data(doc, args.csv)
     elif args.text:
-        lines = []
-
-        def walk(prefix, obj):
-            if isinstance(obj, dict):
-                for k, v in obj.items():
-                    walk(f"{prefix}{k}.", v) if isinstance(v, (dict,)) \
-                        else lines.append(f"{prefix}{k} = {v}")
-            else:
-                lines.append(f"{prefix} = {obj}")
-
-        walk("", doc)
-        text = "\n".join(lines) + "\n"
+        text = "\n".join(_text_lines(doc)) + "\n"
     else:
         text = report.dumps(doc)
     if args.out:
@@ -177,16 +182,14 @@ def _cmd_validate(args):
     doc = {"polytope": P.name or "unnamed", "valid": not diags,
            "diagnostics": list(diags),
            "vertices": [[str(c) for c in v] for v in P.vertices]}
-    _emit(args, doc)
-    return EXIT_TOLERANCE if (args.strict and diags) else 0
+    return doc, bool(diags)
 
 
 def _cmd_invariants(args):
     P = _load_polytope(args)
     W = _load_weights(args, P)
     rep = invariants.invariant_report(P, W, _rule(args), backend=args.backend)
-    _emit(args, report.invariant_doc(rep, name=P.name))
-    return 0
+    return report.invariant_doc(rep, name=P.name), False
 
 
 def _cmd_futaki(args):
@@ -199,8 +202,7 @@ def _cmd_futaki(args):
     doc = report.invariant_doc(rep, name=P.name)
     doc["beta"] = beta
     doc["futaki_beta"] = val
-    _emit(args, doc)
-    return 0
+    return doc, False
 
 
 def _cmd_extremal(args):
@@ -208,10 +210,7 @@ def _cmd_extremal(args):
     W = _load_weights(args, P)
     rule = _rule(args)
     rep = invariants.invariant_report(P, W, rule, backend=args.backend)
-    _emit(args, report.invariant_doc(rep, name=P.name))
-    if args.strict and rep.extremal.residual > 1e-8:
-        return EXIT_TOLERANCE
-    return 0
+    return report.invariant_doc(rep, name=P.name), rep.extremal.residual > 1e-8
 
 
 def _cmd_soliton(args):
@@ -222,10 +221,7 @@ def _cmd_soliton(args):
     rep = invariants.invariant_report(P, W, rule, backend=args.backend)
     doc = report.invariant_doc(rep, name=P.name)
     doc.update(report.soliton_doc(res))
-    _emit(args, doc)
-    if args.strict and not (res.converged and res.normalization_consistent):
-        return EXIT_TOLERANCE
-    return 0
+    return doc, not (res.converged and res.normalization_consistent)
 
 
 def _cmd_testconfig(args):
@@ -243,10 +239,8 @@ def _cmd_testconfig(args):
         doc = {"l1_norm": testconfig.l1_norm(tc, rule),
                "l1_norm_orthogonal": norm_perp}
     elif sub == "chow":
-        doc = {"chow_table": [{"vertex": [str(c) for c in v],
-                               "chow": ch, "chow_T": cht}
-                              for v, ch, cht in testconfig.chow_T_table(tc, rule)]}
-    elif sub == "destabilize":
+        doc = {"chow_table": report.chow_rows(tc, rule)}
+    else:  # destabilize
         dv = testconfig.destabilizing_vertex(tc, rule)
         doc = {"product": dv.product, "l1_norm_orthogonal": dv.norm_perp}
         if not dv.product:
@@ -256,10 +250,7 @@ def _cmd_testconfig(args):
                 "ratio": dv.ratio,
                 "ties": [[str(c) for c in v] for v in dv.ties],
             })
-    else:
-        raise CliError(f"unknown testconfig subcommand {sub!r}", EXIT_PARSE)
-    _emit(args, doc)
-    return 0
+    return doc, False
 
 
 def _cmd_blowup(args):
@@ -281,8 +272,7 @@ def _cmd_blowup(args):
                                       rule=rule)
     except (PolytopeError, ValueError) as e:
         raise CliError(str(e), EXIT_PRECONDITION) from e
-    _emit(args, report.expansion_doc(rep))
-    return EXIT_TOLERANCE if (args.strict and not rep.passed) else 0
+    return report.expansion_doc(rep), not rep.passed
 
 
 def _cmd_report(args):
@@ -307,11 +297,8 @@ def _cmd_report(args):
                                                       rule=rule))
     doc = report.dossier(P, W, tcs, expansions, rule=rule,
                          backend=args.backend, name=P.name)
-    _emit(args, doc)
-    if args.strict and (doc["verdict"].startswith("violation")
-                        or not all(e["passed"] for e in doc["expansions"])):
-        return EXIT_TOLERANCE
-    return 0
+    return doc, (doc["verdict"].startswith("violation")
+                 or not all(e["passed"] for e in doc["expansions"]))
 
 
 def _cmd_selftest(args):
@@ -333,67 +320,61 @@ def build_parser():
                     "from moment-polytope data.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check the Delzant conditions")
-    _add_common(p)
-    p.set_defaults(func=_cmd_validate)
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        _add_common(p)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("invariants", help="volume, perimeter, s_hat, Futaki, "
-                                          "Gram, extremal field")
-    _add_common(p)
-    p.set_defaults(func=_cmd_invariants)
-
-    p = sub.add_parser("futaki", help="Futaki character on a direction")
-    _add_common(p)
+    command("validate", _cmd_validate, "check the Delzant conditions")
+    command("invariants", _cmd_invariants,
+            "volume, perimeter, s_hat, Futaki, Gram, extremal field")
+    p = command("futaki", _cmd_futaki, "Futaki character on a direction")
     p.add_argument("--beta", required=True)
-    p.set_defaults(func=_cmd_futaki)
+    command("extremal-field", _cmd_extremal, "affine extremal potential")
+    command("soliton", _cmd_soliton, "soliton direction on a reflexive polytope")
 
-    p = sub.add_parser("extremal-field", help="affine extremal potential")
-    _add_common(p)
-    p.set_defaults(func=_cmd_extremal)
-
-    p = sub.add_parser("soliton", help="soliton direction on a reflexive polytope")
-    _add_common(p)
-    p.set_defaults(func=_cmd_soliton)
-
-    p = sub.add_parser("testconfig", help="invariants of a test configuration")
+    p = command("testconfig", _cmd_testconfig,
+                "invariants of a test configuration")
     p.add_argument("tc_command",
                    choices=("df", "dft", "norm", "chow", "destabilize"))
-    _add_common(p)
     p.add_argument("--tc", help="test configuration JSON file")
     p.add_argument("--beta", help="product configuration direction")
-    p.set_defaults(func=_cmd_testconfig)
 
-    p = sub.add_parser("blowup-expand", help="expansion fit under corner chops")
-    _add_common(p)
+    p = command("blowup-expand", _cmd_blowup, "expansion fit under corner chops")
     p.add_argument("--vertex", type=int, required=True)
     p.add_argument("--quantity", required=True, choices=blowup.QUANTITIES)
     p.add_argument("--tc", help="test configuration JSON file")
     p.add_argument("--beta", help="direction for the futaki quantity")
     p.add_argument("--eps-max", help="largest admissible chop depth (rational)")
     p.add_argument("--eps-points", type=int, default=8)
-    p.set_defaults(func=_cmd_blowup)
 
-    p = sub.add_parser("report", help="full stability dossier")
-    _add_common(p)
+    p = command("report", _cmd_report, "full stability dossier")
     p.add_argument("--tc", help="test configuration JSON file")
     p.add_argument("--sample", type=int, default=0,
                    help="add this many random PL configurations")
     p.add_argument("--expand-vertex", type=int, default=None,
                    help="include blowup expansion reports at this vertex")
-    p.set_defaults(func=_cmd_report)
 
-    p = sub.add_parser("selftest", help="run the acceptance suite")
-    _add_common(p)
-    p.set_defaults(func=_cmd_selftest)
-
+    command("selftest", _cmd_selftest, "run the acceptance suite")
     return ap
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.func is _cmd_selftest:
+            return _cmd_selftest(args)
+        name = " ".join(filter(None, (args.command,
+                                      getattr(args, "tc_command", None))))
+        kind = CSV_KIND.get(name)
+        if args.csv and args.csv != kind:
+            has = f"only --csv {kind}" if kind else "no CSV output"
+            raise CliError(f"cannot emit --csv {args.csv}: {name} has {has}",
+                           EXIT_PARSE)
+        doc, failed = args.func(args)
+        _emit(args, doc)
+        return EXIT_TOLERANCE if args.strict and failed else 0
     except CliError as e:
         sys.stderr.write(f"error: {e}\n")
         return e.code

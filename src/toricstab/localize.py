@@ -16,11 +16,13 @@ blow up at non-generic xi while the sum stays analytic; the degenerate path
 takes the limit along a generic auxiliary direction with symmetric Richardson
 extrapolation.
 
-Every sum reads the same per-polytope float data: the vertices, the inward
-edge generators and their lengths, converted from the exact vertex data
-once per polytope and kept, read-only, in its cache.  A degenerate limit
-makes 16 genericity checks and vertex sums on one polytope, none of which
-converts a ``Fraction``.
+Every value reads one kernel, ``_at``: the vertex pairings, the edge
+pairings and the Euler products at one direction, or None where that
+direction is degenerate, so genericity is decided with the data the sums
+use.  The kernel reads per-polytope float arrays (vertices, inward edge
+generators and their lengths) converted from the exact vertex data once
+per polytope and kept, read-only, in its cache.  A degenerate limit
+evaluates the kernel at 8 points and sums each of them once.
 """
 
 from __future__ import annotations
@@ -65,65 +67,65 @@ def _edge_arrays(polytope):
     return polytope._cache["localize"]
 
 
+def _at(polytope, xi):
+    """The localisation data of the polytope at xi, or None where xi is zero
+    or pairs to about zero with some edge: ``(pairs, pair_edges, euler)``,
+    the vertex pairings <v, xi> (nv,), the edge pairings <u_{v,i}, xi>
+    (nv, n) and the Euler products prod_i(-<u_{v,i}, xi>) (nv,)."""
+    xi = np.asarray(xi, dtype=float)
+    verts, edges, norms = _edge_arrays(polytope)
+    nxi = float(np.linalg.norm(xi))
+    pair_edges = edges @ xi
+    if nxi == 0.0 or not (np.min(np.abs(pair_edges) / (norms * nxi))
+                          > GENERICITY_TOL):
+        return None
+    return verts @ xi, pair_edges, np.prod(-pair_edges, axis=1)
+
+
 def vertex_weights(polytope, xi):
     """Per-vertex localisation data; raises on degenerate directions."""
     xi = np.asarray(xi, dtype=float)
-    verts, edges, norms = _edge_arrays(polytope)
-    pair_edges = edges @ xi  # (nv, n)
-    if not _generic(norms, pair_edges, xi):
+    at = _at(polytope, xi)
+    if at is None:
         raise DegenerateDirectionError(
             f"direction {tuple(xi)} pairs to zero against a vertex edge")
-    out = []
-    for v, pe, coords in zip(verts, pair_edges, polytope.vertices):
-        out.append(VertexWeights(coords, float(v @ xi),
-                                 float(np.prod(-pe)), float(np.sum(-pe))))
-    return out
-
-
-def _generic(norms, pair_edges, xi):
-    nxi = float(np.linalg.norm(xi))
-    if nxi == 0.0:
-        return False
-    return bool(np.min(np.abs(pair_edges) / (norms * nxi)) > GENERICITY_TOL)
+    _, pair_edges, euler = at
+    verts = _edge_arrays(polytope)[0]
+    # Each pairing is its own dot product: the matrix product that the sums
+    # use may round some pairings differently.
+    return [VertexWeights(coords, float(v @ xi), float(e), float(c))
+            for coords, v, e, c in zip(polytope.vertices, verts, euler,
+                                       np.sum(-pair_edges, axis=1))]
 
 
 def is_generic(polytope, xi):
-    xi = np.asarray(xi, dtype=float)
-    _, edges, norms = _edge_arrays(polytope)
-    return _generic(norms, edges @ xi, xi)
+    return _at(polytope, xi) is not None
 
 
-def _raw_sum(polytope, h, xi, kind):
-    xi = np.asarray(xi, dtype=float)
-    verts, edges, _ = _edge_arrays(polytope)
-    pair_edges = edges @ xi
-    pairs = verts @ xi
-    hvals = np.asarray(h.value(pairs), dtype=float)
-    euler = np.prod(-pair_edges, axis=1)
-    terms = hvals / euler
+def _sum(h, at, kind):
+    """The vertex sum of one kind over the localisation data ``at``."""
+    pairs, pair_edges, euler = at
+    terms = np.asarray(h.value(pairs), dtype=float) / euler
     if kind == "c1":
         terms = terms * np.sum(-pair_edges, axis=1)
     return math.fsum(terms.tolist())
 
 
-def eval_class(polytope, h, xi, on_degenerate="perturb", eta=None):
+def eval_class(polytope, h, xi):
     """(h-class)(xi) = int_P h^(n)(<x, xi>) dx, by the vertex sum."""
-    return _eval(polytope, h, xi, "volume", on_degenerate, eta)
+    return _eval(polytope, h, xi, "volume")
 
 
-def eval_c1_class(polytope, h, xi, on_degenerate="perturb", eta=None):
+def eval_c1_class(polytope, h, xi):
     """(c1 h-class)(xi) = boundary integral of h^(n-1), by the vertex sum."""
-    return _eval(polytope, h, xi, "c1", on_degenerate, eta)
+    return _eval(polytope, h, xi, "c1")
 
 
-def _eval(polytope, h, xi, kind, on_degenerate, eta):
-    xi = np.asarray(xi, dtype=float)
-    if is_generic(polytope, xi):
-        return _raw_sum(polytope, h, xi, kind)
-    if on_degenerate == "error":
-        raise DegenerateDirectionError(
-            f"direction {tuple(xi)} is degenerate for this polytope")
-    return eval_at_degenerate(polytope, kind, h, xi, eta0=eta)
+def _eval(polytope, h, xi, kind):
+    at = _at(polytope, xi)
+    if at is None:
+        return eval_at_degenerate(polytope, kind, h, xi)
+    return _sum(h, at, kind)
 
 
 def _candidate_directions(n):
@@ -140,33 +142,28 @@ def _candidate_directions(n):
     return [c / np.linalg.norm(c) for c in cands]
 
 
-def eval_at_degenerate(polytope, kind, h, xi, eta0=None, t0=0.1, levels=4):
-    """Limit of the vertex sum along xi + t eta0 as t -> 0.
+def eval_at_degenerate(polytope, kind, h, xi):
+    """Limit of the vertex sum along xi + t eta as t -> 0.
 
     Symmetric evaluation at +-t kills the odd orders, and Richardson
-    extrapolation over a geometric t-grid (ratio 1/2) removes the leading
-    even ones.  The auxiliary direction must be generic at every grid level.
+    extrapolation over the geometric t-grid 0.1 / 2^k, k < 4, removes the
+    leading even ones.  The auxiliary direction eta is the first candidate
+    that is generic at every grid point.
     """
     if kind not in ("volume", "c1"):
         raise ValueError("kind must be 'volume' or 'c1'")
     xi = np.asarray(xi, dtype=float)
-    candidates = [np.asarray(eta0, dtype=float)] if eta0 is not None \
-        else _candidate_directions(polytope.dim)
-    ts = [t0 * 0.5 ** k for k in range(levels)]
-    eta = None
-    for cand in candidates:
-        if all(is_generic(polytope, xi + s * t * cand)
-               for t in ts for s in (1, -1)):
-            eta = cand
+    ts = [0.1 * 0.5 ** k for k in range(4)]
+    for eta in _candidate_directions(polytope.dim):
+        ats = [[_at(polytope, xi + s * t * eta) for s in (1, -1)] for t in ts]
+        if all(at is not None for pair in ats for at in pair):
             break
-    if eta is None:
+    else:
         raise DegenerateDirectionError(
             "no generic auxiliary direction found for the degenerate limit")
     rows = []
-    for k, t in enumerate(ts):
-        sym = 0.5 * (_raw_sum(polytope, h, xi + t * eta, kind)
-                     + _raw_sum(polytope, h, xi - t * eta, kind))
-        row = [sym]
+    for k, (plus, minus) in enumerate(ats):
+        row = [0.5 * (_sum(h, plus, kind) + _sum(h, minus, kind))]
         for j in range(1, k + 1):
             row.append((4.0 ** j * row[j - 1] - rows[k - 1][j - 1])
                        / (4.0 ** j - 1.0))
@@ -179,7 +176,7 @@ def eval_at_degenerate(polytope, kind, h, xi, eta0=None, t0=0.1, levels=4):
     return best
 
 
-def directional_derivative(kind, polytope, h, xi, beta, on_degenerate="perturb"):
+def directional_derivative(kind, polytope, h, xi, beta):
     """d/ds of the vertex sum along xi + s beta, at s = 0.
 
     Closed form at generic xi:
@@ -191,37 +188,26 @@ def directional_derivative(kind, polytope, h, xi, beta, on_degenerate="perturb")
     degenerate xi the derivative falls back to symmetric differences of the
     extrapolated values.
     """
+    if kind not in ("volume", "c1"):
+        raise ValueError("kind must be 'volume' or 'c1'")
     xi = np.asarray(xi, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    if is_generic(polytope, xi):
-        hp = h.derivative(1)
-        verts, edges, _ = _edge_arrays(polytope)
-        pe_xi = edges @ xi
-        pe_b = edges @ beta
-        pairs = verts @ xi
-        pair_b = verts @ beta
-        hv = np.asarray(h.value(pairs), dtype=float)
-        hpv = np.asarray(hp.value(pairs), dtype=float)
-        euler = np.prod(-pe_xi, axis=1)
-        log_der = np.sum(pe_b / pe_xi, axis=1)
-        if kind == "volume":
-            terms = (hpv * pair_b - hv * log_der) / euler
-        elif kind == "c1":
-            c1_xi = np.sum(-pe_xi, axis=1)
-            c1_b = np.sum(-pe_b, axis=1)
-            terms = (c1_b * hv + c1_xi * (hpv * pair_b - hv * log_der)) / euler
-        else:
-            raise ValueError("kind must be 'volume' or 'c1'")
-        return math.fsum(terms.tolist())
-    if on_degenerate == "error":
-        raise DegenerateDirectionError(
-            f"direction {tuple(xi)} is degenerate for this polytope")
-
-    def value_at(s):
-        return _eval(polytope, h, xi + s * beta, kind, "perturb", None)
-
-    # Central differences with one Richardson step on s^2.
-    s0 = 0.05 / max(1.0, float(np.linalg.norm(beta)))
-    d1 = (value_at(s0) - value_at(-s0)) / (2 * s0)
-    d2 = (value_at(s0 / 2) - value_at(-s0 / 2)) / s0
-    return (4 * d2 - d1) / 3
+    at = _at(polytope, xi)
+    if at is None:
+        # Central differences with one Richardson step on s^2.
+        s0 = 0.05 / max(1.0, float(np.linalg.norm(beta)))
+        d1, d2 = ((_eval(polytope, h, xi + s * beta, kind)
+                   - _eval(polytope, h, xi - s * beta, kind)) / (2 * s)
+                  for s in (s0, s0 / 2))
+        return (4 * d2 - d1) / 3
+    pairs, pe_xi, euler = at
+    verts, edges, _ = _edge_arrays(polytope)
+    pe_b = edges @ beta
+    pair_b = verts @ beta
+    hv = np.asarray(h.value(pairs), dtype=float)
+    hpv = np.asarray(h.derivative(1).value(pairs), dtype=float)
+    log_der = np.sum(pe_b / pe_xi, axis=1)
+    terms = hpv * pair_b - hv * log_der
+    if kind == "c1":
+        terms = np.sum(-pe_b, axis=1) * hv + np.sum(-pe_xi, axis=1) * terms
+    return math.fsum((terms / euler).tolist())

@@ -27,6 +27,7 @@ facets are visited in the sorted order of their primitive chart
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, wraps
@@ -534,6 +535,8 @@ class DelzantPolytope:
             doc = json.loads(doc)
         facets = [(f["normal"], Fraction(str(f["offset"])))
                   for f in doc["facets"]]
+        if not all(abs(c) <= sys.float_info.max for _, c in facets):
+            raise ValueError("facet offsets must lie within the float range")
         return DelzantPolytope(doc["dim"], facets, name=doc.get("name"))
 
 

@@ -16,6 +16,7 @@ variant.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -404,6 +405,8 @@ def builtin(name, n, xi=None, a=None):
         if a is None:
             raise ValueError(f"{name} weights need the parameter a")
         a = Fraction(a)
+        if not abs(a) <= sys.float_info.max:
+            raise ValueError(f"{name} weights need |a| within the float range")
         pv = Fraction(-n - 1) if name == "sasaki" else Fraction(-2 * n + 1)
         pw = Fraction(-n - 3) if name == "sasaki" else Fraction(-2 * n - 1)
         f = PowerLaw(Fraction(1), a, pv).antiderivative(n)
@@ -414,6 +417,8 @@ def builtin(name, n, xi=None, a=None):
 
 def weights_from_json(doc, n):
     xi = [float(c) for c in doc.get("xi", [0.0] * n)]
+    if not all(map(math.isfinite, xi)):
+        raise ValueError(f"xi {xi} has a non-finite component")
     family = doc.get("family", "custom")
     if "profiles" in doc and doc["profiles"]:
         f = profile_from_json(doc["profiles"]["f"])

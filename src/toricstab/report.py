@@ -115,10 +115,14 @@ def expansion_doc(r):
     }
 
 
+def chow_rows(tc, rule):
+    """The vertex table of plain and torus-orthogonal Chow weights."""
+    return [{"vertex": [str(c) for c in v], "chow": ch, "chow_T": cht}
+            for v, ch, cht in testconfig.chow_T_table(tc, rule)]
+
+
 def tc_doc(tc, rule):
-    chow_table = [{"vertex": [str(c) for c in v],
-                   "chow": ch, "chow_T": cht}
-                  for v, ch, cht in testconfig.chow_T_table(tc, rule)]
+    chow_table = chow_rows(tc, rule)
     dv = testconfig.destabilizing_vertex(tc, rule)
     doc = {
         "df": testconfig.df(tc, rule),
@@ -165,31 +169,23 @@ def emit_plot_data(doc, kind):
     """CSV extraction from a report document.
 
     ``expansion`` emits (eps, exact, predicted) triples, ``chow`` the vertex
-    table, ``gram`` the matrix.
+    table, ``gram`` the matrix.  The document must hold the kind's data;
+    the CLI checks each command's kind before any work.
     """
     out = io.StringIO()
     if kind == "expansion":
-        series = doc.get("eps")
-        if series is None:
-            raise KeyError("report has no expansion series")
         out.write("eps,exact,predicted\n")
         predicted = {int(k): v for k, v in doc["predicted"].items()}
         for e, y in zip(doc["eps"], doc["exact"]):
             model = sum(c * e ** k for k, c in predicted.items())
             out.write(f"{FLOAT_FORMAT % e},{FLOAT_FORMAT % y},{FLOAT_FORMAT % model}\n")
     elif kind == "chow":
-        table = doc.get("chow_table")
-        if table is None:
-            raise KeyError("report has no chow table")
         out.write("vertex,chow,chow_T\n")
-        for row in table:
+        for row in doc["chow_table"]:
             vtx = " ".join(row["vertex"])
             out.write(f"\"{vtx}\",{FLOAT_FORMAT % row['chow']},{FLOAT_FORMAT % row['chow_T']}\n")
     elif kind == "gram":
-        g = doc.get("gram")
-        if g is None:
-            raise KeyError("report has no gram matrix")
-        for row in g:
+        for row in doc["gram"]:
             out.write(",".join(FLOAT_FORMAT % x for x in row) + "\n")
     else:
         raise ValueError(f"unknown plot kind {kind!r}")

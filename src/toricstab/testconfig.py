@@ -23,6 +23,7 @@ L1 integrands are clipped along their zero set in any dimension.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -199,9 +200,12 @@ class ToricTC:
         pieces = [(tuple(Fraction(str(g)) for g in p["gradient"]),
                    Fraction(str(p["constant"])))
                   for p in doc["pieces"]]
-        twist = doc.get("twist") or [0.0] * polytope.dim
-        return ToricTC(polytope, weights, PLConvex.make(pieces),
-                       twist, float(doc.get("c0", 0.0)))
+        twist = [float(t) for t in doc.get("twist") or [0.0] * polytope.dim]
+        c0 = float(doc.get("c0", 0.0))
+        numbers = [*twist, c0] + [x for g, c in pieces for x in (*g, c)]
+        if not all(abs(x) <= sys.float_info.max for x in numbers):
+            raise ValueError("numbers must be finite and within the float range")
+        return ToricTC(polytope, weights, PLConvex.make(pieces), twist, c0)
 
 
 def trivial_tc(P, W):

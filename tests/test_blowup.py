@@ -129,8 +129,8 @@ class TestContinuity:
         W = builtin("soliton", 2, xi=[0.3, 0.2])
         i = vertex_index(simplex, (1, 0))
         grid = blowup.default_eps_grid(simplex, i)[-5:]
-        vals = blowup._exact_values("futaki", simplex, W, i, grid,
-                                    beta=[1.0, 0.0])
+        vals = blowup.verify_expansion("futaki", simplex, W, i, eps_grid=grid,
+                                       beta=[1.0, 0.0]).exact
         limit = richardson_limit(grid, vals, orders=[1, 2, 3, 4])
         base = inv.futaki(simplex, W, [1.0, 0.0])
         assert limit == pytest.approx(base, abs=1e-10 * (1 + abs(base)))
@@ -141,7 +141,8 @@ class TestContinuity:
                          tcg.PLConvex.make([((0, 0), 0), ((1, 1), F(-1, 2))]))
         i = vertex_index(simplex, (1, 0))
         grid = blowup.default_eps_grid(simplex, i)[-5:]
-        vals = blowup._exact_values("df", simplex, W, i, grid, tc=tc)
+        vals = blowup.verify_expansion("df", simplex, W, i, eps_grid=grid,
+                                       tc=tc).exact
         limit = richardson_limit(grid, vals, orders=[1, 2, 3, 4])
         base = tcg.df(tc)
         assert limit == pytest.approx(base, abs=1e-10 * (1 + abs(base)))

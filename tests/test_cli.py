@@ -116,6 +116,24 @@ def test_csv_kind_missing_from_document_exits_2(capsys, argv):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["report", "--catalog", "cp2", "--csv", "chow"],
+    ["testconfig", "df", "--catalog", "cp2", "--beta", "1,0", "--csv", "chow"],
+], ids=["report", "tc-df"])
+def test_csv_kind_is_checked_before_any_work(monkeypatch, capsys, argv):
+    from toricstab import cli
+
+    def boom(*args, **kwargs):
+        raise AssertionError("computed before the --csv check")
+
+    monkeypatch.setattr(cli.invariants, "invariant_report", boom)
+    monkeypatch.setattr(cli.testconfig, "df", boom)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: cannot emit --csv chow: ")
+
+
 def test_unknown_csv_kind_is_a_parse_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["invariants", "--catalog", "cp2", "--csv", "bogus"])
@@ -327,6 +345,23 @@ BLOWUP_CP2 = ["blowup-expand", "--catalog", "cp2", "--vertex", "0"]
     (["selftest", "--tol-rel=-inf"], "bad --tol-rel: "),
     (["invariants", "--catalog", "cp2", "--out", "{missing}/x.json"],
      "cannot write "),
+    # Non-finite or out-of-float-range numbers.
+    (["invariants", "--catalog", "cp2", "--family", "soliton", "--xi", "inf,0"],
+     "bad --xi: "),
+    (["invariants", "--catalog", "cp2", "--family", "soliton", "--xi", "nan,0"],
+     "bad --xi: "),
+    (["invariants", "--catalog", "cp2", "--family", "sasaki", "--a", "1e400"],
+     "sasaki weights need |a| within the float range"),
+    (["invariants", "--catalog", "cp2", "--weights", "{xi_overflow}"],
+     "cannot read weight config: "),
+    (["invariants", "--catalog", "cp2", "--weights", "{a_overflow}"],
+     "cannot read weight config: "),
+    (["invariants", "--polytope", "{offset_overflow}"],
+     "cannot read polytope file: "),
+    (["testconfig", "df", "--catalog", "cp2", "--beta", "inf,0"], "bad --beta: "),
+    (["futaki", "--catalog", "cp2", "--beta", "nan,0"], "bad --beta: "),
+    (["testconfig", "df", "--catalog", "cp2", "--tc", "{twist_overflow}"],
+     "cannot read test configuration: "),
 ], ids=["report-tc-missing", "report-tc-no-constant",
         "report-tc-zero-denominator", "report-tc-not-a-list", "tc-df-missing",
         "tc-df-no-constant", "tc-df-beta-not-a-number", "futaki-beta-not-a-number",
@@ -335,16 +370,28 @@ BLOWUP_CP2 = ["blowup-expand", "--catalog", "cp2", "--vertex", "0"]
         "eps-max-not-a-number", "eps-max-zero-denominator",
         "quad-degree-negative", "max-depth-negative", "tol-abs-negative",
         "tol-abs-infinite", "tol-rel-nan", "tol-rel-minus-infinity",
-        "out-unwritable"])
+        "out-unwritable", "xi-infinite", "xi-nan", "a-overflow",
+        "weights-xi-overflow", "weights-a-overflow", "polytope-offset-overflow",
+        "tc-df-beta-infinite", "futaki-beta-nan", "tc-twist-overflow"])
 def test_bad_input_exits_2(tmp_path, capsys, argv, message):
     files = {"missing": None,
              "no_constant": {"pieces": [{"gradient": ["0", "0"]}]},
              "zero_denominator": {"pieces": [{"gradient": ["0", "0"],
                                               "constant": "1/0"}]},
-             "not_a_list": {"pieces": 5}}
+             "not_a_list": {"pieces": 5},
+             # Written as given: JSON reads 1e999 as infinity.
+             "xi_overflow": '{"family": "soliton", "xi": [1e999, 0]}',
+             "a_overflow": '{"family": "sasaki", "params": {"a": "1e400"}}',
+             "offset_overflow": '{"dim": 2, "facets": ['
+                                '{"normal": [1, 0], "offset": "0"}, '
+                                '{"normal": [0, 1], "offset": "0"}, '
+                                '{"normal": [-1, -1], "offset": "1e400"}]}',
+             "twist_overflow": '{"pieces": [{"gradient": ["0", "0"], '
+                               '"constant": "0"}], "twist": [1e999, 0]}'}
     for name, doc in files.items():
         if doc is not None:
-            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+            (tmp_path / f"{name}.json").write_text(
+                doc if isinstance(doc, str) else json.dumps(doc))
     argv = [a.format(**{name: tmp_path / f"{name}.json" for name in files})
             for a in argv]
     code = main(argv)

@@ -114,10 +114,6 @@ class TestDegenerateDirections:
         want = integrate(square, lambda x: np.exp(x @ xi)).value
         assert got == pytest.approx(want, rel=1e-8)
 
-    def test_explicit_error_mode(self, square):
-        with pytest.raises(DegenerateDirectionError):
-            eval_class(square, Exponential(), [1.0, 0.0], on_degenerate="error")
-
 
 class TestDirectionalDerivative:
     def test_constant_in_xi_gives_zero(self, simplex):
