@@ -26,7 +26,7 @@ import numpy as np
 
 from . import localize, quadrature
 from .profiles import builtin, positivity_check, raise_unless_positive
-from .quadrature import DEFAULT_RULE
+from .quadrature import DEFAULT_RULE, product_degree
 
 
 class BackendError(RuntimeError):
@@ -102,7 +102,7 @@ def vol_w(P, W, rule=DEFAULT_RULE, backend="quadrature"):
         return _cached("lvol", P, W, None,
                        lambda: localize.eval_class(P, W.g.derivative(1), W.xi))
     return _cached("vol", P, W, rule,
-                   lambda: quadrature.integrate(P, W.w, rule).value)
+                   lambda: quadrature.integrate(P, W.w, rule, W.w_degree).value)
 
 
 def per_v(P, W, rule=DEFAULT_RULE, backend="quadrature"):
@@ -111,7 +111,8 @@ def per_v(P, W, rule=DEFAULT_RULE, backend="quadrature"):
         return _cached("lper", P, W, None,
                        lambda: localize.eval_c1_class(P, W.f.derivative(1), W.xi))
     return _cached("per", P, W, rule,
-                   lambda: quadrature.integrate_boundary(P, W.v, rule).value)
+                   lambda: quadrature.integrate_boundary(
+                       P, W.v, rule, W.v_degree).value)
 
 
 def _require_positive(P, W):
@@ -136,14 +137,16 @@ def _moment_w(P, W, beta, rule):
     beta = np.asarray(beta, dtype=float)
     return _cached(("mom", beta.tobytes()), P, W, rule,
                    lambda: quadrature.integrate(
-                       P, lambda x: (x @ beta) * W.w(x), rule).value)
+                       P, lambda x: (x @ beta) * W.w(x), rule,
+                       product_degree(1, W.w_degree)).value)
 
 
 def _moment_boundary_v(P, W, beta, rule):
     beta = np.asarray(beta, dtype=float)
     return _cached(("bmom", beta.tobytes()), P, W, rule,
                    lambda: quadrature.integrate_boundary(
-                       P, lambda x: (x @ beta) * W.v(x), rule).value)
+                       P, lambda x: (x @ beta) * W.v(x), rule,
+                       product_degree(1, W.v_degree)).value)
 
 
 def futaki(P, W, beta, rule=DEFAULT_RULE, backend="quadrature",
@@ -203,12 +206,13 @@ def gram(P, W, basis=None, rule=DEFAULT_RULE):
         r = len(basis)
         pairs = [(i, j) for i in range(r) for j in range(i, r)]
         tri = P.triangulation_floats()
+        degree = product_degree(2, W.w_degree)
         parts = []
         for i, j in pairs:
             def f(x, bi=basis[i], bj=basis[j], mi=means[i], mj=means[j]):
                 return (x @ bi - mi) * (x @ bj - mj) * W.w(x)
 
-            parts.append((f, tri))
+            parts.append((f, tri, degree))
         g = np.zeros((r, r))
         for (i, j), res in zip(pairs, quadrature.integrate_parts(parts, rule)):
             g[i, j] = g[j, i] = res.value
@@ -253,11 +257,13 @@ def futaki_signed(P, W, affine, beta, rule=DEFAULT_RULE, zero_tol=1e-12):
     def wprime(x):
         return (x @ chi + a) * W.w(x)
 
-    mass = quadrature.integrate(P, wprime, rule).value
+    mass = quadrature.integrate(P, wprime, rule,
+                                product_degree(1, W.w_degree)).value
     pv = per_v(P, W, rule)
     scale = abs(pv) + abs(mass)
     sh = pv / mass if abs(mass) > zero_tol * (1 + scale) else 1.0
-    mom = quadrature.integrate(P, lambda x: (x @ beta) * wprime(x), rule).value
+    mom = quadrature.integrate(P, lambda x: (x @ beta) * wprime(x), rule,
+                               product_degree(2, W.w_degree)).value
     bmom = _moment_boundary_v(P, W, beta, rule)
     return sh * mom - bmom
 

@@ -45,6 +45,8 @@ class Profile:
 
     #: open interval of analyticity (floats, +-inf allowed)
     domain = (-math.inf, math.inf)
+    #: polynomial degree, or None for a profile that is not a polynomial
+    degree = None
 
     def value(self, t):
         raise NotImplementedError
@@ -68,6 +70,10 @@ class Monomial(Profile):
     """t^k / k!  (the constant-weight generators)."""
 
     k: int
+
+    @property
+    def degree(self):
+        return self.k
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
@@ -222,6 +228,10 @@ class Polynomial(Profile):
             cs = cs[:-1]
         return Polynomial(cs)
 
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1
+
     def value(self, t):
         t = np.asarray(t, dtype=float)
         out = np.zeros_like(t, dtype=float)
@@ -330,7 +340,10 @@ class WeightPair:
 
     ``xi`` is a read-only copy of the direction given, so ``key``, the
     ``(n, xi, f, g)`` tuple that caches of weight-dependent values are keyed
-    by, is built once here and stays true to the pair.
+    by, is built once here and stays true to the pair.  ``v_degree`` and
+    ``w_degree`` are the degrees of v and w as polynomials in x: 0 at
+    xi = 0, where both are constant, else the degree of their profile
+    (None if it is not a polynomial).
     """
 
     def __init__(self, xi, f, g, n, family=None):
@@ -346,6 +359,9 @@ class WeightPair:
         self.key = (self.n, tuple(self.xi.tolist()), f, g)
         self._v = f.derivative(self.n)
         self._w = g.derivative(self.n + 1)
+        constant = not self.xi.any()
+        self.v_degree = 0 if constant else self._v.degree
+        self.w_degree = 0 if constant else self._w.degree
 
     @property
     def v_profile(self):
@@ -499,20 +515,37 @@ def _check_profile_positive(prof, lo, hi, samples=512):
     return (True, margin, None, False, "positive on a dense sample grid")
 
 
+def _to_float(t):
+    """A Fraction as a float, +-inf past the float range."""
+    try:
+        return float(t)
+    except OverflowError:
+        return math.inf if t > 0 else -math.inf
+
+
 def positivity_check(weights, polytope):
     """Verify v > 0 and w > 0 on the polytope, with a margin.
 
     Returns a dict with per-weight verdicts; closed-form variants give
-    certified bounds, the power-series variant is sample-based.
+    certified bounds, the power-series variant is sample-based.  A weight
+    that is not finite in floats at an end of the <xi, x> interval, which a
+    vertex attains, fails.
     """
-    lo, hi = polytope.interval([Fraction(c) for c in weights.xi])
-    lo, hi = float(lo), float(hi)
+    lo, hi = map(_to_float, polytope.interval([Fraction(c) for c in weights.xi]))
     out = {}
     for which, prof in (("v", weights.v_profile), ("w", weights.w_profile)):
         if lo <= prof.domain[0] or hi >= prof.domain[1]:
             out[which] = PositivityVerdict(
                 False, -math.inf, prof.domain[0], True,
                 f"analyticity domain {prof.domain} does not cover [{lo}, {hi}]")
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):
+            ends = np.asarray(prof.value(np.array([lo, hi])), dtype=float)
+        if not np.all(np.isfinite(ends)):
+            t = lo if not math.isfinite(ends[0]) else hi
+            out[which] = PositivityVerdict(
+                False, -math.inf, t, True,
+                f"weight is not finite at t = {t} in [{lo}, {hi}]")
             continue
         ok, margin, witness, certified, detail = _check_profile_positive(prof, lo, hi)
         out[which] = PositivityVerdict(ok, margin, witness, certified, detail)

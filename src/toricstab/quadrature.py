@@ -4,13 +4,18 @@ Interior integrals run Grundmann-Moller simplex cubature (exact to a
 configurable polynomial degree) over an exact triangulation, with adaptive
 longest-edge bisection driven by a coarse/fine error estimate for analytic
 non-polynomial integrands.  One engine, :func:`integrate_parts`, takes a
-list of (integrand, simplices) parts, such as the facets of a boundary or
-the cells of a PL function; :func:`integrate_sum` adds their results.  Each
-pass calls each part's integrand once on its own nodes and sums its rule in
-one stacked product; each part then refines on its own, evaluating the two
-halves of its worst leaf in one call and keeping exact running sums (integer
-counts of 2**-1074).  Boundary integrals pull each facet back through its
-unimodular chart, so the lattice boundary measure is built in.
+list of (integrand, simplices[, degree]) parts, such as the facets of a
+boundary or the cells of a PL function; :func:`integrate_sum` adds their
+results.  A part may declare its integrand a polynomial of some degree; if
+the rule (of degree 2s+1) integrates that degree exactly, the part is
+evaluated once on its own simplices, and its value is the ``fsum`` of their
+rule sums with error 0.  Every other part is analytic: the first pass calls
+its integrand once on its simplices and their bisection halves, and sums
+its rule in one stacked product; it then refines on its own, evaluating the
+two halves of its worst leaf in one call and keeping exact running sums
+(integer counts of 2**-1074).  Boundary integrals pull each facet back
+through its unimodular chart, which is affine, so a pulled-back polynomial
+keeps its degree and the lattice boundary measure is built in.
 
 The geometry of a simplex stack (its bisection into halves and the volumes
 of simplices and halves) depends on neither the rule nor the integrand, and
@@ -119,49 +124,60 @@ def _edges(n1):
 # entries (pl_sweep; blowup_ladder 913, weight_sweep 817) to miss only where
 # an unbounded cache misses.  A pl_sweep run of twice that length needs
 # 5,067 and misses 0.5% more at this bound.  A full cache holds about 7 MB
-# (1.7 KB per pl_sweep entry).
+# (1.7 KB per pl_sweep entry with halves; about a third of that without).
 _GEOMETRY_CACHE_SIZE = 4096
 _geometry_cache = OrderedDict()
 
 
-def _geometry(stacks):
+def _geometry(stacks, halves):
     """``(kids, allv, vols)`` of each (k, n+1, n) stack, all of one n.
 
-    Each simplex is bisected across its first longest edge into the two
-    halves ``kids`` (k, 2, n+1, n); ``allv`` holds the k simplices, then
-    their 2k halves, and ``vols`` their 3k volumes.  None of it depends on
-    the rule or the integrand, so it is kept per stack under its shape and
-    bytes (the shape tells apart stacks of equal bytes), with read-only
-    arrays.  The misses of one call share one bisection and one batched
-    ``det``; both act simplex by simplex, so a stored entry has the bits a
-    fresh one would.
+    If ``halves[i]``, each simplex of stack i is bisected across its first
+    longest edge into the two halves ``kids`` (k, 2, n+1, n); ``allv`` holds
+    the k simplices, then their 2k halves, and ``vols`` their 3k volumes.
+    A stack that only exact parts integrate needs no halves: its entry has
+    ``kids`` None and the k simplices and volumes alone, and is built anew
+    with halves if a later call needs them.  None of it depends on the rule
+    or the integrand, so it is kept per stack under its shape and bytes (the
+    shape tells apart stacks of equal bytes), with read-only arrays.  The
+    misses of one call share one bisection and one batched ``det``; both act
+    simplex by simplex, so a stored entry has the bits a fresh one would.
     """
     keys = [(s.shape, s.tobytes()) for s in stacks]
     out = [_geometry_cache.get(key) for key in keys]
-    for key, geo in zip(keys, out):
-        if geo is not None:
+    for i, key in enumerate(keys):
+        if out[i] is not None and (out[i][0] is not None or not halves[i]):
             _geometry_cache.move_to_end(key)
+        else:
+            out[i] = None
     miss = [i for i, geo in enumerate(out) if geo is None]
     if not miss:
         return out
     verts = np.concatenate([stacks[i] for i in miss])
     k, n1, n = verts.shape
-    iu, ju = _edges(n1)
-    longest = np.argmax(np.sum((verts[:, iu] - verts[:, ju]) ** 2, axis=2), axis=1)
-    rows, i, j = np.arange(k), iu[longest], ju[longest]
-    mid = (verts[rows, i] + verts[rows, j]) / 2
-    kids = np.repeat(verts[:, None], 2, axis=1)
-    kids[rows, 0, i] = mid
-    kids[rows, 1, j] = mid
+    if any(halves[i] for i in miss):
+        iu, ju = _edges(n1)
+        longest = np.argmax(np.sum((verts[:, iu] - verts[:, ju]) ** 2, axis=2), axis=1)
+        rows, i, j = np.arange(k), iu[longest], ju[longest]
+        mid = (verts[rows, i] + verts[rows, j]) / 2
+        kids = np.repeat(verts[:, None], 2, axis=1)
+        kids[rows, 0, i] = mid
+        kids[rows, 1, j] = mid
     bounds = [0, *accumulate(len(stacks[i]) for i in miss)]
-    allv = np.concatenate([block for a, b in zip(bounds, bounds[1:])
-                           for block in (verts[a:b], kids[a:b].reshape(-1, n1, n))])
-    vols = np.abs(np.linalg.det(allv[:, 1:] - allv[:, :1])) / math.factorial(n)
+    blocks = []
     for i, a, b in zip(miss, bounds, bounds[1:]):
-        part_v, part_vols = allv[3 * a:3 * b].copy(), vols[3 * a:3 * b].copy()
+        blocks.append(verts[a:b])
+        if halves[i]:
+            blocks.append(kids[a:b].reshape(-1, n1, n))
+    allv = np.concatenate(blocks)
+    vols = np.abs(np.linalg.det(allv[:, 1:] - allv[:, :1])) / math.factorial(n)
+    end = 0
+    for i, a, b in zip(miss, bounds, bounds[1:]):
+        start, end = end, end + (3 if halves[i] else 1) * (b - a)
+        part_v, part_vols = allv[start:end].copy(), vols[start:end].copy()
         part_v.flags.writeable = part_vols.flags.writeable = False
-        out[i] = _geometry_cache[keys[i]] = (
-            part_v[b - a:].reshape(-1, 2, n1, n), part_v, part_vols)
+        part_kids = part_v[b - a:].reshape(-1, 2, n1, n) if halves[i] else None
+        out[i] = _geometry_cache[keys[i]] = (part_kids, part_v, part_vols)
     while len(_geometry_cache) > _GEOMETRY_CACHE_SIZE:
         _geometry_cache.popitem(last=False)
     return out
@@ -170,20 +186,29 @@ def _geometry(stacks):
 def _estimate(parts, bary, wts):
     """Fine values, errors and halves of each simplex of each part.
 
-    ``parts`` holds ``(f, verts)`` pairs, each ``verts`` a (k, n+1, n)
-    stack.  The halves and volumes come from :func:`_geometry`.  Each
-    part's integrand is called once, on that part's own block of nodes (its
-    k simplices, then their 2k halves), exactly the array a one-part call
-    would pass it.  The rule sums are one stacked ``matmul`` of (1, L) rows
-    by the (L, 1) weights, which numpy computes as the same 1-D dot per row
-    as ``float(wts @ r)``: both keep the bits of a per-simplex evaluation.
+    ``parts`` holds ``(f, verts, exact)`` triples, each ``verts`` a
+    (k, n+1, n) stack.  The halves and volumes come from :func:`_geometry`.
+    Each part's integrand is called once, on that part's own block of nodes
+    (its k simplices, then their 2k halves), exactly the array a one-part
+    call would pass it.  An ``exact`` part, whose integrand the rule
+    integrates exactly, needs no halves: it is called on its k simplices
+    alone and gets the k rule sums as values, with errors and halves None.
+    The rule sums are one stacked ``matmul`` of (1, L) rows by the (L, 1)
+    weights, which numpy computes as the same 1-D dot per row as
+    ``float(wts @ r)``: both keep the bits of a per-simplex evaluation.
     """
     out = []
-    for (f, _), (kids, allv, vols) in zip(parts, _geometry([v for _, v in parts])):
-        m, n = len(kids), allv.shape[2]
+    geometry = _geometry([v for _, v, _ in parts], [not e for _, _, e in parts])
+    for (f, verts, exact), (kids, allv, vols) in zip(parts, geometry):
+        m, n = len(verts), allv.shape[2]
+        if exact:
+            allv, vols = allv[:m], vols[:m]
         vals = np.asarray(f((bary @ allv).reshape(-1, n)), dtype=float)
-        vals = vals.reshape(3 * m, -1)
+        vals = vals.reshape(len(vols), -1)
         est = vols * np.matmul(vals[:, None, :], wts[:, None])[:, 0, 0]
+        if exact:
+            out.append((est.tolist(), None, None))
+            continue
         fine = est[m::2] + est[m + 1::2]
         out.append((fine.tolist(), np.abs(est[:m] - fine).tolist(), kids))
     return out
@@ -226,10 +251,16 @@ class _RunningSum:
 
 
 def _refine(f, fine, errs, kids, bary, wts, rule):
-    """Finish one part from its first pass: bisect its worst leaf (largest
-    |coarse - fine|) until the summed error meets the tolerance or every
-    such leaf is at ``max_depth``.  An infinite or NaN error never counts
-    as converged."""
+    """Finish one part from its first pass.  An exact part (errors None)
+    sums its rule values, with error 0, or infinite if that sum is not
+    finite.  Any other part bisects its worst leaf (largest |coarse - fine|)
+    until the summed error meets the tolerance or every such leaf is at
+    ``max_depth``.  An infinite or NaN error never counts as converged."""
+    if errs is None:
+        value = math.fsum(fine)
+        finite = math.isfinite(value)
+        return IntegrationResult(value, 0.0 if finite else math.inf, finite)
+
     def tol(value):
         return max(rule.tol_abs, rule.tol_rel * abs(value))
 
@@ -255,7 +286,7 @@ def _refine(f, fine, errs, kids, bary, wts, rule):
             continue  # leaf stays counted but cannot be refined further
         values.remove(v)
         errors.remove(-neg_e)
-        [(fine, errs, kids)] = _estimate([(f, halves)], bary, wts)
+        [(fine, errs, kids)] = _estimate([(f, halves, False)], bary, wts)
         for v, e in zip(fine, errs):
             values.add(v)
             errors.add(e)
@@ -264,30 +295,43 @@ def _refine(f, fine, errs, kids, bary, wts, rule):
     return IntegrationResult(value, err, converged(value, err))
 
 
+def product_degree(*degrees):
+    """Degree of a product of polynomials of the given degrees; None (not a
+    polynomial) if any factor's degree is None."""
+    return None if None in degrees else sum(degrees)
+
+
 def integrate_parts(parts, rule=DEFAULT_RULE):
-    """Adaptive integration of several ``(f, simplices)`` parts at once.
+    """Integration of several ``(f, simplices[, degree])`` parts at once.
 
     ``f`` is a vectorised integrand and ``simplices`` a float stack of shape
-    (k, n+1, n), with one n for every nonempty part.  Returns one
-    :class:`IntegrationResult` per part, each bit-identical to integrating
-    that part alone: the first pass of all parts is one batched
-    :func:`_estimate`, after which each part has its own sum, tolerance test
-    and refinement.
+    (k, n+1, n), with one n for every nonempty part.  ``degree`` declares
+    ``f`` a polynomial of at most that degree; None, the default, means
+    analytic.  A declared degree the rule integrates exactly (at most
+    ``2 * rule.gm_order + 1``) takes one pass with error 0; every other part
+    is adaptive.  Returns one :class:`IntegrationResult` per part, each
+    bit-identical to integrating that part alone: the first pass of all
+    parts is one batched :func:`_estimate`, after which each part has its
+    own sum, tolerance test and refinement.
     """
-    parts = [(f, np.asarray(s, dtype=float)) for f, s in parts]
-    live = [(f, s) for f, s in parts if len(s)]
+    def exact(degree=None):
+        return degree is not None and degree <= 2 * rule.gm_order + 1
+
+    parts = [(f, np.asarray(s, dtype=float), exact(*degree))
+             for f, s, *degree in parts]
+    live = [p for p in parts if len(p[1])]
     if not live:
         return [IntegrationResult(0.0, 0.0, True) for _ in parts]
     bary, wts = gm_table(live[0][1].shape[2], rule.gm_order)
     first = iter(_estimate(live, bary, wts))
     return [_refine(f, *next(first), bary, wts, rule) if len(s)
-            else IntegrationResult(0.0, 0.0, True) for f, s in parts]
+            else IntegrationResult(0.0, 0.0, True) for f, s, _ in parts]
 
 
-def integrate_simplices(f, simplices, rule=DEFAULT_RULE):
-    """Adaptive integration of a vectorised integrand over float simplices:
-    the one-part call of :func:`integrate_parts`."""
-    return integrate_parts([(f, simplices)], rule)[0]
+def integrate_simplices(f, simplices, rule=DEFAULT_RULE, degree=None):
+    """Integration of a vectorised integrand over float simplices: the
+    one-part call of :func:`integrate_parts`."""
+    return integrate_parts([(f, simplices, degree)], rule)[0]
 
 
 def integrate_sum(parts, rule):
@@ -302,13 +346,15 @@ def integrate_sum(parts, rule):
     return IntegrationResult(value, error, converged)
 
 
-def integrate(polytope, f, rule=DEFAULT_RULE):
-    """Integrate a vectorised scalar function over the polytope."""
-    return integrate_simplices(f, polytope.triangulation_floats(), rule)
+def integrate(polytope, f, rule=DEFAULT_RULE, degree=None):
+    """Integrate a vectorised scalar function over the polytope; ``degree``
+    as in :func:`integrate_parts`."""
+    return integrate_simplices(f, polytope.triangulation_floats(), rule, degree)
 
 
-def integrate_boundary(polytope, f, rule=DEFAULT_RULE):
-    """Integrate over the boundary with the lattice measure.
+def integrate_boundary(polytope, f, rule=DEFAULT_RULE, degree=None):
+    """Integrate over the boundary with the lattice measure; ``degree`` as
+    in :func:`integrate_parts`.
 
     In dimension one the boundary consists of the two endpoints, each of
     measure one.  Otherwise each facet is pulled back through its unimodular
@@ -319,7 +365,7 @@ def integrate_boundary(polytope, f, rule=DEFAULT_RULE):
         vals = np.asarray(f(pts), dtype=float)
         return IntegrationResult(float(np.sum(vals)), 0.0, True)
     parts = [(lambda y, chart=polytope.facet_chart(i): f(chart.map_floats(y)),
-              polytope.facet_triangulation_floats(i))
+              polytope.facet_triangulation_floats(i), degree)
              for i in polytope.genuine_facet_indices()]
     return integrate_sum(parts, rule)
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import _linalg as la, invariants
 from .polytope import Facet, _as_fraction, _clip
-from .quadrature import DEFAULT_RULE, integrate_sum
+from .quadrature import DEFAULT_RULE, integrate_sum, product_degree
 
 
 @dataclass(frozen=True)
@@ -226,21 +226,29 @@ def twist(tc, beta):
 # -- PL integrals -----------------------------------------------------------
 
 
-def integrate_pl(tc, weight_fn=None, rule=DEFAULT_RULE):
-    """int_P phi * weight dx, cell by cell (integrands smooth per cell)."""
-    weight = weight_fn if weight_fn is not None else tc.weights.w
+def integrate_pl(tc, weight_fn=None, rule=DEFAULT_RULE, weight_degree=None):
+    """int_P phi * weight dx, cell by cell (integrands smooth per cell).
+
+    The weight is w unless ``weight_fn`` is given; a given weight is
+    analytic unless ``weight_degree`` declares it a polynomial.
+    """
+    if weight_fn is None:
+        weight_fn, weight_degree = tc.weights.w, tc.weights.w_degree
+    degree = product_degree(1, weight_degree)
     parts = []
     for k, cell in tc.cells():
         g, c = tc.cell_affine(k)
-        parts.append((lambda x, g=g, c=c: (x @ g + c) * weight(x),
-                      cell.triangulation_floats()))
+        parts.append((lambda x, g=g, c=c: (x @ g + c) * weight_fn(x),
+                      cell.triangulation_floats(), degree))
     return integrate_sum(parts, rule).value
 
 
 def integrate_pl_boundary(tc, weight_fn=None, rule=DEFAULT_RULE):
-    """int_dP phi * weight dsigma with the lattice boundary measure."""
+    """int_dP phi * weight dsigma with the lattice boundary measure; the
+    weight is v unless ``weight_fn`` is given, which is taken as analytic."""
     P = tc.polytope
     weight = weight_fn if weight_fn is not None else tc.weights.v
+    degree = product_degree(1, tc.weights.v_degree if weight_fn is None else None)
     if P.dim == 1:
         pts = P.vertices_floats()
         vals = tc.value(pts) * np.asarray(weight(pts), dtype=float)
@@ -260,7 +268,7 @@ def integrate_pl_boundary(tc, weight_fn=None, rule=DEFAULT_RULE):
                 x = chart.map_floats(y)
                 return ((x @ g) + c) * np.asarray(weight(x), dtype=float)
 
-            parts.append((f, cell.facet_triangulation_floats(j)))
+            parts.append((f, cell.facet_triangulation_floats(j), degree))
     return integrate_sum(parts, rule).value
 
 
@@ -364,7 +372,7 @@ def lambda_pairing(tc, beta, rule=DEFAULT_RULE):
     bbar = float(invariants.barycenter_w(P, W, rule) @ beta)
     # int (phit)(<x,beta> - bbar) w; the mean of phit drops out.
     val = integrate_pl(tc, weight_fn=lambda x: ((x @ beta) - bbar) * W.w(x),
-                       rule=rule)
+                       rule=rule, weight_degree=product_degree(1, W.w_degree))
     return -val
 
 
@@ -397,11 +405,18 @@ def df_T(tc, rule=DEFAULT_RULE, shat=None):
 
 def l1_norm(tc, rule=DEFAULT_RULE):
     """Weighted L1 norm: int_P |phi - mean_w(phi)| w dx."""
-    mean = mean_w(tc, rule)
+    return _l1_about(tc, mean_w(tc, rule), rule)
+
+
+def _l1_about(tc, mean, rule):
+    """int_P |phi - mean| w dx; on each cut piece a polynomial of degree
+    1 + deg w."""
+    W = tc.weights
+    degree = product_degree(1, W.w_degree)
     parts = []
     for k, cell in tc.cells():
         g, c = tc.cell_affine(k)
-        parts.append(_abs_affine_part(cell, g, c - mean, tc.weights.w))
+        parts.append((*_abs_affine_part(cell, g, c - mean, W.w), degree))
     return integrate_sum(parts, rule).value
 
 
@@ -413,7 +428,8 @@ def orthogonal_part(tc, rule=DEFAULT_RULE):
     its weighted L1 norm.  Affine phi projects to the zero configuration.
     """
     perp = _projection(tc, rule)[0]
-    return perp, l1_norm(perp, rule)
+    # perp's offset makes its w-mean zero, so no mean is integrated.
+    return perp, _l1_about(perp, 0.0, rule)
 
 
 def _vertex_coords(tc, p):

@@ -260,6 +260,22 @@ def test_report_expand_vertex_out_of_range_exits_3(capsys):
     assert captured.err.startswith("error: ") and "0..2" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--catalog", "cp2", "--family", "soliton", "--xi", "1e308,0"],
+    ["--catalog", "cp2", "--family", "soliton", "--xi", "800,0"],
+    # <xi, x> itself leaves the float range at the far vertex.
+    ["--catalog", "cube", "--family", "cscK", "--xi", "1e308,1e308,1e308"],
+], ids=["soliton-1e308", "soliton-800", "csck-interval-overflow"])
+def test_weights_not_finite_on_polytope_exit_3(capsys, argv):
+    # The positivity check fails the weights without a numpy overflow
+    # warning, which this suite turns into an error.
+    code = main(["invariants", *argv])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("error: weight positivity fails")
+    assert captured.err.count("\n") == 1
+
+
 # Polytope files that bound no solid: every command but validate refuses them.
 @pytest.mark.parametrize("facets, diagnostic", [
     ([((1, 0), 0), ((0, 1), 0), ((0, -1), 1)], "unbounded"),       # strip

@@ -131,6 +131,39 @@ class TestBuiltinFamilies:
             builtin("ckem", 2, xi=[1.0, 0.0])
 
 
+class TestWeightDegrees:
+    """The x-degrees of v and w that the integrals declare to the cubature."""
+
+    @pytest.mark.parametrize("profile, degree", [
+        (Monomial(3), 3), (Polynomial.make([1, 0, 2]), 2),
+        (Polynomial.make([5, 0, 0]), 0), (Exponential(), None),
+        (PowerLaw(F(1), F(2), F(-3)), None), (Log(F(1), F(2)), None),
+        (PowerSeries.make([1, 1], 2), None)])
+    def test_profile_degree(self, profile, degree):
+        assert profile.degree == degree
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_csck_is_constant_at_any_xi(self, n):
+        for family in ("cscK", "extremal"):
+            for xi in ([0.0] * n, [0.3] * n):
+                W = builtin(family, n, xi=xi)
+                assert (W.v_degree, W.w_degree) == (0, 0)
+
+    @pytest.mark.parametrize("family, a", [("soliton", None), ("sasaki", 3),
+                                           ("ckem", 3)])
+    def test_other_families_are_constant_only_at_xi_zero(self, family, a):
+        W = builtin(family, 2, xi=[0.0, -0.0], a=a)
+        assert (W.v_degree, W.w_degree) == (0, 0)
+        W = builtin(family, 2, xi=[0.7, -0.2], a=a)
+        assert (W.v_degree, W.w_degree) == (None, None)
+
+    def test_polynomial_profiles(self):
+        # v = f'' and w = g''' in dimension 2.
+        W = WeightPair([0.5, 1.0], Polynomial.make([0, 0, 1, 0, 0, 2]),
+                       Monomial(4), 2)
+        assert (W.v_degree, W.w_degree) == (3, 1)
+
+
 class TestPositivityCheck:
     def test_exponential_margin(self, interval):
         W = builtin("soliton", 1, xi=[1.0])

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from toricstab import catalog, quadrature
-from toricstab.polytope import DelzantPolytope
+from toricstab.polytope import DelzantPolytope, Facet, _clip
 from toricstab.quadrature import (DEFAULT_RULE, IntegrationResult,
                                   QuadratureRule, _estimate, _RunningSum,
                                   divided_difference_exp, gm_table, integrate,
@@ -309,6 +309,104 @@ class TestIntegrateParts:
         assert not geometry_cache
 
 
+def _abs_moment(P, m):
+    """int_P |x^m| dx, exactly: |moments| summed over the pieces of P in
+    the orthants of the coordinates with odd exponents."""
+    odd = [k for k, e in enumerate(m) if e % 2]
+    total = F(0)
+    for signs in product((1, -1), repeat=len(odd)):
+        piece = _clip(P, [Facet.make([s * (i == k) for i in range(P.dim)], 0)
+                          for s, k in zip(signs, odd)]) if odd else P
+        if piece is not None:
+            total += abs(moments(piece, m))
+    return total
+
+
+def _catalog_and_chops():
+    """Every catalog polytope and, from dimension 2 on, one corner chop."""
+    out = []
+    for name in catalog.names():
+        P = catalog.load(name)
+        out.append(P)
+        if P.dim >= 2:
+            out.append(P.corner_chop(0, P.admissible_chop(0) / 2))
+    return out
+
+
+class TestDeclaredDegree:
+    """A part declared a polynomial within the rule's exactness takes one
+    pass with error 0; any other part is adaptive, bit for bit."""
+
+    RULE = QuadratureRule(degree=6, tol_rel=1e-9, max_depth=3)
+
+    @pytest.mark.parametrize("P", _catalog_and_chops(), ids=lambda P: P.name)
+    def test_monomials_match_exact_moments(self, P):
+        for m in product(range(4), repeat=P.dim):
+            if sum(m) > 3:
+                continue
+            res = integrate(P, lambda x: np.prod(x ** np.array(m), axis=1),
+                            degree=sum(m))
+            # Relative to int |x^m|: the rule's weights alternate in sign,
+            # so its rounding scales with that, not with |int x^m|.
+            exact = moments(P, m)
+            assert abs(res.value - exact) <= 1e-14 * _abs_moment(P, m), m
+            assert res.error == 0.0 and res.converged, m
+
+    def test_one_call_on_the_simplices_alone(self, geometry_cache):
+        simplices = np.random.default_rng(12).random((5, 4, 3))
+        f, calls = _counted(INTEGRANDS["polynomial"])
+        points = []
+        res = integrate_simplices(lambda x: points.append(len(x)) or f(x),
+                                  simplices, self.RULE, degree=3)
+        bary, wts = gm_table(3, self.RULE.gm_order)
+        assert calls[0] == 1 and points == [len(simplices) * len(bary)]
+        rows = [_gm_apply(INTEGRANDS["polynomial"], s, bary, wts) for s in simplices]
+        assert res == IntegrationResult(math.fsum(rows), 0.0, True)
+
+    @pytest.mark.parametrize("kind", sorted(INTEGRANDS))
+    def test_undeclared_and_too_high_stay_adaptive(self, kind, geometry_cache):
+        simplices = np.random.default_rng(13).random((4, 3, 2))
+        f = INTEGRANDS[kind]
+        want = reference_integrate_simplices(f, simplices, self.RULE)
+        too_high = 2 * self.RULE.gm_order + 2
+        assert integrate_simplices(f, simplices, self.RULE) == want
+        assert integrate_simplices(f, simplices, self.RULE, too_high) == want
+        assert integrate_parts([(f, simplices), (f, simplices, None),
+                                (f, simplices, too_high)], self.RULE) == [want] * 3
+
+    def test_mixed_parts_equal_one_part_calls(self, geometry_cache):
+        rng = np.random.default_rng(14)
+        parts = [(INTEGRANDS["polynomial"], rng.random((3, 3, 2)), 3),
+                 (INTEGRANDS["near_pole"], rng.random((2, 3, 2))),
+                 (INTEGRANDS["exponential"], rng.random((2, 3, 2)), None)]
+        assert integrate_parts(parts, self.RULE) == [
+            integrate_simplices(*p[:2], self.RULE, *p[2:]) for p in parts]
+
+    def test_exact_parts_store_no_halves_until_needed(self, geometry_cache):
+        simplices = np.random.default_rng(15).random((3, 3, 2))
+        f = INTEGRANDS["polynomial"]
+        exact = integrate_simplices(f, simplices, self.RULE, degree=3)
+        [(kids, allv, vols)] = geometry_cache.values()
+        assert kids is None and len(allv) == len(vols) == 3
+        # An adaptive part on the same stack rebuilds the entry with halves,
+        # and an exact part reads the k volumes from that entry too.
+        assert (integrate_simplices(f, simplices, self.RULE)
+                == reference_integrate_simplices(f, simplices, self.RULE))
+        [(kids, allv, vols)] = geometry_cache.values()
+        assert kids.shape == (3, 2, 3, 2) and len(allv) == len(vols) == 9
+        assert integrate_simplices(f, simplices, self.RULE, degree=3) == exact
+        assert len(geometry_cache) == 1
+
+    def test_overflowing_part_is_not_converged(self):
+        # Infinite at the one node nearest the vertex (1, 0), whose weight
+        # is positive.
+        res = integrate_simplices(
+            lambda x: np.where(x[:, 0] == x[:, 0].max(), np.inf, 1.0),
+            [[[0, 0], [1, 0], [0, 1]]], degree=0)
+        assert res.value == math.inf and res.error == math.inf
+        assert not res.converged
+
+
 class TestGeometryCache:
     """Stack geometry is kept per (shape, bytes), bounded, read-only, and
     changes no bit of any result."""
@@ -359,16 +457,27 @@ class TestGeometryCache:
             bary, wts = gm_table(dim, degree // 2)
             for verts in stacks:
                 f = lambda x: np.exp(x @ rng.standard_normal(dim)) + 1 / (x[:, 0] + 0.01)
-                vals = []
-                [(fine, errs, kids)] = _estimate(
-                    [(lambda x: vals.append(f(x)) or vals[-1], verts)], bary, wts)
-                _, allv, vols = quadrature._geometry([verts])[0]
+                nodes, vals = [], []
+
+                def g(x):
+                    nodes.append(x)
+                    vals.append(f(x))
+                    return vals[-1]
+
+                [(fine, errs, kids), (exact, no_errs, no_kids)] = _estimate(
+                    [(g, verts, False), (g, verts, True)], bary, wts)
+                _, allv, vols = quadrature._geometry([verts], [True])[0]
                 rows = vals[0].reshape(len(allv), -1)
                 est = [v * float(wts @ r) for v, r in zip(vols, rows)]
                 m = len(verts)
                 want = [est[m + 2 * r] + est[m + 2 * r + 1] for r in range(m)]
                 assert fine == want
                 assert errs == [abs(c - x) for c, x in zip(est[:m], want)]
+                # An exact part takes the same rule sums on its simplices alone.
+                assert np.array_equal(nodes[1], nodes[0][:len(nodes[1])])
+                assert exact == [v * float(wts @ r) for v, r in
+                                 zip(vols[:m], vals[1].reshape(m, -1))]
+                assert no_errs is None and no_kids is None
 
 
 def test_infinite_integral_is_not_converged():
