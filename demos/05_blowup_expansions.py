@@ -1,4 +1,4 @@
-"""Blowup expansions: predicted coefficients vs exact chopped polytopes.
+"""Blowup expansions: predicted coefficients vs the chopped polytopes.
 
 Chopping the corner at a fixed point p at lattice depth eps is the blowup
 with class deficit eps.  The invariants of the chopped polytope expand as
@@ -7,9 +7,11 @@ with class deficit eps.  The invariants of the chopped polytope expand as
     F:      + v(p)(<p,b> - mean)   at order eps^(n-1)   (n = 2 here),
     df/df_T:- v(p) * Chow weight   at order eps^(n-1),
 
-and fitting exact values over a geometric eps-grid recovers each
-coefficient.  These fits are the arbiter that pinned every sign convention
-in the package.
+and fitting the differences Q(P_eps) - Q(P) over a geometric eps-grid
+recovers each leading coefficient.  Each difference comes from integrals
+over the corner simplex that the chop removes, so no chopped polytope is
+built.  These fits are the arbiter that pinned every sign convention in the
+package.
 """
 
 from fractions import Fraction

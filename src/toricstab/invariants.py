@@ -68,18 +68,18 @@ class InvariantReport:
     backend_discrepancy: float
 
 
-# Quadrature-backend scalars, beta-moments, localisation sums and positivity
-# verdicts by (tag, (dim, facets), weight key, rule), least recently used
-# first.  Polytope equality is (dim, facets), so a key holds the facets alone
-# (DelzantPolytope.key, hashed once) and no entry keeps a polytope or its
-# caches alive; the weight key is WeightPair.key.  The localisation sums ("lvol", "lper") are keyed with rule
+# Quadrature-backend scalars, beta-moments, localisation sums, positivity
+# verdicts and the corner integrals of blowup ladders by (tag, (dim, facets),
+# weight key, rule), least recently used first.  Polytope equality is
+# (dim, facets), so a key holds the facets alone (DelzantPolytope.key, hashed
+# once) and no entry keeps a polytope or its caches alive; the weight key is
+# WeightPair.key.  The localisation sums ("lvol", "lper") are keyed with rule
 # None and never share an entry with a cubature value.  Replaying the key
 # streams of whole benchmark runs (seeds 301-302) through an LRU, none needed
-# more than 3,409 entries (blowup_ladder; weight_sweep 1,780 with the
-# localisation sums, 1,528 without) to miss only where an unbounded cache
-# misses.  A blowup_ladder run of twice that length needs 5,896 and misses
-# 1.3% more at this bound.
-_SCALAR_CACHE_SIZE = 4096
+# more than 1,824 entries (weight_sweep; blowup_ladder 641, pl_sweep 54) to
+# miss only where an unbounded cache misses, nor did runs of twice that
+# length (weight_sweep 1,915 at seed 301, blowup_ladder 1,223).
+_SCALAR_CACHE_SIZE = 2048
 _scalar_cache = OrderedDict()
 _MISSING = object()
 

@@ -12,9 +12,9 @@ lexicographic order, so each choice made on the ints is the rationals' one.
 handed to the integrators are the correctly rounded ``n / D``.
 
 Only raw facet data (catalog, JSON, user input, ``translate``,
-``unimodular_image``) runs the C(m, n) vertex enumeration; corner chops and
-PL cells inherit their vertices from the parent polytope.  All objects are
-immutable after construction and safe to share.
+``unimodular_image``) runs the C(m, n) vertex enumeration; corner chops,
+corner simplices and PL cells inherit their vertices from the parent
+polytope.  All objects are immutable after construction and safe to share.
 
 Triangulation is by pulling (De Loera-Rambau-Santos, *Triangulations*,
 2010, Section 4.3) on the polytope's own vertex-facet incidences; no
@@ -495,6 +495,7 @@ class DelzantPolytope:
             raise PolytopeError("chop normal is not primitive; vertex not unimodular")
         return self.vertices.index(v.coords), m
 
+    @_memo
     def admissible_chop(self, vertex):
         """Largest safe chop depth: half the smallest lattice-affine distance
         from the chop hyperplane at the vertex to any other vertex."""
@@ -504,20 +505,62 @@ class DelzantPolytope:
         return Fraction(min(la.dot(m, x) - at for j, x in enumerate(X) if j != k),
                         2 * scale)
 
+    def _corner_cut(self, vertex, eps):
+        """``(k, m, at, eps)`` of the chop at ``vertex`` to depth ``eps``:
+        the vertex index, the chop normal, ``<m, vertex>`` and the depth,
+        checked to lie strictly between 0 and :meth:`admissible_chop`."""
+        if self.dim < 2:
+            raise PolytopeError("corner chop needs dimension >= 2")
+        eps = _as_fraction(eps)
+        if eps <= 0:
+            raise PolytopeError("chop depth must be positive")
+        k, m = self._chop_data(vertex)
+        bound = self.admissible_chop(k)
+        if eps >= bound:
+            raise ChopDepthError(eps, bound)
+        scale, X, _ = self._enumerate()
+        return k, m, Fraction(la.dot(m, X[k]), scale), eps
+
     def corner_chop(self, vertex, eps):
         """Truncate the corner at ``vertex`` to lattice depth ``eps``.
 
         In vertex-adapted coordinates (vertex at the origin, inward edges the
         standard basis) the new facet is ``{y_1 + ... + y_n = eps}``.  The
         result is again Delzant and loses exactly the corner simplex of
-        volume eps^n / n!.
+        volume eps^n / n! (:meth:`corner`).  Polytope equality ignores names;
+        the chop's is built from this polytope's.
         """
-        if self.dim < 2:
-            raise PolytopeError("corner chop needs dimension >= 2")
-        eps = _as_fraction(eps)
-        if eps <= 0:
-            raise PolytopeError("chop depth must be positive")
-        return _chop(self, self.name, self._chop_data(vertex)[0], eps)
+        _, m, at, eps = self._corner_cut(vertex, eps)
+        return _clip(self, [Facet(m, -at - eps)],
+                     name=f"{self.name}-chopped" if self.name else None)
+
+    def corner(self, vertex, eps):
+        """The corner simplex that :meth:`corner_chop` cuts off, with the
+        same checks: the n facets through ``vertex`` and the new facet
+        ``<m, x> <= <m, vertex> + eps``, in vertex-adapted coordinates
+        ``{y >= 0, y_1 + ... + y_n <= eps}``.  A Delzant simplex; it
+        inherits its vertices, the vertex and vertex + eps * u_i for the
+        inward edges u_i, and their facets from this polytope."""
+        k, m, at, eps = self._corner_cut(vertex, eps)
+        scale, X, active = self._enumerate()
+        new = Facet(tuple(-c for c in m), at + eps)
+        out = DelzantPolytope(self.dim, [self.facets[i] for i in active[k]] + [new])
+        index = {f: j for j, f in enumerate(out.facets)}
+        through = [index[self.facets[i]] for i in active[k]]
+        a, b = eps.numerator, eps.denominator
+        p = [c * b for c in X[k]]
+        # <n_j, u_i> = delta_ij, so vertex + eps * u_i leaves facet j = i only.
+        verts = [(tuple(p), through)] + [
+            (tuple(c + a * scale * e for c, e in zip(p, u)),
+             [index[new]] + through[:i] + through[i + 1:])
+            for i, u in enumerate(self.vertex_data_at(k).inward_edges)]
+        g = gcd(scale * b, *(c for x, _ in verts for c in x))
+        verts.sort()
+        out._cache.update(
+            enum=(tuple(tuple(c // g for c in x) for x, _ in verts),
+                  tuple(tuple(sorted(act)) for _, act in verts)),
+            scale=scale * b // g, is_full_dimensional=True, is_bounded=True)
+        return out
 
     def to_json(self):
         doc = {
@@ -538,25 +581,6 @@ class DelzantPolytope:
         if not all(abs(c) <= sys.float_info.max for _, c in facets):
             raise ValueError("facet offsets must lie within the float range")
         return DelzantPolytope(doc["dim"], facets, name=doc.get("name"))
-
-
-# An expansion ladder chops one vertex at 8 depths, and every ladder at that
-# vertex re-reads those chops.  Replaying the chop keys of whole benchmark
-# runs (216-240 distinct chops each) through an LRU, 256 is the smallest
-# power of two that rebuilds no chop.
-@lru_cache(maxsize=256)
-def _chop(parent, name, k, eps):
-    """The corner chop of ``parent`` at vertex ``k`` to depth ``eps``.
-    Polytope equality ignores names, so the parent's name, from which the
-    chop's is built, is part of the key.  ``lru_cache`` stores no exception:
-    a depth past the admissible bound raises on every call."""
-    _, m = parent._chop_data(k)
-    bound = parent.admissible_chop(k)
-    if eps >= bound:
-        raise ChopDepthError(eps, bound)
-    scale, X, _ = parent._enumerate()
-    new = (m, Fraction(-la.dot(m, X[k]), scale) - eps)
-    return _clip(parent, [new], name=f"{name}-chopped" if name else None)
 
 
 def _clip(parent, rows, name=None):
@@ -622,7 +646,7 @@ def _clip(parent, rows, name=None):
 
 # Frames depend on the primitive normal alone, and faces at every level
 # share few normals: a whole pl_sweep benchmark run (50 cycles of random PL
-# cells) meets 415, eight blowup_ladder cycles 56, so 1024 evicts none.
+# cells) meets 415, eight blowup_ladder cycles 57, so 1024 evicts none.
 @lru_cache(maxsize=1024)
 def _frame(normal):
     """``(z, basis, proj)`` for a primitive normal: ``<normal, z> = 1``,

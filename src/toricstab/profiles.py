@@ -523,13 +523,20 @@ def _to_float(t):
         return math.inf if t > 0 else -math.inf
 
 
+# The largest weight value that cubature may be given.  A degree-13 rule
+# sums up to 166 times the largest value it sees (the sum of the absolute
+# Grundmann-Moller weights, dimensions 1-4), and moments and Gram entries
+# multiply it by coordinates, so this stays 2**10 below the float range.
+OVERFLOW_LIMIT = sys.float_info.max / 2 ** 10
+
+
 def positivity_check(weights, polytope):
     """Verify v > 0 and w > 0 on the polytope, with a margin.
 
     Returns a dict with per-weight verdicts; closed-form variants give
     certified bounds, the power-series variant is sample-based.  A weight
-    that is not finite in floats at an end of the <xi, x> interval, which a
-    vertex attains, fails.
+    that is not finite in floats, or exceeds ``OVERFLOW_LIMIT``, at an end
+    of the <xi, x> interval, which a vertex attains, fails.
     """
     lo, hi = map(_to_float, polytope.interval([Fraction(c) for c in weights.xi]))
     out = {}
@@ -541,11 +548,14 @@ def positivity_check(weights, polytope):
             continue
         with np.errstate(over="ignore", invalid="ignore"):
             ends = np.asarray(prof.value(np.array([lo, hi])), dtype=float)
-        if not np.all(np.isfinite(ends)):
-            t = lo if not math.isfinite(ends[0]) else hi
-            out[which] = PositivityVerdict(
-                False, -math.inf, t, True,
-                f"weight is not finite at t = {t} in [{lo}, {hi}]")
+        if not np.all(np.abs(ends) <= OVERFLOW_LIMIT):
+            k = 0 if not abs(ends[0]) <= OVERFLOW_LIMIT else 1
+            t = (lo, hi)[k]
+            detail = (f"weight is not finite at t = {t} in [{lo}, {hi}]"
+                      if not math.isfinite(ends[k]) else
+                      f"weight reaches {abs(ends[k]):.3e} at t = {t} in [{lo}, {hi}], "
+                      f"past {OVERFLOW_LIMIT:.3e}: its integrals would overflow")
+            out[which] = PositivityVerdict(False, -math.inf, t, True, detail)
             continue
         ok, margin, witness, certified, detail = _check_profile_positive(prof, lo, hi)
         out[which] = PositivityVerdict(ok, margin, witness, certified, detail)

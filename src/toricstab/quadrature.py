@@ -121,8 +121,9 @@ def _edges(n1):
 # Halves and volumes of simplex stacks by (shape, bytes), least recently
 # used first; see :func:`_geometry`.  Replaying the stack streams of whole
 # benchmark runs (seeds 301-302) through an LRU, none needed more than 2,732
-# entries (pl_sweep; blowup_ladder 913, weight_sweep 817) to miss only where
-# an unbounded cache misses.  A pl_sweep run of twice that length needs
+# entries (pl_sweep; weight_sweep 817, and blowup_ladder meets only 494
+# stacks at seed 301) to miss only where an unbounded cache misses.  A
+# pl_sweep run of twice that length needs
 # 5,067 and misses 0.5% more at this bound.  A full cache holds about 7 MB
 # (1.7 KB per pl_sweep entry with halves; about a third of that without).
 _GEOMETRY_CACHE_SIZE = 4096

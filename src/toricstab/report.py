@@ -101,7 +101,7 @@ def soliton_doc(result):
 
 
 def expansion_doc(r):
-    return {
+    doc = {
         "quantity": r.quantity,
         "vertex": [str(c) for c in r.vertex],
         "eps": [float(e) for e in r.eps_grid],
@@ -111,8 +111,12 @@ def expansion_doc(r):
         "remainder_exponent": r.remainder_exponent,
         "expected_next_order": float(r.expected_next_order),
         "coefficient_rel_error": r.coefficient_rel_error,
-        "passed": r.passed,
     }
+    if r.zero_coefficient_error is not None:
+        doc["zero_coefficient_error"] = r.zero_coefficient_error
+        doc["zero_coefficient_floor"] = r.zero_coefficient_floor
+    doc["passed"] = r.passed
+    return doc
 
 
 def chow_rows(tc, rule):

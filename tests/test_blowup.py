@@ -4,7 +4,8 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from toricstab import blowup, invariants as inv, testconfig as tcg
+from toricstab import blowup, catalog, invariants as inv, testconfig as tcg
+from toricstab.polytope import ChopDepthError
 from toricstab.profiles import builtin
 
 from conftest import vertex_index
@@ -123,6 +124,44 @@ class TestDFExpansions:
         assert a == pytest.approx(b, rel=1e-11)
 
 
+class TestProductLadders:
+    def test_dft_coefficients_are_exact_zeros(self, simplex):
+        W = builtin("cscK", 2)
+        tc = tcg.associated_product(simplex, W, [1.0, 0.0])
+        r = blowup.verify_expansion("dft", simplex, W, 0, tc=tc)
+        assert r.predicted == {0: 0.0, 1: 0.0}
+        assert r.passed and r.coefficient_rel_error == 0.0
+        assert r.zero_coefficient_error <= r.zero_coefficient_floor < 1e-12
+
+    def test_constant_configuration_df_coefficients_are_exact_zeros(self, simplex):
+        W = builtin("soliton", 2, xi=[0.3, -0.2])
+        tc = tcg.ToricTC(simplex, W, tcg.PLConvex.make(
+            [((0, 0), F(1, 3)), ((-1, -4), 0)]))
+        for quantity in ("df", "dft"):
+            r = blowup.verify_expansion(quantity, simplex, W, 1, tc=tc)
+            assert r.predicted == {0: 0.0, 1: 0.0} and r.passed
+
+    @pytest.mark.parametrize("P", ["cp2", "cube"])
+    def test_spurious_leading_term_fails(self, monkeypatch, P):
+        # A signal far below any real coefficient, but above roundoff.
+        P = catalog.load(P)
+        n = P.dim
+        W = builtin("soliton", n, xi=[0.3, -0.2, 0.1][:n])
+        tc = tcg.associated_product(P, W, [0.5, 1.0, -0.5][:n])
+        dft = blowup._Corner.dft
+
+        def spurious(self, tc):
+            eps = np.array([float(e) for e in self.at[1]])
+            return [*dft(self, tc), 1e-10 * eps ** (n - 1)]
+
+        assert blowup.verify_expansion("dft", P, W, 0, tc=tc).passed
+        monkeypatch.setattr(blowup._Corner, "dft", spurious)
+        r = blowup.verify_expansion("dft", P, W, 0, tc=tc)
+        assert not r.passed
+        assert r.zero_coefficient_error > r.zero_coefficient_floor
+        assert r.fitted[n - 1] == pytest.approx(1e-10, rel=1e-3)
+
+
 class TestContinuity:
     def test_futaki_extrapolates_to_unchopped(self, simplex):
         # Richardson over the smallest grid entries recovers the base value.
@@ -188,6 +227,14 @@ class TestHarness:
         bad = (F(1, 2),)  # equals the admissible bound at the corner
         with pytest.raises(Exception):
             blowup.verify_expansion("volume", simplex, W, 0, eps_grid=bad)
+
+    def test_chop_past_admissible_depth_raises_every_time(self, simplex):
+        W = builtin("cscK", 2)
+        bound = simplex.admissible_chop(0)
+        grid = (bound, bound / 2, bound / 4, bound / 8)
+        for quantity in ("volume", "volume", "gram"):
+            with pytest.raises(ChopDepthError):
+                blowup.verify_expansion(quantity, simplex, W, 0, eps_grid=grid)
 
     def test_series_rows(self, square):
         W = builtin("cscK", 2)

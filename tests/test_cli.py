@@ -81,6 +81,24 @@ def test_blowup_expand_with_csv(capsys):
     assert len(lines) == 9
 
 
+def test_product_dft_ladder_passes_strict(capsys):
+    # df_T of a product configuration vanishes identically: its coefficients
+    # are exact zeros, and the fit is held to the ladder's roundoff floor.
+    code, out = run(capsys, "blowup-expand", "--catalog", "cp2", "--vertex", "0",
+                    "--quantity", "dft", "--beta", "1,0", "--strict")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["passed"] and doc["predicted"] == {"0": 0.0, "1": 0.0}
+    assert doc["zero_coefficient_error"] <= doc["zero_coefficient_floor"]
+
+
+def test_chop_past_admissible_depth_exits_3(capsys):
+    code = main([*BLOWUP_CP2, "--quantity", "volume", "--eps-max", "2"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("error: chop depth 1/2 exceeds admissible bound 1/2")
+
+
 def test_blowup_expand_eps_flags(capsys):
     code, out = run(capsys, "blowup-expand", "--catalog", "cp1xcp1",
                     "--vertex", "0", "--quantity", "volume",
@@ -452,3 +470,20 @@ def test_no_command_imports_scipy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "0", "0", "0", "0", "None"]
+
+
+def test_overflowing_weight_exits_3_without_a_warning():
+    # e^709 is finite, but cubature sums of it overflow to NaN.  The cached
+    # positivity verdict refuses it before any integral is taken.
+    src = Path(__file__).parent.parent / "src"
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=str(src) + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "toricstab.cli",
+         "invariants", "--catalog", "cp2", "--family", "soliton", "--xi", "709,0"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: weight positivity fails") and "overflow" in line

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from toricstab import blowup, invariants, polytope, testconfig
+from toricstab import blowup, invariants, testconfig
 from toricstab.polytope import (ChopDepthError, DelzantPolytope, Facet,
                                 NonSimpleVertexError, PolytopeError)
 from toricstab.profiles import builtin
@@ -197,16 +197,6 @@ class TestCornerChop:
 
 
 class TestChopCache:
-    def test_repeat_returns_the_same_polytope(self, trapezoid):
-        eps = trapezoid.admissible_chop(1) / 3
-        first = trapezoid.corner_chop(1, eps)
-        assert trapezoid.corner_chop(1, eps) is first
-        assert trapezoid.corner_chop(trapezoid.vertex_data()[1], eps) is first
-        assert trapezoid.corner_chop(1, str(eps)) is first
-        twin = DelzantPolytope(2, trapezoid.facets, name=trapezoid.name)
-        assert twin.corner_chop(1, eps) is first
-        assert trapezoid.corner_chop(1, eps / 2) is not first
-
     def test_errors_raise_on_every_repeat(self, square):
         bound = square.admissible_chop(0)
         for _ in range(3):
@@ -233,15 +223,6 @@ class TestChopCache:
             "cp1xcp1-chopped", "twin-chopped", None]
         assert chops[0] == chops[1] == chops[2]
 
-    def test_bounded(self, simplex):
-        polytope._chop.cache_clear()
-        size = polytope._chop.cache_info().maxsize
-        bound = simplex.admissible_chop(0)
-        for k in range(size + 8):
-            simplex.corner_chop(0, bound / (k + 2))
-        info = polytope._chop.cache_info()
-        assert info.maxsize == size and info.currsize == size
-
     def test_shared_chops_leave_reports_unchanged(self, trapezoid):
         W = builtin("soliton", 2, xi=[0.3, -0.2])
         tc = testconfig.ToricTC(trapezoid, W, testconfig.PLConvex.make(
@@ -254,7 +235,7 @@ class TestChopCache:
                     for q in quantities}
 
         shared = reports(order)
-        polytope._chop.cache_clear()
+        blowup._corners.cache_clear()
         invariants._scalar_cache.clear()
         testconfig._cells.cache_clear()
         testconfig._projection.cache_clear()
