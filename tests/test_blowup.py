@@ -1,5 +1,7 @@
+import json
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from toricstab.polytope import ChopDepthError
 from toricstab.profiles import builtin
 
 from conftest import vertex_index
+
+DATA = Path(__file__).parent / "data"
 
 
 def richardson_limit(eps, values, orders):
@@ -280,3 +284,81 @@ def test_narrow_grid_rejected(simplex):
     with pytest.raises(ValueError, match="too narrow"):
         blowup.verify_expansion("volume", simplex, W, 0,
                                 eps_grid=(F(1, 16), F(1, 32)))
+
+
+# The bits of every ladder and of the L2 integrals it is assembled from,
+# recorded by ``_ladder_bits()`` into tests/data/ladder_bits.json.  A
+# refactor of the corner integrals must keep each float exactly, and each
+# failure's exception type.
+BITS_POLYTOPES = ("cp2", "bl1cp2", "cube")
+BITS_XI = (0.3, -0.2, 0.1)
+BITS_BETA = (0.5, 1.0, -0.7)
+# An affine phi (a product configuration) and a two-piece one whose crease
+# crosses each of the three polytopes.
+BITS_PHI = {"product": [((F(1, 2), F(-1, 3), F(1, 4)), F(1, 5))],
+            "nonproduct": [((0, 0, 0), 0), ((F(1), F(-1, 2), F(1, 3)), F(-1, 4))]}
+
+
+def _hex(x):
+    if isinstance(x, (tuple, list, np.ndarray)):
+        return [_hex(y) for y in np.ravel(np.asarray(x, dtype=float))]
+    return float(x).hex()
+
+
+def _bits_of_call(fn):
+    try:
+        return fn()
+    except (ValueError, ArithmeticError) as e:
+        return type(e).__name__
+
+
+def _report_bits(r):
+    return {"deltas": _hex(r.deltas), "exact": _hex(r.exact),
+            "fitted": _hex([c for _, c in sorted(r.fitted.items())]),
+            "remainder_exponent": _hex(r.remainder_exponent)}
+
+
+def _ladder_bits():
+    bits = {}
+    for name in BITS_POLYTOPES:
+        P = catalog.load(name)
+        n = P.dim
+        beta = np.array(BITS_BETA[:n])
+        for fam in ("cscK", "soliton"):
+            W = builtin(fam, n, xi=BITS_XI[:n] if fam == "soliton" else None)
+            key = f"{name} {fam}"
+            bits[f"{key} vol_w"] = _hex(inv.vol_w(P, W))
+            bits[f"{key} per_v"] = _hex(inv.per_v(P, W))
+            bits[f"{key} _moment_w"] = _hex(inv._moment_w(P, W, beta, blowup.DEFAULT_RULE))
+            bits[f"{key} _moment_boundary_v"] = _hex(
+                inv._moment_boundary_v(P, W, beta, blowup.DEFAULT_RULE))
+            bits[f"{key} gram"] = _hex(inv.gram(P, W))
+            bits[f"{key} ladder volume"] = _bits_of_call(lambda: _report_bits(
+                blowup.verify_expansion("volume", P, W, 1)))
+            bits[f"{key} ladder futaki"] = _bits_of_call(lambda: _report_bits(
+                blowup.verify_expansion("futaki", P, W, 1, beta=beta)))
+            bits[f"{key} ladder gram"] = _bits_of_call(lambda: _report_bits(
+                blowup.gram_convergence(P, W, 1)))
+            for kind, pieces in BITS_PHI.items():
+                phi = tcg.PLConvex.make([(g[:n], c) for g, c in pieces])
+                tc = tcg.ToricTC(P, W, phi)
+                assert tc.is_product() == (kind == "product")
+                k = f"{key} {kind}"
+                bits[f"{k} integrate_pl"] = _hex(tcg.integrate_pl(tc))
+                bits[f"{k} integrate_pl_boundary"] = _hex(tcg.integrate_pl_boundary(tc))
+                bits[f"{k} lambda_pairing"] = _hex(tcg.lambda_pairing(tc, beta))
+                bits[f"{k} df"] = _hex(tcg.df(tc))
+                bits[f"{k} df_T"] = _hex(tcg.df_T(tc))
+                bits[f"{k} l1_norm"] = _hex(tcg.l1_norm(tc))
+                for q in ("df", "dft"):
+                    bits[f"{k} ladder {q}"] = _bits_of_call(lambda: _report_bits(
+                        blowup.verify_expansion(q, P, W, 1, tc=tc)))
+    return bits
+
+
+def test_ladder_bits_are_pinned():
+    want = json.loads((DATA / "ladder_bits.json").read_text())
+    got = _ladder_bits()
+    assert got.keys() == want.keys()
+    for key in want:
+        assert got[key] == want[key], key
