@@ -15,9 +15,12 @@ The chopped polytope is P_eps = P minus the corner simplex Delta_eps that
 the blowup removes, and no P_eps is built.  Every integral over it is the
 parent's plus a corner integral: I(P_eps) = I(P) - I(Delta_eps) inside, and
 I(dP_eps) = I(dP) - I(dDelta_eps) + 2 I(F_eps) on the boundary, F_eps the
-new facet; phi's cells are cut on Delta_eps alone.  s_hat, the Futaki
-character, the Gram matrix (shifted by the change of means), df and the
-df_T projection follow algebraically, so the difference dQ(eps) =
+new facet; phi's cells are cut on Delta_eps alone.  A corner integral has
+the integrand and integration parts that define the parent's own (the
+chart pull-backs of ``quadrature``, the beta-moments and Gram second
+moments of ``invariants``, the PL parts of ``testconfig``), on Delta_eps.
+s_hat, the Futaki character, the Gram matrix (shifted by the change of
+means), df and the df_T projection follow algebraically, so dQ(eps) =
 Q(P_eps) - Q(P) is computed from small numbers, never as a difference of
 O(1) ones.  The engine fits these differences on a geometric eps-grid
 against the predicted leading monomial, and reports the fitted coefficient
@@ -28,6 +31,7 @@ global sign conventions of the whole package.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -35,7 +39,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import invariants, testconfig
-from .quadrature import DEFAULT_RULE, integrate_parts, product_degree
+from .quadrature import (DEFAULT_RULE, boundary_parts, integrate_parts,
+                         product_degree)
 
 QUANTITIES = ("volume", "futaki", "df", "dft", "gram")
 
@@ -73,31 +78,29 @@ class ExpansionReport:
 
 def default_eps_grid(P, vertex, points=8):
     """Geometric grid from admissible/4 downward by halving, exact rationals."""
-    bound = P.admissible_chop(vertex)
-    start = bound / 4
+    start = P.admissible_chop(vertex) / 4
     return tuple(start / 2 ** k for k in range(points))
+
+
+def _vertex_point(P, vertex):
+    """The vertex data and the float point of a vertex to expand at."""
+    v = P.vertex_data_at(vertex)
+    if P.dim < 2:
+        raise ValueError("expansions need dimension >= 2")
+    return v, np.array([float(c) for c in v.coords])
 
 
 def predict_volume_expansion(P, W, vertex, rule=DEFAULT_RULE):
     """Orders {0: Vol_w, n: -w(p)/n!}; remainder O(eps^{n+1})."""
-    v = P.vertex_data_at(vertex)
-    if P.dim < 2:
-        raise ValueError("expansions need dimension >= 2")
-    p = np.array([float(c) for c in v.coords])
-    return {
-        0: invariants.vol_w(P, W, rule),
-        P.dim: -float(W.w(p)) / math.factorial(P.dim),
-    }
+    _, p = _vertex_point(P, vertex)
+    return {0: invariants.vol_w(P, W, rule),
+            P.dim: -float(W.w(p)) / math.factorial(P.dim)}
 
 
 def predict_futaki_expansion(P, W, vertex, beta, rule=DEFAULT_RULE):
     """Orders {0: F(beta), n-1: v(p)(<p,beta> - mean)/(n-2)!}; O(eps^n) rest."""
-    v = P.vertex_data_at(vertex)
-    n = P.dim
-    if n < 2:
-        raise ValueError("expansions need dimension >= 2")
-    beta = np.asarray(beta, dtype=float)
-    p = np.array([float(c) for c in v.coords])
+    _, p = _vertex_point(P, vertex)
+    n, beta = P.dim, np.asarray(beta, dtype=float)
     bbar = float(invariants.barycenter_w(P, W, rule) @ beta)
     coeff = float(W.v(p)) * (float(p @ beta) - bbar) / math.factorial(n - 2)
     return {0: invariants.futaki(P, W, beta, rule), n - 1: coeff}
@@ -112,12 +115,8 @@ def predict_df_expansions(tc, vertex, rule=DEFAULT_RULE):
     every torus-orthogonal Chow weight vanish identically, and df and every
     Chow weight too if phi is constant: those orders are exact zeros.
     """
-    P, W = tc.polytope, tc.weights
-    v = P.vertex_data_at(vertex)
-    n = P.dim
-    if n < 2:
-        raise ValueError("expansions need dimension >= 2")
-    p = np.array([float(c) for c in v.coords])
+    P, W, n = tc.polytope, tc.weights, tc.polytope.dim
+    v, p = _vertex_point(P, vertex)
     vp = float(W.v(p))
     fac = math.factorial(n - 2)
     zero = {0: 0.0, n - 1: 0.0}
@@ -156,7 +155,7 @@ def _corners(P, k, grid):
 
 class _Corner:
     """The corner simplices Delta_eps of one (P, vertex, W) on an eps grid
-    and the weighted integrals over them.
+    and the difference algebra of the ladders over them.
 
     Each ladder method returns the terms of one difference dQ(eps) =
     Q(P_eps) - Q(P) as arrays over the grid: their sum is dQ, and the sum of
@@ -172,32 +171,23 @@ class _Corner:
         """Corner integrals as an array (depth, integral), one scalar-cache
         entry under ``tag``.  ``integrals(D, facets)`` lists the integrals
         over the corner D, each as its integration parts; the parts of all
-        depths go through one integrate_parts call per dimension."""
+        depths, of whatever dimension, go through one integrate_parts call."""
         def compute():
             lists = [integrals(D, facets) for D, facets in self.simplices]
-            parts = [p for ls in lists for ps in ls for p in ps]
-            values = [None] * len(parts)
-            for dim in {p[1].shape[-1] for p in parts}:
-                idx = [i for i, p in enumerate(parts) if p[1].shape[-1] == dim]
-                results = integrate_parts([parts[i] for i in idx], self.rule)
-                for i, r in zip(idx, results):
-                    values[i] = r.value
-            it = iter(values)
-            return tuple(tuple(sum(next(it) for _ in ps) for ps in ls) for ls in lists)
+            results = iter(integrate_parts(
+                [p for ls in lists for ps in ls for p in ps], self.rule))
+            return tuple(tuple(sum(next(results).value for _ in ps) for ps in ls)
+                         for ls in lists)
         return np.array(invariants._cached((tag, self.at), self.P, self.W,
                                            self.rule, compute), dtype=float)
 
-    def weighted(self, tag, f, f_degree, g, g_degree):
+    def weighted(self, tag, inside, boundary):
         """Columns: int_Delta f dx, then int g dsigma on each facet of
-        Delta, F_eps first (lattice measure)."""
-        def integrals(D, facets):
-            out = [[(f, D.triangulation_floats(), f_degree)]]
-            for j in facets:
-                chart = D.facet_chart(j)
-                out.append([(lambda y, chart=chart: g(chart.map_floats(y)),
-                             D.facet_triangulation_floats(j), g_degree)])
-            return out
-        return self.integrals(tag, integrals)
+        Delta, F_eps first (lattice measure), for the (integrand, degree)
+        pairs ``inside`` = (f, .) and ``boundary`` = (g, .)."""
+        return self.integrals(tag, lambda D, facets: [
+            [(inside[0], D.triangulation_floats(), inside[1])],
+            *([p] for p in boundary_parts(D, *boundary, facets))])
 
     @staticmethod
     def boundary(facets):
@@ -211,26 +201,20 @@ class _Corner:
         s_hat(P_eps) = s_eps = s_hat(P) + ds, where ds = (V dPer +
         Per V_Delta) / (V V_eps)."""
         P, W, rule = self.P, self.W, self.rule
-        cols = self.weighted("corner", W.w, W.w_degree, W.v, W.v_degree)
+        cols = self.weighted("corner", (W.w, W.w_degree), (W.v, W.v_degree))
         V, per = invariants.vol_w(P, W, rule), invariants.per_v(P, W, rule)
         V_d = cols[:, 0]
         ds = (V * sum(self.boundary(cols[:, 1:])) + per * V_d) / (V * (V - V_d))
         return V_d, V - V_d, ds, per / V + ds
 
-    def volume(self):
-        return [-self.shat[0]]
-
     def futaki(self, beta):
         """Terms of F(beta) at P_eps minus at P: ds M - s_eps M_Delta - dN,
         M and N the beta-moments of w inside and of v on the boundary."""
-        P, W = self.P, self.W
         beta = np.asarray(beta, dtype=float)
         *_, ds, s_eps = self.shat
-        cols = self.weighted(
-            ("moment", beta.tobytes()),
-            lambda x: (x @ beta) * W.w(x), product_degree(1, W.w_degree),
-            lambda x: (x @ beta) * W.v(x), product_degree(1, W.v_degree))
-        M = invariants._moment_w(P, W, beta, self.rule)
+        cols = self.weighted(("moment", beta.tobytes()),
+                             *invariants.moment_integrands(self.W, beta))
+        M = invariants._moment_w(self.P, self.W, beta, self.rule)
         return [ds * M, -s_eps * cols[:, 0], *(-t for t in self.boundary(cols[:, 1:]))]
 
     def pl(self, tc):
@@ -238,29 +222,17 @@ class _Corner:
         int_Delta phi x_i w for each i, then int phi v dsigma on each facet
         of Delta, F_eps first; phi's cells are cut on Delta alone."""
         W, n = self.W, self.P.dim
-        inner = product_degree(1, W.w_degree)
         moment = product_degree(2, W.w_degree)
-        outer = product_degree(1, W.v_degree)
 
         def integrals(D, facets):
             on = testconfig.ToricTC(D, W, tc.phi, tc.twist_vector, tc.c0)
-            cells = [(cell, *on.cell_affine(k)) for k, cell in on.cells()]
-            out = [[(lambda x, g=g, c=c: (x @ g + c) * W.w(x),
-                     cell.triangulation_floats(), inner) for cell, g, c in cells]]
-            out += [[(lambda x, g=g, c=c, i=i: (x @ g + c) * x[:, i] * W.w(x),
-                      cell.triangulation_floats(), moment) for cell, g, c in cells]
-                    for i in range(n)]
-            for j in facets:
-                chart, parts = D.facet_chart(j), []
-                for cell, g, c in cells:
-                    i = cell.facets.index(D.facets[j])
-                    if i in cell.genuine_facet_indices():
-                        def f(y, g=g, c=c, chart=chart):
-                            x = chart.map_floats(y)
-                            return (x @ g + c) * W.v(x)
-                        parts.append((f, cell.facet_triangulation_floats(i), outer))
-                out.append(parts)
-            return out
+            # phi x_i w is multiplied left to right: pl_parts with the
+            # weight x_i w rounds differently, in the last bits of df_T.
+            first = [[(lambda x, g=g, c=c, i=i: (x @ g + c) * x[:, i] * W.w(x),
+                       cell.triangulation_floats(), moment)
+                      for cell, g, c in on.affine_cells()] for i in range(n)]
+            return [testconfig.pl_parts(on), *first,
+                    *(testconfig.pl_facet_parts(on, j) for j in facets)]
         key = ("pl", tc.phi, tc.twist_vector.tobytes(), tc.c0)
         return self.integrals(key, integrals)
 
@@ -284,7 +256,7 @@ class _Corner:
         G = invariants.gram(P, W, rule=rule)
         c = np.linalg.solve(G, [-testconfig.lambda_pairing(tc, e, rule)
                                 for e in basis])
-        dG, d = self.gram_shift(basis)
+        dG, d = self.gram_shift()
         cols = self.pl(tc)
         A, A_d, C_d = (testconfig.integrate_pl(tc, rule=rule), cols[:, 0],
                        cols[:, 1:1 + P.dim])
@@ -297,29 +269,25 @@ class _Corner:
         return [*self.df(tc), *(dc * F_eps).T,
                 *(ci * t for ci, terms in zip(c, d_fut) for t in terms)]
 
-    def gram_shift(self, basis):
-        """(dG, d): G(P_eps) - G(P) = -S - V_eps d d^T in the given basis,
-        where S is the corner's second moment about P's means m, and
-        d = m_eps - m = -(int_Delta (x - m) w) / V_eps; the corner's volume,
+    def gram_shift(self):
+        """(dG, d): G(P_eps) - G(P) = -S - V_eps d d^T in the standard basis,
+        where S is the corner's second moment about P's w-barycenter b and
+        d = b_eps - b = -(int_Delta (x - b) w) / V_eps; the corner's volume,
         first and second moments are one cache entry."""
-        W = self.W
-        m = basis @ invariants.barycenter_w(self.P, W, self.rule)
-        r = len(basis)
-        pairs = [(i, j) for i in range(r) for j in range(i, r)]
+        W, n = self.W, self.P.dim
+        b, basis = invariants.barycenter_w(self.P, W, self.rule), np.eye(n)
 
         def integrals(D, facets):
             tri = D.triangulation_floats()
-            first = [[(lambda x, i=i: (x @ basis[i] - m[i]) * W.w(x), tri,
-                       product_degree(1, W.w_degree))] for i in range(r)]
-            return [[(W.w, tri, W.w_degree)]] + first + [
-                [(lambda x, i=i, j=j: (x @ basis[i] - m[i]) * (x @ basis[j] - m[j])
-                  * W.w(x), tri, product_degree(2, W.w_degree))] for i, j in pairs]
-        cols = self.integrals(("gram", basis.tobytes()), integrals)
-        S = np.zeros((len(cols), r, r))
-        for k, (i, j) in enumerate(pairs):
-            S[:, i, j] = S[:, j, i] = cols[:, 1 + r + k]
+            first = [[(lambda x, i=i: (x @ basis[i] - b[i]) * W.w(x), tri,
+                       product_degree(1, W.w_degree))] for i in range(n)]
+            return [[(W.w, tri, W.w_degree)], *first,
+                    *([p] for p in invariants.gram_parts(tri, W, basis, b))]
+        cols, (i, j) = self.integrals("gram", integrals), np.triu_indices(n)
+        S = np.zeros((len(cols), n, n))
+        S[:, i, j] = S[:, j, i] = cols[:, 1 + n:]
         V_e = invariants.vol_w(self.P, W, self.rule) - cols[:, 0]
-        d = -cols[:, 1:1 + r] / V_e[:, None]
+        d = -cols[:, 1:1 + n] / V_e[:, None]
         return -S - V_e[:, None, None] * d[:, :, None] * d[:, None, :], d
 
 
@@ -345,9 +313,19 @@ def _slope(eps, resid, floor):
     return float(s)
 
 
+def _require_normal_powers(eps_grid, power):
+    """Refuse a grid with a positive depth whose eps**power is not a normal
+    float: a fit of that power underflows (or overflows) there.  A depth
+    that is not positive is the chop's own error."""
+    lo, hi = Fraction(sys.float_info.min), Fraction(sys.float_info.max)
+    for k, eps in enumerate(map(Fraction, eps_grid)):
+        if eps > 0 and not lo <= eps ** power <= hi:
+            raise ValueError(f"eps grid leaves the float range: eps**{power} "
+                             f"at depth {k} is not a positive normal float")
+
+
 def verify_expansion(quantity, P, W, vertex, eps_grid=None, beta=None,
-                     tc=None, rule=DEFAULT_RULE, rel_tol=1e-6,
-                     exponent_slack=0.1):
+                     tc=None, rule=DEFAULT_RULE, rel_tol=1e-6):
     """Fit the ladder differences against the predicted leading monomial.
 
     The differences dQ(eps) = Q(P_eps) - Q(P) are divided by eps^lead and
@@ -356,7 +334,8 @@ def verify_expansion(quantity, P, W, vertex, eps_grid=None, beta=None,
     when that coefficient is reproduced to ``rel_tol`` relative error (or,
     when it is predicted exactly zero, to within the roundoff floor of the
     terms dQ is computed from) and the residual's log-log slope reaches the
-    next expected order minus ``exponent_slack``.
+    next expected order minus 0.1.  A grid on which a fitted power of eps
+    is not a positive normal float is refused before any integral.
     """
     v = P.vertex_data_at(vertex)
     invariants._require_positive(P, W)  # also refuses weights that overflow
@@ -367,28 +346,31 @@ def verify_expansion(quantity, P, W, vertex, eps_grid=None, beta=None,
                          f"(got {len(set(eps_grid))} distinct depths, need >= 4)")
     if quantity == "gram":
         return gram_convergence(P, W, v, eps_grid=eps_grid, rule=rule)
+    if quantity not in QUANTITIES:
+        raise ValueError(f"unknown quantity {quantity!r}")
+    # The leading order of each prediction, and the orders fitted past it.
+    lead = P.dim - (quantity != "volume")
+    extra = min(5, len(eps_grid) - 2)
+    _require_normal_powers(eps_grid, lead + extra)
     corner = _Corner(P, W, v, eps_grid, rule)
     if quantity == "volume":
         predicted = predict_volume_expansion(P, W, v, rule)
-        terms = corner.volume()
+        terms = [-corner.shat[0]]
     elif quantity == "futaki":
         if beta is None:
             raise ValueError("futaki expansion needs beta")
         predicted = predict_futaki_expansion(P, W, v, beta, rule)
         terms = corner.futaki(beta)
-    elif quantity in ("df", "dft"):
+    else:
         if tc is None:
             raise ValueError("df expansions need a test configuration")
         predicted = predict_df_expansions(tc, v, rule)[quantity]
         terms = corner.df(tc) if quantity == "df" else corner.dft(tc)
-    else:
-        raise ValueError(f"unknown quantity {quantity!r}")
     deltas = sum(terms)
     floor = NOISE * sum(np.abs(t) for t in terms)
     eps = np.array([float(e) for e in eps_grid])
-    lead = max(predicted)
     z = deltas / eps ** lead
-    coef = float(_lstsq_ladder(eps, z, range(min(5, len(eps) - 2) + 1))[0])
+    coef = float(_lstsq_ladder(eps, z, range(extra + 1))[0])
     # The remainder against the *predicted* model decays at the next order.
     exponent = _slope(eps, deltas - predicted[lead] * eps ** lead, floor)
     zero_error = zero_floor = None
@@ -399,7 +381,7 @@ def verify_expansion(quantity, P, W, vertex, eps_grid=None, beta=None,
     else:
         rel_err = abs(coef - predicted[lead]) / max(abs(predicted[lead]), 1e-14)
         ok = rel_err <= rel_tol
-    passed = ok and exponent >= lead + 1 - exponent_slack
+    passed = ok and exponent >= lead + 1 - 0.1
     return ExpansionReport(quantity, v.coords, tuple(eps_grid),
                            tuple(float(predicted[0] + x) for x in deltas),
                            predicted, {lead: coef}, exponent, lead + 1,
@@ -407,35 +389,27 @@ def verify_expansion(quantity, P, W, vertex, eps_grid=None, beta=None,
                            zero_error, zero_floor)
 
 
-def gram_convergence(P, W, vertex, basis=None, eps_grid=None,
-                     rule=DEFAULT_RULE, exponent_threshold=None):
+def gram_convergence(P, W, vertex, eps_grid=None, rule=DEFAULT_RULE):
     """Decay rate of the Gram-matrix deficit under chopping.
 
     The deficit is a corner integral of order eps^n, stronger than the
     generic bound; the report passes when the fitted exponent reaches
-    n - 1/2.
+    n - 1/2.  A grid on which eps^n is not a positive normal float is
+    refused before any integral.
     """
     n = P.dim
     v = P.vertex_data_at(vertex)
     invariants._require_positive(P, W)
     if eps_grid is None:
         eps_grid = default_eps_grid(P, v)
-    if exponent_threshold is None:
-        exponent_threshold = n - 0.5
-    basis = np.eye(n) if basis is None else np.asarray(basis, dtype=float)
-    invariants.gram(P, W, basis=basis, rule=rule)  # checks the basis
-    dG, _ = _Corner(P, W, v, eps_grid, rule).gram_shift(basis)
+    _require_normal_powers(eps_grid, n)
+    dG, _ = _Corner(P, W, v, eps_grid, rule).gram_shift()
     exact = tuple(float(np.linalg.norm(g)) for g in dG)
-    scale = max(float(np.max(np.abs(exact))), 1e-300)
-    mask = [x > 1e-14 * max(1.0, scale) for x in exact]
-    if sum(mask) < 3:
-        exponent = math.inf
-    else:
-        eps = np.array([float(e) for e, m in zip(eps_grid, mask) if m])
-        y = np.array([x for x, m in zip(exact, mask) if m])
-        exponent, _ = np.polyfit(np.log(eps), np.log(y), 1)
-        exponent = float(exponent)
-    passed = exponent >= exponent_threshold
+    keep = [k for k, x in enumerate(exact) if x > 1e-14 * max(1.0, *exact)]
+    exponent = math.inf
+    if len(keep) >= 3:
+        log_eps = np.log([float(eps_grid[k]) for k in keep])
+        exponent = float(np.polyfit(log_eps, np.log([exact[k] for k in keep]), 1)[0])
+    passed = exponent >= n - 0.5
     return ExpansionReport("gram", v.coords, tuple(eps_grid), exact,
-                           {}, {}, exponent, exponent_threshold, 0.0, passed,
-                           exact)
+                           {}, {}, exponent, n - 0.5, 0.0, passed, exact)

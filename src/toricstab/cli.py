@@ -7,7 +7,8 @@ Each command but selftest returns its document and whether it fails
 Output is deterministic JSON (fixed field order, %.12e floats) unless --csv
 or --text is selected.  Exit codes: 0 success, 2 argument/parse errors
 (also bad cubature flags, non-finite or out-of-float-range numbers, a --csv
-kind the command's document lacks, checked before any work, and an
+kind the command's document lacks, fewer than 4 or underflowing
+--eps-points, a negative --sample, all checked before any work, and an
 unwritable --out), 3 precondition violations, 4 tolerance failures: under
 --strict, and always when the two backends disagree or a localisation
 limit at a degenerate direction does not settle.
@@ -263,10 +264,18 @@ def _cmd_blowup(args):
     if args.quantity in ("df", "dft"):
         tc = _load_tc(args, P, W)
     eps_max = _fraction(args.eps_max, "--eps-max") if args.eps_max else None
+    if eps_max is not None and not abs(eps_max) <= sys.float_info.max:
+        raise CliError(f"bad --eps-max: {args.eps_max} is past the float range",
+                       EXIT_PARSE)
     try:
-        grid = (tuple(eps_max / 4 / 2 ** k for k in range(args.eps_points))
-                if eps_max is not None
-                else blowup.default_eps_grid(P, vertex, args.eps_points))
+        start = (eps_max / 4 if eps_max is not None
+                 else blowup.default_eps_grid(P, vertex, 1)[0])
+        # At least 4 depths, the smallest (start / 2**(n - 1)) a normal float.
+        n = args.eps_points
+        if n < 4 or 0 < start and math.ldexp(float(start), 1 - n) < sys.float_info.min:
+            raise CliError(f"bad --eps-points: {n} (need at least 4 depths, "
+                           "the smallest a normal float)", EXIT_PARSE)
+        grid = tuple(start / 2 ** k for k in range(n))
         rep = blowup.verify_expansion(args.quantity, P, W, vertex,
                                       eps_grid=grid, beta=beta, tc=tc,
                                       rule=rule)
@@ -279,6 +288,8 @@ def _cmd_report(args):
     P = _load_polytope(args)
     W = _load_weights(args, P)
     rule = _rule(args)
+    if args.sample < 0:
+        raise CliError(f"bad --sample: {args.sample} (need a count >= 0)", EXIT_PARSE)
     tcs = []
     if args.tc:
         tcs.append(_load_tc(args, P, W))

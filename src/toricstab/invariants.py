@@ -29,6 +29,10 @@ from .profiles import builtin, positivity_check, raise_unless_positive
 from .quadrature import DEFAULT_RULE, product_degree
 
 
+# Relative agreement required of the two backends under backend="both".
+AGREE_TOL = 1e-8
+
+
 class BackendError(RuntimeError):
     """The two evaluation backends disagree beyond tolerance."""
 
@@ -120,37 +124,41 @@ def _require_positive(P, W):
     raise_unless_positive(_cached("pos", P, W, None, lambda: positivity_check(W, P)))
 
 
-def s_hat(P, W, rule=DEFAULT_RULE, backend="quadrature", agree_tol=1e-8):
+def s_hat(P, W, rule=DEFAULT_RULE, backend="quadrature"):
     """Average weighted scalar curvature Per_v / Vol_w."""
     _require_positive(P, W)
     if backend == "both":
         q = per_v(P, W, rule) / vol_w(P, W, rule)
         l = (per_v(P, W, rule, "localization")
              / vol_w(P, W, rule, "localization"))
-        if abs(q - l) > agree_tol * (1 + abs(q)):
+        if abs(q - l) > AGREE_TOL * (1 + abs(q)):
             raise BackendError(f"s_hat backends disagree: {q} vs {l}")
         return q
     return per_v(P, W, rule, backend) / vol_w(P, W, rule, backend)
 
 
+def moment_integrands(W, beta):
+    """((f, degree), (g, degree)) of the beta-moments: f = <x, beta> w
+    inside and g = <x, beta> v on the boundary."""
+    return ((lambda x: (x @ beta) * W.w(x), product_degree(1, W.w_degree)),
+            (lambda x: (x @ beta) * W.v(x), product_degree(1, W.v_degree)))
+
+
 def _moment_w(P, W, beta, rule):
     beta = np.asarray(beta, dtype=float)
+    (f, degree), _ = moment_integrands(W, beta)
     return _cached(("mom", beta.tobytes()), P, W, rule,
-                   lambda: quadrature.integrate(
-                       P, lambda x: (x @ beta) * W.w(x), rule,
-                       product_degree(1, W.w_degree)).value)
+                   lambda: quadrature.integrate(P, f, rule, degree).value)
 
 
 def _moment_boundary_v(P, W, beta, rule):
     beta = np.asarray(beta, dtype=float)
+    _, (g, degree) = moment_integrands(W, beta)
     return _cached(("bmom", beta.tobytes()), P, W, rule,
-                   lambda: quadrature.integrate_boundary(
-                       P, lambda x: (x @ beta) * W.v(x), rule,
-                       product_degree(1, W.v_degree)).value)
+                   lambda: quadrature.integrate_boundary(P, g, rule, degree).value)
 
 
-def futaki(P, W, beta, rule=DEFAULT_RULE, backend="quadrature",
-           shat=None, agree_tol=1e-8):
+def futaki(P, W, beta, rule=DEFAULT_RULE, backend="quadrature", shat=None):
     """Weighted Futaki character evaluated on beta.
 
     With the localisation backend the two beta-moments are directional
@@ -159,7 +167,7 @@ def futaki(P, W, beta, rule=DEFAULT_RULE, backend="quadrature",
     if backend == "both":
         q = futaki(P, W, beta, rule, "quadrature", shat)
         l = futaki(P, W, beta, rule, "localization", shat)
-        if abs(q - l) > agree_tol * (1 + abs(q)):
+        if abs(q - l) > AGREE_TOL * (1 + abs(q)):
             raise BackendError(f"futaki backends disagree: {q} vs {l}")
         return q
     if backend == "localization":
@@ -203,22 +211,24 @@ def gram(P, W, basis=None, rule=DEFAULT_RULE):
     def compute():
         vw = vol_w(P, W, rule)
         means = np.array([_moment_w(P, W, b, rule) for b in basis]) / vw
-        r = len(basis)
-        pairs = [(i, j) for i in range(r) for j in range(i, r)]
-        tri = P.triangulation_floats()
-        degree = product_degree(2, W.w_degree)
-        parts = []
-        for i, j in pairs:
-            def f(x, bi=basis[i], bj=basis[j], mi=means[i], mj=means[j]):
-                return (x @ bi - mi) * (x @ bj - mj) * W.w(x)
-
-            parts.append((f, tri, degree))
+        results = quadrature.integrate_parts(
+            gram_parts(P.triangulation_floats(), W, basis, means), rule)
+        r, (i, j) = len(basis), np.triu_indices(len(basis))
         g = np.zeros((r, r))
-        for (i, j), res in zip(pairs, quadrature.integrate_parts(parts, rule)):
-            g[i, j] = g[j, i] = res.value
+        g[i, j] = g[j, i] = [res.value for res in results]
         return tuple(tuple(row) for row in g)
 
     return np.array(_cached(("gram", basis.tobytes()), P, W, rule, compute))
+
+
+def gram_parts(simplices, W, basis, means):
+    """Integration parts over the simplices of (<x, b_i> - m_i)(<x, b_j> -
+    m_j) w, the Gram second moments, one per i <= j in np.triu_indices order."""
+    r = len(basis)
+    degree = product_degree(2, W.w_degree)
+    return [(lambda x, bi=basis[i], bj=basis[j], mi=means[i], mj=means[j]:
+             (x @ bi - mi) * (x @ bj - mj) * W.w(x), simplices, degree)
+            for i in range(r) for j in range(i, r)]
 
 
 def extremal_field(P, W, rule=DEFAULT_RULE):
@@ -241,12 +251,13 @@ def extremal_field(P, W, rule=DEFAULT_RULE):
     return ExtremalData(tuple(float(c) for c in chi), a, residual)
 
 
-def futaki_signed(P, W, affine, beta, rule=DEFAULT_RULE, zero_tol=1e-12):
+def futaki_signed(P, W, affine, beta, rule=DEFAULT_RULE):
     """Futaki pairing with the signed second weight w' = (affine) * w.
 
     ``affine`` is an ExtremalData or a pair (chi, a).  The average uses
     Per_v / int w' when the w'-mass is nonzero; for sign-balanced w' with
-    vanishing mass, the average is replaced by 1.
+    vanishing mass (at most 1e-12 of 1 + |Per_v| + |mass|), the average is
+    replaced by 1.
     """
     if isinstance(affine, ExtremalData):
         chi, a = np.asarray(affine.chi, dtype=float), affine.a
@@ -260,42 +271,42 @@ def futaki_signed(P, W, affine, beta, rule=DEFAULT_RULE, zero_tol=1e-12):
     mass = quadrature.integrate(P, wprime, rule,
                                 product_degree(1, W.w_degree)).value
     pv = per_v(P, W, rule)
-    scale = abs(pv) + abs(mass)
-    sh = pv / mass if abs(mass) > zero_tol * (1 + scale) else 1.0
+    sh = pv / mass if abs(mass) > 1e-12 * (1 + (abs(pv) + abs(mass))) else 1.0
     mom = quadrature.integrate(P, lambda x: (x @ beta) * wprime(x), rule,
                                product_degree(2, W.w_degree)).value
     bmom = _moment_boundary_v(P, W, beta, rule)
     return sh * mom - bmom
 
 
-def soliton_field(P, rule=DEFAULT_RULE, tol=1e-10, max_iter=50,
-                  oracle_tol=1e-8, start=None):
+def soliton_field(P, rule=DEFAULT_RULE):
     """Soliton direction on a reflexive polytope by damped Newton iteration.
 
-    At each xi the exponential weights v = w = exp(<xi, x>) give a Futaki
-    character F_xi and a Gram form G_xi; the soliton equation is the
-    self-consistency of the extremal direction,
+    From xi = 0, up to 50 steps bring the residual to 1e-10.  At each xi
+    the exponential weights v = w = exp(<xi, x>) give a Futaki character
+    F_xi and a Gram form G_xi; the soliton equation is the self-consistency
+    of the extremal direction,
 
         R(xi)(beta) = F_xi(beta) + <xi, beta>_{G_xi} = 0 for all beta,
 
     whose solution is the unique critical point of the strictly convex
     volume xi -> int_P exp(<xi, x>) dx.  That critical point, found by
     direct minimisation of the closed-form volume, serves as an independent
-    oracle; disagreement is flagged as a normalisation inconsistency.
+    oracle; a gap past 1e-8 is flagged as a normalisation inconsistency.
     """
     n = P.dim
     if any(f.offset != 1 for f in P.facets):
         raise ValueError(
             "soliton_field needs a reflexive polytope (all facet offsets 1)")
-    xi = np.zeros(n) if start is None else np.asarray(start, dtype=float)
-    resid = np.full(n, np.inf)
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
+
+    def residual(xi):  # the weights W at xi, their Gram form g and R(xi)
         W = builtin("soliton", n, xi=xi)
         g = gram(P, W, rule=rule)
-        f = np.array([futaki(P, W, e, rule) for e in np.eye(n)])
-        resid = f + g @ xi
-        if float(np.max(np.abs(resid))) <= tol:
+        return W, g, np.array([futaki(P, W, e, rule) for e in np.eye(n)]) + g @ xi
+
+    xi, resid, iterations = np.zeros(n), np.full(n, np.inf), 0
+    for iterations in range(1, 51):
+        W, g, resid = residual(xi)
+        if float(np.max(np.abs(resid))) <= 1e-10:
             break
         vw = vol_w(P, W, rule)
         bary = barycenter_w(P, W, rule)
@@ -306,21 +317,18 @@ def soliton_field(P, rule=DEFAULT_RULE, tol=1e-10, max_iter=50,
         scale = 1.0
         for _ in range(30):
             cand = xi + scale * step
-            Wc = builtin("soliton", n, xi=cand)
-            gc = gram(P, Wc, rule=rule)
-            fc = np.array([futaki(P, Wc, e, rule) for e in np.eye(n)])
-            rc = fc + gc @ cand
+            rc = residual(cand)[2]
             if np.linalg.norm(rc) < np.linalg.norm(resid) or scale < 1e-4:
                 xi = cand
                 break
             scale *= 0.5
-    converged = float(np.max(np.abs(resid))) <= tol
+    converged = float(np.max(np.abs(resid))) <= 1e-10
     oracle = soliton_oracle(P)
     gap = float(np.max(np.abs(np.asarray(oracle) - xi)))
     return SolitonResult(tuple(float(c) for c in xi),
                          float(np.max(np.abs(resid))), iterations, converged,
                          tuple(float(c) for c in oracle), gap,
-                         gap <= oracle_tol)
+                         gap <= 1e-8)
 
 
 def soliton_oracle(P):
@@ -354,7 +362,7 @@ def soliton_oracle(P):
 
 
 def invariant_report(P, W, rule=DEFAULT_RULE, backend="quadrature",
-                     agree_tol=1e-8):
+                     agree_tol=AGREE_TOL):
     """Assemble the headline invariants, optionally cross-checking backends."""
     _require_positive(P, W)
     vw_q = vol_w(P, W, rule)

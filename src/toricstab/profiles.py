@@ -463,8 +463,8 @@ class PositivityVerdict:
     detail: str
 
 
-def _check_profile_positive(prof, lo, hi, samples=512):
-    """Lower bound for a profile on [lo, hi]; certified where closed forms allow."""
+def _check_profile_positive(prof, lo, hi):
+    """Lower bound on [lo, hi]: certified in closed form, else from 512 samples."""
     if isinstance(prof, Exponential):
         if prof.a <= 0:
             return (False, prof.a * math.exp(hi), lo, True,
@@ -505,7 +505,7 @@ def _check_profile_positive(prof, lo, hi, samples=512):
     pad = 0.01 * (hi - lo + 1e-12)
     grid_lo = max(lo - pad, prof.domain[0] + 1e-12) if math.isfinite(prof.domain[0]) else lo - pad
     grid_hi = min(hi + pad, prof.domain[1] - 1e-12) if math.isfinite(prof.domain[1]) else hi + pad
-    ts = np.linspace(grid_lo, grid_hi, samples)
+    ts = np.linspace(grid_lo, grid_hi, 512)
     vals = np.asarray(prof.value(ts))
     i = int(np.argmin(vals))
     margin = float(vals[i])

@@ -4,26 +4,26 @@ Interior integrals run Grundmann-Moller simplex cubature (exact to a
 configurable polynomial degree) over an exact triangulation, with adaptive
 longest-edge bisection driven by a coarse/fine error estimate for analytic
 non-polynomial integrands.  One engine, :func:`integrate_parts`, takes a
-list of (integrand, simplices[, degree]) parts, such as the facets of a
-boundary or the cells of a PL function; :func:`integrate_sum` adds their
-results.  A part may declare its integrand a polynomial of some degree; if
-the rule (of degree 2s+1) integrates that degree exactly, the part is
-evaluated once on its own simplices, and its value is the ``fsum`` of their
-rule sums with error 0.  Every other part is analytic: the first pass calls
-its integrand once on its simplices and their bisection halves, and sums
-its rule in one stacked product; it then refines on its own, evaluating the
-two halves of its worst leaf in one call and keeping exact running sums
-(integer counts of 2**-1074).  Boundary integrals pull each facet back
-through its unimodular chart, which is affine, so a pulled-back polynomial
-keeps its degree and the lattice boundary measure is built in.
+list of (integrand, simplices[, degree]) parts of any dimensions, such as
+the facets of a boundary or the cells of a PL function; :func:`integrate_sum`
+adds their results.  A part may declare its integrand a polynomial of some
+degree; if the rule (of degree 2s+1) integrates that degree exactly, the
+part is evaluated once on its own simplices, and its value is the ``fsum``
+of their rule sums with error 0.  Every other part is analytic: the first
+pass calls its integrand once on its simplices and their bisection halves,
+and sums its rule in one stacked product; it then refines on its own,
+evaluating the two halves of its worst leaf in one call and keeping exact
+running sums (integer counts of 2**-1074).  Boundary integrals pull each
+facet back through its unimodular chart, which is affine, so a pulled-back
+polynomial keeps its degree and the lattice boundary measure is built in.
 
 The geometry of a simplex stack (its bisection into halves and the volumes
 of simplices and halves) depends on neither the rule nor the integrand, and
 the same few triangulations and refinement trees recur across the
-invariants.  So it is computed once per stack, all new stacks of a call in
-one bisection and one batched determinant, and kept in a bounded LRU of
-read-only arrays keyed by the stack's shape and bytes
-(``_GEOMETRY_CACHE_SIZE`` entries).  Every result is bit-identical to
+invariants.  So it is computed once per stack, all new stacks of one
+dimension in a call in one bisection and one batched determinant, and
+kept in a bounded LRU of read-only arrays keyed by the stack's shape and
+bytes (``_GEOMETRY_CACHE_SIZE`` entries).  Every result is bit-identical to
 evaluating one simplex at a time, cache or no cache: bisection and
 determinant act simplex by simplex, and numpy computes each row of the
 stacked rule sum as the same 1-D dot.
@@ -306,27 +306,27 @@ def integrate_parts(parts, rule=DEFAULT_RULE):
     """Integration of several ``(f, simplices[, degree])`` parts at once.
 
     ``f`` is a vectorised integrand and ``simplices`` a float stack of shape
-    (k, n+1, n), with one n for every nonempty part.  ``degree`` declares
-    ``f`` a polynomial of at most that degree; None, the default, means
-    analytic.  A declared degree the rule integrates exactly (at most
+    (k, n+1, n), of any n (an empty part integrates to 0).  ``degree``
+    declares ``f`` a polynomial of at most that degree; None, the default,
+    means analytic.  A declared degree the rule integrates exactly (at most
     ``2 * rule.gm_order + 1``) takes one pass with error 0; every other part
     is adaptive.  Returns one :class:`IntegrationResult` per part, each
-    bit-identical to integrating that part alone: the first pass of all
-    parts is one batched :func:`_estimate`, after which each part has its
-    own sum, tolerance test and refinement.
+    bit-identical to integrating that part alone: the first pass of the
+    nonempty parts of each n is one batched :func:`_estimate`, after which
+    each part has its own sum, tolerance test and refinement.
     """
     def exact(degree=None):
         return degree is not None and degree <= 2 * rule.gm_order + 1
 
     parts = [(f, np.asarray(s, dtype=float), exact(*degree))
              for f, s, *degree in parts]
-    live = [p for p in parts if len(p[1])]
-    if not live:
-        return [IntegrationResult(0.0, 0.0, True) for _ in parts]
-    bary, wts = gm_table(live[0][1].shape[2], rule.gm_order)
-    first = iter(_estimate(live, bary, wts))
-    return [_refine(f, *next(first), bary, wts, rule) if len(s)
-            else IntegrationResult(0.0, 0.0, True) for f, s, _ in parts]
+    out = [IntegrationResult(0.0, 0.0, True)] * len(parts)
+    for n in {s.shape[2] for _, s, _ in parts if len(s)}:
+        idx = [i for i, (_, s, _) in enumerate(parts) if len(s) and s.shape[2] == n]
+        bary, wts = gm_table(n, rule.gm_order)
+        for i, first in zip(idx, _estimate([parts[i] for i in idx], bary, wts)):
+            out[i] = _refine(parts[i][0], *first, bary, wts, rule)
+    return out
 
 
 def integrate_simplices(f, simplices, rule=DEFAULT_RULE, degree=None):
@@ -365,10 +365,16 @@ def integrate_boundary(polytope, f, rule=DEFAULT_RULE, degree=None):
         pts = polytope.vertices_floats()
         vals = np.asarray(f(pts), dtype=float)
         return IntegrationResult(float(np.sum(vals)), 0.0, True)
-    parts = [(lambda y, chart=polytope.facet_chart(i): f(chart.map_floats(y)),
-              polytope.facet_triangulation_floats(i), degree)
-             for i in polytope.genuine_facet_indices()]
-    return integrate_sum(parts, rule)
+    return integrate_sum(boundary_parts(
+        polytope, f, degree, polytope.genuine_facet_indices()), rule)
+
+
+def boundary_parts(polytope, f, degree, facets):
+    """One integration part per facet index in ``facets``, of a polytope of
+    dimension >= 2: f pulled back through the facet's unimodular chart,
+    over the facet's triangulation, with the declared ``degree``."""
+    return [(lambda y, chart=polytope.facet_chart(i): f(chart.map_floats(y)),
+             polytope.facet_triangulation_floats(i), degree) for i in facets]
 
 
 # -- closed-form oracles -------------------------------------------------------

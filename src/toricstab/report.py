@@ -143,8 +143,8 @@ def tc_doc(tc, rule):
     return doc
 
 
-def verdict_line(inv_doc, tc_docs, tol=1e-9):
-    violations = [d for d in tc_docs if d["df_T"] < -tol]
+def verdict_line(tc_docs):
+    violations = [d for d in tc_docs if d["df_T"] < -1e-9]
     if violations:
         worst = min(d["df_T"] for d in violations)
         return (f"violation found: df_T = {FLOAT_FORMAT % worst} < 0 "
@@ -159,13 +159,12 @@ def dossier(P, W, tcs=(), expansions=(), rule=None, backend="quadrature",
     rule = rule or DEFAULT_RULE
     rep = invariants.invariant_report(P, W, rule, backend=backend)
     tc_docs = [tc_doc(t, rule) for t in tcs]
-    inv_doc = invariant_doc(rep, name=name)
     return {
-        "invariants": inv_doc,
+        "invariants": invariant_doc(rep, name=name),
         "test_configurations": tc_docs,
         "expansions": [expansion_doc(r) for r in expansions],
         "sign_convention": SIGN_CONVENTION,
-        "verdict": verdict_line(inv_doc, tc_docs),
+        "verdict": verdict_line(tc_docs),
     }
 
 

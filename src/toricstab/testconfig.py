@@ -172,10 +172,11 @@ class ToricTC:
         active = {k for k, _ in self.cells()}
         return tuple(k for k in range(len(self.phi.pieces)) if k not in active)
 
-    def cell_affine(self, k):
-        """Gradient and constant of phi (twist and c0 included) on cell k."""
+    def affine_cells(self):
+        """(cell, gradient, constant) of phi on each cell, twist and c0 included."""
         grads, consts = self.phi._floats
-        return grads[k] - self.twist_vector, float(consts[k]) + self.c0
+        return [(cell, grads[k] - self.twist_vector, float(consts[k]) + self.c0)
+                for k, cell in self.cells()]
 
     def is_product(self):
         return len(self.cells()) == 1
@@ -228,50 +229,50 @@ def twist(tc, beta):
 # -- PL integrals -----------------------------------------------------------
 
 
-def integrate_pl(tc, weight_fn=None, rule=DEFAULT_RULE, weight_degree=None):
-    """int_P phi * weight dx, cell by cell (integrands smooth per cell).
-
-    The weight is w unless ``weight_fn`` is given; a given weight is
-    analytic unless ``weight_degree`` declares it a polynomial.
-    """
+def pl_parts(tc, weight_fn=None, weight_degree=None):
+    """Integration parts of int_P phi * weight dx, one per cell of phi (the
+    integrand is smooth on each).  The weight is w unless ``weight_fn`` is
+    given, then analytic unless ``weight_degree`` declares a polynomial."""
     if weight_fn is None:
         weight_fn, weight_degree = tc.weights.w, tc.weights.w_degree
     degree = product_degree(1, weight_degree)
-    parts = []
-    for k, cell in tc.cells():
-        g, c = tc.cell_affine(k)
-        parts.append((lambda x, g=g, c=c: (x @ g + c) * weight_fn(x),
-                      cell.triangulation_floats(), degree))
-    return integrate_sum(parts, rule).value
+    return [(lambda x, g=g, c=c: (x @ g + c) * weight_fn(x),
+             cell.triangulation_floats(), degree) for cell, g, c in tc.affine_cells()]
 
 
-def integrate_pl_boundary(tc, weight_fn=None, rule=DEFAULT_RULE):
-    """int_dP phi * weight dsigma with the lattice boundary measure; the
-    weight is v unless ``weight_fn`` is given, which is taken as analytic."""
+def pl_facet_parts(tc, i):
+    """Integration parts of int phi * v dsigma over facet i of P, one per
+    cell of phi with a facet of its own there, pulled back through P's
+    chart of facet i (a chart depends on the facet's hyperplane alone)."""
+    P, v = tc.polytope, tc.weights.v
+    degree = product_degree(1, tc.weights.v_degree)
+    chart, parts = P.facet_chart(i), []
+    for cell, g, c in tc.affine_cells():
+        j = cell.facets.index(P.facets[i])
+        if j not in cell.genuine_facet_indices():
+            continue
+
+        def f(y, g=g, c=c):
+            x = chart.map_floats(y)
+            return (x @ g + c) * np.asarray(v(x), dtype=float)
+
+        parts.append((f, cell.facet_triangulation_floats(j), degree))
+    return parts
+
+
+def integrate_pl(tc, rule=DEFAULT_RULE):
+    """int_P phi * w dx."""
+    return integrate_sum(pl_parts(tc), rule).value
+
+
+def integrate_pl_boundary(tc, rule=DEFAULT_RULE):
+    """int_dP phi * v dsigma with the lattice boundary measure."""
     P = tc.polytope
-    weight = weight_fn if weight_fn is not None else tc.weights.v
-    degree = product_degree(1, tc.weights.v_degree if weight_fn is None else None)
     if P.dim == 1:
         pts = P.vertices_floats()
-        vals = tc.value(pts) * np.asarray(weight(pts), dtype=float)
-        return float(np.sum(vals))
-    # Each piece is the cell's own facet on P.facets[i]; its chart shares
-    # P's chart coordinates, since both depend on that facet alone.
-    parts = []
-    for i in P.genuine_facet_indices():
-        chart = P.facet_chart(i)
-        for k, cell in tc.cells():
-            j = cell.facets.index(P.facets[i])
-            if j not in cell.genuine_facet_indices():
-                continue
-            g, c = tc.cell_affine(k)
-
-            def f(y, chart=chart, g=g, c=c):
-                x = chart.map_floats(y)
-                return ((x @ g) + c) * np.asarray(weight(x), dtype=float)
-
-            parts.append((f, cell.facet_triangulation_floats(j), degree))
-    return integrate_sum(parts, rule).value
+        return float(np.sum(tc.value(pts) * np.asarray(tc.weights.v(pts), dtype=float)))
+    return integrate_sum([p for i in P.genuine_facet_indices()
+                          for p in pl_facet_parts(tc, i)], rule).value
 
 
 # -- simplex clipping for absolute-value integrands ---------------------------
@@ -373,8 +374,8 @@ def lambda_pairing(tc, beta, rule=DEFAULT_RULE):
     beta = np.asarray(beta, dtype=float)
     bbar = float(invariants.barycenter_w(P, W, rule) @ beta)
     # int (phit)(<x,beta> - bbar) w; the mean of phit drops out.
-    val = integrate_pl(tc, weight_fn=lambda x: ((x @ beta) - bbar) * W.w(x),
-                       rule=rule, weight_degree=product_degree(1, W.w_degree))
+    val = integrate_sum(pl_parts(tc, lambda x: ((x @ beta) - bbar) * W.w(x),
+                                 product_degree(1, W.w_degree)), rule).value
     return -val
 
 
@@ -415,10 +416,8 @@ def _l1_about(tc, mean, rule):
     1 + deg w."""
     W = tc.weights
     degree = product_degree(1, W.w_degree)
-    parts = []
-    for k, cell in tc.cells():
-        g, c = tc.cell_affine(k)
-        parts.append((*_abs_affine_part(cell, g, c - mean, W.w), degree))
+    parts = [(*_abs_affine_part(cell, g, c - mean, W.w), degree)
+             for cell, g, c in tc.affine_cells()]
     return integrate_sum(parts, rule).value
 
 
@@ -484,17 +483,18 @@ class DestabilizingVertex:
     norm_perp: float
 
 
-def destabilizing_vertex(tc, rule=DEFAULT_RULE, product_tol=1e-9):
+def destabilizing_vertex(tc, rule=DEFAULT_RULE):
     """Vertex maximising chow_T, with the normalised positivity ratio.
 
     For a configuration with positive orthogonal L1 norm the maximum is
     positive; the ratio chow_T * Vol_w / norm_perp is reported against the
-    uniform positivity expected of it.  Ties are returned together, with the
-    lexicographically smallest designated.
+    uniform positivity expected of it.  A norm of at most 1e-9 is reported
+    as a product.  Ties are returned together, with the lexicographically
+    smallest designated.
     """
     P, W = tc.polytope, tc.weights
     perp, norm_perp = orthogonal_part(tc, rule)
-    if norm_perp <= product_tol:
+    if norm_perp <= 1e-9:
         table = tuple((v, 0.0) for v in P.vertices)
         return DestabilizingVertex(True, None, 0.0, 0.0, (), table, norm_perp)
     vals = [(v, _value_at(perp, v)) for v in P.vertices]

@@ -279,6 +279,24 @@ class TestHigherDimensions:
         assert r.passed and r.remainder_exponent >= 3.9
 
 
+def test_grid_past_the_float_range_refused_before_integrating(monkeypatch, simplex):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused grid was integrated")
+
+    monkeypatch.setattr(blowup, "integrate_parts", refuse)
+    monkeypatch.setattr(inv.quadrature, "integrate_parts", refuse)
+    W = builtin("cscK", 2)
+    # Normal depths whose squares underflow; one whose cube overflows.
+    tiny = tuple(F(1, 2 ** (600 + k)) for k in range(8))
+    with pytest.raises(ValueError, match=r"eps\*\*7 at depth 0 is not a positive"):
+        blowup.verify_expansion("volume", simplex, W, 0, eps_grid=tiny)
+    with pytest.raises(ValueError, match=r"eps\*\*2 at depth 0 is not a positive"):
+        blowup.gram_convergence(simplex, W, 0, eps_grid=tiny)
+    with pytest.raises(ValueError, match=r"eps\*\*3 at depth 0 is not a positive"):
+        blowup.verify_expansion("futaki", simplex, W, 0, beta=[1.0, 0.0],
+                                eps_grid=(F(10 ** 120), F(1, 16), F(1, 32), F(1, 64)))
+
+
 def test_narrow_grid_rejected(simplex):
     W = builtin("cscK", 2)
     with pytest.raises(ValueError, match="too narrow"):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -97,6 +98,17 @@ def test_chop_past_admissible_depth_exits_3(capsys):
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert captured.err.startswith("error: chop depth 1/2 exceeds admissible bound 1/2")
+
+
+def test_grid_past_the_float_range_exits_3(capsys):
+    # The depths are normal floats, but eps**7 of the fit is not: refused
+    # with one line, no numpy warning and no LAPACK noise.
+    code = main([*BLOWUP_CP2, "--quantity", "volume",
+                 "--eps-max", str(F(1, 2 ** 600))])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == ("error: eps grid leaves the float range: eps**7 "
+                            "at depth 0 is not a positive normal float\n")
 
 
 def test_blowup_expand_eps_flags(capsys):
@@ -197,9 +209,9 @@ def test_out_file(tmp_path, capsys):
 
 def test_verdict_flags_violations():
     from toricstab.report import verdict_line
-    ok = verdict_line({}, [{"df_T": 0.5}, {"df_T": 1e-12}])
+    ok = verdict_line([{"df_T": 0.5}, {"df_T": 1e-12}])
     assert ok.startswith("relatively weighted K-semistable")
-    bad = verdict_line({}, [{"df_T": 0.5}, {"df_T": -1e-3}])
+    bad = verdict_line([{"df_T": 0.5}, {"df_T": -1e-3}])
     assert bad.startswith("violation found")
 
 
@@ -368,6 +380,19 @@ BLOWUP_CP2 = ["blowup-expand", "--catalog", "cp2", "--vertex", "0"]
     ([*BLOWUP_CP2, "--quantity", "volume", "--eps-max", "x"], "bad --eps-max: "),
     ([*BLOWUP_CP2, "--quantity", "volume", "--eps-max", "1/0"],
      "bad --eps-max: "),
+    ([*BLOWUP_CP2, "--quantity", "volume", "--eps-max", "1e400"],
+     "bad --eps-max: 1e400 is past the float range"),
+    # Too few depths to fit, and a smallest depth below the normal floats,
+    # refused before the grid is built.
+    ([*BLOWUP_CP2, "--quantity", "volume", "--eps-points", "3"],
+     "bad --eps-points: 3 (need at least 4 depths, the smallest a normal float)"),
+    ([*BLOWUP_CP2, "--quantity", "volume", "--eps-points", "-1"],
+     "bad --eps-points: -1 (need at least 4 depths"),
+    ([*BLOWUP_CP2, "--quantity", "volume", "--eps-points", "1100"],
+     "bad --eps-points: 1100 (need at least 4 depths"),
+    ([*BLOWUP_CP2, "--quantity", "volume", "--eps-points", "100000000"],
+     "bad --eps-points: 100000000 (need at least 4 depths"),
+    (["report", "--catalog", "cp2", "--sample", "-1"], "bad --sample: -1"),
     (["invariants", "--catalog", "cp2", "--quad-degree", "-3"],
      "bad --quad-degree: "),
     (["soliton", "--catalog", "cp2-reflexive", "--max-depth", "-1"],
@@ -401,7 +426,9 @@ BLOWUP_CP2 = ["blowup-expand", "--catalog", "cp2", "--vertex", "0"]
         "tc-df-no-constant", "tc-df-beta-not-a-number", "futaki-beta-not-a-number",
         "futaki-beta-too-short", "blowup-beta-not-a-number", "xi-too-long",
         "a-zero-denominator", "a-not-a-number",
-        "eps-max-not-a-number", "eps-max-zero-denominator",
+        "eps-max-not-a-number", "eps-max-zero-denominator", "eps-max-overflow",
+        "eps-points-3", "eps-points-negative", "eps-points-1100",
+        "eps-points-1e8", "sample-negative",
         "quad-degree-negative", "max-depth-negative", "tol-abs-negative",
         "tol-abs-infinite", "tol-rel-nan", "tol-rel-minus-infinity",
         "out-unwritable", "xi-infinite", "xi-nan", "a-overflow",

@@ -375,12 +375,21 @@ class TestDeclaredDegree:
                                 (f, simplices, too_high)], self.RULE) == [want] * 3
 
     def test_mixed_parts_equal_one_part_calls(self, geometry_cache):
+        # Exact and adaptive parts of dimensions 1, 2 and 3, interleaved,
+        # and an empty part: one batch per dimension, results in part order.
         rng = np.random.default_rng(14)
         parts = [(INTEGRANDS["polynomial"], rng.random((3, 3, 2)), 3),
+                 (INTEGRANDS["near_pole"], rng.random((2, 2, 1))),
                  (INTEGRANDS["near_pole"], rng.random((2, 3, 2))),
+                 (INTEGRANDS["polynomial"], np.zeros((0, 4, 3)), 3),
+                 (INTEGRANDS["exponential"], rng.random((2, 4, 3))),
+                 (INTEGRANDS["polynomial"], rng.random((3, 2, 1)), 3),
                  (INTEGRANDS["exponential"], rng.random((2, 3, 2)), None)]
-        assert integrate_parts(parts, self.RULE) == [
-            integrate_simplices(*p[:2], self.RULE, *p[2:]) for p in parts]
+        want = [integrate_simplices(*p[:2], self.RULE, *p[2:]) for p in parts]
+        assert want[3] == IntegrationResult(0.0, 0.0, True)
+        for got in cold_then_warm(geometry_cache,
+                                  lambda: integrate_parts(parts, self.RULE)):
+            assert got == want
 
     def test_exact_parts_store_no_halves_until_needed(self, geometry_cache):
         simplices = np.random.default_rng(15).random((3, 3, 2))
