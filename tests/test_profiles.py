@@ -1,9 +1,12 @@
+import json
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from toricstab import catalog
 from toricstab.profiles import (Exponential, Log, Monomial, Polynomial,
                                 PositivityError, PowerLaw, PowerSeries,
                                 ProfileDomainError, WeightPair, builtin,
@@ -269,3 +272,60 @@ class TestWeightPairKey:
         V = builtin("ckem", 3, xi=(0.1, 0.2, 0.3), a=F(2))
         assert W.key == V.key and hash(W.key) == hash(V.key)
         assert W.key != builtin("ckem", 3, xi=[0.1, 0.2, 0.3], a=F(3)).key
+
+
+# The JSON document of one instance of each variant, and the positivity
+# verdict of every built-in family on every catalog polytope, recorded by
+# ``_profile_pins()`` into tests/data/profile_pins.json.  A refactor of the
+# profiles must keep each document byte for byte, and each verdict's
+# ``positive``, ``certified`` and ``witness`` (and a failure's ``detail``,
+# which error messages carry).
+DATA = Path(__file__).parent / "data"
+PIN_PROFILES = {"monomial": Monomial(3), "exponential": Exponential(2.5),
+                "powerlaw": PowerLaw(F(1, 3), F(2), F(-7, 2)),
+                "log": Log(F(2), F(3)),
+                "polynomial": Polynomial.make([F(1, 2), 0, F(-1, 3)]),
+                "powerseries": PowerSeries.make([1, 1, F(1, 2)], 1.5)}
+# (family, a): a = 1/10 puts the power-law pole inside most catalog
+# polytopes along the generic and axis directions, a = -2 at every xi.
+PIN_FAMILIES = (("cscK", None), ("extremal", None), ("soliton", None),
+                ("sasaki", F(3)), ("sasaki", F(1, 10)), ("sasaki", F(-2)),
+                ("ckem", F(3)), ("ckem", F(1, 10)), ("ckem", F(-2)))
+# "large" takes the soliton weight past the overflow limit.
+PIN_XI = {"generic": (0.7, -0.3, 0.2), "zero": (0.0, 0.0, 0.0),
+          "axis": (1.0, 0.0, 0.0), "large": (800.0, 0.0, 0.0)}
+
+
+def _verdict_pin(v):
+    witness = None if v.witness is None else float(v.witness).hex()
+    return [v.positive, v.certified, witness, None if v.positive else v.detail]
+
+
+def _profile_pins():
+    pins = {"json": {name: json.dumps(profile_to_json(p))
+                     for name, p in PIN_PROFILES.items()}}
+    for name in catalog.names():
+        P = catalog.load(name)
+        for fam, a in PIN_FAMILIES:
+            for kind, xi in PIN_XI.items():
+                W = builtin(fam, P.dim, xi=xi[:P.dim], a=a)
+                key = f"{name} {fam} a={a} xi={kind}"
+                pins[key] = {w: _verdict_pin(v)
+                             for w, v in positivity_check(W, P).items()}
+    return pins
+
+
+def test_profile_pins():
+    want = json.loads((DATA / "profile_pins.json").read_text())
+    got = _profile_pins()
+    assert got.keys() == want.keys()
+    for key in want:
+        assert got[key] == want[key], key
+
+
+@pytest.mark.parametrize("name", sorted(PIN_PROFILES))
+def test_pinned_documents_round_trip(name):
+    p = PIN_PROFILES[name]
+    doc = json.loads(json.dumps(profile_to_json(p)))
+    assert profile_from_json(doc) == p
+    assert hash(profile_from_json(doc)) == hash(p)
