@@ -246,16 +246,15 @@ class _Corner:
 
     def dft(self, tc):
         """Terms of df_T at P_eps minus at P.  df_T = df + F(c), with
-        c = G^-1 m the torus part of phi, m_i = int phi (x_i - b_i) w and b
-        the w-barycenter.  So the difference is d(df) + F_eps(dc) + dF(c),
-        where dc = G_eps^-1 (dm - dG c) and dm = -C_Delta - d A_eps
-        + b A_Delta, with C_Delta the corner integrals of phi x w and
-        d = b_eps - b."""
+        c = G^-1 m the torus part of phi (read from the df_T projection),
+        m_i = int phi (x_i - b_i) w and b the w-barycenter.  So the
+        difference is d(df) + F_eps(dc) + dF(c), where dc = G_eps^-1 (dm -
+        dG c) and dm = -C_Delta - d A_eps + b A_Delta, with C_Delta the
+        corner integrals of phi x w and d = b_eps - b."""
         P, W, rule = self.P, self.W, self.rule
         basis = np.eye(P.dim)
         G = invariants.gram(P, W, rule=rule)
-        c = np.linalg.solve(G, [-testconfig.lambda_pairing(tc, e, rule)
-                                for e in basis])
+        c = testconfig._projection(tc, rule)[2]
         dG, d = self.gram_shift()
         cols = self.pl(tc)
         A, A_d, C_d = (testconfig.integrate_pl(tc, rule=rule), cols[:, 0],

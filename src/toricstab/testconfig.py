@@ -383,7 +383,7 @@ def lambda_pairing(tc, beta, rule=DEFAULT_RULE):
 # norm; configurations hash by identity.
 @lru_cache(maxsize=128)
 def _projection(tc, rule):
-    """(tc_perp, mean_w(phi)): tc_perp is phi minus its w-weighted L2
+    """(tc_perp, mean_w(phi), coeff): tc_perp is phi minus its w-weighted L2
     projection onto the affine functions, a twist by coeff = G^-1 m with
     m_i = -lambda_pairing(e_i) and an offset that zeroes the w-mean.
     """
@@ -394,7 +394,7 @@ def _projection(tc, rule):
     bary = invariants.barycenter_w(P, W, rule)
     perp = ToricTC(P, W, tc.phi, tc.twist_vector + coeff,
                    tc.c0 - mean + float(coeff @ bary))
-    return perp, mean
+    return perp, mean, coeff
 
 
 def df_T(tc, rule=DEFAULT_RULE, shat=None):
@@ -463,7 +463,7 @@ def chow_T(tc, p, rule=DEFAULT_RULE):
 
 def chow_T_table(tc, rule=DEFAULT_RULE):
     """chow and chow_T at every vertex, sharing the projection."""
-    perp, mean = _projection(tc, rule)
+    perp, mean, _ = _projection(tc, rule)
     return tuple((v, _value_at(tc, v) - mean, _value_at(perp, v))
                  for v in tc.polytope.vertices)
 

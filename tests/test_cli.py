@@ -306,6 +306,23 @@ def test_weights_not_finite_on_polytope_exit_3(capsys, argv):
     assert captured.err.count("\n") == 1
 
 
+def test_weight_with_a_near_double_root_exits_3(tmp_path, capsys):
+    # g''' = (t - r)^4 - 1e-20 at r = 21/401 is negative for |t - r| < 1e-5,
+    # inside [0, 1], the range of <xi, x> on cp2 at xi = (1, 0); f = t^2 / 2.
+    r = F(21, 401)
+    quartic = [r ** 4 - F(1, 10 ** 20), -4 * r ** 3, 6 * r ** 2, -4 * r, 1]
+    g = [0, 0, 0] + [c / ((j + 1) * (j + 2) * (j + 3)) for j, c in enumerate(quartic)]
+    path = tmp_path / "weights.json"
+    path.write_text(json.dumps({"xi": [1.0, 0.0], "profiles": {
+        "f": {"variant": "polynomial", "coeffs": ["0", "0", "1/2"]},
+        "g": {"variant": "polynomial", "coeffs": [str(c) for c in g]}}}))
+    code = main(["invariants", "--catalog", "cp2", "--weights", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("error: weight positivity fails (w: ")
+    assert captured.err.count("\n") == 1
+
+
 # Polytope files that bound no solid: every command but validate refuses them.
 @pytest.mark.parametrize("facets, diagnostic", [
     ([((1, 0), 0), ((0, 1), 0), ((0, -1), 1)], "unbounded"),       # strip
@@ -421,6 +438,20 @@ BLOWUP_CP2 = ["blowup-expand", "--catalog", "cp2", "--vertex", "0"]
     (["futaki", "--catalog", "cp2", "--beta", "nan,0"], "bad --beta: "),
     (["testconfig", "df", "--catalog", "cp2", "--tc", "{twist_overflow}"],
      "cannot read test configuration: "),
+    # Profile files are checked where they are read.
+    *((["invariants", "--catalog", "cp2", "--weights", f"{{{name}}}"],
+      f"cannot read weight config: {message}") for name, message in (
+        ("coeff_overflow", "1e400 is outside the float range"),
+        ("pole_overflow", "1e400 is outside the float range"),
+        ("radius_nan", "nan is not a positive finite radius"),
+        ("degree_huge", "100000000 is not a degree in 0..24"),
+        ("degree_negative", "-1 is not a degree in 0..24"),
+        ("coeffs_string", "coefficients need a list of 1 to 25 numbers"),
+        ("degree_fraction", "invalid literal for int()"),
+        ("coeffs_too_many", "coefficients need a list of 1 to 25 numbers"),
+        ("coeffs_too_long", "coefficients exceed 128 bits"),
+        ("exponential_nan", "nan is not a finite number"),
+        ("variant_unknown", "unknown profile variant 'spline'"))),
 ], ids=["report-tc-missing", "report-tc-no-constant",
         "report-tc-zero-denominator", "report-tc-not-a-list", "tc-df-missing",
         "tc-df-no-constant", "tc-df-beta-not-a-number", "futaki-beta-not-a-number",
@@ -433,7 +464,11 @@ BLOWUP_CP2 = ["blowup-expand", "--catalog", "cp2", "--vertex", "0"]
         "tol-abs-infinite", "tol-rel-nan", "tol-rel-minus-infinity",
         "out-unwritable", "xi-infinite", "xi-nan", "a-overflow",
         "weights-xi-overflow", "weights-a-overflow", "polytope-offset-overflow",
-        "tc-df-beta-infinite", "futaki-beta-nan", "tc-twist-overflow"])
+        "tc-df-beta-infinite", "futaki-beta-nan", "tc-twist-overflow",
+        "polynomial-coeff-overflow", "powerlaw-b-overflow", "powerseries-radius-nan",
+        "monomial-k-1e8", "monomial-k-negative", "polynomial-coeffs-string",
+        "monomial-k-2.9", "polynomial-degree-25", "polynomial-coeffs-1e-300",
+        "exponential-a-nan", "profile-variant-unknown"])
 def test_bad_input_exits_2(tmp_path, capsys, argv, message):
     files = {"missing": None,
              "no_constant": {"pieces": [{"gradient": ["0", "0"]}]},
@@ -448,7 +483,22 @@ def test_bad_input_exits_2(tmp_path, capsys, argv, message):
                                 '{"normal": [0, 1], "offset": "0"}, '
                                 '{"normal": [-1, -1], "offset": "1e400"}]}',
              "twist_overflow": '{"pieces": [{"gradient": ["0", "0"], '
-                               '"constant": "0"}], "twist": [1e999, 0]}'}
+                               '"constant": "0"}], "twist": [1e999, 0]}',
+             # Weight files whose profile g is refused (f = t^2 / 2).
+             **{name: {"xi": [1, 0], "profiles": {
+                 "f": {"variant": "monomial", "k": 2}, "g": dict(variant=kind, **g)}}
+                for name, kind, g in (
+                 ("coeff_overflow", "polynomial", {"coeffs": ["1", "0", "1e400"]}),
+                 ("pole_overflow", "powerlaw", {"a": "1", "b": "1e400", "p": "-2"}),
+                 ("radius_nan", "powerseries", {"coeffs": ["1"] * 4, "radius": "nan"}),
+                 ("degree_huge", "monomial", {"k": 100000000}),
+                 ("degree_negative", "monomial", {"k": -1}),
+                 ("coeffs_string", "polynomial", {"coeffs": "123"}),
+                 ("degree_fraction", "monomial", {"k": 2.9}),
+                 ("coeffs_too_many", "polynomial", {"coeffs": ["1"] * 26}),
+                 ("coeffs_too_long", "polynomial", {"coeffs": ["1", "1e-300", "1"]}),
+                 ("exponential_nan", "exponential", {"a": "nan"}),
+                 ("variant_unknown", "spline", {}))}}
     for name, doc in files.items():
         if doc is not None:
             (tmp_path / f"{name}.json").write_text(

@@ -5,14 +5,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toricstab import catalog
-from toricstab.profiles import (Exponential, Log, Monomial, Polynomial,
-                                PositivityError, PowerLaw, PowerSeries,
-                                ProfileDomainError, WeightPair, builtin,
-                                positivity_check, profile_from_json,
-                                profile_to_json, require_positive,
-                                weights_from_json, weights_to_json)
+from toricstab.polytope import DelzantPolytope
+from toricstab.profiles import (MAX_BITS, MAX_DEGREE, Exponential, Log,
+                                Monomial, Polynomial, PositivityError,
+                                PowerLaw, PowerSeries, ProfileDomainError,
+                                WeightPair, builtin, positivity_check,
+                                profile_from_json, profile_to_json,
+                                require_positive, weights_from_json,
+                                weights_to_json)
 
 
 class TestEvalWeight:
@@ -188,6 +191,114 @@ class TestPositivityCheck:
         assert not verdicts["w"].positive
         assert verdicts["w"].witness is not None
         assert float(g.derivative(2).value(verdicts["w"].witness)) <= 0
+
+
+def _on_interval(coeffs, lo, hi):
+    """The verdict of v = p (coefficients ``coeffs``) on the polytope
+    [lo, hi] along xi = 1, where <xi, x> ranges exactly over [lo, hi]."""
+    P = DelzantPolytope(1, [((1,), -lo), ((-1,), hi)])
+    f = Polynomial.make([0] + [F(c) / (j + 1) for j, c in enumerate(coeffs)])
+    return positivity_check(WeightPair([1.0], f, Monomial(2), 1), P)["v"]
+
+
+def _at(coeffs, t):
+    return sum(F(c) * F(t) ** j for j, c in enumerate(coeffs))
+
+
+def _times(p, q):
+    out = [F(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+class TestExactPolynomialVerdict:
+    """Monomial, polynomial and power-series weights are decided by an
+    exact count of real roots, so a near-double root is not missed."""
+
+    def test_quartics_below_zero_near_a_double_root_are_not_positive(self):
+        # (t - r)^4 - 1e-20 is negative on |t - r| < 1e-5.
+        for k in range(1, 400):
+            r = F(k, 401)
+            quartic = [r ** 4 - F(1, 10 ** 20), -4 * r ** 3, 6 * r ** 2, -4 * r, 1]
+            verdict = _on_interval(quartic, 0, 1)
+            assert not verdict.positive and verdict.certified, k
+            assert 0 <= verdict.witness <= 1 and _at(quartic, verdict.witness) <= 0, k
+
+    def test_touching_root_gives_a_witness_next_to_it(self):
+        square = _times([F(-1, 3), 1], [F(-1, 3), 1])    # (t - 1/3)^2 >= 0
+        verdict = _on_interval(square, 0, 1)
+        assert not verdict.positive and verdict.certified
+        assert abs(verdict.witness - 1 / 3) <= 2 ** -52
+        assert _on_interval([F(1, 10 ** 30), *square[1:]], 0, 1).positive is False
+        assert _on_interval([square[0] + F(1, 10 ** 30), *square[1:]], 0, 1).positive
+
+    def test_monomial_and_power_series_share_the_rule(self, interval):
+        # cp1 is [-1/2, 1/2]: t^2 / 2! is 0 at the midpoint, t^3 / 3! < 0
+        # at the lower end.
+        for k, witness in ((2, 0.0), (3, -0.5)):
+            verdict = positivity_check(
+                WeightPair([1.0], Monomial(k + 1), Monomial(2), 1), interval)["v"]
+            assert not verdict.positive and verdict.witness == witness
+        series = PowerSeries.make([0, 1, 0, 0], 1.0)     # f = t: v = 1
+        assert positivity_check(WeightPair([0.5], series, Monomial(2), 1),
+                                interval)["v"].positive
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_verdict_matches_exact_roots_and_values(self, data):
+        # p = c prod (t - r)^m prod ((t - s)^2 + e): its real roots are the
+        # r, and e as small as 1e-20 puts complex roots next to the axis.
+        rat = st.fractions(min_value=-2, max_value=2, max_denominator=60)
+        roots = data.draw(st.lists(st.tuples(rat, st.integers(1, 3)), max_size=3))
+        pairs = data.draw(st.lists(st.tuples(rat, st.sampled_from(
+            [F(1), F(1, 10 ** 6), F(1, 10 ** 20)])), max_size=2))
+        p = [data.draw(st.sampled_from([F(1), F(-3, 2), F(2, 7)]))]
+        for r, m in roots:
+            for _ in range(m):
+                p = _times(p, [-r, 1])
+        for s0, e in pairs:
+            p = _times(p, [s0 * s0 + e, -2 * s0, 1])
+        lo, hi = sorted(data.draw(st.lists(rat, min_size=2, max_size=2, unique=True)))
+        verdict = _on_interval(p, lo, hi)
+        inside = [r for r, _ in roots if lo <= r <= hi]
+        assert verdict.certified
+        assert verdict.positive == (not inside and _at(p, lo) > 0)
+        if verdict.positive:
+            grid = [lo + (hi - lo) * F(i, 64) for i in range(65)]
+            assert all(_at(p, t) > 0 for t in grid)
+        else:
+            w = F(verdict.witness)
+            assert float(lo) <= verdict.witness <= float(hi)
+            assert _at(p, w) <= 0 or min(abs(w - r) for r in inside) <= (
+                abs(lo) + abs(hi)) * F(1, 2 ** 50)
+
+    def test_certificates_at_the_file_bounds_are_fast(self):
+        # Profiles as large as a file may give (degree MAX_DEGREE, MAX_BITS
+        # bits over the common denominator): a random f, and one whose
+        # v = f' has a touching root.  Each verdict takes under 0.1 s (best
+        # of three).
+        import random
+        import time
+        rng = random.Random(7)
+        touching = _times(_times([F(-1), F(3)], [F(-1), F(3)]),
+                          [F(rng.getrandbits(80) + 1) for _ in range(MAX_DEGREE - 2)])
+        random_f = [F(rng.getrandbits(MAX_BITS - 1)) for _ in range(MAX_DEGREE + 1)]
+        touching_f = [0] + [c / (j + 1) for j, c in enumerate(touching)]
+        for f, lo, hi in ((random_f, F(-0.3), F(0.7001)),
+                          (touching_f, F(-0.9), F(0.8))):
+            doc = {"variant": "polynomial", "coeffs": [str(c) for c in f]}
+            p = profile_from_json(json.loads(json.dumps(doc)))
+            assert p.degree == MAX_DEGREE
+            P = DelzantPolytope(1, [((1,), -lo), ((-1,), hi)])
+            W = WeightPair([1.0], p, Monomial(2), 1)
+            best = math.inf
+            for _ in range(3):
+                start = time.process_time()
+                verdict = positivity_check(W, P)["v"]
+                best = min(best, time.process_time() - start)
+            assert best < 0.1, (verdict, best)
 
 
 class TestRecentering:
