@@ -39,8 +39,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import invariants, testconfig
-from .quadrature import (DEFAULT_RULE, boundary_parts, integrate_parts,
-                         product_degree)
+from .quadrature import DEFAULT_RULE, integrate_parts, product_degree, pullback
 
 QUANTITIES = ("volume", "futaki", "df", "dft", "gram")
 
@@ -106,8 +105,9 @@ def predict_futaki_expansion(P, W, vertex, beta, rule=DEFAULT_RULE):
     return {0: invariants.futaki(P, W, beta, rule), n - 1: coeff}
 
 
-def predict_df_expansions(tc, vertex, rule=DEFAULT_RULE):
-    """Leading corrections of df and df_T under the chop at the vertex.
+def predict_df_expansions(tc, vertex, quantity, rule=DEFAULT_RULE):
+    """Leading correction of ``quantity``, df or df_T, under the chop at
+    the vertex.
 
     Both corrections sit at order n-1 with coefficients -v(p) Ch / (n-2)!,
     using the plain and the torus-orthogonal Chow weight respectively.  On
@@ -117,21 +117,17 @@ def predict_df_expansions(tc, vertex, rule=DEFAULT_RULE):
     """
     P, W, n = tc.polytope, tc.weights, tc.polytope.dim
     v, p = _vertex_point(P, vertex)
-    vp = float(W.v(p))
-    fac = math.factorial(n - 2)
-    zero = {0: 0.0, n - 1: 0.0}
-    product = tc.is_product()
-    # phi - <x, twist> on the one cell of a product: constant if its gradient is.
-    constant = product and all(g == Fraction(t) for g, t in zip(
-        tc.phi.pieces[tc.cells()[0][0]][0], tc.twist_vector))
-    return {
-        "df": zero if constant else {
-            0: testconfig.df(tc, rule),
-            n - 1: -vp * testconfig.chow(tc, v.coords, rule) / fac},
-        "dft": zero if product else {
-            0: testconfig.df_T(tc, rule),
-            n - 1: -vp * testconfig.chow_T(tc, v.coords, rule) / fac},
-    }
+    if tc.is_product():
+        # phi - <x, twist> on the one cell: constant if its gradient is.
+        gradient = tc.phi.pieces[tc.cells()[0][0]][0]
+        if quantity == "dft" or all(g == Fraction(t)
+                                    for g, t in zip(gradient, tc.twist_vector)):
+            return {0: 0.0, n - 1: 0.0}
+    if quantity == "df":
+        value, ch = testconfig.df(tc, rule), testconfig.chow(tc, v.coords, rule)
+    else:
+        value, ch = testconfig.df_T(tc, rule), testconfig.chow_T(tc, v.coords, rule)
+    return {0: value, n - 1: -float(W.v(p)) * ch / math.factorial(n - 2)}
 
 
 # The ladders at one (P, vertex) read the same corner simplices, with their
@@ -153,6 +149,15 @@ def _corners(P, k, grid):
     return tuple(out)
 
 
+def _per_hyperplane(built, D, j, build):
+    """build(chart of facet j of D), built once per facet hyperplane and
+    kept in ``built``: a float chart depends on the hyperplane alone, so
+    the facets through the vertex share one entry at every depth."""
+    if D.facets[j] not in built:
+        built[D.facets[j]] = build(D.facet_chart(j))
+    return built[D.facets[j]]
+
+
 class _Corner:
     """The corner simplices Delta_eps of one (P, vertex, W) on an eps grid
     and the difference algebra of the ladders over them.
@@ -171,7 +176,10 @@ class _Corner:
         """Corner integrals as an array (depth, integral), one scalar-cache
         entry under ``tag``.  ``integrals(D, facets)`` lists the integrals
         over the corner D, each as its integration parts; the parts of all
-        depths, of whatever dimension, go through one integrate_parts call."""
+        depths go through one integrate_parts call, which calls an integrand
+        once for all parts that pass it.  So each integrand is built once per
+        ladder, a pulled-back one once per facet hyperplane (a float chart
+        depends on that alone): only F_eps is a new hyperplane per depth."""
         def compute():
             lists = [integrals(D, facets) for D, facets in self.simplices]
             results = iter(integrate_parts(
@@ -185,9 +193,11 @@ class _Corner:
         """Columns: int_Delta f dx, then int g dsigma on each facet of
         Delta, F_eps first (lattice measure), for the (integrand, degree)
         pairs ``inside`` = (f, .) and ``boundary`` = (g, .)."""
+        (f, f_degree), (g, g_degree), pulled = inside, boundary, {}
         return self.integrals(tag, lambda D, facets: [
-            [(inside[0], D.triangulation_floats(), inside[1])],
-            *([p] for p in boundary_parts(D, *boundary, facets))])
+            [(f, D.triangulation_floats(), f_degree)],
+            *([(_per_hyperplane(pulled, D, j, lambda chart: pullback(chart, g)),
+                D.facet_triangulation_floats(j), g_degree)] for j in facets)])
 
     @staticmethod
     def boundary(facets):
@@ -220,19 +230,28 @@ class _Corner:
     def pl(self, tc):
         """Columns of the configuration's corner integrals: int_Delta phi w,
         int_Delta phi x_i w for each i, then int phi v dsigma on each facet
-        of Delta, F_eps first; phi's cells are cut on Delta alone."""
-        W, n = self.W, self.P.dim
-        moment = product_degree(2, W.w_degree)
+        of Delta, F_eps first; phi's cells are cut on Delta alone.  Each
+        integrand serves one piece of phi at every depth."""
+        W, n, pieces = self.W, self.P.dim, [k for k, _ in tc.cells()]
+        # phi w and phi v are pl_parts' integrands, one per cell of P and so
+        # one per piece.  phi x_i w is multiplied left to right: pl_parts
+        # with the weight x_i w rounds differently, in the last bits of df_T.
+        phi_w, phi_v = ({k: f for k, (f, *_) in zip(pieces, testconfig.pl_parts(tc, *wt))}
+                        for wt in [(W.w, W.w_degree), (W.v, W.v_degree)])
+        inside = [(phi_w, product_degree(1, W.w_degree)),
+                  *(({k: lambda x, g=g, c=c, i=i: (x @ g + c) * x[:, i] * W.w(x)
+                      for k, (_, g, c) in zip(pieces, tc.affine_cells())},
+                     product_degree(2, W.w_degree)) for i in range(n))]
+        pulled = {}
 
         def integrals(D, facets):
             on = testconfig.ToricTC(D, W, tc.phi, tc.twist_vector, tc.c0)
-            # phi x_i w is multiplied left to right: pl_parts with the
-            # weight x_i w rounds differently, in the last bits of df_T.
-            first = [[(lambda x, g=g, c=c, i=i: (x @ g + c) * x[:, i] * W.w(x),
-                       cell.triangulation_floats(), moment)
-                      for cell, g, c in on.affine_cells()] for i in range(n)]
-            return [testconfig.pl_parts(on), *first,
-                    *(testconfig.pl_facet_parts(on, j) for j in facets)]
+            return [*([(fs[k], cell.triangulation_floats(), degree)
+                       for k, cell in on.cells()] for fs, degree in inside),
+                    *(testconfig.facet_cell_parts(on, j, _per_hyperplane(
+                        pulled, D, j, lambda chart: {k: pullback(chart, f)
+                                                     for k, f in phi_v.items()}),
+                        product_degree(1, W.v_degree)) for j in facets)]
         key = ("pl", tc.phi, tc.twist_vector.tobytes(), tc.c0)
         return self.integrals(key, integrals)
 
@@ -275,14 +294,13 @@ class _Corner:
         first and second moments are one cache entry."""
         W, n = self.W, self.P.dim
         b, basis = invariants.barycenter_w(self.P, W, self.rule), np.eye(n)
-
-        def integrals(D, facets):
-            tri = D.triangulation_floats()
-            first = [[(lambda x, i=i: (x @ basis[i] - b[i]) * W.w(x), tri,
-                       product_degree(1, W.w_degree))] for i in range(n)]
-            return [[(W.w, tri, W.w_degree)], *first,
-                    *([p] for p in invariants.gram_parts(tri, W, basis, b))]
-        cols, (i, j) = self.integrals("gram", integrals), np.triu_indices(n)
+        moments = [(W.w, W.w_degree),
+                   *((lambda x, i=i: (x @ basis[i] - b[i]) * W.w(x),
+                      product_degree(1, W.w_degree)) for i in range(n)),
+                   *invariants.gram_integrands(W, basis, b)]
+        cols = self.integrals("gram", lambda D, facets: [
+            [(f, D.triangulation_floats(), degree)] for f, degree in moments])
+        i, j = np.triu_indices(n)
         S = np.zeros((len(cols), n, n))
         S[:, i, j] = S[:, j, i] = cols[:, 1 + n:]
         V_e = invariants.vol_w(self.P, W, self.rule) - cols[:, 0]
@@ -363,7 +381,7 @@ def verify_expansion(quantity, P, W, vertex, eps_grid=None, beta=None,
     else:
         if tc is None:
             raise ValueError("df expansions need a test configuration")
-        predicted = predict_df_expansions(tc, v, rule)[quantity]
+        predicted = predict_df_expansions(tc, v, quantity, rule)
         terms = corner.df(tc) if quantity == "df" else corner.dft(tc)
     deltas = sum(terms)
     floor = NOISE * sum(np.abs(t) for t in terms)

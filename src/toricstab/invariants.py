@@ -211,8 +211,9 @@ def gram(P, W, basis=None, rule=DEFAULT_RULE):
     def compute():
         vw = vol_w(P, W, rule)
         means = np.array([_moment_w(P, W, b, rule) for b in basis]) / vw
+        tri = P.triangulation_floats()
         results = quadrature.integrate_parts(
-            gram_parts(P.triangulation_floats(), W, basis, means), rule)
+            [(f, tri, degree) for f, degree in gram_integrands(W, basis, means)], rule)
         r, (i, j) = len(basis), np.triu_indices(len(basis))
         g = np.zeros((r, r))
         g[i, j] = g[j, i] = [res.value for res in results]
@@ -221,13 +222,13 @@ def gram(P, W, basis=None, rule=DEFAULT_RULE):
     return np.array(_cached(("gram", basis.tobytes()), P, W, rule, compute))
 
 
-def gram_parts(simplices, W, basis, means):
-    """Integration parts over the simplices of (<x, b_i> - m_i)(<x, b_j> -
-    m_j) w, the Gram second moments, one per i <= j in np.triu_indices order."""
+def gram_integrands(W, basis, means):
+    """(f, degree) of the Gram second moments (<x, b_i> - m_i)(<x, b_j> -
+    m_j) w, one per i <= j in np.triu_indices order."""
     r = len(basis)
     degree = product_degree(2, W.w_degree)
     return [(lambda x, bi=basis[i], bj=basis[j], mi=means[i], mj=means[j]:
-             (x @ bi - mi) * (x @ bj - mj) * W.w(x), simplices, degree)
+             (x @ bi - mi) * (x @ bj - mj) * W.w(x), degree)
             for i in range(r) for j in range(i, r)]
 
 

@@ -13,7 +13,12 @@ of their rule sums with error 0.  Every other part is analytic: the first
 pass calls its integrand once on its simplices and their bisection halves,
 and sums its rule in one stacked product; it then refines on its own,
 evaluating the two halves of its worst leaf in one call and keeping exact
-running sums (integer counts of 2**-1074).  Boundary integrals pull each
+running sums (integer counts of 2**-1074).  Parts of one dimension that
+pass the same integrand object enter the first pass as one, their
+simplices concatenated, and then part again; each keeps its own rule sums,
+refinement and result.  That is bit-identical to one pass per part only
+for an integrand that is row-wise to the bit (see
+:func:`integrate_parts`).  Boundary integrals pull each
 facet back through its unimodular chart, which is affine, so a pulled-back
 polynomial keeps its degree and the lattice boundary measure is built in.
 
@@ -121,8 +126,9 @@ def _edges(n1):
 # Halves and volumes of simplex stacks by (shape, bytes), least recently
 # used first; see :func:`_geometry`.  Replaying the stack streams of whole
 # benchmark runs (seeds 301-302) through an LRU, none needed more than 2,732
-# entries (pl_sweep; weight_sweep 817, and blowup_ladder meets only 494
-# stacks at seed 301) to miss only where an unbounded cache misses.  A
+# entries (pl_sweep; weight_sweep 817, and blowup_ladder meets only 308
+# stacks at seed 301, its corner parts that share an integrand merged into
+# one stack) to miss only where an unbounded cache misses.  A
 # pl_sweep run of twice that length needs
 # 5,067 and misses 0.5% more at this bound.  A full cache holds about 7 MB
 # (1.7 KB per pl_sweep entry with halves; about a third of that without).
@@ -197,6 +203,9 @@ def _estimate(parts, bary, wts):
     The rule sums are one stacked ``matmul`` of (1, L) rows by the (L, 1)
     weights, which numpy computes as the same 1-D dot per row as
     ``float(wts @ r)``: both keep the bits of a per-simplex evaluation.
+    A part here may be several parts of :func:`integrate_parts` that share
+    an integrand, merged; their integrand must then be row-wise to the bit
+    for each to keep the bits of a pass of its own (see there).
     """
     out = []
     geometry = _geometry([v for _, v, _ in parts], [not e for _, _, e in parts])
@@ -310,10 +319,22 @@ def integrate_parts(parts, rule=DEFAULT_RULE):
     declares ``f`` a polynomial of at most that degree; None, the default,
     means analytic.  A declared degree the rule integrates exactly (at most
     ``2 * rule.gm_order + 1``) takes one pass with error 0; every other part
-    is adaptive.  Returns one :class:`IntegrationResult` per part, each
-    bit-identical to integrating that part alone: the first pass of the
-    nonempty parts of each n is one batched :func:`_estimate`, after which
-    each part has its own sum, tolerance test and refinement.
+    is adaptive.  Returns one :class:`IntegrationResult` per part: the first
+    pass of the nonempty parts of each n is one batched :func:`_estimate`,
+    after which each part has its own sum, tolerance test and refinement.
+
+    Parts of one n that pass the same integrand object (``is``, not ``==``)
+    and are alike exact or adaptive enter that pass as one part, their
+    simplices concatenated in part order, so the integrand is called once
+    for all of them; each then takes back its own simplices' values, errors
+    and halves.  Each result is bit-identical to integrating that part
+    alone: always for an integrand that one part passes, and for a shared
+    one if it is row-wise to the bit, that is, a row's value does not
+    depend on the other rows or on the array's length.  The numpy matrix
+    products and ufuncs of every integrand here are, on OpenBLAS, for
+    arrays of 2 rows or more; a 1-row product can round apart from the same
+    row in a longer array, so a part whose first pass is one row (one
+    simplex of a one-node rule, exact) keeps a pass of its own.
     """
     def exact(degree=None):
         return degree is not None and degree <= 2 * rule.gm_order + 1
@@ -322,10 +343,23 @@ def integrate_parts(parts, rule=DEFAULT_RULE):
              for f, s, *degree in parts]
     out = [IntegrationResult(0.0, 0.0, True)] * len(parts)
     for n in {s.shape[2] for _, s, _ in parts if len(s)}:
-        idx = [i for i, (_, s, _) in enumerate(parts) if len(s) and s.shape[2] == n]
         bary, wts = gm_table(n, rule.gm_order)
-        for i, first in zip(idx, _estimate([parts[i] for i in idx], bary, wts)):
-            out[i] = _refine(parts[i][0], *first, bary, wts, rule)
+        shared = {}  # (integrand, exact) -> its parts of this n
+        for i, (f, s, ex) in enumerate(parts):
+            if len(s) and s.shape[2] == n:
+                one_row = ex and len(s) * len(bary) == 1
+                shared.setdefault((i,) if one_row else (id(f), ex), []).append(i)
+        groups = list(shared.values())
+        merged = [(parts[g[0]][0], np.concatenate([parts[i][1] for i in g])
+                   if len(g) > 1 else parts[g[0]][1], parts[g[0]][2]) for g in groups]
+        for g, (fine, errs, kids) in zip(groups, _estimate(merged, bary, wts)):
+            end = 0
+            for i in g:
+                start, end = end, end + len(parts[i][1])
+                out[i] = _refine(parts[i][0], fine[start:end],
+                                 None if errs is None else errs[start:end],
+                                 None if kids is None else kids[start:end],
+                                 bary, wts, rule)
     return out
 
 
@@ -365,16 +399,16 @@ def integrate_boundary(polytope, f, rule=DEFAULT_RULE, degree=None):
         pts = polytope.vertices_floats()
         vals = np.asarray(f(pts), dtype=float)
         return IntegrationResult(float(np.sum(vals)), 0.0, True)
-    return integrate_sum(boundary_parts(
-        polytope, f, degree, polytope.genuine_facet_indices()), rule)
+    return integrate_sum([(pullback(polytope.facet_chart(i), f),
+                           polytope.facet_triangulation_floats(i), degree)
+                          for i in polytope.genuine_facet_indices()], rule)
 
 
-def boundary_parts(polytope, f, degree, facets):
-    """One integration part per facet index in ``facets``, of a polytope of
-    dimension >= 2: f pulled back through the facet's unimodular chart,
-    over the facet's triangulation, with the declared ``degree``."""
-    return [(lambda y, chart=polytope.facet_chart(i): f(chart.map_floats(y)),
-             polytope.facet_triangulation_floats(i), degree) for i in facets]
+def pullback(chart, f):
+    """f pulled back through a facet chart, y -> f(chart(y)): an integrand
+    over the facet's triangulation in chart coordinates.  The float chart
+    depends on the facet's hyperplane alone."""
+    return lambda y: f(chart.map_floats(y))
 
 
 # -- closed-form oracles -------------------------------------------------------

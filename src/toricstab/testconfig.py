@@ -143,6 +143,14 @@ def _cells(P, phi):
     return tuple(out)
 
 
+def _twist_vector(twist, n):
+    """A twist as a float vector of shape (n,), zero if None."""
+    vec = np.zeros(n) if twist is None else np.asarray(twist, dtype=float)
+    if vec.shape != (n,):
+        raise ValueError(f"twist has shape {vec.shape}, expected ({n},)")
+    return vec
+
+
 class ToricTC:
     """A toric test configuration over a fixed polytope and weight pair.
 
@@ -157,8 +165,7 @@ class ToricTC:
         self.phi = phi if phi is not None else trivial_phi(polytope.dim)
         if self.phi.dim != polytope.dim:
             raise ValueError("piece dimension does not match the polytope")
-        self.twist_vector = (np.zeros(polytope.dim) if twist is None
-                             else np.asarray(twist, dtype=float))
+        self.twist_vector = _twist_vector(twist, polytope.dim)
         self.c0 = float(c0)
 
     def value(self, pts):
@@ -223,7 +230,7 @@ def associated_product(P, W, beta):
 def twist(tc, beta):
     """Twist by beta: phi -> phi - <x, beta>."""
     return ToricTC(tc.polytope, tc.weights, tc.phi,
-                   tc.twist_vector + np.asarray(beta, dtype=float), tc.c0)
+                   tc.twist_vector + _twist_vector(beta, tc.polytope.dim), tc.c0)
 
 
 # -- PL integrals -----------------------------------------------------------
@@ -260,6 +267,25 @@ def pl_facet_parts(tc, i):
     return parts
 
 
+def facet_cell_parts(tc, i, integrands, degree):
+    """Integration parts over facet i of P, one per cell of phi with a facet
+    of its own there: the integrand of the cell's piece (``integrands``
+    keyed by piece index, in a chart of facet i's hyperplane) over that
+    facet's triangulation.  The blowup corner passes integrands that it
+    shares among depths; :func:`pl_facet_parts` builds phi v for P."""
+    P, parts = tc.polytope, []
+    for k, cell in tc.cells():
+        j = cell.facets.index(P.facets[i])
+        if j in cell.genuine_facet_indices():
+            parts.append((integrands[k], cell.facet_triangulation_floats(j), degree))
+    return parts
+
+
+# df, mean_w (so chow and the projection) and a blowup ladder of one
+# configuration read int_P phi w three times or more: it is kept per
+# (configuration, rule), configurations by identity, as the projection is.
+# int_dP phi v is read once per configuration, by df.
+@lru_cache(maxsize=128)
 def integrate_pl(tc, rule=DEFAULT_RULE):
     """int_P phi * w dx."""
     return integrate_sum(pl_parts(tc), rule).value

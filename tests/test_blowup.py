@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter, OrderedDict
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -94,9 +95,10 @@ class TestDFExpansions:
     def test_product_vanishes_identically(self, simplex):
         W = builtin("cscK", 2)
         tc = tcg.associated_product(simplex, W, [0.0, 0.0])
-        pred = blowup.predict_df_expansions(tc, 0)
-        assert pred["df"][0] == pytest.approx(0.0, abs=1e-12)
-        assert pred["dft"][1] == pytest.approx(0.0, abs=1e-10)
+        df = blowup.predict_df_expansions(tc, 0, "df")
+        dft = blowup.predict_df_expansions(tc, 0, "dft")
+        assert df[0] == pytest.approx(0.0, abs=1e-12)
+        assert dft[1] == pytest.approx(0.0, abs=1e-10)
 
     @pytest.mark.parametrize("quantity", ["df", "dft"])
     def test_nonproduct_fit(self, simplex, quantity):
@@ -113,18 +115,18 @@ class TestDFExpansions:
         tc = tcg.ToricTC(simplex, W,
                          tcg.PLConvex.make([((0, 0), 0), ((1, 1), F(-1, 2))]))
         i = vertex_index(simplex, (0, 1))
-        pred = blowup.predict_df_expansions(tc, i)
+        pred = blowup.predict_df_expansions(tc, i, "df")
         p = np.array([0.0, 1.0])
         ch = tcg.chow(tc, (F(0), F(1)))
-        assert pred["df"][1] == pytest.approx(-float(W.v(p)) * ch, rel=1e-12)
+        assert pred[1] == pytest.approx(-float(W.v(p)) * ch, rel=1e-12)
 
     def test_normalized_tc_gives_same_prediction(self, simplex):
         W = builtin("cscK", 2)
         tc = tcg.ToricTC(simplex, W,
                          tcg.PLConvex.make([((0, 0), 0), ((1, 1), F(-1, 2))]))
         i = vertex_index(simplex, (1, 0))
-        a = blowup.predict_df_expansions(tc, i)["df"][1]
-        b = blowup.predict_df_expansions(tcg.normalize_chow(tc), i)["df"][1]
+        a = blowup.predict_df_expansions(tc, i, "df")[1]
+        b = blowup.predict_df_expansions(tcg.normalize_chow(tc), i, "df")[1]
         assert a == pytest.approx(b, rel=1e-11)
 
 
@@ -295,6 +297,58 @@ def test_grid_past_the_float_range_refused_before_integrating(monkeypatch, simpl
     with pytest.raises(ValueError, match=r"eps\*\*3 at depth 0 is not a positive"):
         blowup.verify_expansion("futaki", simplex, W, 0, beta=[1.0, 0.0],
                                 eps_grid=(F(10 ** 120), F(1, 16), F(1, 32), F(1, 64)))
+
+
+@pytest.mark.parametrize("name", ["cp2", "cube"])
+def test_each_corner_integrand_is_called_once_per_dimension(monkeypatch, name):
+    # cscK corner parts are all exact, so every integrand call is a first
+    # pass: one per integrand and dimension for all 8 depths, not one per
+    # depth.  Only each F_eps, a hyperplane of its own, serves one depth.
+    monkeypatch.setattr(inv, "_scalar_cache", OrderedDict())
+    P = catalog.load(name)
+    n = P.dim
+    W = builtin("cscK", n)
+    phi = tcg.PLConvex.make([(g[:n], c) for g, c in BITS_PHI["nonproduct"]])
+    tc = tcg.ToricTC(P, W, phi)
+    integrate_parts, seen = blowup.integrate_parts, []
+
+    def spy(parts, rule):
+        calls, wrapped = Counter(), {}
+
+        def counting(f):
+            def g(x):
+                calls[g, x.shape[1]] += 1
+                return f(x)
+            return wrapped.setdefault(id(f), g)
+        parts = [(counting(f), *rest) for f, *rest in parts]
+        seen.append((Counter(f for f, *_ in parts), calls,
+                     {(f, s.shape[2]) for f, s, *_ in parts}))
+        return integrate_parts(parts, rule)
+
+    # A boundary integrand is pulled back once per facet hyperplane, the
+    # first time a depth needs it.
+    pullback, pulled = blowup.pullback, Counter()
+
+    def counting_pullback(chart, f):
+        pulled[f, chart.basis, chart.origin] += 1
+        return pullback(chart, f)
+
+    monkeypatch.setattr(blowup, "integrate_parts", spy)
+    monkeypatch.setattr(blowup, "pullback", counting_pullback)
+    for quantity in ("volume", "futaki", "df", "dft"):
+        blowup.verify_expansion(quantity, P, W, 1, beta=BITS_BETA[:n], tc=tc)
+    assert pulled and set(pulled.values()) == {1}
+    # The corner integrals, in order: s_hat's, the futaki ladder's
+    # beta-moments, the PL integrals, the Gram moments, then the moments of
+    # each basis vector (dft).
+    weighted = {8: 1 + n, 1: 8}  # w or a beta-moment inside, v on each facet
+    gram = {8: 1 + n + n * (n + 1) // 2}
+    assert len(seen) == 4 + n
+    for k, (parts, calls, dims) in enumerate(seen):
+        assert set(calls) == dims and set(calls.values()) == {1}, k
+        if k != 2:  # the PL integrals: one integrand per piece of phi
+            assert Counter(parts.values()) == (gram if k == 3 else weighted), k
+    assert max(seen[2][0].values()) == 8
 
 
 def test_narrow_grid_rejected(simplex):

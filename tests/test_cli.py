@@ -438,6 +438,10 @@ BLOWUP_CP2 = ["blowup-expand", "--catalog", "cp2", "--vertex", "0"]
     (["futaki", "--catalog", "cp2", "--beta", "nan,0"], "bad --beta: "),
     (["testconfig", "df", "--catalog", "cp2", "--tc", "{twist_overflow}"],
      "cannot read test configuration: "),
+    *((["blowup-expand", "--catalog", "cp2", "--tc", f"{{{name}}}", "--quantity",
+        "dft", "--vertex", "0"],
+      f"cannot read test configuration: twist has shape ({k},), expected (2,)")
+      for name, k in (("twist_short", 1), ("twist_long", 3))),
     # Profile files are checked where they are read.
     *((["invariants", "--catalog", "cp2", "--weights", f"{{{name}}}"],
       f"cannot read weight config: {message}") for name, message in (
@@ -465,6 +469,7 @@ BLOWUP_CP2 = ["blowup-expand", "--catalog", "cp2", "--vertex", "0"]
         "out-unwritable", "xi-infinite", "xi-nan", "a-overflow",
         "weights-xi-overflow", "weights-a-overflow", "polytope-offset-overflow",
         "tc-df-beta-infinite", "futaki-beta-nan", "tc-twist-overflow",
+        "blowup-tc-twist-short", "blowup-tc-twist-long",
         "polynomial-coeff-overflow", "powerlaw-b-overflow", "powerseries-radius-nan",
         "monomial-k-1e8", "monomial-k-negative", "polynomial-coeffs-string",
         "monomial-k-2.9", "polynomial-degree-25", "polynomial-coeffs-1e-300",
@@ -484,6 +489,13 @@ def test_bad_input_exits_2(tmp_path, capsys, argv, message):
                                 '{"normal": [-1, -1], "offset": "1e400"}]}',
              "twist_overflow": '{"pieces": [{"gradient": ["0", "0"], '
                                '"constant": "0"}], "twist": [1e999, 0]}',
+             # A twist of the wrong length used to be broadcast, or to fail
+             # in numpy with exit 3.
+             **{name: {"pieces": [{"gradient": ["0", "0"], "constant": "0"},
+                                  {"gradient": ["1", "0"], "constant": "-1/4"}],
+                       "twist": twist}
+                for name, twist in (("twist_short", [0.5]),
+                                    ("twist_long", [0.5, 0.1, 0.2]))},
              # Weight files whose profile g is refused (f = t^2 / 2).
              **{name: {"xi": [1, 0], "profiles": {
                  "f": {"variant": "monomial", "k": 2}, "g": dict(variant=kind, **g)}}

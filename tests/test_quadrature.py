@@ -1,7 +1,7 @@
 import decimal
 import heapq
 import math
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from decimal import Decimal
 from fractions import Fraction as F
 from itertools import count, product
@@ -307,6 +307,112 @@ class TestIntegrateParts:
             assert integrate_parts([]) == []
             assert integrate_parts([empty, empty]) == [IntegrationResult(0.0, 0.0, True)] * 2
         assert not geometry_cache
+
+
+class TestSharedIntegrand:
+    """Parts of one n that pass the same integrand object and are alike
+    exact or adaptive enter the first pass as one part, their simplices
+    concatenated; each part still gets, bit for bit, what a one-part call
+    gives it."""
+
+    RULE = QuadratureRule(degree=6, tol_rel=1e-9, max_depth=3)
+
+    @staticmethod
+    def recording(f, log):
+        """f, logging the (rows, n) of each call under the wrapper."""
+        def g(x):
+            log.setdefault(g, []).append(x.shape)
+            return f(x)
+        return g
+
+    def test_shared_parts_equal_one_part_calls(self, geometry_cache):
+        rng = np.random.default_rng(16)
+        tri = np.array([[[0, 0], [1, 0], [0, 1]], [[1, 0], [1, 1], [0, 1]]], float)
+        poly, exp = INTEGRANDS["polynomial"], INTEGRANDS["exponential"]
+        pole = lambda x: (x[:, 0] + 0.3 * x[:, 1] + 0.01) ** -1.5
+        parts = [(poly, rng.random((3, 3, 2)), 3),             # exact
+                 (exp, 2 * rng.random((2, 3, 2))),              # refines
+                 (pole, tri),                                   # stops at max_depth
+                 (poly, np.zeros((0, 3, 2)), 3),                # empty
+                 (exp, rng.random((2, 4, 3))),                  # another n
+                 (INTEGRANDS["near_pole"], rng.random((2, 3, 2))),  # unshared
+                 (poly, rng.random((2, 3, 2))),                 # adaptive, same object
+                 (exp, rng.random((1, 2, 1))),                  # n = 1
+                 (pole, rng.random((2, 3, 2)) + 0.2),
+                 (exp, 2 * rng.random((3, 3, 2))),
+                 (poly, np.zeros((0, 4, 3))),
+                 (exp, rng.random((3, 4, 3)), 3),               # exact in n = 3
+                 (poly, rng.random((1, 3, 2)), 3)]
+        want = [integrate_simplices(*p[:2], self.RULE, *p[2:]) for p in parts]
+        assert want[0].error == 0.0 and want[3] == IntegrationResult(0.0, 0.0, True)
+        assert want[1].converged and not want[2].converged
+        for got in cold_then_warm(geometry_cache,
+                                  lambda: integrate_parts(parts, self.RULE)):
+            assert got == want
+        for i in (1, 2, 6, 8, 9):
+            f, s = parts[i]
+            assert want[i] == reference_integrate_simplices(f, s, self.RULE), i
+
+    def test_one_first_pass_call_per_shared_integrand(self, geometry_cache):
+        rng = np.random.default_rng(17)
+        base = {"poly": INTEGRANDS["polynomial"], "exp": INTEGRANDS["exponential"],
+                "own": INTEGRANDS["near_pole"]}
+        parts = [("poly", rng.random((3, 3, 2)), 3), ("exp", 2 * rng.random((2, 3, 2))),
+                 ("own", rng.random((2, 3, 2))), ("poly", rng.random((2, 3, 2))),
+                 ("exp", rng.random((2, 4, 3))), ("poly", rng.random((1, 3, 2)), 3),
+                 ("exp", 2 * rng.random((3, 3, 2))), ("poly", rng.random((2, 4, 3)), 3)]
+        log = {}
+        shared = {name: self.recording(f, log) for name, f in base.items()}
+        integrate_parts([(shared[name], *rest) for name, *rest in parts], self.RULE)
+        # Per integrand and n: one first-pass call on the rows of all its
+        # exact parts and one on those of all its adaptive parts, in order
+        # of first appearance, then the refinements a one-part call of each
+        # part makes.
+        first, refinements = {}, Counter()
+        for name, s, *degree in parts:
+            n, nodes = s.shape[2], len(gm_table(s.shape[2], self.RULE.gm_order)[0])
+            rows = len(s) * (1 if degree else 3) * nodes
+            first.setdefault((name, n), Counter())[bool(degree)] += rows
+            alone = {}
+            integrate_parts([(self.recording(base[name], alone), s, *degree)], self.RULE)
+            [calls] = alone.values()
+            assert calls[0] == (rows, n)
+            refinements[name, n] += len(calls) - 1
+        assert refinements["exp", 2] > 0 and refinements["own", 2] > 0
+        assert len(first["poly", 2]) == 2
+        for (name, n), rows in first.items():
+            calls = [shape for shape in log[shared[name]] if shape[1] == n]
+            assert calls[:len(rows)] == [(r, n) for r in rows.values()], (name, n)
+            assert len(calls) == len(rows) + refinements[name, n], (name, n)
+
+    def test_one_row_blocks_are_not_shared(self, geometry_cache):
+        # A one-node rule on one simplex: a 1-row product, which can round
+        # apart from the same row inside a longer array.
+        rule = QuadratureRule(degree=1)
+        rng = np.random.default_rng(18)
+        log = {}
+        f = self.recording(INTEGRANDS["exponential"], log)
+        parts = [(f, rng.random((1, 3, 2)), 1), (f, rng.random((2, 3, 2)), 1),
+                 (f, rng.random((1, 3, 2)), 1), (f, rng.random((3, 3, 2)), 1)]
+        got = integrate_parts(parts, rule)
+        assert log[f] == [(1, 2), (5, 2), (1, 2)]
+        assert got == [integrate_simplices(*p[:2], rule, p[2]) for p in parts]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_many_parts_equal_each_alone_at_every_order(self, dim, geometry_cache):
+        # One integrand over many exact and adaptive parts keeps each
+        # part's bits at every rule order (one node at s = 0), beside parts
+        # with integrands of their own.
+        rng = np.random.default_rng(50 + dim)
+        g = rng.standard_normal(dim)
+        f = lambda x: np.exp(x @ g) * (x[:, 0] + 1.5) ** -1.5
+        for s in range(7):
+            rule = QuadratureRule(degree=2 * s + 1, max_depth=1)
+            parts = [(f if rng.random() < 0.7 else lambda x: np.cos(x @ g),
+                      rng.random((int(rng.integers(1, 6)), dim + 1, dim)),
+                      *([2 * s + 1] if rng.random() < 0.5 else [])) for _ in range(25)]
+            assert integrate_parts(parts, rule) == [
+                integrate_simplices(p[0], p[1], rule, *p[2:]) for p in parts], s
 
 
 def _abs_moment(P, m):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -115,6 +116,20 @@ class TestTwist:
         b = tcg.twist(tcg.associated_product(square, csck2, b1), b2)
         pts = np.random.default_rng(2).uniform(0, 1, (10, 2))
         assert np.allclose(a.value(pts), b.value(pts))
+
+    @pytest.mark.parametrize("twist", [[0.5], [0.5, 0.1, 0.2], [[0.5, 0.1]], 0.5],
+                             ids=["short", "long", "matrix", "scalar"])
+    def test_twist_of_the_wrong_shape_is_refused(self, twist):
+        # It used to broadcast: [0.5] twisted both coordinates by 0.5.
+        P, W = catalog.load("cp2"), builtin("cscK", 2)
+        shape = np.shape(twist)
+        with pytest.raises(ValueError, match=rf"twist has shape {re.escape(str(shape))}, "
+                                             r"expected \(2,\)"):
+            ToricTC(P, W, twist=twist)
+        for make in (lambda: tcg.associated_product(P, W, twist),
+                     lambda: tcg.twist(tcg.trivial_tc(P, W), twist)):
+            with pytest.raises(ValueError, match="twist has shape"):
+                make()
 
 
 class TestLambdaPairing:
