@@ -1,16 +1,20 @@
 import decimal
 import heapq
+import json
 import math
 from collections import Counter, OrderedDict
 from decimal import Decimal
 from fractions import Fraction as F
 from itertools import count, product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from toricstab import catalog, quadrature
+from toricstab.invariants import gram_integrands, moment_integrands
 from toricstab.polytope import DelzantPolytope, Facet, _clip
+from toricstab.profiles import builtin
 from toricstab.quadrature import (DEFAULT_RULE, IntegrationResult,
                                   QuadratureRule, _estimate, _RunningSum,
                                   divided_difference_exp, gm_table, integrate,
@@ -841,3 +845,76 @@ class TestLatticeMeasureIdentity:
         rhs = (P.dim * integrate(P, lambda x: np.exp(x @ xi)).value
                + integrate(P, lambda x: (x @ xi) * np.exp(x @ xi)).value)
         assert lhs == pytest.approx(rhs, rel=1e-11)
+
+
+# The bits of adaptive refinement, recorded by ``_refine_bits()`` into
+# tests/data/refine_bits.json: value, error and converged of each weighted
+# integral that refines, and of one-part calls that stop at the depth cap
+# or meet an infinite leaf.  A change to refinement must keep each exactly.
+REFINE_POLYTOPES = ("cp2", "bl1cp2", "cube")
+# Power-law weights at pole distance 1/8 along a generic direction whose
+# <x, xi> spans REFINE_WIDTH over P; soliton weights along an axis.
+REFINE_XI = (0.3, -0.2, 0.1)
+REFINE_WIDTH = 0.375
+REFINE_AXIS_XI = (0.8, 0.0, 0.0)
+DATA = Path(__file__).parent / "data"
+
+
+def _result_bits(res):
+    return {"value": res.value.hex(), "error": res.error.hex(),
+            "converged": res.converged}
+
+
+def _weighted_bits(P, W, rule=DEFAULT_RULE):
+    """vol_w, the beta-moments on the lattice basis, gram, per_v and the
+    boundary beta-moments, as the invariants define their integrands."""
+    basis = np.eye(P.dim)
+    tri = P.triangulation_floats()
+    vol = integrate(P, W.w, rule, W.w_degree)
+    moments = [moment_integrands(W, b) for b in basis]
+    moments_w = [integrate(P, f, rule, degree) for (f, degree), _ in moments]
+    means = np.array([m.value for m in moments_w]) / vol.value
+    grams = integrate_parts([(f, tri, degree) for f, degree
+                             in gram_integrands(W, basis, means)], rule)
+    bits = {"vol_w": vol, "per_v": integrate_boundary(P, W.v, rule, W.v_degree)}
+    for i, (_, (g, degree)) in enumerate(moments):
+        bits[f"moment_w {i}"] = moments_w[i]
+        bits[f"moment_boundary_v {i}"] = integrate_boundary(P, g, rule, degree)
+    for k, res in enumerate(grams):
+        bits[f"gram {k}"] = res
+    return {key: _result_bits(res) for key, res in bits.items()}
+
+
+def _refine_bits():
+    bits = {}
+    for name in REFINE_POLYTOPES:
+        P = catalog.load(name)
+        n = P.dim
+        verts = P.vertices_floats()
+        xi = np.array(REFINE_XI[:n])
+        xi = xi * (REFINE_WIDTH / np.ptp(verts @ xi))
+        a = F(1, 8) - F(float(np.min(verts @ xi)))
+        weights = {fam: builtin(fam, n, xi=xi, a=a) for fam in ("ckem", "sasaki")}
+        weights["soliton"] = builtin("soliton", n, xi=REFINE_AXIS_XI[:n])
+        for fam, W in weights.items():
+            for key, res in _weighted_bits(P, W).items():
+                bits[f"{name} {fam} {key}"] = res
+    square = np.array([[[0, 0], [1, 0], [0, 1]], [[1, 0], [1, 1], [0, 1]]], float)
+    bits["depth_cap pole"] = _result_bits(integrate_simplices(
+        lambda x: (x[:, 0] + 0.3 * x[:, 1] + 0.01) ** -1.5, square,
+        QuadratureRule(degree=2, tol_rel=1e-12, max_depth=9)))
+    bits["depth_cap exp"] = _result_bits(integrate_simplices(
+        lambda x: np.exp(5 * x[:, 0]), np.array([[[0.0], [1.0]], [[1.0], [3.0]]]),
+        QuadratureRule(degree=2, tol_abs=1e-30, tol_rel=1e-30, max_depth=2)))
+    bits["infinite_leaf"] = _result_bits(integrate_simplices(
+        lambda x: np.where(x[:, 0] == 0.0625, np.inf, np.exp(5 * x[:, 0])),
+        [[[0.0], [1.0]]], QuadratureRule(degree=2, tol_rel=1e-12, max_depth=4)))
+    return bits
+
+
+def test_refine_bits_are_pinned():
+    want = json.loads((DATA / "refine_bits.json").read_text())
+    got = _refine_bits()
+    assert got.keys() == want.keys()
+    for key in want:
+        assert got[key] == want[key], key
