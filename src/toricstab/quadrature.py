@@ -11,16 +11,19 @@ degree; if the rule (of degree 2s+1) integrates that degree exactly, the
 part is evaluated once on its own simplices, and its value is the ``fsum``
 of their rule sums with error 0.  Every other part is analytic: the first
 pass calls its integrand once on its simplices and their bisection halves,
-and sums its rule in one stacked product; it then refines on its own,
-evaluating the two halves of its worst leaf in one call and keeping exact
-running sums (integer counts of 2**-1074).  Parts of one dimension that
-pass the same integrand object enter the first pass as one, their
-simplices concatenated, and then part again; each keeps its own rule sums,
-refinement and result.  That is bit-identical to one pass per part only
-for an integrand that is row-wise to the bit (see
-:func:`integrate_parts`).  Boundary integrals pull each
-facet back through its unimodular chart, which is affine, so a pulled-back
-polynomial keeps its degree and the lattice boundary measure is built in.
+and sums its rule in one stacked product.  It then refines on its own, in
+rounds: each evaluates, in one integrand call, the halves of up to
+``_ROUND_CAP`` leaves the part must bisect before it can stop, then
+replays the one-leaf-at-a-time loop exactly; the stop test reads float
+running sums and sums the leaves exactly only where their roundoff bound
+cannot decide (see :func:`_refine`).  Parts of one dimension that pass the same integrand
+object enter the first pass as one, their simplices concatenated, and then
+part again; each keeps its own rule sums, refinement and result.  Rounds
+and shared passes are bit-identical to one evaluation per simplex for an
+integrand that is row-wise to the bit (see :func:`integrate_parts`).
+Boundary integrals pull each facet back through its unimodular chart,
+which is affine, so a pulled-back polynomial keeps its degree and the
+lattice boundary measure is built in.
 
 The geometry of a simplex stack (its bisection into halves and the volumes
 of simplices and halves) depends on neither the rule nor the integrand, and
@@ -190,6 +193,18 @@ def _geometry(stacks, halves):
     return out
 
 
+def _rule_sums(f, allv, vols, bary, wts):
+    """Volume times rule sum of ``f`` on each simplex of an (N, n+1, n)
+    stack, with one call of ``f`` on all their nodes, simplex after
+    simplex.  The rule sums are one stacked ``matmul`` of (1, L) rows by the
+    (L, 1) weights, which numpy computes as the same 1-D dot per row as
+    ``float(wts @ r)``: both keep the bits of a per-simplex evaluation, for
+    an integrand that is row-wise to the bit (see :func:`integrate_parts`)."""
+    vals = np.asarray(f((bary @ allv).reshape(-1, allv.shape[2])), dtype=float)
+    vals = vals.reshape(len(vols), -1)
+    return vols * np.matmul(vals[:, None, :], wts[:, None])[:, 0, 0]
+
+
 def _estimate(parts, bary, wts):
     """Fine values, errors and halves of each simplex of each part.
 
@@ -200,9 +215,6 @@ def _estimate(parts, bary, wts):
     call would pass it.  An ``exact`` part, whose integrand the rule
     integrates exactly, needs no halves: it is called on its k simplices
     alone and gets the k rule sums as values, with errors and halves None.
-    The rule sums are one stacked ``matmul`` of (1, L) rows by the (L, 1)
-    weights, which numpy computes as the same 1-D dot per row as
-    ``float(wts @ r)``: both keep the bits of a per-simplex evaluation.
     A part here may be several parts of :func:`integrate_parts` that share
     an integrand, merged; their integrand must then be row-wise to the bit
     for each to keep the bits of a pass of its own (see there).
@@ -210,18 +222,26 @@ def _estimate(parts, bary, wts):
     out = []
     geometry = _geometry([v for _, v, _ in parts], [not e for _, _, e in parts])
     for (f, verts, exact), (kids, allv, vols) in zip(parts, geometry):
-        m, n = len(verts), allv.shape[2]
+        m = len(verts)
         if exact:
-            allv, vols = allv[:m], vols[:m]
-        vals = np.asarray(f((bary @ allv).reshape(-1, n)), dtype=float)
-        vals = vals.reshape(len(vols), -1)
-        est = vols * np.matmul(vals[:, None, :], wts[:, None])[:, 0, 0]
-        if exact:
-            out.append((est.tolist(), None, None))
+            out.append((_rule_sums(f, allv[:m], vols[:m], bary, wts).tolist(), None, None))
             continue
+        est = _rule_sums(f, allv, vols, bary, wts)
         fine = est[m::2] + est[m + 1::2]
         out.append((fine.tolist(), np.abs(est[:m] - fine).tolist(), kids))
     return out
+
+
+def _estimate_leaves(f, halves, bary, wts):
+    """:func:`_estimate` of several leaves of one part, each given as the
+    (2, n+1, n) stack of its halves: one :func:`_geometry` lookup per leaf,
+    as a pass of its own would make, and one integrand call on the nodes of
+    every leaf in turn.  Returns each leaf's (fine, errs, kids)."""
+    kids, allv, vols = zip(*_geometry(halves, [True] * len(halves)))
+    est = _rule_sums(f, np.concatenate(allv), np.concatenate(vols), bary, wts)
+    est = est.reshape(len(halves), 6)  # 2 halves, then their 4 halves
+    fine = est[:, 2::2] + est[:, 3::2]
+    return zip(fine.tolist(), np.abs(est[:, :2] - fine).tolist(), kids)
 
 
 class _RunningSum:
@@ -260,12 +280,89 @@ class _RunningSum:
         return math.fsum(special) if special else self.units / (1 << 1074)
 
 
+def _exact_sum(members):
+    """``math.fsum`` of a list of floats, or the integer sum of
+    :class:`_RunningSum` where ``fsum`` overflows on the way."""
+    try:
+        return math.fsum(members)
+    except OverflowError:
+        return _RunningSum(members).total()
+
+
+class _FloatSum:
+    """Float running sum ``approx`` of a changing multiset of floats.  Each
+    step rounds by at most 2**-53 of its result, so the exact sum of the
+    finite members lies within ``slack * 2**-52`` of ``approx`` (``slack``
+    sums the results' magnitudes; the factor 2 covers its own roundoff).
+    Non-finite members are counted apart, by repr, and then decide the sum
+    exactly, as in ``fsum``."""
+
+    def __init__(self, members, total):  # total == math.fsum(members)
+        self.approx = self.slack = 0.0
+        self.special = {}
+        for x in [total] if math.isfinite(total) else members:
+            self.add(x)
+
+    def add(self, x, sign=1):  # sign -1 removes x
+        if math.isfinite(x):
+            self.approx += sign * x
+            self.slack += abs(self.approx)
+            return
+        count = self.special.get(repr(x), 0) + sign
+        if count:
+            self.special[repr(x)] = count
+        else:
+            del self.special[repr(x)]
+
+    def bounds(self):
+        """Floats ``(lo, hi)`` around the magnitude of the exact sum, or None
+        if the bound is not finite."""
+        if self.special:
+            total = abs(math.fsum(map(float, self.special)))
+            return total, total
+        radius = self.slack * 2.0 ** -52
+        if not math.isfinite(radius):
+            return None
+        return max(abs(self.approx) - radius, 0.0), abs(self.approx) + radius
+
+
+# Margins of the float stop test for the roundoff of its own operations
+# and of rounding the exact sums: relative, and absolute for subnormals.
+_MARGIN_REL = 2.0 ** -48
+_MARGIN_ABS = 2.0 ** -1060
+# The most leaves a refinement round pops.  At caps 1, 4, 8, 16 and 32,
+# replaying the refinements of 4 weight_sweep cycles (seed 0) took 0.48,
+# 0.35, 0.35, 0.37 and 0.37 s of CPU, and gram plus vol_w on the cube with
+# ckem weights at xi = (0.5, 0, 0), a = 1/8 took 4.9, 3.3, 3.3, 3.5 and
+# 4.5 s (medians of interleaved runs, shared 2-core x86-64 machine): more
+# popped leaves are outranked by a new child and pushed back.
+_ROUND_CAP = 8
+
+
 def _refine(f, fine, errs, kids, bary, wts, rule):
-    """Finish one part from its first pass.  An exact part (errors None)
-    sums its rule values, with error 0, or infinite if that sum is not
-    finite.  Any other part bisects its worst leaf (largest |coarse - fine|)
-    until the summed error meets the tolerance or every such leaf is at
-    ``max_depth``.  An infinite or NaN error never counts as converged."""
+    """Finish one part from its first pass.
+
+    An exact part (errors None) sums its rule values, with error 0, or
+    infinite if that sum is not finite.  Any other part bisects its worst
+    leaf (largest |coarse - fine|, the earlier leaf on a tie) until the
+    summed error meets the tolerance or every such leaf is at
+    ``max_depth``.  An infinite or NaN error never counts as converged.
+
+    It does so in rounds of at most one integrand call.  A round pops, in
+    key order and up to ``_ROUND_CAP``, the leaves that must be bisected
+    before the loop can stop: while the error left after removing theirs
+    still exceeds the tolerance (their children's errors are not negative).
+    It evaluates the halves of those not yet evaluated in one
+    :func:`_estimate_leaves` call, and then replays the one-leaf loop
+    exactly.  Before each bisection the loop ends if the tolerance is met;
+    if a child pushed in this round outranks the next popped leaf, that
+    leaf and the rest go back on the heap, their halves' results kept for
+    a later round.  So every leaf is bisected, and every child pushed, in
+    the order of the one-leaf loop, with its bits.  The tolerance test
+    reads float running sums (:class:`_FloatSum`) and sums the leaves
+    exactly only when their roundoff bound straddles the tolerance; the
+    value and error returned are the exact sums of the leaves.
+    """
     if errs is None:
         value = math.fsum(fine)
         finite = math.isfinite(value)
@@ -281,27 +378,60 @@ def _refine(f, fine, errs, kids, bary, wts, rule):
     if err <= tol(value):
         return IntegrationResult(value, err, converged(value, err))
 
-    values, errors = _RunningSum(fine), _RunningSum(errs)
-    counter = count()
-    heap = []
+    def exact_sums():
+        fine, errs = zip(*leaves.values())
+        return _exact_sum(fine), _exact_sum(errs)
 
-    def push(fine, errs, kids, depth):
-        for v, e, halves in zip(fine, errs, kids):
-            heapq.heappush(heap, (-e, next(counter), depth, halves, v))
+    def over_tolerance():
+        """err > tol(value) for the exact sums of the leaves."""
+        v, e = values.bounds(), errors.bounds()
+        if v is not None and e is not None and rule.tol_rel >= 0:
+            # Then tol grows with |value|.
+            if e[0] * (1 - _MARGIN_REL) > tol(v[1]) * (1 + _MARGIN_REL) + _MARGIN_ABS:
+                return True
+            if e[1] * (1 + _MARGIN_REL) + _MARGIN_ABS < tol(v[0]) * (1 - _MARGIN_REL):
+                return False
+        value, err = exact_sums()
+        return err > tol(value)
 
-    push(fine, errs, kids, 0)
-    while heap and err > tol(value):
-        neg_e, _, depth, halves, v = heapq.heappop(heap)
-        if depth >= rule.max_depth:
-            continue  # leaf stays counted but cannot be refined further
-        values.remove(v)
-        errors.remove(-neg_e)
-        [(fine, errs, kids)] = _estimate([(f, halves, False)], bary, wts)
-        for v, e in zip(fine, errs):
-            values.add(v)
-            errors.add(e)
-        push(fine, errs, kids, depth + 1)
-        value, err = values.total(), errors.total()
+    values, errors = _FloatSum(fine, value), _FloatSum(errs, err)
+    leaves = dict(enumerate(zip(fine, errs)))  # key -> (value, error)
+    # Heap entries (-error, key, depth, halves, value): worst, then oldest.
+    heap = [(-e, key, 0, halves, v)
+            for key, (v, e, halves) in enumerate(zip(fine, errs, kids))]
+    heapq.heapify(heap)
+    counter = count(len(heap))
+    kept = {}  # key -> its halves' (fine, errs, kids), evaluated ahead
+    while heap and over_tolerance():
+        batch = []
+        left = errors.approx - tol(values.approx)
+        while heap and len(batch) < _ROUND_CAP and (not batch or left > 0):
+            batch.append(heapq.heappop(heap))
+            if batch[-1][2] < rule.max_depth:
+                left += batch[-1][0]
+        new = [leaf for leaf in batch
+               if leaf[2] < rule.max_depth and leaf[1] not in kept]
+        if new:
+            kept.update(zip([leaf[1] for leaf in new], _estimate_leaves(
+                f, [leaf[3] for leaf in new], bary, wts)))
+        for i, leaf in enumerate(batch):
+            if i and (heap and heap[0] < leaf or not over_tolerance()):
+                for rest in batch[i:]:
+                    heapq.heappush(heap, rest)
+                break
+            neg_e, key, depth, _, v = leaf
+            if depth >= rule.max_depth:
+                continue  # leaf stays counted but cannot be refined further
+            del leaves[key]
+            values.add(v, -1)
+            errors.add(-neg_e, -1)
+            for v, e, halves in zip(*kept.pop(key)):
+                key = next(counter)
+                leaves[key] = v, e
+                values.add(v)
+                errors.add(e)
+                heapq.heappush(heap, (-e, key, depth + 1, halves, v))
+    value, err = exact_sums()
     return IntegrationResult(value, err, converged(value, err))
 
 
@@ -327,14 +457,15 @@ def integrate_parts(parts, rule=DEFAULT_RULE):
     and are alike exact or adaptive enter that pass as one part, their
     simplices concatenated in part order, so the integrand is called once
     for all of them; each then takes back its own simplices' values, errors
-    and halves.  Each result is bit-identical to integrating that part
-    alone: always for an integrand that one part passes, and for a shared
-    one if it is row-wise to the bit, that is, a row's value does not
-    depend on the other rows or on the array's length.  The numpy matrix
-    products and ufuncs of every integrand here are, on OpenBLAS, for
-    arrays of 2 rows or more; a 1-row product can round apart from the same
-    row in a longer array, so a part whose first pass is one row (one
-    simplex of a one-node rule, exact) keeps a pass of its own.
+    and halves.  A part's refinement, too, evaluates the halves of several
+    leaves in one call (:func:`_refine`).  Each result is bit-identical to
+    integrating that part alone, one leaf per call, if its integrand is
+    row-wise to the bit, that is, a row's value does not depend on the
+    other rows or on the array's length.  The numpy matrix products and
+    ufuncs of every integrand here are, on OpenBLAS, for arrays of 2 rows
+    or more; a 1-row product can round apart from the same row in a longer
+    array, so a part whose first pass is one row (one simplex of a one-node
+    rule, exact) keeps a pass of its own.  A refinement call has at least 6.
     """
     def exact(degree=None):
         return degree is not None and degree <= 2 * rule.gm_order + 1

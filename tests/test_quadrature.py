@@ -192,33 +192,55 @@ def cold_then_warm(cache, run):
     return cold, warm
 
 
+def _recorded(f):
+    """f, and a log of the rows of each call to it."""
+    log = []
+
+    def wrapped(x):
+        log.append(np.array(x))
+        return f(x)
+    return wrapped, log
+
+
+def _rows(log):
+    return Counter(row.tobytes() for x in log for row in x)
+
+
 class TestBatchedMatchesPerSimplex:
-    """The batched engine returns the per-simplex scheme's bits exactly,
-    with one integrand call per pass (1 + the number of refinements), from
-    an empty geometry cache and from a filled one."""
+    """The batched engine returns the per-simplex scheme's bits exactly, from
+    an empty geometry cache and from a filled one.  Its integrand sees
+    exactly the rows the per-simplex scheme evaluates, no leaf more, in at
+    most one call per pass (1 + the number of refinements): refinement
+    evaluates in rounds, one call for every leaf a round must bisect, and
+    replays the one-leaf loop."""
 
     @pytest.fixture(autouse=True)
     def _cache(self, geometry_cache):
         self.cache = geometry_cache
 
     def check(self, f, simplices, rule=DEFAULT_RULE):
-        ref_f, ref_calls = _counted(f)
+        """The reference result, its number of refinements and the calls
+        the batched engine made."""
+        ref_f, ref_log = _recorded(f)
         want = reference_integrate_simplices(ref_f, simplices, rule)
         # The reference makes 3 rule applications per leaf it creates:
         # one per input simplex and two per refinement.
-        refinements = (ref_calls[0] // 3 - len(simplices)) // 2
+        refinements = (len(ref_log) // 3 - len(simplices)) // 2
 
         def run():
-            new_f, new_calls = _counted(f)
+            new_f, log = _recorded(f)
             got = integrate_simplices(new_f, simplices, rule)
-            assert new_calls[0] == (1 + refinements if len(simplices) else 0)
-            return got
+            assert _rows(log) == _rows(ref_log)
+            assert len(log) <= (1 + refinements if len(simplices) else 0)
+            return got, len(log)
 
-        for got in cold_then_warm(self.cache, run):
+        (cold, calls), (warm, warm_calls) = cold_then_warm(self.cache, run)
+        assert calls == warm_calls
+        for got in (cold, warm):
             assert got.value == want.value
             assert got.error == want.error
             assert got.converged == want.converged
-        return want, refinements
+        return want, refinements, calls
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     @pytest.mark.parametrize("kind", sorted(INTEGRANDS))
@@ -226,42 +248,77 @@ class TestBatchedMatchesPerSimplex:
         rng = np.random.default_rng(100 + dim)
         simplices = rng.random((int(rng.integers(1, 6)), dim + 1, dim))
         rule = QuadratureRule(degree=6, tol_rel=1e-9)
-        _, refinements = self.check(INTEGRANDS[kind], simplices, rule)
+        _, refinements, calls = self.check(INTEGRANDS[kind], simplices, rule)
         if kind == "near_pole":
-            assert refinements > 0
+            assert 0 < refinements and calls < 1 + refinements
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("s", range(7))
+    def test_every_order(self, dim, s):
+        rng = np.random.default_rng(10 * dim + s)
+        simplices = rng.random((2, dim + 1, dim))
+        self.check(INTEGRANDS["near_pole"], simplices,
+                   QuadratureRule(degree=2 * s, tol_rel=1e-8, max_depth=6))
 
     @pytest.mark.parametrize("dim", [3, 4])
     def test_standard_simplex_ties(self, dim):
         # The edges e_i - e_j (i, j >= 1) tie for longest: the tie-break
         # decides the bisection, and refinement makes it matter.
         simplices = np.vstack([np.zeros(dim), np.eye(dim)])[None]
-        _, refinements = self.check(lambda x: np.exp(3 * x[:, 0] - 2 * x[:, -1]),
-                                    simplices, QuadratureRule(degree=4, tol_rel=1e-7))
-        assert refinements > 1
+        _, refinements, calls = self.check(
+            lambda x: np.exp(3 * x[:, 0] - 2 * x[:, -1]),
+            simplices, QuadratureRule(degree=4, tol_rel=1e-7))
+        assert refinements > 1 and calls < 1 + refinements
 
     def test_depth_cap(self):
         simplices = np.array([[[0.0], [1.0]], [[1.0], [3.0]]])
-        want, refinements = self.check(
+        want, refinements, _ = self.check(
             lambda x: np.exp(5 * x[:, 0]), simplices,
             QuadratureRule(degree=2, tol_abs=1e-30, tol_rel=1e-30, max_depth=2))
         assert not want.converged and refinements == 6
 
     def test_empty_stack(self):
-        want, _ = self.check(INTEGRANDS["polynomial"], np.zeros((0, 3, 2)))
+        want, _, _ = self.check(INTEGRANDS["polynomial"], np.zeros((0, 3, 2)))
         assert want == IntegrationResult(0.0, 0.0, True)
 
+    SQUARE = np.array([[[0, 0], [1, 0], [0, 1]], [[1, 0], [1, 1], [0, 1]]], float)
+
+    @staticmethod
+    def exact_sums(monkeypatch):
+        """A log of the exact sums of leaves that refinement takes: two for
+        each result, two more for each stop test its float sums leave open."""
+        log = []
+        exact_sum = quadrature._exact_sum
+        monkeypatch.setattr(quadrature, "_exact_sum",
+                            lambda members: log.append(members) or exact_sum(members))
+        return log
 
     @pytest.mark.parametrize("f, rule, converged", [
         (lambda x: (x[:, 0] + 0.3 * x[:, 1] + 0.01) ** -1.5,
          QuadratureRule(degree=2, tol_rel=1e-12, max_depth=9), False),
         (lambda x: np.exp(4 * x[:, 0] - 3 * x[:, 1]),
          QuadratureRule(degree=4, tol_rel=1e-12), True)], ids=["depth_cap", "converges"])
-    def test_many_leaves(self, f, rule, converged):
-        # About 1,000 and 2,000 refinements: the running exact sums must
-        # still give the bits of a full fsum over every leaf.
-        square = np.array([[[0, 0], [1, 0], [0, 1]], [[1, 0], [1, 1], [0, 1]]], float)
-        want, refinements = self.check(f, square, rule)
+    def test_many_leaves(self, f, rule, converged, monkeypatch):
+        # About 1,000 and 2,000 refinements: the running sums must still
+        # give the bits of a full fsum over every leaf, and their float
+        # bounds decide every stop test.
+        log = self.exact_sums(monkeypatch)
+        want, refinements, calls = self.check(f, self.SQUARE, rule)
         assert refinements > 500 and want.converged == converged
+        assert calls < (1 + refinements) / 2
+        assert len(log) == 2 * 2  # the cold and the warm result
+
+    def test_exact_sums_decide_a_stop_inside_the_float_bound(self, monkeypatch):
+        # The tolerance is the exact error sum of a state the loop passes,
+        # so the float sums' roundoff bound straddles it there and only the
+        # exact sums can tell that the loop must stop.
+        f = lambda x: np.exp(4 * x[:, 0] - 3 * x[:, 1])
+        stop = integrate_simplices(f, self.SQUARE, QuadratureRule(degree=4, tol_rel=1e-9))
+        log = self.exact_sums(monkeypatch)
+        want, _, _ = self.check(f, self.SQUARE,
+                                QuadratureRule(degree=4, tol_abs=stop.error, tol_rel=0.0))
+        assert want.error == stop.error and want.converged
+        assert len(log) > 2 * 2  # beyond the cold and the warm result
 
 
 class TestIntegrateParts:

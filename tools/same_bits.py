@@ -9,7 +9,9 @@ BASE_REF (``git archive`` into a temporary directory, removed afterwards)
 and once in the working tree, then compares the per-operation output
 ``digests`` and the ``failures_by_stratum`` tallies.  The strata of moved
 operations are named by their labels from ``benchmark/workloads.py``.
-Exits 1 on any difference, 0 when every run matches.
+Beside each verdict it prints the ``wall_s`` of the two runs: single,
+unscaled runs, a hint of speed and not a measurement.  Exits 1 on any
+difference, 0 when every run matches.
 """
 
 import io
@@ -51,7 +53,7 @@ def main(argv):
                              capture_output=True, check=True).stdout
     moved = False
     with tempfile.TemporaryDirectory() as base:
-        tarfile.open(fileobj=io.BytesIO(archive)).extractall(base)
+        tarfile.open(fileobj=io.BytesIO(archive)).extractall(base, filter="data")
         for workload in WORKLOADS:
             for seed in SEEDS:
                 old, new = worker(base, workload, seed), worker(ROOT, workload, seed)
@@ -61,7 +63,9 @@ def main(argv):
                         and old["failures_by_stratum"] == new["failures_by_stratum"])
                 print(f"{workload} seed {seed}: {len(new['digests'])} operations, "
                       + ("identical digests and failure tallies" if same else
-                         f"{len(diff)} digests moved"))
+                         f"{len(diff)} digests moved")
+                      + f" (single runs, wall_s: base {old['wall_s']:.2f},"
+                        f" tree {new['wall_s']:.2f})")
                 if diff:
                     names = labels(workload, seed, diff[-1] + 1)
                     for label, k in sorted(Counter(names[i] for i in diff).items()):
