@@ -141,8 +141,13 @@ def _load_tc(args, P, W):
 
 
 def _rule(args):
-    for flag, value in (("--quad-degree", args.quad_degree),
-                        ("--max-depth", args.max_depth),
+    # Degree 31 is the rule of order s = 15.  Above it the float weights
+    # drift (in dimension 1 they sum to 1 within 8.2e-13 at s = 15, but
+    # 1.2e-11 at s = 18), and the exact table of nodes grows as s**n.
+    if not 0 <= args.quad_degree <= 31:
+        raise CliError(f"bad --quad-degree: {args.quad_degree} (need 0..31)",
+                       EXIT_PARSE)
+    for flag, value in (("--max-depth", args.max_depth),
                         ("--tol-abs", args.tol_abs), ("--tol-rel", args.tol_rel)):
         if not 0 <= value < math.inf:
             raise CliError(f"bad {flag}: {value} (need a finite value >= 0)",

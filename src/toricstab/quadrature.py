@@ -14,13 +14,13 @@ pass calls its integrand once on its simplices and their bisection halves,
 and sums its rule in one stacked product.  It then refines on its own, in
 rounds: each evaluates, in one integrand call, the halves of up to
 ``_ROUND_CAP`` leaves the part must bisect before it can stop, then
-replays the one-leaf-at-a-time loop exactly; the stop test reads float
-running sums and sums the leaves exactly only where their roundoff bound
-cannot decide (see :func:`_refine`).  Parts of one dimension that pass the same integrand
-object enter the first pass as one, their simplices concatenated, and then
-part again; each keeps its own rule sums, refinement and result.  Rounds
-and shared passes are bit-identical to one evaluation per simplex for an
-integrand that is row-wise to the bit (see :func:`integrate_parts`).
+replays the one-leaf-at-a-time loop exactly; every stop test reads exact
+running sums of the leaves (see :func:`_refine`).  Parts of one dimension
+that pass the same integrand object enter the first pass as one, their
+simplices concatenated, and then part again; each keeps its own rule sums,
+refinement and result.  Rounds and shared passes are bit-identical to one
+evaluation per simplex for an integrand that is row-wise to the bit (see
+:func:`integrate_parts`).
 Boundary integrals pull each facet back through its unimodular chart,
 which is affine, so a pulled-back polynomial keeps its degree and the
 lattice boundary measure is built in.
@@ -280,56 +280,6 @@ class _RunningSum:
         return math.fsum(special) if special else self.units / (1 << 1074)
 
 
-def _exact_sum(members):
-    """``math.fsum`` of a list of floats, or the integer sum of
-    :class:`_RunningSum` where ``fsum`` overflows on the way."""
-    try:
-        return math.fsum(members)
-    except OverflowError:
-        return _RunningSum(members).total()
-
-
-class _FloatSum:
-    """Float running sum ``approx`` of a changing multiset of floats.  Each
-    step rounds by at most 2**-53 of its result, so the exact sum of the
-    finite members lies within ``slack * 2**-52`` of ``approx`` (``slack``
-    sums the results' magnitudes; the factor 2 covers its own roundoff).
-    Non-finite members are counted apart, by repr, and then decide the sum
-    exactly, as in ``fsum``."""
-
-    def __init__(self, members, total):  # total == math.fsum(members)
-        self.approx = self.slack = 0.0
-        self.special = {}
-        for x in [total] if math.isfinite(total) else members:
-            self.add(x)
-
-    def add(self, x, sign=1):  # sign -1 removes x
-        if math.isfinite(x):
-            self.approx += sign * x
-            self.slack += abs(self.approx)
-            return
-        count = self.special.get(repr(x), 0) + sign
-        if count:
-            self.special[repr(x)] = count
-        else:
-            del self.special[repr(x)]
-
-    def bounds(self):
-        """Floats ``(lo, hi)`` around the magnitude of the exact sum, or None
-        if the bound is not finite."""
-        if self.special:
-            total = abs(math.fsum(map(float, self.special)))
-            return total, total
-        radius = self.slack * 2.0 ** -52
-        if not math.isfinite(radius):
-            return None
-        return max(abs(self.approx) - radius, 0.0), abs(self.approx) + radius
-
-
-# Margins of the float stop test for the roundoff of its own operations
-# and of rounding the exact sums: relative, and absolute for subnormals.
-_MARGIN_REL = 2.0 ** -48
-_MARGIN_ABS = 2.0 ** -1060
 # The most leaves a refinement round pops.  At caps 1, 4, 8, 16 and 32,
 # replaying the refinements of 4 weight_sweep cycles (seed 0) took 0.48,
 # 0.35, 0.35, 0.37 and 0.37 s of CPU, and gram plus vol_w on the cube with
@@ -347,6 +297,9 @@ def _refine(f, fine, errs, kids, bary, wts, rule):
     leaf (largest |coarse - fine|, the earlier leaf on a tie) until the
     summed error meets the tolerance or every such leaf is at
     ``max_depth``.  An infinite or NaN error never counts as converged.
+    The value and error are exact running sums of the leaves
+    (:class:`_RunningSum`), read after every bisection: each equals the
+    ``fsum`` of the leaves, and every stop test reads them.
 
     It does so in rounds of at most one integrand call.  A round pops, in
     key order and up to ``_ROUND_CAP``, the leaves that must be bisected
@@ -358,10 +311,7 @@ def _refine(f, fine, errs, kids, bary, wts, rule):
     if a child pushed in this round outranks the next popped leaf, that
     leaf and the rest go back on the heap, their halves' results kept for
     a later round.  So every leaf is bisected, and every child pushed, in
-    the order of the one-leaf loop, with its bits.  The tolerance test
-    reads float running sums (:class:`_FloatSum`) and sums the leaves
-    exactly only when their roundoff bound straddles the tolerance; the
-    value and error returned are the exact sums of the leaves.
+    the order of the one-leaf loop, with its bits.
     """
     if errs is None:
         value = math.fsum(fine)
@@ -378,33 +328,16 @@ def _refine(f, fine, errs, kids, bary, wts, rule):
     if err <= tol(value):
         return IntegrationResult(value, err, converged(value, err))
 
-    def exact_sums():
-        fine, errs = zip(*leaves.values())
-        return _exact_sum(fine), _exact_sum(errs)
-
-    def over_tolerance():
-        """err > tol(value) for the exact sums of the leaves."""
-        v, e = values.bounds(), errors.bounds()
-        if v is not None and e is not None and rule.tol_rel >= 0:
-            # Then tol grows with |value|.
-            if e[0] * (1 - _MARGIN_REL) > tol(v[1]) * (1 + _MARGIN_REL) + _MARGIN_ABS:
-                return True
-            if e[1] * (1 + _MARGIN_REL) + _MARGIN_ABS < tol(v[0]) * (1 - _MARGIN_REL):
-                return False
-        value, err = exact_sums()
-        return err > tol(value)
-
-    values, errors = _FloatSum(fine, value), _FloatSum(errs, err)
-    leaves = dict(enumerate(zip(fine, errs)))  # key -> (value, error)
+    values, errors = _RunningSum(fine), _RunningSum(errs)
     # Heap entries (-error, key, depth, halves, value): worst, then oldest.
     heap = [(-e, key, 0, halves, v)
             for key, (v, e, halves) in enumerate(zip(fine, errs, kids))]
     heapq.heapify(heap)
     counter = count(len(heap))
     kept = {}  # key -> its halves' (fine, errs, kids), evaluated ahead
-    while heap and over_tolerance():
+    while heap and err > tol(value):
         batch = []
-        left = errors.approx - tol(values.approx)
+        left = err - tol(value)
         while heap and len(batch) < _ROUND_CAP and (not batch or left > 0):
             batch.append(heapq.heappop(heap))
             if batch[-1][2] < rule.max_depth:
@@ -415,23 +348,21 @@ def _refine(f, fine, errs, kids, bary, wts, rule):
             kept.update(zip([leaf[1] for leaf in new], _estimate_leaves(
                 f, [leaf[3] for leaf in new], bary, wts)))
         for i, leaf in enumerate(batch):
-            if i and (heap and heap[0] < leaf or not over_tolerance()):
+            # The loop's own test negated: a NaN error stops here as there.
+            if i and (heap and heap[0] < leaf or not err > tol(value)):
                 for rest in batch[i:]:
                     heapq.heappush(heap, rest)
                 break
             neg_e, key, depth, _, v = leaf
             if depth >= rule.max_depth:
                 continue  # leaf stays counted but cannot be refined further
-            del leaves[key]
-            values.add(v, -1)
-            errors.add(-neg_e, -1)
+            values.remove(v)
+            errors.remove(-neg_e)
             for v, e, halves in zip(*kept.pop(key)):
-                key = next(counter)
-                leaves[key] = v, e
                 values.add(v)
                 errors.add(e)
-                heapq.heappush(heap, (-e, key, depth + 1, halves, v))
-    value, err = exact_sums()
+                heapq.heappush(heap, (-e, next(counter), depth + 1, halves, v))
+            value, err = values.total(), errors.total()
     return IntegrationResult(value, err, converged(value, err))
 
 

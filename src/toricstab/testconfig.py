@@ -33,7 +33,7 @@ import numpy as np
 
 from . import _linalg as la, invariants
 from .polytope import Facet, _as_fraction, _clip
-from .quadrature import DEFAULT_RULE, integrate_sum, product_degree
+from .quadrature import DEFAULT_RULE, integrate_sum, product_degree, pullback
 
 
 @dataclass(frozen=True)
@@ -248,23 +248,14 @@ def pl_parts(tc, weight_fn=None, weight_degree=None):
 
 
 def pl_facet_parts(tc, i):
-    """Integration parts of int phi * v dsigma over facet i of P, one per
-    cell of phi with a facet of its own there, pulled back through P's
-    chart of facet i (a chart depends on the facet's hyperplane alone)."""
-    P, v = tc.polytope, tc.weights.v
-    degree = product_degree(1, tc.weights.v_degree)
-    chart, parts = P.facet_chart(i), []
-    for cell, g, c in tc.affine_cells():
-        j = cell.facets.index(P.facets[i])
-        if j not in cell.genuine_facet_indices():
-            continue
-
-        def f(y, g=g, c=c):
-            x = chart.map_floats(y)
-            return (x @ g + c) * np.asarray(v(x), dtype=float)
-
-        parts.append((f, cell.facet_triangulation_floats(j), degree))
-    return parts
+    """Integration parts of int phi * v dsigma over facet i of P: the
+    :func:`facet_cell_parts` of phi v pulled back through P's chart of
+    facet i (a chart depends on the facet's hyperplane alone)."""
+    chart, v = tc.polytope.facet_chart(i), tc.weights.v
+    return facet_cell_parts(tc, i, {
+        k: pullback(chart, lambda x, g=g, c=c: (x @ g + c) * v(x))
+        for (k, _), (_, g, c) in zip(tc.cells(), tc.affine_cells())},
+        product_degree(1, tc.weights.v_degree))
 
 
 def facet_cell_parts(tc, i, integrands, degree):

@@ -411,7 +411,9 @@ BLOWUP_CP2 = ["blowup-expand", "--catalog", "cp2", "--vertex", "0"]
      "bad --eps-points: 100000000 (need at least 4 depths"),
     (["report", "--catalog", "cp2", "--sample", "-1"], "bad --sample: -1"),
     (["invariants", "--catalog", "cp2", "--quad-degree", "-3"],
-     "bad --quad-degree: "),
+     "bad --quad-degree: -3 (need 0..31)"),
+    (["invariants", "--catalog", "cp2", "--quad-degree", "32"],
+     "bad --quad-degree: 32 (need 0..31)"),
     (["soliton", "--catalog", "cp2-reflexive", "--max-depth", "-1"],
      "bad --max-depth: "),
     (["futaki", "--catalog", "cp2", "--beta", "1,0", "--tol-abs", "-0.5"],
@@ -464,8 +466,8 @@ BLOWUP_CP2 = ["blowup-expand", "--catalog", "cp2", "--vertex", "0"]
         "eps-max-not-a-number", "eps-max-zero-denominator", "eps-max-overflow",
         "eps-points-3", "eps-points-negative", "eps-points-1100",
         "eps-points-1e8", "sample-negative",
-        "quad-degree-negative", "max-depth-negative", "tol-abs-negative",
-        "tol-abs-infinite", "tol-rel-nan", "tol-rel-minus-infinity",
+        "quad-degree-negative", "quad-degree-32", "max-depth-negative",
+        "tol-abs-negative", "tol-abs-infinite", "tol-rel-nan", "tol-rel-minus-infinity",
         "out-unwritable", "xi-infinite", "xi-nan", "a-overflow",
         "weights-xi-overflow", "weights-a-overflow", "polytope-offset-overflow",
         "tc-df-beta-infinite", "futaki-beta-nan", "tc-twist-overflow",

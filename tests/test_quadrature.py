@@ -212,7 +212,8 @@ class TestBatchedMatchesPerSimplex:
     exactly the rows the per-simplex scheme evaluates, no leaf more, in at
     most one call per pass (1 + the number of refinements): refinement
     evaluates in rounds, one call for every leaf a round must bisect, and
-    replays the one-leaf loop."""
+    replays the one-leaf loop.  Every stop test reads exact running sums,
+    which must equal the reference's ``fsum`` over every leaf."""
 
     @pytest.fixture(autouse=True)
     def _cache(self, geometry_cache):
@@ -283,42 +284,27 @@ class TestBatchedMatchesPerSimplex:
 
     SQUARE = np.array([[[0, 0], [1, 0], [0, 1]], [[1, 0], [1, 1], [0, 1]]], float)
 
-    @staticmethod
-    def exact_sums(monkeypatch):
-        """A log of the exact sums of leaves that refinement takes: two for
-        each result, two more for each stop test its float sums leave open."""
-        log = []
-        exact_sum = quadrature._exact_sum
-        monkeypatch.setattr(quadrature, "_exact_sum",
-                            lambda members: log.append(members) or exact_sum(members))
-        return log
-
     @pytest.mark.parametrize("f, rule, converged", [
         (lambda x: (x[:, 0] + 0.3 * x[:, 1] + 0.01) ** -1.5,
          QuadratureRule(degree=2, tol_rel=1e-12, max_depth=9), False),
         (lambda x: np.exp(4 * x[:, 0] - 3 * x[:, 1]),
          QuadratureRule(degree=4, tol_rel=1e-12), True)], ids=["depth_cap", "converges"])
-    def test_many_leaves(self, f, rule, converged, monkeypatch):
+    def test_many_leaves(self, f, rule, converged):
         # About 1,000 and 2,000 refinements: the running sums must still
-        # give the bits of a full fsum over every leaf, and their float
-        # bounds decide every stop test.
-        log = self.exact_sums(monkeypatch)
+        # give the bits of a full fsum over every leaf at every stop test.
         want, refinements, calls = self.check(f, self.SQUARE, rule)
         assert refinements > 500 and want.converged == converged
         assert calls < (1 + refinements) / 2
-        assert len(log) == 2 * 2  # the cold and the warm result
 
-    def test_exact_sums_decide_a_stop_inside_the_float_bound(self, monkeypatch):
-        # The tolerance is the exact error sum of a state the loop passes,
-        # so the float sums' roundoff bound straddles it there and only the
-        # exact sums can tell that the loop must stop.
+    def test_stop_at_a_tolerance_equal_to_an_exact_error_sum(self):
+        # The tolerance is the exact error sum of a state the loop passes:
+        # the loop must stop there, at the first state whose error sum
+        # meets it, and not one bisection earlier or later.
         f = lambda x: np.exp(4 * x[:, 0] - 3 * x[:, 1])
         stop = integrate_simplices(f, self.SQUARE, QuadratureRule(degree=4, tol_rel=1e-9))
-        log = self.exact_sums(monkeypatch)
         want, _, _ = self.check(f, self.SQUARE,
                                 QuadratureRule(degree=4, tol_abs=stop.error, tol_rel=0.0))
         assert want.error == stop.error and want.converged
-        assert len(log) > 2 * 2  # beyond the cold and the warm result
 
 
 class TestIntegrateParts:
