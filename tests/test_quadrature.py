@@ -296,9 +296,10 @@ class TestBatchedMatchesPerSimplex:
         assert refinements > 500 and want.converged == converged
         assert calls < (1 + refinements) / 2
 
-    def test_stop_at_a_tolerance_equal_to_an_exact_error_sum(self):
-        # The tolerance is the exact error sum of a state the loop passes:
-        # the loop must stop there, at the first state whose error sum
+    def test_exact_sums_decide_a_stop_inside_the_float_bound(self):
+        # The tolerance is the exact error sum of a state the loop passes,
+        # closer to it than float sums' roundoff: the exact running sums
+        # must stop the loop there, at the first state whose error sum
         # meets it, and not one bisection earlier or later.
         f = lambda x: np.exp(4 * x[:, 0] - 3 * x[:, 1])
         stop = integrate_simplices(f, self.SQUARE, QuadratureRule(degree=4, tol_rel=1e-9))
