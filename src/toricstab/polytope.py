@@ -133,10 +133,17 @@ def _memo(method):
     return cached
 
 
-def _is_normal(f):
-    """Whether ``f`` is already in the form :meth:`Facet.make` gives."""
-    return (type(f.offset) is Fraction and type(f.normal) is tuple
-            and all(type(c) is int for c in f.normal) and gcd(*f.normal) == 1)
+def _normalized(f, dim):
+    """A facet or ``(normal, offset)`` pair in the form :meth:`Facet.make`
+    gives, checked to lie in dimension ``dim``."""
+    if not isinstance(f, Facet):
+        f = Facet.make(*f)
+    elif not (type(f.offset) is Fraction and type(f.normal) is tuple
+              and all(type(c) is int for c in f.normal) and gcd(*f.normal) == 1):
+        f = Facet.make(f.normal, f.offset)
+    if len(f.normal) != dim:
+        raise PolytopeError("facet normal has wrong length")
+    return f
 
 
 @dataclass(frozen=True)
@@ -214,15 +221,7 @@ class DelzantPolytope:
         if dim < 1:
             raise PolytopeError("dimension must be >= 1")
         self.dim = int(dim)
-        normalized = []
-        for f in facets:
-            if not isinstance(f, Facet):
-                f = Facet.make(*f)
-            elif not _is_normal(f):
-                f = Facet.make(f.normal, f.offset)
-            if len(f.normal) != self.dim:
-                raise PolytopeError("facet normal has wrong length")
-            normalized.append(f)
+        normalized = [_normalized(f, self.dim) for f in facets]
         self.facets = tuple(sorted(set(normalized),
                                    key=lambda f: (f.normal, f.offset)))
         self.key = _HashedTuple((self.dim, self.facets))
@@ -584,23 +583,38 @@ class DelzantPolytope:
 
 
 def _clip(parent, rows, name=None):
-    """``parent`` cut by the halfspaces ``rows``; None if empty or not
-    full-dimensional.  A bounded full-dimensional parent passes its vertices
-    through one double-description update per new facet h (Fukuda-Prodon,
-    1996): keep those with h >= 0, add the h = 0 point of each edge from
-    h > 0 to h < 0.  Two vertices span an edge iff they share n-1 facets
-    and one of them is simple (its n facets have independent normals, so
-    any n-1 of them cut out an edge from it); between two non-simple
-    vertices, iff the shared facets have rank n-1 and no third vertex is on
-    all of them.  The parent's facets are passed on already normalised.
-    A vertex is x / d in lowest terms and h its :meth:`Facet.scaled_value`,
-    so a cut point is (h_a x_b - h_b x_a) / (h_a d_b - h_b d_a)."""
-    out = DelzantPolytope(parent.dim, parent.facets + tuple(rows), name=name)
+    """``parent`` cut by the halfspaces ``rows`` (facets or ``(normal,
+    offset)`` pairs); None if empty or not full-dimensional.  Over a bounded
+    full-dimensional parent each row h is first read at the parent's
+    vertices, which span every point of the cut: h > 0 at none leaves
+    nothing; h > 0 at all cuts nothing, so the row is dropped (one with
+    min h = 0 stays); with no row left the cut is ``parent`` itself, its
+    name and caches kept (``corner_chop``'s row always cuts).  The rest pass
+    the parent's vertices through one double-description update per new
+    facet h (Fukuda-Prodon, 1996): keep those with h >= 0, add the h = 0
+    point of each edge from h > 0 to h < 0.  Two vertices span an edge iff
+    they share n-1 facets and one of them is simple (its n facets have
+    independent normals, so any n-1 of them cut out an edge from it);
+    between two non-simple vertices, iff the shared facets have rank n-1
+    and no third vertex is on all of them.  A vertex is x / d in lowest
+    terms and h its :meth:`Facet.scaled_value`, so a cut point is
+    (h_a x_b - h_b x_a) / (h_a d_b - h_b d_a)."""
+    n, rows = parent.dim, [_normalized(f, parent.dim) for f in rows]
     if not (parent.is_full_dimensional() and parent.is_bounded()):
+        out = DelzantPolytope(n, parent.facets + tuple(rows), name=name)
         return None if out.is_empty() or not out.is_full_dimensional() else out
-    n = parent.dim
-    index = {f: i for i, f in enumerate(out.facets)}
     scale, X, active = parent._enumerate()
+    cutting = []
+    for f in rows:
+        vals = [f.scaled_value(x, scale) for x in X]
+        if max(vals) <= 0:
+            return None
+        if min(vals) <= 0:
+            cutting.append(f)
+    if not cutting:
+        return parent
+    out = DelzantPolytope(n, parent.facets + tuple(cutting), name=name)
+    index = {f: i for i, f in enumerate(out.facets)}
     verts = [(scale, x, frozenset(index[parent.facets[i]] for i in act))
              for x, act in zip(X, active)]
     old = {index[f] for f in parent.facets}

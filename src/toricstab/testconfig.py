@@ -107,18 +107,19 @@ def random_pl(rng, dim, pieces=3):
     return PLConvex.make(out)
 
 
-# Each entry holds its cells with their triangulations and the triangulations
-# of their facets.  A blowup ladder cycle reads 63 (polytope, phi) pairs,
-# seven parents and their 56 corner simplices.  Over whole benchmark runs
-# (seed 301: 8 blowup_ladder cycles, 50 pl_sweep cycles) 128 entries miss
-# only where an unbounded cache misses.
+# Each entry holds its cells with their triangulations and those of their
+# facets, none of its own for a cell that is P itself.  A blowup ladder cycle
+# reads 63 (polytope, phi) pairs, seven parents and their 56 corner simplices.
+# Over whole benchmark runs (seed 301: 8 blowup_ladder cycles, 50 pl_sweep
+# cycles) 128 entries miss only where an unbounded cache misses.
 @lru_cache(maxsize=128)
 def _cells(P, phi):
     """Nonempty full-dimensional regions where one piece is the maximum.
 
     Returns ((piece_index, region), ...); the regions partition the polytope
     up to measure zero, and the piece indices absent from the result are
-    exactly the redundant pieces.
+    exactly the redundant pieces.  A region no other piece cuts is P itself
+    (``_clip``): a product configuration has the one cell ``((k, P),)``.
     """
     out = []
     pieces = phi._scaled

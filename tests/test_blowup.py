@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from toricstab import blowup, catalog, invariants as inv, testconfig as tcg
-from toricstab.polytope import ChopDepthError
+from toricstab.polytope import ChopDepthError, DelzantPolytope
 from toricstab.profiles import builtin
 
 from conftest import vertex_index
@@ -349,6 +349,44 @@ def test_each_corner_integrand_is_called_once_per_dimension(monkeypatch, name):
         if k != 2:  # the PL integrals: one integrand per piece of phi
             assert Counter(parts.values()) == (gram if k == 3 else weighted), k
     assert max(seen[2][0].values()) == 8
+
+
+@pytest.mark.parametrize("name", ["cp2", "bl1cp2", "cube"])
+def test_smallest_corner_is_its_own_cell(name):
+    # At a vertex inside one cell of phi, the smallest corner of the grid
+    # lies inside that cell too: its one cell is the corner itself.
+    P = catalog.load(name)
+    phi = tcg.PLConvex.make([(g[:P.dim], c) for g, c in BITS_PHI["nonproduct"]])
+    inside = 0
+    for k, v in enumerate(P.vertices):
+        values = [sum(a * b for a, b in zip(g, v)) + c for g, c in phi.pieces]
+        if values.count(max(values)) > 1:
+            continue
+        D = P.corner(k, blowup.default_eps_grid(P, k)[-1])
+        # Uncached: an equal corner from another test may hold the entry.
+        (piece, cell), = tcg._cells.__wrapped__(D, phi)
+        assert piece == values.index(max(values)) and cell is D
+        inside += 1
+    assert inside >= len(P.vertices) - 1
+
+
+def test_product_df_ladder_builds_no_cell(monkeypatch):
+    # A shape used nowhere else, so no cache holds its corners or cells.
+    P = DelzantPolytope(2, [((1, 0), 0), ((0, 1), 0), ((-1, 0), 3), ((0, -1), 2)])
+    W = builtin("cscK", 2)
+    tc = tcg.associated_product(P, W, [1.0, 0.0])
+    built, init = [], DelzantPolytope.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DelzantPolytope, "__init__", counted)
+    assert blowup.verify_expansion("df", P, W, 0, tc=tc).passed
+    # The corner simplices are built once each; their cells and P's are
+    # the polytopes themselves.
+    corners = [D for D, _ in blowup._corners(P, 0, blowup.default_eps_grid(P, 0))]
+    assert len(corners) == 8 and [id(Q) for Q in built] == [id(D) for D in corners]
 
 
 def test_narrow_grid_rejected(simplex):

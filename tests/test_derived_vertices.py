@@ -481,16 +481,108 @@ def assert_matches_fraction_l0(Q):
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+def _cutting(P, rows):
+    """The rows not positive at every vertex of P: those a cut of P reads."""
+    return [row for row in rows
+            if not all(Facet.make(*row).value(v) > 0 for v in P.vertices)]
+
+
+def assert_floats_match_enumeration(Q, full):
+    """Float triangulations of ``Q``, inside and on each genuine facet, byte
+    for byte against ``full``: the same polytope with more facets, none of
+    them through a vertex, enumerated from scratch."""
+    got, want = Q.triangulation_floats(), full.triangulation_floats()
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    genuine = [Q.facets[j] for j in Q.genuine_facet_indices()]
+    assert genuine == [full.facets[i] for i in full.genuine_facet_indices()]
+    if Q.dim == 1:
+        return
+    for f in genuine:
+        got = Q.facet_triangulation_floats(Q.facets.index(f))
+        want = full.facet_triangulation_floats(full.facets.index(f))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("P", POLYTOPES, ids=_ids)
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_integer_clip_matches_fraction_clip(P, data):
+    # A row positive at every vertex of P cuts nothing and is no facet of
+    # the cut, so the oracle clips by the other rows only.
     rows = data.draw(cut_rows(P))
-    cell, ref = _clip(P, rows), _oracle_clip(P, rows)
+    cutting = _cutting(P, rows)
+    cell, ref = _clip(P, rows), _oracle_clip(P, cutting)
     assert (cell is None) == (ref is None)
-    if cell is not None:
-        assert (cell.facets, cell.vertices, cell.vertex_facets) == ref
-        assert_matches_fraction_l0(cell)
+    if cell is None:
+        return
+    if not cutting:
+        assert cell is P
+    assert (cell.facets, cell.vertices, cell.vertex_facets) == ref
+    assert_matches_fraction_l0(cell)
+    assert_floats_match_enumeration(cell, DelzantPolytope(P.dim, P.facets + tuple(rows)))
+
+
+# -- rows that cut nothing ------------------------------------------------------
+
+
+def _away(f, shift):
+    """The row ``f`` moved outward by ``shift``: f + shift >= 0."""
+    return (f.normal, f.offset + shift)
+
+
+def _chop_row(P, k):
+    """The row through vertex k with the corner chop's normal: zero at that
+    vertex and positive at every other one."""
+    v = P.vertex_data()[k]
+    m = tuple(sum(P.facets[i].normal[c] for i in v.adjacent_facets)
+              for c in range(P.dim))
+    return m, -la.dot(m, v.coords)
+
+
+@pytest.mark.parametrize("P", POLYTOPES, ids=_ids)
+def test_cut_positive_nowhere_is_empty(P):
+    f = P.facets[0]
+    back = tuple(-c for c in f.normal)
+    assert _clip(P, [(back, -f.offset - 1)]) is None
+    # Positive nowhere but zero on a facet: what is left is flat.
+    assert _clip(P, [(back, -f.offset)]) is None
+    assert _clip(P, [_away(P.facets[-1], 1), (back, -f.offset)]) is None
+
+
+@pytest.mark.parametrize("P", POLYTOPES, ids=_ids)
+def test_cut_positive_everywhere_is_the_parent(P):
+    rows = [_away(f, F(1, 3)) for f in P.facets]
+    assert _clip(P, rows) is P
+    # Raw, unnormalised and Facet rows alike.
+    f = P.facets[0]
+    assert _clip(P, [(tuple(2 * c for c in f.normal), 2 * f.offset + 1)]) is P
+    assert _clip(P, [Facet(f.normal, f.offset + 1)], name="other") is P
+    assert _clip(P, []) is P
+
+
+@pytest.mark.parametrize("P", SOLIDS, ids=_ids)
+def test_partly_redundant_cut_drops_the_redundant_row(P):
+    redundant = _away(P.facets[-1], 2)
+    cut = _chop_row(P, 0)
+    cut = (cut[0], cut[1] - P.admissible_chop(0))
+    cell = _clip(P, [redundant, cut])
+    assert cell is not P and Facet.make(*redundant) not in cell.facets
+    assert (cell.facets, cell.vertices, cell.vertex_facets) == _oracle_clip(P, [cut])
+    assert_floats_match_enumeration(
+        cell, DelzantPolytope(P.dim, P.facets + (redundant, cut)))
+
+
+@pytest.mark.parametrize("P", SOLIDS, ids=_ids)
+def test_touching_row_is_kept(P):
+    touch = _chop_row(P, len(P.vertices) - 1)
+    cell = _clip(P, [touch])
+    assert cell is not P
+    assert (cell.facets, cell.vertices, cell.vertex_facets) == _oracle_clip(P, [touch])
+    j = cell.facets.index(Facet.make(*touch))
+    assert [k for k, act in enumerate(cell.vertex_facets) if j in act] == [
+        cell.vertices.index(P.vertices[-1])]
+    assert j not in cell.genuine_facet_indices()
+    assert_matches_fraction_l0(cell)
 
 
 @pytest.mark.parametrize("P", SOLIDS, ids=_ids)

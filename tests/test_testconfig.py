@@ -43,6 +43,15 @@ class TestPLConvex:
                      _pl(((0, 0), 0), ((1, 0), -5)))  # second never active
         assert tc.redundant_pieces() == (1,)
 
+    def test_product_cell_is_the_polytope(self, simplex, csck2):
+        # One cell covering P is P itself, with P's cached triangulations
+        # (uncached: an equal polytope may hold the cache entry).
+        for phi in (tcg.trivial_phi(2), _pl(((1, -2), F(1, 3))),
+                    _pl(((0, 0), 10), ((1, 0), 0))):
+            cells = tcg._cells.__wrapped__(simplex, phi)
+            assert cells == ((0, simplex),) and cells[0][1] is simplex
+            assert ToricTC(simplex, csck2, phi).is_product()
+
     def test_convexity_max_attained_at_vertex(self, trapezoid, csck2):
         rng = np.random.default_rng(2)
         for _ in range(10):
