@@ -16,16 +16,17 @@ the blowup removes, and no P_eps is built.  Every integral over it is the
 parent's plus a corner integral: I(P_eps) = I(P) - I(Delta_eps) inside, and
 I(dP_eps) = I(dP) - I(dDelta_eps) + 2 I(F_eps) on the boundary, F_eps the
 new facet; phi's cells are cut on Delta_eps alone.  A corner integral has
-the integrand and integration parts that define the parent's own (the
+the integrands and integration parts that define the parent's own (the
 chart pull-backs of ``quadrature``, the beta-moments and Gram second
-moments of ``invariants``, the PL parts of ``testconfig``), on Delta_eps.
-s_hat, the Futaki character, the Gram matrix (shifted by the change of
-means), df and the df_T projection follow algebraically, so dQ(eps) =
-Q(P_eps) - Q(P) is computed from small numbers, never as a difference of
-O(1) ones.  The engine fits these differences on a geometric eps-grid
-against the predicted leading monomial, and reports the fitted coefficient
-plus the log-log slope of the remainder.  These fits are what pins the
-global sign conventions of the whole package.
+moments of ``invariants``, the PL parts of ``testconfig``), on Delta_eps,
+built anew at each depth: equal integrands of all depths share one
+cubature pass.  s_hat, the Futaki character, the Gram matrix (shifted by
+the change of means), df and the df_T projection follow algebraically,
+so dQ(eps) = Q(P_eps) - Q(P) is computed from small numbers, never as a
+difference of O(1) ones.  The engine fits these differences on a geometric
+eps-grid against the predicted leading monomial, and reports the fitted
+coefficient plus the log-log slope of the remainder.  These fits are what
+pins the global sign conventions of the whole package.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import invariants, testconfig
-from .quadrature import DEFAULT_RULE, integrate_parts, product_degree, pullback
+from .quadrature import DEFAULT_RULE, Integrand, integrate_parts
 
 QUANTITIES = ("volume", "futaki", "df", "dft", "gram")
 
@@ -149,15 +150,6 @@ def _corners(P, k, grid):
     return tuple(out)
 
 
-def _per_hyperplane(built, D, j, build):
-    """build(chart of facet j of D), built once per facet hyperplane and
-    kept in ``built``: a float chart depends on the hyperplane alone, so
-    the facets through the vertex share one entry at every depth."""
-    if D.facets[j] not in built:
-        built[D.facets[j]] = build(D.facet_chart(j))
-    return built[D.facets[j]]
-
-
 class _Corner:
     """The corner simplices Delta_eps of one (P, vertex, W) on an eps grid
     and the difference algebra of the ladders over them.
@@ -177,9 +169,9 @@ class _Corner:
         entry under ``tag``.  ``integrals(D, facets)`` lists the integrals
         over the corner D, each as its integration parts; the parts of all
         depths go through one integrate_parts call, which calls an integrand
-        once for all parts that pass it.  So each integrand is built once per
-        ladder, a pulled-back one once per facet hyperplane (a float chart
-        depends on that alone): only F_eps is a new hyperplane per depth."""
+        once for all parts whose integrands are equal.  A depth's integrands
+        equal those of every other depth but the ones pulled back to F_eps,
+        a hyperplane of its own per depth."""
         def compute():
             lists = [integrals(D, facets) for D, facets in self.simplices]
             results = iter(integrate_parts(
@@ -189,15 +181,13 @@ class _Corner:
         return np.array(invariants._cached((tag, self.at), self.P, self.W,
                                            self.rule, compute), dtype=float)
 
-    def weighted(self, tag, inside, boundary):
+    def weighted(self, tag, f, g):
         """Columns: int_Delta f dx, then int g dsigma on each facet of
-        Delta, F_eps first (lattice measure), for the (integrand, degree)
-        pairs ``inside`` = (f, .) and ``boundary`` = (g, .)."""
-        (f, f_degree), (g, g_degree), pulled = inside, boundary, {}
+        Delta, F_eps first (lattice measure)."""
         return self.integrals(tag, lambda D, facets: [
-            [(f, D.triangulation_floats(), f_degree)],
-            *([(_per_hyperplane(pulled, D, j, lambda chart: pullback(chart, g)),
-                D.facet_triangulation_floats(j), g_degree)] for j in facets)])
+            [(f, D.triangulation_floats())],
+            *([(Integrand(g, chart=D.facet_chart(j)), D.facet_triangulation_floats(j))]
+              for j in facets)])
 
     @staticmethod
     def boundary(facets):
@@ -211,7 +201,7 @@ class _Corner:
         s_hat(P_eps) = s_eps = s_hat(P) + ds, where ds = (V dPer +
         Per V_Delta) / (V V_eps)."""
         P, W, rule = self.P, self.W, self.rule
-        cols = self.weighted("corner", (W.w, W.w_degree), (W.v, W.v_degree))
+        cols = self.weighted("corner", Integrand(W.w_weight), Integrand(W.v_weight))
         V, per = invariants.vol_w(P, W, rule), invariants.per_v(P, W, rule)
         V_d = cols[:, 0]
         ds = (V * sum(self.boundary(cols[:, 1:])) + per * V_d) / (V * (V - V_d))
@@ -230,28 +220,18 @@ class _Corner:
     def pl(self, tc):
         """Columns of the configuration's corner integrals: int_Delta phi w,
         int_Delta phi x_i w for each i, then int phi v dsigma on each facet
-        of Delta, F_eps first; phi's cells are cut on Delta alone.  Each
-        integrand serves one piece of phi at every depth."""
-        W, n, pieces = self.W, self.P.dim, [k for k, _ in tc.cells()]
-        # phi w and phi v are pl_parts' integrands, one per cell of P and so
-        # one per piece.  phi x_i w is multiplied left to right: pl_parts
-        # with the weight x_i w rounds differently, in the last bits of df_T.
-        phi_w, phi_v = ({k: f for k, (f, *_) in zip(pieces, testconfig.pl_parts(tc, *wt))}
-                        for wt in [(W.w, W.w_degree), (W.v, W.v_degree)])
-        inside = [(phi_w, product_degree(1, W.w_degree)),
-                  *(({k: lambda x, g=g, c=c, i=i: (x @ g + c) * x[:, i] * W.w(x)
-                      for k, (_, g, c) in zip(pieces, tc.affine_cells())},
-                     product_degree(2, W.w_degree)) for i in range(n))]
-        pulled = {}
+        of Delta, F_eps first: the parts of ``testconfig`` for phi on Delta,
+        whose cells are cut on Delta alone.  A piece of phi has one
+        integrand at every depth."""
+        basis = np.eye(self.P.dim)
 
         def integrals(D, facets):
-            on = testconfig.ToricTC(D, W, tc.phi, tc.twist_vector, tc.c0)
-            return [*([(fs[k], cell.triangulation_floats(), degree)
-                       for k, cell in on.cells()] for fs, degree in inside),
-                    *(testconfig.facet_cell_parts(on, j, _per_hyperplane(
-                        pulled, D, j, lambda chart: {k: pullback(chart, f)
-                                                     for k, f in phi_v.items()}),
-                        product_degree(1, W.v_degree)) for j in facets)]
+            on = testconfig.ToricTC(D, self.W, tc.phi, tc.twist_vector, tc.c0)
+            # phi x_i w is multiplied left to right: phi (x_i w) rounds
+            # differently, in the last bits of df_T.
+            return [testconfig.pl_parts(on),
+                    *(testconfig.pl_parts(on, factors=[(e, None)]) for e in basis),
+                    *testconfig.pl_facet_parts(on, facets)]
         key = ("pl", tc.phi, tc.twist_vector.tobytes(), tc.c0)
         return self.integrals(key, integrals)
 
@@ -294,12 +274,11 @@ class _Corner:
         first and second moments are one cache entry."""
         W, n = self.W, self.P.dim
         b, basis = invariants.barycenter_w(self.P, W, self.rule), np.eye(n)
-        moments = [(W.w, W.w_degree),
-                   *((lambda x, i=i: (x @ basis[i] - b[i]) * W.w(x),
-                      product_degree(1, W.w_degree)) for i in range(n)),
+        moments = [Integrand(W.w_weight),
+                   *(Integrand(W.w_weight, [(e, -c)]) for e, c in zip(basis, b)),
                    *invariants.gram_integrands(W, basis, b)]
         cols = self.integrals("gram", lambda D, facets: [
-            [(f, D.triangulation_floats(), degree)] for f, degree in moments])
+            [(f, D.triangulation_floats())] for f in moments])
         i, j = np.triu_indices(n)
         S = np.zeros((len(cols), n, n))
         S[:, i, j] = S[:, j, i] = cols[:, 1 + n:]

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import localize, quadrature
 from .profiles import builtin, positivity_check, raise_unless_positive
-from .quadrature import DEFAULT_RULE, product_degree
+from .quadrature import DEFAULT_RULE, Integrand
 
 
 # Relative agreement required of the two backends under backend="both".
@@ -106,7 +106,7 @@ def vol_w(P, W, rule=DEFAULT_RULE, backend="quadrature"):
         return _cached("lvol", P, W, None,
                        lambda: localize.eval_class(P, W.g.derivative(1), W.xi))
     return _cached("vol", P, W, rule,
-                   lambda: quadrature.integrate(P, W.w, rule, W.w_degree).value)
+                   lambda: quadrature.integrate(P, Integrand(W.w_weight), rule).value)
 
 
 def per_v(P, W, rule=DEFAULT_RULE, backend="quadrature"):
@@ -116,7 +116,7 @@ def per_v(P, W, rule=DEFAULT_RULE, backend="quadrature"):
                        lambda: localize.eval_c1_class(P, W.f.derivative(1), W.xi))
     return _cached("per", P, W, rule,
                    lambda: quadrature.integrate_boundary(
-                       P, W.v, rule, W.v_degree).value)
+                       P, Integrand(W.v_weight), rule).value)
 
 
 def _require_positive(P, W):
@@ -138,24 +138,23 @@ def s_hat(P, W, rule=DEFAULT_RULE, backend="quadrature"):
 
 
 def moment_integrands(W, beta):
-    """((f, degree), (g, degree)) of the beta-moments: f = <x, beta> w
-    inside and g = <x, beta> v on the boundary."""
-    return ((lambda x: (x @ beta) * W.w(x), product_degree(1, W.w_degree)),
-            (lambda x: (x @ beta) * W.v(x), product_degree(1, W.v_degree)))
+    """(f, g) of the beta-moments: f = <x, beta> w inside and g = <x, beta>
+    v on the boundary."""
+    return (Integrand(W.w_weight, [(beta, None)]),
+            Integrand(W.v_weight, [(beta, None)]))
 
 
 def _moment_w(P, W, beta, rule):
     beta = np.asarray(beta, dtype=float)
-    (f, degree), _ = moment_integrands(W, beta)
-    return _cached(("mom", beta.tobytes()), P, W, rule,
-                   lambda: quadrature.integrate(P, f, rule, degree).value)
+    return _cached(("mom", beta.tobytes()), P, W, rule, lambda: quadrature.integrate(
+        P, moment_integrands(W, beta)[0], rule).value)
 
 
 def _moment_boundary_v(P, W, beta, rule):
     beta = np.asarray(beta, dtype=float)
-    _, (g, degree) = moment_integrands(W, beta)
     return _cached(("bmom", beta.tobytes()), P, W, rule,
-                   lambda: quadrature.integrate_boundary(P, g, rule, degree).value)
+                   lambda: quadrature.integrate_boundary(
+                       P, moment_integrands(W, beta)[1], rule).value)
 
 
 def futaki(P, W, beta, rule=DEFAULT_RULE, backend="quadrature", shat=None):
@@ -213,7 +212,7 @@ def gram(P, W, basis=None, rule=DEFAULT_RULE):
         means = np.array([_moment_w(P, W, b, rule) for b in basis]) / vw
         tri = P.triangulation_floats()
         results = quadrature.integrate_parts(
-            [(f, tri, degree) for f, degree in gram_integrands(W, basis, means)], rule)
+            [(f, tri) for f in gram_integrands(W, basis, means)], rule)
         r, (i, j) = len(basis), np.triu_indices(len(basis))
         g = np.zeros((r, r))
         g[i, j] = g[j, i] = [res.value for res in results]
@@ -223,12 +222,10 @@ def gram(P, W, basis=None, rule=DEFAULT_RULE):
 
 
 def gram_integrands(W, basis, means):
-    """(f, degree) of the Gram second moments (<x, b_i> - m_i)(<x, b_j> -
-    m_j) w, one per i <= j in np.triu_indices order."""
+    """The Gram second moments (<x, b_i> - m_i)(<x, b_j> - m_j) w, one per
+    i <= j in np.triu_indices order."""
     r = len(basis)
-    degree = product_degree(2, W.w_degree)
-    return [(lambda x, bi=basis[i], bj=basis[j], mi=means[i], mj=means[j]:
-             (x @ bi - mi) * (x @ bj - mj) * W.w(x), degree)
+    return [Integrand(W.w_weight, [(basis[i], -means[i]), (basis[j], -means[j])])
             for i in range(r) for j in range(i, r)]
 
 
@@ -266,15 +263,12 @@ def futaki_signed(P, W, affine, beta, rule=DEFAULT_RULE):
         chi, a = np.asarray(affine[0], dtype=float), float(affine[1])
     beta = np.asarray(beta, dtype=float)
 
-    def wprime(x):
-        return (x @ chi + a) * W.w(x)
-
-    mass = quadrature.integrate(P, wprime, rule,
-                                product_degree(1, W.w_degree)).value
+    wprime = Integrand(W.w_weight, [(chi, a)])
+    mass = quadrature.integrate(P, wprime, rule).value
     pv = per_v(P, W, rule)
     sh = pv / mass if abs(mass) > 1e-12 * (1 + (abs(pv) + abs(mass))) else 1.0
-    mom = quadrature.integrate(P, lambda x: (x @ beta) * wprime(x), rule,
-                               product_degree(2, W.w_degree)).value
+    # <x, beta> times w': (<x, beta> (<x, chi> + a)) w rounds apart.
+    mom = quadrature.integrate(P, Integrand(wprime, [(beta, None)]), rule).value
     bmom = _moment_boundary_v(P, W, beta, rule)
     return sh * mom - bmom
 

@@ -168,20 +168,23 @@ class FacetChart:
     holds the chart coordinates of the polytope's vertices on the facet, by
     vertex index.  For 1-dimensional polytopes the chart is a single point
     of measure one.  ``origin`` and ``coords`` are built on first use from
-    ``_exact``: the offset, z and the integer coordinates over their scale.
+    ``facet``, the hyperplane, and ``_exact``: z and the integer coordinates
+    over their scale.  Two charts are equal if they map alike: the charts
+    of one hyperplane, whatever the facet's index in its polytope.
     """
 
-    facet_index: int
+    facet_index: int = field(compare=False)
     basis: tuple
+    facet: Facet
     _exact: tuple = field(repr=False, compare=False)
 
     @cached_property
     def origin(self):
-        return tuple(-self._exact[0] * zi for zi in self._exact[1])
+        return tuple(-self.facet.offset * zi for zi in self._exact[0])
 
     @cached_property
     def coords(self):
-        _, _, scale, ints = self._exact
+        _, scale, ints = self._exact
         return {k: tuple(Fraction(y, scale) for y in ys) for k, ys in ints.items()}
 
     def map_exact(self, y):
@@ -193,8 +196,8 @@ class FacetChart:
 
     @cached_property
     def _float_frame(self):
-        p, q = self._exact[0].numerator, self._exact[0].denominator
-        return (np.array([-p * zi / q for zi in self._exact[1]]),
+        p, q = self.facet.offset.numerator, self.facet.offset.denominator
+        return (np.array([-p * zi / q for zi in self._exact[0]]),
                 np.array(self.basis, dtype=float))
 
     def map_floats(self, pts):
@@ -381,8 +384,8 @@ class DelzantPolytope:
         if isinstance(i, Facet):
             return self.facet_chart(self.facets.index(i))
         f, (basis, coords) = self.facets[i], self._chart(i)
-        return FacetChart(i, basis, (f.offset, _frame(f.normal)[0],
-                                     self._enumerate()[0], coords))
+        return FacetChart(i, basis, f, (_frame(f.normal)[0], self._enumerate()[0],
+                                        coords))
 
     @_memo
     def facet_triangulation(self, i):

@@ -314,11 +314,10 @@ class WeightPair:
 
     ``xi`` is a read-only copy of the direction given, so ``key``, the
     ``(n, xi, f, g)`` tuple that caches of weight-dependent values are keyed
-    by, is built once here and stays true to the pair.  ``v_degree`` and
-    ``w_degree`` are the degrees of v and w as polynomials in x: 0 at
-    xi = 0, where both are constant, else the degree of their profile
-    (``v_profile`` = f^(n), ``w_profile`` = g^(n+1); None if it is not a
-    polynomial).
+    by, is built once here and stays true to the pair.  ``v_weight`` and
+    ``w_weight`` are the (profile, xi) pairs of v and w, ``v_profile`` =
+    f^(n) and ``w_profile`` = g^(n+1): the weight of a
+    ``quadrature.Integrand``.
     """
 
     def __init__(self, xi, f, g, n, family=None):
@@ -331,8 +330,7 @@ class WeightPair:
         self.key = (self.n, tuple(self.xi.tolist()), f, g)
         self.v_profile = f.derivative(self.n)
         self.w_profile = g.derivative(self.n + 1)
-        self.v_degree, self.w_degree = ((self.v_profile.degree, self.w_profile.degree)
-                                        if self.xi.any() else (0, 0))
+        self.v_weight, self.w_weight = (self.v_profile, self.xi), (self.w_profile, self.xi)
 
     def v(self, x):  # at a point or at each row of an (N, n) array
         return self.v_profile.value(np.asarray(x, dtype=float) @ self.xi)

@@ -4,26 +4,26 @@ Interior integrals run Grundmann-Moller simplex cubature (exact to a
 configurable polynomial degree) over an exact triangulation, with adaptive
 longest-edge bisection driven by a coarse/fine error estimate for analytic
 non-polynomial integrands.  One engine, :func:`integrate_parts`, takes a
-list of (integrand, simplices[, degree]) parts of any dimensions, such as
-the facets of a boundary or the cells of a PL function; :func:`integrate_sum`
-adds their results.  A part may declare its integrand a polynomial of some
-degree; if the rule (of degree 2s+1) integrates that degree exactly, the
-part is evaluated once on its own simplices, and its value is the ``fsum``
-of their rule sums with error 0.  Every other part is analytic: the first
-pass calls its integrand once on its simplices and their bisection halves,
-and sums its rule in one stacked product.  It then refines on its own, in
-rounds: each evaluates, in one integrand call, the halves of up to
-``_ROUND_CAP`` leaves the part must bisect before it can stop, then
-replays the one-leaf-at-a-time loop exactly; every stop test reads exact
-running sums of the leaves (see :func:`_refine`).  Parts of one dimension
-that pass the same integrand object enter the first pass as one, their
-simplices concatenated, and then part again; each keeps its own rule sums,
-refinement and result.  Rounds and shared passes are bit-identical to one
-evaluation per simplex for an integrand that is row-wise to the bit (see
-:func:`integrate_parts`).
-Boundary integrals pull each facet back through its unimodular chart,
-which is affine, so a pulled-back polynomial keeps its degree and the
-lattice boundary measure is built in.
+list of (integrand, simplices) parts of any dimensions, such as the facets
+of a boundary or the cells of a PL function; :func:`integrate_sum` adds
+their results.  An integrand is an :class:`Integrand` value, which knows
+its polynomial degree, or a plain callable.  If the rule (of degree 2s+1)
+integrates that degree exactly, the part is evaluated once on its own
+simplices, and its value is the ``fsum`` of their rule sums with error 0.
+Every other part is analytic: the first pass calls its integrand once on
+its simplices and their bisection halves, and sums its rule in one stacked
+product.  It then refines on its own, in rounds: each evaluates, in one
+integrand call, the halves of up to ``_ROUND_CAP`` leaves the part must
+bisect before it can stop, then replays the one-leaf-at-a-time loop
+exactly; every stop test reads exact running sums of the leaves (see
+:func:`_refine`).  Parts of one dimension whose integrands are equal enter
+the first pass as one, their simplices concatenated, and then part again;
+each keeps its own rule sums, refinement and result.  Rounds and shared
+passes are bit-identical to one evaluation per simplex for an integrand
+that is row-wise to the bit (see :func:`integrate_parts`).  Boundary
+integrals pull each facet back through its unimodular chart, which is
+affine, so a pulled-back polynomial keeps its degree and the lattice
+boundary measure is built in.
 
 The geometry of a simplex stack (its bisection into halves and the volumes
 of simplices and halves) depends on neither the rule nor the integrand, and
@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import struct
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -366,51 +367,101 @@ def _refine(f, fine, errs, kids, bary, wts, rule):
     return IntegrationResult(value, err, converged(value, err))
 
 
-def product_degree(*degrees):
-    """Degree of a product of polynomials of the given degrees; None (not a
-    polynomial) if any factor's degree is None."""
-    return None if None in degrees else sum(degrees)
+class Integrand:
+    """A product of affine forms times a weight, as a value.
+
+    ``x -> A_1(x) * ... * A_k(x) * weight(x)``, multiplied left to right;
+    each A in ``factors`` is a (gradient, constant) pair, A(x) = ``x @
+    gradient + constant``, or ``x @ gradient`` if the constant is None.
+    ``absolute`` takes the absolute value of the factors' product.
+    ``weight`` is a (profile, xi) pair, ``profile.value(x @ xi)``, or an
+    integrand or other callable, so ``Integrand(Integrand(w, [B]), [A])`` is
+    ``A * (B * w)``.  A facet ``chart`` pulls the value back, ``y ->
+    f(chart.map_floats(y))``.  Nothing changes an integrand once built, and
+    equal ones evaluate alike: equal profiles, the same float bits, charts
+    of one hyperplane, the same callable.  ``degree`` is the number of
+    factors plus the weight's degree: 0 for a profile at xi = 0, else the
+    profile's or inner integrand's, None if that is no polynomial or a
+    plain callable.  An absolute factor counts 1, which is right only on
+    pieces cut along its zero set (``testconfig._l1_about``).
+    """
+
+    __slots__ = ("weight", "factors", "absolute", "chart", "degree", "_key", "_hash")
+
+    def __init__(self, weight, factors=(), absolute=False, chart=None):
+        self.factors = tuple([(np.array(g, dtype=float), c if c is None else float(c))
+                              for g, c in factors])
+        inner, key = weight.degree if isinstance(weight, Integrand) else None, weight
+        if type(weight) is tuple:
+            weight = (weight[0], np.array(weight[1], dtype=float))
+            inner = weight[0].degree if any(weight[1].tolist()) else 0
+            key = (weight[0], weight[1].tobytes())
+        self.weight, self.absolute, self.chart = weight, absolute, chart
+        self.degree = None if inner is None else len(self.factors) + inner
+        # Floats are compared and hashed by their bytes: -0.0 is not 0.0.
+        self._key = (key, tuple([(g.tobytes(), c if c is None else struct.pack("d", c))
+                                 for g, c in self.factors]), absolute, chart)
+        self._hash = hash(self._key)
+
+    def __eq__(self, other):
+        return type(other) is Integrand and other._key == self._key
+
+    def __hash__(self):
+        return self._hash
+
+    def __call__(self, x):
+        if self.chart is not None:
+            x = self.chart.map_floats(x)
+        out = None
+        for g, c in self.factors:
+            a = x @ g if c is None else x @ g + c
+            out = a if out is None else out * a
+        if self.absolute:
+            out = np.abs(out)
+        w = self.weight
+        w = w[0].value(x @ w[1]) if type(w) is tuple else w(x)
+        return w if out is None else out * w
 
 
 def integrate_parts(parts, rule=DEFAULT_RULE):
-    """Integration of several ``(f, simplices[, degree])`` parts at once.
+    """Integration of several ``(f, simplices)`` parts at once.
 
-    ``f`` is a vectorised integrand and ``simplices`` a float stack of shape
-    (k, n+1, n), of any n (an empty part integrates to 0).  ``degree``
-    declares ``f`` a polynomial of at most that degree; None, the default,
-    means analytic.  A declared degree the rule integrates exactly (at most
-    ``2 * rule.gm_order + 1``) takes one pass with error 0; every other part
-    is adaptive.  Returns one :class:`IntegrationResult` per part: the first
-    pass of the nonempty parts of each n is one batched :func:`_estimate`,
-    after which each part has its own sum, tolerance test and refinement.
+    ``f`` is an :class:`Integrand` or any vectorised callable, and
+    ``simplices`` a float stack of shape (k, n+1, n), of any n (an empty
+    part integrates to 0).  An integrand whose ``degree`` the rule
+    integrates exactly (at most ``2 * rule.gm_order + 1``) takes one pass
+    with error 0; every other part, a plain callable too, is adaptive.
+    Returns one :class:`IntegrationResult` per part: the first pass of the
+    nonempty parts of each n is one batched :func:`_estimate`, after which
+    each part has its own sum, tolerance test and refinement.
 
-    Parts of one n that pass the same integrand object (``is``, not ``==``)
-    and are alike exact or adaptive enter that pass as one part, their
-    simplices concatenated in part order, so the integrand is called once
-    for all of them; each then takes back its own simplices' values, errors
-    and halves.  A part's refinement, too, evaluates the halves of several
-    leaves in one call (:func:`_refine`).  Each result is bit-identical to
-    integrating that part alone, one leaf per call, if its integrand is
-    row-wise to the bit, that is, a row's value does not depend on the
-    other rows or on the array's length.  The numpy matrix products and
-    ufuncs of every integrand here are, on OpenBLAS, for arrays of 2 rows
-    or more; a 1-row product can round apart from the same row in a longer
-    array, so a part whose first pass is one row (one simplex of a one-node
-    rule, exact) keeps a pass of its own.  A refinement call has at least 6.
+    Parts of one n whose integrands are equal (as values; a function by
+    identity) enter that pass as one part, their simplices concatenated in
+    part order, so the integrand is called once for all of them; each then
+    takes back its own simplices' values, errors and halves.  A part's
+    refinement, too, evaluates the halves of several leaves in one call
+    (:func:`_refine`).  Each result is bit-identical to integrating that
+    part alone, one leaf per call, if its integrand is row-wise to the bit,
+    that is, a row's value does not depend on the other rows or on the
+    array's length.  The numpy matrix products and ufuncs of every
+    integrand here are, on OpenBLAS, for arrays of 2 rows or more; a 1-row
+    product can round apart from the same row in a longer array, so a part
+    whose first pass is one row (one simplex of a one-node rule, exact)
+    keeps a pass of its own.  A refinement call has at least 6.
     """
-    def exact(degree=None):
+    def exact(f):
+        degree = f.degree if isinstance(f, Integrand) else None
         return degree is not None and degree <= 2 * rule.gm_order + 1
 
-    parts = [(f, np.asarray(s, dtype=float), exact(*degree))
-             for f, s, *degree in parts]
+    parts = [(f, np.asarray(s, dtype=float), exact(f)) for f, s in parts]
     out = [IntegrationResult(0.0, 0.0, True)] * len(parts)
     for n in {s.shape[2] for _, s, _ in parts if len(s)}:
         bary, wts = gm_table(n, rule.gm_order)
-        shared = {}  # (integrand, exact) -> its parts of this n
+        shared = {}  # integrand -> its parts of this n, all alike exact or not
         for i, (f, s, ex) in enumerate(parts):
             if len(s) and s.shape[2] == n:
                 one_row = ex and len(s) * len(bary) == 1
-                shared.setdefault((i,) if one_row else (id(f), ex), []).append(i)
+                shared.setdefault((i,) if one_row else f, []).append(i)
         groups = list(shared.values())
         merged = [(parts[g[0]][0], np.concatenate([parts[i][1] for i in g])
                    if len(g) > 1 else parts[g[0]][1], parts[g[0]][2]) for g in groups]
@@ -425,10 +476,9 @@ def integrate_parts(parts, rule=DEFAULT_RULE):
     return out
 
 
-def integrate_simplices(f, simplices, rule=DEFAULT_RULE, degree=None):
-    """Integration of a vectorised integrand over float simplices: the
-    one-part call of :func:`integrate_parts`."""
-    return integrate_parts([(f, simplices, degree)], rule)[0]
+def integrate_simplices(f, simplices, rule=DEFAULT_RULE):
+    """The one-part call of :func:`integrate_parts`."""
+    return integrate_parts([(f, simplices)], rule)[0]
 
 
 def integrate_sum(parts, rule):
@@ -443,15 +493,13 @@ def integrate_sum(parts, rule):
     return IntegrationResult(value, error, converged)
 
 
-def integrate(polytope, f, rule=DEFAULT_RULE, degree=None):
-    """Integrate a vectorised scalar function over the polytope; ``degree``
-    as in :func:`integrate_parts`."""
-    return integrate_simplices(f, polytope.triangulation_floats(), rule, degree)
+def integrate(polytope, f, rule=DEFAULT_RULE):
+    """Integrate an integrand (see :func:`integrate_parts`) over the polytope."""
+    return integrate_parts([(f, polytope.triangulation_floats())], rule)[0]
 
 
-def integrate_boundary(polytope, f, rule=DEFAULT_RULE, degree=None):
-    """Integrate over the boundary with the lattice measure; ``degree`` as
-    in :func:`integrate_parts`.
+def integrate_boundary(polytope, f, rule=DEFAULT_RULE):
+    """Integrate over the boundary with the lattice measure.
 
     In dimension one the boundary consists of the two endpoints, each of
     measure one.  Otherwise each facet is pulled back through its unimodular
@@ -461,16 +509,9 @@ def integrate_boundary(polytope, f, rule=DEFAULT_RULE, degree=None):
         pts = polytope.vertices_floats()
         vals = np.asarray(f(pts), dtype=float)
         return IntegrationResult(float(np.sum(vals)), 0.0, True)
-    return integrate_sum([(pullback(polytope.facet_chart(i), f),
-                           polytope.facet_triangulation_floats(i), degree)
+    return integrate_sum([(Integrand(f, chart=polytope.facet_chart(i)),
+                           polytope.facet_triangulation_floats(i))
                           for i in polytope.genuine_facet_indices()], rule)
-
-
-def pullback(chart, f):
-    """f pulled back through a facet chart, y -> f(chart(y)): an integrand
-    over the facet's triangulation in chart coordinates.  The float chart
-    depends on the facet's hyperplane alone."""
-    return lambda y: f(chart.map_floats(y))
 
 
 # -- closed-form oracles -------------------------------------------------------

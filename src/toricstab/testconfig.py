@@ -33,7 +33,7 @@ import numpy as np
 
 from . import _linalg as la, invariants
 from .polytope import Facet, _as_fraction, _clip
-from .quadrature import DEFAULT_RULE, integrate_sum, product_degree, pullback
+from .quadrature import DEFAULT_RULE, Integrand, integrate_sum
 
 
 @dataclass(frozen=True)
@@ -237,40 +237,25 @@ def twist(tc, beta):
 # -- PL integrals -----------------------------------------------------------
 
 
-def pl_parts(tc, weight_fn=None, weight_degree=None):
-    """Integration parts of int_P phi * weight dx, one per cell of phi (the
-    integrand is smooth on each).  The weight is w unless ``weight_fn`` is
-    given, then analytic unless ``weight_degree`` declares a polynomial."""
-    if weight_fn is None:
-        weight_fn, weight_degree = tc.weights.w, tc.weights.w_degree
-    degree = product_degree(1, weight_degree)
-    return [(lambda x, g=g, c=c: (x @ g + c) * weight_fn(x),
-             cell.triangulation_floats(), degree) for cell, g, c in tc.affine_cells()]
+def pl_parts(tc, weight=None, factors=()):
+    """Integration parts of int_P phi * factors * weight dx, one per cell
+    of phi (the integrand is smooth on each), multiplied left to right.
+    ``weight`` is an :class:`Integrand`'s weight, w unless given."""
+    weight = tc.weights.w_weight if weight is None else weight
+    return [(Integrand(weight, [(g, c), *factors]), cell.triangulation_floats())
+            for cell, g, c in tc.affine_cells()]
 
 
-def pl_facet_parts(tc, i):
-    """Integration parts of int phi * v dsigma over facet i of P: the
-    :func:`facet_cell_parts` of phi v pulled back through P's chart of
-    facet i (a chart depends on the facet's hyperplane alone)."""
-    chart, v = tc.polytope.facet_chart(i), tc.weights.v
-    return facet_cell_parts(tc, i, {
-        k: pullback(chart, lambda x, g=g, c=c: (x @ g + c) * v(x))
-        for (k, _), (_, g, c) in zip(tc.cells(), tc.affine_cells())},
-        product_degree(1, tc.weights.v_degree))
-
-
-def facet_cell_parts(tc, i, integrands, degree):
-    """Integration parts over facet i of P, one per cell of phi with a facet
-    of its own there: the integrand of the cell's piece (``integrands``
-    keyed by piece index, in a chart of facet i's hyperplane) over that
-    facet's triangulation.  The blowup corner passes integrands that it
-    shares among depths; :func:`pl_facet_parts` builds phi v for P."""
-    P, parts = tc.polytope, []
-    for k, cell in tc.cells():
-        j = cell.facets.index(P.facets[i])
-        if j in cell.genuine_facet_indices():
-            parts.append((integrands[k], cell.facet_triangulation_floats(j), degree))
-    return parts
+def pl_facet_parts(tc, facets):
+    """Integration parts of int phi * v dsigma over each facet i of P in
+    ``facets``, a list per facet: phi v pulled back through P's chart of
+    facet i, over each cell of phi with a facet of its own there, in its
+    chart of that facet (a chart depends on the hyperplane alone)."""
+    P, v, cells = tc.polytope, tc.weights.v_weight, tc.affine_cells()
+    return [[(Integrand(v, [(g, c)], chart=chart), cell.facet_triangulation_floats(j))
+             for cell, g, c in cells
+             if (j := cell.facets.index(P.facets[i])) in cell.genuine_facet_indices()]
+            for i, chart in ((i, P.facet_chart(i)) for i in facets)]
 
 
 # df, mean_w (so chow and the projection) and a blowup ladder of one
@@ -289,8 +274,8 @@ def integrate_pl_boundary(tc, rule=DEFAULT_RULE):
     if P.dim == 1:
         pts = P.vertices_floats()
         return float(np.sum(tc.value(pts) * np.asarray(tc.weights.v(pts), dtype=float)))
-    return integrate_sum([p for i in P.genuine_facet_indices()
-                          for p in pl_facet_parts(tc, i)], rule).value
+    return integrate_sum([p for ps in pl_facet_parts(tc, P.genuine_facet_indices())
+                          for p in ps], rule).value
 
 
 # -- simplex clipping for absolute-value integrands ---------------------------
@@ -342,7 +327,8 @@ def clip_simplex(verts, grad, const, tol=1e-13):
 
 
 def _abs_affine_part(region, grad, const, weight):
-    """Integration part for int over region of |<grad, x> + const| * weight(x) dx.
+    """Integration part for int over region of |<grad, x> + const| * weight
+    dx, ``weight`` an :class:`Integrand`'s weight.
 
     The region is cut along the zero set of the affine form, so the
     integrand is smooth on every piece; the pieces of both signs make one
@@ -353,8 +339,7 @@ def _abs_affine_part(region, grad, const, weight):
     pieces = [s for sign in (1.0, -1.0)
               for tri in region.triangulation_floats()
               for s in clip_simplex(tri, sign * grad, sign * const)]
-    return (lambda x: np.abs(x @ grad + const) * np.asarray(weight(x), dtype=float),
-            np.array(pieces))
+    return Integrand(weight, [(grad, const)], absolute=True), np.array(pieces)
 
 
 # -- invariants of configurations ---------------------------------------------
@@ -392,8 +377,8 @@ def lambda_pairing(tc, beta, rule=DEFAULT_RULE):
     beta = np.asarray(beta, dtype=float)
     bbar = float(invariants.barycenter_w(P, W, rule) @ beta)
     # int (phit)(<x,beta> - bbar) w; the mean of phit drops out.
-    val = integrate_sum(pl_parts(tc, lambda x: ((x @ beta) - bbar) * W.w(x),
-                                 product_degree(1, W.w_degree)), rule).value
+    val = integrate_sum(pl_parts(tc, Integrand(W.w_weight, [(beta, -bbar)])),
+                        rule).value
     return -val
 
 
@@ -432,9 +417,7 @@ def l1_norm(tc, rule=DEFAULT_RULE):
 def _l1_about(tc, mean, rule):
     """int_P |phi - mean| w dx; on each cut piece a polynomial of degree
     1 + deg w."""
-    W = tc.weights
-    degree = product_degree(1, W.w_degree)
-    parts = [(*_abs_affine_part(cell, g, c - mean, W.w), degree)
+    parts = [_abs_affine_part(cell, g, c - mean, tc.weights.w_weight)
              for cell, g, c in tc.affine_cells()]
     return integrate_sum(parts, rule).value
 

@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from toricstab import blowup, catalog, invariants as inv, testconfig as tcg
+from toricstab import blowup, catalog, invariants as inv, quadrature, testconfig as tcg
 from toricstab.polytope import ChopDepthError, DelzantPolytope
 from toricstab.profiles import builtin
+from toricstab.quadrature import Integrand
 
 from conftest import vertex_index
 
@@ -310,34 +311,25 @@ def test_each_corner_integrand_is_called_once_per_dimension(monkeypatch, name):
     W = builtin("cscK", n)
     phi = tcg.PLConvex.make([(g[:n], c) for g, c in BITS_PHI["nonproduct"]])
     tc = tcg.ToricTC(P, W, phi)
-    integrate_parts, seen = blowup.integrate_parts, []
+    integrate_parts, rule_sums, seen = blowup.integrate_parts, quadrature._rule_sums, []
 
     def spy(parts, rule):
-        calls, wrapped = Counter(), {}
+        # The engine calls an integrand only in _rule_sums: count those
+        # calls by integrand value and dimension.
+        calls = Counter()
 
-        def counting(f):
-            def g(x):
-                calls[g, x.shape[1]] += 1
-                return f(x)
-            return wrapped.setdefault(id(f), g)
-        parts = [(counting(f), *rest) for f, *rest in parts]
-        seen.append((Counter(f for f, *_ in parts), calls,
-                     {(f, s.shape[2]) for f, s, *_ in parts}))
-        return integrate_parts(parts, rule)
-
-    # A boundary integrand is pulled back once per facet hyperplane, the
-    # first time a depth needs it.
-    pullback, pulled = blowup.pullback, Counter()
-
-    def counting_pullback(chart, f):
-        pulled[f, chart.basis, chart.origin] += 1
-        return pullback(chart, f)
+        def counting(f, allv, *rest):
+            calls[f, allv.shape[2]] += 1
+            return rule_sums(f, allv, *rest)
+        seen.append((Counter(f for f, _ in parts), calls,
+                     {(f, s.shape[2]) for f, s in parts}))
+        with monkeypatch.context() as m:
+            m.setattr(quadrature, "_rule_sums", counting)
+            return integrate_parts(parts, rule)
 
     monkeypatch.setattr(blowup, "integrate_parts", spy)
-    monkeypatch.setattr(blowup, "pullback", counting_pullback)
     for quantity in ("volume", "futaki", "df", "dft"):
         blowup.verify_expansion(quantity, P, W, 1, beta=BITS_BETA[:n], tc=tc)
-    assert pulled and set(pulled.values()) == {1}
     # The corner integrals, in order: s_hat's, the futaki ladder's
     # beta-moments, the PL integrals, the Gram moments, then the moments of
     # each basis vector (dft).
@@ -349,6 +341,23 @@ def test_each_corner_integrand_is_called_once_per_dimension(monkeypatch, name):
         if k != 2:  # the PL integrals: one integrand per piece of phi
             assert Counter(parts.values()) == (gram if k == 3 else weighted), k
     assert max(seen[2][0].values()) == 8
+
+
+def test_f_eps_of_two_depths_is_two_hyperplanes():
+    # Each depth's F_eps has a chart, and a pulled-back integrand, of its
+    # own: its parts never merge with another depth's.  The facets through
+    # the vertex are one hyperplane at every depth, and merge.
+    P = catalog.load("cp2")
+    (D1, f1), (D2, f2) = blowup._corners(P, 0, (F(1, 8), F(1, 16)))
+    c1, c2 = D1.facet_chart(f1[0]), D2.facet_chart(f2[0])
+    assert c1.basis == c2.basis and c1 != c2
+    assert c1.map_floats([[0.5]]).tolist() == [[-0.375, 0.5]]
+    assert c2.map_floats([[0.5]]).tolist() == [[-0.4375, 0.5]]
+    v = Integrand(builtin("cscK", 2).v_weight)
+    assert Integrand(v, chart=c1) != Integrand(v, chart=c2)
+    d1, d2 = D1.facet_chart(f1[1]), D2.facet_chart(f2[1])
+    assert d1 == d2 and hash(d1) == hash(d2)
+    assert Integrand(v, chart=d1) == Integrand(v, chart=d2)
 
 
 @pytest.mark.parametrize("name", ["cp2", "bl1cp2", "cube"])

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from toricstab import catalog
 from toricstab.polytope import DelzantPolytope
+from toricstab.quadrature import Integrand
 from toricstab.profiles import (MAX_BITS, MAX_DEGREE, Exponential, Log,
                                 Monomial, Polynomial, PositivityError,
                                 PowerLaw, PowerSeries, ProfileDomainError,
@@ -137,8 +138,12 @@ class TestBuiltinFamilies:
             builtin("ckem", 2, xi=[1.0, 0.0])
 
 
+def degrees(W):
+    return Integrand(W.v_weight).degree, Integrand(W.w_weight).degree
+
+
 class TestWeightDegrees:
-    """The x-degrees of v and w that the integrals declare to the cubature."""
+    """The x-degrees of the integrands of v and w, which the cubature reads."""
 
     @pytest.mark.parametrize("profile, degree", [
         (Monomial(3), 3), (Polynomial.make([1, 0, 2]), 2),
@@ -153,21 +158,21 @@ class TestWeightDegrees:
         for family in ("cscK", "extremal"):
             for xi in ([0.0] * n, [0.3] * n):
                 W = builtin(family, n, xi=xi)
-                assert (W.v_degree, W.w_degree) == (0, 0)
+                assert degrees(W) == (0, 0)
 
     @pytest.mark.parametrize("family, a", [("soliton", None), ("sasaki", 3),
                                            ("ckem", 3)])
     def test_other_families_are_constant_only_at_xi_zero(self, family, a):
         W = builtin(family, 2, xi=[0.0, -0.0], a=a)
-        assert (W.v_degree, W.w_degree) == (0, 0)
+        assert degrees(W) == (0, 0)
         W = builtin(family, 2, xi=[0.7, -0.2], a=a)
-        assert (W.v_degree, W.w_degree) == (None, None)
+        assert degrees(W) == (None, None)
 
     def test_polynomial_profiles(self):
         # v = f'' and w = g''' in dimension 2.
         W = WeightPair([0.5, 1.0], Polynomial.make([0, 0, 1, 0, 0, 2]),
                        Monomial(4), 2)
-        assert (W.v_degree, W.w_degree) == (3, 1)
+        assert degrees(W) == (3, 1)
 
 
 class TestPositivityCheck:

@@ -3,6 +3,7 @@ import heapq
 import json
 import math
 from collections import Counter, OrderedDict
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction as F
 from itertools import count, product
@@ -14,8 +15,8 @@ import pytest
 from toricstab import catalog, quadrature
 from toricstab.invariants import gram_integrands, moment_integrands
 from toricstab.polytope import DelzantPolytope, Facet, _clip
-from toricstab.profiles import builtin
-from toricstab.quadrature import (DEFAULT_RULE, IntegrationResult,
+from toricstab.profiles import Monomial, Polynomial, Profile, builtin
+from toricstab.quadrature import (DEFAULT_RULE, Integrand, IntegrationResult,
                                   QuadratureRule, _estimate, _RunningSum,
                                   divided_difference_exp, gm_table, integrate,
                                   integrate_boundary, integrate_parts,
@@ -171,6 +172,34 @@ INTEGRANDS = {
     "exponential": lambda x: np.exp(x @ np.linspace(0.7, -1.3, x.shape[1])),
     "near_pole": lambda x: (np.sum(x, axis=1) + 0.02) ** -1.5,
 }
+
+
+def poly(n):
+    """A cubic of <xi, x> in dimension n as an integrand of degree 3, built
+    anew on each call: equal values, distinct objects."""
+    return Integrand((Polynomial.make([1, 0, -2, 1]), np.linspace(0.7, -1.3, n)))
+
+
+def monomial(m):
+    """x^m as an integrand of degree sum(m): coordinate factors times 1."""
+    eye = np.eye(len(m))
+    return Integrand((Monomial(0), [0.0] * len(m)),
+                     [(eye[k], None) for k, e in enumerate(m) for _ in range(e)])
+
+
+@pytest.fixture
+def engine_calls(monkeypatch):
+    """The (integrand, shape of its argument) of each integrand call that
+    the engine makes; it calls integrands only in ``_rule_sums``."""
+    log, rule_sums = [], quadrature._rule_sums
+
+    def logged(f, *args):
+        def g(x):
+            log.append((f, x.shape))
+            return f(x)
+        return rule_sums(g, *args)
+    monkeypatch.setattr(quadrature, "_rule_sums", logged)
+    return log
 
 
 @pytest.fixture
@@ -358,40 +387,31 @@ class TestIntegrateParts:
 
 
 class TestSharedIntegrand:
-    """Parts of one n that pass the same integrand object and are alike
-    exact or adaptive enter the first pass as one part, their simplices
-    concatenated; each part still gets, bit for bit, what a one-part call
-    gives it."""
+    """Parts of one n whose integrands are equal enter the first pass as
+    one part, their simplices concatenated; each part still gets, bit for
+    bit, what a one-part call gives it."""
 
     RULE = QuadratureRule(degree=6, tol_rel=1e-9, max_depth=3)
-
-    @staticmethod
-    def recording(f, log):
-        """f, logging the (rows, n) of each call under the wrapper."""
-        def g(x):
-            log.setdefault(g, []).append(x.shape)
-            return f(x)
-        return g
 
     def test_shared_parts_equal_one_part_calls(self, geometry_cache):
         rng = np.random.default_rng(16)
         tri = np.array([[[0, 0], [1, 0], [0, 1]], [[1, 0], [1, 1], [0, 1]]], float)
-        poly, exp = INTEGRANDS["polynomial"], INTEGRANDS["exponential"]
+        exp = INTEGRANDS["exponential"]
         pole = lambda x: (x[:, 0] + 0.3 * x[:, 1] + 0.01) ** -1.5
-        parts = [(poly, rng.random((3, 3, 2)), 3),             # exact
-                 (exp, 2 * rng.random((2, 3, 2))),              # refines
-                 (pole, tri),                                   # stops at max_depth
-                 (poly, np.zeros((0, 3, 2)), 3),                # empty
-                 (exp, rng.random((2, 4, 3))),                  # another n
+        parts = [(poly(2), rng.random((3, 3, 2))),                 # exact
+                 (exp, 2 * rng.random((2, 3, 2))),                  # refines
+                 (pole, tri),                                       # stops at max_depth
+                 (poly(2), np.zeros((0, 3, 2))),                    # empty
+                 (exp, rng.random((2, 4, 3))),                      # another n
                  (INTEGRANDS["near_pole"], rng.random((2, 3, 2))),  # unshared
-                 (poly, rng.random((2, 3, 2))),                 # adaptive, same object
-                 (exp, rng.random((1, 2, 1))),                  # n = 1
+                 (INTEGRANDS["polynomial"], rng.random((2, 3, 2))),  # adaptive
+                 (exp, rng.random((1, 2, 1))),                      # n = 1
                  (pole, rng.random((2, 3, 2)) + 0.2),
                  (exp, 2 * rng.random((3, 3, 2))),
-                 (poly, np.zeros((0, 4, 3))),
-                 (exp, rng.random((3, 4, 3)), 3),               # exact in n = 3
-                 (poly, rng.random((1, 3, 2)), 3)]
-        want = [integrate_simplices(*p[:2], self.RULE, *p[2:]) for p in parts]
+                 (poly(3), np.zeros((0, 4, 3))),
+                 (poly(3), rng.random((3, 4, 3))),                  # exact in n = 3
+                 (poly(2), rng.random((1, 3, 2)))]
+        want = [integrate_simplices(f, s, self.RULE) for f, s in parts]
         assert want[0].error == 0.0 and want[3] == IntegrationResult(0.0, 0.0, True)
         assert want[1].converged and not want[2].converged
         for got in cold_then_warm(geometry_cache,
@@ -401,66 +421,143 @@ class TestSharedIntegrand:
             f, s = parts[i]
             assert want[i] == reference_integrate_simplices(f, s, self.RULE), i
 
-    def test_one_first_pass_call_per_shared_integrand(self, geometry_cache):
+    def test_one_first_pass_call_per_shared_integrand(self, geometry_cache,
+                                                      engine_calls):
         rng = np.random.default_rng(17)
-        base = {"poly": INTEGRANDS["polynomial"], "exp": INTEGRANDS["exponential"],
-                "own": INTEGRANDS["near_pole"]}
-        parts = [("poly", rng.random((3, 3, 2)), 3), ("exp", 2 * rng.random((2, 3, 2))),
+        make = {"poly": poly, "exp": lambda n: INTEGRANDS["exponential"],
+                "own": lambda n: INTEGRANDS["near_pole"]}
+        parts = [("poly", rng.random((3, 3, 2))), ("exp", 2 * rng.random((2, 3, 2))),
                  ("own", rng.random((2, 3, 2))), ("poly", rng.random((2, 3, 2))),
-                 ("exp", rng.random((2, 4, 3))), ("poly", rng.random((1, 3, 2)), 3),
-                 ("exp", 2 * rng.random((3, 3, 2))), ("poly", rng.random((2, 4, 3)), 3)]
-        log = {}
-        shared = {name: self.recording(f, log) for name, f in base.items()}
-        integrate_parts([(shared[name], *rest) for name, *rest in parts], self.RULE)
+                 ("exp", rng.random((2, 4, 3))), ("poly", rng.random((1, 3, 2))),
+                 ("exp", 2 * rng.random((3, 3, 2))), ("poly", rng.random((2, 4, 3)))]
+        # Each "poly" part passes a value of its own, equal to the others.
+        integrate_parts([(make[name](s.shape[2]), s) for name, s in parts], self.RULE)
+        log = list(engine_calls)
         # Per integrand and n: one first-pass call on the rows of all its
-        # exact parts and one on those of all its adaptive parts, in order
-        # of first appearance, then the refinements a one-part call of each
-        # part makes.
-        first, refinements = {}, Counter()
-        for name, s, *degree in parts:
+        # parts, then the refinements a one-part call of each part makes.
+        first, refinements = Counter(), Counter()
+        for name, s in parts:
             n, nodes = s.shape[2], len(gm_table(s.shape[2], self.RULE.gm_order)[0])
-            rows = len(s) * (1 if degree else 3) * nodes
-            first.setdefault((name, n), Counter())[bool(degree)] += rows
-            alone = {}
-            integrate_parts([(self.recording(base[name], alone), s, *degree)], self.RULE)
-            [calls] = alone.values()
-            assert calls[0] == (rows, n)
-            refinements[name, n] += len(calls) - 1
+            f = make[name](n)
+            rows = len(s) * (1 if isinstance(f, Integrand) else 3) * nodes
+            first[name, n] += rows
+            engine_calls.clear()
+            integrate_parts([(f, s)], self.RULE)
+            assert engine_calls[0][1] == (rows, n)
+            refinements[name, n] += len(engine_calls) - 1
         assert refinements["exp", 2] > 0 and refinements["own", 2] > 0
-        assert len(first["poly", 2]) == 2
         for (name, n), rows in first.items():
-            calls = [shape for shape in log[shared[name]] if shape[1] == n]
-            assert calls[:len(rows)] == [(r, n) for r in rows.values()], (name, n)
-            assert len(calls) == len(rows) + refinements[name, n], (name, n)
+            f = make[name](n)
+            calls = [shape for g, shape in log if g == f and shape[1] == n]
+            assert calls[0] == (rows, n), (name, n)
+            assert len(calls) == 1 + refinements[name, n], (name, n)
 
-    def test_one_row_blocks_are_not_shared(self, geometry_cache):
+    def test_one_row_blocks_are_not_shared(self, geometry_cache, engine_calls):
         # A one-node rule on one simplex: a 1-row product, which can round
         # apart from the same row inside a longer array.
         rule = QuadratureRule(degree=1)
         rng = np.random.default_rng(18)
-        log = {}
-        f = self.recording(INTEGRANDS["exponential"], log)
-        parts = [(f, rng.random((1, 3, 2)), 1), (f, rng.random((2, 3, 2)), 1),
-                 (f, rng.random((1, 3, 2)), 1), (f, rng.random((3, 3, 2)), 1)]
+        line = lambda: Integrand((Monomial(1), (0.7, -1.3)))  # degree 1, exact
+        parts = [(line(), rng.random((1, 3, 2))), (line(), rng.random((2, 3, 2))),
+                 (line(), rng.random((1, 3, 2))), (line(), rng.random((3, 3, 2)))]
         got = integrate_parts(parts, rule)
-        assert log[f] == [(1, 2), (5, 2), (1, 2)]
-        assert got == [integrate_simplices(*p[:2], rule, p[2]) for p in parts]
+        assert [shape for _, shape in engine_calls] == [(1, 2), (5, 2), (1, 2)]
+        assert got == [integrate_simplices(f, s, rule) for f, s in parts]
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_many_parts_equal_each_alone_at_every_order(self, dim, geometry_cache):
-        # One integrand over many exact and adaptive parts keeps each
-        # part's bits at every rule order (one node at s = 0), beside parts
-        # with integrands of their own.
+        # One integrand over many adaptive parts, and equal values over
+        # many exact ones, keep each part's bits at every rule order (one
+        # node at s = 0), beside parts with integrands of their own.
         rng = np.random.default_rng(50 + dim)
         g = rng.standard_normal(dim)
         f = lambda x: np.exp(x @ g) * (x[:, 0] + 1.5) ** -1.5
         for s in range(7):
             rule = QuadratureRule(degree=2 * s + 1, max_depth=1)
-            parts = [(f if rng.random() < 0.7 else lambda x: np.cos(x @ g),
-                      rng.random((int(rng.integers(1, 6)), dim + 1, dim)),
-                      *([2 * s + 1] if rng.random() < 0.5 else [])) for _ in range(25)]
+            parts = []
+            for _ in range(25):
+                r = rng.random()
+                parts.append((f if r < 0.35 else
+                              Integrand((Monomial(2 * s + 1), g)) if r < 0.7 else
+                              lambda x: np.cos(x @ g),
+                              rng.random((int(rng.integers(1, 6)), dim + 1, dim))))
             assert integrate_parts(parts, rule) == [
-                integrate_simplices(p[0], p[1], rule, *p[2:]) for p in parts], s
+                integrate_simplices(f, x, rule) for f, x in parts], s
+
+
+class TestIntegrand:
+    """An integrand value evaluates in the order its structure states,
+    knows its degree and merges only with an equal value."""
+
+    RULE = QuadratureRule(degree=6, tol_rel=1e-9, max_depth=3)
+
+    def test_equal_values_make_one_integrand_call(self, geometry_cache, engine_calls):
+        # Built twice, as a caller building its integrands per part does.
+        W = builtin("soliton", 2, xi=[0.4, -0.3])
+        rng = np.random.default_rng(19)
+        stacks = [rng.random((2, 3, 2)), rng.random((3, 3, 2))]
+        for make in (lambda: Integrand(W.w_weight, [((1.0, 2.0), 0.5)]),   # adaptive
+                     lambda: Integrand(builtin("cscK", 2).w_weight,
+                                       [((1.0, 2.0), 0.5)])):             # exact
+            a, b = make(), make()
+            assert a == b and a is not b and hash(a) == hash(b)
+            engine_calls.clear()
+            alone = [integrate_simplices(f, s, self.RULE) for f, s in zip((a, b), stacks)]
+            refinements = len(engine_calls) - 2
+            engine_calls.clear()
+            assert integrate_parts([(a, stacks[0]), (b, stacks[1])], self.RULE) == alone
+            assert len(engine_calls) == 1 + refinements
+
+    def test_values_differing_in_a_factor_xi_or_chart_do_not_merge(self, engine_calls):
+        cp2 = catalog.load("cp2")
+        soliton = builtin("soliton", 2, xi=[0.4, -0.3]).v_weight
+        def pulled(weight=soliton, factors=[((1.0, 2.0), 0.5)], facet=0):
+            return Integrand(weight, factors, chart=cp2.facet_chart(facet))
+        base = pulled()
+        others = [pulled(factors=[((1.0, 2.0), 0.25)]),
+                  pulled(factors=[((1.0, 2.0), None)]),
+                  pulled(factors=[((1.0, 2.0), -0.0)]),
+                  pulled(factors=[((1.0, 2.0), 0.5), ((1.0, 0.0), None)]),
+                  pulled(weight=builtin("soliton", 2, xi=[0.4, -0.2]).v_weight),
+                  pulled(facet=1)]
+        assert pulled() == base and all(f != base for f in others)
+        assert len(set(others)) == len(others)
+        tri = cp2.facet_triangulation_floats(0)
+        integrate_parts([(f, tri) for f in [base, *others]], self.RULE)
+        assert len({f for f, _ in engine_calls}) == 1 + len(others)
+        # A plain callable is its own integrand only.
+        f = INTEGRANDS["exponential"]
+        assert Integrand(f) == Integrand(f)
+        assert Integrand(f) != Integrand(lambda x: f(x))
+
+    def test_a_factor_without_constant_keeps_negative_zero(self):
+        # numpy's matmul on OpenBLAS sums from +0.0 and returns no -0.0, so
+        # a stand-in node array whose products read -0.0 gives the factor
+        # one: <x, beta> must keep it, where <x, beta> + 0.0 would not.
+        class Nodes:
+            def __matmul__(self, g):
+                return np.array([-0.0, 2.0])
+
+        one = (Monomial(0), (0.0,))
+        bare, plus_zero = (Integrand(one, [((1.0,), c)]) for c in (None, 0.0))
+        assert np.signbit(bare(Nodes())).tolist() == [True, False]
+        assert np.signbit(plus_zero(Nodes())).tolist() == [False, False]
+        assert bare != plus_zero
+
+    @pytest.mark.parametrize("family, a", [("soliton", None), ("sasaki", 3), ("ckem", 3)])
+    def test_degree(self, family, a):
+        at_zero = builtin(family, 2, xi=[0.0, 0.0], a=a)
+        generic = builtin(family, 2, xi=[0.7, -0.2], a=a)
+        assert Integrand(generic.w_weight).degree is None
+        assert Integrand(generic.v_weight, [((1.0, 0.0), None)]).degree is None
+        w = Integrand(at_zero.w_weight)
+        assert w.degree == 0
+        inner = Integrand(at_zero.w_weight, [((1.0, 0.0), 2.0)])
+        assert Integrand(inner, [((0.0, 1.0), None)]).degree == 2
+        assert Integrand(w, chart=catalog.load("cp2").facet_chart(0)).degree == 0
+        assert Integrand(at_zero.w_weight, [((1.0, 0.0), 2.0)], absolute=True).degree == 1
+        assert Integrand(INTEGRANDS["polynomial"]).degree is None
+        assert Integrand((Monomial(3), (1.0, 0.0)), [((1.0, 0.0), None)]).degree == 4
 
 
 def _abs_moment(P, m):
@@ -488,8 +585,8 @@ def _catalog_and_chops():
 
 
 class TestDeclaredDegree:
-    """A part declared a polynomial within the rule's exactness takes one
-    pass with error 0; any other part is adaptive, bit for bit."""
+    """An integrand whose degree the rule integrates exactly takes one pass
+    with error 0; any other part is adaptive, bit for bit."""
 
     RULE = QuadratureRule(degree=6, tol_rel=1e-9, max_depth=3)
 
@@ -498,23 +595,22 @@ class TestDeclaredDegree:
         for m in product(range(4), repeat=P.dim):
             if sum(m) > 3:
                 continue
-            res = integrate(P, lambda x: np.prod(x ** np.array(m), axis=1),
-                            degree=sum(m))
+            f = monomial(m)
+            assert f.degree == sum(m)
+            res = integrate(P, f)
             # Relative to int |x^m|: the rule's weights alternate in sign,
             # so its rounding scales with that, not with |int x^m|.
             exact = moments(P, m)
             assert abs(res.value - exact) <= 1e-14 * _abs_moment(P, m), m
             assert res.error == 0.0 and res.converged, m
 
-    def test_one_call_on_the_simplices_alone(self, geometry_cache):
+    def test_one_call_on_the_simplices_alone(self, geometry_cache, engine_calls):
         simplices = np.random.default_rng(12).random((5, 4, 3))
-        f, calls = _counted(INTEGRANDS["polynomial"])
-        points = []
-        res = integrate_simplices(lambda x: points.append(len(x)) or f(x),
-                                  simplices, self.RULE, degree=3)
+        f = poly(3)
+        res = integrate_simplices(f, simplices, self.RULE)
         bary, wts = gm_table(3, self.RULE.gm_order)
-        assert calls[0] == 1 and points == [len(simplices) * len(bary)]
-        rows = [_gm_apply(INTEGRANDS["polynomial"], s, bary, wts) for s in simplices]
+        assert engine_calls == [(f, (len(simplices) * len(bary), 3))]
+        rows = [_gm_apply(f, s, bary, wts) for s in simplices]
         assert res == IntegrationResult(math.fsum(rows), 0.0, True)
 
     @pytest.mark.parametrize("kind", sorted(INTEGRANDS))
@@ -522,24 +618,29 @@ class TestDeclaredDegree:
         simplices = np.random.default_rng(13).random((4, 3, 2))
         f = INTEGRANDS[kind]
         want = reference_integrate_simplices(f, simplices, self.RULE)
-        too_high = 2 * self.RULE.gm_order + 2
         assert integrate_simplices(f, simplices, self.RULE) == want
-        assert integrate_simplices(f, simplices, self.RULE, too_high) == want
-        assert integrate_parts([(f, simplices), (f, simplices, None),
-                                (f, simplices, too_high)], self.RULE) == [want] * 3
+        # An integrand whose weight is a plain callable has no degree.
+        assert integrate_parts([(f, simplices), (Integrand(f), simplices)],
+                               self.RULE) == [want] * 2
+        high = Integrand((Monomial(2 * self.RULE.gm_order + 1), (0.7, -1.3)),
+                         [((1.0, 0.5), None)])
+        assert high.degree == 2 * self.RULE.gm_order + 2
+        res = integrate_simplices(high, simplices, self.RULE)
+        assert res == reference_integrate_simplices(high, simplices, self.RULE)
+        assert res.error > 0
 
     def test_mixed_parts_equal_one_part_calls(self, geometry_cache):
         # Exact and adaptive parts of dimensions 1, 2 and 3, interleaved,
         # and an empty part: one batch per dimension, results in part order.
         rng = np.random.default_rng(14)
-        parts = [(INTEGRANDS["polynomial"], rng.random((3, 3, 2)), 3),
+        parts = [(poly(2), rng.random((3, 3, 2))),
                  (INTEGRANDS["near_pole"], rng.random((2, 2, 1))),
                  (INTEGRANDS["near_pole"], rng.random((2, 3, 2))),
-                 (INTEGRANDS["polynomial"], np.zeros((0, 4, 3)), 3),
+                 (poly(3), np.zeros((0, 4, 3))),
                  (INTEGRANDS["exponential"], rng.random((2, 4, 3))),
-                 (INTEGRANDS["polynomial"], rng.random((3, 2, 1)), 3),
-                 (INTEGRANDS["exponential"], rng.random((2, 3, 2)), None)]
-        want = [integrate_simplices(*p[:2], self.RULE, *p[2:]) for p in parts]
+                 (poly(1), rng.random((3, 2, 1))),
+                 (INTEGRANDS["exponential"], rng.random((2, 3, 2)))]
+        want = [integrate_simplices(f, s, self.RULE) for f, s in parts]
         assert want[3] == IntegrationResult(0.0, 0.0, True)
         for got in cold_then_warm(geometry_cache,
                                   lambda: integrate_parts(parts, self.RULE)):
@@ -547,27 +648,37 @@ class TestDeclaredDegree:
 
     def test_exact_parts_store_no_halves_until_needed(self, geometry_cache):
         simplices = np.random.default_rng(15).random((3, 3, 2))
-        f = INTEGRANDS["polynomial"]
-        exact = integrate_simplices(f, simplices, self.RULE, degree=3)
+        f = poly(2)
+        exact = integrate_simplices(f, simplices, self.RULE)
         [(kids, allv, vols)] = geometry_cache.values()
         assert kids is None and len(allv) == len(vols) == 3
         # An adaptive part on the same stack rebuilds the entry with halves,
         # and an exact part reads the k volumes from that entry too.
-        assert (integrate_simplices(f, simplices, self.RULE)
+        assert (integrate_simplices(lambda x: f(x), simplices, self.RULE)
                 == reference_integrate_simplices(f, simplices, self.RULE))
         [(kids, allv, vols)] = geometry_cache.values()
         assert kids.shape == (3, 2, 3, 2) and len(allv) == len(vols) == 9
-        assert integrate_simplices(f, simplices, self.RULE, degree=3) == exact
+        assert integrate_simplices(f, simplices, self.RULE) == exact
         assert len(geometry_cache) == 1
 
     def test_overflowing_part_is_not_converged(self):
         # Infinite at the one node nearest the vertex (1, 0), whose weight
-        # is positive.
-        res = integrate_simplices(
-            lambda x: np.where(x[:, 0] == x[:, 0].max(), np.inf, 1.0),
-            [[[0, 0], [1, 0], [0, 1]]], degree=0)
+        # is positive; a profile declared constant, so the part is exact.
+        res = integrate_simplices(Integrand((_Spike(), (1.0, 0.0))),
+                                  [[[0, 0], [1, 0], [0, 1]]])
         assert res.value == math.inf and res.error == math.inf
         assert not res.converged
+
+
+@dataclass(frozen=True, eq=False)
+class _Spike(Profile):
+    """inf at the largest argument of a call and 1 elsewhere, declared a
+    constant."""
+
+    degree = 0
+
+    def value(self, t):
+        return np.where(t == t.max(), np.inf, 1.0)
 
 
 class TestGeometryCache:
@@ -914,16 +1025,15 @@ def _weighted_bits(P, W, rule=DEFAULT_RULE):
     boundary beta-moments, as the invariants define their integrands."""
     basis = np.eye(P.dim)
     tri = P.triangulation_floats()
-    vol = integrate(P, W.w, rule, W.w_degree)
+    vol = integrate(P, Integrand(W.w_weight), rule)
     moments = [moment_integrands(W, b) for b in basis]
-    moments_w = [integrate(P, f, rule, degree) for (f, degree), _ in moments]
+    moments_w = [integrate(P, f, rule) for f, _ in moments]
     means = np.array([m.value for m in moments_w]) / vol.value
-    grams = integrate_parts([(f, tri, degree) for f, degree
-                             in gram_integrands(W, basis, means)], rule)
-    bits = {"vol_w": vol, "per_v": integrate_boundary(P, W.v, rule, W.v_degree)}
-    for i, (_, (g, degree)) in enumerate(moments):
+    grams = integrate_parts([(f, tri) for f in gram_integrands(W, basis, means)], rule)
+    bits = {"vol_w": vol, "per_v": integrate_boundary(P, Integrand(W.v_weight), rule)}
+    for i, (_, g) in enumerate(moments):
         bits[f"moment_w {i}"] = moments_w[i]
-        bits[f"moment_boundary_v {i}"] = integrate_boundary(P, g, rule, degree)
+        bits[f"moment_boundary_v {i}"] = integrate_boundary(P, g, rule)
     for k, res in enumerate(grams):
         bits[f"gram {k}"] = res
     return {key: _result_bits(res) for key, res in bits.items()}
