@@ -83,7 +83,7 @@ def criterion_1_backend_agreement(rule=DEFAULT_RULE):
                 l = invariants.per_v(P, W, rule, backend="localization")
                 worst = max(worst, abs(q - l) / (1 + abs(q)))
                 count += 2
-    passed = worst <= 1e-8
+    passed = worst <= localize.AGREE_TOL
     return AcceptanceResult(
         "backend agreement",
         passed,

@@ -11,7 +11,7 @@ kind the command's document lacks, fewer than 4 or underflowing
 --eps-points, a negative --sample, all checked before any work, and an
 unwritable --out), 3 precondition violations, 4 tolerance failures: under
 --strict, and always when the two backends disagree or a localisation
-limit at a degenerate direction does not settle.
+limit (taken where a vertex sum is degenerate or cancels) does not settle.
 """
 
 from __future__ import annotations

@@ -25,12 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import localize, quadrature
+from .localize import AGREE_TOL
 from .profiles import builtin, positivity_check, raise_unless_positive
 from .quadrature import DEFAULT_RULE, Integrand
-
-
-# Relative agreement required of the two backends under backend="both".
-AGREE_TOL = 1e-8
 
 
 class BackendError(RuntimeError):
@@ -356,8 +353,7 @@ def soliton_oracle(P):
     return tuple(float(c) for c in xi)
 
 
-def invariant_report(P, W, rule=DEFAULT_RULE, backend="quadrature",
-                     agree_tol=AGREE_TOL):
+def invariant_report(P, W, rule=DEFAULT_RULE, backend="quadrature"):
     """Assemble the headline invariants, optionally cross-checking backends."""
     _require_positive(P, W)
     vw_q = vol_w(P, W, rule)
@@ -368,9 +364,9 @@ def invariant_report(P, W, rule=DEFAULT_RULE, backend="quadrature",
         pv_l = per_v(P, W, rule, "localization")
         discrepancy = max(abs(vw_q - vw_l) / (1 + abs(vw_q)),
                           abs(pv_q - pv_l) / (1 + abs(pv_q)))
-        if backend == "both" and discrepancy > agree_tol:
+        if backend == "both" and discrepancy > AGREE_TOL:
             raise BackendError(
-                f"backend discrepancy {discrepancy:.3e} exceeds {agree_tol}")
+                f"backend discrepancy {discrepancy:.3e} exceeds {AGREE_TOL}")
     sh = pv_q / vw_q
     fvec = futaki_vector(P, W, rule)
     g = gram(P, W, rule=rule)

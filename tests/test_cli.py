@@ -264,6 +264,23 @@ def test_backend_disagreement_exits_4(capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("delta", ["3e-9", "1e-154", "1e-160"])
+def test_near_degenerate_futaki_takes_the_limit(capsys, delta):
+    # The vertex sums at xi cancel (at 1e-154 their sum of absolute values
+    # overflows, at 1e-160 their terms do), so the localisation takes the
+    # limit: cubature reads -0.3324932844.
+    argv = ["futaki", "--catalog", "cube", "--family", "soliton", "--xi",
+            f"0.7,{delta},{delta}", "--beta", "1,0,0"]
+    code, out = run(capsys, *argv, "--backend", "localization", "--strict")
+    assert code == 0
+    doc = json.loads(out)
+    assert abs(doc["futaki_beta"] + 0.3324932844) <= 1e-7
+    assert doc["backend_discrepancy"] <= 1e-8
+    # The limit's derivative, by central differences, misses by 1.3e-8.
+    assert main(argv + ["--backend", "both"]) == 4
+    assert "futaki backends disagree" in capsys.readouterr().err
+
+
 def test_unsettled_localisation_limit_exits_4(capsys):
     # ckem weights at xi = 0 send localisation to the extrapolated limit.
     code = main(["invariants", "--catalog", "cp2", "--family", "ckem", "--a",

@@ -224,10 +224,11 @@ class TestReport:
         assert np.min(np.linalg.eigvalsh(g)) > 0
         assert rep.backend_discrepancy <= 1e-8
 
-    def test_backend_error_surfaces(self, trapezoid):
+    def test_backend_error_surfaces(self, trapezoid, monkeypatch):
+        monkeypatch.setattr(inv, "AGREE_TOL", 1e-18)
         W = builtin("cscK", 2)
         with pytest.raises(BackendError):
-            inv.invariant_report(trapezoid, W, backend="both", agree_tol=1e-18)
+            inv.invariant_report(trapezoid, W, backend="both")
 
 
 class TestDegenerateBackend:

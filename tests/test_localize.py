@@ -6,13 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from toricstab import localize
+from toricstab import catalog, localize
 from toricstab.localize import (DegenerateDirectionError, directional_derivative,
                                 eval_at_degenerate, eval_c1_class, eval_class,
                                 vertex_weights)
 from toricstab.profiles import (Exponential, Monomial, PowerLaw,
                                 ProfileDomainError, builtin)
-from toricstab.quadrature import integrate, integrate_boundary
+from toricstab.quadrature import integrate, integrate_boundary, moments
 
 DATA = Path(__file__).parent / "data"
 
@@ -115,6 +115,93 @@ class TestDegenerateDirections:
         assert got == pytest.approx(want, rel=1e-8)
 
 
+def _near_degenerate(P):
+    """xi0 + 10^-k eta for k = 2..12, about each xi0 orthogonal to an edge
+    direction of P: on the catalog surfaces these include the axes.  On the
+    cube, xi0 is an axis or orthogonal to one edge only."""
+    if P.dim == 3:
+        bases = [(0.7, 0.0, 0.0), (0.7, 0.4, 0.0)]
+    else:
+        edges = {tuple(int(c) for c in u) for v in P.vertex_data()
+                 for u in v.inward_edges}
+        bases = sorted({(-0.7 * u[1], 0.7 * u[0]) for u in edges
+                        if u > tuple(-c for c in u)})
+    eta = np.array([0.31, 0.83, 0.57][:P.dim])
+    return [np.array(x0) + 10.0 ** -k * eta for x0 in bases
+            for k in range(2, 13)]
+
+
+def _closed_form_moment(P, family, xi, m=None):
+    """int_P x^m w dx: exact for cscK (w = 1), exponential for solitons."""
+    if family == "cscK":
+        return float(moments(P, m))
+    return moments(P, m, xi, "exponential")
+
+
+NEAR_DEGENERATE = [name for name in catalog.names()
+                   if catalog.load(name).dim == 2] + ["cube"]
+
+
+class TestNearDegenerateDirections:
+    """Near a degenerate direction the vertex terms grow and cancel: each
+    sum must agree with the closed form to 1e-8, relative as the backends
+    must (to 1 + |value|), or raise."""
+
+    @pytest.mark.parametrize("family", ["soliton", "cscK"])
+    @pytest.mark.parametrize("name", NEAR_DEGENERATE)
+    def test_weighted_volume(self, name, family):
+        P = catalog.load(name)
+        for xi in _near_degenerate(P):
+            W = builtin(family, P.dim, xi=xi)
+            try:
+                got = eval_class(P, W.g.derivative(1), xi)
+            except localize.ExtrapolationError:
+                continue
+            want = _closed_form_moment(P, family, xi)
+            assert abs(got - want) <= 1e-8 * (1 + abs(want)), xi
+
+    @pytest.mark.parametrize("family", ["soliton", "cscK"])
+    @pytest.mark.parametrize("name", NEAR_DEGENERATE)
+    def test_moment_derivative(self, name, family, request):
+        # The derivative at a sum that cancels is taken, as at a degenerate
+        # direction, by central differences of the limit.  On hirzebruch-a,
+        # whose vertices pair largest with beta, their truncation error alone
+        # misses 1e-8 for solitons (by 1.2e-7 to 1.7e-7), here as at the
+        # degenerate directions; a series limit would meet it.
+        if family == "soliton" and name == "hirzebruch-a":
+            request.applymarker(pytest.mark.xfail(
+                raises=AssertionError, strict=True,
+                reason="central differences of the limit miss 1e-8"))
+        P = catalog.load(name)
+        beta = np.array([0.5, 1.0, -0.7][:P.dim])
+        for xi in _near_degenerate(P):
+            W = builtin(family, P.dim, xi=xi)
+            try:
+                got = directional_derivative("volume", P, W.g, xi, beta)
+            except localize.ExtrapolationError:
+                continue
+            # The g-class changes along beta by the beta-moment of w.
+            want = math.fsum(b * _closed_form_moment(P, family, xi, m)
+                             for b, m in zip(beta, np.eye(P.dim, dtype=int)))
+            assert abs(got - want) <= 1e-8 * (1 + abs(want)), xi
+
+    @pytest.mark.parametrize("name, beta", [("cp1", [1.0]), ("cp2", [1.0, -1.0])])
+    def test_vanishing_sums_are_summed_directly(self, name, beta):
+        # The beta-moments of cscK weights vanish by symmetry here, and their
+        # sums cancel to the last bits: the trust test's 1 + |sum| keeps them
+        # from the limit path, whose central differences read otherwise.
+        P = catalog.load(name)
+        want = {"cp1": ["0x0.0p+0"] * 4,
+                "cp2": ["0x1.0000000000000p-54", "0x1.0000000000000p-53",
+                        "0x0.0p+0", "0x0.0p+0"]}[name]
+        got = []
+        for xi in ([0.37, -0.21], [-0.61, 0.29]):
+            W = builtin("cscK", P.dim, xi=xi[:P.dim])
+            got += [directional_derivative(kind, P, h, xi[:P.dim], beta).hex()
+                    for kind, h in (("volume", W.g), ("c1", W.f))]
+        assert got == want
+
+
 class TestDirectionalDerivative:
     def test_constant_in_xi_gives_zero(self, simplex):
         # Volume of P is independent of the direction.
@@ -166,13 +253,12 @@ class TestEdgeArrays:
         from toricstab import catalog
         chop = cube.corner_chop(5, cube.admissible_chop(5) / 3)
         for P in [catalog.load(name) for name in catalog.names()] + [chop]:
-            verts, edges, norms = localize._edge_arrays(P)
+            verts, edges = localize._edge_arrays(P)
             fresh = np.array([[[float(c) for c in u] for u in v.inward_edges]
                               for v in P.vertex_data()])
             assert np.array_equal(verts, [[float(c) for c in v]
                                           for v in P.vertices]), P
             assert np.array_equal(edges, fresh), P
-            assert np.array_equal(norms, np.linalg.norm(fresh, axis=2)), P
             assert localize._edge_arrays(P) is localize._edge_arrays(P)
 
     def test_are_read_only(self, trapezoid):
