@@ -201,10 +201,10 @@ def gram(P, W, basis=None, rule=DEFAULT_RULE):
     if basis is None:
         basis = np.eye(P.dim)
     basis = np.asarray(basis, dtype=float)
-    if np.linalg.matrix_rank(basis) < len(basis):
-        raise ValueError("gram basis is linearly dependent")
 
-    def compute():
+    def compute():  # a dependent basis raises here, so it is never cached
+        if np.linalg.matrix_rank(basis) < len(basis):
+            raise ValueError("gram basis is linearly dependent")
         vw = vol_w(P, W, rule)
         means = np.array([_moment_w(P, W, b, rule) for b in basis]) / vw
         tri = P.triangulation_floats()

@@ -10,6 +10,9 @@ their results.  An integrand is an :class:`Integrand` value, which knows
 its polynomial degree, or a plain callable.  If the rule (of degree 2s+1)
 integrates that degree exactly, the part is evaluated once on its own
 simplices, and its value is the ``fsum`` of their rule sums with error 0.
+A power law of <xi, x> times affine factors (``Integrand.power``: the
+Sasaki and ckem weights) has a closed form on each simplex and a rounding
+bound (:func:`_power_law_parts`).
 Every other part is analytic: the first pass calls its integrand once on
 its simplices and their bisection halves, and sums its rule in one stacked
 product.  It then refines on its own, in rounds: each evaluates, in one
@@ -48,15 +51,17 @@ from __future__ import annotations
 import heapq
 import math
 import struct
-from collections import OrderedDict
+import sys
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, count
+from itertools import accumulate, count, product
 
 import numpy as np
 
 from . import _linalg as la
+from .profiles import PowerLaw, ProfileDomainError
 
 
 @dataclass(frozen=True)
@@ -367,6 +372,9 @@ def _refine(f, fine, errs, kids, bary, wts, rule):
     return IntegrationResult(value, err, converged(value, err))
 
 
+_PowerForm = namedtuple("_PowerForm", "closed k a b xi chart factors")
+
+
 class Integrand:
     """A product of affine forms times a weight, as a value.
 
@@ -384,9 +392,18 @@ class Integrand:
     profile's or inner integrand's, None if that is no polynomial or a
     plain callable.  An absolute factor counts 1, which is right only on
     pieces cut along its zero set (``testconfig._l1_about``).
+
+    ``power`` unfolds a :class:`PowerLaw` of integer exponent -k (innermost,
+    no ``absolute`` flag, at most one chart; else None) as A (b + <xi,
+    x>)^-k times ``factors`` ``(gradient, constant, mapped)``, ``mapped``
+    false for those met before an inner chart maps the point.  ``closed``
+    says that :func:`integrate_parts` takes it in closed form: xi is not 0,
+    and with d factors on dim-simplices (of the chart if any), k >= dim +
+    d + 1.
     """
 
-    __slots__ = ("weight", "factors", "absolute", "chart", "degree", "_key", "_hash")
+    __slots__ = ("weight", "factors", "absolute", "chart", "degree", "power",
+                 "_key", "_hash")
 
     def __init__(self, weight, factors=(), absolute=False, chart=None):
         self.factors = tuple([(np.array(g, dtype=float), c if c is None else float(c))
@@ -398,6 +415,20 @@ class Integrand:
             key = (weight[0], weight[1].tobytes())
         self.weight, self.absolute, self.chart = weight, absolute, chart
         self.degree = None if inner is None else len(self.factors) + inner
+        power = weight.power if isinstance(weight, Integrand) else None
+        if type(weight) is tuple and isinstance(weight[0], PowerLaw) and weight[0].p < 0 \
+                and Fraction(weight[0].p).denominator == 1:
+            power = _PowerForm(False, -int(weight[0].p), *weight[0]._floats[:2], weight[1],
+                               None, ())
+        self.power = None
+        if power is not None and not absolute and (chart is None or power.chart is None):
+            _, k, a, b, xi, inner_chart, factors = power
+            factors = tuple((g, c or 0.0, inner_chart is None)
+                            for g, c in self.factors) + factors
+            one_chart = inner_chart if chart is None else chart
+            dim = len(xi) if one_chart is None else len(one_chart.basis)
+            closed = any(xi.tolist()) and k >= dim + len(factors) + 1
+            self.power = _PowerForm(closed, k, a, b, xi, one_chart, factors)
         # Floats are compared and hashed by their bytes: -0.0 is not 0.0.
         self._key = (key, tuple([(g.tobytes(), c if c is None else struct.pack("d", c))
                                  for g, c in self.factors]), absolute, chart)
@@ -430,10 +461,14 @@ def integrate_parts(parts, rule=DEFAULT_RULE):
     ``simplices`` a float stack of shape (k, n+1, n), of any n (an empty
     part integrates to 0).  An integrand whose ``degree`` the rule
     integrates exactly (at most ``2 * rule.gm_order + 1``) takes one pass
-    with error 0; every other part, a plain callable too, is adaptive.
+    with error 0.  An integrand whose ``power`` is closed takes the closed
+    form of :func:`_power_law_parts`, all such parts of the call together;
+    the rule's degree and depth do not matter to it, its tolerances decide
+    ``converged``.  Every other part, a plain callable too, is adaptive.
     Returns one :class:`IntegrationResult` per part: the first pass of the
-    nonempty parts of each n is one batched :func:`_estimate`, after which
-    each part has its own sum, tolerance test and refinement.
+    nonempty exact and adaptive parts of each n is one batched
+    :func:`_estimate`, after which each part has its own sum, tolerance
+    test and refinement.
 
     Parts of one n whose integrands are equal (as values; a function by
     identity) enter that pass as one part, their simplices concatenated in
@@ -455,11 +490,15 @@ def integrate_parts(parts, rule=DEFAULT_RULE):
 
     parts = [(f, np.asarray(s, dtype=float), exact(f)) for f, s in parts]
     out = [IntegrationResult(0.0, 0.0, True)] * len(parts)
-    for n in {s.shape[2] for _, s, _ in parts if len(s)}:
+    closed = {i: (f, s) for i, (f, s, _) in enumerate(parts)
+              if len(s) and isinstance(f, Integrand) and f.power and f.power.closed}
+    for i, res in zip(closed, _power_law_parts(list(closed.values()), rule)):
+        out[i] = res
+    for n in {s.shape[2] for i, (_, s, _) in enumerate(parts) if len(s) and i not in closed}:
         bary, wts = gm_table(n, rule.gm_order)
         shared = {}  # integrand -> its parts of this n, all alike exact or not
         for i, (f, s, ex) in enumerate(parts):
-            if len(s) and s.shape[2] == n:
+            if len(s) and s.shape[2] == n and i not in closed:
                 one_row = ex and len(s) * len(bary) == 1
                 shared.setdefault((i,) if one_row else f, []).append(i)
         groups = list(shared.values())
@@ -546,6 +585,117 @@ def _simplex_moment(simplex, m, nodes, dd):
         c * math.prod(map(math.factorial, e))
         * dd([t for t, k in zip(nodes, e) for _ in range(k + 1)])
         for e, c in _barycentric_expansion(simplex, m).items())
+
+
+@lru_cache(maxsize=None)
+def _power_table(n1, d, k):
+    """For d affine factors on simplices of n1 vertices and the exponent -k:
+    the 0/1 matrix that bins the ordered products of the factors' vertex
+    values (row i_1 ... i_d in C order) into the exponents e, |e| = d, of
+    the barycentric monomials lambda^e; each e's nodes, vertex i taken
+    e_i + 1 times; and e! / prod_{j=1..N} (k - j), N = n1 - 1 + d."""
+    es = list(_compositions(d, n1))
+    bins = np.zeros((n1 ** d, len(es)))
+    for row, idx in enumerate(product(range(n1), repeat=d)):
+        bins[row, es.index(tuple(map(idx.count, range(n1))))] = 1
+    nodes = np.array([[i for i, ei in enumerate(e) for _ in range(ei + 1)] for e in es])
+    scale = [math.prod(map(math.factorial, e)) / math.prod(range(k - n1 + 1 - d, k))
+             for e in es]
+    return bins, nodes, np.array(scale)
+
+
+def _power_nodes(f, simplices, shared):
+    """Per simplex of a closed power-law part (see :func:`_power_law_parts`):
+    b + t at its vertices; the ordered products of the factors' vertex
+    values and of their magnitudes, n1**d a row; A |det|; and |A| (rho |det|
+    + dim^3 prod |edge|), the rounding bound in units of eps over the sum
+    of the terms' magnitudes.  A node or factor value is rounded in at most
+    ``steps`` steps (chart map, dot product, adding b or the constant), so
+    its relative error is at most eps ``steps`` cond, cond the ratio of its
+    data's magnitude to it; a term is a monomial of degree k in the
+    1/(b + t).  rho adds the kernel's steps, and dim^3 times the Hadamard
+    ratio prod |edge| / |det| bounds the determinant's.  Parts on one
+    stack, chart, xi and b share their nodes through ``shared``."""
+    _, k, a, b, xi, chart, factors = f.power
+    count, n1, dim = simplices.shape
+    key = (id(simplices), id(chart), xi.tobytes(), b)
+    if key not in shared:
+        x, x_abs, steps = simplices, np.abs(simplices), len(xi) + 1
+        if chart is not None:
+            origin, basis = chart._float_frame
+            basis = basis.reshape(dim, len(origin))
+            x, steps = origin + x @ basis, steps + dim + 2
+            x_abs = np.abs(origin) + x_abs @ np.abs(basis)
+        base = b + x @ xi
+        if not base.min() > 0:
+            raise ProfileDomainError(f"power-law pole: b + t <= 0 at a vertex, b={b}")
+        edges = simplices[:, 1:] - simplices[:, :1]
+        shared[key] = (x, x_abs, steps, base, np.abs(np.linalg.det(edges)),
+                       np.sqrt((edges * edges).sum(axis=2).prod(axis=1)),
+                       ((abs(b) + x_abs @ np.abs(xi)) / base).max(axis=1))
+    x, x_abs, steps, base, det, norms, cond = shared[key]
+    prods = prods_abs = np.ones((count, 1))
+    for g, c, mapped in factors:
+        z, z_abs = (x, x_abs) if mapped else (simplices, np.abs(simplices))
+        prods = (prods[:, :, None] * (z @ g + c)[:, None, :]).reshape(count, -1)
+        prods_abs = (prods_abs[:, :, None]
+                     * (z_abs @ np.abs(g) + abs(c))[:, None, :]).reshape(count, -1)
+    d, big_n = len(factors), n1 - 1 + len(factors)
+    rho = (k * (steps * cond + 2) + 2 * (big_n + 1) * (k - big_n) + big_n
+           + math.comb(big_n, d) + d * (steps + 1) + n1 ** d + 6)
+    return base, prods, prods_abs, a * det, abs(a) * (rho * det + dim ** 3 * norms)
+
+
+def _power_law_parts(parts, rule):
+    """:class:`IntegrationResult` of each ``(f, simplices)`` part whose
+    integrand ``f`` is a closed power law (``f.power``), in closed form.
+
+    The integrand is A (b + <xi, x>)^-k times d affine factors on
+    dim-simplices, k >= N + 1 with N = dim + d.  On a simplex with vertices
+    X_i (mapped through the chart) the factors' product is sum_e c_e
+    lambda^e, and by Hermite-Genocchi (see :func:`_simplex_moment`)
+
+        int lambda^e A (b + <xi, x>)^-k = |det| e! A prod_i y_i^(e_i + 1)
+            h_(k-N-1)(y; e + 1) / prod_{j=1..N} (k - j),
+
+    with y_i = 1 / (b + <xi, X_i>) and h_m the complete homogeneous
+    symmetric polynomial of the nodes y_i each taken e_i + 1 times: the
+    divided difference of an N-fold antiderivative of (b + t)^-k.  Every
+    term is positive and repeated nodes need no special case.  |det| is
+    taken in the simplex's own coordinates (the lattice measure on a chart).
+    The error is the rounding bound of :func:`_power_nodes` plus eps |value|,
+    and ``converged`` says that it meets the rule's tolerance; terms that
+    overflow give an infinite error.  b + t <= 0 at a vertex raises
+    :class:`ProfileDomainError`.  The parts of one (n1, d, k) are evaluated
+    together.
+    """
+    eps, out, groups, shared = sys.float_info.epsilon, [None] * len(parts), {}, {}
+    for i, (f, s) in enumerate(parts):
+        groups.setdefault((s.shape[1], len(f.power.factors), f.power.k), []).append(i)
+    for (n1, d, k), idx in groups.items():
+        bins, nodes, scale = _power_table(n1, d, k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            base, prods, prods_abs, amp, amp_err = (
+                np.concatenate(c) if len(c) > 1 else c[0]
+                for c in zip(*(_power_nodes(*parts[i], shared) for i in idx)))
+            y = (1 / base)[:, nodes]
+            h = [np.ones(y.shape[:2])] + [np.zeros(y.shape[:2])] * (k - y.shape[2])
+            for col in range(y.shape[2]):
+                for j in range(1, len(h)):
+                    h[j] = h[j] + y[:, :, col] * h[j - 1]
+            terms = y.prod(axis=2) * h[-1] * scale
+            values = amp * (prods @ bins * terms).sum(axis=1)
+            units = amp_err * (prods_abs @ bins * terms).sum(axis=1)
+            end = 0
+            for i in idx:
+                start, end = end, end + len(parts[i][1])
+                v, err = values[start:end], eps * float(units[start:end].sum())
+                finite = math.isfinite(err)  # then so is every value
+                value = math.fsum(v.tolist()) if finite else float(v.sum())
+                err = err + eps * abs(value) if finite else math.inf
+                out[i] = IntegrationResult(value, err, finite and err <= max(
+                    rule.tol_abs, rule.tol_rel * abs(value)))
+    return out
 
 
 def _monomial_moment_simplex(simplex, m):

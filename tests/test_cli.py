@@ -371,10 +371,15 @@ def test_polytope_file_without_interior_exits_3(tmp_path, capsys, facets,
      ["report", "--catalog", "cp2", "--sample", "5", "--seed", "1",
       "--expand-vertex", "1"]),
     ("invariants_cube.json", ["invariants", "--catalog", "cube"]),
-    # Non-polynomial weights whose integrals refine past the first pass.
+    # Power-law weights, in closed form.
     ("invariants_bl1cp2_sasaki.json",
      ["invariants", "--catalog", "bl1cp2", "--family", "sasaki", "--xi", "1,0.3",
       "--a", "1/2"]),
+    # Power-law weights near the pole along an axis, whose vol_w is
+    # 1365245952/15625 and whose Gram entries off the diagonal vanish.
+    ("invariants_cube_ckem_axis.json",
+     ["invariants", "--catalog", "cube", "--family", "ckem", "--xi", "0.5,0,0",
+      "--a", "1/8"]),
 ])
 def test_catalog_output_matches_golden(capsys, golden, argv):
     code, out = run(capsys, *argv)

@@ -103,8 +103,20 @@ class TestGram:
             assert np.min(np.linalg.eigvalsh(g)) > 0
 
     def test_collinear_basis_rejected(self, square):
-        with pytest.raises(ValueError):
-            inv.gram(square, builtin("cscK", 2), basis=[[1, 0], [2, 0]])
+        for _ in range(2):  # a dependent basis is never cached
+            with pytest.raises(ValueError, match="linearly dependent"):
+                inv.gram(square, builtin("cscK", 2), basis=[[1, 0], [2, 0]])
+
+    def test_rank_checked_once_per_basis(self, monkeypatch, square):
+        monkeypatch.setattr(inv, "_scalar_cache", OrderedDict())
+        ranks = []
+        rank = np.linalg.matrix_rank
+        monkeypatch.setattr(inv.np.linalg, "matrix_rank",
+                            lambda *a: ranks.append(1) or rank(*a))
+        W = builtin("cscK", 2)
+        for _ in range(3):
+            inv.gram(square, W)
+        assert len(ranks) == 1
 
 
 class TestExtremalField:

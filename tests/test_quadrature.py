@@ -1020,17 +1020,25 @@ def _result_bits(res):
             "converged": res.converged}
 
 
-def _weighted_bits(P, W, rule=DEFAULT_RULE):
+def _weighted_bits(P, W, rule=DEFAULT_RULE, plain=False):
     """vol_w, the beta-moments on the lattice basis, gram, per_v and the
-    boundary beta-moments, as the invariants define their integrands."""
+    boundary beta-moments, as the invariants define their integrands.  With
+    ``plain`` each integrand is passed as its bound ``__call__``, a plain
+    callable, which the engine refines where it would take a power law in
+    closed form."""
+    def wrap(f):
+        return f.__call__ if plain else f
+
     basis = np.eye(P.dim)
     tri = P.triangulation_floats()
-    vol = integrate(P, Integrand(W.w_weight), rule)
-    moments = [moment_integrands(W, b) for b in basis]
+    vol = integrate(P, wrap(Integrand(W.w_weight)), rule)
+    moments = [tuple(map(wrap, moment_integrands(W, b))) for b in basis]
     moments_w = [integrate(P, f, rule) for f, _ in moments]
     means = np.array([m.value for m in moments_w]) / vol.value
-    grams = integrate_parts([(f, tri) for f in gram_integrands(W, basis, means)], rule)
-    bits = {"vol_w": vol, "per_v": integrate_boundary(P, Integrand(W.v_weight), rule)}
+    grams = integrate_parts([(wrap(f), tri) for f in gram_integrands(W, basis, means)],
+                            rule)
+    bits = {"vol_w": vol,
+            "per_v": integrate_boundary(P, wrap(Integrand(W.v_weight)), rule)}
     for i, (_, g) in enumerate(moments):
         bits[f"moment_w {i}"] = moments_w[i]
         bits[f"moment_boundary_v {i}"] = integrate_boundary(P, g, rule)
@@ -1051,7 +1059,7 @@ def _refine_bits():
         weights = {fam: builtin(fam, n, xi=xi, a=a) for fam in ("ckem", "sasaki")}
         weights["soliton"] = builtin("soliton", n, xi=REFINE_AXIS_XI[:n])
         for fam, W in weights.items():
-            for key, res in _weighted_bits(P, W).items():
+            for key, res in _weighted_bits(P, W, plain=fam != "soliton").items():
                 bits[f"{name} {fam} {key}"] = res
     square = np.array([[[0, 0], [1, 0], [0, 1]], [[1, 0], [1, 1], [0, 1]]], float)
     bits["depth_cap pole"] = _result_bits(integrate_simplices(
