@@ -309,10 +309,12 @@ def _slope(eps, resid, floor):
     return float(s)
 
 
+@lru_cache(maxsize=128)  # the corner cache's 32 grids times 3 powers fit
 def _require_normal_powers(eps_grid, power):
-    """Refuse a grid with a positive depth whose eps**power is not a normal
-    float: a fit of that power underflows (or overflows) there.  A depth
-    that is not positive is the chop's own error."""
+    """Refuse a grid (a tuple) with a positive depth whose eps**power is
+    not a normal float: a fit of that power underflows (or overflows)
+    there.  A depth that is not positive is the chop's own error.  A
+    refused grid raises on every call (``lru_cache`` stores no exception)."""
     lo, hi = Fraction(sys.float_info.min), Fraction(sys.float_info.max)
     for k, eps in enumerate(map(Fraction, eps_grid)):
         if eps > 0 and not lo <= eps ** power <= hi:
@@ -347,7 +349,7 @@ def verify_expansion(quantity, P, W, vertex, eps_grid=None, beta=None,
     # The leading order of each prediction, and the orders fitted past it.
     lead = P.dim - (quantity != "volume")
     extra = min(5, len(eps_grid) - 2)
-    _require_normal_powers(eps_grid, lead + extra)
+    _require_normal_powers(tuple(eps_grid), lead + extra)
     corner = _Corner(P, W, v, eps_grid, rule)
     if quantity == "volume":
         predicted = predict_volume_expansion(P, W, v, rule)
@@ -398,7 +400,7 @@ def gram_convergence(P, W, vertex, eps_grid=None, rule=DEFAULT_RULE):
     invariants._require_positive(P, W)
     if eps_grid is None:
         eps_grid = default_eps_grid(P, v)
-    _require_normal_powers(eps_grid, n)
+    _require_normal_powers(tuple(eps_grid), n)
     dG, _ = _Corner(P, W, v, eps_grid, rule).gram_shift()
     exact = tuple(float(np.linalg.norm(g)) for g in dG)
     keep = [k for k, x in enumerate(exact) if x > 1e-14 * max(1.0, *exact)]

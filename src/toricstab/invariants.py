@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -97,13 +98,59 @@ def _cached(tag, P, W, rule, compute):
     return value
 
 
+def _scalars(P, W, rule, tags):
+    """The quadrature scalars of (P, W) named by ``tags``: "vol" (Vol_w),
+    "per" (Per_v), and ("mom", beta) and ("bmom", beta), the beta-moments
+    of w inside and of v on the boundary.  Those missing from
+    ``_scalar_cache`` are integrated in one :func:`quadrature.integrate_parts`
+    call and cached; a boundary quantity adds its facets' values from 0.0 in
+    facet order, as ``integrate_boundary`` does (in dimension 1, after the
+    call, at its two endpoints)."""
+    values, missing = [], {}
+    for tag in tags:
+        if not isinstance(tag, str):
+            tag = (tag[0], np.asarray(tag[1], dtype=float).tobytes())
+        key = (tag, P.key, W.key, rule)
+        value = _scalar_cache.get(key, _MISSING)
+        if value is _MISSING:
+            missing.setdefault(key, []).append(len(values))
+        else:
+            _scalar_cache.move_to_end(key)
+        values.append(value)
+    if not missing:
+        return values
+    todo, tri = [], P.triangulation_floats()
+    for (tag, *_), at in missing.items():
+        name, beta = (tag, None) if isinstance(tag, str) else tag
+        inside = name in ("vol", "mom")
+        f = Integrand(W.w_weight if inside else W.v_weight,
+                      [] if beta is None else [(np.frombuffer(beta), None)])
+        todo.append((at, f, inside, [(f, tri)] if inside else
+                     quadrature.boundary_parts(P, f) if P.dim > 1 else []))
+    results = iter(quadrature.integrate_parts([p for *_, ps in todo for p in ps], rule))
+    for key, (at, f, inside, ps) in zip(missing, todo):
+        if inside:
+            value = next(results).value
+        elif P.dim > 1:
+            value = 0.0
+            for _ in ps:
+                value += next(results).value
+        else:
+            value = quadrature.integrate_boundary(P, f, rule).value
+        _scalar_cache[key] = value
+        for i in at:
+            values[i] = value
+    while len(_scalar_cache) > _SCALAR_CACHE_SIZE:
+        _scalar_cache.popitem(last=False)
+    return values
+
+
 def vol_w(P, W, rule=DEFAULT_RULE, backend="quadrature"):
     """int_P w dx."""
     if backend == "localization":
         return _cached("lvol", P, W, None,
                        lambda: localize.eval_class(P, W.g.derivative(1), W.xi))
-    return _cached("vol", P, W, rule,
-                   lambda: quadrature.integrate(P, Integrand(W.w_weight), rule).value)
+    return _scalars(P, W, rule, ["vol"])[0]
 
 
 def per_v(P, W, rule=DEFAULT_RULE, backend="quadrature"):
@@ -111,9 +158,7 @@ def per_v(P, W, rule=DEFAULT_RULE, backend="quadrature"):
     if backend == "localization":
         return _cached("lper", P, W, None,
                        lambda: localize.eval_c1_class(P, W.f.derivative(1), W.xi))
-    return _cached("per", P, W, rule,
-                   lambda: quadrature.integrate_boundary(
-                       P, Integrand(W.v_weight), rule).value)
+    return _scalars(P, W, rule, ["per"])[0]
 
 
 def _require_positive(P, W):
@@ -142,16 +187,11 @@ def moment_integrands(W, beta):
 
 
 def _moment_w(P, W, beta, rule):
-    beta = np.asarray(beta, dtype=float)
-    return _cached(("mom", beta.tobytes()), P, W, rule, lambda: quadrature.integrate(
-        P, moment_integrands(W, beta)[0], rule).value)
+    return _scalars(P, W, rule, [("mom", beta)])[0]
 
 
 def _moment_boundary_v(P, W, beta, rule):
-    beta = np.asarray(beta, dtype=float)
-    return _cached(("bmom", beta.tobytes()), P, W, rule,
-                   lambda: quadrature.integrate_boundary(
-                       P, moment_integrands(W, beta)[1], rule).value)
+    return _scalars(P, W, rule, [("bmom", beta)])[0]
 
 
 def futaki(P, W, beta, rule=DEFAULT_RULE, backend="quadrature", shat=None):
@@ -172,7 +212,8 @@ def futaki(P, W, beta, rule=DEFAULT_RULE, backend="quadrature", shat=None):
         bmom = localize.directional_derivative("c1", P, W.f, W.xi, beta)
         return sh * mom - bmom
     sh = shat if shat is not None else s_hat(P, W, rule)
-    return sh * _moment_w(P, W, beta, rule) - _moment_boundary_v(P, W, beta, rule)
+    mom, bmom = _scalars(P, W, rule, [("mom", beta), ("bmom", beta)])
+    return sh * mom - bmom
 
 
 def futaki_vector(P, W, rule=DEFAULT_RULE, backend="quadrature"):
@@ -185,9 +226,8 @@ def futaki_vector(P, W, rule=DEFAULT_RULE, backend="quadrature"):
 def barycenter_w(P, W, rule=DEFAULT_RULE):
     """w-weighted barycenter of the polytope."""
     def compute():
-        vw = vol_w(P, W, rule)
-        bary = [_moment_w(P, W, e, rule) / vw for e in np.eye(P.dim)]
-        return tuple(bary)
+        vw, *moments = _scalars(P, W, rule, ["vol", *(("mom", e) for e in np.eye(P.dim))])
+        return tuple(m / vw for m in moments)
 
     return np.array(_cached("bary", P, W, rule, compute))
 
@@ -205,8 +245,8 @@ def gram(P, W, basis=None, rule=DEFAULT_RULE):
     def compute():  # a dependent basis raises here, so it is never cached
         if np.linalg.matrix_rank(basis) < len(basis):
             raise ValueError("gram basis is linearly dependent")
-        vw = vol_w(P, W, rule)
-        means = np.array([_moment_w(P, W, b, rule) for b in basis]) / vw
+        vw, *moments = _scalars(P, W, rule, ["vol", *(("mom", b) for b in basis)])
+        means = np.array(moments) / vw
         tri = P.triangulation_floats()
         results = quadrature.integrate_parts(
             [(f, tri) for f in gram_integrands(W, basis, means)], rule)
@@ -356,10 +396,9 @@ def soliton_oracle(P):
 def invariant_report(P, W, rule=DEFAULT_RULE, backend="quadrature"):
     """Assemble the headline invariants, optionally cross-checking backends."""
     _require_positive(P, W)
-    vw_q = vol_w(P, W, rule)
-    pv_q = per_v(P, W, rule)
     discrepancy = 0.0
     if backend in ("both", "localization"):
+        vw_q, pv_q = _scalars(P, W, rule, ["vol", "per"])
         vw_l = vol_w(P, W, rule, "localization")
         pv_l = per_v(P, W, rule, "localization")
         discrepancy = max(abs(vw_q - vw_l) / (1 + abs(vw_q)),
@@ -367,6 +406,9 @@ def invariant_report(P, W, rule=DEFAULT_RULE, backend="quadrature"):
         if backend == "both" and discrepancy > AGREE_TOL:
             raise BackendError(
                 f"backend discrepancy {discrepancy:.3e} exceeds {AGREE_TOL}")
+    # After the check: a report that fails it integrates no moment.
+    vw_q, pv_q, *_ = _scalars(P, W, rule, ["vol", "per", *product(("mom", "bmom"),
+                                                                  np.eye(P.dim))])
     sh = pv_q / vw_q
     fvec = futaki_vector(P, W, rule)
     g = gram(P, W, rule=rule)

@@ -200,6 +200,13 @@ class FacetChart:
         return (np.array([-p * zi / q for zi in self._exact[0]]),
                 np.array(self.basis, dtype=float))
 
+    @cached_property
+    def _hash(self):
+        return hash((self.basis, self.facet))
+
+    def __hash__(self):  # as Facet's: integrand and cache keys hash charts
+        return self._hash
+
     def map_floats(self, pts):
         """Map an (N, n-1) float array of chart coordinates into ambient space."""
         origin, B = self._float_frame

@@ -138,6 +138,11 @@ class PowerLaw(_Pole):
     def _h(self, base):
         return base ** self._floats[2]
 
+    @cached_property
+    def _order(self):  # k if p is the negative integer -k, else None
+        p = Fraction(self.p)
+        return -p.numerator if p < 0 and p.denominator == 1 else None
+
     def derivative(self, k=1):  # a p (p-1) ... (p-k+1) (b + t)^(p-k)
         p = Fraction(self.p)
         a = math.prod((p - i for i in range(k)), start=Fraction(self.a))

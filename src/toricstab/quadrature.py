@@ -12,7 +12,8 @@ integrates that degree exactly, the part is evaluated once on its own
 simplices, and its value is the ``fsum`` of their rule sums with error 0.
 A power law of <xi, x> times affine factors (``Integrand.power``: the
 Sasaki and ckem weights) has a closed form on each simplex and a rounding
-bound (:func:`_power_law_parts`).
+bound (:func:`_power_law_parts`), computed once per node set for all the
+parts of a call that share it.
 Every other part is analytic: the first pass calls its integrand once on
 its simplices and their bisection halves, and sums its rule in one stacked
 product.  It then refines on its own, in rounds: each evaluates, in one
@@ -37,7 +38,10 @@ kept in a bounded LRU of read-only arrays keyed by the stack's shape and
 bytes (``_GEOMETRY_CACHE_SIZE`` entries).  Every result is bit-identical to
 evaluating one simplex at a time, cache or no cache: bisection and
 determinant act simplex by simplex, and numpy computes each row of the
-stacked rule sum as the same 1-D dot.
+stacked rule sum as the same 1-D dot.  The weight-free data of a
+power-law stack (chart-mapped vertices, their magnitudes, |det| and edge
+norms) are kept likewise, keyed by shape, bytes and chart, in a second
+LRU of ``_POWER_CACHE_SIZE`` entries.
 
 ``moments`` provides an independent closed-form path used as an oracle
 against the cubature backend: x^m is expanded once in the barycentric
@@ -375,6 +379,15 @@ def _refine(f, fine, errs, kids, bary, wts, rule):
 _PowerForm = namedtuple("_PowerForm", "closed k a b xi chart factors")
 
 
+def _read_only(a):
+    """``a`` if it is a read-only contiguous float array, else such a copy."""
+    if not (type(a) is np.ndarray and a.dtype == float and not a.flags.writeable
+            and a.flags.c_contiguous):
+        a = np.array(a, dtype=float)
+        a.flags.writeable = False
+    return a
+
+
 class Integrand:
     """A product of affine forms times a weight, as a value.
 
@@ -385,8 +398,9 @@ class Integrand:
     ``weight`` is a (profile, xi) pair, ``profile.value(x @ xi)``, or an
     integrand or other callable, so ``Integrand(Integrand(w, [B]), [A])`` is
     ``A * (B * w)``.  A facet ``chart`` pulls the value back, ``y ->
-    f(chart.map_floats(y))``.  Nothing changes an integrand once built, and
-    equal ones evaluate alike: equal profiles, the same float bits, charts
+    f(chart.map_floats(y))``.  Nothing changes an integrand once built (its
+    arrays are read-only; a writeable one given is copied), and equal ones
+    evaluate alike: equal profiles, the same float bits, charts
     of one hyperplane, the same callable.  ``degree`` is the number of
     factors plus the weight's degree: 0 for a profile at xi = 0, else the
     profile's or inner integrand's, None if that is no polynomial or a
@@ -406,19 +420,18 @@ class Integrand:
                  "_key", "_hash")
 
     def __init__(self, weight, factors=(), absolute=False, chart=None):
-        self.factors = tuple([(np.array(g, dtype=float), c if c is None else float(c))
+        self.factors = tuple([(_read_only(g), c if c is None else float(c))
                               for g, c in factors])
         inner, key = weight.degree if isinstance(weight, Integrand) else None, weight
         if type(weight) is tuple:
-            weight = (weight[0], np.array(weight[1], dtype=float))
+            weight = (weight[0], _read_only(weight[1]))
             inner = weight[0].degree if any(weight[1].tolist()) else 0
             key = (weight[0], weight[1].tobytes())
         self.weight, self.absolute, self.chart = weight, absolute, chart
         self.degree = None if inner is None else len(self.factors) + inner
         power = weight.power if isinstance(weight, Integrand) else None
-        if type(weight) is tuple and isinstance(weight[0], PowerLaw) and weight[0].p < 0 \
-                and Fraction(weight[0].p).denominator == 1:
-            power = _PowerForm(False, -int(weight[0].p), *weight[0]._floats[:2], weight[1],
+        if type(weight) is tuple and isinstance(weight[0], PowerLaw) and weight[0]._order:
+            power = _PowerForm(False, weight[0]._order, *weight[0]._floats[:2], weight[1],
                                None, ())
         self.power = None
         if power is not None and not absolute and (chart is None or power.chart is None):
@@ -548,9 +561,15 @@ def integrate_boundary(polytope, f, rule=DEFAULT_RULE):
         pts = polytope.vertices_floats()
         vals = np.asarray(f(pts), dtype=float)
         return IntegrationResult(float(np.sum(vals)), 0.0, True)
-    return integrate_sum([(Integrand(f, chart=polytope.facet_chart(i)),
-                           polytope.facet_triangulation_floats(i))
-                          for i in polytope.genuine_facet_indices()], rule)
+    return integrate_sum(boundary_parts(polytope, f), rule)
+
+
+def boundary_parts(polytope, f):
+    """The parts of the boundary integral of ``f`` over a polytope of
+    dimension 2 or more: each genuine facet's triangulation, in facet
+    order, with ``f`` pulled back through the facet's chart."""
+    return [(Integrand(f, chart=polytope.facet_chart(i)), polytope.facet_triangulation_floats(i))
+            for i in polytope.genuine_facet_indices()]
 
 
 # -- closed-form oracles -------------------------------------------------------
@@ -604,46 +623,70 @@ def _power_table(n1, d, k):
     return bins, nodes, np.array(scale)
 
 
-def _power_nodes(f, simplices, shared):
-    """Per simplex of a closed power-law part (see :func:`_power_law_parts`):
-    b + t at its vertices; the ordered products of the factors' vertex
-    values and of their magnitudes, n1**d a row; A |det|; and |A| (rho |det|
-    + dim^3 prod |edge|), the rounding bound in units of eps over the sum
-    of the terms' magnitudes.  A node or factor value is rounded in at most
-    ``steps`` steps (chart map, dot product, adding b or the constant), so
-    its relative error is at most eps ``steps`` cond, cond the ratio of its
-    data's magnitude to it; a term is a monomial of degree k in the
-    1/(b + t).  rho adds the kernel's steps, and dim^3 times the Hadamard
-    ratio prod |edge| / |det| bounds the determinant's.  Parts on one
-    stack, chart, xi and b share their nodes through ``shared``."""
-    _, k, a, b, xi, chart, factors = f.power
-    count, n1, dim = simplices.shape
-    key = (id(simplices), id(chart), xi.tobytes(), b)
-    if key not in shared:
-        x, x_abs, steps = simplices, np.abs(simplices), len(xi) + 1
-        if chart is not None:
-            origin, basis = chart._float_frame
-            basis = basis.reshape(dim, len(origin))
-            x, steps = origin + x @ basis, steps + dim + 2
-            x_abs = np.abs(origin) + x_abs @ np.abs(basis)
-        base = b + x @ xi
-        if not base.min() > 0:
-            raise ProfileDomainError(f"power-law pole: b + t <= 0 at a vertex, b={b}")
-        edges = simplices[:, 1:] - simplices[:, :1]
-        shared[key] = (x, x_abs, steps, base, np.abs(np.linalg.det(edges)),
-                       np.sqrt((edges * edges).sum(axis=2).prod(axis=1)),
-                       ((abs(b) + x_abs @ np.abs(xi)) / base).max(axis=1))
-    x, x_abs, steps, base, det, norms, cond = shared[key]
-    prods = prods_abs = np.ones((count, 1))
-    for g, c, mapped in factors:
-        z, z_abs = (x, x_abs) if mapped else (simplices, np.abs(simplices))
-        prods = (prods[:, :, None] * (z @ g + c)[:, None, :]).reshape(count, -1)
-        prods_abs = (prods_abs[:, :, None]
-                     * (z_abs @ np.abs(g) + abs(c))[:, None, :]).reshape(count, -1)
-    d, big_n = len(factors), n1 - 1 + len(factors)
+# The weight-free data of closed power-law stacks, least recently used
+# first (:func:`_power_geometry`).  Replayed through an LRU, whole
+# weight_sweep runs (seeds 301-302, one of them twice as long) and
+# ``toricstab selftest`` meet 30 stacks; sasaki blowup ladders (volume and
+# Futaki at every vertex of cp2, bl1cp2 and the cube) meet 559 and need 132
+# entries to miss only where an unbounded cache misses.  Entries: 1.3 KB
+# at most.
+_POWER_CACHE_SIZE = 256
+_power_cache = OrderedDict()
+
+
+def _power_geometry(key, simplices, chart):
+    """``(x, x_abs, steps, det, norms)`` of a closed power-law stack, kept
+    under ``key``, its (shape, bytes, chart), with read-only arrays: its
+    vertices mapped through the chart if any, their magnitudes, the rounding
+    steps of a node (:func:`_power_nodes`), and per simplex |det| in its own
+    coordinates and the product of its edge norms.  None of it depends on
+    the weight."""
+    geo = _power_cache.get(key)
+    if geo is not None:
+        _power_cache.move_to_end(key)
+        return geo
+    dim = simplices.shape[2]
+    x, x_abs, steps = _read_only(simplices), np.abs(simplices), dim + 1
+    if chart is not None:
+        origin, basis = chart._float_frame
+        basis = basis.reshape(dim, len(origin))
+        x, steps = origin + x @ basis, len(origin) + dim + 3
+        x_abs = np.abs(origin) + x_abs @ np.abs(basis)
+    edges = simplices[:, 1:] - simplices[:, :1]
+    geo = (x, x_abs, steps, np.abs(np.linalg.det(edges)),
+           np.sqrt((edges * edges).sum(axis=2).prod(axis=1)))
+    for a in geo[:2] + geo[3:]:
+        a.flags.writeable = False
+    _power_cache[key] = geo
+    while len(_power_cache) > _POWER_CACHE_SIZE:
+        _power_cache.popitem(last=False)
+    return geo
+
+
+def _power_nodes(power, simplices, geo, d):
+    """Per simplex of a node set of closed power-law parts with d factors
+    (see :func:`_power_law_parts`), from ``power`` (an ``Integrand.power``)
+    and its stack's :func:`_power_geometry` ``geo``: b + t at its vertices;
+    A |det|; and |A| (rho |det| + dim^3 prod |edge|), the rounding bound in
+    units of eps over the sum of the terms' magnitudes.  A node or factor
+    value is rounded in at most ``steps`` steps (chart map, dot product,
+    adding b or the constant), so its relative error is at most eps
+    ``steps`` cond, cond the ratio of its data's magnitude to it; a term is
+    a monomial of degree k in the 1/(b + t).  rho adds the kernel's steps,
+    and dim^3 times the Hadamard ratio prod |edge| / |det| bounds the
+    determinant's.  b + t <= 0 at a vertex raises
+    :class:`ProfileDomainError`."""
+    _, k, a, b, xi, _, _ = power
+    _, n1, dim = simplices.shape
+    x, x_abs, steps, det, norms = geo
+    base = b + x @ xi
+    if not base.min() > 0:
+        raise ProfileDomainError(f"power-law pole: b + t <= 0 at a vertex, b={b}")
+    cond = ((abs(b) + x_abs @ np.abs(xi)) / base).max(axis=1)
+    big_n = n1 - 1 + d
     rho = (k * (steps * cond + 2) + 2 * (big_n + 1) * (k - big_n) + big_n
            + math.comb(big_n, d) + d * (steps + 1) + n1 ** d + 6)
-    return base, prods, prods_abs, a * det, abs(a) * (rho * det + dim ** 3 * norms)
+    return base, a * det, abs(a) * (rho * det + dim ** 3 * norms)
 
 
 def _power_law_parts(parts, rule):
@@ -667,25 +710,50 @@ def _power_law_parts(parts, rule):
     and ``converged`` says that it meets the rule's tolerance; terms that
     overflow give an infinite error.  b + t <= 0 at a vertex raises
     :class:`ProfileDomainError`.  The parts of one (n1, d, k) are evaluated
-    together.
+    together: the nodes, the h recurrence, the terms and the bound once per
+    node set (stack, chart, xi, b and A), each part taking its rows of them,
+    and the products by the factors' bins and the sums over e on all their
+    rows at once.  Every step acts row by row, and for d <= 2 each bin of
+    ``prods @ bins`` adds at most two entries, exactly, so a part keeps the
+    bits it has alone.
     """
-    eps, out, groups, shared = sys.float_info.epsilon, [None] * len(parts), {}, {}
+    eps, out, groups = sys.float_info.epsilon, [None] * len(parts), {}
     for i, (f, s) in enumerate(parts):
         groups.setdefault((s.shape[1], len(f.power.factors), f.power.k), []).append(i)
     for (n1, d, k), idx in groups.items():
         bins, nodes, scale = _power_table(n1, d, k)
         with np.errstate(over="ignore", invalid="ignore"):
-            base, prods, prods_abs, amp, amp_err = (
-                np.concatenate(c) if len(c) > 1 else c[0]
-                for c in zip(*(_power_nodes(*parts[i], shared) for i in idx)))
+            sets, node_sets, rows, prods, prods_abs = {}, [], [], [], []
+            for i in idx:
+                f, s = parts[i]
+                _, _, a, b, xi, chart, factors = f.power
+                stack = (s.shape, s.tobytes(), chart)
+                key = (stack, xi.tobytes(), b, a)
+                if key not in sets:
+                    geo = _power_geometry(stack, s, chart)
+                    sets[key] = (sum(len(n[0]) for n in node_sets), geo)
+                    node_sets.append(_power_nodes(f.power, s, geo, d))
+                start, (x, x_abs, *_) = sets[key]
+                rows.append(np.arange(start, start + len(s)))
+                p = p_abs = np.ones((len(s), 1))
+                for g, c, mapped in factors:
+                    z, z_abs = (x, x_abs) if mapped else (s, np.abs(s))
+                    p = (p[:, :, None] * (z @ g + c)[:, None, :]).reshape(len(s), -1)
+                    p_abs = (p_abs[:, :, None]
+                             * (z_abs @ np.abs(g) + abs(c))[:, None, :]).reshape(len(s), -1)
+                prods.append(p)
+                prods_abs.append(p_abs)
+            rows = np.concatenate(rows)
+            base, amp, amp_err = (np.concatenate(c) for c in zip(*node_sets))
+            prods, prods_abs = np.concatenate(prods), np.concatenate(prods_abs)
             y = (1 / base)[:, nodes]
             h = [np.ones(y.shape[:2])] + [np.zeros(y.shape[:2])] * (k - y.shape[2])
             for col in range(y.shape[2]):
                 for j in range(1, len(h)):
                     h[j] = h[j] + y[:, :, col] * h[j - 1]
-            terms = y.prod(axis=2) * h[-1] * scale
-            values = amp * (prods @ bins * terms).sum(axis=1)
-            units = amp_err * (prods_abs @ bins * terms).sum(axis=1)
+            terms = (y.prod(axis=2) * h[-1] * scale)[rows]
+            values = amp[rows] * (prods @ bins * terms).sum(axis=1)
+            units = amp_err[rows] * (prods_abs @ bins * terms).sum(axis=1)
             end = 0
             for i in idx:
                 start, end = end, end + len(parts[i][1])

@@ -481,3 +481,17 @@ def test_ladder_bits_are_pinned():
     assert got.keys() == want.keys()
     for key in want:
         assert got[key] == want[key], key
+
+
+def test_normal_powers_are_checked_once_per_grid_and_power():
+    check = blowup._require_normal_powers
+    check.cache_clear()
+    grid = tuple(F(1, 2 ** k) for k in range(3, 7))
+    for _ in range(3):
+        check(grid, 4)
+    assert (check.cache_info().hits, check.cache_info().misses) == (2, 1)
+    # A refused grid raises on every call: no exception is cached.
+    bad = (F(1, 2 ** 300),) + grid
+    for _ in range(2):
+        with pytest.raises(ValueError, match="leaves the float range: eps\\*\\*4 at depth 0"):
+            check(bad, 4)

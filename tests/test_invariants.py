@@ -1,6 +1,6 @@
 import gc
 import weakref
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from fractions import Fraction as F
 
 import numpy as np
@@ -10,6 +10,7 @@ from toricstab import catalog, invariants as inv, polytope, quadrature
 from toricstab.acceptance import BL1CP2_SOLITON_T
 from toricstab.invariants import BackendError
 from toricstab.profiles import PositivityError, builtin, require_positive
+from toricstab.quadrature import DEFAULT_RULE, Integrand
 
 
 class TestSHat:
@@ -242,6 +243,60 @@ class TestReport:
         with pytest.raises(BackendError):
             inv.invariant_report(trapezoid, W, backend="both")
 
+    @staticmethod
+    def weights(P, family, kind):
+        xi = np.array([0.3, -0.2, 0.1][:P.dim]) if kind == "generic" else 0.4 * np.eye(P.dim)[0]
+        a = None  # the pole of a power law 1/4 away from P
+        if family in ("sasaki", "ckem"):
+            a = F(1, 4) - F(float(np.min(P.vertices_floats() @ xi)))
+        return builtin(family, P.dim, xi=xi, a=a)
+
+    @pytest.mark.parametrize("name", catalog.names())
+    def test_equals_one_quantity_per_call(self, monkeypatch, name):
+        P = catalog.load(name)
+        eye, (i, j) = np.eye(P.dim), np.triu_indices(P.dim)
+        inside = lambda f: quadrature.integrate(P, f).value
+        boundary = lambda f: quadrature.integrate_boundary(P, f).value
+        for family in ("cscK", "soliton", "sasaki", "ckem"):
+            for kind in ("generic", "axis"):
+                W = self.weights(P, family, kind)
+                monkeypatch.setattr(inv, "_scalar_cache", OrderedDict())
+                rep = inv.invariant_report(P, W)
+                vol, per = inside(Integrand(W.w_weight)), boundary(Integrand(W.v_weight))
+                moments = [inside(inv.moment_integrands(W, e)[0]) for e in eye]
+                bmoments = [boundary(inv.moment_integrands(W, e)[1]) for e in eye]
+                grams = [inside(f) for f in
+                         inv.gram_integrands(W, eye, np.array(moments) / vol)]
+                where = (family, kind)
+                assert (rep.vol_w, rep.per_v, rep.s_hat) == (vol, per, per / vol), where
+                assert rep.futaki == tuple(per / vol * m - b
+                                           for m, b in zip(moments, bmoments)), where
+                assert [rep.gram[a][b] for a, b in zip(i, j)] == grams, where
+                assert [inv._moment_w(P, W, e, DEFAULT_RULE) for e in eye] == moments, where
+
+    @pytest.mark.parametrize("family", ["sasaki", "ckem"])
+    def test_power_law_report_makes_two_engine_calls(self, monkeypatch, cube, family):
+        calls = []
+        engine = inv.quadrature.integrate_parts
+        monkeypatch.setattr(inv.quadrature, "integrate_parts",
+                            lambda parts, *a: calls.append(len(parts)) or engine(parts, *a))
+        W = self.weights(cube, family, "generic")
+        monkeypatch.setattr(inv, "_scalar_cache", OrderedDict())
+        inv.invariant_report(cube, W)
+        assert len(calls) == 2
+        # Both backends: Vol_w and Per_v first, for the check, then the
+        # moments once it passes; a report that fails it integrates none.
+        monkeypatch.setattr(inv, "_scalar_cache", OrderedDict())
+        calls.clear()
+        inv.invariant_report(cube, W, backend="both")
+        assert calls == [1 + 6, 3 + 3 * 6, 6]
+        monkeypatch.setattr(inv, "_scalar_cache", OrderedDict())
+        monkeypatch.setattr(inv, "AGREE_TOL", 0.0)
+        calls.clear()
+        with pytest.raises(BackendError):
+            inv.invariant_report(cube, W, backend="both")
+        assert calls == [1 + 6]
+
 
 class TestDegenerateBackend:
     def test_localisation_assembly_at_zero_direction(self, trapezoid):
@@ -338,16 +393,32 @@ class TestScalarCache:
     def test_report_integrates_each_moment_once(self, monkeypatch, trapezoid):
         monkeypatch.setattr(inv, "_scalar_cache", OrderedDict())
         calls = []
-        for name in ("integrate", "integrate_boundary"):
-            fn = getattr(inv.quadrature, name)
-            monkeypatch.setattr(inv.quadrature, name,
-                                lambda *a, fn=fn, name=name, **k:
-                                calls.append(name) or fn(*a, **k))
-        inv.invariant_report(trapezoid, builtin("soliton", 2, xi=[0.3, -0.2]))
-        # Vol_w and Per_v, then one interior and one boundary moment per
-        # basis direction, shared by the Futaki vector, the extremal field,
-        # the Gram means and the barycenter.
-        assert sorted(calls) == ["integrate"] * 3 + ["integrate_boundary"] * 3
+        engine = inv.quadrature.integrate_parts
+        monkeypatch.setattr(inv.quadrature, "integrate_parts", lambda parts, *a:
+                            calls.append([f for f, _ in parts]) or engine(parts, *a))
+        W = builtin("soliton", 2, xi=[0.3, -0.2])
+        inv.invariant_report(trapezoid, W)
+        # Vol_w, Per_v and one interior and one boundary moment per basis
+        # direction in the first call, shared by the Futaki vector, the
+        # extremal field, the Gram means and the barycenter; the Gram
+        # entries, centred at those means, in the second.
+        eye, facets = np.eye(2), trapezoid.genuine_facet_indices()
+        inside = [Integrand(W.w_weight)] + [inv.moment_integrands(W, e)[0] for e in eye]
+        boundary = [Integrand(W.v_weight)] + [inv.moment_integrands(W, e)[1] for e in eye]
+        charted = [Integrand(f, chart=trapezoid.facet_chart(i))
+                   for f in boundary for i in facets]
+        means = np.array([inv._moment_w(trapezoid, W, e, DEFAULT_RULE) for e in eye])
+        assert len(calls) == 2
+        assert Counter(calls[0]) == Counter(inside + charted)
+        assert calls[1] == inv.gram_integrands(W, eye, means / inv.vol_w(trapezoid, W))
+        # A Futaki value at a basis vector integrates nothing more; at a new
+        # beta its two moments take one call, one part per moment and facet.
+        inv.futaki(trapezoid, W, eye[1])
+        beta = np.array([0.5, 0.25])
+        inv.futaki(trapezoid, W, beta)
+        mom, bmom = inv.moment_integrands(W, beta)
+        assert len(calls) == 3 and Counter(calls[2]) == Counter(
+            [mom] + [Integrand(bmom, chart=trapezoid.facet_chart(i)) for i in facets])
 
     def test_repeated_lookup_hashes_no_fraction(self, monkeypatch, cube):
         monkeypatch.setattr(inv, "_scalar_cache", OrderedDict())

@@ -12,6 +12,7 @@ within the tolerance.
 
 import math
 import warnings
+from collections import OrderedDict
 from fractions import Fraction as F
 from functools import lru_cache
 
@@ -217,3 +218,54 @@ def test_heavy_cube_case(family, exact):
     assert abs(vol_w(P, W) - exact) <= 1e-12 * exact
     g = gram(P, W)
     assert np.all(np.abs(g[~np.eye(3, dtype=bool)]) <= 1e-12)
+
+
+class _Logged(OrderedDict):
+    """A geometry cache that logs the key of each entry put in it."""
+
+    def __init__(self):
+        super().__init__()
+        self.built = []
+
+    def __setitem__(self, key, value):
+        self.built.append(key)
+        super().__setitem__(key, value)
+
+
+@pytest.mark.parametrize("name", ["bl1cp2", "cube"])
+def test_report_builds_each_stack_geometry_once(monkeypatch, name):
+    P = catalog.load(name)
+    cache = _Logged()
+    monkeypatch.setattr(invariants, "_scalar_cache", OrderedDict())
+    monkeypatch.setattr(quadrature, "_power_cache", cache)
+    for family in ("sasaki", "ckem"):
+        for dist in POLE_DISTANCES:
+            W = _weights(P, family, "generic", dist)
+            invariant_report(P, W, backend="both")
+            invariants.futaki(P, W, np.full(P.dim, 0.5))
+    # The interior stack and each facet's, with its chart: once each, for
+    # every weight and every part.
+    facets = P.genuine_facet_indices()
+    assert len(set(cache.built)) == len(cache.built) == 1 + len(facets)
+    assert {key[2] for key in cache.built} == {None, *map(P.facet_chart, facets)}
+
+
+def test_geometry_cache_stays_at_its_bound(monkeypatch):
+    P = catalog.load("cube")
+    W = _weights(P, "ckem", "generic", F(1, 4))
+    monkeypatch.setattr(invariants, "_scalar_cache", OrderedDict())
+    monkeypatch.setattr(quadrature, "_power_cache", OrderedDict())
+    want = invariant_report(P, W)
+    invariants._scalar_cache.clear()
+    quadrature._power_cache.clear()
+    monkeypatch.setattr(quadrature, "_POWER_CACHE_SIZE", 2)
+    sizes, build = [], quadrature._power_geometry
+
+    def logged(*args):
+        geo = build(*args)
+        sizes.append(len(quadrature._power_cache))
+        return geo
+
+    monkeypatch.setattr(quadrature, "_power_geometry", logged)
+    assert invariant_report(P, W) == want
+    assert len(sizes) > 7 and max(sizes) == 2

@@ -544,6 +544,36 @@ class TestIntegrand:
         assert np.signbit(plus_zero(Nodes())).tolist() == [False, False]
         assert bare != plus_zero
 
+    def test_arrays_are_copied_only_when_writeable(self):
+        W = builtin("sasaki", 2, xi=[0.7, -0.2], a=3)  # W.xi is read-only
+        g = np.array([1.0, 2.0])
+        f = Integrand(W.w_weight, [(g, None)])
+        kept = f.factors[0][0]
+        assert f.weight[1] is W.xi and kept is not g and not kept.flags.writeable
+        g[0] = 5.0
+        assert kept.tolist() == [1.0, 2.0]
+        assert Integrand(f, [(kept, 1.0)]).factors[0][0] is kept
+
+    def test_repeated_construction_makes_no_fraction_and_hashes_no_facet(
+            self, monkeypatch):
+        W = builtin("ckem", 2, xi=[0.7, -0.2], a=3)
+        chart = catalog.load("cp2").facet_chart(0)
+
+        def make():
+            inner = Integrand(W.v_weight, [((1.0, 0.0), None)])
+            return Integrand(inner, chart=chart)
+
+        first = make()
+        assert first.power.closed
+        made, hashed = [], []
+        new, facet_hash = F.__new__, Facet.__hash__
+        monkeypatch.setattr(F, "__new__",
+                            lambda cls, *a, **k: made.append(1) or new(cls, *a, **k))
+        monkeypatch.setattr(Facet, "__hash__", lambda f: hashed.append(1) or facet_hash(f))
+        for _ in range(3):
+            assert make() == first and make().power.closed
+        assert made == [] and hashed == []
+
     @pytest.mark.parametrize("family, a", [("soliton", None), ("sasaki", 3), ("ckem", 3)])
     def test_degree(self, family, a):
         at_zero = builtin(family, 2, xi=[0.0, 0.0], a=a)
