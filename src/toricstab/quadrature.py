@@ -394,7 +394,6 @@ class Integrand:
     ``x -> A_1(x) * ... * A_k(x) * weight(x)``, multiplied left to right;
     each A in ``factors`` is a (gradient, constant) pair, A(x) = ``x @
     gradient + constant``, or ``x @ gradient`` if the constant is None.
-    ``absolute`` takes the absolute value of the factors' product.
     ``weight`` is a (profile, xi) pair, ``profile.value(x @ xi)``, or an
     integrand or other callable, so ``Integrand(Integrand(w, [B]), [A])`` is
     ``A * (B * w)``.  A facet ``chart`` pulls the value back, ``y ->
@@ -404,22 +403,19 @@ class Integrand:
     of one hyperplane, the same callable.  ``degree`` is the number of
     factors plus the weight's degree: 0 for a profile at xi = 0, else the
     profile's or inner integrand's, None if that is no polynomial or a
-    plain callable.  An absolute factor counts 1, which is right only on
-    pieces cut along its zero set (``testconfig._l1_about``).
+    plain callable.
 
     ``power`` unfolds a :class:`PowerLaw` of integer exponent -k (innermost,
-    no ``absolute`` flag, at most one chart; else None) as A (b + <xi,
-    x>)^-k times ``factors`` ``(gradient, constant, mapped)``, ``mapped``
-    false for those met before an inner chart maps the point.  ``closed``
-    says that :func:`integrate_parts` takes it in closed form: xi is not 0,
-    and with d factors on dim-simplices (of the chart if any), k >= dim +
-    d + 1.
+    at most one chart; else None) as A (b + <xi, x>)^-k times ``factors``
+    ``(gradient, constant, mapped)``, ``mapped`` false for those met before
+    an inner chart maps the point.  ``closed`` says that
+    :func:`integrate_parts` takes it in closed form: xi is not 0, and with d
+    factors on dim-simplices (of the chart if any), k >= dim + d + 1.
     """
 
-    __slots__ = ("weight", "factors", "absolute", "chart", "degree", "power",
-                 "_key", "_hash")
+    __slots__ = ("weight", "factors", "chart", "degree", "power", "_key", "_hash")
 
-    def __init__(self, weight, factors=(), absolute=False, chart=None):
+    def __init__(self, weight, factors=(), chart=None):
         self.factors = tuple([(_read_only(g), c if c is None else float(c))
                               for g, c in factors])
         inner, key = weight.degree if isinstance(weight, Integrand) else None, weight
@@ -427,14 +423,14 @@ class Integrand:
             weight = (weight[0], _read_only(weight[1]))
             inner = weight[0].degree if any(weight[1].tolist()) else 0
             key = (weight[0], weight[1].tobytes())
-        self.weight, self.absolute, self.chart = weight, absolute, chart
+        self.weight, self.chart = weight, chart
         self.degree = None if inner is None else len(self.factors) + inner
         power = weight.power if isinstance(weight, Integrand) else None
         if type(weight) is tuple and isinstance(weight[0], PowerLaw) and weight[0]._order:
             power = _PowerForm(False, weight[0]._order, *weight[0]._floats[:2], weight[1],
                                None, ())
         self.power = None
-        if power is not None and not absolute and (chart is None or power.chart is None):
+        if power is not None and (chart is None or power.chart is None):
             _, k, a, b, xi, inner_chart, factors = power
             factors = tuple((g, c or 0.0, inner_chart is None)
                             for g, c in self.factors) + factors
@@ -444,7 +440,7 @@ class Integrand:
             self.power = _PowerForm(closed, k, a, b, xi, one_chart, factors)
         # Floats are compared and hashed by their bytes: -0.0 is not 0.0.
         self._key = (key, tuple([(g.tobytes(), c if c is None else struct.pack("d", c))
-                                 for g, c in self.factors]), absolute, chart)
+                                 for g, c in self.factors]), chart)
         self._hash = hash(self._key)
 
     def __eq__(self, other):
@@ -460,8 +456,6 @@ class Integrand:
         for g, c in self.factors:
             a = x @ g if c is None else x @ g + c
             out = a if out is None else out * a
-        if self.absolute:
-            out = np.abs(out)
         w = self.weight
         w = w[0].value(x @ w[1]) if type(w) is tuple else w(x)
         return w if out is None else out * w

@@ -17,7 +17,8 @@ The relative invariants come from one torus projection, the part tc_perp
 of phi w-L2-orthogonal to the affine functions: chow_T(TC, p) = tc_perp(p),
 which is why a non-product configuration always has a vertex with positive
 chow_T, df_T = df(tc_perp), and the orthogonal L1 norm is that of tc_perp.
-L1 integrands are clipped along their zero set in any dimension.
+An L1 norm is 2 int f_+ w - int f w: the positive side of f on each cell is
+cut along its zero set, in any dimension.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import _linalg as la, invariants
 from .polytope import Facet, _as_fraction, _clip
-from .quadrature import DEFAULT_RULE, Integrand, integrate_sum
+from .quadrature import DEFAULT_RULE, Integrand, integrate_parts, integrate_sum
 
 
 @dataclass(frozen=True)
@@ -278,22 +279,23 @@ def integrate_pl_boundary(tc, rule=DEFAULT_RULE):
                           for p in ps], rule).value
 
 
-# -- simplex clipping for absolute-value integrands ---------------------------
+# -- simplex clipping along the zero set of an affine form --------------------
 
 
-def clip_simplex(verts, grad, const, tol=1e-13):
+def clip_simplex(verts, grad, const):
     """Sub-simplices of one simplex where h(x) = <grad, x> + const >= 0.
 
     Pulling recursion, in any dimension: the kept part of S is the cone from
     its vertex p of largest h over the kept part of the facet opposite p and
     over the section S & {h = 0}; a section is the cone from the cut point c
     of the edge from p to the vertex q of smallest h over the sections of
-    the facets opposite p and q (only p's if c = p).  |h| <= tol counts as
-    zero, and zero as kept, so each piece of the cut comes out once.
+    the facets opposite p and q (only p's if c = p).  |h| <= 1e-13 (relative
+    to the largest |h|, at least 1) counts as zero, and zero as kept, so each
+    piece of the cut comes out once.
     """
     verts = np.asarray(verts, dtype=float)
     h = (verts @ np.asarray(grad, dtype=float) + const).tolist()
-    zero = tol * max(1.0, max(map(abs, h)))
+    zero = 1e-13 * max(1.0, max(map(abs, h)))
     h = [0.0 if abs(x) <= zero else x for x in h]
     if min(h) >= 0:
         return [verts]
@@ -324,22 +326,6 @@ def clip_simplex(verts, grad, const, tol=1e-13):
                         for s in section([i for i in idx if i != o])])
 
     return [np.array(s) for s in keep(list(range(len(verts))))]
-
-
-def _abs_affine_part(region, grad, const, weight):
-    """Integration part for int over region of |<grad, x> + const| * weight
-    dx, ``weight`` an :class:`Integrand`'s weight.
-
-    The region is cut along the zero set of the affine form, so the
-    integrand is smooth on every piece; the pieces of both signs make one
-    part.  The cut positions only need float accuracy since the integrand
-    vanishes there.
-    """
-    grad = np.asarray(grad, dtype=float)
-    pieces = [s for sign in (1.0, -1.0)
-              for tri in region.triangulation_floats()
-              for s in clip_simplex(tri, sign * grad, sign * const)]
-    return Integrand(weight, [(grad, const)], absolute=True), np.array(pieces)
 
 
 # -- invariants of configurations ---------------------------------------------
@@ -415,11 +401,17 @@ def l1_norm(tc, rule=DEFAULT_RULE):
 
 
 def _l1_about(tc, mean, rule):
-    """int_P |phi - mean| w dx; on each cut piece a polynomial of degree
-    1 + deg w."""
-    parts = [_abs_affine_part(cell, g, c - mean, tc.weights.w_weight)
-             for cell, g, c in tc.affine_cells()]
-    return integrate_sum(parts, rule).value
+    """int_P |phi - mean| w dx, as 2 int (phi - mean)_+ w - int (phi - mean) w
+    (|f| = 2 f_+ - f for any mean).  On each cell f is affine: its positive
+    side is cut along the zero set, so both parts of a cell are smooth and
+    share one integrand.  Only rounding can take the sum below 0."""
+    parts = []
+    for cell, g, c in tc.affine_cells():
+        f, tris = Integrand(tc.weights.w_weight, [(g, c - mean)]), cell.triangulation_floats()
+        pos = [s for tri in tris for s in clip_simplex(tri, g, c - mean)]
+        parts += [(f, np.array(pos).reshape(-1, *tris.shape[1:])), (f, tris)]
+    res = integrate_parts(parts, rule)
+    return max(0.0, sum(2 * pos.value - whole.value for pos, whole in zip(res[::2], res[1::2])))
 
 
 def orthogonal_part(tc, rule=DEFAULT_RULE):
@@ -430,8 +422,7 @@ def orthogonal_part(tc, rule=DEFAULT_RULE):
     its weighted L1 norm.  Affine phi projects to the zero configuration.
     """
     perp = _projection(tc, rule)[0]
-    # perp's offset makes its w-mean zero, so no mean is integrated.
-    return perp, _l1_about(perp, 0.0, rule)
+    return perp, _l1_about(perp, 0.0, rule)  # perp's w-mean is zero
 
 
 def _vertex_coords(tc, p):

@@ -73,6 +73,20 @@ def test_testconfig_file_input(tmp_path, capsys):
     assert doc["chow_T"] > 0
 
 
+def test_heavy_l1_norm_is_exact(tmp_path, capsys):
+    # phi = max(0, x1 - x2/2 + x3/3 - 1/4) on the cube, sasaki weights with
+    # the pole at distance 1/8: the exact norm is 164.76955867724558.
+    tc = {"pieces": [{"gradient": ["0", "0", "0"], "constant": "0"},
+                     {"gradient": ["1", "-1/2", "1/3"], "constant": "-1/4"}]}
+    path = tmp_path / "tc.json"
+    path.write_text(json.dumps(tc))
+    code, out = run(capsys, "testconfig", "norm", "--catalog", "cube", "--family", "sasaki",
+                    "--xi", "0.5,0,0", "--a", "1/8", "--tc", str(path), "--strict")
+    assert code == 0
+    assert '"l1_norm": 1.647695586772e+02' in out
+    assert json.loads(out)["l1_norm"] == pytest.approx(164.76955867724558, rel=1e-12)
+
+
 def test_blowup_expand_with_csv(capsys):
     code, out = run(capsys, "blowup-expand", "--catalog", "cp2", "--vertex",
                     "1", "--quantity", "volume", "--csv", "expansion")

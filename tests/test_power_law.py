@@ -139,13 +139,11 @@ def _refused(P):
     """Integrands that keep the adaptive path, with their simplices."""
     tri = P.triangulation_floats()
     xi = np.full(P.dim, 0.4)
-    e, m = np.eye(P.dim)[0], -0.5
+    m = -0.5
     ckem1 = builtin("ckem", 1, xi=[0.5], a=1)  # k = 3 = dim + 2 factors: a log
     return {
         "ckem n=1, two factors": (Integrand(ckem1.w_weight, [([1.0], m), ([1.0], m)]),
                                   catalog.load("cp1").triangulation_floats()),
-        "absolute": (Integrand((PowerLaw(F(1), F(2), F(-6)), xi), [(e, m)],
-                               absolute=True), tri),
         "fractional exponent": (Integrand((PowerLaw(F(1), F(2), F(-11, 2)), xi)), tri),
         "log": (Integrand((Log(F(1), F(2)), xi)), tri),
         "soliton": (Integrand((Exponential(), xi)), tri),

@@ -585,7 +585,6 @@ class TestIntegrand:
         inner = Integrand(at_zero.w_weight, [((1.0, 0.0), 2.0)])
         assert Integrand(inner, [((0.0, 1.0), None)]).degree == 2
         assert Integrand(w, chart=catalog.load("cp2").facet_chart(0)).degree == 0
-        assert Integrand(at_zero.w_weight, [((1.0, 0.0), 2.0)], absolute=True).degree == 1
         assert Integrand(INTEGRANDS["polynomial"]).degree is None
         assert Integrand((Monomial(3), (1.0, 0.0)), [((1.0, 0.0), None)]).degree == 4
 

@@ -9,9 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricstab import catalog, invariants as inv, testconfig as tcg
-from toricstab.polytope import DelzantPolytope
+from toricstab.polytope import DelzantPolytope, Facet, _clip
 from toricstab.profiles import builtin
+from toricstab.quadrature import DEFAULT_RULE, moments
 from toricstab.testconfig import PLConvex, ToricTC, clip_simplex
+
+from test_power_law import exact_part
 
 
 def _pl(*pieces):
@@ -240,6 +243,89 @@ class TestNorms:
         _, norm = tcg.orthogonal_part(kinked)
         _, norm2 = tcg.orthogonal_part(tcg.twist(kinked, [0.9, -1.4]))
         assert norm2 == pytest.approx(norm, rel=1e-10)
+
+
+def _exact_affine(piece, W, g, c):
+    """int over the polytope ``piece`` of (<g, x> + c) w dx: exact for
+    constant and power-law weights, closed-form floats for soliton ones."""
+    if W.family in ("sasaki", "ckem"):
+        return exact_part(W.w_profile, W.xi, [(g, c)], piece.triangulate())
+    n = piece.dim
+    if W.family == "soliton":
+        def moment(m):
+            return F(moments(piece, m, W.xi, mode="exponential"))
+    else:
+        def moment(m):
+            return F(W.w_profile.value(0.0)) * moments(piece, m)
+    return (sum(gi * moment(tuple(int(i == j) for j in range(n))) for i, gi in enumerate(g))
+            + c * moment((0,) * n))
+
+
+def _exact_l1(tc, offset):
+    """int_P |phi - offset| w dx with each cell of phi cut along the
+    rational zero set of phi - offset and each side integrated by
+    :func:`_exact_affine`."""
+    assert tc.c0 == 0 and not tc.twist_vector.any()
+    total = F(0)
+    for k, cell in tc.cells():
+        g, c = tc.phi.pieces[k]
+        c -= F(offset)
+        for s in (1, -1):
+            if any(g):
+                side = _clip(cell, [Facet.make([s * x for x in g], s * c)])
+            else:
+                side = cell if s * c > 0 else None
+            if side is not None:
+                total += s * _exact_affine(side, tc.weights, g, c)
+    return total
+
+
+L1_XI = (F(1, 4), F(-1, 8), F(3, 8))
+L1_PHI = [((0, 0, 0), 0), ((1, F(-1, 2), F(1, 3)), F(-1, 4)), ((F(-1, 2), 1, 0), F(-1, 3))]
+
+
+def _l1_case(name, family, pieces=3, xi=L1_XI, a=1):
+    P = catalog.load(name)
+    n = P.dim
+    W = builtin(family, n, xi=[float(x) for x in xi[:n]] if family != "cscK" else None,
+                a=a if family in ("sasaki", "ckem") else None)
+    return ToricTC(P, W, _pl(*[(g[:n], c) for g, c in L1_PHI[:pieces]]))
+
+
+class TestL1Oracle:
+    """L1 norms against the exact integral over the cut cells."""
+
+    @pytest.mark.parametrize("family", ["cscK", "soliton", "sasaki", "ckem"])
+    @pytest.mark.parametrize("name", ["cp2", "bl1cp2", "cube"])
+    def test_norm_meets_the_exact_value(self, name, family):
+        tc = _l1_case(name, family)
+        assert not tc.is_product()
+        mean = tcg.mean_w(tc)
+        for got, offset in ((tcg.l1_norm(tc), mean),
+                            (tcg._l1_about(tc, F(1, 8), DEFAULT_RULE), F(1, 8))):
+            exact = _exact_l1(tc, offset)
+            assert abs(F(got) - exact) <= F(1e-12) * exact, (offset, got, float(exact))
+
+    @pytest.mark.parametrize("family", ["sasaki", "ckem"])
+    def test_heavy_cube_norm_meets_the_exact_value(self, family):
+        # The pole at distance 1/8 along the x1 axis.
+        tc = _l1_case("cube", family, pieces=2, xi=(F(1, 2), 0, 0), a=F(1, 8))
+        exact = _exact_l1(tc, tcg.mean_w(tc))
+        assert abs(F(tcg.l1_norm(tc)) - exact) <= F(1e-12) * exact
+
+    @pytest.mark.parametrize("family", ["cscK", "soliton", "sasaki"])
+    def test_product_norm_is_rounding(self, family):
+        rng = np.random.default_rng(11)
+        for name in ("cp2", "bl1cp2", "cp1xcp1", "cube"):
+            P = catalog.load(name)
+            n = P.dim
+            W = builtin(family, n, xi=[0.25, -0.125, 0.375][:n] if family != "cscK" else None,
+                        a=1 if family == "sasaki" else None)
+            for _ in range(4):
+                tc = ToricTC(P, W, tcg.random_pl(rng, n, pieces=1),
+                             twist=rng.uniform(-1, 1, n), c0=rng.uniform(-1, 1))
+                _, norm = tcg.orthogonal_part(tc)
+                assert 0.0 <= norm <= 1e-9, (name, norm)
 
 
 class TestChow:
