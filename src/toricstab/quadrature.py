@@ -16,15 +16,13 @@ bound (:func:`_power_law_parts`), computed once per node set for all the
 parts of a call that share it.
 Every other part is analytic: the first pass calls its integrand once on
 its simplices and their bisection halves, and sums its rule in one stacked
-product.  It then refines on its own, in rounds: each evaluates, in one
-integrand call, the halves of up to ``_ROUND_CAP`` leaves the part must
-bisect before it can stop, then replays the one-leaf-at-a-time loop
-exactly; every stop test reads exact running sums of the leaves (see
-:func:`_refine`).  Parts of one dimension whose integrands are equal enter
-the first pass as one, their simplices concatenated, and then part again;
-each keeps its own rule sums, refinement and result.  Rounds and shared
-passes are bit-identical to one evaluation per simplex for an integrand
-that is row-wise to the bit (see :func:`integrate_parts`).  Boundary
+product.  It then refines on its own, one leaf per integrand call; every
+stop test reads exact running sums of the leaves (see :func:`_refine`).
+Parts of one dimension whose integrands are equal enter the first pass as
+one, their simplices concatenated, and then part again; each keeps its own
+rule sums, refinement and result.  Shared passes are bit-identical to one
+evaluation per simplex for an integrand that is row-wise to the bit (see
+:func:`integrate_parts`).  Boundary
 integrals pull each facet back through its unimodular chart, which is
 affine, so a pulled-back polynomial keeps its degree and the lattice
 boundary measure is built in.
@@ -242,18 +240,6 @@ def _estimate(parts, bary, wts):
     return out
 
 
-def _estimate_leaves(f, halves, bary, wts):
-    """:func:`_estimate` of several leaves of one part, each given as the
-    (2, n+1, n) stack of its halves: one :func:`_geometry` lookup per leaf,
-    as a pass of its own would make, and one integrand call on the nodes of
-    every leaf in turn.  Returns each leaf's (fine, errs, kids)."""
-    kids, allv, vols = zip(*_geometry(halves, [True] * len(halves)))
-    est = _rule_sums(f, np.concatenate(allv), np.concatenate(vols), bary, wts)
-    est = est.reshape(len(halves), 6)  # 2 halves, then their 4 halves
-    fine = est[:, 2::2] + est[:, 3::2]
-    return zip(fine.tolist(), np.abs(est[:, :2] - fine).tolist(), kids)
-
-
 class _RunningSum:
     """Exact sum of a changing multiset of floats, equal to ``math.fsum`` of
     its members.
@@ -290,15 +276,6 @@ class _RunningSum:
         return math.fsum(special) if special else self.units / (1 << 1074)
 
 
-# The most leaves a refinement round pops.  At caps 1, 4, 8, 16 and 32,
-# replaying the refinements of 4 weight_sweep cycles (seed 0) took 0.48,
-# 0.35, 0.35, 0.37 and 0.37 s of CPU, and gram plus vol_w on the cube with
-# ckem weights at xi = (0.5, 0, 0), a = 1/8 took 4.9, 3.3, 3.3, 3.5 and
-# 4.5 s (medians of interleaved runs, shared 2-core x86-64 machine): more
-# popped leaves are outranked by a new child and pushed back.
-_ROUND_CAP = 8
-
-
 def _refine(f, fine, errs, kids, bary, wts, rule):
     """Finish one part from its first pass.
 
@@ -307,21 +284,10 @@ def _refine(f, fine, errs, kids, bary, wts, rule):
     leaf (largest |coarse - fine|, the earlier leaf on a tie) until the
     summed error meets the tolerance or every such leaf is at
     ``max_depth``.  An infinite or NaN error never counts as converged.
-    The value and error are exact running sums of the leaves
+    Each bisection evaluates the leaf's halves in one :func:`_estimate`
+    call.  The value and error are exact running sums of the leaves
     (:class:`_RunningSum`), read after every bisection: each equals the
     ``fsum`` of the leaves, and every stop test reads them.
-
-    It does so in rounds of at most one integrand call.  A round pops, in
-    key order and up to ``_ROUND_CAP``, the leaves that must be bisected
-    before the loop can stop: while the error left after removing theirs
-    still exceeds the tolerance (their children's errors are not negative).
-    It evaluates the halves of those not yet evaluated in one
-    :func:`_estimate_leaves` call, and then replays the one-leaf loop
-    exactly.  Before each bisection the loop ends if the tolerance is met;
-    if a child pushed in this round outranks the next popped leaf, that
-    leaf and the rest go back on the heap, their halves' results kept for
-    a later round.  So every leaf is bisected, and every child pushed, in
-    the order of the one-leaf loop, with its bits.
     """
     if errs is None:
         value = math.fsum(fine)
@@ -344,35 +310,18 @@ def _refine(f, fine, errs, kids, bary, wts, rule):
             for key, (v, e, halves) in enumerate(zip(fine, errs, kids))]
     heapq.heapify(heap)
     counter = count(len(heap))
-    kept = {}  # key -> its halves' (fine, errs, kids), evaluated ahead
     while heap and err > tol(value):
-        batch = []
-        left = err - tol(value)
-        while heap and len(batch) < _ROUND_CAP and (not batch or left > 0):
-            batch.append(heapq.heappop(heap))
-            if batch[-1][2] < rule.max_depth:
-                left += batch[-1][0]
-        new = [leaf for leaf in batch
-               if leaf[2] < rule.max_depth and leaf[1] not in kept]
-        if new:
-            kept.update(zip([leaf[1] for leaf in new], _estimate_leaves(
-                f, [leaf[3] for leaf in new], bary, wts)))
-        for i, leaf in enumerate(batch):
-            # The loop's own test negated: a NaN error stops here as there.
-            if i and (heap and heap[0] < leaf or not err > tol(value)):
-                for rest in batch[i:]:
-                    heapq.heappush(heap, rest)
-                break
-            neg_e, key, depth, _, v = leaf
-            if depth >= rule.max_depth:
-                continue  # leaf stays counted but cannot be refined further
-            values.remove(v)
-            errors.remove(-neg_e)
-            for v, e, halves in zip(*kept.pop(key)):
-                values.add(v)
-                errors.add(e)
-                heapq.heappush(heap, (-e, next(counter), depth + 1, halves, v))
-            value, err = values.total(), errors.total()
+        neg_e, _, depth, halves, v = heapq.heappop(heap)
+        if depth >= rule.max_depth:
+            continue  # leaf stays counted but cannot be refined further
+        [(fine, errs, kids)] = _estimate([(f, halves, False)], bary, wts)
+        values.remove(v)
+        errors.remove(-neg_e)
+        for v, e, kid in zip(fine, errs, kids):
+            values.add(v)
+            errors.add(e)
+            heapq.heappush(heap, (-e, next(counter), depth + 1, kid, v))
+        value, err = values.total(), errors.total()
     return IntegrationResult(value, err, converged(value, err))
 
 
@@ -480,10 +429,9 @@ def integrate_parts(parts, rule=DEFAULT_RULE):
     Parts of one n whose integrands are equal (as values; a function by
     identity) enter that pass as one part, their simplices concatenated in
     part order, so the integrand is called once for all of them; each then
-    takes back its own simplices' values, errors and halves.  A part's
-    refinement, too, evaluates the halves of several leaves in one call
-    (:func:`_refine`).  Each result is bit-identical to integrating that
-    part alone, one leaf per call, if its integrand is row-wise to the bit,
+    takes back its own simplices' values, errors and halves, and refines
+    one leaf per call (:func:`_refine`).  Each result is bit-identical to
+    integrating that part alone if its integrand is row-wise to the bit,
     that is, a row's value does not depend on the other rows or on the
     array's length.  The numpy matrix products and ufuncs of every
     integrand here are, on OpenBLAS, for arrays of 2 rows or more; a 1-row

@@ -343,7 +343,9 @@ def df(tc, rule=DEFAULT_RULE, shat=None):
 
 
 def mean_w(tc, rule=DEFAULT_RULE):
-    """w-weighted average of phi over the polytope."""
+    """w-weighted average of phi over the polytope; the weights must pass
+    the positivity gate, which chow, the projection and L1 norms meet here."""
+    invariants._require_positive(tc.polytope, tc.weights)
     return integrate_pl(tc, rule=rule) / invariants.vol_w(tc.polytope, tc.weights, rule)
 
 

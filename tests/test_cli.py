@@ -322,15 +322,20 @@ def test_report_expand_vertex_out_of_range_exits_3(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["--catalog", "cp2", "--family", "soliton", "--xi", "1e308,0"],
-    ["--catalog", "cp2", "--family", "soliton", "--xi", "800,0"],
+    ["invariants", "--catalog", "cp2", "--family", "soliton", "--xi", "1e308,0"],
+    ["invariants", "--catalog", "cp2", "--family", "soliton", "--xi", "800,0"],
     # <xi, x> itself leaves the float range at the far vertex.
-    ["--catalog", "cube", "--family", "cscK", "--xi", "1e308,1e308,1e308"],
-], ids=["soliton-1e308", "soliton-800", "csck-interval-overflow"])
+    ["invariants", "--catalog", "cube", "--family", "cscK", "--xi", "1e308,1e308,1e308"],
+    # The test-configuration commands reach mean_w before any other integral.
+    *[["testconfig", command, "--catalog", "cp2", "--beta", "1,0",
+       "--family", "soliton", "--xi", "720,0"]
+      for command in ("chow", "norm", "destabilize")],
+], ids=["soliton-1e308", "soliton-800", "csck-interval-overflow",
+        "testconfig-chow", "testconfig-norm", "testconfig-destabilize"])
 def test_weights_not_finite_on_polytope_exit_3(capsys, argv):
     # The positivity check fails the weights without a numpy overflow
     # warning, which this suite turns into an error.
-    code = main(["invariants", *argv])
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert captured.err.startswith("error: weight positivity fails")
@@ -606,11 +611,15 @@ def test_overflowing_weight_exits_3_without_a_warning():
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
                PYTHONPATH=str(src) + (os.pathsep + path if path else ""))
-    proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "toricstab.cli",
-         "invariants", "--catalog", "cp2", "--family", "soliton", "--xi", "709,0"],
-        env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 3, proc.stderr
-    assert proc.stdout == ""
-    [line] = proc.stderr.splitlines()
-    assert line.startswith("error: weight positivity fails") and "overflow" in line
+    for argv, why in [
+            (["invariants", "--catalog", "cp2", "--family", "soliton", "--xi", "709,0"],
+             "overflow"),
+            (["testconfig", "norm", "--catalog", "cp2", "--beta", "1,0",
+              "--family", "soliton", "--xi", "720,0"], "not finite")]:
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "toricstab.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: weight positivity fails") and why in line
