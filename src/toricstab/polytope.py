@@ -108,7 +108,13 @@ class Facet:
 
 
 class _HashedTuple(tuple):
-    """A tuple that hashes its items once (each facet hash is a call)."""
+    """A tuple that hashes its items once: each facet or profile hash is a
+    Python-level call."""
+
+    def __new__(cls, items):
+        self = super().__new__(cls, items)
+        self._hash = tuple.__hash__(self)
+        return self
 
     def __hash__(self):
         return self._hash
@@ -235,7 +241,7 @@ class DelzantPolytope:
         self.facets = tuple(sorted(set(normalized),
                                    key=lambda f: (f.normal, f.offset)))
         self.key = _HashedTuple((self.dim, self.facets))
-        self.key._hash = self._hash = tuple.__hash__(self.key)
+        self._hash = self.key._hash
         self.name = name
         self._cache = {}
 

@@ -22,6 +22,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .polytope import _HashedTuple
+
 
 class ProfileDomainError(ValueError):
     """Evaluation outside the profile's interval of analyticity."""
@@ -319,9 +321,9 @@ class WeightPair:
 
     ``xi`` is a read-only copy of the direction given, so ``key``, the
     ``(n, xi, f, g)`` tuple that caches of weight-dependent values are keyed
-    by, is built once here and stays true to the pair.  ``v_weight`` and
-    ``w_weight`` are the (profile, xi) pairs of v and w, ``v_profile`` =
-    f^(n) and ``w_profile`` = g^(n+1): the weight of a
+    by, is built and hashed once here and stays true to the pair.
+    ``v_weight`` and ``w_weight`` are the (profile, xi) pairs of v and w,
+    ``v_profile`` = f^(n) and ``w_profile`` = g^(n+1): the weight of a
     ``quadrature.Integrand``.
     """
 
@@ -332,7 +334,7 @@ class WeightPair:
         if self.xi.shape != (self.n,):
             raise ValueError(f"xi has shape {self.xi.shape}, expected ({self.n},)")
         self.f, self.g, self.family = f, g, family
-        self.key = (self.n, tuple(self.xi.tolist()), f, g)
+        self.key = _HashedTuple((self.n, tuple(self.xi.tolist()), f, g))
         self.v_profile = f.derivative(self.n)
         self.w_profile = g.derivative(self.n + 1)
         self.v_weight, self.w_weight = (self.v_profile, self.xi), (self.w_profile, self.xi)

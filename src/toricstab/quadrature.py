@@ -2,30 +2,28 @@
 
 Interior integrals run Grundmann-Moller simplex cubature (exact to a
 configurable polynomial degree) over an exact triangulation, with adaptive
-longest-edge bisection driven by a coarse/fine error estimate for analytic
-non-polynomial integrands.  One engine, :func:`integrate_parts`, takes a
-list of (integrand, simplices) parts of any dimensions, such as the facets
-of a boundary or the cells of a PL function; :func:`integrate_sum` adds
-their results.  An integrand is an :class:`Integrand` value, which knows
-its polynomial degree, or a plain callable.  If the rule (of degree 2s+1)
-integrates that degree exactly, the part is evaluated once on its own
-simplices, and its value is the ``fsum`` of their rule sums with error 0.
-A power law of <xi, x> times affine factors (``Integrand.power``: the
-Sasaki and ckem weights) has a closed form on each simplex and a rounding
-bound (:func:`_power_law_parts`), computed once per node set for all the
-parts of a call that share it.
+longest-edge bisection for analytic non-polynomial integrands.  One engine,
+:func:`integrate_parts`, takes a list of (integrand, simplices) parts of
+any dimensions, such as the facets of a boundary or the cells of a PL
+function; :func:`integrate_sum` adds their results.  An integrand is an
+:class:`Integrand` value, which knows its polynomial degree, or a plain
+callable.  If the rule (of degree 2s+1) integrates that degree exactly, the
+part is evaluated once on its own simplices, and its value is the ``fsum``
+of their rule sums with error 0.  A power law of <xi, x> times affine
+factors (``Integrand.power``: the Sasaki and ckem weights) has a closed
+form on each simplex and a rounding bound (:func:`_power_law_parts`),
+computed once per node set for all the parts of a call that share it.
 Every other part is analytic: the first pass calls its integrand once on
-its simplices and their bisection halves, and sums its rule in one stacked
-product.  It then refines on its own, one leaf per integrand call; every
-stop test reads exact running sums of the leaves (see :func:`_refine`).
+its simplices and their bisection halves, and an error estimate against the
+embedded lower rule sees every direction (:func:`_estimate`); the part then
+refines on its own, in rounds of one integrand call (:func:`_refine`).
 Parts of one dimension whose integrands are equal enter the first pass as
 one, their simplices concatenated, and then part again; each keeps its own
 rule sums, refinement and result.  Shared passes are bit-identical to one
 evaluation per simplex for an integrand that is row-wise to the bit (see
-:func:`integrate_parts`).  Boundary
-integrals pull each facet back through its unimodular chart, which is
-affine, so a pulled-back polynomial keeps its degree and the lattice
-boundary measure is built in.
+:func:`integrate_parts`).  Boundary integrals pull each facet back through
+its unimodular chart, which is affine, so a pulled-back polynomial keeps
+its degree and the lattice boundary measure is built in.
 
 The geometry of a simplex stack (its bisection into halves and the volumes
 of simplices and halves) depends on neither the rule nor the integrand, and
@@ -50,15 +48,14 @@ confluent divided differences of exp, in numpy, for exponential ones.
 
 from __future__ import annotations
 
-import heapq
 import math
 import struct
 import sys
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import accumulate, count, product
+from functools import cached_property, lru_cache
+from itertools import accumulate, product
 
 import numpy as np
 
@@ -82,6 +79,13 @@ class QuadratureRule:
     @property
     def gm_order(self):
         return max(0, self.degree // 2)  # smallest s with 2s+1 >= degree
+
+    def __hash__(self):  # every scalar cache key hashes its rule
+        return self._hash
+
+    @cached_property
+    def _hash(self):
+        return hash((self.degree, self.tol_abs, self.tol_rel, self.max_depth))
 
 
 DEFAULT_RULE = QuadratureRule()
@@ -127,6 +131,17 @@ def gm_table(dim, s):
     bary = np.array([[float(c) for c in p] for p in pts])
     wts = np.array([float(acc[p] * math.factorial(n)) for p in pts])
     return bary, wts
+
+
+@lru_cache(maxsize=None)
+def _lower_rule(dim, s):
+    """``(rows, weights)`` of the degree-(2s-1) rule, its nodes as rows of
+    ``gm_table(dim, s)``'s, or None at s = 0: its nodes of index i are the
+    upper rule's of index i + 1 (Genz and Cools, ACM TOMS 29, 2003)."""
+    if s:
+        rows = {p.tobytes(): r for r, p in enumerate(gm_table(dim, s)[0])}
+        bary, wts = gm_table(dim, s - 1)
+        return np.array([rows[p.tobytes()] for p in bary]), wts
 
 
 @lru_cache(maxsize=None)
@@ -201,28 +216,37 @@ def _geometry(stacks, halves):
     return out
 
 
-def _rule_sums(f, allv, vols, bary, wts):
+def _rule_sums(f, allv, vols, bary, wts, lower=None):
     """Volume times rule sum of ``f`` on each simplex of an (N, n+1, n)
-    stack, with one call of ``f`` on all their nodes, simplex after
-    simplex.  The rule sums are one stacked ``matmul`` of (1, L) rows by the
-    (L, 1) weights, which numpy computes as the same 1-D dot per row as
-    ``float(wts @ r)``: both keep the bits of a per-simplex evaluation, for
-    an integrand that is row-wise to the bit (see :func:`integrate_parts`)."""
+    stack, with one call of ``f`` on all their nodes, and, given the
+    ``lower`` rule (:func:`_lower_rule`), |Q_s - Q_(s-1)| on each (else
+    None).  Each rule sum is one stacked ``matmul`` of (1, L) rows by (L,
+    1) weights, which numpy computes as the same 1-D dot per row as
+    ``float(wts @ r)``: both keep the bits of a per-simplex sum for an
+    integrand that is row-wise to the bit (see :func:`integrate_parts`)."""
     vals = np.asarray(f((bary @ allv).reshape(-1, allv.shape[2])), dtype=float)
     vals = vals.reshape(len(vols), -1)
-    return vols * np.matmul(vals[:, None, :], wts[:, None])[:, 0, 0]
+    sums = vols * np.matmul(vals[:, None, :], wts[:, None])[:, 0, 0]
+    if lower is None:
+        return sums, None
+    rows, low = lower
+    vals = vals.take(rows, axis=1)  # C order, as numpy's per-row dot needs
+    with np.errstate(invalid="ignore"):  # inf - inf: NaN, never converged
+        return sums, np.abs(sums - vols * np.matmul(vals[:, None, :], low[:, None])[:, 0, 0])
 
 
-def _estimate(parts, bary, wts):
+def _estimate(parts, bary, wts, lower):
     """Fine values, errors and halves of each simplex of each part.
 
     ``parts`` holds ``(f, verts, exact)`` triples, each ``verts`` a
     (k, n+1, n) stack.  The halves and volumes come from :func:`_geometry`.
     Each part's integrand is called once, on that part's own block of nodes
     (its k simplices, then their 2k halves), exactly the array a one-part
-    call would pass it.  An ``exact`` part, whose integrand the rule
-    integrates exactly, needs no halves: it is called on its k simplices
-    alone and gets the k rule sums as values, with errors and halves None.
+    call would pass it.  A simplex's value is the rule on its halves, its
+    error max(|coarse - fine|, the sum over its halves of |Q_s - Q_(s-1)|),
+    or |coarse - fine| alone at s = 0 (``lower`` None).  An ``exact`` part,
+    whose integrand the rule integrates exactly, is called on its k
+    simplices alone and gets their rule sums, with errors and halves None.
     A part here may be several parts of :func:`integrate_parts` that share
     an integrand, merged; their integrand must then be row-wise to the bit
     for each to keep the bits of a pass of its own (see there).
@@ -232,97 +256,48 @@ def _estimate(parts, bary, wts):
     for (f, verts, exact), (kids, allv, vols) in zip(parts, geometry):
         m = len(verts)
         if exact:
-            out.append((_rule_sums(f, allv[:m], vols[:m], bary, wts).tolist(), None, None))
+            out.append((_rule_sums(f, allv[:m], vols[:m], bary, wts)[0].tolist(), None, None))
             continue
-        est = _rule_sums(f, allv, vols, bary, wts)
+        est, null = _rule_sums(f, allv, vols, bary, wts, lower)
         fine = est[m::2] + est[m + 1::2]
-        out.append((fine.tolist(), np.abs(est[:m] - fine).tolist(), kids))
+        err = np.abs(est[:m] - fine)
+        if null is not None:
+            err = np.maximum(err, null[m::2] + null[m + 1::2])
+        out.append((fine.tolist(), err.tolist(), kids))
     return out
 
 
-class _RunningSum:
-    """Exact sum of a changing multiset of floats, equal to ``math.fsum`` of
-    its members.
-
-    Every finite double is a whole number of 2**-1074 units, so the finite
-    members are one integer count of units: adding or removing one is exact,
-    and ``total`` rounds once (int/int division is correctly rounded).  Only
-    a total that itself overflows raises ``OverflowError``, where ``fsum``
-    also raises on an overflow along the way.  Non-finite members are
-    counted apart and then decide the total, as in ``fsum``.
-    """
-
-    def __init__(self, members):
-        self.units = 0
-        self.special = {}
-        for x in members:
-            self.add(x)
-
-    def add(self, x):
-        if math.isfinite(x):
-            num, den = x.as_integer_ratio()  # den = 2**k, k <= 1074
-            self.units += num << (1075 - den.bit_length())
-        else:
-            self.special[repr(x)] = self.special.get(repr(x), 0) + 1
-
-    def remove(self, x):
-        if math.isfinite(x):
-            self.add(-x)
-        else:
-            self.special[repr(x)] -= 1
-
-    def total(self):
-        special = [float(k) for k, c in self.special.items() if c]
-        return math.fsum(special) if special else self.units / (1 << 1074)
-
-
-def _refine(f, fine, errs, kids, bary, wts, rule):
+def _refine(f, fine, errs, kids, bary, wts, lower, rule):
     """Finish one part from its first pass.
 
     An exact part (errors None) sums its rule values, with error 0, or
-    infinite if that sum is not finite.  Any other part bisects its worst
-    leaf (largest |coarse - fine|, the earlier leaf on a tie) until the
-    summed error meets the tolerance or every such leaf is at
-    ``max_depth``.  An infinite or NaN error never counts as converged.
-    Each bisection evaluates the leaf's halves in one :func:`_estimate`
-    call.  The value and error are exact running sums of the leaves
-    (:class:`_RunningSum`), read after every bisection: each equals the
-    ``fsum`` of the leaves, and every stop test reads them.
+    infinite if that sum is not finite.  Any other part refines in rounds
+    while the ``fsum`` of its leaf errors exceeds the tolerance: a round
+    bisects every leaf whose error is at least the mean leaf error and
+    whose depth is below ``max_depth``, all in one :func:`_estimate` call,
+    then takes one ``fsum`` of the leaf values and one of their errors, and
+    stops if it can bisect none.  A non-finite error never converges.
     """
     if errs is None:
         value = math.fsum(fine)
         finite = math.isfinite(value)
         return IntegrationResult(value, 0.0 if finite else math.inf, finite)
 
-    def tol(value):
-        return max(rule.tol_abs, rule.tol_rel * abs(value))
-
-    def converged(value, err):
-        return err <= tol(value) and math.isfinite(err)  # inf <= tol(inf)
-
-    value, err = math.fsum(fine), math.fsum(errs)
-    if err <= tol(value):
-        return IntegrationResult(value, err, converged(value, err))
-
-    values, errors = _RunningSum(fine), _RunningSum(errs)
-    # Heap entries (-error, key, depth, halves, value): worst, then oldest.
-    heap = [(-e, key, 0, halves, v)
-            for key, (v, e, halves) in enumerate(zip(fine, errs, kids))]
-    heapq.heapify(heap)
-    counter = count(len(heap))
-    while heap and err > tol(value):
-        neg_e, _, depth, halves, v = heapq.heappop(heap)
-        if depth >= rule.max_depth:
-            continue  # leaf stays counted but cannot be refined further
-        [(fine, errs, kids)] = _estimate([(f, halves, False)], bary, wts)
-        values.remove(v)
-        errors.remove(-neg_e)
-        for v, e, kid in zip(fine, errs, kids):
-            values.add(v)
-            errors.add(e)
-            heapq.heappush(heap, (-e, next(counter), depth + 1, kid, v))
-        value, err = values.total(), errors.total()
-    return IntegrationResult(value, err, converged(value, err))
+    depth = None
+    while True:
+        value, err = math.fsum(fine), math.fsum(errs)
+        tol = max(rule.tol_abs, rule.tol_rel * abs(value))
+        if err > tol:
+            if depth is None:  # the first pass's lists become arrays to refine
+                fine, errs, depth = np.array(fine), np.array(errs), np.zeros(len(fine), int)
+            # The rounded mean can exceed every leaf's error; the largest cannot.
+            pick = (errs >= min(err / len(errs), errs.max())) & (depth < rule.max_depth)
+        if not (err > tol and pick.any()):
+            return IntegrationResult(value, err, err <= tol and math.isfinite(err))
+        halves = [(f, kids[pick].reshape(-1, *kids.shape[2:]), False)]
+        new = (*_estimate(halves, bary, wts, lower)[0], np.repeat(depth[pick] + 1, 2))
+        fine, errs, kids, depth = (np.concatenate([old[~pick], add]) for old, add
+                                   in zip((fine, errs, kids, depth), new))
 
 
 _PowerForm = namedtuple("_PowerForm", "closed k a b xi chart factors")
@@ -430,7 +405,7 @@ def integrate_parts(parts, rule=DEFAULT_RULE):
     identity) enter that pass as one part, their simplices concatenated in
     part order, so the integrand is called once for all of them; each then
     takes back its own simplices' values, errors and halves, and refines
-    one leaf per call (:func:`_refine`).  Each result is bit-identical to
+    in rounds (:func:`_refine`).  Each result is bit-identical to
     integrating that part alone if its integrand is row-wise to the bit,
     that is, a row's value does not depend on the other rows or on the
     array's length.  The numpy matrix products and ufuncs of every
@@ -451,6 +426,7 @@ def integrate_parts(parts, rule=DEFAULT_RULE):
         out[i] = res
     for n in {s.shape[2] for i, (_, s, _) in enumerate(parts) if len(s) and i not in closed}:
         bary, wts = gm_table(n, rule.gm_order)
+        lower = _lower_rule(n, rule.gm_order)
         shared = {}  # integrand -> its parts of this n, all alike exact or not
         for i, (f, s, ex) in enumerate(parts):
             if len(s) and s.shape[2] == n and i not in closed:
@@ -459,14 +435,12 @@ def integrate_parts(parts, rule=DEFAULT_RULE):
         groups = list(shared.values())
         merged = [(parts[g[0]][0], np.concatenate([parts[i][1] for i in g])
                    if len(g) > 1 else parts[g[0]][1], parts[g[0]][2]) for g in groups]
-        for g, (fine, errs, kids) in zip(groups, _estimate(merged, bary, wts)):
+        for g, (fine, errs, kids) in zip(groups, _estimate(merged, bary, wts, lower)):
             end = 0
             for i in g:
                 start, end = end, end + len(parts[i][1])
-                out[i] = _refine(parts[i][0], fine[start:end],
-                                 None if errs is None else errs[start:end],
-                                 None if kids is None else kids[start:end],
-                                 bary, wts, rule)
+                leaves = [None if a is None else a[start:end] for a in (fine, errs, kids)]
+                out[i] = _refine(parts[i][0], *leaves, bary, wts, lower, rule)
     return out
 
 
@@ -496,13 +470,14 @@ def integrate_boundary(polytope, f, rule=DEFAULT_RULE):
     """Integrate over the boundary with the lattice measure.
 
     In dimension one the boundary consists of the two endpoints, each of
-    measure one.  Otherwise each facet is pulled back through its unimodular
-    chart and integrated as an (n-1)-dimensional interior integral.
+    measure one, and a sum that is not finite does not converge.  Otherwise
+    each facet is pulled back through its unimodular chart and integrated
+    as an (n-1)-dimensional interior integral.
     """
     if polytope.dim == 1:
-        pts = polytope.vertices_floats()
-        vals = np.asarray(f(pts), dtype=float)
-        return IntegrationResult(float(np.sum(vals)), 0.0, True)
+        value = float(np.sum(np.asarray(f(polytope.vertices_floats()), dtype=float)))
+        finite = math.isfinite(value)
+        return IntegrationResult(value, 0.0 if finite else math.inf, finite)
     return integrate_sum(boundary_parts(polytope, f), rule)
 
 

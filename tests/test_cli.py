@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -85,6 +86,16 @@ def test_heavy_l1_norm_is_exact(tmp_path, capsys):
     assert code == 0
     assert '"l1_norm": 1.647695586772e+02' in out
     assert json.loads(out)["l1_norm"] == pytest.approx(164.76955867724558, rel=1e-12)
+
+
+def test_large_soliton_xi_backends_agree(capsys):
+    # Along the x1 axis the cubature's |coarse - fine| estimate alone is
+    # blind along ker xi; the embedded-rule estimate sees it.
+    code, out = run(capsys, "invariants", "--catalog", "cube", "--family", "soliton",
+                    "--xi", "40,0,0", "--backend", "both", "--strict")
+    assert code == 0
+    exact = math.expm1(40) / 40
+    assert abs(json.loads(out)["vol_w"] - exact) <= 1e-10 * exact
 
 
 def test_blowup_expand_with_csv(capsys):

@@ -9,7 +9,7 @@ import pytest
 from toricstab import catalog, invariants as inv, polytope, quadrature
 from toricstab.acceptance import BL1CP2_SOLITON_T
 from toricstab.invariants import BackendError
-from toricstab.profiles import PositivityError, builtin, require_positive
+from toricstab.profiles import PositivityError, Profile, builtin, require_positive
 from toricstab.quadrature import DEFAULT_RULE, Integrand
 
 
@@ -448,6 +448,20 @@ class TestScalarCache:
         # The key hashes its facets once, and holds no polytope.
         assert not any(isinstance(part, polytope.DelzantPolytope)
                        for key in inv._scalar_cache for part in (*key, *key[1]))
+
+    @pytest.mark.parametrize("family, a", [("soliton", None), ("sasaki", 3)])
+    def test_repeated_lookup_hashes_no_profile_and_the_rule_once(
+            self, monkeypatch, trapezoid, family, a):
+        monkeypatch.setattr(inv, "_scalar_cache", OrderedDict())
+        W = builtin(family, 2, xi=[0.3, -0.2], a=a)
+        rule = quadrature.QuadratureRule(degree=10)
+        value = inv.vol_w(trapezoid, W, rule)
+        hashes = []
+        monkeypatch.setattr(Profile, "__hash__", lambda p: hashes.append(p) or p._key[1])
+        for _ in range(3):
+            assert inv.vol_w(trapezoid, W, rule) == value
+        assert hashes == [] and rule.__dict__["_hash"] == hash(
+            (rule.degree, rule.tol_abs, rule.tol_rel, rule.max_depth))
 
     def test_entries_do_not_keep_polytopes_alive(self, monkeypatch, cube):
         monkeypatch.setattr(inv, "_scalar_cache", OrderedDict())

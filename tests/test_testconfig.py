@@ -313,6 +313,17 @@ class TestL1Oracle:
         exact = _exact_l1(tc, tcg.mean_w(tc))
         assert abs(F(tcg.l1_norm(tc)) - exact) <= F(1e-12) * exact
 
+    def test_large_soliton_xi_meets_the_exact_values(self):
+        # phi = max(0, x1 - x2/2 + x3/3 - 1/4) on the cube at xi = (40, 0, 0),
+        # where the cubature's |coarse - fine| estimate alone is blind along
+        # ker xi.  The exact mean is the sum over the cells of
+        # _exact_affine over moments(mode="exponential") of the cube.
+        tc = _l1_case("cube", "soliton", pieces=2, xi=(40, 0, 0))
+        mean = tcg.mean_w(tc)
+        assert abs(mean - 0.6416666709229033) <= 1e-10
+        exact = _exact_l1(tc, mean)
+        assert abs(F(tcg.l1_norm(tc)) - exact) <= F(1e-10) * exact
+
     @pytest.mark.parametrize("family", ["cscK", "soliton", "sasaki"])
     def test_product_norm_is_rounding(self, family):
         rng = np.random.default_rng(11)

@@ -1,0 +1,51 @@
+"""Rewrite a pin of the tests from its writer.
+
+    python3 tools/write_pins.py NAME
+
+NAME is one of:
+
+    refine_bits    ``_refine_bits()`` in tests/test_quadrature.py
+    ladder_bits    ``_ladder_bits()`` in tests/test_blowup.py
+    localize_bits  ``_localisation_bits()`` in tests/test_localize.py
+
+It runs the writer on the working tree and prints each entry that moved as
+``key: old -> new`` (``None`` for an entry that is new or gone).  If any
+moved, it rewrites ``tests/data/NAME.json`` as ``json.dumps(pins,
+indent=1, sort_keys=True)`` plus a newline; if none did, it rewrites
+nothing.  Exits 0.
+"""
+
+import importlib
+import json
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WRITERS = {"refine_bits": ("test_quadrature", "_refine_bits"),
+           "ladder_bits": ("test_blowup", "_ladder_bits"),
+           "localize_bits": ("test_localize", "_localisation_bits")}
+
+
+def main(argv):
+    if len(argv) != 1 or argv[0] not in WRITERS:
+        sys.exit(__doc__)
+    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
+    module, writer = WRITERS[argv[0]]
+    # Through JSON, so that tuples compare equal to the lists read back.
+    new = json.loads(json.dumps(getattr(importlib.import_module(module), writer)()))
+    path = os.path.join("tests", "data", argv[0] + ".json")
+    with open(os.path.join(ROOT, path)) as f:
+        old = json.load(f)
+    moved = sorted(key for key in old.keys() | new.keys() if old.get(key) != new.get(key))
+    for key in moved:
+        print(f"{key}: {json.dumps(old.get(key))} -> {json.dumps(new.get(key))}")
+    if moved:
+        with open(os.path.join(ROOT, path), "w") as f:
+            f.write(json.dumps(new, indent=1, sort_keys=True) + "\n")
+    print(f"{argv[0]}: {len(moved)} of {len(new)} entries moved"
+          + (f", {path} rewritten" if moved else ", nothing rewritten"))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
