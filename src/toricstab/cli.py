@@ -8,10 +8,12 @@ Output is deterministic JSON (fixed field order, %.12e floats) unless --csv
 or --text is selected.  Exit codes: 0 success, 2 argument/parse errors
 (also bad cubature flags, non-finite or out-of-float-range numbers, a --csv
 kind the command's document lacks, fewer than 4 or underflowing
---eps-points, a negative --sample, all checked before any work, and an
-unwritable --out), 3 precondition violations, 4 tolerance failures: under
---strict, and always when the two backends disagree or a localisation
-limit (taken where a vertex sum is degenerate or cancels) does not settle.
+--eps-points, a negative --sample or report --seed, all checked before
+any work, and an unwritable --out), 3 precondition violations (a testconfig
+quantity whose integrals leave the float range among them), 4 tolerance
+failures: under --strict, and always when the two backends disagree or a
+localisation limit (taken where a vertex sum is degenerate or cancels)
+does not settle.
 """
 
 from __future__ import annotations
@@ -39,6 +41,9 @@ EXIT_TOLERANCE = 4
 CSV_KIND = {"invariants": "gram", "futaki": "gram", "extremal-field": "gram",
             "soliton": "gram", "testconfig chow": "chow",
             "blowup-expand": "expansion"}
+#: The quantity of each testconfig subcommand, named if it overflows.
+TC_QUANTITY = {"df": "df", "dft": "df_T", "norm": "l1_norm", "chow": "chow",
+               "destabilize": "l1_norm_orthogonal"}
 
 
 class CliError(Exception):
@@ -230,6 +235,14 @@ def _cmd_soliton(args):
     return doc, not (res.converged and res.normalization_consistent)
 
 
+def _finite(doc):
+    """Whether every float of a document, nested in dicts and lists, is finite."""
+    if isinstance(doc, (dict, list)):
+        return all(map(_finite, doc.values() if isinstance(doc, dict) else doc))
+    return not isinstance(doc, float) or math.isfinite(doc)
+
+
+@np.errstate(over="raise", invalid="raise")  # an overflow exits 3 (see ``main``)
 def _cmd_testconfig(args):
     P = _load_polytope(args)
     W = _load_weights(args, P)
@@ -256,6 +269,8 @@ def _cmd_testconfig(args):
                 "ratio": dv.ratio,
                 "ties": [[str(c) for c in v] for v in dv.ties],
             })
+    if not _finite(doc):
+        raise FloatingPointError("a value is not finite")
     return doc, False
 
 
@@ -290,11 +305,12 @@ def _cmd_blowup(args):
 
 
 def _cmd_report(args):
+    for flag, value in (("--sample", args.sample), ("--seed", args.seed)):
+        if value < 0:
+            raise CliError(f"bad {flag}: {value} (need a value >= 0)", EXIT_PARSE)
     P = _load_polytope(args)
     W = _load_weights(args, P)
     rule = _rule(args)
-    if args.sample < 0:
-        raise CliError(f"bad --sample: {args.sample} (need a count >= 0)", EXIT_PARSE)
     tcs = []
     if args.tc:
         tcs.append(_load_tc(args, P, W))
@@ -400,6 +416,10 @@ def main(argv=None):
     except (invariants.BackendError, localize.ExtrapolationError) as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_TOLERANCE
+    except FloatingPointError as e:  # only testconfig raises on overflow
+        sys.stderr.write(f"error: {name}: {TC_QUANTITY[args.tc_command]} leaves the "
+                         f"float range ({e})\n")
+        return EXIT_PRECONDITION
 
 
 if __name__ == "__main__":

@@ -17,11 +17,12 @@ past ``AGREE_TOL`` (see ``_trusted``), the limit is taken along a generic
 auxiliary direction with symmetric Richardson extrapolation.
 
 Every value reads one kernel, ``_at``: the vertex pairings, the edge
-pairings and the Euler products at one direction, or None where an Euler
-product is exactly zero.  It reads per-polytope float arrays (vertices and
-inward edge generators) converted from the exact vertex data once per
-polytope and kept, read-only, in its cache.  A degenerate limit evaluates
-the kernel at 8 points and sums each of them once.
+pairings and the Euler products at a stack of directions, from float
+arrays (vertices and inward edge generators) converted from the exact
+vertex data once per polytope and kept, read-only, in its cache.  A
+degenerate limit is one stacked kernel call on its 8 samples and one
+``h.value`` call; so are the 4 points of a central difference, and then
+the limits of all its points that need one.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -66,28 +68,25 @@ def _edge_arrays(polytope):
     return polytope._cache["localize"]
 
 
-def _at(polytope, xi):
-    """The localisation data of the polytope at xi, or None where some Euler
-    product is exactly zero: ``(pairs, pair_edges, euler)``, the vertex
-    pairings <v, xi> (nv,), the edge pairings <u_{v,i}, xi> (nv, n) and the
-    Euler products prod_i(-<u_{v,i}, xi>) (nv,)."""
-    xi = np.asarray(xi, dtype=float)
+def _at(polytope, xis):
+    """The localisation data of the polytope at each row of xis (m, n):
+    ``(pairs, pair_edges, euler)``, the vertex pairings <v, xi> (m, nv), the
+    edge pairings <u_{v,i}, xi> (m, nv, n) and the Euler products
+    prod_i(-<u_{v,i}, xi>) (m, nv).  Each pairing is a stacked matvec, which
+    rounds a row as a one-row call does (``xis @ verts.T`` and ``einsum``
+    may not)."""
     verts, edges = _edge_arrays(polytope)
-    pair_edges = edges @ xi
-    euler = np.prod(-pair_edges, axis=1)
-    if not euler.all():
-        return None
-    return verts @ xi, pair_edges, euler
+    pair_edges = np.matmul(edges, xis[:, None, :, None])[..., 0]
+    return np.matmul(verts, xis[:, :, None])[..., 0], pair_edges, (-pair_edges).prod(axis=2)
 
 
 def vertex_weights(polytope, xi):
     """Per-vertex localisation data; raises where an Euler product is 0."""
     xi = np.asarray(xi, dtype=float)
-    at = _at(polytope, xi)
-    if at is None:
+    _, pair_edges, euler = (a[0] for a in _at(polytope, xi[None]))
+    if not euler.all():
         raise DegenerateDirectionError(
             f"direction {tuple(xi)} pairs to zero against a vertex edge")
-    _, pair_edges, euler = at
     verts = _edge_arrays(polytope)[0]
     # Each pairing is its own dot product: the matrix product that the sums
     # use may round some pairings differently.
@@ -98,18 +97,30 @@ def vertex_weights(polytope, xi):
 
 def is_generic(polytope, xi):
     """Whether no Euler product at xi is 0: its sums may still cancel."""
-    return _at(polytope, xi) is not None
+    return bool(_at(polytope, np.asarray(xi, dtype=float)[None])[2].all())
 
 
 # A tiny Euler product overflows its term: no sum trusts inf or NaN.
 @np.errstate(over="ignore", invalid="ignore")
 def _terms(h, at, kind):
-    """The terms of the vertex sum of one kind over the localisation data."""
+    """The terms of the vertex sum at each row of the localisation data, in
+    one ``h.value`` call; if it raises, each row that raises alone holds
+    its exception in its place (see :func:`_ok`)."""
     pairs, pair_edges, euler = at
-    terms = np.asarray(h.value(pairs), dtype=float) / euler
-    if kind == "c1":
-        terms = terms * np.sum(-pair_edges, axis=1)
-    return terms
+    try:
+        terms = np.asarray(h.value(pairs), dtype=float) / euler
+    except Exception as e:
+        return [e] if len(pairs) == 1 else [
+            _terms(h, [a[r:r + 1] for a in at], kind)[0] for r in range(len(pairs))]
+    return terms * np.sum(-pair_edges, axis=2) if kind == "c1" else terms
+
+
+def _ok(outcome):
+    """A row's outcome, raised if an exception: each row keeps its first, so
+    raising them in row order raises what a row-by-row evaluation would."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def _trusted(terms):
@@ -127,32 +138,46 @@ def _trusted(terms):
 
 def eval_class(polytope, h, xi):
     """(h-class)(xi) = int_P h^(n)(<x, xi>) dx, by the vertex sum."""
-    return _eval(polytope, h, xi, "volume")
+    return _eval(polytope, h, np.asarray(xi, dtype=float)[None], "volume")[0]
 
 
 def eval_c1_class(polytope, h, xi):
     """(c1 h-class)(xi) = boundary integral of h^(n-1), by the vertex sum."""
-    return _eval(polytope, h, xi, "c1")
+    return _eval(polytope, h, np.asarray(xi, dtype=float)[None], "c1")[0]
 
 
-def _eval(polytope, h, xi, kind):
-    at = _at(polytope, xi)
-    value = None if at is None else _trusted(_terms(h, at, kind))
-    return eval_at_degenerate(polytope, kind, h, xi) if value is None else value
+def _eval(polytope, h, xis, kind):
+    """The vertex sum at each row of xis: the trusted sum of its terms, else
+    its limit, the limits of all such rows in one :func:`_limits`."""
+    at = _at(polytope, xis)
+    generic = at[2].all(axis=1).tolist()
+    rows, out = [r for r, g in enumerate(generic) if g], [None] * len(generic)
+    for r, terms in zip(rows, _terms(h, at if len(rows) == len(out) else
+                                     [a[rows] for a in at], kind) if rows else ()):
+        out[r] = terms if isinstance(terms, Exception) else _trusted(terms)
+    todo = [r for r, v in enumerate(out) if v is None]
+    for r, v in zip(todo, _limits(polytope, kind, h, xis[todo]) if todo else ()):
+        out[r] = v
+    return [_ok(v) for v in out]
 
 
-def _candidate_directions(n):
-    # Deterministic irrational-ish directions, very unlikely to pair to zero
-    # against any small integer edge vector.
+@lru_cache(maxsize=None)
+def _sample_offsets(n):
+    """The offsets s t eta (3, 8, n) of the samples xi + s t eta of a limit,
+    t = 0.1 / 2^k for k < 4, s = 1 then -1, for each of three deterministic
+    irrational-ish directions eta, very unlikely to pair to zero against
+    any small integer edge vector."""
     base = [1.0]
     r = 1.0 / math.sqrt(2.0)
     for _ in range(n - 1):
         base.append(base[-1] * r + 0.1)
-    cands = [np.array(base)]
     phi = (1 + math.sqrt(5)) / 2
-    cands.append(np.array([phi ** (-k - 1) for k in range(n)]))
-    cands.append(np.array([math.pi ** (-k - 1) + 0.05 * k for k in range(n)]))
-    return [c / np.linalg.norm(c) for c in cands]
+    etas = np.array([base, [phi ** (-k - 1) for k in range(n)],
+                     [math.pi ** (-k - 1) + 0.05 * k for k in range(n)]])
+    steps = np.array([s * 0.1 * 0.5 ** k for k in range(4) for s in (1, -1)])
+    out = steps[:, None] * np.array([eta / np.linalg.norm(eta) for eta in etas])[:, None]
+    out.flags.writeable = False
+    return out
 
 
 def eval_at_degenerate(polytope, kind, h, xi):
@@ -166,29 +191,42 @@ def eval_at_degenerate(polytope, kind, h, xi):
     """
     if kind not in ("volume", "c1"):
         raise ValueError("kind must be 'volume' or 'c1'")
-    xi = np.asarray(xi, dtype=float)
-    ts = [0.1 * 0.5 ** k for k in range(4)]
-    for eta in _candidate_directions(polytope.dim):
-        ats = [[_at(polytope, xi + s * t * eta) for s in (1, -1)] for t in ts]
-        if all(at is not None for pair in ats for at in pair):
+    return _ok(_limits(polytope, kind, h, np.asarray(xi, dtype=float)[None])[0])
+
+
+def _limits(polytope, kind, h, xis):
+    """The limit at each row of xis, or its first exception: one :func:`_at`
+    call (or two, where a row needs another eta) and one :func:`_terms`."""
+    offsets = _sample_offsets(polytope.dim)
+    for offsets in (offsets[:1], offsets):  # the first eta nearly always serves every row
+        samples = xis[:, None, None] + offsets  # (m, eta, 8, n)
+        at = [a.reshape(*samples.shape[:3], *a.shape[1:])
+              for a in _at(polytope, samples.reshape(-1, polytope.dim))]
+        generic = at[2].all(axis=(2, 3))
+        if generic.any(axis=1).all():
             break
-    else:
-        raise DegenerateDirectionError(
-            "no generic auxiliary direction found for the degenerate limit")
-    rows = []
-    for k, (plus, minus) in enumerate(ats):
-        row = [0.5 * (math.fsum(_terms(h, plus, kind).tolist())
-                      + math.fsum(_terms(h, minus, kind).tolist()))]
-        for j in range(1, k + 1):
-            row.append((4.0 ** j * row[j - 1] - rows[k - 1][j - 1])
-                       / (4.0 ** j - 1.0))
-        rows.append(row)
-    best = rows[-1][-1]
-    est = abs(rows[-1][-1] - rows[-1][-2])
-    if not est <= 1e-7 * (1.0 + abs(best)):
-        raise ExtrapolationError(
-            f"Richardson extrapolation did not settle (estimate {est:.3e})")
-    return best
+    rows, pick = np.arange(len(xis)), generic.argmax(axis=1)
+    found, out = generic[rows, pick], []
+    terms = iter(_terms(h, [a[rows, pick][found].reshape(-1, *a.shape[3:]) for a in at], kind))
+    for ok in found:
+        try:
+            if not ok:
+                raise DegenerateDirectionError(
+                    "no generic auxiliary direction found for the degenerate limit")
+            samples = [next(terms) for _ in range(8)]  # (+t, -t) for each t
+            col = [0.5 * (math.fsum(_ok(plus).tolist()) + math.fsum(_ok(minus).tolist()))
+                   for plus, minus in zip(samples[::2], samples[1::2])]
+            for j in (1, 2, 3):  # the Richardson table, column by column
+                prev, col = col, [(4.0 ** j * hi - lo) / (4.0 ** j - 1.0)
+                                  for lo, hi in zip(col, col[1:])]
+            best, est = col[0], abs(col[0] - prev[-1])
+            if not est <= 1e-7 * (1.0 + abs(best)):
+                raise ExtrapolationError(
+                    f"Richardson extrapolation did not settle (estimate {est:.3e})")
+            out.append(best)
+        except Exception as e:
+            out.append(e)
+    return out
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -202,15 +240,15 @@ def directional_derivative(kind, polytope, h, xi, beta):
 
     and for the c1 sum the product rule adds a c1_v(beta) term.  At
     degenerate xi, or where that sum cancels past ``AGREE_TOL``, the
-    derivative falls back to symmetric differences of the values.
+    derivative falls back to symmetric differences of the values, all four
+    points in one :func:`_eval`.
     """
     if kind not in ("volume", "c1"):
         raise ValueError("kind must be 'volume' or 'c1'")
     xi = np.asarray(xi, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    at = _at(polytope, xi)
-    if at is not None:
-        pairs, pe_xi, euler = at
+    pairs, pe_xi, euler = (a[0] for a in _at(polytope, xi[None]))
+    if euler.all():
         verts, edges = _edge_arrays(polytope)
         pe_b = edges @ beta
         pair_b = verts @ beta
@@ -225,7 +263,6 @@ def directional_derivative(kind, polytope, h, xi, beta):
             return value
     # Central differences with one Richardson step on s^2.
     s0 = 0.05 / max(1.0, float(np.linalg.norm(beta)))
-    d1, d2 = ((_eval(polytope, h, xi + s * beta, kind)
-               - _eval(polytope, h, xi - s * beta, kind)) / (2 * s)
-              for s in (s0, s0 / 2))
+    v = _eval(polytope, h, xi + np.array([s0, -s0, s0 / 2, -s0 / 2])[:, None] * beta, kind)
+    d1, d2 = ((v[i] - v[i + 1]) / (2 * s) for i, s in ((0, s0), (2, s0 / 2)))
     return (4 * d2 - d1) / 3

@@ -12,7 +12,8 @@ part is evaluated once on its own simplices, and its value is the ``fsum``
 of their rule sums with error 0.  A power law of <xi, x> times affine
 factors (``Integrand.power``: the Sasaki and ckem weights) has a closed
 form on each simplex and a rounding bound (:func:`_power_law_parts`),
-computed once per node set for all the parts of a call that share it.
+taken in one stacked pass over all the node sets and parts of a call
+that share an exponent and a simplex shape.
 Every other part is analytic: the first pass calls its integrand once on
 its simplices and their bisection halves, and an error estimate against the
 embedded lower rule sees every direction (:func:`_estimate`); the part then
@@ -422,8 +423,9 @@ def integrate_parts(parts, rule=DEFAULT_RULE):
     out = [IntegrationResult(0.0, 0.0, True)] * len(parts)
     closed = {i: (f, s) for i, (f, s, _) in enumerate(parts)
               if len(s) and isinstance(f, Integrand) and f.power and f.power.closed}
-    for i, res in zip(closed, _power_law_parts(list(closed.values()), rule)):
-        out[i] = res
+    if closed:
+        for i, res in zip(closed, _power_law_parts(list(closed.values()), rule)):
+            out[i] = res
     for n in {s.shape[2] for i, (_, s, _) in enumerate(parts) if len(s) and i not in closed}:
         bary, wts = gm_table(n, rule.gm_order)
         lower = _lower_rule(n, rule.gm_order)
@@ -555,7 +557,7 @@ def _power_geometry(key, simplices, chart):
     """``(x, x_abs, steps, det, norms)`` of a closed power-law stack, kept
     under ``key``, its (shape, bytes, chart), with read-only arrays: its
     vertices mapped through the chart if any, their magnitudes, the rounding
-    steps of a node (:func:`_power_nodes`), and per simplex |det| in its own
+    steps of a node (:func:`_power_law_parts`), and per simplex |det| in its own
     coordinates and the product of its edge norms.  None of it depends on
     the weight."""
     geo = _power_cache.get(key)
@@ -580,32 +582,7 @@ def _power_geometry(key, simplices, chart):
     return geo
 
 
-def _power_nodes(power, simplices, geo, d):
-    """Per simplex of a node set of closed power-law parts with d factors
-    (see :func:`_power_law_parts`), from ``power`` (an ``Integrand.power``)
-    and its stack's :func:`_power_geometry` ``geo``: b + t at its vertices;
-    A |det|; and |A| (rho |det| + dim^3 prod |edge|), the rounding bound in
-    units of eps over the sum of the terms' magnitudes.  A node or factor
-    value is rounded in at most ``steps`` steps (chart map, dot product,
-    adding b or the constant), so its relative error is at most eps
-    ``steps`` cond, cond the ratio of its data's magnitude to it; a term is
-    a monomial of degree k in the 1/(b + t).  rho adds the kernel's steps,
-    and dim^3 times the Hadamard ratio prod |edge| / |det| bounds the
-    determinant's.  b + t <= 0 at a vertex raises
-    :class:`ProfileDomainError`."""
-    _, k, a, b, xi, _, _ = power
-    _, n1, dim = simplices.shape
-    x, x_abs, steps, det, norms = geo
-    base = b + x @ xi
-    if not base.min() > 0:
-        raise ProfileDomainError(f"power-law pole: b + t <= 0 at a vertex, b={b}")
-    cond = ((abs(b) + x_abs @ np.abs(xi)) / base).max(axis=1)
-    big_n = n1 - 1 + d
-    rho = (k * (steps * cond + 2) + 2 * (big_n + 1) * (k - big_n) + big_n
-           + math.comb(big_n, d) + d * (steps + 1) + n1 ** d + 6)
-    return base, a * det, abs(a) * (rho * det + dim ** 3 * norms)
-
-
+@np.errstate(over="ignore", invalid="ignore")
 def _power_law_parts(parts, rule):
     """:class:`IntegrationResult` of each ``(f, simplices)`` part whose
     integrand ``f`` is a closed power law (``f.power``), in closed form.
@@ -623,63 +600,88 @@ def _power_law_parts(parts, rule):
     divided difference of an N-fold antiderivative of (b + t)^-k.  Every
     term is positive and repeated nodes need no special case.  |det| is
     taken in the simplex's own coordinates (the lattice measure on a chart).
-    The error is the rounding bound of :func:`_power_nodes` plus eps |value|,
-    and ``converged`` says that it meets the rule's tolerance; terms that
-    overflow give an infinite error.  b + t <= 0 at a vertex raises
-    :class:`ProfileDomainError`.  The parts of one (n1, d, k) are evaluated
-    together: the nodes, the h recurrence, the terms and the bound once per
-    node set (stack, chart, xi, b and A), each part taking its rows of them,
-    and the products by the factors' bins and the sums over e on all their
-    rows at once.  Every step acts row by row, and for d <= 2 each bin of
-    ``prods @ bins`` adds at most two entries, exactly, so a part keeps the
-    bits it has alone.
+
+    The error is eps |A| (rho |det| + dim^3 prod |edge|) times the sum of
+    the terms' magnitudes, plus eps |value|.  A node or factor value is
+    rounded in at most ``steps`` steps (chart map, dot product, adding b or
+    the constant), so its relative error is at most eps ``steps`` cond,
+    cond the ratio of its data's magnitude to it; a term is a monomial of
+    degree k in the 1/(b + t).  rho adds the kernel's steps, and dim^3
+    times the Hadamard ratio prod |edge| / |det| bounds the determinant's.
+    ``converged`` says that the error meets the rule's tolerance; terms
+    that overflow give an infinite error.  b + t <= 0 at a vertex raises
+    :class:`ProfileDomainError` (the first such node set's).
+
+    The parts of one (n1, k, ambient dimension, chart or not, factors'
+    ``mapped`` flags) are one pass.  Each node set (stack, chart, xi, b and A) enters once,
+    its geometry concatenated and its b, A and xi repeated to its rows;
+    the bases, conditions and factor values are stacked matvecs, which
+    round a row as a one-row product does.  Every step acts row by row,
+    and for d <= 2 each bin of ``prods @ bins`` adds at most two entries,
+    exactly, so a part keeps the bits it has alone.
     """
     eps, out, groups = sys.float_info.epsilon, [None] * len(parts), {}
     for i, (f, s) in enumerate(parts):
-        groups.setdefault((s.shape[1], len(f.power.factors), f.power.k), []).append(i)
-    for (n1, d, k), idx in groups.items():
+        power = f.power
+        groups.setdefault((s.shape[1], power.k, len(power.xi), power.chart is None,
+                           tuple(m for _, _, m in power.factors)), []).append(i)
+    for (n1, k, _, _, mapped), idx in groups.items():
+        d, dim, lens = len(mapped), n1 - 1, [len(parts[i][1]) for i in idx]
+        sets, node_sets, params, xis, rows = {}, [], [], [], []
+        for i in idx:
+            f, s = parts[i]
+            _, _, a, b, xi, chart, _ = f.power
+            stack = (s.shape, s.tobytes(), chart)
+            key = (stack, xi.tobytes(), b, a)
+            if key not in sets:
+                sets[key] = sum(len(n[0]) for n in node_sets)
+                node_sets.append((s, *_power_geometry(stack, s, chart)))
+                params.append((a, b))
+                xis.append(xi)
+            rows.extend(range(sets[key], sets[key] + len(s)))
+        sizes, rows = [len(n[0]) for n in node_sets], np.array(rows)
+        s, x, x_abs, det, norms = (np.concatenate([n[j] for n in node_sets])
+                                   for j in (0, 1, 2, 4, 5))
+        steps = node_sets[0][3]  # one per group: its key says if a chart maps it
+        a, b = np.array(params).repeat(sizes, axis=0).T
+        xi = np.array(xis).repeat(sizes, axis=0)
+        base = b[:, None] + np.matmul(x, xi[:, :, None])[..., 0]
+        bad = ~(base.min(axis=1) > 0)
+        if bad.any():
+            raise ProfileDomainError(
+                f"power-law pole: b + t <= 0 at a vertex, b={float(b[bad.argmax()])}")
+        cond = ((np.abs(b)[:, None] + np.matmul(x_abs, np.abs(xi)[:, :, None])[..., 0])
+                / base).max(axis=1)
+        big_n = n1 - 1 + d
+        rho = (k * (steps * cond + 2) + 2 * (big_n + 1) * (k - big_n) + big_n
+               + math.comb(big_n, d) + d * (steps + 1) + n1 ** d + 6)
         bins, nodes, scale = _power_table(n1, d, k)
-        with np.errstate(over="ignore", invalid="ignore"):
-            sets, node_sets, rows, prods, prods_abs = {}, [], [], [], []
-            for i in idx:
-                f, s = parts[i]
-                _, _, a, b, xi, chart, factors = f.power
-                stack = (s.shape, s.tobytes(), chart)
-                key = (stack, xi.tobytes(), b, a)
-                if key not in sets:
-                    geo = _power_geometry(stack, s, chart)
-                    sets[key] = (sum(len(n[0]) for n in node_sets), geo)
-                    node_sets.append(_power_nodes(f.power, s, geo, d))
-                start, (x, x_abs, *_) = sets[key]
-                rows.append(np.arange(start, start + len(s)))
-                p = p_abs = np.ones((len(s), 1))
-                for g, c, mapped in factors:
-                    z, z_abs = (x, x_abs) if mapped else (s, np.abs(s))
-                    p = (p[:, :, None] * (z @ g + c)[:, None, :]).reshape(len(s), -1)
-                    p_abs = (p_abs[:, :, None]
-                             * (z_abs @ np.abs(g) + abs(c))[:, None, :]).reshape(len(s), -1)
-                prods.append(p)
-                prods_abs.append(p_abs)
-            rows = np.concatenate(rows)
-            base, amp, amp_err = (np.concatenate(c) for c in zip(*node_sets))
-            prods, prods_abs = np.concatenate(prods), np.concatenate(prods_abs)
-            y = (1 / base)[:, nodes]
-            h = [np.ones(y.shape[:2])] + [np.zeros(y.shape[:2])] * (k - y.shape[2])
-            for col in range(y.shape[2]):
-                for j in range(1, len(h)):
-                    h[j] = h[j] + y[:, :, col] * h[j - 1]
-            terms = (y.prod(axis=2) * h[-1] * scale)[rows]
-            values = amp[rows] * (prods @ bins * terms).sum(axis=1)
-            units = amp_err[rows] * (prods_abs @ bins * terms).sum(axis=1)
-            end = 0
-            for i in idx:
-                start, end = end, end + len(parts[i][1])
-                v, err = values[start:end], eps * float(units[start:end].sum())
-                finite = math.isfinite(err)  # then so is every value
-                value = math.fsum(v.tolist()) if finite else float(v.sum())
-                err = err + eps * abs(value) if finite else math.inf
-                out[i] = IntegrationResult(value, err, finite and err <= max(
-                    rule.tol_abs, rule.tol_rel * abs(value)))
+        y = (1 / base)[:, nodes]
+        h = [np.ones(y.shape[:2])] + [np.zeros(y.shape[:2])] * (k - y.shape[2])
+        for col in range(y.shape[2]):
+            for j in range(1, len(h)):
+                h[j] = h[j] + y[:, :, col] * h[j - 1]
+        terms = (y.prod(axis=2) * h[-1] * scale)[rows]
+        prods = np.ones((2, len(rows), 1))  # of the values, then of their magnitudes
+        for j, m in enumerate(mapped):
+            z = (x, x_abs) if m else (s, np.abs(s))
+            g, c = (np.array([parts[i][0].power.factors[j][col] for i in idx]).repeat(
+                lens, axis=0) for col in (0, 1))
+            vals = np.array([np.matmul(z[0][rows], g[:, :, None])[..., 0] + c[:, None],
+                             np.matmul(z[1][rows], np.abs(g)[:, :, None])[..., 0]
+                             + np.abs(c)[:, None]])
+            prods = (prods[..., None] * vals[:, :, None, :]).reshape(2, len(rows), -1)
+        values, units = (np.array([a * det, np.abs(a) * (rho * det + dim ** 3 * norms)])[:, rows]
+                         * (prods @ bins * terms).sum(axis=2))
+        end, value_list = 0, values.tolist()
+        for i, size in zip(idx, lens):
+            start, end = end, end + size
+            err = eps * float(units[start:end].sum())
+            finite = math.isfinite(err)  # then so is every value
+            value = math.fsum(value_list[start:end]) if finite else float(values[start:end].sum())
+            err = err + eps * abs(value) if finite else math.inf
+            out[i] = IntegrationResult(value, err, finite and err <= max(
+                rule.tol_abs, rule.tol_rel * abs(value)))
     return out
 
 

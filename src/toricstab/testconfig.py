@@ -24,6 +24,7 @@ cut along its zero set, in any dimension.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -295,6 +296,8 @@ def clip_simplex(verts, grad, const):
     """
     verts = np.asarray(verts, dtype=float)
     h = (verts @ np.asarray(grad, dtype=float) + const).tolist()
+    if not all(map(math.isfinite, h)):  # no cut of such data: its integrals are not finite
+        return [verts]
     zero = 1e-13 * max(1.0, max(map(abs, h)))
     h = [0.0 if abs(x) <= zero else x for x in h]
     if min(h) >= 0:
@@ -406,14 +409,16 @@ def _l1_about(tc, mean, rule):
     """int_P |phi - mean| w dx, as 2 int (phi - mean)_+ w - int (phi - mean) w
     (|f| = 2 f_+ - f for any mean).  On each cell f is affine: its positive
     side is cut along the zero set, so both parts of a cell are smooth and
-    share one integrand.  Only rounding can take the sum below 0."""
+    share one integrand.  Only rounding can take the sum below 0, and a sum
+    that overflows to NaN stays NaN."""
     parts = []
     for cell, g, c in tc.affine_cells():
         f, tris = Integrand(tc.weights.w_weight, [(g, c - mean)]), cell.triangulation_floats()
         pos = [s for tri in tris for s in clip_simplex(tri, g, c - mean)]
         parts += [(f, np.array(pos).reshape(-1, *tris.shape[1:])), (f, tris)]
     res = integrate_parts(parts, rule)
-    return max(0.0, sum(2 * pos.value - whole.value for pos, whole in zip(res[::2], res[1::2])))
+    total = sum(2 * pos.value - whole.value for pos, whole in zip(res[::2], res[1::2]))
+    return 0.0 if total < 0 else total
 
 
 def orthogonal_part(tc, rule=DEFAULT_RULE):
@@ -483,11 +488,14 @@ def destabilizing_vertex(tc, rule=DEFAULT_RULE):
     For a configuration with positive orthogonal L1 norm the maximum is
     positive; the ratio chow_T * Vol_w / norm_perp is reported against the
     uniform positivity expected of it.  A norm of at most 1e-9 is reported
-    as a product.  Ties are returned together, with the lexicographically
-    smallest designated.
+    as a product, and a NaN norm, whose integrals overflowed, raises
+    ``FloatingPointError``.  Ties are returned together, with the
+    lexicographically smallest designated.
     """
     P, W = tc.polytope, tc.weights
     perp, norm_perp = orthogonal_part(tc, rule)
+    if math.isnan(norm_perp):  # its integrals overflowed
+        raise FloatingPointError("the orthogonal L1 norm is NaN")
     if norm_perp <= 1e-9:
         table = tuple((v, 0.0) for v in P.vertices)
         return DestabilizingVertex(True, None, 0.0, 0.0, (), table, norm_perp)

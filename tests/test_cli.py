@@ -634,3 +634,44 @@ def test_overflowing_weight_exits_3_without_a_warning():
         assert proc.stdout == ""
         [line] = proc.stderr.splitlines()
         assert line.startswith("error: weight positivity fails") and why in line
+
+
+CP2_CSCK = ["--catalog", "cp2"]
+CUBE_SASAKI = ["--catalog", "cube", "--family", "sasaki", "--a", "1/100", "--xi", "0.1,0.2,0.3"]
+
+
+@pytest.mark.parametrize("sub, where, quantity", [
+    ("df", CP2_CSCK + ["--beta", "1e308,1e308"], "df"),
+    ("dft", CP2_CSCK + ["--beta", "1e308,1e308"], "df_T"),
+    ("norm", CP2_CSCK + ["--beta", "1e308,-1e308"], "l1_norm"),
+    ("chow", CP2_CSCK + ["--beta", "1e308,1e308"], "chow"),
+    ("destabilize", CP2_CSCK + ["--beta", "1e308,1e308"], "l1_norm_orthogonal"),
+    # Closed-form Sasaki integrals overflow to values that are not finite
+    # without a numpy warning, and a NaN cut of a cell failed with
+    # "min() arg is an empty sequence".
+    ("df", CUBE_SASAKI + ["--beta", "1.7e308,-1.7e308,1"], "df"),
+    ("norm", CUBE_SASAKI + ["--beta", "1.7e308,-1.7e308,1"], "l1_norm"),
+    ("destabilize", CUBE_SASAKI + ["--beta", "1.7e308,-1.7e308,1"], "l1_norm_orthogonal"),
+], ids=["df", "dft", "norm", "chow", "destabilize", "sasaki-df", "sasaki-norm",
+        "sasaki-destabilize"])
+def test_testconfig_past_the_float_range_exits_3(capsys, sub, where, quantity):
+    # In-process, where a RuntimeWarning is an error: these printed NaN or 0
+    # with exit 0, or died in an overflow traceback.
+    code = main(["testconfig", sub, *where])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith(
+        f"error: testconfig {sub}: {quantity} leaves the float range (")
+
+
+def test_negative_report_seed_exits_2_before_any_work(monkeypatch, capsys):
+    from toricstab import cli
+
+    def boom(*args, **kwargs):
+        raise AssertionError("loaded before the --seed check")
+
+    monkeypatch.setattr(cli, "_load_polytope", boom)
+    code = main(["report", "--catalog", "cp2", "--sample", "1", "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: bad --seed: -1 (need a value >= 0)\n"

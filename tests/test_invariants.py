@@ -501,8 +501,8 @@ class TestScalarCache:
     def test_unsettled_limit_raises_on_every_call(self, monkeypatch, simplex):
         monkeypatch.setattr(inv, "_scalar_cache", OrderedDict())
         limits = []
-        fn = inv.localize.eval_at_degenerate
-        monkeypatch.setattr(inv.localize, "eval_at_degenerate",
+        fn = inv.localize._limits
+        monkeypatch.setattr(inv.localize, "_limits",
                             lambda *a, **k: limits.append(1) or fn(*a, **k))
         # ckem weights at xi = 0: the extrapolated volume does not settle.
         W = builtin("ckem", 2, a=F(1, 2))

@@ -10,6 +10,7 @@ from toricstab import catalog, localize
 from toricstab.localize import (DegenerateDirectionError, directional_derivative,
                                 eval_at_degenerate, eval_c1_class, eval_class,
                                 vertex_weights)
+from toricstab.polytope import DelzantPolytope
 from toricstab.profiles import (Exponential, Monomial, PowerLaw,
                                 ProfileDomainError, builtin)
 from toricstab.quadrature import integrate, integrate_boundary, moments
@@ -265,6 +266,96 @@ class TestEdgeArrays:
         for arr in localize._edge_arrays(trapezoid):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
+
+
+CUBE4 = DelzantPolytope(4, [(tuple(int(i == j) * s for j in range(4)), o)
+                            for i in range(4) for s, o in ((1, 0), (-1, 1))],
+                        name="cube4")
+
+
+@pytest.mark.parametrize("P", [catalog.load(name) for name in catalog.names()] + [CUBE4],
+                         ids=lambda P: P.name)
+def test_stacked_kernel_equals_one_direction_at_a_time(P):
+    # Random scales, axis and zero directions; bl3cp2 has vertices whose
+    # pairings a plain matrix product of the stack rounds otherwise.
+    rng = np.random.default_rng(5)
+    n = P.dim
+    xis = np.concatenate([rng.normal(size=(60, n)) * 10.0 ** rng.uniform(-8, 2, (60, 1)),
+                          np.eye(n), -0.7 * np.eye(n), np.zeros((1, n))])
+    pairs, pair_edges, euler = localize._at(P, xis)
+    verts, edges = localize._edge_arrays(P)
+    for r, xi in enumerate(xis):
+        one = localize._at(P, xi[None])
+        assert all(a[r].tobytes() == b[0].tobytes() for a, b in zip((pairs, pair_edges, euler), one))
+        # The one-direction products that the kernel replaced.
+        assert pairs[r].tobytes() == (verts @ xi).tobytes()
+        assert pair_edges[r].tobytes() == (edges @ xi).tobytes()
+        assert euler[r].tobytes() == np.prod(-(edges @ xi), axis=1).tobytes()
+
+
+@pytest.mark.parametrize("name", ["cp2", "bl3cp2", "cube"])
+@pytest.mark.parametrize("kind", ["volume", "c1"])
+def test_stacked_limits_equal_one_limit_at_a_time(name, kind):
+    P = catalog.load(name)
+    n = P.dim
+    xis = np.array([np.zeros(n), np.eye(n)[0] * 0.8, np.eye(n)[-1] * -0.3,
+                    np.array([0.3, -0.2, 0.1][:n])])
+    for h in (Exponential(), PowerLaw(F(1), F(3), F(-3)), Monomial(n + 1)):
+        stacked = localize._limits(P, kind, h, xis)
+        assert [float(v).hex() for v in stacked] == [
+            float(eval_at_degenerate(P, kind, h, xi)).hex() for xi in xis]
+
+
+class _Refusing(Monomial):
+    """t^k / k! that refuses t below -LIMIT, and then t above LIMIT, each
+    with its own message: a stacked call meets the low refusal of a later
+    sample before the high one of an earlier sample."""
+
+    LIMIT = 0.02
+
+    def value(self, t):
+        t = np.asarray(t, dtype=float)
+        if np.any(t < -self.LIMIT):
+            raise ValueError(f"low t {float(t.min())}")
+        if np.any(t > self.LIMIT):
+            raise ValueError(f"high t {float(t.max())}")
+        return super().value(t)
+
+
+def _first_refusal(h, rows):
+    """The message h raises first when called on each row in turn."""
+    for row in rows:
+        try:
+            h.value(row)
+        except ValueError as e:
+            return str(e)
+    return None
+
+
+class TestFallbackExceptionOrder:
+    """A stacked fallback raises what evaluating its samples one by one, in
+    today's order, raises first."""
+
+    def test_degenerate_limit(self, simplex):
+        h = _Refusing(3)
+        xi = np.zeros(2)
+        samples = xi + localize._sample_offsets(2)[0]  # the first eta serves
+        want = _first_refusal(h, localize._at(simplex, samples)[0])
+        assert want.startswith("high t")  # sample +t0 before -t0
+        with pytest.raises(ValueError) as err:
+            eval_at_degenerate(simplex, "volume", h, xi)
+        assert str(err.value) == want
+
+    def test_central_difference(self, simplex):
+        h = _Refusing(3)
+        beta = np.array([0.6, 0.3])
+        s0 = 0.05 / np.linalg.norm(beta) if np.linalg.norm(beta) > 1 else 0.05
+        points = np.array([s0, -s0, s0 / 2, -s0 / 2])[:, None] * beta
+        want = _first_refusal(h, localize._at(simplex, points)[0])
+        assert want.startswith("high t")
+        with pytest.raises(ValueError) as err:
+            directional_derivative("volume", simplex, h, np.zeros(2), beta)
+        assert str(err.value) == want
 
 
 # The bits of every localisation value, recorded by ``_localisation_bits()``

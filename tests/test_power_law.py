@@ -135,6 +135,24 @@ def test_closed_form_meets_the_exact_value(P):
     assert checked
 
 
+def test_mixed_call_keeps_the_bits_of_each_part_alone():
+    # Interior parts (vol, beta-moment, Gram), chart-pulled facets and parts
+    # with a factor of the chart coordinates; sasaki and ckem; generic and
+    # axis xi; planar and solid polytopes, whose facet and interior node
+    # sets have the same number of vertices: all in one call.
+    parts = [(f, s) for name in ("cp2", "bl3cp2", "cube")
+             for family in ("sasaki", "ckem") for kind in ("generic", "axis")
+             for *_, f, s in _parts(catalog.load(name),
+                                    _weights(catalog.load(name), family, kind, F(1, 4)))
+             if f.power.closed]
+    assert len({len(f.power.factors) for f, _ in parts}) == 3
+    mixed = quadrature._power_law_parts(parts, DEFAULT_RULE)
+    for (f, s), res in zip(parts, mixed):
+        alone = quadrature._power_law_parts([(f, s)], DEFAULT_RULE)[0]
+        assert (float(res.value).hex(), float(res.error).hex(), res.converged) == (
+            float(alone.value).hex(), float(alone.error).hex(), alone.converged)
+
+
 def _refused(P):
     """Integrands that keep the adaptive path, with their simplices."""
     tri = P.triangulation_floats()

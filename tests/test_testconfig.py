@@ -528,3 +528,16 @@ class TestUnimodularInvariance:
                          for y in (np.array(u, dtype=float) @ x + tau))
             assert tcg.chow(tc_img, vimg) == pytest.approx(
                 tcg.chow(tc, v), abs=1e-11)
+
+
+def test_overflowing_l1_norm_is_nan_not_a_product():
+    # max(x1, x2) twisted by (1e308, 1e308) on cp2: its integrals overflow.
+    # The norm was read as max(0.0, nan) = 0.0, and the configuration as a
+    # product.
+    P, W = catalog.load("cp2"), builtin("cscK", 2)
+    tc = ToricTC(P, W, PLConvex.make([((1, 0), 0), ((0, 1), 0)]), twist=(1e308, 1e308))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.isnan(tcg.l1_norm(tc))
+        assert math.isnan(tcg.orthogonal_part(tc)[1])
+        with pytest.raises(FloatingPointError, match="orthogonal L1 norm is NaN"):
+            tcg.destabilizing_vertex(tc)
