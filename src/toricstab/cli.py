@@ -6,14 +6,15 @@ Each command but selftest returns its document and whether it fails
 --strict; ``main`` emits the document and applies --strict in one place.
 Output is deterministic JSON (fixed field order, %.12e floats) unless --csv
 or --text is selected.  Exit codes: 0 success, 2 argument/parse errors
-(also bad cubature flags, non-finite or out-of-float-range numbers, a --csv
-kind the command's document lacks, fewer than 4 or underflowing
---eps-points, a negative --sample or report --seed, all checked before
-any work, and an unwritable --out), 3 precondition violations (a testconfig
-quantity whose integrals leave the float range among them), 4 tolerance
+(also bad cubature flags, non-finite, subnormal or out-of-float-range
+numbers, a --csv kind the command's document lacks, fewer than 4 or
+underflowing --eps-points, a negative --sample or report --seed, all
+checked before any work, and an unwritable --out), 3 precondition
+violations (any overflow or non-finite number among them), 4 tolerance
 failures: under --strict, and always when the two backends disagree or a
 localisation limit (taken where a vertex sum is degenerate or cancels)
-does not settle.
+does not settle.  A "remainder_exponent" of "inf" (a string) means the
+remainder sits at roundoff.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ import numpy as np
 from . import (acceptance, blowup, catalog, invariants, localize, report,
                testconfig)
 from .polytope import DelzantPolytope, PolytopeError
-from .profiles import PositivityError, builtin, weights_from_json
+from .profiles import (PositivityError, builtin, check_components,
+                       weights_from_json)
 from .quadrature import QuadratureRule
 
 EXIT_PARSE = 2
@@ -41,9 +43,6 @@ EXIT_TOLERANCE = 4
 CSV_KIND = {"invariants": "gram", "futaki": "gram", "extremal-field": "gram",
             "soliton": "gram", "testconfig chow": "chow",
             "blowup-expand": "expansion"}
-#: The quantity of each testconfig subcommand, named if it overflows.
-TC_QUANTITY = {"df": "df", "dft": "df_T", "norm": "l1_norm", "chow": "chow",
-               "destabilize": "l1_norm_orthogonal"}
 
 
 class CliError(Exception):
@@ -92,8 +91,7 @@ def _vector(text, flag, dim):
         vec = [float(s) for s in text.split(",")]
         if len(vec) != dim:
             raise ValueError(f"{len(vec)} components, need {dim}")
-        if not all(map(math.isfinite, vec)):
-            raise ValueError(f"{text} has a non-finite component")
+        check_components(vec, text)
     except ValueError as e:
         raise CliError(f"bad {flag}: {e}", EXIT_PARSE) from e
     return vec
@@ -235,14 +233,6 @@ def _cmd_soliton(args):
     return doc, not (res.converged and res.normalization_consistent)
 
 
-def _finite(doc):
-    """Whether every float of a document, nested in dicts and lists, is finite."""
-    if isinstance(doc, (dict, list)):
-        return all(map(_finite, doc.values() if isinstance(doc, dict) else doc))
-    return not isinstance(doc, float) or math.isfinite(doc)
-
-
-@np.errstate(over="raise", invalid="raise")  # an overflow exits 3 (see ``main``)
 def _cmd_testconfig(args):
     P = _load_polytope(args)
     W = _load_weights(args, P)
@@ -269,8 +259,6 @@ def _cmd_testconfig(args):
                 "ratio": dv.ratio,
                 "ties": [[str(c) for c in v] for v in dv.ties],
             })
-    if not _finite(doc):
-        raise FloatingPointError("a value is not finite")
     return doc, False
 
 
@@ -287,20 +275,16 @@ def _cmd_blowup(args):
     if eps_max is not None and not abs(eps_max) <= sys.float_info.max:
         raise CliError(f"bad --eps-max: {args.eps_max} is past the float range",
                        EXIT_PARSE)
-    try:
-        start = (eps_max / 4 if eps_max is not None
-                 else blowup.default_eps_grid(P, vertex, 1)[0])
-        # At least 4 depths, the smallest (start / 2**(n - 1)) a normal float.
-        n = args.eps_points
-        if n < 4 or 0 < start and math.ldexp(float(start), 1 - n) < sys.float_info.min:
-            raise CliError(f"bad --eps-points: {n} (need at least 4 depths, "
-                           "the smallest a normal float)", EXIT_PARSE)
-        grid = tuple(start / 2 ** k for k in range(n))
-        rep = blowup.verify_expansion(args.quantity, P, W, vertex,
-                                      eps_grid=grid, beta=beta, tc=tc,
-                                      rule=rule)
-    except (PolytopeError, ValueError) as e:
-        raise CliError(str(e), EXIT_PRECONDITION) from e
+    start = (eps_max / 4 if eps_max is not None
+             else blowup.default_eps_grid(P, vertex, 1)[0])
+    # At least 4 depths, the smallest (start / 2**(n - 1)) a normal float.
+    n = args.eps_points
+    if n < 4 or 0 < start and math.ldexp(float(start), 1 - n) < sys.float_info.min:
+        raise CliError(f"bad --eps-points: {n} (need at least 4 depths, "
+                       "the smallest a normal float)", EXIT_PARSE)
+    grid = tuple(start / 2 ** k for k in range(n))
+    rep = blowup.verify_expansion(args.quantity, P, W, vertex, eps_grid=grid,
+                                  beta=beta, tc=tc, rule=rule)
     return report.expansion_doc(rep), not rep.passed
 
 
@@ -392,34 +376,44 @@ def build_parser():
     return ap
 
 
+def _not_finite(doc, path=""):
+    """``PATH is VALUE`` for the first float of ``doc`` that is not finite."""
+    if isinstance(doc, (dict, list)):
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+        paths = (_not_finite(v, f"{path}.{k}" if path else str(k)) for k, v in items)
+        return next(filter(None, paths), None)
+    if isinstance(doc, float) and not math.isfinite(doc):
+        return f"{path} is {doc}"
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    name = " ".join(filter(None, (args.command, getattr(args, "tc_command", None))))
     try:
-        if args.func is _cmd_selftest:
-            return _cmd_selftest(args)
-        name = " ".join(filter(None, (args.command,
-                                      getattr(args, "tc_command", None))))
-        kind = CSV_KIND.get(name)
-        if args.csv and args.csv != kind:
-            has = f"only --csv {kind}" if kind else "no CSV output"
-            raise CliError(f"cannot emit --csv {args.csv}: {name} has {has}",
-                           EXIT_PARSE)
-        doc, failed = args.func(args)
-        _emit(args, doc)
+        # An overflow raises unless the library's own errstate ignores it.
+        with np.errstate(over="raise", invalid="raise"):
+            if args.func is _cmd_selftest:
+                return _cmd_selftest(args)
+            kind = CSV_KIND.get(name)
+            if args.csv and args.csv != kind:
+                has = f"only --csv {kind}" if kind else "no CSV output"
+                raise CliError(f"cannot emit --csv {args.csv}: {name} has {has}",
+                               EXIT_PARSE)
+            doc, failed = args.func(args)
+            if where := _not_finite(doc):
+                raise FloatingPointError(where)
+            _emit(args, doc)
         return EXIT_TOLERANCE if args.strict and failed else 0
     except CliError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return e.code
+        message, code = e, e.code
     except (PolytopeError, PositivityError, ValueError) as e:
-        sys.stderr.write(f"error: {e}\n")
-        return EXIT_PRECONDITION
+        message, code = e, EXIT_PRECONDITION
     except (invariants.BackendError, localize.ExtrapolationError) as e:
-        sys.stderr.write(f"error: {e}\n")
-        return EXIT_TOLERANCE
-    except FloatingPointError as e:  # only testconfig raises on overflow
-        sys.stderr.write(f"error: {name}: {TC_QUANTITY[args.tc_command]} leaves the "
-                         f"float range ({e})\n")
-        return EXIT_PRECONDITION
+        message, code = e, EXIT_TOLERANCE
+    except FloatingPointError as e:
+        message, code = f"{name}: a value leaves the float range ({e})", EXIT_PRECONDITION
+    sys.stderr.write(f"error: {message}\n")
+    return code
 
 
 if __name__ == "__main__":

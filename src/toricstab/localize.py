@@ -262,7 +262,9 @@ def directional_derivative(kind, polytope, h, xi, beta):
         if value is not None:
             return value
     # Central differences with one Richardson step on s^2.
-    s0 = 0.05 / max(1.0, float(np.linalg.norm(beta)))
+    if (norm := float(np.linalg.norm(beta))) == math.inf:  # the step would be 0
+        raise FloatingPointError(f"|beta| overflows for beta = {beta.tolist()}")
+    s0 = 0.05 / max(1.0, norm)
     v = _eval(polytope, h, xi + np.array([s0, -s0, s0 / 2, -s0 / 2])[:, None] * beta, kind)
     d1, d2 = ((v[i] - v[i + 1]) / (2 * s) for i, s in ((0, s0), (2, s0 / 2)))
     return (4 * d2 - d1) / 3

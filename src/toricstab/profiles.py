@@ -386,10 +386,16 @@ def builtin(name, n, xi=None, a=None):
     raise ValueError(f"unknown weight family {name!r}")
 
 
+def check_components(vec, what):
+    """Refuse a component that is not finite or is subnormal: a pairing with
+    a subnormal can round to 0 where a product with it does not."""
+    if not all(c == 0 or sys.float_info.min <= abs(c) < math.inf for c in vec):
+        raise ValueError(f"{what} has a non-finite or subnormal component")
+
+
 def weights_from_json(doc, n):
     xi = [float(c) for c in doc.get("xi", [0.0] * n)]
-    if not all(map(math.isfinite, xi)):
-        raise ValueError(f"xi {xi} has a non-finite component")
+    check_components(xi, f"xi {xi}")
     family = doc.get("family", "custom")
     if doc.get("profiles"):
         f, g = (profile_from_json(doc["profiles"][k]) for k in "fg")

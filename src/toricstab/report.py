@@ -46,12 +46,8 @@ def _render(obj, out):
         out.write(str(int(obj)))
     elif isinstance(obj, Fraction):
         out.write('"' + str(obj) + '"')
-    elif isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if x != x or x in (float("inf"), float("-inf")):
-            out.write('"' + str(x) + '"')  # non-finite values as strings
-        else:
-            out.write(FLOAT_FORMAT % x)
+    elif isinstance(obj, (float, np.floating)):  # finite: see ``cli.main``
+        out.write(FLOAT_FORMAT % float(obj))
     elif isinstance(obj, (list, tuple, np.ndarray)):
         out.write("[")
         for i, v in enumerate(list(obj)):
@@ -108,7 +104,8 @@ def expansion_doc(r):
         "exact": list(r.exact),
         "predicted": {str(k): v for k, v in sorted(r.predicted.items())},
         "fitted": {str(k): v for k, v in sorted(r.fitted.items())},
-        "remainder_exponent": r.remainder_exponent,
+        "remainder_exponent": ("inf" if r.remainder_exponent == float("inf")
+                               else r.remainder_exponent),  # "inf": at roundoff
         "expected_next_order": float(r.expected_next_order),
         "coefficient_rel_error": r.coefficient_rel_error,
     }

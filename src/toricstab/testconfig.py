@@ -409,14 +409,16 @@ def _l1_about(tc, mean, rule):
     """int_P |phi - mean| w dx, as 2 int (phi - mean)_+ w - int (phi - mean) w
     (|f| = 2 f_+ - f for any mean).  On each cell f is affine: its positive
     side is cut along the zero set, so both parts of a cell are smooth and
-    share one integrand.  Only rounding can take the sum below 0, and a sum
-    that overflows to NaN stays NaN."""
+    share one integrand.  Only rounding can take the sum below 0.  A sum
+    that overflows, or has a part of infinite error, is NaN."""
     parts = []
     for cell, g, c in tc.affine_cells():
         f, tris = Integrand(tc.weights.w_weight, [(g, c - mean)]), cell.triangulation_floats()
         pos = [s for tri in tris for s in clip_simplex(tri, g, c - mean)]
         parts += [(f, np.array(pos).reshape(-1, *tris.shape[1:])), (f, tris)]
     res = integrate_parts(parts, rule)
+    if not all(math.isfinite(r.error) for r in res):
+        return math.nan
     total = sum(2 * pos.value - whole.value for pos, whole in zip(res[::2], res[1::2]))
     return 0.0 if total < 0 else total
 

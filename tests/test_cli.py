@@ -1,4 +1,6 @@
 import ast
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,8 +10,12 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from toricstab import catalog
+from toricstab.blowup import QUANTITIES
 from toricstab.cli import main
+from toricstab.polytope import DelzantPolytope
 
 DATA = Path(__file__).parent / "data"
 
@@ -492,6 +498,15 @@ BLOWUP_CP2 = ["blowup-expand", "--catalog", "cp2", "--vertex", "0"]
     (["futaki", "--catalog", "cp2", "--beta", "nan,0"], "bad --beta: "),
     (["testconfig", "df", "--catalog", "cp2", "--tc", "{twist_overflow}"],
      "cannot read test configuration: "),
+    # Subnormal components: a pairing with -5e-324 rounds to 0 where the
+    # Euler product does not, so localisation read Vol_w = 0 or divided by it.
+    (["invariants", "--catalog", "cp1", "--family", "extremal", "--xi=-5e-324",
+      "--backend", "localization"], "bad --xi: -5e-324 has a non-finite or subnormal"),
+    (["futaki", "--catalog", "cp1", "--family", "extremal", "--xi=-5e-324",
+      "--beta=2", "--backend", "both"], "bad --xi: "),
+    (["futaki", "--catalog", "cp2", "--beta=1,1e-310"], "bad --beta: "),
+    (["invariants", "--catalog", "cp2", "--weights", "{xi_subnormal}"],
+     "cannot read weight config: "),
     *((["blowup-expand", "--catalog", "cp2", "--tc", f"{{{name}}}", "--quantity",
         "dft", "--vertex", "0"],
       f"cannot read test configuration: twist has shape ({k},), expected (2,)")
@@ -523,6 +538,7 @@ BLOWUP_CP2 = ["blowup-expand", "--catalog", "cp2", "--vertex", "0"]
         "out-unwritable", "xi-infinite", "xi-nan", "a-overflow",
         "weights-xi-overflow", "weights-a-overflow", "polytope-offset-overflow",
         "tc-df-beta-infinite", "futaki-beta-nan", "tc-twist-overflow",
+        "xi-subnormal", "xi-subnormal-both", "beta-subnormal", "weights-xi-subnormal",
         "blowup-tc-twist-short", "blowup-tc-twist-long",
         "polynomial-coeff-overflow", "powerlaw-b-overflow", "powerseries-radius-nan",
         "monomial-k-1e8", "monomial-k-negative", "polynomial-coeffs-string",
@@ -536,6 +552,7 @@ def test_bad_input_exits_2(tmp_path, capsys, argv, message):
              "not_a_list": {"pieces": 5},
              # Written as given: JSON reads 1e999 as infinity.
              "xi_overflow": '{"family": "soliton", "xi": [1e999, 0]}',
+             "xi_subnormal": '{"family": "soliton", "xi": [0, -5e-324]}',
              "a_overflow": '{"family": "sasaki", "params": {"a": "1e400"}}',
              "offset_overflow": '{"dim": 2, "facets": ['
                                 '{"normal": [1, 0], "offset": "0"}, '
@@ -640,28 +657,55 @@ CP2_CSCK = ["--catalog", "cp2"]
 CUBE_SASAKI = ["--catalog", "cube", "--family", "sasaki", "--a", "1/100", "--xi", "0.1,0.2,0.3"]
 
 
-@pytest.mark.parametrize("sub, where, quantity", [
-    ("df", CP2_CSCK + ["--beta", "1e308,1e308"], "df"),
-    ("dft", CP2_CSCK + ["--beta", "1e308,1e308"], "df_T"),
-    ("norm", CP2_CSCK + ["--beta", "1e308,-1e308"], "l1_norm"),
-    ("chow", CP2_CSCK + ["--beta", "1e308,1e308"], "chow"),
-    ("destabilize", CP2_CSCK + ["--beta", "1e308,1e308"], "l1_norm_orthogonal"),
+@pytest.mark.parametrize("sub, where", [
+    ("df", CP2_CSCK + ["--beta", "1e308,1e308"]),
+    ("dft", CP2_CSCK + ["--beta", "1e308,1e308"]),
+    ("norm", CP2_CSCK + ["--beta", "1e308,-1e308"]),
+    ("chow", CP2_CSCK + ["--beta", "1e308,1e308"]),
+    ("destabilize", CP2_CSCK + ["--beta", "1e308,1e308"]),
     # Closed-form Sasaki integrals overflow to values that are not finite
     # without a numpy warning, and a NaN cut of a cell failed with
     # "min() arg is an empty sequence".
-    ("df", CUBE_SASAKI + ["--beta", "1.7e308,-1.7e308,1"], "df"),
-    ("norm", CUBE_SASAKI + ["--beta", "1.7e308,-1.7e308,1"], "l1_norm"),
-    ("destabilize", CUBE_SASAKI + ["--beta", "1.7e308,-1.7e308,1"], "l1_norm_orthogonal"),
+    ("df", CUBE_SASAKI + ["--beta", "1.7e308,-1.7e308,1"]),
+    ("norm", CUBE_SASAKI + ["--beta", "1.7e308,-1.7e308,1"]),
+    ("destabilize", CUBE_SASAKI + ["--beta", "1.7e308,-1.7e308,1"]),
 ], ids=["df", "dft", "norm", "chow", "destabilize", "sasaki-df", "sasaki-norm",
         "sasaki-destabilize"])
-def test_testconfig_past_the_float_range_exits_3(capsys, sub, where, quantity):
+def test_testconfig_past_the_float_range_exits_3(capsys, sub, where):
     # In-process, where a RuntimeWarning is an error: these printed NaN or 0
     # with exit 0, or died in an overflow traceback.
     code = main(["testconfig", sub, *where])
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert captured.err.startswith(
-        f"error: testconfig {sub}: {quantity} leaves the float range (")
+        f"error: testconfig {sub}: a value leaves the float range (")
+
+
+@pytest.mark.parametrize("argv", [
+    ["futaki", "--catalog", "cp2", "--beta", "1e308,1e308"],
+    ["blowup-expand", "--catalog", "cp2", "--vertex", "0", "--quantity", "futaki",
+     "--beta", "1e308,1e308"],
+    # |beta| overflows, so the difference step of the localisation was 0.
+    ["futaki", "--catalog", "cp2", "--family", "soliton", "--xi", "0,0",
+     "--beta", "1e300,0", "--backend", "localization"],
+    ["futaki", "--catalog", "cp2", "--beta", "1e300,1e300", "--backend", "both"],
+    # The whole-cell part reads 0 with an infinite error: the norm read 0.
+    ["testconfig", "norm", "--catalog", "cp2", "--family", "sasaki", "--a", "1",
+     "--xi", "0.1,0.1", "--beta=1e308,-1e308"],
+], ids=["futaki", "blowup-futaki", "soliton-localization", "futaki-both", "sasaki-norm"])
+def test_any_command_past_the_float_range_exits_3(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    [line] = captured.err.splitlines()
+    name = " ".join(argv[:2]) if argv[0] == "testconfig" else argv[0]
+    assert line.startswith(f"error: {name}: a value leaves the float range (")
+
+
+def test_sasaki_norm_within_the_float_range_is_printed(capsys):
+    code, out = run(capsys, "testconfig", "norm", "--catalog", "cp2", "--family", "sasaki",
+                    "--a", "1", "--xi", "0.1,0.1", "--beta=1e300,-1e300")
+    assert code == 0 and json.loads(out)["l1_norm"] == 1.166814652915e+299
 
 
 def test_negative_report_seed_exits_2_before_any_work(monkeypatch, capsys):
@@ -675,3 +719,66 @@ def test_negative_report_seed_exits_2_before_any_work(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == "error: bad --seed: -1 (need a value >= 0)\n"
+
+
+#: Vector components at the extremes of the float range, and ordinary ones.
+COMPONENTS = (0.0, 1e-300, -1e-300, 5e-324, -5e-324, 1e300, -1e300,
+              1.7e308, -1.7e308, 0.5, -2.0)
+FAMILIES = ("cscK", "extremal", "soliton", "sasaki", "ckem")
+CUBE4 = DelzantPolytope(4, [(tuple(s * (i == k) for i in range(4)), 1)
+                            for k in range(4) for s in (1, -1)], name="cube4")
+SWEPT = [(["--catalog", name], catalog.load(name).dim) for name in catalog.names()]
+SWEPT.append((["--polytope", "{cube4}"], 4))
+BETA_COMMANDS = [["futaki"],
+                 *(["testconfig", sub] for sub in ("df", "dft", "norm", "chow", "destabilize")),
+                 *(["blowup-expand", "--vertex", "0", "--quantity", q] for q in QUANTITIES)]
+
+
+@st.composite
+def extreme_commands(draw):
+    """A command line at the extremes of its --xi, --beta and --a."""
+    where, dim = draw(st.sampled_from(SWEPT))
+    vector = st.lists(st.sampled_from(COMPONENTS), min_size=dim, max_size=dim).map(
+        lambda v: ",".join(map(repr, v)))
+    # soliton and selftest read none of these flags.
+    command = draw(st.sampled_from(BETA_COMMANDS + [
+        ["validate"], ["invariants"], ["extremal-field"], ["report", "--sample", "1"]]))
+    argv = [*command, *where, "--family", draw(st.sampled_from(FAMILIES)),
+            "--backend", draw(st.sampled_from(("quadrature", "localization", "both")))]
+    if xi := draw(st.none() | vector):
+        argv.append(f"--xi={xi}")
+    if a := draw(st.none() | st.sampled_from(("1/2", "3", "1000", "1/1000", "1e300"))):
+        argv.append(f"--a={a}")
+    if command in BETA_COMMANDS:
+        argv.append(f"--beta={draw(vector)}")
+    return argv
+
+
+def _floats(doc):
+    if isinstance(doc, dict):
+        doc = list(doc.values())
+    if isinstance(doc, list):
+        return [x for v in doc for x in _floats(v)]
+    return [doc] if isinstance(doc, float) else []
+
+
+@pytest.fixture(scope="module")
+def cube4_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("sweep") / "cube4.json"
+    path.write_text(json.dumps(CUBE4.to_json()))
+    return str(path)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=extreme_commands())
+def test_extreme_inputs_exit_with_a_documented_code(cube4_file, argv):
+    # Every command exits 0, 2, 3 or 4 without a traceback, and what it
+    # prints on exit 0 is finite.
+    argv = [cube4_file if x == "{cube4}" else x for x in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4), err.getvalue()
+    if code == 0:
+        assert all(map(math.isfinite, _floats(json.loads(out.getvalue()))))
