@@ -62,10 +62,10 @@ def _safe_a(P, xi):
 
 
 def criterion_1_backend_agreement(rule=DEFAULT_RULE):
-    """Quadrature and vertex localisation agree on both class types."""
+    """Quadrature and vertex localisation agree on both class types, to
+    ``AGREE_TOL`` of the (positive) quadrature value."""
     rng = np.random.default_rng(101)
-    worst = 0.0
-    count = 0
+    worst, count, passed = 0.0, 0, True
     for name in catalog.BASE_NAMES:
         P = catalog.load(name)
         n = P.dim
@@ -76,14 +76,12 @@ def criterion_1_backend_agreement(rule=DEFAULT_RULE):
                     ("sasaki", builtin("sasaki", n, xi=xi, a=_safe_a(P, xi))),
                     ("ckem", builtin("ckem", n, xi=xi, a=_safe_a(P, xi)))]
             for _, W in fams:
-                q = invariants.vol_w(P, W, rule)
-                l = invariants.vol_w(P, W, rule, backend="localization")
-                worst = max(worst, abs(q - l) / (1 + abs(q)))
-                q = invariants.per_v(P, W, rule)
-                l = invariants.per_v(P, W, rule, backend="localization")
-                worst = max(worst, abs(q - l) / (1 + abs(q)))
-                count += 2
-    passed = worst <= localize.AGREE_TOL
+                for quantity in (invariants.vol_w, invariants.per_v):
+                    q = quantity(P, W, rule)
+                    l = quantity(P, W, rule, backend="localization")
+                    worst = max(worst, abs(q - l) / q)
+                    passed = passed and localize.agree(q, l, q)
+                    count += 1
     return AcceptanceResult(
         "backend agreement",
         passed,
@@ -132,10 +130,11 @@ def criterion_3_symmetry_vanishing(rule=DEFAULT_RULE):
 
 
 def criterion_4_extremal_residual(rule=DEFAULT_RULE):
-    """F(beta) = -<w_ext, beta> and the signed-weight vanishing."""
+    """F(beta) = -<w_ext, beta>, to ``AGREE_TOL`` of the Futaki scale
+    width_beta Per_v (see ``invariants.futaki``), and the signed-weight
+    vanishing."""
     rng = np.random.default_rng(104)
-    worst = 0.0
-    worst_signed = 0.0
+    worst, worst_signed, ok = 0.0, 0.0, True
     for name in catalog.BASE_NAMES:
         P = catalog.load(name)
         for _, W in _families_for(P, rng):
@@ -146,11 +145,14 @@ def criterion_4_extremal_residual(rule=DEFAULT_RULE):
                 beta = rng.uniform(-1, 1, P.dim)
                 f = invariants.futaki(P, W, beta, rule)
                 pair = float(chi @ g @ beta)
-                worst = max(worst, abs(f + pair) / (1 + abs(f)))
+                width = float(np.ptp(P.vertices_floats() @ beta))
+                scale = width * invariants.per_v(P, W, rule)
+                worst = max(worst, abs(f + pair) / scale)
+                ok = ok and localize.agree(f, -pair, scale)
             for b in np.eye(P.dim):
                 fs = invariants.futaki_signed(P, W, ext, b, rule)
                 worst_signed = max(worst_signed, abs(fs))
-    passed = worst <= 1e-8 and worst_signed <= 1e-8
+    passed = ok and worst_signed <= 1e-8
     return AcceptanceResult(
         "extremal-field residual",
         passed,

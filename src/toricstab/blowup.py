@@ -40,6 +40,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import invariants, testconfig
+from .localize import agree
 from .quadrature import DEFAULT_RULE, Integrand, integrate_parts
 
 QUANTITIES = ("volume", "futaki", "df", "dft", "gram")
@@ -329,11 +330,13 @@ def verify_expansion(quantity, P, W, vertex, eps_grid=None, beta=None,
     The differences dQ(eps) = Q(P_eps) - Q(P) are divided by eps^lead and
     fitted by a polynomial in eps of up to five more orders, so the genuine
     higher-order tail cannot contaminate the leading coefficient.  Passes
-    when that coefficient is reproduced to ``rel_tol`` relative error (or,
-    when it is predicted exactly zero, to within the roundoff floor of the
-    terms dQ is computed from) and the residual's log-log slope reaches the
-    next expected order minus 0.1.  A grid on which a fitted power of eps
-    is not a positive normal float is refused before any integral.
+    when that coefficient is within max(``rel_tol`` |predicted|, floor) of
+    its prediction, floor the roundoff floor of the terms dQ is computed
+    from (max over the grid of NOISE sum |terms| / eps^lead; so an exact
+    zero that computes as 1e-15 passes), and the residual's log-log slope
+    reaches the next expected order minus 0.1.  A grid on which a fitted
+    power of eps is not a positive normal float is refused before any
+    integral.
     """
     v = P.vertex_data_at(vertex)
     invariants._require_positive(P, W)  # also refuses weights that overflow
@@ -370,16 +373,12 @@ def verify_expansion(quantity, P, W, vertex, eps_grid=None, beta=None,
     z = deltas / eps ** lead
     coef = float(_lstsq_ladder(eps, z, range(extra + 1))[0])
     # The remainder against the *predicted* model decays at the next order.
-    exponent = _slope(eps, deltas - predicted[lead] * eps ** lead, floor)
-    zero_error = zero_floor = None
-    if predicted[lead] == 0:
-        rel_err = 0.0
-        zero_error, zero_floor = abs(coef), float(np.max(floor / eps ** lead))
-        ok = zero_error <= zero_floor
-    else:
-        rel_err = abs(coef - predicted[lead]) / max(abs(predicted[lead]), 1e-14)
-        ok = rel_err <= rel_tol
-    passed = ok and exponent >= lead + 1 - 0.1
+    pred, lead_floor = predicted[lead], float(np.max(floor / eps ** lead))
+    exponent = _slope(eps, deltas - pred * eps ** lead, floor)
+    rel_err = abs(coef - pred) / abs(pred) if pred else 0.0
+    zero_error, zero_floor = (None, None) if pred else (abs(coef), lead_floor)
+    passed = (agree(coef, pred, max(rel_tol * abs(pred), lead_floor), tol=1.0)
+              and exponent >= lead + 1 - 0.1)
     return ExpansionReport(quantity, v.coords, tuple(eps_grid),
                            tuple(float(predicted[0] + x) for x in deltas),
                            predicted, {lead: coef}, exponent, lead + 1,
@@ -392,8 +391,9 @@ def gram_convergence(P, W, vertex, eps_grid=None, rule=DEFAULT_RULE):
 
     The deficit is a corner integral of order eps^n, stronger than the
     generic bound; the report passes when the fitted exponent reaches
-    n - 1/2.  A grid on which eps^n is not a positive normal float is
-    refused before any integral.
+    n - 1/2.  The fit reads the depths whose deficit norm exceeds 1e-14 of
+    the largest one; the others sit at roundoff.  A grid on which eps^n is
+    not a positive normal float is refused before any integral.
     """
     n = P.dim
     v = P.vertex_data_at(vertex)
@@ -403,7 +403,7 @@ def gram_convergence(P, W, vertex, eps_grid=None, rule=DEFAULT_RULE):
     _require_normal_powers(tuple(eps_grid), n)
     dG, _ = _Corner(P, W, v, eps_grid, rule).gram_shift()
     exact = tuple(float(np.linalg.norm(g)) for g in dG)
-    keep = [k for k, x in enumerate(exact) if x > 1e-14 * max(1.0, *exact)]
+    keep = [k for k, x in enumerate(exact) if x > 1e-14 * max(exact)]
     exponent = math.inf
     if len(keep) >= 3:
         log_eps = np.log([float(eps_grid[k]) for k in keep])

@@ -13,8 +13,11 @@ checked before any work, and an unwritable --out), 3 precondition
 violations (any overflow or non-finite number among them), 4 tolerance
 failures: under --strict, and always when the two backends disagree or a
 localisation limit (taken where a vertex sum is degenerate or cancels)
-does not settle.  A "remainder_exponent" of "inf" (a string) means the
-remainder sits at roundoff.
+does not settle.  The backends disagree past 1e-8 of the quadrature Vol_w,
+Per_v or s_hat, or of width_beta Per_v for a Futaki value (width_beta the
+spread of <x, beta> over the vertices); --backend localization fails
+--strict on the same discrepancy.  A "remainder_exponent" of "inf" (a
+string) means the remainder sits at roundoff.
 """
 
 from __future__ import annotations
@@ -219,7 +222,10 @@ def _cmd_extremal(args):
     W = _load_weights(args, P)
     rule = _rule(args)
     rep = invariants.invariant_report(P, W, rule, backend=args.backend)
-    return report.invariant_doc(rep, name=P.name), rep.extremal.residual > 1e-8
+    # The Futaki scale of ``invariants.futaki``, maximised over the basis.
+    width = float(np.max(np.ptp(P.vertices_floats(), axis=0)))
+    return (report.invariant_doc(rep, name=P.name),
+            not localize.agree(rep.extremal.residual, 0.0, width * rep.per_v))
 
 
 def _cmd_soliton(args):
@@ -403,6 +409,10 @@ def main(argv=None):
             if where := _not_finite(doc):
                 raise FloatingPointError(where)
             _emit(args, doc)
+        # --backend localization fails --strict on a discrepancy past the
+        # agreement tolerance, on which --backend both raises.
+        inv = doc.get("invariants", doc)
+        failed = failed or inv.get("backend_discrepancy", 0.0) > localize.AGREE_TOL
         return EXIT_TOLERANCE if args.strict and failed else 0
     except CliError as e:
         message, code = e, e.code

@@ -26,7 +26,7 @@ from itertools import product
 import numpy as np
 
 from . import localize, quadrature
-from .localize import AGREE_TOL
+from .localize import AGREE_TOL, agree
 from .profiles import builtin, positivity_check, raise_unless_positive
 from .quadrature import DEFAULT_RULE, Integrand
 
@@ -173,7 +173,7 @@ def s_hat(P, W, rule=DEFAULT_RULE, backend="quadrature"):
         q = per_v(P, W, rule) / vol_w(P, W, rule)
         l = (per_v(P, W, rule, "localization")
              / vol_w(P, W, rule, "localization"))
-        if abs(q - l) > AGREE_TOL * (1 + abs(q)):
+        if not agree(q, l, abs(q)):
             raise BackendError(f"s_hat backends disagree: {q} vs {l}")
         return q
     return per_v(P, W, rule, backend) / vol_w(P, W, rule, backend)
@@ -198,12 +198,16 @@ def futaki(P, W, beta, rule=DEFAULT_RULE, backend="quadrature", shat=None):
     """Weighted Futaki character evaluated on beta.
 
     With the localisation backend the two beta-moments are directional
-    derivatives of the g- and f-classes along beta.
+    derivatives of the g- and f-classes along beta.  The backends agree to
+    ``AGREE_TOL`` of width_beta Per_v, width_beta the spread of <x, beta>
+    over the vertices, which bounds |F|: F ignores constants added to
+    <x, beta>, and s_hat Vol_w = Per_v.
     """
     if backend == "both":
         q = futaki(P, W, beta, rule, "quadrature", shat)
         l = futaki(P, W, beta, rule, "localization", shat)
-        if abs(q - l) > AGREE_TOL * (1 + abs(q)):
+        width = float(np.ptp(P.vertices_floats() @ np.asarray(beta, dtype=float)))
+        if not agree(q, l, width * per_v(P, W, rule)):
             raise BackendError(f"futaki backends disagree: {q} vs {l}")
         return q
     if backend == "localization":
@@ -291,8 +295,8 @@ def futaki_signed(P, W, affine, beta, rule=DEFAULT_RULE):
 
     ``affine`` is an ExtremalData or a pair (chi, a).  The average uses
     Per_v / int w' when the w'-mass is nonzero; for sign-balanced w' with
-    vanishing mass (at most 1e-12 of 1 + |Per_v| + |mass|), the average is
-    replaced by 1.
+    vanishing mass (at most 1e-12 of max_v |<v, chi> + a| Vol_w, which
+    bounds int |w'|), the average is replaced by 1.
     """
     if isinstance(affine, ExtremalData):
         chi, a = np.asarray(affine.chi, dtype=float), affine.a
@@ -302,8 +306,8 @@ def futaki_signed(P, W, affine, beta, rule=DEFAULT_RULE):
 
     wprime = Integrand(W.w_weight, [(chi, a)])
     mass = quadrature.integrate(P, wprime, rule).value
-    pv = per_v(P, W, rule)
-    sh = pv / mass if abs(mass) > 1e-12 * (1 + (abs(pv) + abs(mass))) else 1.0
+    bound = float(np.max(np.abs(P.vertices_floats() @ chi + a))) * vol_w(P, W, rule)
+    sh = 1.0 if agree(mass, 0.0, bound, 1e-12) else per_v(P, W, rule) / mass
     # <x, beta> times w': (<x, beta> (<x, chi> + a)) w rounds apart.
     mom = quadrature.integrate(P, Integrand(wprime, [(beta, None)]), rule).value
     bmom = _moment_boundary_v(P, W, beta, rule)
@@ -401,9 +405,10 @@ def invariant_report(P, W, rule=DEFAULT_RULE, backend="quadrature"):
         vw_q, pv_q = _scalars(P, W, rule, ["vol", "per"])
         vw_l = vol_w(P, W, rule, "localization")
         pv_l = per_v(P, W, rule, "localization")
-        discrepancy = max(abs(vw_q - vw_l) / (1 + abs(vw_q)),
-                          abs(pv_q - pv_l) / (1 + abs(pv_q)))
-        if backend == "both" and discrepancy > AGREE_TOL:
+        # Both are positive: the positivity gate has passed.
+        discrepancy = max(abs(vw_q - vw_l) / vw_q, abs(pv_q - pv_l) / pv_q)
+        if backend == "both" and not (agree(vw_q, vw_l, vw_q)
+                                      and agree(pv_q, pv_l, pv_q)):
             raise BackendError(
                 f"backend discrepancy {discrepancy:.3e} exceeds {AGREE_TOL}")
     # After the check: a report that fails it integrates no moment.

@@ -38,6 +38,12 @@ import numpy as np
 AGREE_TOL = 1e-8
 
 
+def agree(a, b, scale, tol=AGREE_TOL):
+    """Whether |a - b| <= tol * scale, for a ``scale`` homogeneous in the
+    weights, so that scaling them moves no verdict.  NaN never agrees."""
+    return abs(a - b) <= tol * scale
+
+
 class DegenerateDirectionError(ValueError):
     """xi pairs to zero against some vertex edge; the plain sum is singular."""
 
@@ -261,8 +267,12 @@ def directional_derivative(kind, polytope, h, xi, beta):
         value = _trusted(terms / euler)
         if value is not None:
             return value
-    # Central differences with one Richardson step on s^2.
-    if (norm := float(np.linalg.norm(beta))) == math.inf:  # the step would be 0
+    # Central differences with one Richardson step on s^2.  The plain norm
+    # squares the components: rescale it where that overflows.
+    norm = float(np.linalg.norm(beta))
+    if norm == math.inf and (big := float(np.max(np.abs(beta)))) < math.inf:
+        norm = big * float(np.linalg.norm(beta / big))
+    if norm == math.inf:  # the step would be 0
         raise FloatingPointError(f"|beta| overflows for beta = {beta.tolist()}")
     s0 = 0.05 / max(1.0, norm)
     v = _eval(polytope, h, xi + np.array([s0, -s0, s0 / 2, -s0 / 2])[:, None] * beta, kind)

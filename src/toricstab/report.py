@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import invariants, testconfig
+from .localize import agree
 from .quadrature import DEFAULT_RULE
 
 FLOAT_FORMAT = "%.12e"
@@ -123,6 +124,7 @@ def chow_rows(tc, rule):
 
 
 def tc_doc(tc, rule):
+    """The configuration's document, and its S_phi (see ``destabilizing_vertex``)."""
     chow_table = chow_rows(tc, rule)
     dv = testconfig.destabilizing_vertex(tc, rule)
     doc = {
@@ -137,13 +139,15 @@ def tc_doc(tc, rule):
         doc["destabilizing_vertex"] = [str(c) for c in dv.vertex]
         doc["destabilizing_chow_T"] = dv.chow_t
         doc["chow_norm_ratio"] = dv.ratio
-    return doc
+    return doc, dv.scale
 
 
-def verdict_line(tc_docs):
-    violations = [d for d in tc_docs if d["df_T"] < -1e-9]
+def verdict_line(tc_docs, scales):
+    """A violation is a df_T below -1e-9 times its scale S_phi Per_v."""
+    violations = [d["df_T"] for d, s in zip(tc_docs, scales)
+                  if d["df_T"] < 0 and not agree(d["df_T"], 0.0, s, 1e-9)]
     if violations:
-        worst = min(d["df_T"] for d in violations)
+        worst = min(violations)
         return (f"violation found: df_T = {FLOAT_FORMAT % worst} < 0 "
                 f"w.r.t. supplied family")
     return ("relatively weighted K-semistable w.r.t. supplied family: "
@@ -155,13 +159,14 @@ def dossier(P, W, tcs=(), expansions=(), rule=None, backend="quadrature",
     """Full stability dossier for one polytope, weight pair and TC batch."""
     rule = rule or DEFAULT_RULE
     rep = invariants.invariant_report(P, W, rule, backend=backend)
-    tc_docs = [tc_doc(t, rule) for t in tcs]
+    rows = [tc_doc(t, rule) for t in tcs]
+    tc_docs = [doc for doc, _ in rows]
     return {
         "invariants": invariant_doc(rep, name=name),
         "test_configurations": tc_docs,
         "expansions": [expansion_doc(r) for r in expansions],
         "sign_convention": SIGN_CONVENTION,
-        "verdict": verdict_line(tc_docs),
+        "verdict": verdict_line(tc_docs, [s * rep.per_v for _, s in rows]),
     }
 
 

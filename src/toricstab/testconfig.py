@@ -34,6 +34,7 @@ from math import lcm
 import numpy as np
 
 from . import _linalg as la, invariants
+from .localize import agree
 from .polytope import Facet, _as_fraction, _clip
 from .quadrature import DEFAULT_RULE, Integrand, integrate_parts, integrate_sum
 
@@ -482,6 +483,7 @@ class DestabilizingVertex:
     ties: tuple
     table: tuple
     norm_perp: float
+    scale: float  # S_phi = max_v |phi(v)| + |mean_w(phi)|
 
 
 def destabilizing_vertex(tc, rule=DEFAULT_RULE):
@@ -489,23 +491,25 @@ def destabilizing_vertex(tc, rule=DEFAULT_RULE):
 
     For a configuration with positive orthogonal L1 norm the maximum is
     positive; the ratio chow_T * Vol_w / norm_perp is reported against the
-    uniform positivity expected of it.  A norm of at most 1e-9 is reported
-    as a product, and a NaN norm, whose integrals overflowed, raises
-    ``FloatingPointError``.  Ties are returned together, with the
-    lexicographically smallest designated.
+    uniform positivity expected of it.  With S_phi = max_v |phi(v)| +
+    |mean_w(phi)| (phi with its twist and offset), a norm of at most 1e-9
+    S_phi Vol_w is reported as a product, and a NaN norm, whose integrals
+    overflowed, raises ``FloatingPointError``.  Vertices within 1e-9 S_phi
+    of the maximum are ties, the lexicographically smallest designated.
     """
     P, W = tc.polytope, tc.weights
     perp, norm_perp = orthogonal_part(tc, rule)
     if math.isnan(norm_perp):  # its integrals overflowed
         raise FloatingPointError("the orthogonal L1 norm is NaN")
-    if norm_perp <= 1e-9:
+    mean = _projection(tc, rule)[1]
+    scale = float(np.max(np.abs(tc.value(P.vertices_floats())))) + abs(mean)
+    vol = invariants.vol_w(P, W, rule)
+    if agree(norm_perp, 0.0, scale * vol, 1e-9):
         table = tuple((v, 0.0) for v in P.vertices)
-        return DestabilizingVertex(True, None, 0.0, 0.0, (), table, norm_perp)
+        return DestabilizingVertex(True, None, 0.0, 0.0, (), table, norm_perp, scale)
     vals = [(v, _value_at(perp, v)) for v in P.vertices]
     best = max(val for _, val in vals)
-    tie_tol = 1e-9 * (1.0 + abs(best))
-    ties = tuple(v for v, val in vals if best - val <= tie_tol)
-    vstar = min(ties)
-    ratio = best * invariants.vol_w(P, W, rule) / norm_perp
-    return DestabilizingVertex(False, vstar, best, ratio, ties,
-                               tuple(vals), norm_perp)
+    ties = tuple(v for v, val in vals if agree(best, val, scale, 1e-9))
+    ratio = best * vol / norm_perp
+    return DestabilizingVertex(False, min(ties), best, ratio, ties,
+                               tuple(vals), norm_perp, scale)

@@ -148,6 +148,22 @@ class TestProductLadders:
             r = blowup.verify_expansion(quantity, simplex, W, 1, tc=tc)
             assert r.predicted == {0: 0.0, 1: 0.0} and r.passed
 
+    def test_rounded_zero_prediction_passes_at_the_floor(self):
+        # A product df ladder of the blowup_ladder benchmark (seed 0): its
+        # prediction -v(p) chow(p) is exactly 0, but computes as 1.6e-15.
+        # Against the absolute floor 1e-14 its fit read 0.072 and failed.
+        P, W = catalog.load("bl2cp2"), builtin("cscK", 2)
+        phi = tcg.PLConvex.make([((-1, F(-1, 2)), F(-1, 4)), ((-1, F(2, 3)), F(-3, 2))])
+        tc = tcg.ToricTC(P, W, phi)
+        [(k, cell)] = tc.cells()
+        (g1, g2), c = phi.pieces[k]
+        mean = (g1 * quadrature.moments(cell, (1, 0))
+                + g2 * quadrature.moments(cell, (0, 1))) / P.volume() + c
+        assert P.vertices[1] == (0, 1) and phi.value_exact(P.vertices[1]) == mean == F(-3, 4)
+        r = blowup.verify_expansion("df", P, W, 1, tc=tc)
+        assert 0 < abs(r.predicted[1]) < 1e-14
+        assert r.passed
+
     @pytest.mark.parametrize("P", ["cp2", "cube"])
     def test_spurious_leading_term_fails(self, monkeypatch, P):
         # A signal far below any real coefficient, but above roundoff.

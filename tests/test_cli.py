@@ -240,10 +240,12 @@ def test_out_file(tmp_path, capsys):
 
 def test_verdict_flags_violations():
     from toricstab.report import verdict_line
-    ok = verdict_line([{"df_T": 0.5}, {"df_T": 1e-12}])
+    ok = verdict_line([{"df_T": 0.5}, {"df_T": 1e-12}], [1.0, 1.0])
     assert ok.startswith("relatively weighted K-semistable")
-    bad = verdict_line([{"df_T": 0.5}, {"df_T": -1e-3}])
+    bad = verdict_line([{"df_T": 0.5}, {"df_T": -1e-3}], [1.0, 1.0])
     assert bad.startswith("violation found")
+    # A violation is measured against its configuration's scale.
+    assert verdict_line([{"df_T": -1e-3}], [1e7]).startswith("relatively")
 
 
 def test_selftest_exit_codes(monkeypatch, capsys):
@@ -307,9 +309,48 @@ def test_near_degenerate_futaki_takes_the_limit(capsys, delta):
     doc = json.loads(out)
     assert abs(doc["futaki_beta"] + 0.3324932844) <= 1e-7
     assert doc["backend_discrepancy"] <= 1e-8
-    # The limit's derivative, by central differences, misses by 1.3e-8.
-    assert main(argv + ["--backend", "both"]) == 4
-    assert "futaki backends disagree" in capsys.readouterr().err
+    # The limit's derivative, by central differences, misses cubature by up
+    # to 1.8e-8 (at 3e-9): within 1e-8 of the Futaki scale width_beta Per_v,
+    # 1 * 8.8, that both backends are held to.
+    code, out = run(capsys, *argv, "--backend", "both", "--strict")
+    assert code == 0
+    assert abs(json.loads(out)["futaki_beta"] - doc["futaki_beta"]) <= 1e-8 * 8.8
+
+
+@pytest.mark.parametrize("argv", [
+    # Localisation Futaki -4.55e-11 against the exact -3.75e-11 (21% off);
+    # the check against 1 + |F| read 3.3e-20 and passed.
+    ["futaki", "--catalog", "bl1cp2", "--family", "sasaki", "--a", "1000",
+     "--beta", "0,1"],
+    # Localisation Vol_w 0.44% off the exact 1e-18.
+    ["invariants", "--catalog", "cube", "--family", "sasaki", "--a", "1000"],
+], ids=["futaki-bl1cp2", "invariants-cube"])
+def test_small_weights_disagree_by_their_own_scale(capsys, argv):
+    assert main(argv + ["--backend", "both", "--strict"]) == 4
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_localization_strict_fails_on_its_discrepancy(capsys):
+    argv = ["invariants", "--catalog", "cube", "--family", "sasaki", "--a", "1000",
+            "--backend", "localization"]
+    code, out = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["backend_discrepancy"] > 1e-3
+    assert run(capsys, *argv, "--strict")[0] == 4
+
+
+def test_large_beta_localization_answers(capsys):
+    # |beta| = 1e200 squares past the float range; the rescaled norm does not.
+    argv = ["futaki", "--catalog", "cp2", "--beta", "1e200,0"]
+    code, out = run(capsys, *argv, "--backend", "localization")
+    assert code == 0 and math.isfinite(json.loads(out)["futaki_beta"])
+    code, out = run(capsys, *argv, "--backend", "both", "--strict")
+    assert code == 0 and json.loads(out)["futaki_beta"] == -3.059354838625e+185
+
+
+def test_huge_product_configuration_is_a_product(capsys):
+    code, out = run(capsys, "testconfig", "destabilize", "--catalog", "cp2",
+                    "--beta", "1e300,1e300")
+    assert code == 0 and json.loads(out)["product"] is True
 
 
 def test_unsettled_localisation_limit_exits_4(capsys):
@@ -685,10 +726,11 @@ def test_testconfig_past_the_float_range_exits_3(capsys, sub, where):
     ["futaki", "--catalog", "cp2", "--beta", "1e308,1e308"],
     ["blowup-expand", "--catalog", "cp2", "--vertex", "0", "--quantity", "futaki",
      "--beta", "1e308,1e308"],
-    # |beta| overflows, so the difference step of the localisation was 0.
+    # |beta| is past the float range, so the difference step of the
+    # localisation would be 0.
     ["futaki", "--catalog", "cp2", "--family", "soliton", "--xi", "0,0",
-     "--beta", "1e300,0", "--backend", "localization"],
-    ["futaki", "--catalog", "cp2", "--beta", "1e300,1e300", "--backend", "both"],
+     "--beta", "1.7e308,1.7e308", "--backend", "localization"],
+    ["futaki", "--catalog", "cp2", "--beta", "1.7e308,1.7e308", "--backend", "both"],
     # The whole-cell part reads 0 with an infinite error: the norm read 0.
     ["testconfig", "norm", "--catalog", "cp2", "--family", "sasaki", "--a", "1",
      "--xi", "0.1,0.1", "--beta=1e308,-1e308"],

@@ -238,7 +238,7 @@ class TestReport:
         assert rep.backend_discrepancy <= 1e-8
 
     def test_backend_error_surfaces(self, trapezoid, monkeypatch):
-        monkeypatch.setattr(inv, "AGREE_TOL", 1e-18)
+        monkeypatch.setattr(inv, "agree", lambda a, b, scale: abs(a - b) <= 1e-18 * scale)
         W = builtin("cscK", 2)
         with pytest.raises(BackendError):
             inv.invariant_report(trapezoid, W, backend="both")
@@ -291,7 +291,7 @@ class TestReport:
         inv.invariant_report(cube, W, backend="both")
         assert calls == [1 + 6, 3 + 3 * 6, 6]
         monkeypatch.setattr(inv, "_scalar_cache", OrderedDict())
-        monkeypatch.setattr(inv, "AGREE_TOL", 0.0)
+        monkeypatch.setattr(inv, "agree", lambda a, b, scale: a == b)
         calls.clear()
         with pytest.raises(BackendError):
             inv.invariant_report(cube, W, backend="both")
