@@ -334,9 +334,12 @@ def verify_expansion(quantity, P, W, vertex, eps_grid=None, beta=None,
     its prediction, floor the roundoff floor of the terms dQ is computed
     from (max over the grid of NOISE sum |terms| / eps^lead; so an exact
     zero that computes as 1e-15 passes), and the residual's log-log slope
-    reaches the next expected order minus 0.1.  A grid on which a fitted
-    power of eps is not a positive normal float is refused before any
-    integral.
+    reaches the next expected order minus 0.1.  The reported
+    ``coefficient_rel_error`` is |coef - predicted| / |predicted| all the
+    same, so a passing ladder whose prediction is a rounded zero can show a
+    large one (0.46 on a product df ladder of bl2cp2).  A grid on which a
+    fitted power of eps is not a positive normal float is refused before
+    any integral.
     """
     v = P.vertex_data_at(vertex)
     invariants._require_positive(P, W)  # also refuses weights that overflow

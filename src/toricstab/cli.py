@@ -27,6 +27,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -335,6 +336,7 @@ def _cmd_selftest(args):
     return 0 if ok else EXIT_TOLERANCE
 
 
+@cache  # one per process: a parse builds a new namespace, never a parser
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="toricstab",

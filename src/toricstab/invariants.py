@@ -194,7 +194,7 @@ def _moment_boundary_v(P, W, beta, rule):
     return _scalars(P, W, rule, [("bmom", beta)])[0]
 
 
-def futaki(P, W, beta, rule=DEFAULT_RULE, backend="quadrature", shat=None):
+def futaki(P, W, beta, rule=DEFAULT_RULE, backend="quadrature"):
     """Weighted Futaki character evaluated on beta.
 
     With the localisation backend the two beta-moments are directional
@@ -204,27 +204,25 @@ def futaki(P, W, beta, rule=DEFAULT_RULE, backend="quadrature", shat=None):
     <x, beta>, and s_hat Vol_w = Per_v.
     """
     if backend == "both":
-        q = futaki(P, W, beta, rule, "quadrature", shat)
-        l = futaki(P, W, beta, rule, "localization", shat)
+        q = futaki(P, W, beta, rule, "quadrature")
+        l = futaki(P, W, beta, rule, "localization")
         width = float(np.ptp(P.vertices_floats() @ np.asarray(beta, dtype=float)))
         if not agree(q, l, width * per_v(P, W, rule)):
             raise BackendError(f"futaki backends disagree: {q} vs {l}")
         return q
     if backend == "localization":
-        sh = shat if shat is not None else s_hat(P, W, rule, "localization")
+        sh = s_hat(P, W, rule, "localization")
         mom = localize.directional_derivative("volume", P, W.g, W.xi, beta)
         bmom = localize.directional_derivative("c1", P, W.f, W.xi, beta)
         return sh * mom - bmom
-    sh = shat if shat is not None else s_hat(P, W, rule)
+    sh = s_hat(P, W, rule)
     mom, bmom = _scalars(P, W, rule, [("mom", beta), ("bmom", beta)])
     return sh * mom - bmom
 
 
 def futaki_vector(P, W, rule=DEFAULT_RULE, backend="quadrature"):
     """F evaluated on the standard lattice basis."""
-    sh = s_hat(P, W, rule, backend if backend != "both" else "quadrature")
-    basis = np.eye(P.dim)
-    return tuple(futaki(P, W, b, rule, backend, shat=sh) for b in basis)
+    return tuple(futaki(P, W, b, rule, backend) for b in np.eye(P.dim))
 
 
 def barycenter_w(P, W, rule=DEFAULT_RULE):

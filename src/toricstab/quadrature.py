@@ -26,19 +26,16 @@ evaluation per simplex for an integrand that is row-wise to the bit (see
 its unimodular chart, which is affine, so a pulled-back polynomial keeps
 its degree and the lattice boundary measure is built in.
 
-The geometry of a simplex stack (its bisection into halves and the volumes
+The geometry of a simplex stack (its bisection into halves and the |det|
 of simplices and halves) depends on neither the rule nor the integrand, and
 the same few triangulations and refinement trees recur across the
-invariants.  So it is computed once per stack, all new stacks of one
-dimension in a call in one bisection and one batched determinant, and
-kept in a bounded LRU of read-only arrays keyed by the stack's shape and
-bytes (``_GEOMETRY_CACHE_SIZE`` entries).  Every result is bit-identical to
-evaluating one simplex at a time, cache or no cache: bisection and
-determinant act simplex by simplex, and numpy computes each row of the
-stacked rule sum as the same 1-D dot.  The weight-free data of a
-power-law stack (chart-mapped vertices, their magnitudes, |det| and edge
-norms) are kept likewise, keyed by shape, bytes and chart, in a second
-LRU of ``_POWER_CACHE_SIZE`` entries.
+invariants and both kinds of kernel.  So it is computed once per
+stack, all new stacks of one dimension in a call in one bisection and one
+batched determinant, and kept in a bounded LRU of read-only arrays keyed by
+the stack's shape and bytes (``_GEOMETRY_CACHE_SIZE`` entries).  Every
+result is bit-identical to evaluating one simplex at a time, cache or no
+cache: bisection and determinant act simplex by simplex, and numpy computes
+each row of the stacked rule sum as the same 1-D dot.
 
 ``moments`` provides an independent closed-form path used as an oracle
 against the cubature backend: x^m is expanded once in the barycentric
@@ -150,46 +147,50 @@ def _edges(n1):
     return np.triu_indices(n1, 1)  # (i, j) pairs, i < j, in loop order
 
 
-# Halves and volumes of simplex stacks by (shape, bytes), least recently
-# used first; see :func:`_geometry`.  Replaying the stack streams of whole
-# benchmark runs (seeds 301-302) through an LRU, none needed more than 2,732
-# entries (pl_sweep; weight_sweep 817, and blowup_ladder meets only 308
-# stacks at seed 301, its corner parts that share an integrand merged into
-# one stack) to miss only where an unbounded cache misses.  A
-# pl_sweep run of twice that length needs
-# 5,067 and misses 0.5% more at this bound.  A full cache holds about 7 MB
-# (1.7 KB per pl_sweep entry with halves; about a third of that without).
+# The geometry of simplex stacks by (shape, bytes), least recently used
+# first; see :func:`_geometry`.  Replaying the engine's stack streams of
+# whole benchmark runs (seeds 301-302) through an LRU, none needed more than
+# 2,732 entries (pl_sweep; weight_sweep 817, and blowup_ladder meets only
+# 308 stacks at seed 301, its corner parts that share an integrand merged
+# into one stack) to miss only where an unbounded cache misses; a
+# weight_sweep run's closed power-law parts meet 30 stacks more at most.  A
+# pl_sweep run of twice that length needs 5,067 and misses 0.5% more at
+# this bound.  A full cache holds about 7 MB (1.7 KB per pl_sweep entry
+# with halves; about a third of that without).
 _GEOMETRY_CACHE_SIZE = 4096
 _geometry_cache = OrderedDict()
 
 
 def _geometry(stacks, halves):
-    """``(kids, allv, vols)`` of each (k, n+1, n) stack, all of one n.
+    """``(kids, allv, dets, charts)`` of each (k, n+1, n) stack, all of one
+    n.
 
     If ``halves[i]``, each simplex of stack i is bisected across its first
     longest edge into the two halves ``kids`` (k, 2, n+1, n); ``allv`` holds
-    the k simplices, then their 2k halves, and ``vols`` their 3k volumes.
-    A stack that only exact parts integrate needs no halves: its entry has
-    ``kids`` None and the k simplices and volumes alone, and is built anew
-    with halves if a later call needs them.  None of it depends on the rule
-    or the integrand, so it is kept per stack under its shape and bytes (the
-    shape tells apart stacks of equal bytes), with read-only arrays.  The
-    misses of one call share one bisection and one batched ``det``; both act
-    simplex by simplex, so a stored entry has the bits a fresh one would.
+    the k simplices, then their 2k halves, and ``dets`` their 3k |det| (n!
+    times the volume); ``charts`` starts empty, for the closed form's data
+    per chart (:func:`_in_chart`).  A stack that no adaptive part
+    integrates needs no halves: its entry has ``kids`` None and the k
+    simplices alone, and is built anew with halves if a later call needs
+    them.  None of it depends on the rule or the integrand, so it is kept
+    per stack under its shape and bytes (the shape tells apart stacks of
+    equal bytes), with read-only arrays.  The misses of one call, each stack
+    once, share one bisection and one batched ``det``; both act simplex by
+    simplex, so a stored entry has the bits a fresh one would.
     """
     keys = [(s.shape, s.tobytes()) for s in stacks]
     out = [_geometry_cache.get(key) for key in keys]
+    need = {}  # key -> (stack, halves) of each entry to build
     for i, key in enumerate(keys):
         if out[i] is not None and (out[i][0] is not None or not halves[i]):
             _geometry_cache.move_to_end(key)
         else:
-            out[i] = None
-    miss = [i for i, geo in enumerate(out) if geo is None]
-    if not miss:
+            need[key] = (stacks[i], halves[i] or key in need and need[key][1])
+    if not need:
         return out
-    verts = np.concatenate([stacks[i] for i in miss])
+    verts = np.concatenate([s for s, _ in need.values()])
     k, n1, n = verts.shape
-    if any(halves[i] for i in miss):
+    if any(h for _, h in need.values()):
         iu, ju = _edges(n1)
         longest = np.argmax(np.sum((verts[:, iu] - verts[:, ju]) ** 2, axis=2), axis=1)
         rows, i, j = np.arange(k), iu[longest], ju[longest]
@@ -197,24 +198,24 @@ def _geometry(stacks, halves):
         kids = np.repeat(verts[:, None], 2, axis=1)
         kids[rows, 0, i] = mid
         kids[rows, 1, j] = mid
-    bounds = [0, *accumulate(len(stacks[i]) for i in miss)]
+    bounds = [0, *accumulate(len(s) for s, _ in need.values())]
     blocks = []
-    for i, a, b in zip(miss, bounds, bounds[1:]):
+    for (_, h), a, b in zip(need.values(), bounds, bounds[1:]):
         blocks.append(verts[a:b])
-        if halves[i]:
+        if h:
             blocks.append(kids[a:b].reshape(-1, n1, n))
     allv = np.concatenate(blocks)
-    vols = np.abs(np.linalg.det(allv[:, 1:] - allv[:, :1])) / math.factorial(n)
-    end = 0
-    for i, a, b in zip(miss, bounds, bounds[1:]):
-        start, end = end, end + (3 if halves[i] else 1) * (b - a)
-        part_v, part_vols = allv[start:end].copy(), vols[start:end].copy()
-        part_v.flags.writeable = part_vols.flags.writeable = False
-        part_kids = part_v[b - a:].reshape(-1, 2, n1, n) if halves[i] else None
-        out[i] = _geometry_cache[keys[i]] = (part_kids, part_v, part_vols)
+    dets = np.abs(np.linalg.det(allv[:, 1:] - allv[:, :1]))
+    end, built = 0, {}
+    for (key, (_, h)), a, b in zip(need.items(), bounds, bounds[1:]):
+        start, end = end, end + (3 if h else 1) * (b - a)
+        part_v, part_dets = allv[start:end].copy(), dets[start:end].copy()
+        part_v.flags.writeable = part_dets.flags.writeable = False
+        part_kids = part_v[b - a:].reshape(-1, 2, n1, n) if h else None
+        built[key] = _geometry_cache[key] = (part_kids, part_v, part_dets, {})
     while len(_geometry_cache) > _GEOMETRY_CACHE_SIZE:
         _geometry_cache.popitem(last=False)
-    return out
+    return [built.get(key, geo) for key, geo in zip(keys, out)]
 
 
 def _rule_sums(f, allv, vols, bary, wts, lower=None):
@@ -252,14 +253,15 @@ def _estimate(parts, bary, wts, lower):
     an integrand, merged; their integrand must then be row-wise to the bit
     for each to keep the bits of a pass of its own (see there).
     """
-    out = []
+    out, n_factorial = [], math.factorial(bary.shape[1] - 1)
     geometry = _geometry([v for _, v, _ in parts], [not e for _, _, e in parts])
-    for (f, verts, exact), (kids, allv, vols) in zip(parts, geometry):
+    for (f, verts, exact), (kids, allv, dets, _) in zip(parts, geometry):
         m = len(verts)
         if exact:
-            out.append((_rule_sums(f, allv[:m], vols[:m], bary, wts)[0].tolist(), None, None))
+            out.append((_rule_sums(f, allv[:m], dets[:m] / n_factorial, bary, wts)[0].tolist(),
+                        None, None))
             continue
-        est, null = _rule_sums(f, allv, vols, bary, wts, lower)
+        est, null = _rule_sums(f, allv, dets / n_factorial, bary, wts, lower)
         fine = est[m::2] + est[m + 1::2]
         err = np.abs(est[:m] - fine)
         if null is not None:
@@ -331,9 +333,8 @@ class Integrand:
     plain callable.
 
     ``power`` unfolds a :class:`PowerLaw` of integer exponent -k (innermost,
-    at most one chart; else None) as A (b + <xi, x>)^-k times ``factors``
-    ``(gradient, constant, mapped)``, ``mapped`` false for those met before
-    an inner chart maps the point.  ``closed`` says that
+    with no chart inside the outermost integrand; else None) as A (b + <xi,
+    x>)^-k times ``factors`` ``(gradient, constant)``.  ``closed`` says that
     :func:`integrate_parts` takes it in closed form: xi is not 0, and with d
     factors on dim-simplices (of the chart if any), k >= dim + d + 1.
     """
@@ -355,14 +356,12 @@ class Integrand:
             power = _PowerForm(False, weight[0]._order, *weight[0]._floats[:2], weight[1],
                                None, ())
         self.power = None
-        if power is not None and (chart is None or power.chart is None):
-            _, k, a, b, xi, inner_chart, factors = power
-            factors = tuple((g, c or 0.0, inner_chart is None)
-                            for g, c in self.factors) + factors
-            one_chart = inner_chart if chart is None else chart
-            dim = len(xi) if one_chart is None else len(one_chart.basis)
+        if power is not None and power.chart is None:
+            _, k, a, b, xi, _, factors = power
+            factors = tuple((g, c or 0.0) for g, c in self.factors) + factors
+            dim = len(xi) if chart is None else len(chart.basis)
             closed = any(xi.tolist()) and k >= dim + len(factors) + 1
-            self.power = _PowerForm(closed, k, a, b, xi, one_chart, factors)
+            self.power = _PowerForm(closed, k, a, b, xi, chart, factors)
         # Floats are compared and hashed by their bytes: -0.0 is not 0.0.
         self._key = (key, tuple([(g.tobytes(), c if c is None else struct.pack("d", c))
                                  for g, c in self.factors]), chart)
@@ -542,44 +541,25 @@ def _power_table(n1, d, k):
     return bins, nodes, np.array(scale)
 
 
-# The weight-free data of closed power-law stacks, least recently used
-# first (:func:`_power_geometry`).  Replayed through an LRU, whole
-# weight_sweep runs (seeds 301-302, one of them twice as long) and
-# ``toricstab selftest`` meet 30 stacks; sasaki blowup ladders (volume and
-# Futaki at every vertex of cp2, bl1cp2 and the cube) meet 559 and need 132
-# entries to miss only where an unbounded cache misses.  Entries: 1.3 KB
-# at most.
-_POWER_CACHE_SIZE = 256
-_power_cache = OrderedDict()
-
-
-def _power_geometry(key, simplices, chart):
-    """``(x, x_abs, steps, det, norms)`` of a closed power-law stack, kept
-    under ``key``, its (shape, bytes, chart), with read-only arrays: its
-    vertices mapped through the chart if any, their magnitudes, the rounding
-    steps of a node (:func:`_power_law_parts`), and per simplex |det| in its own
-    coordinates and the product of its edge norms.  None of it depends on
-    the weight."""
-    geo = _power_cache.get(key)
-    if geo is not None:
-        _power_cache.move_to_end(key)
-        return geo
-    dim = simplices.shape[2]
-    x, x_abs, steps = _read_only(simplices), np.abs(simplices), dim + 1
-    if chart is not None:
-        origin, basis = chart._float_frame
-        basis = basis.reshape(dim, len(origin))
-        x, steps = origin + x @ basis, len(origin) + dim + 3
-        x_abs = np.abs(origin) + x_abs @ np.abs(basis)
-    edges = simplices[:, 1:] - simplices[:, :1]
-    geo = (x, x_abs, steps, np.abs(np.linalg.det(edges)),
-           np.sqrt((edges * edges).sum(axis=2).prod(axis=1)))
-    for a in geo[:2] + geo[3:]:
-        a.flags.writeable = False
-    _power_cache[key] = geo
-    while len(_power_cache) > _POWER_CACHE_SIZE:
-        _power_cache.popitem(last=False)
-    return geo
+def _in_chart(geo, chart):
+    """``(x, x_abs, norms)`` of the k simplices of a stack's
+    :func:`_geometry` entry ``geo``: their vertices' images under ``chart``
+    (the vertices themselves if None), the magnitudes of the data each image
+    coordinate is rounded from, and the product of each simplex's edge
+    norms, read-only and kept in the entry per chart."""
+    out = geo[3].get(chart)
+    if out is None:
+        s = geo[1][:len(geo[1]) if geo[0] is None else len(geo[0])]
+        edges = s[:, 1:] - s[:, :1]
+        x, x_abs = s, np.abs(s)
+        if chart is not None:
+            origin, basis = chart._float_frame
+            basis = basis.reshape(s.shape[2], len(origin))
+            x, x_abs = origin + s @ basis, np.abs(origin) + x_abs @ np.abs(basis)
+        out = geo[3][chart] = x, x_abs, np.sqrt((edges * edges).sum(axis=2).prod(axis=1))
+        for a in out:
+            a.flags.writeable = False
+    return out
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -589,7 +569,7 @@ def _power_law_parts(parts, rule):
 
     The integrand is A (b + <xi, x>)^-k times d affine factors on
     dim-simplices, k >= N + 1 with N = dim + d.  On a simplex with vertices
-    X_i (mapped through the chart) the factors' product is sum_e c_e
+    X_i (their images under the chart) the factors' product is sum_e c_e
     lambda^e, and by Hermite-Genocchi (see :func:`_simplex_moment`)
 
         int lambda^e A (b + <xi, x>)^-k = |det| e! A prod_i y_i^(e_i + 1)
@@ -612,39 +592,41 @@ def _power_law_parts(parts, rule):
     that overflow give an infinite error.  b + t <= 0 at a vertex raises
     :class:`ProfileDomainError` (the first such node set's).
 
-    The parts of one (n1, k, ambient dimension, chart or not, factors'
-    ``mapped`` flags) are one pass.  Each node set (stack, chart, xi, b and A) enters once,
-    its geometry concatenated and its b, A and xi repeated to its rows;
-    the bases, conditions and factor values are stacked matvecs, which
-    round a row as a one-row product does.  Every step acts row by row,
-    and for d <= 2 each bin of ``prods @ bins`` adds at most two entries,
-    exactly, so a part keeps the bits it has alone.
+    The parts of one (n1, k, ambient dimension, chart or not, d) are one
+    pass.  Each node set (stack, chart, xi, b and A) enters once, the
+    weight-free data of its stack's :func:`_geometry` entry (|det|, and per
+    chart the vertices' images, their magnitudes and edge norms) concatenated
+    and its b, A and xi repeated to its rows; the bases, conditions and
+    factor values are stacked matvecs, which round a row as a one-row
+    product does.  Every step acts row by row, and for d <= 2 each bin of
+    ``prods @ bins`` adds at most two entries, exactly, so a part keeps the
+    bits it has alone.
     """
     eps, out, groups = sys.float_info.epsilon, [None] * len(parts), {}
     for i, (f, s) in enumerate(parts):
         power = f.power
         groups.setdefault((s.shape[1], power.k, len(power.xi), power.chart is None,
-                           tuple(m for _, _, m in power.factors)), []).append(i)
-    for (n1, k, _, _, mapped), idx in groups.items():
-        d, dim, lens = len(mapped), n1 - 1, [len(parts[i][1]) for i in idx]
-        sets, node_sets, params, xis, rows = {}, [], [], [], []
+                           len(power.factors)), []).append(i)
+    for (n1, k, amb, plain, d), idx in groups.items():
+        dim, lens = n1 - 1, [len(parts[i][1]) for i in idx]
+        sets, stacks, params, rows = {}, [], [], []
         for i in idx:
             f, s = parts[i]
             _, _, a, b, xi, chart, _ = f.power
-            stack = (s.shape, s.tobytes(), chart)
-            key = (stack, xi.tobytes(), b, a)
+            key = (s.shape, s.tobytes(), chart, xi.tobytes(), b, a)
             if key not in sets:
-                sets[key] = sum(len(n[0]) for n in node_sets)
-                node_sets.append((s, *_power_geometry(stack, s, chart)))
-                params.append((a, b))
-                xis.append(xi)
+                sets[key] = sum(map(len, stacks))
+                stacks.append(s)
+                params.append((a, b, xi, chart))
             rows.extend(range(sets[key], sets[key] + len(s)))
-        sizes, rows = [len(n[0]) for n in node_sets], np.array(rows)
-        s, x, x_abs, det, norms = (np.concatenate([n[j] for n in node_sets])
-                                   for j in (0, 1, 2, 4, 5))
-        steps = node_sets[0][3]  # one per group: its key says if a chart maps it
-        a, b = np.array(params).repeat(sizes, axis=0).T
-        xi = np.array(xis).repeat(sizes, axis=0)
+        sizes, rows = [len(s) for s in stacks], np.array(rows)
+        geometry = _geometry(stacks, [False] * len(stacks))
+        x, x_abs, norms, det = (np.concatenate(col) for col in zip(*(
+            (*_in_chart(geo, p[3]), geo[2][:size])
+            for geo, p, size in zip(geometry, params, sizes))))
+        steps = n1 if plain else amb + n1 + 2  # dot product, adding b; chart map
+        a, b = np.array([p[:2] for p in params]).repeat(sizes, axis=0).T
+        xi = np.array([p[2] for p in params]).repeat(sizes, axis=0)
         base = b[:, None] + np.matmul(x, xi[:, :, None])[..., 0]
         bad = ~(base.min(axis=1) > 0)
         if bad.any():
@@ -663,12 +645,11 @@ def _power_law_parts(parts, rule):
                 h[j] = h[j] + y[:, :, col] * h[j - 1]
         terms = (y.prod(axis=2) * h[-1] * scale)[rows]
         prods = np.ones((2, len(rows), 1))  # of the values, then of their magnitudes
-        for j, m in enumerate(mapped):
-            z = (x, x_abs) if m else (s, np.abs(s))
+        for j in range(d):
             g, c = (np.array([parts[i][0].power.factors[j][col] for i in idx]).repeat(
                 lens, axis=0) for col in (0, 1))
-            vals = np.array([np.matmul(z[0][rows], g[:, :, None])[..., 0] + c[:, None],
-                             np.matmul(z[1][rows], np.abs(g)[:, :, None])[..., 0]
+            vals = np.array([np.matmul(x[rows], g[:, :, None])[..., 0] + c[:, None],
+                             np.matmul(x_abs[rows], np.abs(g)[:, :, None])[..., 0]
                              + np.abs(c)[:, None]])
             prods = (prods[..., None] * vals[:, :, None, :]).reshape(2, len(rows), -1)
         values, units = (np.array([a * det, np.abs(a) * (rho * det + dim ** 3 * norms)])[:, rows]

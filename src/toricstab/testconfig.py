@@ -335,14 +335,14 @@ def clip_simplex(verts, grad, const):
 # -- invariants of configurations ---------------------------------------------
 
 
-def df(tc, rule=DEFAULT_RULE, shat=None):
+def df(tc, rule=DEFAULT_RULE):
     """Weighted Donaldson-Futaki invariant of the configuration.
 
     df(phi) = int_dP phi v dsigma - s_hat int_P phi w dx; adding a constant
     to phi does not change the value because s_hat * Vol_w = Per_v.
     """
     P, W = tc.polytope, tc.weights
-    sh = shat if shat is not None else invariants.s_hat(P, W, rule)
+    sh = invariants.s_hat(P, W, rule)
     return integrate_pl_boundary(tc, rule=rule) - sh * integrate_pl(tc, rule=rule)
 
 
@@ -392,13 +392,13 @@ def _projection(tc, rule):
     return perp, mean, coeff
 
 
-def df_T(tc, rule=DEFAULT_RULE, shat=None):
+def df_T(tc, rule=DEFAULT_RULE):
     """Torus-orthogonal Donaldson-Futaki invariant (twist invariant).
 
     df of the orthogonal part: df ignores constants and a twist by beta adds
     futaki(beta), so this is df minus futaki of phi's torus component.
     """
-    return df(_projection(tc, rule)[0], rule, shat=shat)
+    return df(_projection(tc, rule)[0], rule)
 
 
 def l1_norm(tc, rule=DEFAULT_RULE):

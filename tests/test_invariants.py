@@ -37,6 +37,23 @@ class TestSHat:
 
 
 class TestFutaki:
+    def test_vector_checks_each_backend_on_its_own_s_hat(self, monkeypatch):
+        # A quadrature Per_v 1% high moves the quadrature s_hat and F alone;
+        # the localisation F, from its own s_hat, disagrees on each e_i.
+        P, W = catalog.load("cp2"), builtin("cscK", 2, xi=[0.3, -0.2])
+        monkeypatch.setattr(inv, "_scalar_cache", OrderedDict())
+        per_v = inv.per_v
+
+        def high(P, W, rule=DEFAULT_RULE, backend="quadrature"):
+            return per_v(P, W, rule, backend) * (1.01 if backend == "quadrature" else 1)
+
+        monkeypatch.setattr(inv, "per_v", high)
+        for b in np.eye(2):
+            with pytest.raises(BackendError):
+                inv.futaki(P, W, b, backend="both")
+        with pytest.raises(BackendError):
+            inv.futaki_vector(P, W, backend="both")
+
     def test_vanishes_on_symmetric_simplex(self, simplex):
         W = builtin("cscK", 2)
         for b in np.eye(2):

@@ -90,7 +90,8 @@ def _parts(P, W):
     """(profile, factors, chart, factors before the chart, integrand,
     simplices) of the interior parts with 0, 1 and 2 factors and the
     boundary parts with 0 and 1 on three facets, as the invariants build
-    them, and with one factor of the chart coordinates."""
+    them, and with one factor of the chart coordinates (outside the chart,
+    so not closed)."""
     n, tri = P.dim, P.triangulation_floats()
     beta = np.array(GENERIC_XI[:n]) + 0.5
     # Centred at the vertex mean less 1/4: a product whose integral does
@@ -121,12 +122,15 @@ def test_closed_form_meets_the_exact_value(P):
             for dist in POLE_DISTANCES:
                 W = _weights(P, family, kind, dist)
                 for profile, factors, chart, pre, f, simplices in _parts(P, W):
+                    if pre:  # a factor of the chart coordinates: adaptive
+                        assert f.power is None
+                        continue
                     if not f.power.closed:  # ckem on cp1 with two factors: a log
                         assert (P.dim, family, len(factors)) == (1, "ckem", 2)
                         continue
                     res = integrate_parts([(f, simplices)])[0]
                     exact = exact_part(profile, W.xi, factors, simplices, chart, pre)
-                    where = (family, kind, dist, len(factors), chart is not None, len(pre))
+                    where = (family, kind, dist, len(factors), chart is not None)
                     assert abs(F(res.value) - exact) <= F(res.error), where
                     assert res.error <= max(DEFAULT_RULE.tol_abs,
                                             DEFAULT_RULE.tol_rel * abs(res.value)), where
@@ -135,16 +139,39 @@ def test_closed_form_meets_the_exact_value(P):
     assert checked
 
 
+@pytest.mark.parametrize("P", [P for P in POLYTOPES if P.dim > 1], ids=lambda P: P.name)
+def test_factor_before_the_chart_meets_the_exact_value_adaptively(P):
+    # The adaptive engine converges at these pole distances (not at 1/32 on
+    # cube4).
+    for family in ("sasaki", "ckem"):
+        for kind in ("generic", "axis"):
+            for dist in POLE_DISTANCES[1:]:
+                W = _weights(P, family, kind, dist)
+                for profile, factors, chart, pre, f, simplices in _parts(P, W):
+                    if not pre:
+                        continue
+                    assert f.power is None
+                    res = integrate_parts([(f, simplices)])[0]
+                    exact = exact_part(profile, W.xi, factors, simplices, chart, pre)
+                    where = (family, kind, dist, chart.facet)
+                    assert res.converged, where
+                    assert abs(F(res.value) - exact) <= max(
+                        DEFAULT_RULE.tol_abs, DEFAULT_RULE.tol_rel * abs(res.value)), where
+
+
+def _closed_parts(names, kinds, dist):
+    return [(f, s) for name in names for family in ("sasaki", "ckem") for kind in kinds
+            for *_, f, s in _parts(catalog.load(name),
+                                   _weights(catalog.load(name), family, kind, dist))
+            if f.power is not None and f.power.closed]
+
+
 def test_mixed_call_keeps_the_bits_of_each_part_alone():
-    # Interior parts (vol, beta-moment, Gram), chart-pulled facets and parts
-    # with a factor of the chart coordinates; sasaki and ckem; generic and
-    # axis xi; planar and solid polytopes, whose facet and interior node
-    # sets have the same number of vertices: all in one call.
-    parts = [(f, s) for name in ("cp2", "bl3cp2", "cube")
-             for family in ("sasaki", "ckem") for kind in ("generic", "axis")
-             for *_, f, s in _parts(catalog.load(name),
-                                    _weights(catalog.load(name), family, kind, F(1, 4)))
-             if f.power.closed]
+    # Interior parts (vol, beta-moment, Gram) and chart-pulled facets;
+    # sasaki and ckem; generic and axis xi; planar and solid polytopes,
+    # whose facet and interior node sets have the same number of vertices:
+    # all in one call.
+    parts = _closed_parts(("cp2", "bl3cp2", "cube"), ("generic", "axis"), F(1, 4))
     assert len({len(f.power.factors) for f, _ in parts}) == 3
     mixed = quadrature._power_law_parts(parts, DEFAULT_RULE)
     for (f, s), res in zip(parts, mixed):
@@ -248,40 +275,91 @@ class _Logged(OrderedDict):
         super().__setitem__(key, value)
 
 
+def _stack_key(s):
+    return (s.shape, s.tobytes())
+
+
 @pytest.mark.parametrize("name", ["bl1cp2", "cube"])
 def test_report_builds_each_stack_geometry_once(monkeypatch, name):
     P = catalog.load(name)
     cache = _Logged()
     monkeypatch.setattr(invariants, "_scalar_cache", OrderedDict())
-    monkeypatch.setattr(quadrature, "_power_cache", cache)
+    monkeypatch.setattr(quadrature, "_geometry_cache", cache)
     for family in ("sasaki", "ckem"):
         for dist in POLE_DISTANCES:
             W = _weights(P, family, "generic", dist)
             invariant_report(P, W, backend="both")
             invariants.futaki(P, W, np.full(P.dim, 0.5))
-    # The interior stack and each facet's, with its chart: once each, for
-    # every weight and every part.
+    # The interior stack and each facet's (facets with equal stacks share
+    # one): once each, for every weight and every part, and without halves;
+    # each holds the chart maps of its facets.
     facets = P.genuine_facet_indices()
-    assert len(set(cache.built)) == len(cache.built) == 1 + len(facets)
-    assert {key[2] for key in cache.built} == {None, *map(P.facet_chart, facets)}
+    stacks = [P.triangulation_floats()] + [P.facet_triangulation_floats(i) for i in facets]
+    assert len(set(cache.built)) == len(cache.built)
+    assert set(cache.built) == set(map(_stack_key, stacks))
+    assert all(cache[key][0] is None for key in cache.built)
+    assert cache[_stack_key(stacks[0])][3].keys() == {None}
+    for i, s in zip(facets, stacks[1:]):
+        assert P.facet_chart(i) in cache[_stack_key(s)][3]
+    assert sum(len(cache[key][3]) for key in cache.built) == 1 + len(facets)
+
+
+@pytest.mark.parametrize("name", ["bl1cp2", "cube"])
+def test_csck_then_sasaki_reports_take_each_det_once(monkeypatch, name):
+    # The closed form reads |det| from the stack entries the exact parts of
+    # the cscK report made: every determinant is one row of an entry built
+    # once.
+    P = catalog.load(name)
+    cache, rows, det = _Logged(), [], np.linalg.det
+    monkeypatch.setattr(invariants, "_scalar_cache", OrderedDict())
+    monkeypatch.setattr(quadrature, "_geometry_cache", cache)
+    monkeypatch.setattr(np.linalg, "det", lambda a: rows.append(len(a)) or det(a))
+    invariant_report(P, builtin("cscK", P.dim))
+    built = len(cache.built)
+    invariant_report(P, _weights(P, "sasaki", "generic", F(1, 4)))
+    assert len(cache.built) == built and len(set(cache.built)) == built
+    assert sum(rows) == sum(len(cache[key][1]) for key in cache.built)
+
+
+@pytest.mark.parametrize("first", ["exact", "adaptive"])
+def test_closed_bits_do_not_depend_on_the_part_that_made_the_entry(monkeypatch, first):
+    # An exact part makes entries without halves, an adaptive one with them;
+    # the closed form reads the same |det| from either.
+    parts = _closed_parts(("cp2", "cube"), ("generic",), F(1, 4))
+    maker = {"exact": lambda n: Integrand(builtin("cscK", n).w_weight),
+             "adaptive": lambda n: lambda x: np.exp(x[:, 0])}[first]
+
+    def run(made_by):
+        cache = OrderedDict()
+        monkeypatch.setattr(quadrature, "_geometry_cache", cache)
+        if made_by is not None:
+            for _, s in parts:  # one call each: equal integrands would merge stacks
+                integrate_parts([(made_by(s.shape[2]), s)])
+            assert len(cache) == len({_stack_key(s) for _, s in parts})
+            assert all((kids is None) == (first == "exact") for kids, *_ in cache.values())
+        return [(r.value.hex(), r.error.hex(), r.converged) for r in integrate_parts(parts)]
+
+    assert run(maker) == run(None)
 
 
 def test_geometry_cache_stays_at_its_bound(monkeypatch):
     P = catalog.load("cube")
     W = _weights(P, "ckem", "generic", F(1, 4))
     monkeypatch.setattr(invariants, "_scalar_cache", OrderedDict())
-    monkeypatch.setattr(quadrature, "_power_cache", OrderedDict())
+    monkeypatch.setattr(quadrature, "_geometry_cache", OrderedDict())
     want = invariant_report(P, W)
     invariants._scalar_cache.clear()
-    quadrature._power_cache.clear()
-    monkeypatch.setattr(quadrature, "_POWER_CACHE_SIZE", 2)
-    sizes, build = [], quadrature._power_geometry
+    cache = _Logged()
+    monkeypatch.setattr(quadrature, "_geometry_cache", cache)
+    monkeypatch.setattr(quadrature, "_GEOMETRY_CACHE_SIZE", 1)
+    sizes, build = [], quadrature._geometry
 
     def logged(*args):
         geo = build(*args)
-        sizes.append(len(quadrature._power_cache))
+        sizes.append(len(cache))
         return geo
 
-    monkeypatch.setattr(quadrature, "_power_geometry", logged)
+    monkeypatch.setattr(quadrature, "_geometry", logged)
     assert invariant_report(P, W) == want
-    assert len(sizes) > 7 and max(sizes) == 2
+    # The cube's two stacks (interior and facet) evict each other.
+    assert len(cache.built) > 2 and max(sizes) == 1

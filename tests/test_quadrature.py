@@ -691,14 +691,14 @@ class TestDeclaredDegree:
         simplices = np.random.default_rng(15).random((3, 3, 2))
         f = poly(2)
         exact = integrate_simplices(f, simplices, self.RULE)
-        [(kids, allv, vols)] = geometry_cache.values()
-        assert kids is None and len(allv) == len(vols) == 3
+        [(kids, allv, dets, _)] = geometry_cache.values()
+        assert kids is None and len(allv) == len(dets) == 3
         # An adaptive part on the same stack rebuilds the entry with halves,
         # and an exact part reads the k volumes from that entry too.
         assert (integrate_simplices(lambda x: f(x), simplices, self.RULE)
                 == reference_integrate_simplices(f, simplices, self.RULE))
-        [(kids, allv, vols)] = geometry_cache.values()
-        assert kids.shape == (3, 2, 3, 2) and len(allv) == len(vols) == 9
+        [(kids, allv, dets, _)] = geometry_cache.values()
+        assert kids.shape == (3, 2, 3, 2) and len(allv) == len(dets) == 9
         assert integrate_simplices(f, simplices, self.RULE) == exact
         assert len(geometry_cache) == 1
 
@@ -757,8 +757,8 @@ class TestGeometryCache:
     def test_cached_arrays_are_read_only(self, geometry_cache):
         integrate_simplices(INTEGRANDS["exponential"],
                             np.random.default_rng(9).random((2, 3, 2)))
-        [(kids, allv, vols)] = geometry_cache.values()
-        for array in (kids, allv, vols):
+        [(kids, allv, dets, _)] = geometry_cache.values()
+        for array in (kids, allv, dets):
             with pytest.raises(ValueError, match="read-only"):
                 array.flat[0] = 0.0
 
@@ -782,7 +782,8 @@ class TestGeometryCache:
 
                 [(fine, errs, kids), (exact, no_errs, no_kids)] = _estimate(
                     [(g, verts, False), (g, verts, True)], bary, wts, lower)
-                _, allv, vols = quadrature._geometry([verts], [True])[0]
+                _, allv, dets, _ = quadrature._geometry([verts], [True])[0]
+                vols = dets / math.factorial(dim)
                 rows = vals[0].reshape(len(allv), -1)
                 est = [v * float(wts @ r) for v, r in zip(vols, rows)]
                 m = len(verts)

@@ -13,7 +13,6 @@ hirzebruch-a alone: at ``tol_abs = 0`` an integral that vanishes by symmetry
 bisects to the depth cap.
 """
 
-import functools
 import json
 import math
 from fractions import Fraction as F
@@ -29,8 +28,6 @@ from toricstab.profiles import (Exponential, Polynomial, PowerLaw, WeightPair,
 from toricstab.quadrature import QuadratureRule
 
 RULE = QuadratureRule(tol_abs=0.0)
-# Building the parser takes most of a command's time here: build it once.
-PARSER = functools.lru_cache(cli.build_parser)
 KS = (-60, -20, 20, 60)
 XI = (0.31, -0.23, 0.17)
 CASES = [(name, family) for name in catalog.BASE_NAMES
@@ -117,8 +114,7 @@ def exit_codes(tmp_path, P, W):
 
 
 @pytest.mark.parametrize("name, family", CASES, ids=[f"{n}-{f}" for n, f in CASES])
-def test_verdicts_do_not_depend_on_the_weight_scale(tmp_path, monkeypatch, name, family):
-    monkeypatch.setattr(cli, "build_parser", PARSER)
+def test_verdicts_do_not_depend_on_the_weight_scale(tmp_path, name, family):
     P = catalog.load(name)
     W = weights(P, family, F(1))
     base, signed = verdicts(P, W, 1)

@@ -7,6 +7,7 @@ NAME is one of:
     refine_bits    ``_refine_bits()`` in tests/test_quadrature.py
     ladder_bits    ``_ladder_bits()`` in tests/test_blowup.py
     localize_bits  ``_localisation_bits()`` in tests/test_localize.py
+    profile_pins   ``_profile_pins()`` in tests/test_profiles.py
 
 It runs the writer on the working tree and prints each entry that moved as
 ``key: old -> new`` (``None`` for an entry that is new or gone).  If any
@@ -23,7 +24,8 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WRITERS = {"refine_bits": ("test_quadrature", "_refine_bits"),
            "ladder_bits": ("test_blowup", "_ladder_bits"),
-           "localize_bits": ("test_localize", "_localisation_bits")}
+           "localize_bits": ("test_localize", "_localisation_bits"),
+           "profile_pins": ("test_profiles", "_profile_pins")}
 
 
 def main(argv):
