@@ -47,9 +47,9 @@ def _families_for(P, rng):
     return out
 
 
-def _generic_direction(P, rng, scale=1.0):
+def _generic_direction(P, rng):
     for _ in range(100):
-        xi = rng.uniform(-scale, scale, P.dim)
+        xi = rng.uniform(-1.0, 1.0, P.dim)
         if localize.is_generic(P, xi):
             return xi
     raise RuntimeError("could not sample a generic direction")
@@ -241,7 +241,7 @@ def criterion_7_blowup_expansions(rule=DEFAULT_RULE):
     return AcceptanceResult("blowup expansions (sign pinning)", passed, detail)
 
 
-def criterion_8_destabilizing_vertex(rule=DEFAULT_RULE, trials=100):
+def criterion_8_destabilizing_vertex(rule=DEFAULT_RULE):
     """Positive torus-orthogonal Chow weight for non-product configurations."""
     rng = np.random.default_rng(108)
     min_chow = math.inf
@@ -251,7 +251,7 @@ def criterion_8_destabilizing_vertex(rule=DEFAULT_RULE, trials=100):
         P = catalog.load(name)
         W = builtin("cscK", P.dim)
         done = 0
-        while done < trials:
+        while done < 100:
             tc = testconfig.ToricTC(P, W, testconfig.random_pl(rng, P.dim))
             dv = testconfig.destabilizing_vertex(tc, rule)
             if dv.product or dv.norm_perp <= 1e-6:
@@ -268,18 +268,18 @@ def criterion_8_destabilizing_vertex(rule=DEFAULT_RULE, trials=100):
         f"min ratio chow_T*V_w/norm {min_ratio:.4f} (> 0.01)")
 
 
-def criterion_9_semistability(rule=DEFAULT_RULE, trials=100):
+def criterion_9_semistability(rule=DEFAULT_RULE):
     """df >= 0 on the plane (cscK) and df_T >= 0 on the blowup (extremal)."""
     rng = np.random.default_rng(109)
     P = catalog.load("cp2")
     W = builtin("cscK", 2)
     min_df = math.inf
-    for _ in range(trials):
+    for _ in range(100):
         tc = testconfig.ToricTC(P, W, testconfig.random_pl(rng, 2))
         min_df = min(min_df, testconfig.df(tc, rule))
     P2 = catalog.load("bl1cp2")
     min_dft = math.inf
-    for _ in range(trials):
+    for _ in range(100):
         tc = testconfig.ToricTC(P2, W, testconfig.random_pl(rng, 2))
         min_dft = min(min_dft, testconfig.df_T(tc, rule))
     passed = min_df >= -1e-10 and min_dft >= -1e-10
@@ -287,7 +287,7 @@ def criterion_9_semistability(rule=DEFAULT_RULE, trials=100):
         "semistability spot-check",
         passed,
         f"min df on cp2 {min_df:.6e}, min df_T on bl1cp2 {min_dft:.6e} "
-        f"(both >= -1e-10 over {trials} random convex PL each)")
+        "(both >= -1e-10 over 100 random convex PL each)")
 
 
 def criterion_10_gram_convergence(rule=DEFAULT_RULE):

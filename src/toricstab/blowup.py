@@ -41,7 +41,7 @@ import numpy as np
 
 from . import invariants, testconfig
 from .localize import agree
-from .quadrature import DEFAULT_RULE, Integrand, integrate_parts
+from .quadrature import DEFAULT_RULE, Integrand
 
 QUANTITIES = ("volume", "futaki", "df", "dft", "gram")
 
@@ -168,19 +168,13 @@ class _Corner:
     def integrals(self, tag, integrals):
         """Corner integrals as an array (depth, integral), one scalar-cache
         entry under ``tag``.  ``integrals(D, facets)`` lists the integrals
-        over the corner D, each as its integration parts; the parts of all
-        depths go through one integrate_parts call, which calls an integrand
-        once for all parts whose integrands are equal.  A depth's integrands
-        equal those of every other depth but the ones pulled back to F_eps,
-        a hyperplane of its own per depth."""
-        def compute():
-            lists = [integrals(D, facets) for D, facets in self.simplices]
-            results = iter(integrate_parts(
-                [p for ls in lists for ps in ls for p in ps], self.rule))
-            return tuple(tuple(sum(next(results).value for _ in ps) for ps in ls)
-                         for ls in lists)
-        return np.array(invariants._cached((tag, self.at), self.P, self.W,
-                                           self.rule, compute), dtype=float)
+        over the corner D, each as its parts; all depths are integrated
+        together.  A depth's integrands equal every other depth's but those
+        pulled back to F_eps, a hyperplane of its own per depth."""
+        values, = invariants._integrals(
+            self.P, self.W, self.rule, [(tag, self.at)],
+            lambda _: [ps for D, facets in self.simplices for ps in integrals(D, facets)])
+        return np.array(values, dtype=float).reshape(len(self.simplices), -1)
 
     def weighted(self, tag, f, g):
         """Columns: int_Delta f dx, then int g dsigma on each facet of
@@ -233,8 +227,7 @@ class _Corner:
             return [testconfig.pl_parts(on),
                     *(testconfig.pl_parts(on, factors=[(e, None)]) for e in basis),
                     *testconfig.pl_facet_parts(on, facets)]
-        key = ("pl", tc.phi, tc.twist_vector.tobytes(), tc.c0)
-        return self.integrals(key, integrals)
+        return self.integrals(("pl", tc.key), integrals)
 
     def df(self, tc):
         """Terms of df at P_eps minus at P: dB - ds A + s_eps A_Delta, A and

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import product
+from functools import reduce
+from itertools import islice, product
+from operator import add
 
 import numpy as np
 
@@ -70,79 +72,74 @@ class InvariantReport:
     backend_discrepancy: float
 
 
-# Quadrature-backend scalars, beta-moments, localisation sums, positivity
-# verdicts and the corner integrals of blowup ladders by (tag, (dim, facets),
-# weight key, rule), least recently used first.  Polytope equality is
-# (dim, facets), so a key holds the facets alone (DelzantPolytope.key, hashed
-# once) and no entry keeps a polytope or its caches alive; the weight key is
+# Every cached L2 value by (tag, (dim, facets), weight key, rule), least
+# recently used first: quadrature-backend scalars, beta-moments, localisation
+# sums, positivity verdicts, configuration integrals and projections (by
+# ToricTC.key) and blowup corner integrals.  A key holds the facets alone
+# (DelzantPolytope.key, hashed once; polytope equality is (dim, facets)), so
+# no entry keeps a polytope or a configuration alive; the weight key is
 # WeightPair.key.  The localisation sums ("lvol", "lper") are keyed with rule
-# None and never share an entry with a cubature value.  Replaying the key
-# streams of whole benchmark runs (seeds 301-302) through an LRU, none needed
-# more than 1,824 entries (weight_sweep; blowup_ladder 641, pl_sweep 54) to
-# miss only where an unbounded cache misses, nor did runs of twice that
-# length (weight_sweep 1,915 at seed 301, blowup_ladder 1,223).
+# None, apart from the cubature values.  Replaying the key streams of whole
+# benchmark runs (seeds 301-302) through an LRU, none needed more than 1,788
+# entries (weight_sweep; blowup_ladder 864, pl_sweep 177) to miss only where
+# an unbounded cache misses, nor did runs twice that long (weight_sweep 1,897
+# at seed 302, blowup_ladder 1,670 at seed 301).
 _SCALAR_CACHE_SIZE = 2048
 _scalar_cache = OrderedDict()
-_MISSING = object()
 
 
-def _cached(tag, P, W, rule, compute):
-    key = (tag, P.key, W.key, rule)
-    value = _scalar_cache.get(key, _MISSING)
-    if value is not _MISSING:
-        _scalar_cache.move_to_end(key)
-        return value
-    value = _scalar_cache[key] = compute()
-    if len(_scalar_cache) > _SCALAR_CACHE_SIZE:
-        _scalar_cache.popitem(last=False)
-    return value
-
-
-def _scalars(P, W, rule, tags):
-    """The quadrature scalars of (P, W) named by ``tags``: "vol" (Vol_w),
-    "per" (Per_v), and ("mom", beta) and ("bmom", beta), the beta-moments
-    of w inside and of v on the boundary.  Those missing from
-    ``_scalar_cache`` are integrated in one :func:`quadrature.integrate_parts`
-    call and cached; a boundary quantity adds its facets' values from 0.0 in
-    facet order, as ``integrate_boundary`` does (in dimension 1, after the
-    call, at its two endpoints)."""
+def _integrals(P, W, rule, tags, build):
+    """The cached values of (P, W) at ``rule`` named by ``tags``, a tuple per
+    tag.  ``build(tag)`` lists a missing tag's integrals, each as its parts
+    (a list) or its value (kept as it is).  The parts of all misses take one
+    :func:`quadrature.integrate_parts` call, none if there are none; a sum
+    of several parts adds from 0.0 in part order, one part is its value."""
     values, missing = [], {}
     for tag in tags:
-        if not isinstance(tag, str):
-            tag = (tag[0], np.asarray(tag[1], dtype=float).tobytes())
         key = (tag, P.key, W.key, rule)
-        value = _scalar_cache.get(key, _MISSING)
-        if value is _MISSING:
+        value = _scalar_cache.get(key)  # a value is a tuple
+        if value is None:
             missing.setdefault(key, []).append(len(values))
         else:
             _scalar_cache.move_to_end(key)
         values.append(value)
     if not missing:
         return values
-    todo, tri = [], P.triangulation_floats()
-    for (tag, *_), at in missing.items():
-        name, beta = (tag, None) if isinstance(tag, str) else tag
-        inside = name in ("vol", "mom")
-        f = Integrand(W.w_weight if inside else W.v_weight,
-                      [] if beta is None else [(np.frombuffer(beta), None)])
-        todo.append((at, f, inside, [(f, tri)] if inside else
-                     quadrature.boundary_parts(P, f) if P.dim > 1 else []))
-    results = iter(quadrature.integrate_parts([p for *_, ps in todo for p in ps], rule))
-    for key, (at, f, inside, ps) in zip(missing, todo):
-        if inside:
-            value = next(results).value
-        elif P.dim > 1:
-            value = 0.0
-            for _ in ps:
-                value += next(results).value
-        else:
-            value = quadrature.integrate_boundary(P, f, rule).value
-        _scalar_cache[key] = value
+    built = [build(key[0]) for key in missing]
+    parts = [p for integrals in built for ps in integrals if type(ps) is list for p in ps]
+    results = iter([r.value for r in quadrature.integrate_parts(parts, rule)] if parts else ())
+    for (key, at), integrals in zip(missing.items(), built):
+        value = _scalar_cache[key] = tuple(
+            ps if type(ps) is not list else next(results) if len(ps) == 1
+            else reduce(add, islice(results, len(ps)), 0.0) for ps in integrals)
         for i in at:
             values[i] = value
     while len(_scalar_cache) > _SCALAR_CACHE_SIZE:
         _scalar_cache.popitem(last=False)
     return values
+
+
+def _cached(tag, P, W, rule, compute):
+    return _integrals(P, W, rule, [tag], lambda _: [compute()])[0][0]
+
+
+def _scalars(P, W, rule, tags):
+    """The quadrature scalars of (P, W) named by ``tags``: "vol" (Vol_w),
+    "per" (Per_v), and ("mom", beta) and ("bmom", beta), the beta-moments
+    of w inside and of v on the boundary (in dimension 1 at the endpoints,
+    by ``integrate_boundary``)."""
+    def build(tag):
+        name, beta = (tag, None) if isinstance(tag, str) else tag
+        inside = name in ("vol", "mom")
+        f = Integrand(W.w_weight if inside else W.v_weight,
+                      [] if beta is None else [(np.frombuffer(beta), None)])
+        return [[(f, P.triangulation_floats())] if inside else
+                quadrature.boundary_parts(P, f) if P.dim > 1 else
+                quadrature.integrate_boundary(P, f, rule).value]
+
+    tags = [tag if isinstance(tag, str) else
+            (tag[0], np.asarray(tag[1], dtype=float).tobytes()) for tag in tags]
+    return [value for value, in _integrals(P, W, rule, tags, build)]
 
 
 def vol_w(P, W, rule=DEFAULT_RULE, backend="quadrature"):

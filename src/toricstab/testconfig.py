@@ -35,7 +35,7 @@ import numpy as np
 
 from . import _linalg as la, invariants
 from .localize import agree
-from .polytope import Facet, _as_fraction, _clip
+from .polytope import Facet, _HashedTuple, _as_fraction, _clip, _read_only
 from .quadrature import DEFAULT_RULE, Integrand, integrate_parts, integrate_sum
 
 
@@ -148,8 +148,8 @@ def _cells(P, phi):
 
 
 def _twist_vector(twist, n):
-    """A twist as a float vector of shape (n,), zero if None."""
-    vec = np.zeros(n) if twist is None else np.asarray(twist, dtype=float)
+    """A twist as a new float vector of shape (n,), zero if None."""
+    vec = np.zeros(n) if twist is None else np.array(twist, dtype=float)
     if vec.shape != (n,):
         raise ValueError(f"twist has shape {vec.shape}, expected ({n},)")
     return vec
@@ -159,8 +159,8 @@ class ToricTC:
     """A toric test configuration over a fixed polytope and weight pair.
 
     A configuration is not mutated after construction (``twist`` and
-    ``with_offset`` return new ones), so results derived from it can be
-    cached by identity.
+    ``with_offset`` return new ones; ``twist_vector`` is a read-only copy),
+    so results derived from it are cached by value, under ``key``.
     """
 
     def __init__(self, polytope, weights, phi=None, twist=None, c0=0.0):
@@ -169,8 +169,9 @@ class ToricTC:
         self.phi = phi if phi is not None else trivial_phi(polytope.dim)
         if self.phi.dim != polytope.dim:
             raise ValueError("piece dimension does not match the polytope")
-        self.twist_vector = _twist_vector(twist, polytope.dim)
+        self.twist_vector = _read_only(_twist_vector(twist, polytope.dim))
         self.c0 = float(c0)
+        self.key = _HashedTuple((self.phi, self.twist_vector.tobytes(), self.c0))
 
     def value(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -261,14 +262,27 @@ def pl_facet_parts(tc, facets):
             for i, chart in ((i, P.facet_chart(i)) for i in facets)]
 
 
-# df, mean_w (so chow and the projection) and a blowup ladder of one
-# configuration read int_P phi w three times or more: it is kept per
-# (configuration, rule), configurations by identity, as the projection is.
-# int_dP phi v is read once per configuration, by df.
-@lru_cache(maxsize=128)
 def integrate_pl(tc, rule=DEFAULT_RULE):
     """int_P phi * w dx."""
-    return integrate_sum(pl_parts(tc), rule).value
+    return _pl_integrals(tc, rule, [None])[0]
+
+
+def _pl_integrals(tc, rule, betas):
+    """int_P phi (<x, beta> - bbar) w per beta, bbar the w-mean of <x, beta>,
+    and int_P phi w for None, cached by value (``invariants._integrals``);
+    int_dP phi v is read once, by df, and is not cached."""
+    P, W = tc.polytope, tc.weights
+
+    def build(tag):
+        if tag[0] == "pl":
+            return [pl_parts(tc)]
+        beta = np.frombuffer(tag[2])
+        bbar = float(invariants.barycenter_w(P, W, rule) @ beta)
+        return [pl_parts(tc, Integrand(W.w_weight, [(beta, -bbar)]))]
+
+    tags = [("pl", tc.key) if b is None else
+            ("lambda", tc.key, np.asarray(b, dtype=float).tobytes()) for b in betas]
+    return [value for value, in invariants._integrals(P, W, rule, tags, build)]
 
 
 def integrate_pl_boundary(tc, rule=DEFAULT_RULE):
@@ -365,31 +379,26 @@ def lambda_pairing(tc, beta, rule=DEFAULT_RULE):
     phit = -phi; for a product configuration of beta' this is the Gram
     pairing <beta', beta>.
     """
-    P, W = tc.polytope, tc.weights
-    beta = np.asarray(beta, dtype=float)
-    bbar = float(invariants.barycenter_w(P, W, rule) @ beta)
     # int (phit)(<x,beta> - bbar) w; the mean of phit drops out.
-    val = integrate_sum(pl_parts(tc, Integrand(W.w_weight, [(beta, -bbar)])),
-                        rule).value
-    return -val
+    return -_pl_integrals(tc, rule, [beta])[0]
 
 
-# One projection per configuration serves chow_T, df_T and the orthogonal
-# norm; configurations hash by identity.
-@lru_cache(maxsize=128)
 def _projection(tc, rule):
     """(tc_perp, mean_w(phi), coeff): tc_perp is phi minus its w-weighted L2
     projection onto the affine functions, a twist by coeff = G^-1 m with
-    m_i = -lambda_pairing(e_i) and an offset that zeroes the w-mean.
-    """
+    m_i = -lambda_pairing(e_i) and an offset that zeroes the w-mean.  One
+    cached (mean, coeff, offset) serves chow_T, df_T and the orthogonal norm."""
     P, W = tc.polytope, tc.weights
-    mean = mean_w(tc, rule)
-    m = np.array([-lambda_pairing(tc, e, rule) for e in np.eye(P.dim)])
-    coeff = np.linalg.solve(invariants.gram(P, W, rule=rule), m)
-    bary = invariants.barycenter_w(P, W, rule)
-    perp = ToricTC(P, W, tc.phi, tc.twist_vector + coeff,
-                   tc.c0 - mean + float(coeff @ bary))
-    return perp, mean, coeff
+
+    def compute():
+        invariants._require_positive(P, W)
+        A, *m = _pl_integrals(tc, rule, [None, *np.eye(P.dim)])
+        mean = A / invariants.vol_w(P, W, rule)
+        coeff = _read_only(np.linalg.solve(invariants.gram(P, W, rule=rule), np.array(m)))
+        return mean, coeff, tc.c0 - mean + float(coeff @ invariants.barycenter_w(P, W, rule))
+
+    mean, coeff, offset = invariants._cached(("proj", tc.key), P, W, rule, compute)
+    return ToricTC(P, W, tc.phi, tc.twist_vector + coeff, offset), mean, coeff
 
 
 def df_T(tc, rule=DEFAULT_RULE):
@@ -498,10 +507,10 @@ def destabilizing_vertex(tc, rule=DEFAULT_RULE):
     of the maximum are ties, the lexicographically smallest designated.
     """
     P, W = tc.polytope, tc.weights
-    perp, norm_perp = orthogonal_part(tc, rule)
+    perp, mean, _ = _projection(tc, rule)
+    norm_perp = _l1_about(perp, 0.0, rule)  # perp's w-mean is zero
     if math.isnan(norm_perp):  # its integrals overflowed
         raise FloatingPointError("the orthogonal L1 norm is NaN")
-    mean = _projection(tc, rule)[1]
     scale = float(np.max(np.abs(tc.value(P.vertices_floats())))) + abs(mean)
     vol = invariants.vol_w(P, W, rule)
     if agree(norm_perp, 0.0, scale * vol, 1e-9):

@@ -302,7 +302,6 @@ def test_grid_past_the_float_range_refused_before_integrating(monkeypatch, simpl
     def refuse(*args, **kwargs):
         raise AssertionError("a refused grid was integrated")
 
-    monkeypatch.setattr(blowup, "integrate_parts", refuse)
     monkeypatch.setattr(inv.quadrature, "integrate_parts", refuse)
     W = builtin("cscK", 2)
     # Normal depths whose squares underflow; one whose cube overflows.
@@ -327,11 +326,21 @@ def test_each_corner_integrand_is_called_once_per_dimension(monkeypatch, name):
     W = builtin("cscK", n)
     phi = tcg.PLConvex.make([(g[:n], c) for g, c in BITS_PHI["nonproduct"]])
     tc = tcg.ToricTC(P, W, phi)
-    integrate_parts, rule_sums, seen = blowup.integrate_parts, quadrature._rule_sums, []
+    integrate_parts, rule_sums, seen = quadrature.integrate_parts, quadrature._rule_sums, []
+    integrals, corner = blowup._Corner.integrals, []
+
+    def marked(self, *args):
+        corner.append(1)
+        try:
+            return integrals(self, *args)
+        finally:
+            corner.pop()
 
     def spy(parts, rule):
         # The engine calls an integrand only in _rule_sums: count those
-        # calls by integrand value and dimension.
+        # calls of the corner integrals by integrand value and dimension.
+        if not corner:
+            return integrate_parts(parts, rule)
         calls = Counter()
 
         def counting(f, allv, *rest):
@@ -343,7 +352,8 @@ def test_each_corner_integrand_is_called_once_per_dimension(monkeypatch, name):
             m.setattr(quadrature, "_rule_sums", counting)
             return integrate_parts(parts, rule)
 
-    monkeypatch.setattr(blowup, "integrate_parts", spy)
+    monkeypatch.setattr(blowup._Corner, "integrals", marked)
+    monkeypatch.setattr(quadrature, "integrate_parts", spy)
     for quantity in ("volume", "futaki", "df", "dft"):
         blowup.verify_expansion(quantity, P, W, 1, beta=BITS_BETA[:n], tc=tc)
     # The corner integrals, in order: s_hat's, the futaki ladder's

@@ -238,7 +238,6 @@ class TestChopCache:
         blowup._corners.cache_clear()
         invariants._scalar_cache.clear()
         testconfig._cells.cache_clear()
-        testconfig._projection.cache_clear()
         assert reports(reversed(order)) == shared
 
 

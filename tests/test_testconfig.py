@@ -1,6 +1,9 @@
+import gc
 import json
 import math
 import re
+import weakref
+from collections import OrderedDict
 from fractions import Fraction as F
 
 import numpy as np
@@ -8,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricstab import catalog, invariants as inv, testconfig as tcg
+from toricstab import catalog, invariants as inv, quadrature, testconfig as tcg
 from toricstab.polytope import DelzantPolytope, Facet, _clip
 from toricstab.profiles import builtin
 from toricstab.quadrature import DEFAULT_RULE, moments
@@ -486,6 +489,68 @@ class TestSerialization:
         doc = {"pieces": [{"gradient": ["0", "0"], "constant": "0"}]}
         tc = ToricTC.from_json(doc, simplex, csck2)
         assert np.allclose(tc.twist_vector, 0)
+
+
+class TestValueStore:
+    """A configuration's integrals and projection are cached by value in
+    the scalar cache, so no entry keeps a configuration alive."""
+
+    @pytest.fixture
+    def engine_calls(self, monkeypatch):
+        monkeypatch.setattr(inv, "_scalar_cache", OrderedDict())
+        calls, engine = [], quadrature.integrate_parts
+        monkeypatch.setattr(quadrature, "integrate_parts",
+                            lambda parts, *a: calls.append(parts) or engine(parts, *a))
+        return calls
+
+    def test_equal_configuration_recomputes_nothing(self, engine_calls):
+        P = catalog.load("bl1cp2")
+        W = builtin("cscK", 2)
+        tc = ToricTC(P, W, _pl(((0, 0), 0), ((1, 1), F(-1, 2))), twist=[0.25, -0.5])
+        first = tcg.destabilizing_vertex(tc), tcg.df_T(tc)
+        again = ToricTC.from_json(tc.to_json(), P, W)
+        engine_calls.clear()
+        assert (tcg.destabilizing_vertex(again), tcg.df_T(again)) == first
+        # Neither int phi w, the lambda-pairings nor the projection: only
+        # the uncached int_dP phi_perp v of df_T.
+        perp = tcg._projection(again, DEFAULT_RULE)[0]
+        assert engine_calls == [[p for ps in tcg.pl_facet_parts(perp, P.genuine_facet_indices())
+                                 for p in ps]]
+
+    def test_configuration_is_collected_once_dropped(self, engine_calls, trapezoid, csck2):
+        tc = ToricTC(trapezoid, csck2, _pl(((0, 0), 0), ((1, 1), F(-1, 2))))
+        tcg.destabilizing_vertex(tc)
+        tcg.df_T(tc)
+        ref = weakref.ref(tc)
+        del tc
+        gc.collect()
+        assert ref() is None
+
+    def test_cold_projection_integrates_once(self, engine_calls, trapezoid, csck2):
+        # With the polytope's scalars cached, int phi w and the two
+        # lambda-pairings take one engine call.
+        inv.extremal_field(trapezoid, csck2)
+        tc = ToricTC(trapezoid, csck2, _pl(((0, 0), 0), ((1, 1), F(-1, 2))))
+        engine_calls.clear()
+        perp, mean, coeff = tcg._projection(tc, DEFAULT_RULE)
+        assert len(engine_calls) == 1
+        assert mean == tcg.mean_w(tc)
+        assert list(-coeff @ inv.gram(trapezoid, csck2)) == pytest.approx(
+            [tcg.lambda_pairing(tc, e) for e in np.eye(2)], abs=1e-14)
+        assert len(engine_calls) == 1
+
+    def test_twist_is_a_read_only_copy(self, csck2):
+        P = catalog.load("cp2")
+        phi = _pl(((0, 0), 0), ((1, 1), -1))
+        tw = np.array([0.25, 0.0])
+        tc = ToricTC(P, csck2, phi, tw)
+        first = tcg.chow(tc, 1)
+        tw[0] = 3.0
+        # An alias would move tc's values but not its cached mean_w.
+        assert list(tc.twist_vector) == [0.25, 0.0]
+        assert tcg.chow(tc, 1) == first == tcg.chow(ToricTC(P, csck2, phi, tc.twist_vector), 1)
+        with pytest.raises(ValueError):
+            tc.twist_vector[0] = 3.0
 
 
 @settings(max_examples=25, deadline=None)

@@ -12,7 +12,9 @@ median and the inclusive quartiles of its N runs, with the runs sorted:
 ``metrics`` for the working tree, ``parent_metrics`` for BASE_REF, and the
 distinct failure counts of each side.  Times are those ``run.py`` prints,
 scaled to its reference speed (see ``benchmark/NOTES.md``).  Progress goes
-to standard error, one line per run.
+to standard error, one line per run.  Exits 0 once the point is written,
+and 2, with one ``error:`` line on standard error, when BASE_REF cannot be
+resolved or archived or a run fails.
 """
 
 import argparse
@@ -27,6 +29,7 @@ import tarfile
 import tempfile
 
 import numpy
+from same_bits import failed
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
@@ -68,6 +71,13 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
+    try:
+        return measure(args)
+    except subprocess.CalledProcessError as e:
+        return failed(e)
+
+
+def measure(args):
     base_commit = git("rev-parse", "--short", args.base).decode().strip()
     point = {
         "label": args.label or f"the working tree against {base_commit}",

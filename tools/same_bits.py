@@ -11,7 +11,8 @@ and once in the working tree, then compares the per-operation output
 operations are named by their labels from ``benchmark/workloads.py``.
 Beside each verdict it prints the ``wall_s`` of the two runs: single,
 unscaled runs, a hint of speed and not a measurement.  Exits 1 on any
-difference, 0 when every run matches.
+difference, 0 when every run matches, and 2, with one ``error:`` line on
+standard error, when BASE_REF cannot be archived or a worker run fails.
 """
 
 import io
@@ -46,10 +47,25 @@ def labels(workload, seed, count):
     return [next(ops).label for _ in range(count)]
 
 
+def failed(e):
+    """The ``error:`` line of a command that failed, and exit status 2."""
+    err = e.stderr if isinstance(e.stderr, str) else (e.stderr or b"").decode(errors="replace")
+    print(f"error: {' '.join(map(str, e.cmd))} exited {e.returncode}: "
+          f"{(err.strip().splitlines() or [''])[-1]}", file=sys.stderr)
+    return 2
+
+
 def main(argv):
     if len(argv) != 1:
         sys.exit(__doc__)
-    archive = subprocess.run(["git", "archive", argv[0]], cwd=ROOT,
+    try:
+        return compare(argv[0])
+    except subprocess.CalledProcessError as e:
+        return failed(e)
+
+
+def compare(base_ref):
+    archive = subprocess.run(["git", "archive", base_ref], cwd=ROOT,
                              capture_output=True, check=True).stdout
     moved = False
     with tempfile.TemporaryDirectory() as base:
