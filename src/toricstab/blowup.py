@@ -113,9 +113,9 @@ def predict_df_expansions(tc, vertex, quantity, rule=DEFAULT_RULE):
 
     Both corrections sit at order n-1 with coefficients -v(p) Ch / (n-2)!,
     using the plain and the torus-orthogonal Chow weight respectively.  On
-    a product configuration (an exact test) phi is affine, so df_T and
-    every torus-orthogonal Chow weight vanish identically, and df and every
-    Chow weight too if phi is constant: those orders are exact zeros.
+    a product configuration (``tc.is_product()``) df_T and every chow_T
+    are exact zeros, and df and every Chow weight too if phi is constant:
+    those orders are 0.0, not -v(p) * 0.0 = -0.0.
     """
     P, W, n = tc.polytope, tc.weights, tc.polytope.dim
     v, p = _vertex_point(P, vertex)
@@ -328,9 +328,9 @@ def verify_expansion(quantity, P, W, vertex, eps_grid=None, beta=None,
     from (max over the grid of NOISE sum |terms| / eps^lead; so an exact
     zero that computes as 1e-15 passes), and the residual's log-log slope
     reaches the next expected order minus 0.1.  The reported
-    ``coefficient_rel_error`` is |coef - predicted| / |predicted| all the
-    same, so a passing ladder whose prediction is a rounded zero can show a
-    large one (0.46 on a product df ladder of bl2cp2).  A grid on which a
+    ``coefficient_rel_error`` is |coef - predicted| against what that test
+    read, max(|predicted|, floor / ``rel_tol``), so a passing ladder reads
+    at most ``rel_tol``.  A grid on which a
     fitted power of eps is not a positive normal float is refused before
     any integral.
     """
@@ -371,7 +371,7 @@ def verify_expansion(quantity, P, W, vertex, eps_grid=None, beta=None,
     # The remainder against the *predicted* model decays at the next order.
     pred, lead_floor = predicted[lead], float(np.max(floor / eps ** lead))
     exponent = _slope(eps, deltas - pred * eps ** lead, floor)
-    rel_err = abs(coef - pred) / abs(pred) if pred else 0.0
+    rel_err = abs(coef - pred) / max(abs(pred), lead_floor / rel_tol) if pred else 0.0
     zero_error, zero_floor = (None, None) if pred else (abs(coef), lead_floor)
     passed = (agree(coef, pred, max(rel_tol * abs(pred), lead_floor), tol=1.0)
               and exponent >= lead + 1 - 0.1)

@@ -29,6 +29,7 @@ import numpy as np
 
 from . import localize, quadrature
 from .localize import AGREE_TOL, agree
+from .polytope import _vector
 from .profiles import builtin, positivity_check, raise_unless_positive
 from .quadrature import DEFAULT_RULE, Integrand
 
@@ -138,7 +139,7 @@ def _scalars(P, W, rule, tags):
                 quadrature.integrate_boundary(P, f, rule).value]
 
     tags = [tag if isinstance(tag, str) else
-            (tag[0], np.asarray(tag[1], dtype=float).tobytes()) for tag in tags]
+            (tag[0], _vector(tag[1], P.dim).tobytes()) for tag in tags]
     return [value for value, in _integrals(P, W, rule, tags, build)]
 
 
@@ -200,10 +201,11 @@ def futaki(P, W, beta, rule=DEFAULT_RULE, backend="quadrature"):
     over the vertices, which bounds |F|: F ignores constants added to
     <x, beta>, and s_hat Vol_w = Per_v.
     """
+    beta = _vector(beta, P.dim)
     if backend == "both":
         q = futaki(P, W, beta, rule, "quadrature")
         l = futaki(P, W, beta, rule, "localization")
-        width = float(np.ptp(P.vertices_floats() @ np.asarray(beta, dtype=float)))
+        width = float(np.ptp(P.vertices_floats() @ beta))
         if not agree(q, l, width * per_v(P, W, rule)):
             raise BackendError(f"futaki backends disagree: {q} vs {l}")
         return q

@@ -126,6 +126,15 @@ def _read_only(arr):
     return arr
 
 
+def _vector(x, n, name="beta"):
+    """``x`` as a new float vector, refused unless its shape is (n,): a
+    vector is keyed by its bytes, which do not hold its shape."""
+    vec = np.array(x, dtype=float)
+    if vec.shape != (n,):
+        raise ValueError(f"{name} has shape {vec.shape}, expected ({n},)")
+    return vec
+
+
 def _memo(method):
     """Cache ``method`` per polytope in ``_cache``, by name and arguments."""
     name = method.__name__

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .polytope import _HashedTuple
+from .polytope import _HashedTuple, _read_only, _vector
 
 
 class ProfileDomainError(ValueError):
@@ -328,11 +328,8 @@ class WeightPair:
     """
 
     def __init__(self, xi, f, g, n, family=None):
-        self.xi = np.array(xi, dtype=float)
-        self.xi.flags.writeable = False
         self.n = int(n)
-        if self.xi.shape != (self.n,):
-            raise ValueError(f"xi has shape {self.xi.shape}, expected ({self.n},)")
+        self.xi = _read_only(_vector(xi, self.n, "xi"))
         self.f, self.g, self.family = f, g, family
         self.key = _HashedTuple((self.n, tuple(self.xi.tolist()), f, g))
         self.v_profile = f.derivative(self.n)

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import _linalg as la, invariants
 from .localize import agree
-from .polytope import Facet, _HashedTuple, _as_fraction, _clip, _read_only
+from .polytope import Facet, _HashedTuple, _as_fraction, _clip, _read_only, _vector
 from .quadrature import DEFAULT_RULE, Integrand, integrate_parts, integrate_sum
 
 
@@ -147,14 +147,6 @@ def _cells(P, phi):
     return tuple(out)
 
 
-def _twist_vector(twist, n):
-    """A twist as a new float vector of shape (n,), zero if None."""
-    vec = np.zeros(n) if twist is None else np.array(twist, dtype=float)
-    if vec.shape != (n,):
-        raise ValueError(f"twist has shape {vec.shape}, expected ({n},)")
-    return vec
-
-
 class ToricTC:
     """A toric test configuration over a fixed polytope and weight pair.
 
@@ -169,7 +161,8 @@ class ToricTC:
         self.phi = phi if phi is not None else trivial_phi(polytope.dim)
         if self.phi.dim != polytope.dim:
             raise ValueError("piece dimension does not match the polytope")
-        self.twist_vector = _read_only(_twist_vector(twist, polytope.dim))
+        self.twist_vector = _read_only(_vector(
+            np.zeros(polytope.dim) if twist is None else twist, polytope.dim, "twist"))
         self.c0 = float(c0)
         self.key = _HashedTuple((self.phi, self.twist_vector.tobytes(), self.c0))
 
@@ -235,7 +228,7 @@ def associated_product(P, W, beta):
 def twist(tc, beta):
     """Twist by beta: phi -> phi - <x, beta>."""
     return ToricTC(tc.polytope, tc.weights, tc.phi,
-                   tc.twist_vector + _twist_vector(beta, tc.polytope.dim), tc.c0)
+                   tc.twist_vector + _vector(beta, tc.polytope.dim, "twist"), tc.c0)
 
 
 # -- PL integrals -----------------------------------------------------------
@@ -281,7 +274,7 @@ def _pl_integrals(tc, rule, betas):
         return [pl_parts(tc, Integrand(W.w_weight, [(beta, -bbar)]))]
 
     tags = [("pl", tc.key) if b is None else
-            ("lambda", tc.key, np.asarray(b, dtype=float).tobytes()) for b in betas]
+            ("lambda", tc.key, _vector(b, P.dim).tobytes()) for b in betas]
     return [value for value, in invariants._integrals(P, W, rule, tags, build)]
 
 
@@ -387,8 +380,12 @@ def _projection(tc, rule):
     """(tc_perp, mean_w(phi), coeff): tc_perp is phi minus its w-weighted L2
     projection onto the affine functions, a twist by coeff = G^-1 m with
     m_i = -lambda_pairing(e_i) and an offset that zeroes the w-mean.  One
-    cached (mean, coeff, offset) serves chow_T, df_T and the orthogonal norm."""
+    cached (mean, coeff, offset) serves chow_T, df_T and the orthogonal norm.
+    A product (one cell) projects to the trivial configuration, exactly,
+    with coeff its piece's gradient minus the twist: no pairing, no solve."""
     P, W = tc.polytope, tc.weights
+    if tc.is_product():  # mean_w passes the positivity gate first
+        return ToricTC(P, W), mean_w(tc, rule), _read_only(tc.affine_cells()[0][1])
 
     def compute():
         invariants._require_positive(P, W)
@@ -405,8 +402,13 @@ def df_T(tc, rule=DEFAULT_RULE):
     """Torus-orthogonal Donaldson-Futaki invariant (twist invariant).
 
     df of the orthogonal part: df ignores constants and a twist by beta adds
-    futaki(beta), so this is df minus futaki of phi's torus component.
+    futaki(beta), so this is df minus futaki of phi's torus component.  It
+    is 0 for a product, whose orthogonal part is the zero configuration
+    (its weights still pass the positivity gate).
     """
+    if tc.is_product():
+        invariants._require_positive(tc.polytope, tc.weights)
+        return 0.0
     return df(_projection(tc, rule)[0], rule)
 
 
@@ -438,10 +440,11 @@ def orthogonal_part(tc, rule=DEFAULT_RULE):
 
     Returns ``(tc_perp, norm)`` where tc_perp realises
     phi - (w-weighted L2 projection of phi onto affine functions) and norm is
-    its weighted L1 norm.  Affine phi projects to the zero configuration.
+    its weighted L1 norm (about 0, perp's w-mean).  A product projects to
+    the zero configuration, of norm 0.
     """
     perp = _projection(tc, rule)[0]
-    return perp, _l1_about(perp, 0.0, rule)  # perp's w-mean is zero
+    return perp, 0.0 if tc.is_product() else _l1_about(perp, 0.0, rule)
 
 
 def _vertex_coords(tc, p):
@@ -498,27 +501,27 @@ class DestabilizingVertex:
 def destabilizing_vertex(tc, rule=DEFAULT_RULE):
     """Vertex maximising chow_T, with the normalised positivity ratio.
 
-    For a configuration with positive orthogonal L1 norm the maximum is
-    positive; the ratio chow_T * Vol_w / norm_perp is reported against the
-    uniform positivity expected of it.  With S_phi = max_v |phi(v)| +
-    |mean_w(phi)| (phi with its twist and offset), a norm of at most 1e-9
-    S_phi Vol_w is reported as a product, and a NaN norm, whose integrals
-    overflowed, raises ``FloatingPointError``.  Vertices within 1e-9 S_phi
-    of the maximum are ties, the lexicographically smallest designated.
+    A product (``tc.is_product()``) has no such vertex and norm 0.  Any
+    other configuration has positive orthogonal L1 norm and maximum; the
+    ratio chow_T * Vol_w / norm_perp is reported against the uniform
+    positivity expected of it, and a norm that reads NaN (its integrals
+    overflowed) or 0 (they underflowed) raises ``FloatingPointError``.
+    With S_phi = max_v |phi(v)| + |mean_w(phi)| (phi with its twist and
+    offset), vertices within 1e-9 S_phi of the maximum are ties, the
+    lexicographically smallest designated.
     """
     P, W = tc.polytope, tc.weights
     perp, mean, _ = _projection(tc, rule)
-    norm_perp = _l1_about(perp, 0.0, rule)  # perp's w-mean is zero
-    if math.isnan(norm_perp):  # its integrals overflowed
-        raise FloatingPointError("the orthogonal L1 norm is NaN")
     scale = float(np.max(np.abs(tc.value(P.vertices_floats())))) + abs(mean)
-    vol = invariants.vol_w(P, W, rule)
-    if agree(norm_perp, 0.0, scale * vol, 1e-9):
+    if tc.is_product():
         table = tuple((v, 0.0) for v in P.vertices)
-        return DestabilizingVertex(True, None, 0.0, 0.0, (), table, norm_perp, scale)
-    vals = [(v, _value_at(perp, v)) for v in P.vertices]
+        return DestabilizingVertex(True, None, 0.0, 0.0, (), table, 0.0, scale)
+    norm_perp = _l1_about(perp, 0.0, rule)  # perp's w-mean is zero
+    if not norm_perp > 0:
+        raise FloatingPointError("the orthogonal L1 norm is "
+                                 + ("NaN" if math.isnan(norm_perp) else "0"))
+    vals = tuple((v, _value_at(perp, v)) for v in P.vertices)
     best = max(val for _, val in vals)
     ties = tuple(v for v, val in vals if agree(best, val, scale, 1e-9))
-    ratio = best * vol / norm_perp
-    return DestabilizingVertex(False, min(ties), best, ratio, ties,
-                               tuple(vals), norm_perp, scale)
+    ratio = best * invariants.vol_w(P, W, rule) / norm_perp
+    return DestabilizingVertex(False, min(ties), best, ratio, ties, vals, norm_perp, scale)

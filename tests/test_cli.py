@@ -9,13 +9,15 @@ import sys
 from fractions import Fraction as F
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toricstab import catalog
+from toricstab import catalog, testconfig
 from toricstab.blowup import QUANTITIES
 from toricstab.cli import main
 from toricstab.polytope import DelzantPolytope
+from toricstab.profiles import builtin
 
 DATA = Path(__file__).parent / "data"
 
@@ -698,9 +700,27 @@ CP2_CSCK = ["--catalog", "cp2"]
 CUBE_SASAKI = ["--catalog", "cube", "--family", "sasaki", "--a", "1/100", "--xi", "0.1,0.2,0.3"]
 
 
+def _tc_file(tmp_path, pieces, twist):
+    """A --tc option naming a file of max(<g, x> + c over ``pieces``),
+    twisted by ``twist``."""
+    path = tmp_path / "tc.json"
+    path.write_text(json.dumps({
+        "pieces": [{"gradient": list(g), "constant": c} for g, c in pieces],
+        "twist": twist}))
+    return ["--tc", str(path)]
+
+
+# Non-products, max(x1, x2), twisted past the float range: a product's
+# orthogonal part is exactly zero and is not integrated, so these integrate
+# the orthogonal part of a configuration with two cells.
+CP2_WIDE = (CP2_CSCK, [(("1", "0"), "0"), (("0", "1"), "0")], [1e308, 1e308])
+CUBE_WIDE = (CUBE_SASAKI, [(("1", "0", "0"), "0"), (("0", "1", "0"), "0")],
+             [1.7e308, -1.7e308, 1])
+
+
 @pytest.mark.parametrize("sub, where", [
     ("df", CP2_CSCK + ["--beta", "1e308,1e308"]),
-    ("dft", CP2_CSCK + ["--beta", "1e308,1e308"]),
+    ("dft", CP2_WIDE),
     ("norm", CP2_CSCK + ["--beta", "1e308,-1e308"]),
     ("chow", CP2_CSCK + ["--beta", "1e308,1e308"]),
     ("destabilize", CP2_CSCK + ["--beta", "1e308,1e308"]),
@@ -709,17 +729,54 @@ CUBE_SASAKI = ["--catalog", "cube", "--family", "sasaki", "--a", "1/100", "--xi"
     # "min() arg is an empty sequence".
     ("df", CUBE_SASAKI + ["--beta", "1.7e308,-1.7e308,1"]),
     ("norm", CUBE_SASAKI + ["--beta", "1.7e308,-1.7e308,1"]),
-    ("destabilize", CUBE_SASAKI + ["--beta", "1.7e308,-1.7e308,1"]),
+    ("destabilize", CUBE_WIDE),
 ], ids=["df", "dft", "norm", "chow", "destabilize", "sasaki-df", "sasaki-norm",
         "sasaki-destabilize"])
-def test_testconfig_past_the_float_range_exits_3(capsys, sub, where):
+def test_testconfig_past_the_float_range_exits_3(tmp_path, capsys, sub, where):
     # In-process, where a RuntimeWarning is an error: these printed NaN or 0
     # with exit 0, or died in an overflow traceback.
+    if isinstance(where, tuple):
+        options, pieces, twist = where
+        where = options + _tc_file(tmp_path, pieces, twist)
     code = main(["testconfig", sub, *where])
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert captured.err.startswith(
         f"error: testconfig {sub}: a value leaves the float range (")
+
+
+@pytest.mark.parametrize("sub, where", [
+    ("dft", CP2_CSCK + ["--beta", "1e308,1e308"]),
+    ("dft", CUBE_SASAKI + ["--beta", "1.7e308,-1.7e308,1"]),
+    ("destabilize", CUBE_SASAKI + ["--beta", "1.7e308,-1.7e308,1"]),
+], ids=["dft", "sasaki-dft", "sasaki-destabilize"])
+def test_product_past_the_float_range_is_an_exact_zero(capsys, sub, where):
+    # The product of a beta past the float range: its torus-orthogonal
+    # part is the zero configuration, whatever its own integrals do.
+    code, out = run(capsys, "testconfig", sub, *where)
+    assert code == 0
+    assert json.loads(out) == ({"df_T": 0.0} if sub == "dft" else
+                               {"product": True, "l1_norm_orthogonal": 0.0})
+
+
+def test_product_chow_T_past_the_float_range_is_an_exact_zero():
+    # chow is printed beside chow_T, and it overflows: chow_T in-process.
+    P = catalog.load("cube")
+    tc = testconfig.associated_product(
+        P, builtin("sasaki", 3, xi=[0.1, 0.2, 0.3], a=F(1, 100)), [1.7e308, -1.7e308, 1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert [t for *_, t in testconfig.chow_T_table(tc)] == [0.0] * len(P.vertices)
+
+
+def test_non_product_with_a_zero_orthogonal_norm_exits_3(tmp_path, capsys):
+    # max(0, x1 + x2 - 1 + 1e-20) on cp2: a second cell too thin for its
+    # orthogonal norm to be told from 0.0, which the ratio divides by.
+    tc = _tc_file(tmp_path, [(("0", "0"), "0"), (("1", "1"), str(F("1e-20") - 1))], [0, 0])
+    code = main(["testconfig", "destabilize", *CP2_CSCK, *tc])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == ("error: testconfig destabilize: a value leaves the float "
+                            "range (the orthogonal L1 norm is 0)\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -54,6 +54,17 @@ class TestFutaki:
         with pytest.raises(BackendError):
             inv.futaki_vector(P, W, backend="both")
 
+    @pytest.mark.parametrize("backend", ["quadrature", "localization", "both"])
+    def test_beta_of_another_shape_is_refused(self, monkeypatch, backend):
+        # A beta is keyed by its bytes, which do not hold its shape: a (1, 2)
+        # beta was integrated as the (2,) one.  Refused before any integral.
+        P, W = catalog.load("cp2"), builtin("cscK", 2)
+        monkeypatch.setattr(inv, "_scalar_cache", OrderedDict())
+        monkeypatch.setattr(quadrature, "integrate_parts", None)  # a call raises TypeError
+        for beta, shape in (([[1.0, 0.5]], r"\(1, 2\)"), ([1.0, 0.5, 0.0], r"\(3,\)")):
+            with pytest.raises(ValueError, match=rf"beta has shape {shape}, expected \(2,\)"):
+                inv.futaki(P, W, beta, backend=backend)
+
     def test_vanishes_on_symmetric_simplex(self, simplex):
         W = builtin("cscK", 2)
         for b in np.eye(2):

@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 
 from toricstab import catalog, invariants as inv, quadrature, testconfig as tcg
 from toricstab.polytope import DelzantPolytope, Facet, _clip
-from toricstab.profiles import builtin
+from toricstab.profiles import PositivityError, builtin
 from toricstab.quadrature import DEFAULT_RULE, moments
 from toricstab.testconfig import PLConvex, ToricTC, clip_simplex
 
+from test_corner_oracle import CUBE4
 from test_power_law import exact_part
 
 
@@ -539,6 +540,27 @@ class TestValueStore:
             [tcg.lambda_pairing(tc, e) for e in np.eye(2)], abs=1e-14)
         assert len(engine_calls) == 1
 
+    def test_cold_product_integrates_phi_w_alone(self, engine_calls, monkeypatch):
+        # A product pays for int phi w (its mean) alone: no lambda-pairing,
+        # no Gram solve, no orthogonal L1 norm and no df of its zero part.
+        P, W = catalog.load("bl1cp2"), builtin("cscK", 2)
+        inv.extremal_field(P, W)
+        # The L1 norm reaches the engine through testconfig's own import.
+        monkeypatch.setattr(tcg, "integrate_parts", quadrature.integrate_parts)
+        tc = ToricTC(P, W, _pl(((1, -2), F(1, 3))), twist=[0.25, -0.5], c0=1.5)
+        engine_calls.clear()
+        assert tcg.destabilizing_vertex(tc).product and tcg.df_T(tc) == 0.0
+        assert [len(parts) for parts in engine_calls] == [1]  # one part: its one cell
+
+    def test_beta_of_another_shape_is_refused(self, engine_calls, csck2):
+        # A beta is keyed by its bytes, which do not hold its shape: a (1, 2)
+        # beta was paired as the (2,) one.  Refused before any integral.
+        tc = ToricTC(catalog.load("cp2"), csck2, _pl(((0, 0), 0), ((1, 1), -1)))
+        for beta, shape in (([[1.0, 0.5]], r"\(1, 2\)"), ([1.0, 0.5, 0.0], r"\(3,\)")):
+            with pytest.raises(ValueError, match=rf"beta has shape {shape}, expected \(2,\)"):
+                tcg.lambda_pairing(tc, np.array(beta))
+        assert engine_calls == []
+
     def test_twist_is_a_read_only_copy(self, csck2):
         P = catalog.load("cp2")
         phi = _pl(((0, 0), 0), ((1, 1), -1))
@@ -606,3 +628,48 @@ def test_overflowing_l1_norm_is_nan_not_a_product():
         assert math.isnan(tcg.orthogonal_part(tc)[1])
         with pytest.raises(FloatingPointError, match="orthogonal L1 norm is NaN"):
             tcg.destabilizing_vertex(tc)
+
+
+class TestProductPath:
+    """A product is decided in exact arithmetic (phi has one cell on P), and
+    its orthogonal part is the zero configuration: its outputs are exact
+    zeros, not rounding."""
+
+    @pytest.mark.parametrize("family", ["cscK", "soliton", "sasaki", "ckem"])
+    def test_orthogonal_outputs_are_exact_zeros(self, family):
+        for P in [*map(catalog.load, catalog.names()), CUBE4]:  # every catalog polytope
+            n = P.dim
+            W = builtin(family, n, xi=None if family == "cscK" else np.linspace(0.2, -0.1, n),
+                        a=4 if family in ("sasaki", "ckem") else None)
+            # The second piece is nowhere the maximum: one cell, two pieces.
+            phi = _pl((tuple(F(k + 1, 3) for k in range(n)), F(1, 2)), ((0,) * n, -9))
+            for twist in (None, np.linspace(0.7, -0.3, n)):
+                tc = ToricTC(P, W, phi, twist, c0=0.25)
+                assert tc.is_product(), P.name
+                dv = tcg.destabilizing_vertex(tc)
+                assert dv.product and dv.norm_perp == 0.0, P.name
+                assert tcg.orthogonal_part(tc)[1] == 0.0 and tcg.df_T(tc) == 0.0, P.name
+                assert [t for *_, t in tcg.chow_T_table(tc)] == [0.0] * len(P.vertices)
+                assert all(tcg.chow_T(tc, v) == 0.0 for v in P.vertices), P.name
+
+    def test_product_keeps_the_positivity_gate(self, simplex):
+        bad = builtin("sasaki", 2, xi=[1.0, 0.0], a=F(0))
+        tc = tcg.associated_product(simplex, bad, [0.5, 0.25])
+        for call in (tcg.df_T, lambda tc: tcg.chow_T(tc, 0), tcg.destabilizing_vertex):
+            with pytest.raises(PositivityError):
+                call(tc)
+
+    @pytest.mark.parametrize("e", ["1e-12", "1e-20"])
+    def test_thin_second_cell_is_no_product(self, e, csck2):
+        # max(0, x1 + x2 - 1 + e) on cp2 has a second cell of width about e,
+        # whose orthogonal norm rounds to 3.0e-36 at e = 1e-12 and to 0.0 at
+        # 1e-20.  The float test read both as products; at 1e-20 the ratio
+        # would divide by the norm.
+        tc = ToricTC(catalog.load("cp2"), csck2, _pl(((0, 0), 0), ((1, 1), F(e) - 1)))
+        assert not tc.is_product()
+        if e == "1e-12":
+            dv = tcg.destabilizing_vertex(tc)
+            assert not dv.product and 0 < dv.norm_perp < 1e-30
+        else:
+            with pytest.raises(FloatingPointError, match="orthogonal L1 norm is 0"):
+                tcg.destabilizing_vertex(tc)
