@@ -143,8 +143,15 @@ def _scalars(P, W, rule, tags):
     return [value for value, in _integrals(P, W, rule, tags, build)]
 
 
+def _check_backend(backend, allowed=("quadrature", "localization", "both")):
+    if backend not in allowed:
+        *rest, last = map(repr, allowed)
+        raise ValueError(f"backend must be {', '.join(rest)} or {last}, not {backend!r}")
+
+
 def vol_w(P, W, rule=DEFAULT_RULE, backend="quadrature"):
     """int_P w dx."""
+    _check_backend(backend, ("quadrature", "localization"))
     if backend == "localization":
         return _cached("lvol", P, W, None,
                        lambda: localize.eval_class(P, W.g.derivative(1), W.xi))
@@ -153,6 +160,7 @@ def vol_w(P, W, rule=DEFAULT_RULE, backend="quadrature"):
 
 def per_v(P, W, rule=DEFAULT_RULE, backend="quadrature"):
     """int_dP v dsigma (lattice boundary measure)."""
+    _check_backend(backend, ("quadrature", "localization"))
     if backend == "localization":
         return _cached("lper", P, W, None,
                        lambda: localize.eval_c1_class(P, W.f.derivative(1), W.xi))
@@ -166,6 +174,7 @@ def _require_positive(P, W):
 
 def s_hat(P, W, rule=DEFAULT_RULE, backend="quadrature"):
     """Average weighted scalar curvature Per_v / Vol_w."""
+    _check_backend(backend)
     _require_positive(P, W)
     if backend == "both":
         q = per_v(P, W, rule) / vol_w(P, W, rule)
@@ -201,6 +210,7 @@ def futaki(P, W, beta, rule=DEFAULT_RULE, backend="quadrature"):
     over the vertices, which bounds |F|: F ignores constants added to
     <x, beta>, and s_hat Vol_w = Per_v.
     """
+    _check_backend(backend)
     beta = _vector(beta, P.dim)
     if backend == "both":
         q = futaki(P, W, beta, rule, "quadrature")
@@ -268,23 +278,13 @@ def gram_integrands(W, basis, means):
 
 
 def extremal_field(P, W, rule=DEFAULT_RULE):
-    """The unique affine candidate w_ext = <x, chi> + a.
+    """The unique affine candidate w_ext = <x, chi> + a, from :func:`invariant_report`.
 
     chi solves G chi = -F in the standard basis, and a matches the w-average
     of w_ext to s_hat.  The returned residual is the worst violation of
     F(beta) + <w_ext, beta> = 0 over the basis directions.
     """
-    g = gram(P, W, rule=rule)
-    f = np.array(futaki_vector(P, W, rule))
-    try:
-        chi = np.linalg.solve(g, -f)
-    except np.linalg.LinAlgError as e:
-        raise ValueError(f"gram matrix is singular: {e}") from e
-    sh = s_hat(P, W, rule)
-    bary = barycenter_w(P, W, rule)
-    a = sh - float(chi @ bary)
-    residual = float(np.max(np.abs(f + g @ chi)))
-    return ExtremalData(tuple(float(c) for c in chi), a, residual)
+    return invariant_report(P, W, rule).extremal
 
 
 def futaki_signed(P, W, affine, beta, rule=DEFAULT_RULE):
@@ -396,25 +396,27 @@ def soliton_oracle(P):
 
 def invariant_report(P, W, rule=DEFAULT_RULE, backend="quadrature"):
     """Assemble the headline invariants, optionally cross-checking backends."""
+    _check_backend(backend)
     _require_positive(P, W)
-    discrepancy = 0.0
-    if backend in ("both", "localization"):
-        vw_q, pv_q = _scalars(P, W, rule, ["vol", "per"])
-        vw_l = vol_w(P, W, rule, "localization")
-        pv_l = per_v(P, W, rule, "localization")
-        # Both are positive: the positivity gate has passed.
-        discrepancy = max(abs(vw_q - vw_l) / vw_q, abs(pv_q - pv_l) / pv_q)
-        if backend == "both" and not (agree(vw_q, vw_l, vw_q)
-                                      and agree(pv_q, pv_l, pv_q)):
-            raise BackendError(
-                f"backend discrepancy {discrepancy:.3e} exceeds {AGREE_TOL}")
-    # After the check: a report that fails it integrates no moment.
-    vw_q, pv_q, *_ = _scalars(P, W, rule, ["vol", "per", *product(("mom", "bmom"),
-                                                                  np.eye(P.dim))])
-    sh = pv_q / vw_q
-    fvec = futaki_vector(P, W, rule)
-    g = gram(P, W, rule=rule)
-    ext = extremal_field(P, W, rule)
+    n, local = P.dim, backend != "quadrature"
+    if local:  # First: a report on which localisation raises integrates nothing.
+        vw_l, pv_l = vol_w(P, W, rule, "localization"), per_v(P, W, rule, "localization")
+    # One call: a report that fails the check has integrated its moments too.
+    vw_q, pv_q, *moments = _scalars(P, W, rule, ["vol", "per", *product(("mom", "bmom"),
+                                                                        np.eye(n))])
+    # Both are positive: the positivity gate has passed.
+    discrepancy = max(abs(vw_q - vw_l) / vw_q, abs(pv_q - pv_l) / pv_q) if local else 0.0
+    if backend == "both" and not (agree(vw_q, vw_l, vw_q) and agree(pv_q, pv_l, pv_q)):
+        raise BackendError(f"backend discrepancy {discrepancy:.3e} exceeds {AGREE_TOL}")
+    sh, mom, bmom = pv_q / vw_q, moments[:n], moments[n:]  # product lists every "mom" first
+    fvec = tuple(sh * m - b for m, b in zip(mom, bmom))  # as futaki builds it
+    f, g = np.array(fvec), gram(P, W, rule=rule)
+    try:  # the extremal field: G chi = -F, and a matches the w-barycenter to s_hat
+        chi = np.linalg.solve(g, -f)
+    except np.linalg.LinAlgError as e:
+        raise ValueError(f"gram matrix is singular: {e}") from e
+    ext = ExtremalData(tuple(float(c) for c in chi), sh - float(chi @ (np.array(mom) / vw_q)),
+                       float(np.max(np.abs(f + g @ chi))))
     return InvariantReport(vw_q, pv_q, sh, fvec,
                            tuple(tuple(float(x) for x in row) for row in g),
                            ext, discrepancy)

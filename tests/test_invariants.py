@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from toricstab import catalog, invariants as inv, polytope, quadrature
+from toricstab import catalog, invariants as inv, localize, polytope, quadrature
 from toricstab.acceptance import BL1CP2_SOLITON_T
 from toricstab.invariants import BackendError
 from toricstab.profiles import PositivityError, Profile, builtin, require_positive
@@ -312,18 +312,69 @@ class TestReport:
         monkeypatch.setattr(inv, "_scalar_cache", OrderedDict())
         inv.invariant_report(cube, W)
         assert len(calls) == 2
-        # Both backends: Vol_w and Per_v first, for the check, then the
-        # moments once it passes; a report that fails it integrates none.
-        monkeypatch.setattr(inv, "_scalar_cache", OrderedDict())
-        calls.clear()
-        inv.invariant_report(cube, W, backend="both")
-        assert calls == [1 + 6, 3 + 3 * 6, 6]
+        # Both backends: the localisation values first, then Vol_w, Per_v
+        # and the moments in one call, then the Gram matrix once the check
+        # passes; a report that fails it has integrated its moments.
+        for backend in ("localization", "both"):
+            monkeypatch.setattr(inv, "_scalar_cache", OrderedDict())
+            calls.clear()
+            inv.invariant_report(cube, W, backend=backend)
+            assert calls == [1 + 6 + 3 + 3 * 6, 6], backend
         monkeypatch.setattr(inv, "_scalar_cache", OrderedDict())
         monkeypatch.setattr(inv, "agree", lambda a, b, scale: a == b)
         calls.clear()
         with pytest.raises(BackendError):
             inv.invariant_report(cube, W, backend="both")
-        assert calls == [1 + 6]
+        assert calls == [1 + 6 + 3 + 3 * 6]
+
+    def test_report_whose_localisation_raises_integrates_nothing(self, monkeypatch):
+        # ckem weights at xi = 0 send localisation to a limit that does not settle.
+        calls = []
+        engine = inv.quadrature.integrate_parts
+        monkeypatch.setattr(inv.quadrature, "integrate_parts",
+                            lambda parts, *a: calls.append(len(parts)) or engine(parts, *a))
+        monkeypatch.setattr(inv, "_scalar_cache", OrderedDict())
+        W = builtin("ckem", 2, a=F(1, 2))
+        with pytest.raises(localize.ExtrapolationError):
+            inv.invariant_report(catalog.load("cp2"), W, backend="both")
+        assert calls == []
+
+    @pytest.mark.parametrize("name", catalog.names())
+    def test_futaki_and_extremal_as_their_own_functions(self, monkeypatch, name):
+        # The report builds F and w_ext from its one call's values; each
+        # equals, bit for bit, what futaki_vector, gram, s_hat and
+        # barycenter_w read from the store one value at a time.
+        P = catalog.load(name)
+        for family in ("cscK", "soliton", "sasaki", "ckem"):
+            W = self.weights(P, family, "generic")
+            monkeypatch.setattr(inv, "_scalar_cache", OrderedDict())
+            rep = inv.invariant_report(P, W)
+            monkeypatch.setattr(inv, "_scalar_cache", OrderedDict())
+            f, g = np.array(inv.futaki_vector(P, W)), inv.gram(P, W)
+            chi = np.linalg.solve(g, -f)
+            ext = inv.ExtremalData(tuple(float(c) for c in chi),
+                                   inv.s_hat(P, W) - float(chi @ inv.barycenter_w(P, W)),
+                                   float(np.max(np.abs(f + g @ chi))))
+            assert rep.futaki == tuple(f) and rep.extremal == ext, family
+            monkeypatch.setattr(inv, "_scalar_cache", OrderedDict())
+            assert inv.extremal_field(P, W) == ext, family
+
+
+class TestBackendArgument:
+    def test_unknown_backend_raises(self, simplex):
+        # "localisation" is a misspelling of a backend, not a fourth one.
+        W = builtin("soliton", 2, xi=[0.4, 0.7])
+        calls = (inv.s_hat, inv.futaki_vector, inv.invariant_report,
+                 lambda P, W, rule, backend: inv.futaki(P, W, [1.0, 0.0], rule, backend))
+        for call in calls:
+            for backend in ("localisation", "Both", None):
+                with pytest.raises(ValueError, match="'quadrature', 'localization' or 'both'"):
+                    call(simplex, W, DEFAULT_RULE, backend)
+        # Vol_w and Per_v have no cross-check of their own: "both" is refused too.
+        for call in (inv.vol_w, inv.per_v):
+            for backend in ("localisation", "Both", None, "both"):
+                with pytest.raises(ValueError, match="'quadrature' or 'localization', not"):
+                    call(simplex, W, DEFAULT_RULE, backend)
 
 
 class TestDegenerateBackend:
