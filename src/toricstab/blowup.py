@@ -23,9 +23,12 @@ built anew at each depth: equal integrands of all depths share one
 cubature pass.  s_hat, the Futaki character, the Gram matrix (shifted by
 the change of means), df and the df_T projection follow algebraically,
 so dQ(eps) = Q(P_eps) - Q(P) is computed from small numbers, never as a
-difference of O(1) ones.  The engine fits these differences on a geometric
-eps-grid against the predicted leading monomial, and reports the fitted
-coefficient plus the log-log slope of the remainder.  These fits are what
+difference of O(1) ones.  A product configuration's df_T difference is
+decided in L0: its torus-orthogonal part is zero on P and on every P_eps,
+so the difference is an exact zero and no corner integral is made.  The
+engine fits these differences on a geometric eps-grid against the
+predicted leading monomial, and reports the fitted coefficient plus the
+log-log slope of the remainder.  These fits are what
 pins the global sign conventions of the whole package.
 """
 
@@ -243,7 +246,14 @@ class _Corner:
         m_i = int phi (x_i - b_i) w and b the w-barycenter.  So the
         difference is d(df) + F_eps(dc) + dF(c), where dc = G_eps^-1 (dm -
         dG c) and dm = -C_Delta - d A_eps + b A_Delta, with C_Delta the
-        corner integrals of phi x w and d = b_eps - b."""
+        corner integrals of phi x w and d = b_eps - b.
+
+        On a product configuration (``tc.is_product()``, exact in L0) phi
+        is affine on P, so its torus-orthogonal part is zero on P and on
+        every P_eps: the one term is an exact zero per depth, and nothing
+        is integrated."""
+        if tc.is_product():
+            return [np.zeros(len(self.simplices))]
         P, W, rule = self.P, self.W, self.rule
         basis = np.eye(P.dim)
         G = invariants.gram(P, W, rule=rule)
@@ -332,7 +342,8 @@ def verify_expansion(quantity, P, W, vertex, eps_grid=None, beta=None,
     read, max(|predicted|, floor / ``rel_tol``), so a passing ladder reads
     at most ``rel_tol``.  A grid on which a
     fitted power of eps is not a positive normal float is refused before
-    any integral.
+    any integral, and so is a ``tc`` whose polytope or weights are not P
+    and W.
     """
     v = P.vertex_data_at(vertex)
     invariants._require_positive(P, W)  # also refuses weights that overflow
@@ -345,6 +356,13 @@ def verify_expansion(quantity, P, W, vertex, eps_grid=None, beta=None,
         return gram_convergence(P, W, v, eps_grid=eps_grid, rule=rule)
     if quantity not in QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}")
+    if quantity in ("df", "dft"):
+        if tc is None:
+            raise ValueError("df expansions need a test configuration")
+        # The prediction reads tc's polytope and weights, the ladder P and W.
+        if tc.polytope != P or tc.weights.key != W.key:
+            raise ValueError("the test configuration is not on the polytope "
+                             "and weights of the expansion")
     # The leading order of each prediction, and the orders fitted past it.
     lead = P.dim - (quantity != "volume")
     extra = min(5, len(eps_grid) - 2)
@@ -359,8 +377,6 @@ def verify_expansion(quantity, P, W, vertex, eps_grid=None, beta=None,
         predicted = predict_futaki_expansion(P, W, v, beta, rule)
         terms = corner.futaki(beta)
     else:
-        if tc is None:
-            raise ValueError("df expansions need a test configuration")
         predicted = predict_df_expansions(tc, v, quantity, rule)
         terms = corner.df(tc) if quantity == "df" else corner.dft(tc)
     deltas = sum(terms)

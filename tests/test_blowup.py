@@ -164,6 +164,30 @@ class TestProductLadders:
         assert 0 < abs(r.predicted[1]) < 1e-14
         assert r.passed
 
+    @pytest.mark.parametrize("name", ["cp2", "bl1cp2", "cube"])
+    @pytest.mark.parametrize("fam", ["cscK", "soliton"])
+    def test_df_of_a_product_is_futaki_of_its_slope_at_every_depth(self, name, fam):
+        # phi = <x, g> + c twisted by t is -<x, t - g> + c, so df = F(t - g)
+        # on P and on every P_eps: the product's df ladder and the futaki
+        # ladder at beta = t - g have equal differences, to the roundoff
+        # floors of the terms of both.
+        P = catalog.load(name)
+        n = P.dim
+        W = builtin(fam, n, xi=BITS_XI[:n] if fam == "soliton" else None)
+        (g, c), = BITS_PHI["product"]
+        t = np.array([0.25, -0.5, 0.75][:n])
+        tc = tcg.ToricTC(P, W, tcg.PLConvex.make([(g[:n], c)]), t)
+        beta = t - np.array([float(x) for x in g[:n]])
+        r_df = blowup.verify_expansion("df", P, W, 1, tc=tc)
+        r_fut = blowup.verify_expansion("futaki", P, W, 1, beta=beta)
+        assert r_df.passed and r_fut.passed
+        corner = blowup._Corner(P, W, P.vertex_data_at(1), r_df.eps_grid,
+                                blowup.DEFAULT_RULE)
+        floor = blowup.NOISE * sum(np.abs(x) for x in [*corner.df(tc), *corner.futaki(beta)])
+        assert np.all(np.abs(np.subtract(r_df.deltas, r_fut.deltas)) <= floor)
+        for k in (0, n - 1):
+            assert r_df.predicted[k] == pytest.approx(r_fut.predicted[k], rel=1e-12, abs=1e-14)
+
     @pytest.mark.parametrize("P", ["cp2", "cube"])
     def test_spurious_leading_term_fails(self, monkeypatch, P):
         # A signal far below any real coefficient, but above roundoff.
@@ -422,6 +446,62 @@ def test_product_df_ladder_builds_no_cell(monkeypatch):
     # the polytopes themselves.
     corners = [D for D, _ in blowup._corners(P, 0, blowup.default_eps_grid(P, 0))]
     assert len(corners) == 8 and [id(Q) for Q in built] == [id(D) for D in corners]
+
+
+@pytest.mark.parametrize("name", ["cp2", "cube"])
+def test_product_dft_ladder_integrates_nothing(monkeypatch, name):
+    # The torus-orthogonal part of a product is zero on P and on every
+    # P_eps: its dft ladder is exact zeros, decided in L0.
+    P = catalog.load(name)
+    n = P.dim
+    W = builtin("soliton", n, xi=BITS_XI[:n])
+    phi = tcg.PLConvex.make([(g[:n], c) for g, c in BITS_PHI["product"]])
+    tc = tcg.ToricTC(P, W, phi, [0.25, -0.5, 0.75][:n])
+    # A grid used nowhere else, so no cache holds its corners, and a cold store.
+    grid = tuple(F(3, 5) * e for e in blowup.default_eps_grid(P, 1))
+    monkeypatch.setattr(inv, "_scalar_cache", OrderedDict())
+    integrate_parts, calls = quadrature.integrate_parts, []
+    built, init = [], DelzantPolytope.__init__
+
+    def spy(parts, rule):
+        calls.append(parts)
+        return integrate_parts(parts, rule)
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "integrate_parts", spy)
+    monkeypatch.setattr(DelzantPolytope, "__init__", counted)
+    r = blowup.verify_expansion("dft", P, W, 1, eps_grid=grid, tc=tc)
+    corners = [D for D, _ in blowup._corners(P, 1, grid)]
+    assert calls == [] and [id(Q) for Q in built] == [id(D) for D in corners]
+    assert r.passed and r.predicted == {0: 0.0, n - 1: 0.0}
+    assert {_hex(x) for x in (*r.deltas, *r.exact, *r.fitted.values())} == {"0x0.0p+0"}
+    assert r.zero_coefficient_error == r.zero_coefficient_floor == 0.0
+    # The corners are built first: a depth past the admissible one raises.
+    bound = P.admissible_chop(1)
+    with pytest.raises(ChopDepthError):
+        blowup.verify_expansion("dft", P, W, 1, tc=tc,
+                                eps_grid=(bound, bound / 2, bound / 4, bound / 8))
+
+
+@pytest.mark.parametrize("quantity", ["df", "dft"])
+def test_configuration_of_another_problem_refused_before_integrating(monkeypatch, quantity):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused configuration was integrated")
+
+    P, other = catalog.load("cp2"), catalog.load("bl1cp2")
+    W, soliton = builtin("cscK", 2), builtin("soliton", 2, xi=[0.3, -0.2])
+    # The second piece holds only the corner x + y < 1/8 that bl1cp2 chops
+    # off: a product on bl1cp2, not on cp2.
+    phi = tcg.PLConvex.make([((0, 0), 0), ((-1, -1), F(1, 8))])
+    assert tcg.ToricTC(other, W, phi).is_product()
+    assert not tcg.ToricTC(P, W, phi).is_product()
+    monkeypatch.setattr(quadrature, "integrate_parts", refuse)
+    for tc in (tcg.ToricTC(other, W, phi), tcg.ToricTC(P, soliton, phi)):
+        with pytest.raises(ValueError, match="not on the polytope and weights"):
+            blowup.verify_expansion(quantity, P, W, 1, tc=tc)
 
 
 def test_narrow_grid_rejected(simplex):
