@@ -111,8 +111,8 @@ def predict_futaki_expansion(P, W, vertex, beta, rule=DEFAULT_RULE):
 
 
 def predict_df_expansions(tc, vertex, quantity, rule=DEFAULT_RULE):
-    """Leading correction of ``quantity``, df or df_T, under the chop at
-    the vertex.
+    """Leading correction of ``quantity``, "df" or "dft" (df_T; any other
+    raises ``ValueError``), under the chop at the vertex.
 
     Both corrections sit at order n-1 with coefficients -v(p) Ch / (n-2)!,
     using the plain and the torus-orthogonal Chow weight respectively.  On
@@ -120,6 +120,8 @@ def predict_df_expansions(tc, vertex, quantity, rule=DEFAULT_RULE):
     are exact zeros, and df and every Chow weight too if phi is constant:
     those orders are 0.0, not -v(p) * 0.0 = -0.0.
     """
+    if quantity not in ("df", "dft"):
+        raise ValueError(f"unknown quantity {quantity!r}")
     P, W, n = tc.polytope, tc.weights, tc.polytope.dim
     v, p = _vertex_point(P, vertex)
     if tc.is_product():

@@ -127,16 +127,14 @@ def _cached(tag, P, W, rule, compute):
 def _scalars(P, W, rule, tags):
     """The quadrature scalars of (P, W) named by ``tags``: "vol" (Vol_w),
     "per" (Per_v), and ("mom", beta) and ("bmom", beta), the beta-moments
-    of w inside and of v on the boundary (in dimension 1 at the endpoints,
-    by ``integrate_boundary``)."""
+    of w inside and of v on the boundary (over its facets' charts, points
+    in dimension 1)."""
     def build(tag):
         name, beta = (tag, None) if isinstance(tag, str) else tag
         inside = name in ("vol", "mom")
         f = Integrand(W.w_weight if inside else W.v_weight,
                       [] if beta is None else [(np.frombuffer(beta), None)])
-        return [[(f, P.triangulation_floats())] if inside else
-                quadrature.boundary_parts(P, f) if P.dim > 1 else
-                quadrature.integrate_boundary(P, f, rule).value]
+        return [[(f, P.triangulation_floats())] if inside else quadrature.boundary_parts(P, f)]
 
     tags = [tag if isinstance(tag, str) else
             (tag[0], _vector(tag[1], P.dim).tobytes()) for tag in tags]

@@ -211,9 +211,9 @@ class FacetChart:
 
     @cached_property
     def _float_frame(self):
-        p, q = self.facet.offset.numerator, self.facet.offset.denominator
-        return (np.array([-p * zi / q for zi in self._exact[0]]),
-                np.array(self.basis, dtype=float))
+        p, q, z = self.facet.offset.numerator, self.facet.offset.denominator, self._exact[0]
+        return (np.array([-p * zi / q for zi in z]),
+                np.array(self.basis, dtype=float).reshape(len(self.basis), len(z)))
 
     @cached_property
     def _hash(self):
@@ -225,8 +225,6 @@ class FacetChart:
     def map_floats(self, pts):
         """Map an (N, n-1) float array of chart coordinates into ambient space."""
         origin, B = self._float_frame
-        if len(self.basis) == 0:
-            return np.broadcast_to(origin, (len(pts), len(origin))).copy()
         return origin + np.asarray(pts, dtype=float) @ B
 
 
@@ -395,7 +393,7 @@ class DelzantPolytope:
         # A facet through a vertex meets the polytope.  Otherwise only a
         # parallel facet, constant on its hyperplane, can cut that off.
         back = tuple(-c for c in f.normal)
-        if not coords and self.dim > 1 and any(
+        if not coords and any(
                 g.normal == f.normal and g.offset < f.offset
                 or g.normal == back and g.offset < -f.offset for g in self.facets):
             raise PolytopeError(f"facet {i} is infeasible")
@@ -411,9 +409,9 @@ class DelzantPolytope:
 
     @_memo
     def facet_triangulation(self, i):
-        """Triangulation of facet ``i`` (dimension >= 2) as tuples of n
-        vertex indices; empty if the facet is not genuine.  The same
-        simplices, in the same order, as triangulating the facet as a
+        """Triangulation of facet ``i`` as tuples of n vertex indices (in
+        dimension 1 its one vertex); empty if the facet is not genuine.  The
+        same simplices, in the same order, as triangulating the facet as a
         polytope in its chart coordinates."""
         basis, coords = self._chart(i)
         return _pull(self, coords, basis) if i in self.genuine_facet_indices() else ()
@@ -421,7 +419,8 @@ class DelzantPolytope:
     @_memo
     def facet_triangulation_floats(self, i):
         """Triangulation of facet ``i`` as a float array of shape (k, n, n-1)
-        in its chart coordinates, for integrals with the lattice measure."""
+        in its chart coordinates, for integrals with the lattice measure; a
+        point's is (1, 1, 0)."""
         scale, coords = self._enumerate()[0], self._chart(i)[1]
         return _read_only(np.array([[[y / scale for y in coords[k]] for k in s]
                                     for s in self.facet_triangulation(i)], dtype=float))
@@ -432,8 +431,6 @@ class DelzantPolytope:
         _, X, active = self._enumerate()
         if not X or not self.is_full_dimensional():
             return ()
-        if self.dim == 1:
-            return ((0, len(X) - 1),)
         return tuple((0,) + s for i in self.genuine_facet_indices()
                      if i not in active[0] for s in self.facet_triangulation(i))
 
@@ -709,8 +706,8 @@ def _is_facet(P, T, coords, d):
 
 
 def _pull(P, coords, basis):
-    """Pulling triangulation of a face of ``P`` of dimension >= 1, as tuples
-    of vertex indices of ``P``.
+    """Pulling triangulation of a face of ``P``, as tuples of vertex indices
+    of ``P``: a 0-face is its one vertex, a 0-simplex.
 
     ``coords`` maps the face's vertex indices to their chart coordinates
     over P's vertex scale, and ``basis`` maps the chart into P's lattice.
@@ -722,8 +719,8 @@ def _pull(P, coords, basis):
     """
     order = sorted(coords, key=coords.__getitem__)
     d = len(basis)
-    if d == 1:
-        return ((order[0], order[-1]),)
+    if d <= 1:  # a point is its vertex, a segment its two ends
+        return ((order[0], order[-1])[:d + 1],)
     active = P._enumerate()[2]
     members = {}
     for k in order:

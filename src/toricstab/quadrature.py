@@ -24,7 +24,8 @@ rule sums, refinement and result.  Shared passes are bit-identical to one
 evaluation per simplex for an integrand that is row-wise to the bit (see
 :func:`integrate_parts`).  Boundary integrals pull each facet back through
 its unimodular chart, which is affine, so a pulled-back polynomial keeps
-its degree and the lattice boundary measure is built in.
+its degree and the lattice boundary measure is built in.  In dimension 1 a
+facet is a point, a 0-simplex, which the rule's one node takes exactly.
 
 The geometry of a simplex stack (its bisection into halves and the |det|
 of simplices and halves) depends on neither the rule nor the integrand, and
@@ -220,13 +221,13 @@ def _geometry(stacks, halves):
 
 def _rule_sums(f, allv, vols, bary, wts, lower=None):
     """Volume times rule sum of ``f`` on each simplex of an (N, n+1, n)
-    stack, with one call of ``f`` on all their nodes, and, given the
+    stack, n = 0 too, with one call of ``f`` on all their nodes, and, given the
     ``lower`` rule (:func:`_lower_rule`), |Q_s - Q_(s-1)| on each (else
     None).  Each rule sum is one stacked ``matmul`` of (1, L) rows by (L,
     1) weights, which numpy computes as the same 1-D dot per row as
     ``float(wts @ r)``: both keep the bits of a per-simplex sum for an
     integrand that is row-wise to the bit (see :func:`integrate_parts`)."""
-    vals = np.asarray(f((bary @ allv).reshape(-1, allv.shape[2])), dtype=float)
+    vals = np.asarray(f((bary @ allv).reshape(len(allv) * len(bary), -1)), dtype=float)
     vals = vals.reshape(len(vols), -1)
     sums = vols * np.matmul(vals[:, None, :], wts[:, None])[:, 0, 0]
     if lower is None:
@@ -392,9 +393,11 @@ def integrate_parts(parts, rule=DEFAULT_RULE):
     ``simplices`` a float stack of shape (k, n+1, n), of any n (an empty
     part integrates to 0).  An integrand whose ``degree`` the rule
     integrates exactly (at most ``2 * rule.gm_order + 1``) takes one pass
-    with error 0.  An integrand whose ``power`` is closed takes the closed
-    form of :func:`_power_law_parts`, all such parts of the call together;
-    the rule's degree and depth do not matter to it, its tolerances decide
+    with error 0, and so does any integrand on points (n = 0), where the
+    rule is one node of weight 1: the point value.  Any other integrand
+    whose ``power`` is closed takes the closed form of
+    :func:`_power_law_parts`, all such parts of the call together; the
+    rule's degree and depth do not matter to it, its tolerances decide
     ``converged``.  Every other part, a plain callable too, is adaptive.
     Returns one :class:`IntegrationResult` per part: the first pass of the
     nonempty exact and adaptive parts of each n is one batched
@@ -414,14 +417,15 @@ def integrate_parts(parts, rule=DEFAULT_RULE):
     whose first pass is one row (one simplex of a one-node rule, exact)
     keeps a pass of its own.  A refinement call has at least 6.
     """
-    def exact(f):
+    def exact(f, s):
         degree = f.degree if isinstance(f, Integrand) else None
-        return degree is not None and degree <= 2 * rule.gm_order + 1
+        return s.shape[-1] == 0 or degree is not None and degree <= 2 * rule.gm_order + 1
 
-    parts = [(f, np.asarray(s, dtype=float), exact(f)) for f, s in parts]
+    parts = [(f, np.asarray(s, dtype=float)) for f, s in parts]
+    parts = [(f, s, exact(f, s)) for f, s in parts]
     out = [IntegrationResult(0.0, 0.0, True)] * len(parts)
-    closed = {i: (f, s) for i, (f, s, _) in enumerate(parts)
-              if len(s) and isinstance(f, Integrand) and f.power and f.power.closed}
+    closed = {i: (f, s) for i, (f, s, ex) in enumerate(parts) if len(s) and not ex
+              and isinstance(f, Integrand) and f.power and f.power.closed}
     if closed:
         for i, res in zip(closed, _power_law_parts(list(closed.values()), rule)):
             out[i] = res
@@ -468,24 +472,19 @@ def integrate(polytope, f, rule=DEFAULT_RULE):
 
 
 def integrate_boundary(polytope, f, rule=DEFAULT_RULE):
-    """Integrate over the boundary with the lattice measure.
-
-    In dimension one the boundary consists of the two endpoints, each of
-    measure one, and a sum that is not finite does not converge.  Otherwise
-    each facet is pulled back through its unimodular chart and integrated
-    as an (n-1)-dimensional interior integral.
+    """Integrate over the boundary with the lattice measure: each facet
+    is pulled back through its unimodular chart and integrated as an
+    (n-1)-dimensional interior integral.  In dimension one the facets are
+    the two endpoints, points of measure one, and a sum that is not finite
+    does not converge.
     """
-    if polytope.dim == 1:
-        value = float(np.sum(np.asarray(f(polytope.vertices_floats()), dtype=float)))
-        finite = math.isfinite(value)
-        return IntegrationResult(value, 0.0 if finite else math.inf, finite)
     return integrate_sum(boundary_parts(polytope, f), rule)
 
 
 def boundary_parts(polytope, f):
-    """The parts of the boundary integral of ``f`` over a polytope of
-    dimension 2 or more: each genuine facet's triangulation, in facet
-    order, with ``f`` pulled back through the facet's chart."""
+    """The parts of the boundary integral of ``f`` over a polytope: each
+    genuine facet's triangulation, in facet order, with ``f`` pulled back
+    through the facet's chart (a point's, in dimension 1)."""
     return [(Integrand(f, chart=polytope.facet_chart(i)), polytope.facet_triangulation_floats(i))
             for i in polytope.genuine_facet_indices()]
 

@@ -247,7 +247,8 @@ def pl_facet_parts(tc, facets):
     """Integration parts of int phi * v dsigma over each facet i of P in
     ``facets``, a list per facet: phi v pulled back through P's chart of
     facet i, over each cell of phi with a facet of its own there, in its
-    chart of that facet (a chart depends on the hyperplane alone)."""
+    chart of that facet (a chart depends on the hyperplane alone); in
+    dimension 1 a facet is a point, and so is each cell's part there."""
     P, v, cells = tc.polytope, tc.weights.v_weight, tc.affine_cells()
     return [[(Integrand(v, [(g, c)], chart=chart), cell.facet_triangulation_floats(j))
              for cell, g, c in cells
@@ -263,7 +264,8 @@ def integrate_pl(tc, rule=DEFAULT_RULE):
 def _pl_integrals(tc, rule, betas):
     """int_P phi (<x, beta> - bbar) w per beta, bbar the w-mean of <x, beta>,
     and int_P phi w for None, cached by value (``invariants._integrals``);
-    int_dP phi v is read once, by df, and is not cached."""
+    int_dP phi v, the parts of :func:`pl_facet_parts` in every dimension,
+    is read once, by df, and is not cached."""
     P, W = tc.polytope, tc.weights
 
     def build(tag):
@@ -280,11 +282,7 @@ def _pl_integrals(tc, rule, betas):
 
 def integrate_pl_boundary(tc, rule=DEFAULT_RULE):
     """int_dP phi * v dsigma with the lattice boundary measure."""
-    P = tc.polytope
-    if P.dim == 1:
-        pts = P.vertices_floats()
-        return float(np.sum(tc.value(pts) * np.asarray(tc.weights.v(pts), dtype=float)))
-    return integrate_sum([p for ps in pl_facet_parts(tc, P.genuine_facet_indices())
+    return integrate_sum([p for ps in pl_facet_parts(tc, tc.polytope.genuine_facet_indices())
                           for p in ps], rule).value
 
 

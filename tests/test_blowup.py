@@ -121,6 +121,15 @@ class TestDFExpansions:
         ch = tcg.chow(tc, (F(0), F(1)))
         assert pred[1] == pytest.approx(-float(W.v(p)) * ch, rel=1e-12)
 
+    @pytest.mark.parametrize("quantity", ["volume", "futaki", "gram", "DF", "df_T"])
+    def test_unknown_quantity_raises(self, simplex, quantity):
+        # On a product configuration too, whose prediction is all zeros.
+        W = builtin("cscK", 2)
+        for phi in ([((0, 0), 0), ((1, 1), F(-1, 2))], [((1, 0), 0)]):
+            tc = tcg.ToricTC(simplex, W, tcg.PLConvex.make(phi))
+            with pytest.raises(ValueError, match="unknown quantity"):
+                blowup.predict_df_expansions(tc, 1, quantity)
+
     def test_normalized_tc_gives_same_prediction(self, simplex):
         W = builtin("cscK", 2)
         tc = tcg.ToricTC(simplex, W,

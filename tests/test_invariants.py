@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from toricstab import catalog, invariants as inv, localize, polytope, quadrature
+from toricstab import testconfig as tcg
 from toricstab.acceptance import BL1CP2_SOLITON_T
 from toricstab.invariants import BackendError
 from toricstab.profiles import PositivityError, Profile, builtin, require_positive
@@ -302,30 +303,36 @@ class TestReport:
                 assert [rep.gram[a][b] for a, b in zip(i, j)] == grams, where
                 assert [inv._moment_w(P, W, e, DEFAULT_RULE) for e in eye] == moments, where
 
-    @pytest.mark.parametrize("family", ["sasaki", "ckem"])
-    def test_power_law_report_makes_two_engine_calls(self, monkeypatch, cube, family):
+    @pytest.mark.parametrize("family, name", [
+        pytest.param(family, name, id=family if name == "cube" else f"{family}-{name}")
+        for name in ("cube", "cp1") for family in ("sasaki", "ckem")])
+    def test_power_law_report_makes_two_engine_calls(self, monkeypatch, family, name):
+        P = catalog.load(name)
         calls = []
         engine = inv.quadrature.integrate_parts
         monkeypatch.setattr(inv.quadrature, "integrate_parts",
                             lambda parts, *a: calls.append(len(parts)) or engine(parts, *a))
-        W = self.weights(cube, family, "generic")
+        W = self.weights(P, family, "generic")
         monkeypatch.setattr(inv, "_scalar_cache", OrderedDict())
-        inv.invariant_report(cube, W)
+        inv.invariant_report(P, W)
         assert len(calls) == 2
         # Both backends: the localisation values first, then Vol_w, Per_v
-        # and the moments in one call, then the Gram matrix once the check
-        # passes; a report that fails it has integrated its moments.
+        # and the moments in one call, one boundary part per facet (cp1's
+        # two points too), then the Gram matrix once the check passes; a
+        # report that fails it has integrated its moments.
+        n, facets = P.dim, len(P.genuine_facet_indices())
+        first = 1 + facets + n + n * facets
         for backend in ("localization", "both"):
             monkeypatch.setattr(inv, "_scalar_cache", OrderedDict())
             calls.clear()
-            inv.invariant_report(cube, W, backend=backend)
-            assert calls == [1 + 6 + 3 + 3 * 6, 6], backend
+            inv.invariant_report(P, W, backend=backend)
+            assert calls == [first, n * (n + 1) // 2], backend
         monkeypatch.setattr(inv, "_scalar_cache", OrderedDict())
-        monkeypatch.setattr(inv, "agree", lambda a, b, scale: a == b)
+        monkeypatch.setattr(inv, "agree", lambda a, b, scale: False)  # cp1's agree to the bit
         calls.clear()
         with pytest.raises(BackendError):
-            inv.invariant_report(cube, W, backend="both")
-        assert calls == [1 + 6 + 3 + 3 * 6]
+            inv.invariant_report(P, W, backend="both")
+        assert calls == [first]
 
     def test_report_whose_localisation_raises_integrates_nothing(self, monkeypatch):
         # ckem weights at xi = 0 send localisation to a limit that does not settle.
@@ -358,6 +365,68 @@ class TestReport:
             assert rep.futaki == tuple(f) and rep.extremal == ext, family
             monkeypatch.setattr(inv, "_scalar_cache", OrderedDict())
             assert inv.extremal_field(P, W) == ext, family
+
+
+def _interval_weights():
+    """cscK, soliton, sasaki and ckem weights on cp1 at generic xi, the
+    power laws' poles 1/8 to 1 away from the interval."""
+    P, rng = catalog.load("cp1"), np.random.default_rng(39)
+    out = [builtin("cscK", 1)]
+    for _ in range(6):
+        xi = rng.uniform(-1.0, 1.0, 1)
+        low = F(float(np.min(P.vertices_floats() @ xi)))
+        out += [builtin("soliton", 1, xi=xi)] + [
+            builtin(family, 1, xi=xi, a=d - low) for family in ("sasaki", "ckem")
+            for d in (F(1, 8), F(1, 4), F(1, 2), F(1))]
+    return out
+
+
+class TestIntervalBoundary:
+    """cp1's boundary is its two endpoints, each a point that the engine
+    evaluates once with weight 1 and adds in facet order from 0.0: the
+    endpoint sum ``float(np.sum(f(P.vertices_floats())))``, bit for bit."""
+
+    U = 2.0 ** -53
+
+    @staticmethod
+    def endpoint_sum(P, f):
+        return float(np.sum(np.asarray(f(P.vertices_floats()), dtype=float)))
+
+    def test_per_v_and_boundary_moments(self, monkeypatch, interval):
+        betas = np.array([[1.0], [-0.7], [0.3], [0.0]])
+        for W in _interval_weights():
+            monkeypatch.setattr(inv, "_scalar_cache", OrderedDict())
+            want = [self.endpoint_sum(interval, Integrand(W.v_weight))] + [
+                self.endpoint_sum(interval, inv.moment_integrands(W, b)[1]) for b in betas]
+            got = [inv.per_v(interval, W)] + [
+                inv._moment_boundary_v(interval, W, b, DEFAULT_RULE) for b in betas]
+            assert [x.hex() for x in got] == [x.hex() for x in want], W.family
+
+    def test_pl_boundary(self, interval):
+        # Untwisted, the parent's endpoint sum of phi v to the bit.  A twist
+        # and an offset enter the gradient and constant of each cell's
+        # affine piece first, so the bits may move, within the rounding
+        # bound of that order: per endpoint the float gradient and constant,
+        # the twist and offset added to them, the affine sum and its product
+        # with v, then the sum of the two, at most 5u times the sum of the
+        # absolute terms |x g v|, |x t v|, |c v| and |c0 v| to first order.
+        rng = np.random.default_rng(40)
+        for W in _interval_weights():
+            for _ in range(4):
+                phi = tcg.random_pl(rng, 1)
+                tc = tcg.ToricTC(interval, W, phi)
+                want = self.endpoint_sum(interval, lambda x: tc.value(x) * W.v(x))
+                assert tcg.integrate_pl_boundary(tc).hex() == want.hex(), W.family
+                t, c0 = rng.uniform(-1.0, 1.0, 2)
+                twisted = tcg.ToricTC(interval, W, phi, [t], c0)
+                v = Integrand(W.v_weight)(interval.vertices_floats())
+                exact = total = F(0)
+                for (x,), vx in zip(interval.vertices, map(F, v.tolist())):
+                    (g,), c = max(phi.pieces, key=lambda p: p[0][0] * x + p[1])
+                    exact += (x * (g - F(t)) + c + F(c0)) * vx
+                    total += (abs(x * g) + abs(x * F(t)) + abs(c) + abs(F(c0))) * abs(vx)
+                err = abs(F(tcg.integrate_pl_boundary(twisted)) - exact)
+                assert err <= 5 * self.U * total * (1 + 1e-12), W.family
 
 
 class TestBackendArgument:
@@ -468,6 +537,30 @@ class TestScalarCache:
                 call(simplex, bad)
             assert str(e.value) == str(uncached.value)
         assert len(checks) == 2
+
+    @pytest.mark.parametrize("family", ["cscK", "soliton"])
+    def test_interval_boundary_enters_the_batched_call(self, monkeypatch, interval, family):
+        # cp1's two endpoints are the parts of its boundary, each a point in
+        # its facet's chart, in the store's one call like any facet's.
+        calls = []
+        engine = inv.quadrature.integrate_parts
+        monkeypatch.setattr(inv.quadrature, "integrate_parts", lambda parts, *a:
+                            calls.append(parts) or engine(parts, *a))
+        W = builtin(family, 1, xi=[0.3])
+        charts = [interval.facet_chart(i) for i in interval.genuine_facet_indices()]
+        monkeypatch.setattr(inv, "_scalar_cache", OrderedDict())
+        inv.per_v(interval, W)
+        [parts] = calls
+        assert [f for f, _ in parts] == [Integrand(Integrand(W.v_weight), chart=c)
+                                         for c in charts]
+        assert [s.shape for _, s in parts] == [(1, 1, 0)] * 2
+        monkeypatch.setattr(inv, "_scalar_cache", OrderedDict())
+        calls.clear()
+        inv.invariant_report(interval, W)
+        boundary = [Integrand(W.v_weight), inv.moment_integrands(W, np.eye(1)[0])[1]]
+        inside = [Integrand(W.w_weight), inv.moment_integrands(W, np.eye(1)[0])[0]]
+        assert len(calls) == 2 and Counter(f for f, _ in calls[0]) == Counter(
+            inside + [Integrand(f, chart=c) for f in boundary for c in charts])
 
     def test_report_integrates_each_moment_once(self, monkeypatch, trapezoid):
         monkeypatch.setattr(inv, "_scalar_cache", OrderedDict())

@@ -305,13 +305,16 @@ def test_facet_objects_not_in_normal_form_are_normalised():
 
 
 def test_facet_chart_of_infeasible_facet_raises():
-    # x >= 0 is redundant behind x >= 1, and its line misses the polytope.
-    P = DelzantPolytope(2, [((1, 0), 0), ((1, 0), -1), ((-1, 0), 3),
-                            ((0, 1), 0), ((0, -1), 1)])
-    i = next(i for i, f in enumerate(P.facets) if f == Facet.make((1, 0), 0))
-    with pytest.raises(PolytopeError, match="infeasible"):
-        P.facet_chart(i)
-    assert P.volume() == 2
+    # x >= 0 is redundant behind x >= 1, and its line (in dimension 1 its
+    # point) misses the polytope.
+    for P in (DelzantPolytope(2, [((1, 0), 0), ((1, 0), -1), ((-1, 0), 3),
+                                  ((0, 1), 0), ((0, -1), 1)]),
+              DelzantPolytope(1, [((1,), 0), ((1,), -1), ((-1,), 3)])):
+        i = next(i for i, f in enumerate(P.facets)
+                 if f == Facet.make((1,) + (0,) * (P.dim - 1), 0))
+        with pytest.raises(PolytopeError, match="infeasible"):
+            P.facet_chart(i)
+        assert P.volume() == 2
 
 
 def test_facet_chart_accepts_facet_object(simplex):
