@@ -12,12 +12,12 @@ underflowing --eps-points, a negative --sample or report --seed, all
 checked before any work, and an unwritable --out), 3 precondition
 violations (any overflow or non-finite number among them), 4 tolerance
 failures: under --strict, and always when the two backends disagree or a
-localisation limit (taken where a vertex sum is degenerate or cancels)
-does not settle.  The backends disagree past 1e-8 of the quadrature Vol_w,
-Per_v or s_hat, or of width_beta Per_v for a Futaki value (width_beta the
-spread of <x, beta> over the vertices); --backend localization fails
---strict on the same discrepancy.  A "remainder_exponent" of "inf" (a
-string) means the remainder sits at roundoff.
+localisation limit does not settle (only at a nonzero xi: at xi = 0 it is
+one monomial sum).  The backends disagree past 1e-8 of the
+quadrature Vol_w, Per_v or s_hat, or of width_beta Per_v for a Futaki value
+(width_beta the spread of <x, beta> over the vertices); --backend
+localization fails --strict on the same discrepancy.  A "remainder_exponent"
+of "inf" (a string) means the remainder sits at roundoff.
 """
 
 from __future__ import annotations

@@ -11,18 +11,18 @@ u_{v,i} at each vertex.  These reproduce the polytope integrals
 
     int_P h^(n)(<x, xi>) dx      and      int_{boundary P} h^(n-1)(<x, xi>) dsigma
 
-and serve as the second, independent evaluation backend.  Individual terms
-blow up near non-generic xi while the sum stays analytic; where they cancel
-past ``AGREE_TOL`` (see ``_trusted``), the limit is taken along a generic
-auxiliary direction with symmetric Richardson extrapolation.
+and serve as the second, independent evaluation backend; a derivative
+along beta is the vertex sum of the terms' derivatives.  Terms blow up near
+non-generic xi while the sum stays analytic; where they cancel past
+``AGREE_TOL`` (see ``_trusted``), the limit is taken: near xi = 0 as the
+Taylor series about 0, whose terms are monomial sums at one direction,
+elsewhere along a generic auxiliary direction with symmetric Richardson
+extrapolation.
 
 Every value reads one kernel, ``_at``: the vertex pairings, the edge
 pairings and the Euler products at a stack of directions, from float
 arrays (vertices and inward edge generators) converted from the exact
-vertex data once per polytope and kept, read-only, in its cache.  A
-degenerate limit is one stacked kernel call on its 8 samples and one
-``h.value`` call; so are the 4 points of a central difference, and then
-the limits of all its points that need one.
+vertex data once per polytope and kept, read-only, in its cache.
 """
 
 from __future__ import annotations
@@ -34,8 +34,11 @@ from functools import lru_cache
 
 import numpy as np
 
+from .profiles import Monomial
+
 # Relative accuracy asked of a vertex sum, and of the two backends' agreement.
 AGREE_TOL = 1e-8
+EPS = sys.float_info.epsilon
 
 
 def agree(a, b, scale, tol=AGREE_TOL):
@@ -49,7 +52,7 @@ class DegenerateDirectionError(ValueError):
 
 
 class ExtrapolationError(RuntimeError):
-    """Richardson extrapolation toward a degenerate direction failed."""
+    """A limit toward a degenerate direction did not settle."""
 
 
 @dataclass(frozen=True)
@@ -108,17 +111,28 @@ def is_generic(polytope, xi):
 
 # A tiny Euler product overflows its term: no sum trusts inf or NaN.
 @np.errstate(over="ignore", invalid="ignore")
-def _terms(h, at, kind):
+def _terms(h, at, kind, beta=None):
     """The terms of the vertex sum at each row of the localisation data, in
-    one ``h.value`` call; if it raises, each row that raises alone holds
-    its exception in its place (see :func:`_ok`)."""
+    one ``h.value`` call; if it raises, each row that raises alone holds its
+    exception in its place (see :func:`_ok`).  Given ``beta``, the pairings
+    (<v, beta>, <u_{v,i}, beta>), the terms of the derivative along beta:
+    [h'(<v,xi>) <v,beta> - h(<v,xi>) sum_i <u_i,beta>/<u_i,xi>] / e_v, plus
+    c1_v(beta) h(<v,xi>) / e_v in the product rule of the c1 sum."""
     pairs, pair_edges, euler = at
     try:
-        terms = np.asarray(h.value(pairs), dtype=float) / euler
+        hv = np.asarray(h.value(pairs), dtype=float)
+        if beta is not None:
+            hpv = np.asarray(h.derivative(1).value(pairs), dtype=float)
     except Exception as e:
         return [e] if len(pairs) == 1 else [
-            _terms(h, [a[r:r + 1] for a in at], kind)[0] for r in range(len(pairs))]
-    return terms * np.sum(-pair_edges, axis=2) if kind == "c1" else terms
+            _terms(h, [a[r:r + 1] for a in at], kind, beta)[0] for r in range(len(pairs))]
+    if beta is None:
+        terms = hv / euler
+        return terms * np.sum(-pair_edges, axis=2) if kind == "c1" else terms
+    terms = hpv * beta[0] - hv * np.sum(beta[1] / pair_edges, axis=2)
+    if kind == "c1":
+        terms = np.sum(-beta[1], axis=1) * hv + np.sum(-pair_edges, axis=2) * terms
+    return terms / euler
 
 
 def _ok(outcome):
@@ -139,32 +153,26 @@ def _trusted(terms):
     except OverflowError:  # finite terms whose sum leaves the float range
         return None
     total = math.fsum(terms) if math.isfinite(size) else math.nan
-    return total if sys.float_info.epsilon * size <= AGREE_TOL * (1 + abs(total)) else None
+    return total if EPS * size <= AGREE_TOL * (1 + abs(total)) else None
 
 
 def eval_class(polytope, h, xi):
     """(h-class)(xi) = int_P h^(n)(<x, xi>) dx, by the vertex sum."""
-    return _eval(polytope, h, np.asarray(xi, dtype=float)[None], "volume")[0]
+    return _eval(polytope, h, xi, "volume")
 
 
 def eval_c1_class(polytope, h, xi):
     """(c1 h-class)(xi) = boundary integral of h^(n-1), by the vertex sum."""
-    return _eval(polytope, h, np.asarray(xi, dtype=float)[None], "c1")[0]
+    return _eval(polytope, h, xi, "c1")
 
 
-def _eval(polytope, h, xis, kind):
-    """The vertex sum at each row of xis: the trusted sum of its terms, else
-    its limit, the limits of all such rows in one :func:`_limits`."""
-    at = _at(polytope, xis)
-    generic = at[2].all(axis=1).tolist()
-    rows, out = [r for r, g in enumerate(generic) if g], [None] * len(generic)
-    for r, terms in zip(rows, _terms(h, at if len(rows) == len(out) else
-                                     [a[rows] for a in at], kind) if rows else ()):
-        out[r] = terms if isinstance(terms, Exception) else _trusted(terms)
-    todo = [r for r, v in enumerate(out) if v is None]
-    for r, v in zip(todo, _limits(polytope, kind, h, xis[todo]) if todo else ()):
-        out[r] = v
-    return [_ok(v) for v in out]
+def _eval(polytope, h, xi, kind, beta=None):
+    """The vertex sum at xi, or its derivative along ``beta`` (see
+    :func:`_terms`): the trusted sum of its terms, else its limit."""
+    at = _at(polytope, (xi := np.asarray(xi, dtype=float))[None])
+    if at[2].all() and (value := _trusted(_ok(_terms(h, at, kind, beta)[0]))) is not None:
+        return value
+    return _limit(polytope, kind, h, xi, beta)
 
 
 @lru_cache(maxsize=None)
@@ -187,94 +195,84 @@ def _sample_offsets(n):
 
 
 def eval_at_degenerate(polytope, kind, h, xi):
-    """Limit of the vertex sum along xi + t eta as t -> 0.
-
-    Symmetric evaluation at +-t kills the odd orders, and Richardson
-    extrapolation over the geometric t-grid 0.1 / 2^k, k < 4, removes the
-    leading even ones.  The auxiliary direction eta is the first candidate
-    that is generic at every grid point.  Its samples cancel by design and
-    are summed unchecked: routing them to this limit would recurse.
-    """
+    """Limit of the vertex sum along xi + t eta as t -> 0 (see :func:`_limit`)."""
     if kind not in ("volume", "c1"):
         raise ValueError("kind must be 'volume' or 'c1'")
-    return _ok(_limits(polytope, kind, h, np.asarray(xi, dtype=float)[None])[0])
+    return _limit(polytope, kind, h, np.asarray(xi, dtype=float))
 
 
-def _limits(polytope, kind, h, xis):
-    """The limit at each row of xis, or its first exception: one :func:`_at`
-    call (or two, where a row needs another eta) and one :func:`_terms`."""
-    offsets = _sample_offsets(polytope.dim)
-    for offsets in (offsets[:1], offsets):  # the first eta nearly always serves every row
-        samples = xis[:, None, None] + offsets  # (m, eta, 8, n)
-        at = [a.reshape(*samples.shape[:3], *a.shape[1:])
-              for a in _at(polytope, samples.reshape(-1, polytope.dim))]
-        generic = at[2].all(axis=(2, 3))
-        if generic.any(axis=1).all():
-            break
-    rows, pick = np.arange(len(xis)), generic.argmax(axis=1)
-    found, out = generic[rows, pick], []
-    terms = iter(_terms(h, [a[rows, pick][found].reshape(-1, *a.shape[3:]) for a in at], kind))
-    for ok in found:
-        try:
-            if not ok:
-                raise DegenerateDirectionError(
-                    "no generic auxiliary direction found for the degenerate limit")
-            samples = [next(terms) for _ in range(8)]  # (+t, -t) for each t
-            col = [0.5 * (math.fsum(_ok(plus).tolist()) + math.fsum(_ok(minus).tolist()))
-                   for plus, minus in zip(samples[::2], samples[1::2])]
-            for j in (1, 2, 3):  # the Richardson table, column by column
-                prev, col = col, [(4.0 ** j * hi - lo) / (4.0 ** j - 1.0)
-                                  for lo, hi in zip(col, col[1:])]
-            best, est = col[0], abs(col[0] - prev[-1])
-            if not est <= 1e-7 * (1.0 + abs(best)):
-                raise ExtrapolationError(
-                    f"Richardson extrapolation did not settle (estimate {est:.3e})")
-            out.append(best)
-        except Exception as e:
-            out.append(e)
-    return out
+# Up to this |xi|_inf a limit is a series of at most SERIES_TERMS terms: the
+# Richardson samples come within 0.0125 of 0, where derivative terms blow up.
+NEAR_ZERO, SERIES_TERMS = 1 / 32, 64
+
+
+def _series(polytope, kind, h, xi, beta):
+    """The limit at xi near 0.  The vertex sums of t^k / k! vanish for k < n
+    (Brion, Ann. Sci. ENS 21, 1988), so a sum of order m (n for a volume
+    class, n - 1 for a c1 class, one more along beta) is the sum over k >= m
+    of h^(k)(0) times the sum of ``Monomial(k)``, homogeneous of degree k - m
+    in xi: at xi = 0 its first term, at the first eta of _sample_offsets;
+    else each at xi / 2^e (|.|_inf in [1/2, 1)), scaled back exactly, to the
+    degree of a polynomial h, or until the bounds |h^(k)(0)| R^(k-m)/(k-m)!,
+    R = max_v |<v, xi>|, of two running terms are 2^-52 of their total."""
+    m = polytope.dim - (kind == "c1") + (beta is not None)
+    g = h.derivative(m)
+    if not xi.any():
+        return g.value(0.0) * _eval(polytope, Monomial(m), _sample_offsets(polytope.dim)[0, 0],
+                                    kind, beta)
+    e, poly = math.frexp(np.abs(xi).max())[1], hasattr(h, "coeffs")
+    unit, reach = np.ldexp(xi, -e), float(np.abs(_edge_arrays(polytope)[0] @ xi).max())
+    terms, bounds = [], []
+    for j in range(len(h.coeffs) - m if poly else SERIES_TERMS):
+        if d := g.value(0.0):
+            terms.append(d * math.ldexp(_eval(polytope, Monomial(m + j), unit, kind, beta), e * j))
+        bounds.append(abs(d) * reach ** j / math.factorial(j))
+        if not poly and j and bounds[-1] + bounds[-2] <= EPS * math.fsum(bounds):
+            return math.fsum(terms)
+        g = g.derivative()
+    if not poly:
+        raise ExtrapolationError(f"the series about xi = 0 did not settle in {SERIES_TERMS} terms")
+    return math.fsum(terms)
+
+
+def _limit(polytope, kind, h, xi, beta=None):
+    """The limit at xi: near 0 by :func:`_series`; elsewhere symmetric sums
+    at +-t, which kill the odd orders, along the first eta generic at each
+    t = 0.1 / 2^k, k < 4, and Richardson extrapolation, which removes the
+    leading even ones.  The samples cancel by design and are summed
+    unchecked, in one :func:`_at` and one :func:`_terms`."""
+    if np.abs(xi).max() <= NEAR_ZERO:
+        return _series(polytope, kind, h, xi, beta)
+    at = [a.reshape(3, 8, *a.shape[1:])  # (eta, 8, ...)
+          for a in _at(polytope, (xi + _sample_offsets(xi.size)).reshape(-1, xi.size))]
+    generic = at[2].all(axis=(1, 2))
+    if not generic.any():
+        raise DegenerateDirectionError(
+            "no generic auxiliary direction found for the degenerate limit")
+    samples = _terms(h, [a[generic.argmax()] for a in at], kind, beta)  # (+t, -t) for each t
+    col = [0.5 * (math.fsum(_ok(plus).tolist()) + math.fsum(_ok(minus).tolist()))
+           for plus, minus in zip(samples[::2], samples[1::2])]
+    for j in (1, 2, 3):  # the Richardson table, column by column
+        prev, col = col, [(4.0 ** j * hi - lo) / (4.0 ** j - 1.0)
+                          for lo, hi in zip(col, col[1:])]
+    best, est = col[0], abs(col[0] - prev[-1])
+    if not est <= 1e-7 * (1.0 + abs(best)):
+        raise ExtrapolationError(f"Richardson extrapolation did not settle (estimate {est:.3e})")
+    return best
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def directional_derivative(kind, polytope, h, xi, beta):
-    """d/ds of the vertex sum along xi + s beta, at s = 0.
-
-    Closed form at generic xi:
-
-        d/ds [h(<v, xi>)/e_v] = [h'(<v,xi>) <v,beta>
-                                  - h(<v,xi>) sum_i <u_i,beta>/<u_i,xi>] / e_v
-
-    and for the c1 sum the product rule adds a c1_v(beta) term.  At
-    degenerate xi, or where that sum cancels past ``AGREE_TOL``, the
-    derivative falls back to symmetric differences of the values, all four
-    points in one :func:`_eval`.
-    """
+    """d/ds of the vertex sum along xi + s beta, at s = 0: the vertex sum of
+    the terms' derivatives (see :func:`_terms`), else its limit, both linear
+    in beta and judged with a beta that pairs to 2 or more scaled exactly,
+    by 2^-s, to a largest pairing in [1, 2).  A beta whose pairings leave
+    the float range raises ``FloatingPointError``."""
     if kind not in ("volume", "c1"):
         raise ValueError("kind must be 'volume' or 'c1'")
-    xi = np.asarray(xi, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    pairs, pe_xi, euler = (a[0] for a in _at(polytope, xi[None]))
-    if euler.all():
-        verts, edges = _edge_arrays(polytope)
-        pe_b = edges @ beta
-        pair_b = verts @ beta
-        hv = np.asarray(h.value(pairs), dtype=float)
-        hpv = np.asarray(h.derivative(1).value(pairs), dtype=float)
-        log_der = np.sum(pe_b / pe_xi, axis=1)
-        terms = hpv * pair_b - hv * log_der
-        if kind == "c1":
-            terms = np.sum(-pe_b, axis=1) * hv + np.sum(-pe_xi, axis=1) * terms
-        value = _trusted(terms / euler)
-        if value is not None:
-            return value
-    # Central differences with one Richardson step on s^2.  The plain norm
-    # squares the components: rescale it where that overflows.
-    norm = float(np.linalg.norm(beta))
-    if norm == math.inf and (big := float(np.max(np.abs(beta)))) < math.inf:
-        norm = big * float(np.linalg.norm(beta / big))
-    if norm == math.inf:  # the step would be 0
-        raise FloatingPointError(f"|beta| overflows for beta = {beta.tolist()}")
-    s0 = 0.05 / max(1.0, norm)
-    v = _eval(polytope, h, xi + np.array([s0, -s0, s0 / 2, -s0 / 2])[:, None] * beta, kind)
-    d1, d2 = ((v[i] - v[i + 1]) / (2 * s) for i, s in ((0, s0), (2, s0 / 2)))
-    return (4 * d2 - d1) / 3
+    pairs = [a @ beta for a in _edge_arrays(polytope)]
+    if not all(np.isfinite(p).all() for p in pairs):
+        raise FloatingPointError(f"beta = {beta.tolist()} pairs past the float range")
+    s = max(0, math.frexp(max(np.abs(p).max() for p in pairs))[1] - 1)
+    return float(np.ldexp(_eval(polytope, h, xi, kind, [np.ldexp(p, -s) for p in pairs]), s))

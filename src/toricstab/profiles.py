@@ -330,6 +330,7 @@ class WeightPair:
     def __init__(self, xi, f, g, n, family=None):
         self.n = int(n)
         self.xi = _read_only(_vector(xi, self.n, "xi"))
+        check_components(self.xi.tolist(), f"xi {self.xi.tolist()}")
         self.f, self.g, self.family = f, g, family
         self.key = _HashedTuple((self.n, tuple(self.xi.tolist()), f, g))
         self.v_profile = f.derivative(self.n)
@@ -392,7 +393,6 @@ def check_components(vec, what):
 
 def weights_from_json(doc, n):
     xi = [float(c) for c in doc.get("xi", [0.0] * n)]
-    check_components(xi, f"xi {xi}")
     family = doc.get("family", "custom")
     if doc.get("profiles"):
         f, g = (profile_from_json(doc["profiles"][k]) for k in "fg")

@@ -493,27 +493,28 @@ class DestabilizingVertex:
     ties: tuple
     table: tuple
     norm_perp: float
-    scale: float  # S_phi = max_v |phi(v)| + |mean_w(phi)|
+    scale: float  # S_phi = max_v |phi(v)| + |mean_w(phi)|; 0 for a product (unread: df_T is 0)
 
 
 def destabilizing_vertex(tc, rule=DEFAULT_RULE):
     """Vertex maximising chow_T, with the normalised positivity ratio.
 
-    A product (``tc.is_product()``) has no such vertex and norm 0.  Any
-    other configuration has positive orthogonal L1 norm and maximum; the
-    ratio chow_T * Vol_w / norm_perp is reported against the uniform
-    positivity expected of it, and a norm that reads NaN (its integrals
-    overflowed) or 0 (they underflowed) raises ``FloatingPointError``.
+    A product (``tc.is_product()``) has no such vertex, norm 0 and scale 0
+    (no verdict reads it: df_T is 0).  Any other has positive orthogonal L1
+    norm and maximum; the ratio chow_T * Vol_w / norm_perp is reported
+    against the uniform positivity expected of it, and a norm that reads NaN
+    (its integrals overflowed) or 0 (they underflowed) raises ``FloatingPointError``.
     With S_phi = max_v |phi(v)| + |mean_w(phi)| (phi with its twist and
     offset), vertices within 1e-9 S_phi of the maximum are ties, the
     lexicographically smallest designated.
     """
     P, W = tc.polytope, tc.weights
+    invariants._require_positive(P, W)
+    if tc.is_product():
+        return DestabilizingVertex(True, None, 0.0, 0.0, (), tuple(
+            (v, 0.0) for v in P.vertices), 0.0, 0.0)
     perp, mean, _ = _projection(tc, rule)
     scale = float(np.max(np.abs(tc.value(P.vertices_floats())))) + abs(mean)
-    if tc.is_product():
-        table = tuple((v, 0.0) for v in P.vertices)
-        return DestabilizingVertex(True, None, 0.0, 0.0, (), table, 0.0, scale)
     norm_perp = _l1_about(perp, 0.0, rule)  # perp's w-mean is zero
     if not norm_perp > 0:
         raise FloatingPointError("the orthogonal L1 norm is "

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import OrderedDict
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toricstab import catalog, testconfig
+from toricstab import catalog, invariants, localize, testconfig
 from toricstab.blowup import QUANTITIES
 from toricstab.cli import main
 from toricstab.polytope import DelzantPolytope
@@ -290,10 +291,26 @@ def test_invariants_gram_csv(capsys):
     assert float(rows[0][0]) == pytest.approx(1 / 12)
 
 
-def test_backend_disagreement_exits_4(capsys):
-    # Sasaki weights at a = 1: the localisation Futaki misses by 1.6e-6.
-    code = main(["futaki", "--catalog", "cp2", "--family", "sasaki", "--a", "1",
-                 "--beta", "1,0", "--backend", "both"])
+def _off_by(monkeypatch, name, rel):
+    """Localisation's ``name`` reads ``rel`` relative off its value (a
+    derivative: of the volume kind alone, which moves F), in a fresh value
+    store."""
+    fn = getattr(localize, name)
+    monkeypatch.setattr(localize, name, lambda *a: fn(*a) * (1 + rel * (a[0] != "c1")))
+    monkeypatch.setattr(invariants, "_scalar_cache", OrderedDict())
+
+
+SASAKI_FUTAKI = ["futaki", "--catalog", "cp2", "--family", "sasaki", "--a", "1",
+                 "--beta", "1,0", "--backend", "both"]
+
+
+def test_backend_disagreement_exits_4(capsys, monkeypatch):
+    # Sasaki weights at a = 1, xi = 0: the backends agree, since the limit
+    # at xi = 0 is an identity (the localisation Futaki used to miss by
+    # 1.6e-6); a beta-moment 1e-6 off disagrees.
+    assert run(capsys, *SASAKI_FUTAKI, "--strict")[0] == 0
+    _off_by(monkeypatch, "directional_derivative", 1e-6)
+    code = main(SASAKI_FUTAKI)
     err = capsys.readouterr().err
     assert code == 4
     assert err.startswith("error: ") and "Traceback" not in err
@@ -311,42 +328,75 @@ def test_near_degenerate_futaki_takes_the_limit(capsys, delta):
     doc = json.loads(out)
     assert abs(doc["futaki_beta"] + 0.3324932844) <= 1e-7
     assert doc["backend_discrepancy"] <= 1e-8
-    # The limit's derivative, by central differences, misses cubature by up
-    # to 1.8e-8 (at 3e-9): within 1e-8 of the Futaki scale width_beta Per_v,
-    # 1 * 8.8, that both backends are held to.
+    # The limit of the derivative terms matches cubature to 1e-8 of F itself
+    # (3.6e-10 at 3e-9), not only of the Futaki scale width_beta Per_v, 8.8,
+    # that both backends are held to (central differences missed by 1.8e-8).
     code, out = run(capsys, *argv, "--backend", "both", "--strict")
     assert code == 0
-    assert abs(json.loads(out)["futaki_beta"] - doc["futaki_beta"]) <= 1e-8 * 8.8
+    futaki = json.loads(out)["futaki_beta"]
+    assert abs(futaki - doc["futaki_beta"]) <= 1e-8 * abs(futaki)
 
 
-@pytest.mark.parametrize("argv", [
-    # Localisation Futaki -4.55e-11 against the exact -3.75e-11 (21% off);
-    # the check against 1 + |F| read 3.3e-20 and passed.
-    ["futaki", "--catalog", "bl1cp2", "--family", "sasaki", "--a", "1000",
-     "--beta", "0,1"],
-    # Localisation Vol_w 0.44% off the exact 1e-18.
-    ["invariants", "--catalog", "cube", "--family", "sasaki", "--a", "1000"],
+@pytest.mark.parametrize("name", ["cube", "bl3cp2", "bl2cp2"])
+def test_near_zero_soliton_futaki_backends_agree(capsys, name):
+    # Near xi = 0 the derivative sums cancel and take the series about 0: a
+    # limit of the derivative terms sampled at xi + t eta read up to 7.8e-8
+    # off, and these commands exited 4 (bl3cp2 at 1e-2 also when a beta
+    # pairing to 1.5 was judged at half its scale).
+    n = catalog.load(name).dim
+    eta = np.array([0.31, 0.83, 0.57][:n])
+    for k in (2, 4, 6, 9, 12):
+        for beta in (np.eye(n)[0], np.eye(n)[-1], np.array([0.5, 1.0, -0.7][:n])):
+            assert run(capsys, "futaki", "--catalog", name, "--family", "soliton",
+                       "--xi=" + ",".join(map(repr, (10.0 ** -k * eta).tolist())),
+                       "--beta=" + ",".join(map(repr, beta.tolist())),
+                       "--backend", "both", "--strict")[0] == 0, (k, beta)
+
+
+@pytest.mark.parametrize("argv, name", [
+    # The exact Futaki value is -3.75e-11, which localisation used to read
+    # 21% off at xi = 0; a value 1e-6 off, which a check against 1 + |F|
+    # would pass, still disagrees.
+    (["futaki", "--catalog", "bl1cp2", "--family", "sasaki", "--a", "1000",
+      "--beta", "0,1"], "directional_derivative"),
+    # The exact Vol_w is 1e-18, which localisation used to read 0.44% off.
+    (["invariants", "--catalog", "cube", "--family", "sasaki", "--a", "1000"],
+     "eval_class"),
 ], ids=["futaki-bl1cp2", "invariants-cube"])
-def test_small_weights_disagree_by_their_own_scale(capsys, argv):
+def test_small_weights_disagree_by_their_own_scale(capsys, monkeypatch, argv, name):
+    code, out = run(capsys, *argv, "--backend", "both", "--strict")
+    assert code == 0 and json.loads(out)["backend_discrepancy"] <= 1e-12
+    _off_by(monkeypatch, name, 1e-6)
     assert main(argv + ["--backend", "both", "--strict"]) == 4
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_localization_strict_fails_on_its_discrepancy(capsys):
+def test_localization_strict_fails_on_its_discrepancy(capsys, monkeypatch):
     argv = ["invariants", "--catalog", "cube", "--family", "sasaki", "--a", "1000",
             "--backend", "localization"]
+    code, out = run(capsys, *argv, "--strict")
+    assert code == 0 and json.loads(out)["backend_discrepancy"] <= 1e-12
+    _off_by(monkeypatch, "eval_class", 1e-6)
     code, out = run(capsys, *argv)
-    assert code == 0 and json.loads(out)["backend_discrepancy"] > 1e-3
+    assert code == 0 and json.loads(out)["backend_discrepancy"] > 1e-7
     assert run(capsys, *argv, "--strict")[0] == 4
 
 
 def test_large_beta_localization_answers(capsys):
-    # |beta| = 1e200 squares past the float range; the rescaled norm does not.
+    # |beta| = 1e200 squares past the float range: the derivative takes no norm.
     argv = ["futaki", "--catalog", "cp2", "--beta", "1e200,0"]
     code, out = run(capsys, *argv, "--backend", "localization")
     assert code == 0 and math.isfinite(json.loads(out)["futaki_beta"])
     code, out = run(capsys, *argv, "--backend", "both", "--strict")
     assert code == 0 and json.loads(out)["futaki_beta"] == -3.059354838625e+185
+
+
+def test_large_beta_of_a_vanishing_moment_answers(capsys):
+    # At xi = 0 the beta-moments of the centred cp1xcp1-reflexive vanish;
+    # their vertex sums, linear in beta, are judged at a unit scale of beta.
+    code, out = run(capsys, "futaki", "--catalog", "cp1xcp1-reflexive", "--beta", "1e10,1e10",
+                    "--backend", "both", "--strict")
+    assert code == 0 and abs(json.loads(out)["futaki_beta"]) <= 1e-3
 
 
 def test_huge_product_configuration_is_a_product(capsys):
@@ -356,12 +406,16 @@ def test_huge_product_configuration_is_a_product(capsys):
 
 
 def test_unsettled_localisation_limit_exits_4(capsys):
-    # ckem weights at xi = 0 send localisation to the extrapolated limit.
-    code = main(["invariants", "--catalog", "cp2", "--family", "ckem", "--a",
-                 "1/2", "--backend", "both"])
+    # ckem weights at xi = 0 take the identity of the limit there; at an
+    # axis xi they take an extrapolated limit, which does not settle.
+    argv = ["invariants", "--catalog", "cp2", "--family", "ckem", "--a", "1/2",
+            "--backend", "both"]
+    assert run(capsys, *argv, "--strict")[0] == 0
+    code = main([*argv, "--xi=-0.3,0"])
     err = capsys.readouterr().err
     assert code == 4
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: Richardson extrapolation did not settle")
+    assert "Traceback" not in err
 
 
 def test_blowup_expand_vertex_out_of_range_exits_3(capsys):
@@ -723,7 +777,7 @@ CUBE_WIDE = (CUBE_SASAKI, [(("1", "0", "0"), "0"), (("0", "1", "0"), "0")],
     ("dft", CP2_WIDE),
     ("norm", CP2_CSCK + ["--beta", "1e308,-1e308"]),
     ("chow", CP2_CSCK + ["--beta", "1e308,1e308"]),
-    ("destabilize", CP2_CSCK + ["--beta", "1e308,1e308"]),
+    ("destabilize", CP2_WIDE),
     # Closed-form Sasaki integrals overflow to values that are not finite
     # without a numpy warning, and a NaN cut of a cell failed with
     # "min() arg is an empty sequence".
@@ -748,8 +802,10 @@ def test_testconfig_past_the_float_range_exits_3(tmp_path, capsys, sub, where):
 @pytest.mark.parametrize("sub, where", [
     ("dft", CP2_CSCK + ["--beta", "1e308,1e308"]),
     ("dft", CUBE_SASAKI + ["--beta", "1.7e308,-1.7e308,1"]),
+    # A product reads no mean, whose integral overflows here.
+    ("destabilize", CP2_CSCK + ["--beta", "1e308,1e308"]),
     ("destabilize", CUBE_SASAKI + ["--beta", "1.7e308,-1.7e308,1"]),
-], ids=["dft", "sasaki-dft", "sasaki-destabilize"])
+], ids=["dft", "sasaki-dft", "destabilize", "sasaki-destabilize"])
 def test_product_past_the_float_range_is_an_exact_zero(capsys, sub, where):
     # The product of a beta past the float range: its torus-orthogonal
     # part is the zero configuration, whatever its own integrals do.
@@ -783,8 +839,7 @@ def test_non_product_with_a_zero_orthogonal_norm_exits_3(tmp_path, capsys):
     ["futaki", "--catalog", "cp2", "--beta", "1e308,1e308"],
     ["blowup-expand", "--catalog", "cp2", "--vertex", "0", "--quantity", "futaki",
      "--beta", "1e308,1e308"],
-    # |beta| is past the float range, so the difference step of the
-    # localisation would be 0.
+    # The vertex sum of the derivative at xi = 0 overflows.
     ["futaki", "--catalog", "cp2", "--family", "soliton", "--xi", "0,0",
      "--beta", "1.7e308,1.7e308", "--backend", "localization"],
     ["futaki", "--catalog", "cp2", "--beta", "1.7e308,1.7e308", "--backend", "both"],

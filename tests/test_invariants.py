@@ -335,16 +335,18 @@ class TestReport:
         assert calls == [first]
 
     def test_report_whose_localisation_raises_integrates_nothing(self, monkeypatch):
-        # ckem weights at xi = 0 send localisation to a limit that does not settle.
+        # ckem weights at an axis xi send localisation to a limit that does
+        # not settle (at xi = 0 the limit is an identity, and the report runs).
         calls = []
         engine = inv.quadrature.integrate_parts
         monkeypatch.setattr(inv.quadrature, "integrate_parts",
                             lambda parts, *a: calls.append(len(parts)) or engine(parts, *a))
         monkeypatch.setattr(inv, "_scalar_cache", OrderedDict())
-        W = builtin("ckem", 2, a=F(1, 2))
+        W = builtin("ckem", 2, xi=[-0.3, 0.0], a=F(1, 2))
         with pytest.raises(localize.ExtrapolationError):
             inv.invariant_report(catalog.load("cp2"), W, backend="both")
         assert calls == []
+        inv.invariant_report(catalog.load("cp2"), builtin("ckem", 2, a=F(1, 2)), backend="both")
 
     @pytest.mark.parametrize("name", catalog.names())
     def test_futaki_and_extremal_as_their_own_functions(self, monkeypatch, name):
@@ -673,12 +675,16 @@ class TestScalarCache:
     def test_unsettled_limit_raises_on_every_call(self, monkeypatch, simplex):
         monkeypatch.setattr(inv, "_scalar_cache", OrderedDict())
         limits = []
-        fn = inv.localize._limits
-        monkeypatch.setattr(inv.localize, "_limits",
+        fn = inv.localize._limit
+        monkeypatch.setattr(inv.localize, "_limit",
                             lambda *a, **k: limits.append(1) or fn(*a, **k))
-        # ckem weights at xi = 0: the extrapolated volume does not settle.
-        W = builtin("ckem", 2, a=F(1, 2))
+        # ckem weights at an axis xi: the extrapolated volume does not settle.
+        W = builtin("ckem", 2, xi=[-0.3, 0.0], a=F(1, 2))
         for attempt in (1, 2):
             with pytest.raises(inv.localize.ExtrapolationError):
                 inv.vol_w(simplex, W, backend="localization")
             assert len(limits) == attempt
+        # At xi = 0 the limit is a monomial sum, which agrees with cubature.
+        W = builtin("ckem", 2, a=F(1, 2))
+        assert inv.vol_w(simplex, W, backend="localization") == pytest.approx(
+            inv.vol_w(simplex, W), rel=1e-12)

@@ -6,14 +6,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from toricstab import catalog, localize
+from toricstab import _linalg as la, catalog, invariants, localize
 from toricstab.localize import (DegenerateDirectionError, directional_derivative,
                                 eval_at_degenerate, eval_c1_class, eval_class,
                                 vertex_weights)
 from toricstab.polytope import DelzantPolytope
 from toricstab.profiles import (Exponential, Monomial, PowerLaw,
                                 ProfileDomainError, builtin)
-from toricstab.quadrature import integrate, integrate_boundary, moments
+from toricstab.quadrature import (Integrand, QuadratureRule, boundary_parts, integrate,
+                                  integrate_boundary, integrate_parts, moments)
 
 DATA = Path(__file__).parent / "data"
 
@@ -127,70 +128,99 @@ def _near_degenerate(P):
                  for u in v.inward_edges}
         bases = sorted({(-0.7 * u[1], 0.7 * u[0]) for u in edges
                         if u > tuple(-c for c in u)})
+    return [np.array(x0) + x for x0 in bases for x in _near_zero(P)]
+
+
+def _near_zero(P):
+    """10^-k eta for k = 2..12: xi0 = 0."""
     eta = np.array([0.31, 0.83, 0.57][:P.dim])
-    return [np.array(x0) + 10.0 ** -k * eta for x0 in bases
-            for k in range(2, 13)]
+    return [10.0 ** -k * eta for k in range(2, 13)]
 
 
-def _closed_form_moment(P, family, xi, m=None):
-    """int_P x^m w dx: exact for cscK (w = 1), exponential for solitons."""
-    if family == "cscK":
+# Tight enough that the power-law closed form is exact to rounding.
+CLOSED_FORM = QuadratureRule(tol_abs=0.0, tol_rel=1e-13)
+
+
+def _closed_form_moment(P, W, m=None):
+    """int_P x^m w dx: exact for cscK (w = 1), exponential for solitons,
+    the closed form of the cubature for power laws (sasaki and ckem)."""
+    if W.family == "cscK":
         return float(moments(P, m))
-    return moments(P, m, xi, "exponential")
+    if W.family == "soliton":
+        return moments(P, m, W.xi, "exponential")
+    factors = [] if m is None else [(np.array(m, dtype=float), None)]
+    return integrate_parts([(Integrand(W.w_weight, factors), P.triangulation_floats())],
+                           CLOSED_FORM)[0].value
 
 
 NEAR_DEGENERATE = [name for name in catalog.names()
                    if catalog.load(name).dim == 2] + ["cube"]
 
 
+NEAR_FAMILIES = ["soliton", "cscK", "sasaki", "ckem"]
+
+
 class TestNearDegenerateDirections:
     """Near a degenerate direction the vertex terms grow and cancel: each
     sum must agree with the closed form to 1e-8, relative as the backends
-    must (to 1 + |value|), or raise."""
+    must (to 1 + |value|), or raise.  Sasaki and ckem weights take a = 2."""
 
-    @pytest.mark.parametrize("family", ["soliton", "cscK"])
-    @pytest.mark.parametrize("name", NEAR_DEGENERATE)
-    def test_weighted_volume(self, name, family):
-        P = catalog.load(name)
-        for xi in _near_degenerate(P):
-            W = builtin(family, P.dim, xi=xi)
+    @staticmethod
+    def volumes_agree(P, family, xis):
+        for xi in xis:
+            W = builtin(family, P.dim, xi=xi, a=F(2))
             try:
                 got = eval_class(P, W.g.derivative(1), xi)
             except localize.ExtrapolationError:
                 continue
-            want = _closed_form_moment(P, family, xi)
+            want = _closed_form_moment(P, W)
             assert abs(got - want) <= 1e-8 * (1 + abs(want)), xi
 
-    @pytest.mark.parametrize("family", ["soliton", "cscK"])
-    @pytest.mark.parametrize("name", NEAR_DEGENERATE)
-    def test_moment_derivative(self, name, family, request):
-        # The derivative at a sum that cancels is taken, as at a degenerate
-        # direction, by central differences of the limit.  On hirzebruch-a,
-        # whose vertices pair largest with beta, their truncation error alone
-        # misses 1e-8 for solitons (by 1.2e-7 to 1.7e-7), here as at the
-        # degenerate directions; a series limit would meet it.
-        if family == "soliton" and name == "hirzebruch-a":
-            request.applymarker(pytest.mark.xfail(
-                raises=AssertionError, strict=True,
-                reason="central differences of the limit miss 1e-8"))
-        P = catalog.load(name)
+    @staticmethod
+    def derivatives_agree(P, family, xis):
+        # The derivative at a sum that cancels is the limit of the sums of
+        # the terms' derivatives, as at a degenerate direction.
         beta = np.array([0.5, 1.0, -0.7][:P.dim])
-        for xi in _near_degenerate(P):
-            W = builtin(family, P.dim, xi=xi)
+        for xi in xis:
+            W = builtin(family, P.dim, xi=xi, a=F(2))
             try:
                 got = directional_derivative("volume", P, W.g, xi, beta)
             except localize.ExtrapolationError:
                 continue
             # The g-class changes along beta by the beta-moment of w.
-            want = math.fsum(b * _closed_form_moment(P, family, xi, m)
+            want = math.fsum(b * _closed_form_moment(P, W, m)
                              for b, m in zip(beta, np.eye(P.dim, dtype=int)))
             assert abs(got - want) <= 1e-8 * (1 + abs(want)), xi
+
+    @pytest.mark.parametrize("family", NEAR_FAMILIES)
+    @pytest.mark.parametrize("name", NEAR_DEGENERATE)
+    def test_weighted_volume(self, name, family):
+        P = catalog.load(name)
+        self.volumes_agree(P, family, _near_degenerate(P))
+
+    @pytest.mark.parametrize("family", NEAR_FAMILIES)
+    @pytest.mark.parametrize("name", NEAR_DEGENERATE)
+    def test_moment_derivative(self, name, family):
+        P = catalog.load(name)
+        self.derivatives_agree(P, family, _near_degenerate(P))
+
+    @pytest.mark.parametrize("family", NEAR_FAMILIES)
+    @pytest.mark.parametrize("name", NEAR_DEGENERATE)
+    def test_weighted_volume_near_zero(self, name, family):
+        P = catalog.load(name)
+        self.volumes_agree(P, family, _near_zero(P))
+
+    @pytest.mark.parametrize("family", NEAR_FAMILIES)
+    @pytest.mark.parametrize("name", NEAR_DEGENERATE)
+    def test_moment_derivative_near_zero(self, name, family):
+        P = catalog.load(name)
+        self.derivatives_agree(P, family, _near_zero(P))
 
     @pytest.mark.parametrize("name, beta", [("cp1", [1.0]), ("cp2", [1.0, -1.0])])
     def test_vanishing_sums_are_summed_directly(self, name, beta):
         # The beta-moments of cscK weights vanish by symmetry here, and their
         # sums cancel to the last bits: the trust test's 1 + |sum| keeps them
-        # from the limit path, whose central differences read otherwise.
+        # from the limit path, which reads otherwise.
         P = catalog.load(name)
         want = {"cp1": ["0x0.0p+0"] * 4,
                 "cp2": ["0x1.0000000000000p-54", "0x1.0000000000000p-53",
@@ -273,8 +303,56 @@ CUBE4 = DelzantPolytope(4, [(tuple(int(i == j) * s for j in range(4)), o)
                         name="cube4")
 
 
-@pytest.mark.parametrize("P", [catalog.load(name) for name in catalog.names()] + [CUBE4],
-                         ids=lambda P: P.name)
+ALL_POLYTOPES = [catalog.load(name) for name in catalog.names()] + [CUBE4]
+ZERO_FAMILIES = [("cscK", None), ("extremal", None), ("soliton", None),
+                 *((family, a) for family in ("sasaki", "ckem")
+                   for a in (F(1, 2), F(2), F(1000)))]
+
+
+@pytest.mark.parametrize("P", ALL_POLYTOPES, ids=lambda P: P.name)
+def test_zero_direction_is_an_exact_moment(P):
+    # At xi = 0 the class of g' is w(0) Vol, the c1 class of f' is v(0) Per,
+    # and the derivatives of the classes of g and f along beta are w(0) and
+    # v(0) times the beta-moments, inside and on the boundary.  An exact 0
+    # (a moment of a centred polytope) is held to its scale width_beta M.
+    n, zero = P.dim, np.zeros(P.dim)
+    betas = [np.array([0.5, 1.0, -0.7, 0.3][:n]), np.eye(n)[-1]]
+    verts = localize._edge_arrays(P)[0]
+    for family, a in ZERO_FAMILIES:
+        W = builtin(family, n, a=a)
+        cases = [(eval_class(P, W.g.derivative(1), zero), W.w_profile, None, False),
+                 (eval_c1_class(P, W.f.derivative(1), zero), W.v_profile, None, True)]
+        cases += [(directional_derivative(kind, P, h, zero, beta), weight, beta, kind == "c1")
+                  for beta in betas for kind, h, weight in (
+                      ("volume", W.g, W.w_profile), ("c1", W.f, W.v_profile))]
+        for got, weight, beta, boundary in cases:
+            want = float(F(weight.value(0.0)) * _exact_moment(P, beta, boundary))
+            scale = abs(want) or abs(weight.value(0.0)) * float(
+                _exact_moment(P, None, boundary)) * float(np.ptp(verts @ beta))
+            assert abs(got - want) <= 1e-12 * scale, (family, a, beta, boundary, got, want)
+
+
+@pytest.mark.parametrize("P", ALL_POLYTOPES, ids=lambda P: P.name)
+def test_backends_agree_at_the_zero_direction(P):
+    # The localisation Vol_w and Per_v agree with cubature to 1e-12 relative,
+    # and each Futaki value to 1e-14 of width_beta Per_v, and to 1e-12
+    # relative where |F| is at least 1e-3 width_beta Per_v.
+    n = P.dim
+    for family, a in ZERO_FAMILIES:
+        W = builtin(family, n, a=a)
+        for fn in (invariants.vol_w, invariants.per_v):
+            q, l = fn(P, W), fn(P, W, backend="localization")
+            assert abs(l - q) <= 1e-12 * abs(q), (family, a, fn.__name__)
+        for beta in [np.array([0.5, 1.0, -0.7, 0.3][:n]), *np.eye(n)]:
+            q = invariants.futaki(P, W, beta)
+            l = invariants.futaki(P, W, beta, backend="localization")
+            scale = float(np.ptp(localize._edge_arrays(P)[0] @ beta)) * invariants.per_v(P, W)
+            assert abs(l - q) <= 1e-14 * scale, (family, a, beta)
+            if abs(q) >= 1e-3 * scale:
+                assert abs(l - q) <= 1e-12 * abs(q), (family, a, beta)
+
+
+@pytest.mark.parametrize("P", ALL_POLYTOPES, ids=lambda P: P.name)
 def test_stacked_kernel_equals_one_direction_at_a_time(P):
     # Random scales, axis and zero directions; bl3cp2 has vertices whose
     # pairings a plain matrix product of the stack rounds otherwise.
@@ -296,14 +374,21 @@ def test_stacked_kernel_equals_one_direction_at_a_time(P):
 @pytest.mark.parametrize("name", ["cp2", "bl3cp2", "cube"])
 @pytest.mark.parametrize("kind", ["volume", "c1"])
 def test_stacked_limits_equal_one_limit_at_a_time(name, kind):
+    # A limit takes the samples of its three etas in one kernel call and the
+    # terms at the first generic eta's 8 samples in one call: summed one
+    # sample at a time, its symmetric sums and Richardson table read alike.
     P = catalog.load(name)
     n = P.dim
-    xis = np.array([np.zeros(n), np.eye(n)[0] * 0.8, np.eye(n)[-1] * -0.3,
-                    np.array([0.3, -0.2, 0.1][:n])])
-    for h in (Exponential(), PowerLaw(F(1), F(3), F(-3)), Monomial(n + 1)):
-        stacked = localize._limits(P, kind, h, xis)
-        assert [float(v).hex() for v in stacked] == [
-            float(eval_at_degenerate(P, kind, h, xi)).hex() for xi in xis]
+    for xi in (np.eye(n)[0] * 0.8, np.eye(n)[-1] * -0.3, np.array([0.3, -0.2, 0.1][:n])):
+        samples = next(s for s in xi + localize._sample_offsets(n)
+                       if all(localize.is_generic(P, x) for x in s))
+        for h in (Exponential(), PowerLaw(F(1), F(3), F(-3)), Monomial(n + 1)):
+            sums = [math.fsum(localize._terms(h, localize._at(P, x[None]), kind)[0].tolist())
+                    for x in samples]
+            col = [0.5 * (plus + minus) for plus, minus in zip(sums[::2], sums[1::2])]
+            for j in (1, 2, 3):
+                col = [(4.0 ** j * hi - lo) / (4.0 ** j - 1.0) for lo, hi in zip(col, col[1:])]
+            assert float(eval_at_degenerate(P, kind, h, xi)).hex() == col[0].hex()
 
 
 class _Refusing(Monomial):
@@ -336,26 +421,31 @@ class TestFallbackExceptionOrder:
     """A stacked fallback raises what evaluating its samples one by one, in
     today's order, raises first."""
 
+    # An axis xi past NEAR_ZERO: its limit takes samples (near 0 it sums the
+    # series, which reads h at no sample).
+    XI = np.array([0.04, 0.0])
+
     def test_degenerate_limit(self, simplex):
         h = _Refusing(3)
-        xi = np.zeros(2)
-        samples = xi + localize._sample_offsets(2)[0]  # the first eta serves
+        samples = self.XI + localize._sample_offsets(2)[0]  # the first eta serves
         want = _first_refusal(h, localize._at(simplex, samples)[0])
         assert want.startswith("high t")  # sample +t0 before -t0
         with pytest.raises(ValueError) as err:
-            eval_at_degenerate(simplex, "volume", h, xi)
+            eval_at_degenerate(simplex, "volume", h, self.XI)
         assert str(err.value) == want
 
-    def test_central_difference(self, simplex):
+    def test_derivative_limit(self, simplex):
+        # The derivative's samples evaluate h, then h', at each sample.
         h = _Refusing(3)
-        beta = np.array([0.6, 0.3])
-        s0 = 0.05 / np.linalg.norm(beta) if np.linalg.norm(beta) > 1 else 0.05
-        points = np.array([s0, -s0, s0 / 2, -s0 / 2])[:, None] * beta
-        want = _first_refusal(h, localize._at(simplex, points)[0])
-        assert want.startswith("high t")
+        samples = self.XI + localize._sample_offsets(2)[0]
+        want = _first_refusal(h, localize._at(simplex, samples)[0])
         with pytest.raises(ValueError) as err:
-            directional_derivative("volume", simplex, h, np.zeros(2), beta)
+            directional_derivative("volume", simplex, h, self.XI, [0.6, 0.3])
         assert str(err.value) == want
+
+    def test_no_samples_at_zero(self, simplex):
+        # At xi = 0 the limit reads h^(n)(0) alone: no sample, no refusal.
+        assert eval_at_degenerate(simplex, "volume", _Refusing(3), np.zeros(2)) == 0.0
 
 
 # The bits of every localisation value, recorded by ``_localisation_bits()``
@@ -406,6 +496,51 @@ def _localisation_bits():
                     bits[f"{key} directional_derivative {kind}"] = _bits_of(
                         lambda: directional_derivative(kind, P, h, xi, beta))
     return bits
+
+
+def _exact_moment(P, beta, boundary):
+    """int_P <x, beta> dx, or over the boundary of P with the lattice
+    measure, as a Fraction; for beta None, the volume or the perimeter.  A
+    facet simplex in chart coordinates has the lattice measure of its
+    Euclidean volume there, and <x, beta> is affine on it."""
+    if not boundary:
+        return moments(P) if beta is None else sum(
+            F(b) * moments(P, m) for b, m in zip(beta, np.eye(P.dim, dtype=int)))
+    scale, total, k = P._enumerate()[0], F(0), P.dim - 1
+    for i in P.genuine_facet_indices():
+        coords = P._chart(i)[1]
+        for s in P.facet_triangulation(i):
+            y = [coords[j] for j in s]
+            vol = F(abs(la.det([[a - b for a, b in zip(p, y[0])] for p in y[1:]])),
+                    scale ** k * math.factorial(k))
+            total += vol if beta is None else vol * sum(
+                F(b) * P.vertices[j][c] for j in s for c, b in enumerate(beta)) / len(s)
+    return total
+
+
+def _localisation_reference(key):
+    """What the ``_localisation_bits`` entry ``key`` approximates, or None
+    for vertex weights.  A sum of order m (see ``localize._series``) at
+    xi = 0: h^(m)(0) times the exact moment.  Elsewhere the integral it
+    localises: the exponential moments for an exponential class, else the
+    cubature, exact for a polynomial and in closed form for a power law."""
+    name, xi_name, prof_name, fn, *kind = key.split()
+    if fn == "vertex_weights":
+        return None
+    P = catalog.load(name)
+    n = P.dim
+    boundary = fn == "eval_c1_class" or kind == ["c1"]
+    beta = np.array([0.5, 1.0, -0.7][:n]) if kind else None
+    h = BITS_PROFILES[prof_name](n).derivative(n - boundary + (beta is not None))
+    xi = np.array(BITS_DIRECTIONS[xi_name][:n])
+    if not xi.any():
+        return float(F(h.value(0.0)) * _exact_moment(P, beta, boundary))
+    if prof_name == "Exponential" and not boundary:
+        return math.fsum(b * moments(P, m, xi, "exponential") for b, m in zip(
+            beta, np.eye(n, dtype=int))) if kind else moments(P, None, xi, "exponential")
+    f = Integrand((h, xi), [] if beta is None else [(beta, None)])
+    parts = boundary_parts(P, f) if boundary else [(f, P.triangulation_floats())]
+    return math.fsum(r.value for r in integrate_parts(parts, CLOSED_FORM))
 
 
 def test_localisation_bits_are_pinned():

@@ -389,6 +389,17 @@ class TestWeightPairKey:
         assert W.key == V.key and hash(W.key) == hash(V.key)
         assert W.key != builtin("ckem", 3, xi=[0.1, 0.2, 0.3], a=F(3)).key
 
+    @pytest.mark.parametrize("xi", [[-5e-324], [2.2e-308], [math.inf], [math.nan]])
+    def test_refuses_what_the_cli_refuses(self, xi):
+        # On cp1 a pairing with -5e-324 rounds to 0 where the Euler product
+        # does not: localisation read Vol_w = 0.0 (exact 1.0), and s_hat
+        # divided by it.
+        with pytest.raises(ValueError, match=r"non-finite or subnormal"):
+            builtin("extremal", 1, xi=xi)
+        with pytest.raises(ValueError, match=r"non-finite or subnormal"):
+            WeightPair(xi, Monomial(1), Monomial(2), 1)
+        assert builtin("extremal", 1, xi=[2.3e-308]).xi.tolist() == [2.3e-308]
+
 
 # The JSON document of one instance of each variant, and the positivity
 # verdict of every built-in family on every catalog polytope, recorded by

@@ -540,9 +540,10 @@ class TestValueStore:
             [tcg.lambda_pairing(tc, e) for e in np.eye(2)], abs=1e-14)
         assert len(engine_calls) == 1
 
-    def test_cold_product_integrates_phi_w_alone(self, engine_calls, monkeypatch):
-        # A product pays for int phi w (its mean) alone: no lambda-pairing,
-        # no Gram solve, no orthogonal L1 norm and no df of its zero part.
+    def test_cold_product_integrates_nothing(self, engine_calls, monkeypatch):
+        # A product pays for no integral: not int phi w (its mean, which no
+        # product verdict reads), no lambda-pairing, no Gram solve, no
+        # orthogonal L1 norm and no df of its zero part.
         P, W = catalog.load("bl1cp2"), builtin("cscK", 2)
         inv.extremal_field(P, W)
         # The L1 norm reaches the engine through testconfig's own import.
@@ -550,7 +551,7 @@ class TestValueStore:
         tc = ToricTC(P, W, _pl(((1, -2), F(1, 3))), twist=[0.25, -0.5], c0=1.5)
         engine_calls.clear()
         assert tcg.destabilizing_vertex(tc).product and tcg.df_T(tc) == 0.0
-        assert [len(parts) for parts in engine_calls] == [1]  # one part: its one cell
+        assert engine_calls == []
 
     def test_beta_of_another_shape_is_refused(self, engine_calls, csck2):
         # A beta is keyed by its bytes, which do not hold its shape: a (1, 2)
